@@ -2,9 +2,15 @@
 
 Facet enumeration is brute force over d-subsets with integer cofactor
 arithmetic; at the supported scale (n <= 16) this stays fast and every
-sign decision is exact.  Shelling orders are produced geometrically and
-then re-checked by the independent combinatorial verifier, so a bug in
-the crossing logic cannot leak an invalid certificate.
+sign decision is exact.  Facet hyperplanes are primitive integer vectors,
+so the facets a line crosses are ranked by integer dot products with no
+rational arithmetic.  Stacking a point beyond the special facet builds the new
+boundary by the beneath-beyond theorem instead of enumerating the hull
+again, and checks every new hyperplane against all points.  Shelling
+orders are produced geometrically; the constrained search tests its
+prefix condition on the raw crossing order first, and every order that
+is returned is re-checked by the independent combinatorial verifier, so
+a bug in the crossing logic cannot leak an invalid certificate.
 """
 
 from __future__ import annotations
@@ -42,22 +48,30 @@ from .errors import (
 from .exactnum import RatMatrix, det, format_rational, int_det, int_rank
 
 DEFAULT_POINT_CAP = 16
+# Most step halvings point_beyond accepts.  The 80-cell grid needs at
+# most 125 (d=6, pulled toward a vertex at closeness 40).
+_MAX_HALVINGS = 1024
 
 
 @dataclass(frozen=True)
 class FacetDescriptor:
     """A facet with its supporting hyperplane, oriented inward.
 
-    Every configuration point x satisfies offset + normal.x >= 0, with
-    equality exactly for the points listed in vertex_ids.
+    normal and offset are integers with no common factor.  Every
+    configuration point x satisfies offset + normal.x >= 0, with equality
+    exactly for the points listed in vertex_ids.
     """
 
     vertex_ids: frozenset[int]
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    normal: tuple[int, ...]
+    offset: int
 
     def eval_at(self, coords: Sequence[Fraction]) -> Fraction:
         return self.offset + sum(a * x for a, x in zip(self.normal, coords))
+
+    def eval_homogeneous(self, hom: Sequence[int]) -> int:
+        """offset*hom[0] + normal.hom[1:]: the value at hom[1:]/hom[0], times hom[0]."""
+        return self.offset * hom[0] + sum(a * x for a, x in zip(self.normal, hom[1:]))
 
     def is_simplex(self) -> bool:
         return len(self.vertex_ids) == len(self.normal)
@@ -99,9 +113,6 @@ class ASPGeometry:
             raise ShapeError("boundary complex requires a simplicial geometry")
         return SimplicialComplex.from_facets(f.vertex_ids for f in self.facets)
 
-    def star_facets(self, vid: int) -> list[FacetDescriptor]:
-        return [f for f in self.facets if vid in f.vertex_ids]
-
 
 def orientation(pts: Sequence[Sequence[Fraction]]) -> int:
     """Sign of the determinant with a prepended coordinate of ones."""
@@ -114,18 +125,54 @@ def orientation(pts: Sequence[Sequence[Fraction]]) -> int:
     return (value > 0) - (value < 0)
 
 
+def _homogeneous(coords: Sequence[Fraction]) -> list[int]:
+    """An integer vector positively proportional to (1, coords)."""
+    scale = math.lcm(*(c.denominator for c in coords)) if coords else 1
+    return [scale] + [c.numerator * (scale // c.denominator) for c in coords]
+
+
 def _integer_homogeneous(config: PointConfig) -> list[list[int]]:
     """Per point, an integer vector positively proportional to (1, x)."""
-    out = []
-    for _, coords in config.points:
-        scale = math.lcm(*(c.denominator for c in coords)) if coords else 1
-        out.append([scale] + [int(c * scale) for c in coords])
-    return out
+    return [_homogeneous(coords) for _, coords in config.points]
 
 
 def _minor_det(rows: list[list[int]], drop_col: int) -> int:
     sub = [[r[c] for c in range(len(r)) if c != drop_col] for r in rows]
     return int_det(sub)
+
+
+def _supporting_hyperplane(
+    hom: list[list[int]], subset: Sequence[int]
+) -> tuple[tuple[int, ...], frozenset[int]] | None:
+    """Primitive inward hyperplane through the points at 0-based `subset`.
+
+    The normal comes from the d+1 cofactors of the subset's homogeneous
+    coordinate matrix.  Returns it as (offset, *normal) with the ids of
+    every point on it, or None when the subset spans no hyperplane or
+    points lie strictly on both sides.
+    """
+    d = len(subset)
+    m = [hom[i] for i in subset]
+    w = [(-1) ** (d + c) * _minor_det(m, c) for c in range(d + 1)]
+    if all(x == 0 for x in w):
+        return None
+    dots = [sum(wc * hc for wc, hc in zip(w, h)) for h in hom]
+    has_pos = any(x > 0 for x in dots)
+    has_neg = any(x < 0 for x in dots)
+    if has_pos and has_neg:
+        return None
+    g = -math.gcd(*w) if has_neg else math.gcd(*w)
+    on_ids = frozenset(i + 1 for i, x in enumerate(dots) if x == 0)
+    return tuple(x // g for x in w), on_ids
+
+
+def _check_cap(n: int, cap: int | None) -> None:
+    if cap is not None and n > cap:
+        raise CapExceededError(f"{n} points exceed the cap {cap}; raise it explicitly")
+
+
+def _facet_order(facets: Iterable[FacetDescriptor]) -> tuple[FacetDescriptor, ...]:
+    return tuple(sorted(facets, key=lambda f: tuple(sorted(f.vertex_ids))))
 
 
 def enumerate_facets(
@@ -139,8 +186,7 @@ def enumerate_facets(
     set of points lying on the hyperplane.
     """
     n, d = config.n, config.d
-    if cap is not None and n > cap:
-        raise CapExceededError(f"{n} points exceed the cap {cap}; raise it explicitly")
+    _check_cap(n, cap)
     if n < d + 1:
         raise RankDeficientError("too few points to span the ambient dimension")
     hom = _integer_homogeneous(config)
@@ -152,33 +198,13 @@ def enumerate_facets(
         sub_ids = frozenset(i + 1 for i in subset)
         if any(sub_ids <= on for on in found):
             continue
-        m = [hom[i] for i in subset]
-        w = [(-1) ** (d + c) * _minor_det(m, c) for c in range(d + 1)]
-        if all(x == 0 for x in w):
-            continue
-        dots = [sum(wc * hc for wc, hc in zip(w, h)) for h in hom]
-        has_pos = any(x > 0 for x in dots)
-        has_neg = any(x < 0 for x in dots)
-        if has_pos and has_neg:
-            continue
-        if has_neg:
-            w = [-x for x in w]
-        on_ids = frozenset(i + 1 for i, x in enumerate(dots) if x == 0)
-        if on_ids not in found:
-            g = math.gcd(*w)
-            found[on_ids] = tuple(x // g for x in w)
-
-    descriptors = []
-    for on_ids in sorted(found, key=lambda f: tuple(sorted(f))):
-        w = found[on_ids]
-        descriptors.append(
-            FacetDescriptor(
-                on_ids,
-                tuple(Fraction(x) for x in w[1:]),
-                Fraction(w[0]),
-            )
-        )
-    return tuple(descriptors)
+        plane = _supporting_hyperplane(hom, subset)
+        if plane is not None:
+            w, on_ids = plane
+            found[on_ids] = w
+    return _facet_order(
+        FacetDescriptor(on_ids, w[1:], w[0]) for on_ids, w in found.items()
+    )
 
 
 def detect_asp(
@@ -245,13 +271,16 @@ def point_beyond(
 ) -> tuple[Fraction, ...]:
     """Exact point beyond one facet: outside it, strictly inside all others.
 
-    Walks out of the polytope through a relative-interior point of the
-    facet and halves the step until the beyond conditions hold.  With
-    `toward` the exit point is pulled toward that facet vertex by
-    toward_weight (must stay below 1 so the exit point remains in the
-    relative interior); extra halvings then bring the result as close to
-    the facet as desired without rechecking, since shrinking preserves
-    all three conditions.
+    Walks out of the polytope from the interior centroid through a
+    relative-interior point of the facet, taking the longest step 2^-k
+    (k >= 0) for which the beyond conditions hold.  Every facet's value is
+    affine along the walk, so k is solved for exactly, facet by facet; a
+    facet that needs more than _MAX_HALVINGS halvings raises
+    DegeneracyError.  With `toward` the exit point is pulled toward that
+    facet vertex by toward_weight (must stay below 1 so the exit point
+    remains in the relative interior); extra halvings then bring the
+    result as close to the facet as desired, since shrinking preserves
+    all three conditions.  The returned point is checked exactly.
     """
     if facet not in geom.facets:
         raise NotAFaceError("facet descriptor does not belong to this geometry")
@@ -266,18 +295,27 @@ def point_beyond(
         w = toward_weight
         exit_pt = tuple((1 - w) * a + w * c for a, c in zip(exit_pt, tv))
     step = tuple(e - a for e, a in zip(exit_pt, b))
-    lam = Fraction(1)
     others = [f for f in geom.facets if f is not facet]
-    while True:
-        y = tuple(e + lam * s for e, s in zip(exit_pt, step))
-        if facet.eval_at(y) < 0 and all(f.eval_at(y) > 0 for f in others):
-            break
-        lam /= 2
-    for _ in range(extra_halvings):
-        lam /= 2
+    # At exit_pt + lam*step a facet's value is E + lam*(E - B), with E and B
+    # its values at the exit point and the centroid: positive at lam = 2^-k
+    # exactly when 2^k * E > B - E.  In homogeneous form that reads
+    # 2^k * r > p below.
+    he, hb = _homogeneous(exit_pt), _homogeneous(b)
+    halvings = 0
+    for f in others:
+        r = f.eval_homogeneous(he) * hb[0]
+        p = f.eval_homogeneous(hb) * he[0] - r
+        needed = (max(p, 0) // r).bit_length() if r > 0 else _MAX_HALVINGS + 1
+        halvings = max(halvings, needed)
+    if halvings > _MAX_HALVINGS:
+        raise DegeneracyError(
+            f"no beyond point within {_MAX_HALVINGS} halvings of the step; "
+            "another facet hyperplane passes through or next to the exit point"
+        )
+    lam = Fraction(1, 2 ** (halvings + extra_halvings))
     y = tuple(e + lam * s for e, s in zip(exit_pt, step))
     if not (facet.eval_at(y) < 0 and all(f.eval_at(y) > 0 for f in others)):
-        raise DegeneracyError("beyond-point shrink lost the beyond conditions")
+        raise DegeneracyError("beyond point fails the beyond conditions")
     return y
 
 
@@ -287,38 +325,45 @@ def extend_config(config: PointConfig, coords: Sequence[Fraction]) -> PointConfi
     return PointConfig(config.d, pts)
 
 
-def _shelling_from_target(
-    geom: ASPGeometry,
-    cx: SimplicialComplex,
-    base: tuple[Fraction, ...],
-    target: tuple[Fraction, ...],
-) -> ShellingCertificate:
-    """Order facets by line crossings from base through target, then verify.
+class _LinesFrom:
+    """Facet crossing orders of lines shot from one interior base point.
 
-    Crossing parameter solves value(tau) = 0 along x(tau) = base +
-    tau*(target-base): facets hit going out (tau > 0) come first in
-    ascending order, then facets hit by the returning line in ascending
-    order (most negative first).  Any tie or parallel hyperplane is a
-    degeneracy and the caller retries with fresh randomness.
+    Write base = B/b0 and target = T/t0 in integer homogeneous form, and
+    let A/b0 and C/t0 be a facet's values there.  The line x(tau) = base +
+    tau*(target - base) crosses the facet's hyperplane at tau = 1/(1 - r)
+    with r = (C/t0)/(A/b0).  Going out (tau > 0, r < 1) the facets are met
+    in ascending r; the returning line (tau < 0, r > 1) then meets the rest
+    in ascending r.  So the Bruggesser-Mani order sorts the facets by r,
+    compared exactly as the integer r * t0 * lcm(A), since A > 0 at an
+    interior base.  r = 1 (a parallel hyperplane) or two equal r (two
+    hyperplanes met at one point) is a degeneracy, and the caller retries
+    with fresh randomness.  Orders are not verified here.
     """
-    crossings: list[tuple[Fraction, frozenset[int]]] = []
-    for f in geom.facets:
-        a = f.eval_at(base)
-        if a <= 0:
+
+    def __init__(self, geom: ASPGeometry, base_hom: Sequence[int]) -> None:
+        values = [f.eval_homogeneous(base_hom) for f in geom.facets]
+        if min(values) <= 0:
             raise DegeneracyError("base point is not interior")
-        c = f.eval_at(target)
-        if c == a:
+        self.facets = geom.facets
+        self.lcm = math.lcm(*values)
+        self.scales = [base_hom[0] * self.lcm // a for a in values]
+
+    def order(self, target_hom: Sequence[int]) -> list[frozenset[int]]:
+        keys = [
+            f.eval_homogeneous(target_hom) * k for f, k in zip(self.facets, self.scales)
+        ]
+        if self.lcm * target_hom[0] in keys:
             raise DegeneracyError("line parallel to a facet hyperplane")
-        tau = a / (a - c)
-        crossings.append((tau, f.vertex_ids))
-    taus = [t for t, _ in crossings]
-    if len(set(taus)) != len(taus):
-        raise DegeneracyError("line meets two facet hyperplanes at one parameter")
-    positive = sorted((t, v) for t, v in crossings if t > 0)
-    negative = sorted((t, v) for t, v in crossings if t < 0)
-    order = [v for _, v in positive] + [v for _, v in negative]
-    if len(order) != len(geom.facets):
-        raise DegeneracyError("line passes through the base hyperplane fan")
+        if len(set(keys)) != len(keys):
+            raise DegeneracyError("line meets two facet hyperplanes at one parameter")
+        ranked = sorted(range(len(keys)), key=keys.__getitem__)
+        return [self.facets[i].vertex_ids for i in ranked]
+
+
+def _verified(
+    cx: SimplicialComplex, order: list[frozenset[int]]
+) -> ShellingCertificate:
+    """Certify a crossing order; a failure is a degeneracy of that line."""
     try:
         return verify_shelling(cx, order)
     except ShellingError as exc:
@@ -332,27 +377,28 @@ def line_shelling(
     if not geom.is_simplicial:
         raise DomainError("line shelling requires a simplicial boundary")
     cx = geom.boundary_complex()
-    base = interior_point(geom)
+    hb = _homogeneous(interior_point(geom))
+    lines = _LinesFrom(geom, hb)
     rng = random.Random(seed)
     last = None
     for _ in range(retries):
-        direction = [Fraction(rng.randint(-(2**30), 2**30)) for _ in range(geom.d)]
+        direction = [rng.randint(-(2**30), 2**30) for _ in range(geom.d)]
         if all(x == 0 for x in direction):
             continue
-        target = tuple(b + x for b, x in zip(base, direction))
+        target = [hb[0]] + [b + hb[0] * x for b, x in zip(hb[1:], direction)]
         try:
-            return _shelling_from_target(geom, cx, base, target)
+            return _verified(cx, lines.order(target))
         except DegeneracyError as exc:
             last = exc
     raise DegeneracyError(f"no usable direction after {retries} tries: {last}")
 
 
-def shelling_prefix_ok(cert: ShellingCertificate, y_id: int, v_id: int) -> bool:
+def shelling_prefix_ok(order: Sequence[frozenset[int]], y_id: int, v_id: int) -> bool:
     """Check the two-block prefix: all of st(y), then the rest of st(v)."""
-    block1 = {f for f in cert.order if y_id in f}
-    block2 = {f for f in cert.order if v_id in f} - block1
+    block1 = {f for f in order if y_id in f}
+    block2 = {f for f in order if v_id in f} - block1
     k1, k2 = len(block1), len(block2)
-    return set(cert.order[:k1]) == block1 and set(cert.order[k1 : k1 + k2]) == block2
+    return set(order[:k1]) == block1 and set(order[k1 : k1 + k2]) == block2
 
 
 def constrained_line_shelling(
@@ -362,9 +408,11 @@ def constrained_line_shelling(
 
     The line is shot from the interior centroid through the position of y
     perturbed slightly toward v (seeded rational jiggle, shrinking scale).
-    Every candidate order is verified and tested against the prefix
-    property; exhausting the retries is reported as inconclusive, not as
-    a refutation.
+    The prefix property is tested on each raw crossing order first, since
+    almost every line gives a valid shelling that fails only the prefix;
+    an order that passes is then verified, so a returned certificate is
+    always a verified shelling.  Exhausting the retries is reported as
+    inconclusive, not as a refutation.
     """
     if not geom.is_simplicial:
         raise DomainError("constrained shelling requires a simplicial boundary")
@@ -374,30 +422,35 @@ def constrained_line_shelling(
         raise DomainError("y and v must be two distinct vertex ids")
     if not any({y_id, v_id} <= f.vertex_ids for f in geom.facets):
         raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
-    base = interior_point(geom)
-    y = geom.config.coords(y_id)
-    v = geom.config.coords(v_id)
-    others = [c for pid, c in geom.config.points if pid not in (y_id, v_id)]
+    lines = _LinesFrom(geom, _homogeneous(interior_point(geom)))
+    # The target (1-eta)*y + eta*(7/8*v + sum(wt*x)/(8*W)), with eta = 2^-k
+    # and W = sum(wt) over the other points x, is built as an integer
+    # homogeneous vector over the points' common denominator.
+    hom = {pid: _homogeneous(c) for pid, c in geom.config.points}
+    den = math.lcm(*(h[0] for h in hom.values()))
+    num = {pid: [x * (den // h[0]) for x in h[1:]] for pid, h in hom.items()}
+    y, v = num[y_id], num[v_id]
+    others = [c for pid, c in num.items() if pid not in (y_id, v_id)]
     rng = random.Random(seed)
     last = None
     for attempt in range(retries):
-        eta = Fraction(1, 2 ** (3 + attempt))
+        k = 3 + attempt
         weights = [rng.randint(1, 1000) for _ in others]
-        total = 8 * sum(weights)
-        mix = tuple(
-            sum(wt * c[k] for wt, c in zip(weights, others)) / total
-            for k in range(geom.d)
-        )
-        m = tuple(Fraction(7, 8) * vc + mc for vc, mc in zip(v, mix))
-        target = tuple((1 - eta) * yc + eta * mc for yc, mc in zip(y, m))
+        total = sum(weights)
+        target = [2**k * 8 * total * den] + [
+            (2**k - 1) * 8 * total * yc
+            + 7 * total * vc
+            + sum(wt * c[j] for wt, c in zip(weights, others))
+            for j, (yc, vc) in enumerate(zip(y, v))
+        ]
         try:
-            cert = _shelling_from_target(geom, cx, base, target)
+            order = lines.order(target)
+            if not shelling_prefix_ok(order, y_id, v_id):
+                last = None
+                continue
+            return _verified(cx, order)
         except DegeneracyError as exc:
             last = exc
-            continue
-        if shelling_prefix_ok(cert, y_id, v_id):
-            return cert
-        last = None
     detail = f" (last degeneracy: {last})" if last else ""
     raise ShellingSearchError(
         f"no constrained shelling for y={y_id}, v={v_id} in {retries} tries; "
@@ -409,14 +462,20 @@ def stack_over_special(
     geom: ASPGeometry,
     toward: int | None = None,
     closeness: int = 2,
-    cap: int | None = DEFAULT_POINT_CAP,
+    cap: int | None = None,
 ) -> ASPGeometry:
-    """Extend the configuration with a vertex beyond the special facet.
+    """Extend the configuration with a vertex y beyond the special facet.
 
-    With `toward`, the new point is placed near that facet vertex at
-    geometric distance shrinking in 2^-closeness, which is what the
-    constrained shelling search needs.  The resulting hull is simplicial:
-    the special facet is replaced by cones over its boundary.
+    With `toward`, y is placed near that facet vertex at geometric
+    distance shrinking in 2^-closeness, which is what the constrained
+    shelling search needs.  point_beyond certifies that y is beyond the
+    special facet and strictly beneath every other facet, so by the
+    beneath-beyond theorem the new hull is simplicial and its facets are
+    the old simplex facets, hyperplanes unchanged, plus the cone from y
+    over each ridge of the special facet.  No hull is enumerated: only
+    the cones' hyperplanes are computed, and each must meet the n+1
+    points exactly in its own vertices, or DegeneracyError is raised.
+    A `cap` bounds the extended point count as enumerate_facets does.
     """
     if geom.special is None:
         raise DomainError("geometry has no designated special facet to stack over")
@@ -428,7 +487,22 @@ def stack_over_special(
         toward_weight=weight,
         extra_halvings=closeness,
     )
-    return detect_asp(extend_config(geom.config, y), cap=cap)
+    config = extend_config(geom.config, y)
+    _check_cap(config.n, cap)
+    hom = _integer_homogeneous(config)
+    cones = []
+    for ridge in boundary_of_ball(geom.ball.ball).facets:
+        vertex_ids = ridge | {config.n}
+        plane = _supporting_hyperplane(hom, sorted(i - 1 for i in vertex_ids))
+        if plane is None or plane[1] != vertex_ids:
+            raise DegeneracyError(
+                f"cone from {config.n} over ridge {sorted(ridge)} "
+                "is not a facet of the stacked hull"
+            )
+        w = plane[0]
+        cones.append(FacetDescriptor(vertex_ids, w[1:], w[0]))
+    kept = [f for f in geom.facets if f is not geom.special]
+    return ASPGeometry(config, _facet_order(kept + cones), None, None)
 
 
 def _prefix_h(facet_sets: list[frozenset[int]], parameter: int) -> list[int]:

@@ -123,6 +123,19 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", str(path), "--checks", "nope")
         assert code == 2 and "unknown checks" in err
 
+    def test_cap_edge_n16(self, capsys, tmp_path):
+        # construct accepts n = 16, so verify must work on it too; the
+        # shelling check stacks a 17th point over the special facet.
+        path, _ = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "16", "--s", "1",
+        )
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["all_pass"]
+        assert report["checks"]["shelling"]["pass"]
+
     def test_missing_complex_entry(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -244,6 +257,18 @@ class TestShellingAndRecognize:
         data = json.loads(out)
         assert data["all_pass"] and len(data["runs"]) == 2
         assert data["runs"][0]["h"] == [1, 5, 10, 5, 1]
+
+    def test_shelling_cap_edge_n16(self, capsys, tmp_path):
+        path, _ = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "16", "--s", "1",
+        )
+        code, out, err = run(capsys, "shelling", "--input", str(path), "--count", "2")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["all_pass"] and len(data["runs"]) == 2
+        assert all(len(r["order"]) == 107 for r in data["runs"])
+        assert data["runs"][0]["h"] == [1, 13, 79, 13, 1]
 
     def test_shelling_needs_points(self, capsys, tmp_path):
         path, _ = make_artifact(

@@ -5,6 +5,9 @@ here; small solids (tetrahedron, cube, octahedron, bipyramid) pin down
 the predicates with hand-checkable answers.
 """
 
+import hashlib
+import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,11 +24,13 @@ from aspoly.curves import PointConfig, almost_cyclic_points
 from aspoly.enumerative import ASPParams, f_almost_cyclic, h_from_f
 from aspoly.errors import (
     CapExceededError,
+    DegeneracyError,
     DomainError,
     NotAFaceError,
     NotASPError,
     RankDeficientError,
     ShapeError,
+    ShellingSearchError,
 )
 from aspoly.gale import almost_cyclic_facets
 from aspoly.hull import (
@@ -52,6 +57,41 @@ def config_from_coords(coords) -> PointConfig:
         (i, tuple(Fraction(x) for x in c)) for i, c in enumerate(coords, start=1)
     )
     return PointConfig(len(coords[0]), pts)
+
+
+def stacked_by_enumeration(geom, toward, closeness):
+    """stack_over_special the brute-force way: place y, then re-enumerate the hull."""
+    weight = Fraction(0) if toward is None else 1 - Fraction(1, 2**closeness)
+    y = point_beyond(
+        geom,
+        geom.special,
+        toward=toward,
+        toward_weight=weight,
+        extra_halvings=closeness,
+    )
+    return detect_asp(extend_config(geom.config, y), cap=None)
+
+
+def asp_geometry(d, n, s):
+    geom = detect_asp(almost_cyclic_points(ASPParams(d, n, s)), cap=None)
+    if geom.ball is None:
+        geom = designate_special(geom, range(1, d + 1))
+    return geom
+
+
+def digest(payload) -> str:
+    text = json.dumps(payload, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@st.composite
+def stacking_cases(draw):
+    d = draw(st.integers(3, 5))
+    s = draw(st.integers(0, 3))
+    n = draw(st.integers(d + s + 1, 12))
+    toward = draw(st.sampled_from([None, *range(1, d + s + 1)]))
+    closeness = draw(st.sampled_from([2, 12, 20, 28, 40]))
+    return (d, n, s), toward, closeness
 
 
 def tetrahedron_config() -> PointConfig:
@@ -179,6 +219,19 @@ class TestPointBeyond:
                 if g is not f:
                     assert g.eval_at(y) > 0
 
+    def test_frozen_points(self):
+        # The longest step 2^-k that satisfies the beyond conditions.
+        geom = detect_asp(tetrahedron_config())
+        F = Fraction
+        assert point_beyond(geom, geom.facet_by_vertices([1, 2, 3])) == (
+            F(5, 12), F(5, 12), F(-1, 4)
+        )
+        assert point_beyond(geom, geom.facet_by_vertices([2, 3, 4])) == (F(5, 12),) * 3
+        geom = detect_asp(almost_cyclic_points(ASPParams(4, 7, 1)))
+        assert point_beyond(geom, geom.special) == (
+            F(-4097, 2048), F(12289, 2048), F(-40967, 2048), F(-19455, 1792)
+        )
+
     def test_stacking_makes_simplicial(self):
         geom = detect_asp(almost_cyclic_points(ASPParams(4, 7, 1)))
         q = stack_over_special(geom)
@@ -196,6 +249,35 @@ class TestPointBeyond:
         other = detect_asp(octahedron_config())
         with pytest.raises(NotAFaceError):
             point_beyond(geom, other.facets[0])
+
+    def test_twin_hyperplane_is_degenerate(self):
+        # A second, equal copy of the chosen facet can never be strictly
+        # beneath a point beyond the first: no step length works.
+        geom = detect_asp(tetrahedron_config())
+        twin = replace(geom, facets=geom.facets + (replace(geom.facets[0]),))
+        with pytest.raises(DegeneracyError, match="halvings"):
+            point_beyond(twin, twin.facets[0])
+
+
+class TestStackOverSpecial:
+    @settings(deadline=None, max_examples=40)
+    @given(stacking_cases())
+    def test_matches_hull_enumeration(self, case):
+        cell, toward, closeness = case
+        geom = asp_geometry(*cell)
+        fast = stack_over_special(geom, toward, closeness, cap=None)
+        assert fast == stacked_by_enumeration(geom, toward, closeness)
+
+    def test_explicit_cap(self):
+        geom = asp_geometry(4, 8, 2)
+        with pytest.raises(CapExceededError):
+            stack_over_special(geom, cap=8)
+        assert stack_over_special(geom, cap=9).config.n == 9
+
+    def test_needs_special_facet(self):
+        geom = detect_asp(almost_cyclic_points(ASPParams(4, 7, 0)))
+        with pytest.raises(DomainError):
+            stack_over_special(geom)
 
 
 class TestLineShelling:
@@ -235,6 +317,20 @@ class TestLineShelling:
         with pytest.raises(DomainError):
             line_shelling(geom, seed=1)
 
+    @pytest.mark.parametrize(
+        "cell, seed, size, order_digest",
+        [
+            ((4, 8, 2), 3, 22, "9b148166297faa89"),
+            ((5, 10, 2), 11, 50, "fb807e3fa8ffa498"),
+        ],
+    )
+    def test_frozen_orders(self, cell, seed, size, order_digest):
+        # Values from the Fraction-arithmetic crossing kernel; the integer
+        # kernel must order the facets identically.
+        q = stack_over_special(asp_geometry(*cell))
+        order = [sorted(f) for f in line_shelling(q, seed).order]
+        assert len(order) == size and digest(order) == order_digest
+
     @settings(deadline=None, max_examples=12)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_h_independent_of_seed(self, seed):
@@ -247,7 +343,7 @@ class TestConstrainedShelling:
     def test_bipyramid_apex_then_equator(self):
         geom = detect_asp(bipyramid_config())
         cert = constrained_line_shelling(geom, 4, 1, seed=7)
-        assert shelling_prefix_ok(cert, 4, 1)
+        assert shelling_prefix_ok(cert.order, 4, 1)
         assert all(4 in f for f in cert.order[:3])
         assert all(1 in f for f in cert.order[3:5])
 
@@ -255,9 +351,38 @@ class TestConstrainedShelling:
         geom = detect_asp(almost_cyclic_points(ASPParams(4, 7, 1)))
         q = stack_over_special(geom, toward=2, closeness=12)
         cert = constrained_line_shelling(q, 8, 2, seed=5)
-        assert shelling_prefix_ok(cert, 8, 2)
+        assert shelling_prefix_ok(cert.order, 8, 2)
         defects = key_shelling_defects(cert, 8, 2)
         assert all(x >= 0 for row in defects for x in row)
+
+    @pytest.mark.parametrize(
+        "cell, v, seed, closeness, size, cert_digest, last_row",
+        [
+            ((4, 7, 1), 2, 5, 12, 17, "3617d9aadca2d4e4", (0, 0, 3, 2, 1)),
+            ((4, 8, 1), 3, 0, 28, 23, "3652aca689633564", (0, 0, 5, 3, 1)),
+            ((5, 9, 1), 2, 0, 40, 36, "c0cda50ca5fdd14f", (0, 0, 5, 6, 3, 1)),
+            ((4, 7, 0), 1, 0, 20, 17, "f75b6ce6c3308f59", (0, 0, 3, 2, 1)),
+        ],
+    )
+    def test_frozen_ladder(self, cell, v, seed, closeness, size, cert_digest, last_row):
+        # The criterion-09 closeness ladder with search seed seed+closeness.
+        # Values from the Fraction-arithmetic search that re-enumerated the
+        # stacked hull and verified every line: the first closeness that
+        # certifies, and a digest of the order and the defect table.
+        geom = asp_geometry(*cell)
+        y = cell[1] + 1
+        ladder = (12, 20, 28, 40)
+        for step in ladder[: ladder.index(closeness)]:
+            q = stack_over_special(geom, toward=v, closeness=step)
+            with pytest.raises(ShellingSearchError):
+                constrained_line_shelling(q, y, v, seed=seed + step)
+        q = stack_over_special(geom, toward=v, closeness=closeness)
+        cert = constrained_line_shelling(q, y, v, seed=seed + closeness)
+        defects = key_shelling_defects(cert, y, v)
+        order = [sorted(f) for f in cert.order]
+        payload = {"order": order, "defects": [list(r) for r in defects]}
+        assert len(order) == size and digest(payload) == cert_digest
+        assert defects[-1] == last_row
 
     def test_identical_vertices_rejected(self):
         geom = detect_asp(bipyramid_config())
