@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from io import StringIO
 
 from .complexes import (
@@ -32,7 +31,7 @@ from .enumerative import (
     h_from_f,
     ridge_identity_defect,
 )
-from .errors import AspolyError, UnsupportedRegimeError
+from .errors import AspolyError
 from .gale import (
     almost_cyclic_facets,
     interior_tuples,
@@ -69,7 +68,7 @@ def _check_caps(d: int, n: int, unsafe: bool) -> None:
     if n > max_n or d > max_d:
         raise AspolyError(
             f"requested d={d}, n={n} exceeds caps d<={max_d}, n<={max_n}; "
-            "facet enumeration walks C(n,d) subsets, pass --unsafe-large to proceed"
+            "exact hulls grow with the facet count, pass --unsafe-large to proceed"
         )
 
 
@@ -323,8 +322,7 @@ def cmd_table(args) -> int:
             for n in range(d + s + 1, d + s + 1 + args.n_span):
                 _check_caps(d, n, args.unsafe_large)
                 cells.append((d, s, n))
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(cells)))) as pool:
-        rows = list(pool.map(_table_cell, cells))
+    rows = [_table_cell(cell) for cell in cells]
     if args.format == "json":
         _emit(rows, args.out)
         return 0
@@ -471,9 +469,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedRegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AspolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -67,10 +67,6 @@ class SimplicialComplex:
     def sorted_facets(self) -> list[frozenset[int]]:
         return sorted(self.facets, key=face_key)
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        fs = frozenset(face)
-        return any(fs <= g for g in self.facets)
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,

@@ -120,23 +120,24 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form and its pivot columns.
 
     Column pivoting with the same Sylvester-identity division as int_det;
     skipped columns leave the update divisor untouched, which keeps every
-    division exact.
+    division exact.  Row k of the result is zero left of its pivot, and
+    the last pivot is the determinant of the pivot block of the rows
+    taken in the order the elimination used them.
     """
     a = [list(r) for r in rows]
     m = len(a)
-    if m == 0:
-        return 0
-    n = len(a[0])
+    n = len(a[0]) if m else 0
     if any(len(r) != n for r in a):
         raise ShapeError("ragged rows")
-    r = 0
+    pivots: list[int] = []
     prev = 1
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
         piv = next((i for i in range(r, m) if a[i][c]), None)
@@ -153,8 +154,38 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
                 ai[j] = (pk * ai[j] - aic * ar[j]) // prev
             ai[c] = 0
         prev = pk
-        r += 1
-    return r
+        pivots.append(c)
+    return a, pivots
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination."""
+    return len(_echelon(rows)[1])
+
+
+def int_nullspace(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer basis of {x : rows.x = 0}, one vector per non-pivot column.
+
+    One Bareiss elimination, then integer back-substitution: the vector
+    for free column f has x_f = D, the last pivot, and zeros at the other
+    free columns.  D is the determinant of the pivot block, so by
+    Cramer's rule every entry is an integer and each division in the
+    back-substitution is exact.  The rows must be nonempty.
+    """
+    if not rows:
+        raise ShapeError("a kernel needs at least one row to fix its width")
+    a, pivots = _echelon(rows)
+    n = len(a[0])
+    top = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        x = [0] * n
+        x[f] = top
+        for k in reversed(range(len(pivots))):
+            c, ak = pivots[k], a[k]
+            x[c] = -sum(ak[j] * x[j] for j in range(c + 1, n)) // ak[c]
+        basis.append(x)
+    return basis
 
 
 def det(m: RatMatrix) -> Fraction:

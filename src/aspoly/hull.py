@@ -1,21 +1,26 @@
 """Exact convex-position geometry: facets, beyond points, line shellings.
 
-Facet enumeration is brute force over d-subsets with integer cofactor
-arithmetic; at the supported scale (n <= 16) this stays fast and every
-sign decision is exact.  Facet hyperplanes are primitive integer vectors,
-so the facets a line crosses are ranked by integer dot products with no
-rational arithmetic.  Stacking a point beyond the special facet builds the new
-boundary by the beneath-beyond theorem instead of enumerating the hull
-again, and checks every new hyperplane against all points.  Shelling
-orders are produced geometrically; the constrained search tests its
-prefix condition on the raw crossing order first, and every order that
-is returned is re-checked by the independent combinatorial verifier, so
-a bug in the crossing logic cannot leak an invalid certificate.
+Facets are enumerated by gift-wrapping (Chand-Kapur): from one facet,
+each ridge is crossed once by rotating the facet's hyperplane about it
+until the hyperplane meets further points, so the cost follows the
+number of facets rather than C(n, d).  Each hyperplane through given
+points is one fraction-free kernel computation, and every sign decision
+is an integer comparison.  Facet hyperplanes are primitive integer
+vectors, so the facets a line crosses are ranked by integer dot products
+with no rational arithmetic.  Stacking a point beyond the special facet
+builds the new boundary by the beneath-beyond theorem instead of
+enumerating the hull again, and checks every new hyperplane against all
+points.  Shelling orders are produced geometrically; the constrained
+search tests its prefix condition on the raw crossing order first, and
+every order that is returned is re-checked by the independent
+combinatorial verifier, so a bug in the crossing logic cannot leak an
+invalid certificate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +50,7 @@ from .errors import (
     ShellingError,
     ShellingSearchError,
 )
-from .exactnum import RatMatrix, det, format_rational, int_det, int_rank
+from .exactnum import RatMatrix, det, format_rational, int_nullspace, int_rank
 
 DEFAULT_POINT_CAP = 16
 # Most step halvings point_beyond accepts.  The 80-cell grid needs at
@@ -136,9 +141,17 @@ def _integer_homogeneous(config: PointConfig) -> list[list[int]]:
     return [_homogeneous(coords) for _, coords in config.points]
 
 
-def _minor_det(rows: list[list[int]], drop_col: int) -> int:
-    sub = [[r[c] for c in range(len(r)) if c != drop_col] for r in rows]
-    return int_det(sub)
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _dots(w: Sequence[int], hom: list[list[int]]) -> list[int]:
+    return [_dot(w, h) for h in hom]
+
+
+def _primitive(w: Sequence[int]) -> list[int]:
+    g = math.gcd(*w)
+    return [x // g for x in w]
 
 
 def _supporting_hyperplane(
@@ -146,24 +159,109 @@ def _supporting_hyperplane(
 ) -> tuple[tuple[int, ...], frozenset[int]] | None:
     """Primitive inward hyperplane through the points at 0-based `subset`.
 
-    The normal comes from the d+1 cofactors of the subset's homogeneous
-    coordinate matrix.  Returns it as (offset, *normal) with the ids of
-    every point on it, or None when the subset spans no hyperplane or
-    points lie strictly on both sides.
+    The normal spans the kernel of the subset's homogeneous coordinate
+    matrix.  Returns it as (offset, *normal) with the ids of every point
+    on it, or None when the subset spans no hyperplane or points lie
+    strictly on both sides.
     """
-    d = len(subset)
-    m = [hom[i] for i in subset]
-    w = [(-1) ** (d + c) * _minor_det(m, c) for c in range(d + 1)]
-    if all(x == 0 for x in w):
+    kernel = int_nullspace([hom[i] for i in subset])
+    if len(kernel) != 1:
         return None
-    dots = [sum(wc * hc for wc, hc in zip(w, h)) for h in hom]
+    w = kernel[0]
+    dots = _dots(w, hom)
     has_pos = any(x > 0 for x in dots)
     has_neg = any(x < 0 for x in dots)
     if has_pos and has_neg:
         return None
-    g = -math.gcd(*w) if has_neg else math.gcd(*w)
+    if has_neg:
+        w = [-x for x in w]
     on_ids = frozenset(i + 1 for i, x in enumerate(dots) if x == 0)
-    return tuple(x // g for x in w), on_ids
+    return tuple(_primitive(w)), on_ids
+
+
+def _rotate(
+    hom: list[list[int]], w: list[int], a: list[int], g: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Rotate the supporting hyperplane w about the flat where w = g = 0.
+
+    a holds w's values at the points.  Among the points with a > 0, the
+    ones maximising b/a, b = g.x, are met first (ratios compared by
+    cross-multiplication); the plane b*.w - a*.g through them is >= 0 at
+    every point with a > 0 and equals -a*.b where a = 0.  Returns it
+    primitive, with its values at the points.
+    """
+    b = _dots(g, hom)
+    best_a, best_b = 0, 0
+    for ai, bi in zip(a, b):
+        if ai > 0 and (best_a == 0 or bi * best_a > best_b * ai):
+            best_a, best_b = ai, bi
+    new = [best_b * x - best_a * y for x, y in zip(w, g)]
+    k = math.gcd(*new)
+    return [x // k for x in new], [(best_b * x - best_a * y) // k for x, y in zip(a, b)]
+
+
+def _ridges(
+    hom: list[list[int]], facet: frozenset[int], w: Sequence[int]
+) -> list[frozenset[int]]:
+    """Point sets of the ridges of one facet.
+
+    A simplex facet's ridges drop one vertex each.  Otherwise they are
+    the facets of the facet's own points, wrapped one dimension down with
+    a coordinate dropped where w is nonzero (an affine isomorphism of the
+    facet hyperplane).
+    """
+    d = len(w) - 1
+    if len(facet) == d:
+        return [facet - {i} for i in facet]
+    j = next(c for c in range(1, d + 1) if w[c])
+    ids = sorted(facet)
+    sub = [hom[i][:j] + hom[i][j + 1 :] for i in ids]
+    return [frozenset(ids[k] for k in ridge) for ridge in _gift_wrap(sub)]
+
+
+def _gift_wrap(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
+    """Facets of full-dimensional homogeneous points, by gift-wrapping.
+
+    Maps each facet's 0-based point set to its primitive inward
+    hyperplane (offset, *normal).  The first facet comes from the support
+    at the least first coordinate, rotated about its face until the face
+    spans a hyperplane.  Each facet's ridges are then pivoted across once:
+    g is the hyperplane through the ridge and one point off the facet,
+    oriented negative on the facet's points off the ridge, so _rotate
+    turns the facet outward about the ridge onto the neighbouring facet,
+    taking every tied point with it.
+    """
+    d = len(hom[0]) - 1
+    low = min(range(len(hom)), key=lambda i: Fraction(hom[i][1], hom[i][0]))
+    w = _primitive([-hom[low][1], hom[low][0]] + [0] * (d - 1))
+    a = _dots(w, hom)
+    while True:
+        off = hom[a.index(max(a))]
+        kernel = int_nullspace([h for h, x in zip(hom, a) if x == 0] + [off])
+        if not kernel:
+            break
+        w, a = _rotate(hom, w, a, kernel[0])
+    first = frozenset(i for i, x in enumerate(a) if x == 0)
+    found = {first: (w, a)}
+    queue = [first]
+    crossed: set[frozenset[int]] = set()
+    while queue:
+        facet = queue.pop()
+        w, a = found[facet]
+        off = hom[a.index(max(a))]
+        for ridge in _ridges(hom, facet, w):
+            if ridge in crossed:
+                continue
+            crossed.add(ridge)
+            g = int_nullspace([hom[i] for i in ridge] + [off])[0]
+            if _dot(g, hom[min(facet - ridge)]) > 0:
+                g = [-x for x in g]
+            nw, na = _rotate(hom, w, a, g)
+            key = frozenset(i for i, x in enumerate(na) if x == 0)
+            if key not in found:
+                found[key] = (nw, na)
+                queue.append(key)
+    return {facet: w for facet, (w, _) in found.items()}
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -178,12 +276,13 @@ def _facet_order(facets: Iterable[FacetDescriptor]) -> tuple[FacetDescriptor, ..
 def enumerate_facets(
     config: PointConfig, cap: int | None = DEFAULT_POINT_CAP
 ) -> tuple[FacetDescriptor, ...]:
-    """All facets of the convex hull, by testing every spanning d-subset.
+    """All facets of the convex hull, by exact gift-wrapping.
 
-    A d-subset's hyperplane normal comes from the d+1 cofactors of its
-    homogeneous coordinate matrix; the subset supports a facet exactly
-    when one strict side is empty.  Facets are deduplicated by the full
-    set of points lying on the hyperplane.
+    Starting from one facet, each ridge is crossed once by rotating the
+    facet's hyperplane about it until it meets further points; the cost
+    follows the number of facets, not C(n, d).  A facet's point set is
+    every point on its hyperplane, so non-simplex facets come out whole.
+    Flat configurations raise RankDeficientError.
     """
     n, d = config.n, config.d
     _check_cap(n, cap)
@@ -192,18 +291,9 @@ def enumerate_facets(
     hom = _integer_homogeneous(config)
     if int_rank(hom) != d + 1:
         raise RankDeficientError("points do not affinely span the ambient space")
-
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    for subset in combinations(range(n), d):
-        sub_ids = frozenset(i + 1 for i in subset)
-        if any(sub_ids <= on for on in found):
-            continue
-        plane = _supporting_hyperplane(hom, subset)
-        if plane is not None:
-            w, on_ids = plane
-            found[on_ids] = w
     return _facet_order(
-        FacetDescriptor(on_ids, w[1:], w[0]) for on_ids, w in found.items()
+        FacetDescriptor(frozenset(i + 1 for i in on), tuple(w[1:]), w[0])
+        for on, w in _gift_wrap(hom).items()
     )
 
 

@@ -169,3 +169,54 @@ def test_det_sign_flips_on_row_swap(n, data):
     swapped = [rows[1], rows[0]] + rows[2:]
     assert xn.det(mat(swapped)) == -xn.det(mat(rows))
     assert xn.rank(mat(swapped)) == xn.rank(mat(rows))
+
+
+def test_nullspace_examples():
+    assert xn.int_nullspace([[1, 2, 3], [4, 5, 6]]) == [[-3, 6, -3]]
+    assert xn.int_nullspace([[1, 0], [0, 1]]) == []
+    assert xn.int_nullspace([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ShapeError):
+        xn.int_nullspace([])
+    with pytest.raises(ShapeError):
+        xn.int_nullspace([[1, 2], [3]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_nullspace_is_an_integer_kernel_basis(m, n, data):
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    basis = xn.int_nullspace(rows)
+    assert len(basis) == n - gauss_rank(rows)
+    assert all(isinstance(x, int) for v in basis for x in v)
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
+    if basis:
+        assert gauss_rank(basis) == len(basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_nullspace_of_full_rank_is_the_cofactor_vector(n, data):
+    # n independent rows of width n+1: the kernel is spanned by the signed
+    # maximal minors, the vector Cramer's rule gives.
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    cof = [(-1) ** c * cofactor_det([r[:c] + r[c + 1 :] for r in rows]) for c in range(n + 1)]
+    basis = xn.int_nullspace(rows)
+    if not any(cof):
+        assert len(basis) > 1
+        return
+    (v,) = basis
+    ratio = next(Fraction(x, c) for x, c in zip(v, cof) if c)
+    assert [ratio * c for c in cof] == v

@@ -7,9 +7,10 @@ the predicates with hand-checkable answers.
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from aspoly.complexes import (
 )
 from aspoly.curves import PointConfig, almost_cyclic_points
 from aspoly.enumerative import ASPParams, f_almost_cyclic, h_from_f
+from aspoly.exactnum import RatMatrix, int_det, int_rank, rank
 from aspoly.errors import (
     CapExceededError,
     DegeneracyError,
@@ -34,6 +36,7 @@ from aspoly.errors import (
 )
 from aspoly.gale import almost_cyclic_facets
 from aspoly.hull import (
+    FacetDescriptor,
     constrained_line_shelling,
     designate_special,
     detect_asp,
@@ -57,6 +60,38 @@ def config_from_coords(coords) -> PointConfig:
         (i, tuple(Fraction(x) for x in c)) for i, c in enumerate(coords, start=1)
     )
     return PointConfig(len(coords[0]), pts)
+
+
+def facets_by_subset_scan(config: PointConfig) -> tuple[FacetDescriptor, ...]:
+    """Oracle: test every d-subset, as facet enumeration once did.
+
+    A d-subset's hyperplane normal comes from the d+1 cofactors of its
+    homogeneous coordinate matrix; the subset supports a facet exactly
+    when one strict side is empty.  Facets are deduplicated by the full
+    set of points on the hyperplane and sorted by their sorted vertex ids.
+    """
+    n, d = config.n, config.d
+    hom = []
+    for _, coords in config.points:
+        scale = math.lcm(*(c.denominator for c in coords))
+        hom.append([scale] + [int(c * scale) for c in coords])
+    assert int_rank(hom) == d + 1
+    found = {}
+    for subset in combinations(range(n), d):
+        if any(frozenset(i + 1 for i in subset) <= on for on in found):
+            continue
+        rows = [hom[i] for i in subset]
+        w = [(-1) ** (d + c) * int_det([r[:c] + r[c + 1 :] for r in rows]) for c in range(d + 1)]
+        if not any(w):
+            continue
+        dots = [sum(a * x for a, x in zip(w, h)) for h in hom]
+        if min(dots) < 0 < max(dots):
+            continue
+        g = -math.gcd(*w) if min(dots) < 0 else math.gcd(*w)
+        on = frozenset(i + 1 for i, x in enumerate(dots) if x == 0)
+        found[on] = [x // g for x in w]
+    facets = (FacetDescriptor(on, tuple(w[1:]), w[0]) for on, w in found.items())
+    return tuple(sorted(facets, key=lambda f: sorted(f.vertex_ids)))
 
 
 def stacked_by_enumeration(geom, toward, closeness):
@@ -173,6 +208,134 @@ class TestEnumerateFacets:
         geom = detect_asp(almost_cyclic_points(ASPParams(4, 7, 1)))
         q = stack_over_special(geom)
         assert is_closed_pseudomanifold(q.boundary_complex())
+
+
+# The acceptance grid: d in 3..6, s in 0..3, n from d+s+1 to d+s+5, at most 14.
+GRID = [
+    (d, n, s)
+    for d in (3, 4, 5, 6)
+    for s in (0, 1, 2, 3)
+    for n in range(d + s + 1, min(d + s + 5, 14) + 1)
+]
+
+
+def distinct_config(coords):
+    """A configuration from the distinct points of coords, in first-seen order."""
+    seen = list(dict.fromkeys(tuple(Fraction(x) for x in c) for c in coords))
+    return config_from_coords(seen)
+
+
+@st.composite
+def general_position_configs(draw):
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(d + 1, 11))
+    coord = st.fractions(min_value=-1000, max_value=1000, max_denominator=7)
+    return distinct_config(
+        draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+    )
+
+
+@st.composite
+def configs_with_interior_points(draw):
+    """Random hull points plus points at positive weighted means of all of them."""
+    d = draw(st.integers(2, 4))
+    outer = draw(
+        st.lists(st.tuples(*[st.integers(-30, 30)] * d), min_size=d + 1, max_size=8)
+    )
+    inner = []
+    for _ in range(draw(st.integers(1, 4))):
+        wts = draw(st.lists(st.integers(1, 9), min_size=len(outer), max_size=len(outer)))
+        inner.append(
+            tuple(
+                Fraction(sum(w * p[j] for w, p in zip(wts, outer)), sum(wts))
+                for j in range(d)
+            )
+        )
+    order = draw(st.permutations(outer + inner))
+    return distinct_config(order)
+
+
+@st.composite
+def special_position_configs(draw):
+    """Many points per hyperplane: subsets of the grid {0,1,2}^d, or a
+    lattice-point base on x_d = 0 with apexes on either side."""
+    d = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        grid = list(product(range(3), repeat=d))
+        pts = draw(st.lists(st.sampled_from(grid), min_size=d + 1, max_size=12, unique=True))
+    else:
+        base = st.tuples(*[st.integers(0, 3)] * (d - 1), st.just(0))
+        apex = st.tuples(*[st.integers(-2, 5)] * (d - 1), st.sampled_from([-3, -1, 2, 4]))
+        pts = draw(st.lists(base, min_size=d, max_size=10, unique=True))
+        pts += draw(st.lists(apex, min_size=1, max_size=3, unique=True))
+    return distinct_config(draw(st.permutations(pts)))
+
+
+def spans_space(config: PointConfig) -> bool:
+    return rank(RatMatrix.from_rows([[1, *c] for _, c in config.points])) == config.d + 1
+
+
+def check_against_oracle(config: PointConfig) -> None:
+    if spans_space(config):
+        assert enumerate_facets(config, cap=None) == facets_by_subset_scan(config)
+    else:
+        with pytest.raises(RankDeficientError):
+            enumerate_facets(config, cap=None)
+
+
+class TestGiftWrapOracle:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_acceptance_grid(self, d):
+        for cell in GRID:
+            if cell[0] == d:
+                config = almost_cyclic_points(ASPParams(*cell))
+                assert enumerate_facets(config) == facets_by_subset_scan(config)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+            [(x, y, z, w) for x in (0, 1) for y in (0, 1) for z in (0, 1) for w in (0, 1)],
+            # prism over a pentagon
+            [(x, y, z) for x, y in ((2, 0), (1, 2), (-1, 2), (-2, 0), (0, -2)) for z in (0, 3)],
+            # cross-polytopes
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+            [tuple(s if j == i else 0 for j in range(4)) for i in range(4) for s in (1, -1)],
+            # pyramid over a 3-cube: square pyramids are facets with square ridges
+            [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(0, 0, 0, 1)],
+            # octahedron with the equator's edge midpoints added
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+             (Fraction(1, 2), Fraction(1, 2), 0), (Fraction(-1, 2), Fraction(1, 2), 0)],
+        ],
+        ids=["cube3", "cube4", "prism", "cross3", "cross4", "pyramid4", "octa_mid"],
+    )
+    def test_solids(self, coords):
+        check_against_oracle(config_from_coords(coords))
+
+    @settings(deadline=None, max_examples=60)
+    @given(general_position_configs())
+    def test_general_position(self, config):
+        check_against_oracle(config)
+
+    @settings(deadline=None, max_examples=60)
+    @given(configs_with_interior_points())
+    def test_interior_points(self, config):
+        check_against_oracle(config)
+
+    @settings(deadline=None, max_examples=80)
+    @given(special_position_configs())
+    def test_points_on_common_hyperplanes(self, config):
+        check_against_oracle(config)
+
+    @settings(deadline=None, max_examples=30)
+    @given(special_position_configs())
+    def test_flat_inputs_rejected(self, config):
+        # Append a coordinate that is an affine function of the others.
+        flat = config_from_coords(
+            [(*c, 2 * c[0] - c[-1] + 1) for _, c in config.points]
+        )
+        with pytest.raises(RankDeficientError):
+            enumerate_facets(flat, cap=None)
 
 
 class TestDetectASP:
