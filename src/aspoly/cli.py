@@ -73,15 +73,11 @@ def _check_caps(d: int, n: int, unsafe: bool) -> None:
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+    """Write a ready string as is, anything else as canonical JSON."""
+    if isinstance(payload, str):
+        text = payload
     else:
-        sys.stdout.write(text)
-
-
-def _emit_text(text: str, out: str | None) -> None:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -333,7 +329,7 @@ def cmd_table(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _emit_text(buf.getvalue(), args.out)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 

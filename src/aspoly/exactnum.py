@@ -4,7 +4,10 @@ Rationals are carried by the standard library ``fractions.Fraction``, which
 already guarantees canonical form (reduced, positive denominator).  The
 matrix routines never round: determinants and ranks are computed by Bareiss
 fraction-free elimination on integer rows obtained by clearing denominators,
-so every intermediate quantity is an exact minor of the scaled matrix.
+so every intermediate quantity is an exact minor of the scaled matrix.  A
+rank modulo the prime 2^61 - 1 is also offered; it is only a lower bound on
+the rational rank, and callers accept it only where it meets an upper bound
+they have proven.
 """
 
 from __future__ import annotations
@@ -161,6 +164,44 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free elimination."""
     return len(_echelon(rows)[1])
+
+
+MERSENNE_61 = (1 << 61) - 1
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix over the field of p = 2^61 - 1 elements.
+
+    Plain row reduction on the residues: the pivot row is scaled by its
+    inverse and subtracted from every later row that is nonzero in the
+    pivot column.  The result never exceeds the rational rank, since an
+    r x r minor that is nonzero mod p is a nonzero integer; it can fall
+    below it when p divides every maximal nonzero minor, so on its own
+    it is only a lower bound.
+    """
+    p = MERSENNE_61
+    a = [[x % p for x in r] for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(len(r) != n for r in a):
+        raise ShapeError("ragged rows")
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        tail = [x * inv % p for x in a[r][c + 1 :]]
+        for i in range(r + 1, m):
+            ai = a[i]
+            f = ai[c]
+            if f:
+                ai[c + 1 :] = [(x - f * y) % p for x, y in zip(ai[c + 1 :], tail)]
+        r += 1
+    return r
 
 
 def int_nullspace(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -39,16 +39,6 @@ def gale_even(q: GaleQuery) -> bool:
     return True
 
 
-def gale_even_contiguous(q: GaleQuery) -> bool:
-    """Equivalent predicate using only consecutive out-pairs (test oracle)."""
-    inside = set(q.subset)
-    outside = [v for v in range(1, q.params.n + 1) if v not in inside]
-    for u, v in zip(outside, outside[1:]):
-        if sum(1 for w in q.subset if u < w < v) % 2:
-            return False
-    return True
-
-
 def special_block(params: ASPParams) -> frozenset[int]:
     """Vertex ids of the flat prefix block (the non-simplex facet for s > 0)."""
     return frozenset(range(1, params.d + params.s + 1))

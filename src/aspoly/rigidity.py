@@ -4,6 +4,17 @@ Generic rank is estimated by exact rank computation at seeded random
 integer embeddings.  Any single embedding only bounds the generic rank
 from below, so rigidity and stress-freeness are one-sided certificates:
 a hit proves the generic statement, a miss proves nothing.
+
+The rank of one integer rigidity matrix is itself decided exactly, most
+often without Bareiss elimination.  Its rank modulo the prime 2^61 - 1
+is a lower bound on the rational rank (a minor that is nonzero mod p is
+a nonzero integer).  The rank never exceeds the number of edges, and
+when the embedded points affinely span R^d the infinitesimal isometries
+form a kernel of dimension C(d+1, 2), so it never exceeds
+d*n - C(d+1, 2) either.  When the modular rank meets the least of these
+proven upper bounds it is the exact rank.  Otherwise (a non-rigid graph
+with dependent edges, a flat embedding, or a prime that divides the
+relevant minors) the fraction-free Bareiss rank decides.
 """
 
 from __future__ import annotations
@@ -11,12 +22,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .complexes import SimplicialComplex, all_faces
 from .enumerative import binom
 from .errors import DomainError, ShapeError
-from .exactnum import RatMatrix, int_rank, rank
+from .exactnum import RatMatrix, int_rank, rank_mod_p
 
 COORD_BOUND = 2**31
 
@@ -93,10 +105,31 @@ def rigidity_matrix(g: Graph, embedding: Mapping[int, Sequence]) -> RatMatrix:
     return RatMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
 
 
+def _rigidity_rank(g: Graph, embedding: Mapping[int, Sequence[int]]) -> int:
+    """Exact rank of the rigidity matrix of an integer embedding.
+
+    The modular rank is accepted when it meets a proven upper bound; see
+    the module docstring.  Otherwise the Bareiss rank is returned.
+    """
+    rows = _edge_rows(g, embedding)
+    if not rows:
+        return 0
+    bound = len(rows)
+    d = len(rows[0]) // g.n_vertices
+    if int_rank([[1, *embedding[v]] for v in g.vertices]) == d + 1:
+        bound = min(bound, rigid_rank_target(d, g.n_vertices))
+    if rank_mod_p(rows) == bound:
+        return bound
+    return int_rank(rows)
+
+
 def stress_dimension(g: Graph, embedding: Mapping[int, Sequence]) -> int:
     if g.n_edges == 0:
         return 0
-    return g.n_edges - rank(rigidity_matrix(g, embedding))
+    # A common positive scale clears the denominators and keeps the rank.
+    scale = lcm(*(Fraction(x).denominator for pt in embedding.values() for x in pt))
+    scaled = {v: [int(Fraction(x) * scale) for x in pt] for v, pt in embedding.items()}
+    return g.n_edges - _rigidity_rank(g, scaled)
 
 
 @dataclass(frozen=True)
@@ -149,8 +182,7 @@ def sample_generic(g: Graph, d: int, trials: int = 3, seed: int = 0) -> Rigidity
             v: [rng.randrange(-COORD_BOUND, COORD_BOUND) for _ in range(d)]
             for v in g.sorted_vertices()
         }
-        if g.n_edges:
-            best = max(best, int_rank(_edge_rows(g, emb)))
+        best = max(best, _rigidity_rank(g, emb))
         if best == cap:
             break
     return RigidityReport(

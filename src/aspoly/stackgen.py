@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -291,25 +290,21 @@ def _simplex_cell(vertices: frozenset[int], original_f: bool = False) -> _Cell:
     return _Cell(vertices, ridges, original_f)
 
 
-def _cell_has_face(cells: Sequence[_Cell], d: int, a: frozenset[int]) -> bool:
-    for c in cells:
-        if c.is_simplex(d):
-            if a <= c.vertices:
-                return True
-        elif a == c.vertices or any(a <= r for r in c.ridges):
-            return True
-    return False
-
-
 def _cell_missing_simplices(cells: Sequence[_Cell], d: int) -> list[frozenset[int]]:
-    verts = sorted(set().union(*(c.vertices for c in cells)))
-    out = []
-    for cand in combinations(verts, d):
-        a = frozenset(cand)
-        if _cell_has_face(cells, d, a):
-            continue
-        if all(_cell_has_face(cells, d, a - {x}) for x in a):
-            out.append(a)
+    """Missing facets: d-vertex sets that are not faces but whose facets are.
+
+    Every (d-1)-vertex face is a cell ridge and every d-vertex face is a
+    simplex cell, so each candidate is a ridge plus one vertex off it.
+    """
+    ridges = {r for c in cells for r in c.ridges}
+    simplices = {c.vertices for c in cells if c.is_simplex(d)}
+    verts = frozenset().union(*(c.vertices for c in cells))
+    out = set()
+    for r in ridges:
+        for x in verts - r:
+            a = r | {x}
+            if a not in simplices and all(a - {y} in ridges for y in r):
+                out.add(a)
     return sorted(out, key=face_key)
 
 
@@ -419,6 +414,14 @@ def _classify_factor(
     return FactorReport(tuple(sorted(verts)), is_simplex, has_facet_in_f, pyramid)
 
 
+def _refined_cells(asp: ASPComplex) -> list[_Cell]:
+    """Boundary cells: the special facet's prime factors, then the ball facets."""
+    f_factors = prime_decomposition(boundary_of_ball(asp.ball)).factors
+    cells = [_Cell(frozenset(s.vertex_ids), s.facets, True) for s in f_factors]
+    cells.extend(_simplex_cell(b) for b in asp.ball.facets)
+    return cells
+
+
 def recognize_minimizer(asp: ASPComplex) -> MinimizerVerdict:
     """Decide minimality structurally via the refined prime decomposition.
 
@@ -437,13 +440,7 @@ def recognize_minimizer(asp: ASPComplex) -> MinimizerVerdict:
             "every 3-dimensional instance is a minimizer; nothing to recognize"
         )
     validate_asp(asp)
-    bd = boundary_of_ball(asp.ball)
-    f_factors = prime_decomposition(bd).factors
-    cells: list[_Cell] = [
-        _Cell(frozenset(s.vertex_ids), s.facets, True) for s in f_factors
-    ]
-    cells.extend(_simplex_cell(b) for b in asp.ball.facets)
-    factors = _cell_prime_factors(cells, d)
+    factors = _cell_prime_factors(_refined_cells(asp), d)
     regime = "d4" if d == 4 else "dGT4"
 
     def factor_key(factor: tuple[_Cell, ...]):

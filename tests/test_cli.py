@@ -7,6 +7,28 @@ import pytest
 from aspoly.cli import main
 
 
+# `table --d 3..4 --s 1 --n-span 2` output, one format each.
+TABLE_BYTES = {
+    "csv": (
+        "d,s,n,f_stacked,f_cyclic,h_ball,bounds_ok,extremes_touch\n"
+        "3,1,5,1 5 8 5,1 5 8 5,1 2 1 0,True,True\n"
+        "3,1,6,1 6 11 7,1 6 11 7,1 3 2 0,True,True\n"
+        "4,1,6,1 6 14 15 7,1 6 14 15 7,1 2 2 1 0,True,True\n"
+        "4,1,7,1 7 18 21 10,1 7 20 25 12,1 3 3 2 0,True,False\n"
+    ),
+    "json": (
+        '[{"bounds_ok":true,"d":3,"extremes_touch":true,"f_cyclic":"1 5 8 5",'
+        '"f_stacked":"1 5 8 5","h_ball":"1 2 1 0","n":5,"s":1},'
+        '{"bounds_ok":true,"d":3,"extremes_touch":true,"f_cyclic":"1 6 11 7",'
+        '"f_stacked":"1 6 11 7","h_ball":"1 3 2 0","n":6,"s":1},'
+        '{"bounds_ok":true,"d":4,"extremes_touch":true,"f_cyclic":"1 6 14 15 7",'
+        '"f_stacked":"1 6 14 15 7","h_ball":"1 2 2 1 0","n":6,"s":1},'
+        '{"bounds_ok":true,"d":4,"extremes_touch":false,"f_cyclic":"1 7 20 25 12",'
+        '"f_stacked":"1 7 18 21 10","h_ball":"1 3 3 2 0","n":7,"s":1}]\n'
+    ),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -212,6 +234,16 @@ class TestTable:
         _, a, _ = run(capsys, "table", "--d", "3..5", "--s", "0..1")
         _, b, _ = run(capsys, "table", "--d", "3..5", "--s", "0..1")
         assert a == b
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_matches_stdout_frozen(self, capsys, tmp_path, fmt):
+        argv = ["table", "--d", "3..4", "--s", "1", "--n-span", "2", "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / f"table.{fmt}"
+        code, to_stdout, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and to_stdout == ""
+        assert path.read_text() == out == TABLE_BYTES[fmt]
 
 
 class TestRigidityCommand:

@@ -220,3 +220,37 @@ def test_nullspace_of_full_rank_is_the_cofactor_vector(n, data):
     (v,) = basis
     ratio = next(Fraction(x, c) for x, c in zip(v, cof) if c)
     assert [ratio * c for c in cof] == v
+
+
+def test_rank_mod_p_examples():
+    p = xn.MERSENNE_61
+    assert xn.rank_mod_p([]) == 0
+    assert xn.rank_mod_p([[1, 2], [2, 4]]) == 1
+    assert xn.rank_mod_p([[0, 0, 0], [0, 5, 1], [0, 10, 2]]) == 1
+    # Entries that are multiples of p vanish mod p; the integer rank does not.
+    assert xn.rank_mod_p([[p, 0], [0, 1]]) == 1
+    assert xn.int_rank([[p, 0], [0, 1]]) == 2
+    with pytest.raises(ShapeError):
+        xn.rank_mod_p([[1, 2], [3]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([2**64, 3 * 2**61]), st.data())
+def test_rank_mod_p_never_exceeds_int_rank(m, n, big, data):
+    p = xn.MERSENNE_61
+    entries = st.one_of(
+        st.integers(-9, 9), st.integers(-big, big), st.integers(-3, 3).map(lambda k: k * p)
+    )
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    assert xn.rank_mod_p(rows) <= xn.int_rank(rows) == gauss_rank(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_rank_mod_p_is_exact_for_small_entries(m, n, data):
+    # Every minor is below Hadamard's bound (9 * sqrt(6))**6 < 2**61 - 1,
+    # so a minor vanishes mod p only when it is zero.
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    assert xn.rank_mod_p(rows) == gauss_rank(rows)

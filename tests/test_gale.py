@@ -17,12 +17,21 @@ from aspoly.gale import (
     GaleQuery,
     almost_cyclic_facets,
     gale_even,
-    gale_even_contiguous,
     interior_tuples,
     simplex_facet_count_even_d,
     simplex_facets,
     special_block,
 )
+
+
+def gale_even_contiguous(q: GaleQuery) -> bool:
+    """Oracle: the evenness rule checked on consecutive out-pairs only."""
+    inside = set(q.subset)
+    outside = [v for v in range(1, q.params.n + 1) if v not in inside]
+    for u, v in zip(outside, outside[1:]):
+        if sum(1 for w in q.subset if u < w < v) % 2:
+            return False
+    return True
 
 
 def q(d: int, n: int, s: int, subset) -> GaleQuery:

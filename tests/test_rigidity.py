@@ -1,5 +1,6 @@
 """Stress spaces, generic rank sampling, and g2 accounting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 from aspoly.complexes import ASPComplex, SimplicialComplex, f_vector, validate_asp
 from aspoly.enumerative import ASPParams, f_almost_stacked
 from aspoly.errors import DomainError, ShapeError
-from aspoly.exactnum import rank
+from aspoly.exactnum import MERSENNE_61, int_rank, rank, rank_mod_p
 from aspoly.gale import almost_cyclic_facets
 from aspoly.rigidity import (
+    COORD_BOUND,
     Graph,
+    RigidityReport,
+    _edge_rows,
+    _rigidity_rank,
     g2_of_skeleton,
     kalai_monotonicity_defect,
     one_skeleton,
@@ -25,6 +30,43 @@ from aspoly.stackgen import pyramid, random_minimizer
 
 TRIANGLE = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
 K4 = Graph.from_edges([1, 2, 3, 4], [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])
+
+
+def sample_generic_by_bareiss(g, d, trials=3, seed=0):
+    """Oracle: the Bareiss rank at every trial embedding, no modular certificate."""
+    target = rigid_rank_target(d, g.n_vertices)
+    cap = min(g.n_edges, max(target, 0))
+    best = 0
+    for t in range(trials):
+        rng = random.Random(f"{seed}:{t}")
+        emb = {
+            v: [rng.randrange(-COORD_BOUND, COORD_BOUND) for _ in range(d)]
+            for v in g.sorted_vertices()
+        }
+        if g.n_edges:
+            best = max(best, int_rank(_edge_rows(g, emb)))
+        if best == cap:
+            break
+    return RigidityReport(
+        d=d,
+        n_vertices=g.n_vertices,
+        n_edges=g.n_edges,
+        best_rank=best,
+        stress_dim=g.n_edges - best,
+        rigid_certified=best == target,
+        stress_free_certified=best == g.n_edges,
+        trials=trials,
+        seed=seed,
+    )
+
+
+@st.composite
+def graphs(draw, max_vertices=8):
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    density = draw(st.sampled_from([3, 6, 9, 10]))
+    keep = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(range(n), [e for e, k in zip(pairs, keep) if k < density])
 
 
 def octahedron_graph():
@@ -154,6 +196,46 @@ class TestSampleGeneric:
         data = sample_generic(TRIANGLE, 2, seed=0).to_json()
         assert data["rigid_certified"] is True
         assert data["n_edges"] == 3
+
+
+class TestRankCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6))
+    def test_sample_generic_matches_bareiss_oracle(self, g, d, trials, seed):
+        assert sample_generic(g, d, trials, seed) == sample_generic_by_bareiss(g, d, trials, seed)
+
+    @pytest.mark.parametrize("cell", [(4, 8, 2), (5, 9, 1), (6, 11, 3)])
+    def test_skeletons_match_bareiss_oracle(self, cell):
+        _, cyclic = cyclic_skeleton(*cell)
+        stacked = one_skeleton(random_minimizer(ASPParams(*cell), 1).ball)
+        for g in (cyclic, stacked):
+            for d in (cell[0] - 1, cell[0], cell[0] + 1):
+                assert sample_generic(g, d, seed=7) == sample_generic_by_bareiss(g, d, seed=7)
+
+    def test_rank_drop_mod_p_falls_back_to_bareiss(self):
+        p = MERSENNE_61
+        emb = {1: [0, 0], 2: [3 * p, p], 3: [p, 4 * p]}
+        assert rank_mod_p(_edge_rows(TRIANGLE, emb)) == 0
+        assert _rigidity_rank(TRIANGLE, emb) == 3
+        assert stress_dimension(TRIANGLE, emb) == 0
+
+    def test_flat_embedding_uses_edge_bound_only(self):
+        # Three points cannot span R^4: d*n - C(d+1, 2) = 2 is no bound here.
+        emb = {1: [0, 0, 0, 0], 2: [1, 2, 0, 5], 3: [7, 1, 3, 0]}
+        assert rigid_rank_target(4, 3) == 2
+        assert _rigidity_rank(TRIANGLE, emb) == 3
+        collinear = {v: [v, 2 * v, 3 * v] for v in range(1, 5)}
+        assert _rigidity_rank(K4, collinear) == 3 == int_rank(_edge_rows(K4, collinear))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(6), st.integers(1, 3), st.integers(1, 6), st.data())
+    def test_stress_dimension_matches_rational_rank(self, g, d, den, data):
+        coords = st.fractions(min_value=-3, max_value=3, max_denominator=den)
+        emb = {
+            v: data.draw(st.lists(coords, min_size=d, max_size=d)) for v in g.vertices
+        }
+        expected = g.n_edges - rank(rigidity_matrix(g, emb)) if g.n_edges else 0
+        assert stress_dimension(g, emb) == expected
 
 
 class TestAffineInvariance:

@@ -1,5 +1,7 @@
 """Builders for stacked families, hyperplane stacking, and the recognizer."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from aspoly.complexes import (
     SimplicialComplex,
     boundary_of_ball,
     f_vector,
+    face_key,
     is_stacked_sphere,
     prime_decomposition,
     validate_asp,
@@ -29,6 +32,9 @@ from aspoly.gale import almost_cyclic_facets
 from aspoly.stackgen import (
     Move,
     StackingScript,
+    _cell_missing_simplices,
+    _cell_split,
+    _refined_cells,
     almost_stacked,
     apply_script,
     h_stack,
@@ -55,6 +61,40 @@ def cyclic_ball(d, n, s):
     asp = ASPComplex(p, ball, frozenset(range(1, d + s + 1)), None)
     validate_asp(asp)
     return asp
+
+
+def cell_has_face(cells, d, a):
+    """Oracle: a is a face of some cell, scanning the whole cell list."""
+    for c in cells:
+        if c.is_simplex(d):
+            if a <= c.vertices:
+                return True
+        elif a == c.vertices or any(a <= r for r in c.ridges):
+            return True
+    return False
+
+
+def cell_missing_simplices_by_scan(cells, d):
+    """Oracle: test every d-subset of the vertices with cell_has_face."""
+    verts = sorted(set().union(*(c.vertices for c in cells)))
+    out = []
+    for cand in combinations(verts, d):
+        a = frozenset(cand)
+        if cell_has_face(cells, d, a):
+            continue
+        if all(cell_has_face(cells, d, a - {x}) for x in a):
+            out.append(a)
+    return sorted(out, key=face_key)
+
+
+def assert_missing_matches_scan(cells, d):
+    """Compare with the oracle at every level of the split recursion."""
+    missing = _cell_missing_simplices(cells, d)
+    assert missing == cell_missing_simplices_by_scan(cells, d)
+    if missing:
+        for part in _cell_split(cells, d, missing[0]):
+            assert_missing_matches_scan(part, d)
+    return missing
 
 
 def octahedron():
@@ -290,3 +330,128 @@ class TestRecognizeMinimizer:
         asp = random_minimizer(ASPParams(*cell), seed, style=style)
         assert recognize_minimizer(asp).is_minimizer
         assert asp.f_polytope().entries == f_almost_stacked(asp.params).entries
+
+
+def factor_json(vertices, simplex, in_f, pyramid_over_f):
+    return {
+        "has_facet_in_f": in_f,
+        "is_pyramid_over_f_factor": pyramid_over_f,
+        "is_simplex": simplex,
+        "vertices": vertices,
+    }
+
+
+# (vertices, is_simplex, has_facet_in_f, is_pyramid_over_f_factor) per
+# factor, captured before the missing-simplex search was rewritten.
+FROZEN_MINIMIZERS = [
+    ((4, 9, 2), 3, "stack", "d4", [
+        ([1, 2, 3, 4, 7], True, True, True),
+        ([1, 2, 4, 5, 7], True, True, True),
+        ([1, 3, 4, 7, 8], True, False, False),
+        ([1, 4, 7, 8, 9], True, False, False),
+        ([2, 3, 4, 6, 7], True, True, True),
+    ]),
+    ((5, 10, 1), 4, "hstack", "dGT4", [
+        ([1, 2, 3, 4, 5, 6], True, True, True),
+        ([1, 2, 4, 5, 6, 9], True, False, False),
+        ([1, 2, 4, 5, 9, 10], True, False, False),
+        ([1, 3, 4, 5, 6, 7], True, False, False),
+        ([1, 3, 4, 5, 7, 8], True, True, True),
+    ]),
+    ((6, 12, 2), 5, "stack", "dGT4", [
+        ([1, 2, 3, 4, 5, 6, 9], True, True, True),
+        ([1, 3, 4, 5, 6, 7, 9], True, True, True),
+        ([1, 3, 4, 5, 7, 8, 9], True, True, True),
+        ([2, 3, 4, 5, 6, 9, 10], True, False, False),
+        ([2, 3, 4, 5, 6, 10, 11], True, False, False),
+        ([3, 4, 5, 6, 10, 11, 12], True, False, False),
+    ]),
+    ((6, 13, 3), 8, "hstack", "dGT4", [
+        ([1, 2, 3, 4, 5, 6, 7], True, True, True),
+        ([1, 2, 3, 4, 5, 7, 9], True, False, False),
+        ([1, 2, 3, 4, 5, 9, 10], True, True, True),
+        ([1, 2, 3, 5, 7, 9, 11], True, False, False),
+        ([1, 2, 3, 5, 9, 10, 12], True, True, True),
+        ([2, 3, 4, 5, 6, 7, 8], True, False, False),
+        ([2, 3, 4, 5, 9, 10, 13], True, True, True),
+    ]),
+]
+
+# Almost-cyclic balls stacked over the given ball facets: one non-simplex
+# factor around the special facet plus the stacked simplices.
+FROZEN_NON_MINIMIZERS = [
+    ((4, 7, 1), (0, 3), "d4", [
+        ([1, 2, 3, 4, 5, 6, 7], False, True, False),
+        ([1, 2, 3, 7, 8], True, False, False),
+        ([1, 2, 7, 8, 9], True, False, False),
+    ]),
+    ((5, 9, 2), (1, 4), "dGT4", [
+        ([1, 2, 3, 4, 5, 6, 7, 8, 9], False, True, False),
+        ([1, 2, 3, 7, 8, 10], True, False, False),
+        ([1, 2, 4, 5, 9, 11], True, False, False),
+    ]),
+    ((6, 11, 1), (2,), "dGT4", [
+        ([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], False, True, False),
+        ([1, 2, 3, 4, 8, 9, 12], True, False, False),
+    ]),
+]
+
+
+def stacked_cyclic(cell, selectors):
+    asp = cyclic_ball(*cell)
+    for k in selectors:
+        asp = stack_over(asp, k)
+    return asp
+
+
+class TestMissingSimplexSearch:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(4, 6),
+        st.integers(0, 3),
+        st.integers(0, 4),
+        st.integers(0, 10**6),
+        st.sampled_from(["stack", "hstack"]),
+    )
+    def test_matches_scan_on_minimizers(self, d, s, extra, seed, style):
+        asp = random_minimizer(ASPParams(d, d + s + 1 + extra, s), seed, style=style)
+        assert_missing_matches_scan(_refined_cells(asp), d)
+
+    @pytest.mark.parametrize(
+        "cell", [(4, 7, 1), (4, 8, 2), (4, 9, 3), (5, 9, 1), (5, 10, 2), (6, 11, 1), (6, 12, 3)]
+    )
+    def test_matches_scan_on_cyclic_balls(self, cell):
+        # For d >= 5 and s >= 1 the special facet keeps a non-simplex cell;
+        # for d = 4 it splits into simplices.
+        asp = cyclic_ball(*cell)
+        cells = _refined_cells(asp)
+        assert any(not c.is_simplex(cell[0]) for c in cells) == (cell[0] > 4)
+        assert_missing_matches_scan(cells, cell[0])
+        for k in range(3):
+            assert_missing_matches_scan(_refined_cells(stack_over(asp, k)), cell[0])
+
+    def test_matches_scan_on_pyramid_over_octahedron(self):
+        asp = ASPComplex(
+            ASPParams(4, 7, 2), pyramid(octahedron(), 7), frozenset(range(1, 7)), None
+        )
+        assert assert_missing_matches_scan(_refined_cells(asp), 4) == []
+
+    @pytest.mark.parametrize("cell, seed, style, regime, factors", FROZEN_MINIMIZERS)
+    def test_frozen_minimizer_verdicts(self, cell, seed, style, regime, factors):
+        verdict = recognize_minimizer(random_minimizer(ASPParams(*cell), seed, style=style))
+        expected = {
+            "factors": [factor_json(*f) for f in factors],
+            "is_minimizer": True,
+            "regime": regime,
+        }
+        assert verdict.to_json() == expected
+
+    @pytest.mark.parametrize("cell, selectors, regime, factors", FROZEN_NON_MINIMIZERS)
+    def test_frozen_non_minimizer_verdicts(self, cell, selectors, regime, factors):
+        verdict = recognize_minimizer(stacked_cyclic(cell, selectors))
+        expected = {
+            "factors": [factor_json(*f) for f in factors],
+            "is_minimizer": False,
+            "regime": regime,
+        }
+        assert verdict.to_json() == expected
