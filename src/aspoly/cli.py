@@ -166,13 +166,32 @@ def cmd_gale(args) -> int:
     return 0
 
 
+def _require(entry, keys: tuple[str, ...], where: str) -> None:
+    if not isinstance(entry, dict):
+        raise AspolyError(f"artifact entry '{where}' is not a JSON object")
+    for key in keys:
+        if key not in entry:
+            raise AspolyError(f"artifact is missing '{where}.{key}'; rebuild it with construct")
+
+
+def _asp_from_json(entry) -> ASPComplex:
+    _require(entry, ("d", "n", "s", "ball", "special_facet"), "complex")
+    _require(entry["ball"], ("facets",), "complex.ball")
+    return ASPComplex.from_json(entry)
+
+
 def _load_artifact(path: str) -> tuple[ASPComplex, PointConfig | None, str]:
     with open(path) as fh:
         data = json.load(fh)
     if "complex" not in data:
         raise AspolyError("artifact has no 'complex' entry; run construct first")
-    asp = ASPComplex.from_json(data["complex"])
-    config = PointConfig.from_json(data["points"]) if "points" in data else None
+    asp = _asp_from_json(data["complex"])
+    config = None
+    if "points" in data:
+        _require(data["points"], ("d", "points"), "points")
+        for i, point in enumerate(data["points"]["points"]):
+            _require(point, ("id", "coords"), f"points.points[{i}]")
+        config = PointConfig.from_json(data["points"])
     return asp, config, data.get("kind", "unknown")
 
 
@@ -337,7 +356,7 @@ def cmd_rigidity(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     if "complex" in data:
-        asp = ASPComplex.from_json(data["complex"])
+        asp = _asp_from_json(data["complex"])
         graph = one_skeleton(asp.ball)
         dim = args.dim or asp.params.d
     else:

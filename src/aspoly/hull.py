@@ -10,11 +10,13 @@ vectors, so the facets a line crosses are ranked by integer dot products
 with no rational arithmetic.  Stacking a point beyond the special facet
 builds the new boundary by the beneath-beyond theorem instead of
 enumerating the hull again, and checks every new hyperplane against all
-points.  Shelling orders are produced geometrically; the constrained
-search tests its prefix condition on the raw crossing order first, and
-every order that is returned is re-checked by the independent
+points.  Shelling orders are produced geometrically.  The constrained
+search splits the facets once into st(y), st(v) - st(y) and the rest and
+rejects a line on its first out-of-place key, before any order is
+ranked; every order that is returned is re-checked by the independent
 combinatorial verifier, so a bug in the crossing logic cannot leak an
-invalid certificate.
+invalid certificate.  Key-lemma defects are read off running face counts
+in one pass over the shelling order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import (
     ASPComplex,
@@ -404,7 +406,8 @@ def point_beyond(
         )
     lam = Fraction(1, 2 ** (halvings + extra_halvings))
     y = tuple(e + lam * s for e, s in zip(exit_pt, step))
-    if not (facet.eval_at(y) < 0 and all(f.eval_at(y) > 0 for f in others)):
+    hy = _homogeneous(y)
+    if facet.eval_homogeneous(hy) >= 0 or any(f.eval_homogeneous(hy) <= 0 for f in others):
         raise DegeneracyError("beyond point fails the beyond conditions")
     return y
 
@@ -431,23 +434,42 @@ class _LinesFrom:
     """
 
     def __init__(self, geom: ASPGeometry, base_hom: Sequence[int]) -> None:
-        values = [f.eval_homogeneous(base_hom) for f in geom.facets]
+        self.facets = geom.facets
+        self.rows = [(f.offset, *f.normal) for f in geom.facets]
+        values = _dots(base_hom, self.rows)
         if min(values) <= 0:
             raise DegeneracyError("base point is not interior")
-        self.facets = geom.facets
         self.lcm = math.lcm(*values)
         self.scales = [base_hom[0] * self.lcm // a for a in values]
 
+    def _keys(self, target_hom: Sequence[int], indices: Iterable[int]) -> Iterator[int]:
+        rows, scales = self.rows, self.scales
+        return (sum(map(operator.mul, rows[i], target_hom)) * scales[i] for i in indices)
+
     def order(self, target_hom: Sequence[int]) -> list[frozenset[int]]:
-        keys = [
-            f.eval_homogeneous(target_hom) * k for f, k in zip(self.facets, self.scales)
-        ]
+        keys = list(self._keys(target_hom, range(len(self.rows))))
         if self.lcm * target_hom[0] in keys:
             raise DegeneracyError("line parallel to a facet hyperplane")
         if len(set(keys)) != len(keys):
             raise DegeneracyError("line meets two facet hyperplanes at one parameter")
         ranked = sorted(range(len(keys)), key=keys.__getitem__)
         return [self.facets[i].vertex_ids for i in ranked]
+
+    def starts_with(
+        self, target_hom: Sequence[int], first: list[int], second: list[int], rest: list[int]
+    ) -> bool:
+        """Whether the order lists the facets at `first`, then `second`, then `rest`.
+
+        Decided on the keys alone, False at the first key below a key of an
+        earlier block.  Tied keys pass; order() reports them as degenerate.
+        """
+        top = max(self._keys(target_hom, first))
+        high = top
+        for key in self._keys(target_hom, second):
+            if key < top:
+                return False
+            high = max(high, key)
+        return not any(key < high for key in self._keys(target_hom, rest))
 
 
 def _verified(
@@ -483,14 +505,6 @@ def line_shelling(
     raise DegeneracyError(f"no usable direction after {retries} tries: {last}")
 
 
-def shelling_prefix_ok(order: Sequence[frozenset[int]], y_id: int, v_id: int) -> bool:
-    """Check the two-block prefix: all of st(y), then the rest of st(v)."""
-    block1 = {f for f in order if y_id in f}
-    block2 = {f for f in order if v_id in f} - block1
-    k1, k2 = len(block1), len(block2)
-    return set(order[:k1]) == block1 and set(order[k1 : k1 + k2]) == block2
-
-
 def constrained_line_shelling(
     geom: ASPGeometry, y_id: int, v_id: int, seed: int, retries: int = 64
 ) -> ShellingCertificate:
@@ -498,21 +512,31 @@ def constrained_line_shelling(
 
     The line is shot from the interior centroid through the position of y
     perturbed slightly toward v (seeded rational jiggle, shrinking scale).
-    The prefix property is tested on each raw crossing order first, since
-    almost every line gives a valid shelling that fails only the prefix;
-    an order that passes is then verified, so a returned certificate is
-    always a verified shelling.  Exhausting the retries is reported as
-    inconclusive, not as a refutation.
+    Almost every line gives a valid shelling that fails only this prefix,
+    so each line is first tested on the keys of st(y), st(v) - st(y) and
+    the rest, in turn, and rejected at the first key out of place, before
+    any order is ranked.  A line that passes is ranked with the degeneracy
+    checks and verified, so a returned certificate is always a verified
+    shelling.  Exhausting the retries is reported as inconclusive, not as
+    a refutation; the "last degeneracy" detail names the last line only
+    if it passed the prefix test.
     """
     if not geom.is_simplicial:
         raise DomainError("constrained shelling requires a simplicial boundary")
-    cx = geom.boundary_complex()
     ids = {pid for pid, _ in geom.config.points}
     if y_id not in ids or v_id not in ids or y_id == v_id:
         raise DomainError("y and v must be two distinct vertex ids")
     if not any({y_id, v_id} <= f.vertex_ids for f in geom.facets):
         raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
     lines = _LinesFrom(geom, _homogeneous(interior_point(geom)))
+    first, second, rest = [], [], []
+    for i, f in enumerate(geom.facets):
+        if y_id in f.vertex_ids:
+            first.append(i)
+        elif v_id in f.vertex_ids:
+            second.append(i)
+        else:
+            rest.append(i)
     # The target (1-eta)*y + eta*(7/8*v + sum(wt*x)/(8*W)), with eta = 2^-k
     # and W = sum(wt) over the other points x, is built as an integer
     # homogeneous vector over the points' common denominator.
@@ -521,6 +545,7 @@ def constrained_line_shelling(
     num = {pid: [x * (den // h[0]) for x in h[1:]] for pid, h in hom.items()}
     y, v = num[y_id], num[v_id]
     others = [c for pid, c in num.items() if pid not in (y_id, v_id)]
+    columns = list(zip(*others))
     rng = random.Random(seed)
     last = None
     for attempt in range(retries):
@@ -528,17 +553,14 @@ def constrained_line_shelling(
         weights = [rng.randint(1, 1000) for _ in others]
         total = sum(weights)
         target = [2**k * 8 * total * den] + [
-            (2**k - 1) * 8 * total * yc
-            + 7 * total * vc
-            + sum(wt * c[j] for wt, c in zip(weights, others))
-            for j, (yc, vc) in enumerate(zip(y, v))
+            (2**k - 1) * 8 * total * yc + 7 * total * vc + _dot(weights, col)
+            for yc, vc, col in zip(y, v, columns)
         ]
+        if not lines.starts_with(target, first, second, rest):
+            last = None
+            continue
         try:
-            order = lines.order(target)
-            if not shelling_prefix_ok(order, y_id, v_id):
-                last = None
-                continue
-            return _verified(cx, order)
+            return _verified(geom.boundary_complex(), lines.order(target))
         except DegeneracyError as exc:
             last = exc
     detail = f" (last degeneracy: {last})" if last else ""
@@ -595,14 +617,6 @@ def stack_over_special(
     return ASPGeometry(config, _facet_order(kept + cones), None, None)
 
 
-def _prefix_h(facet_sets: list[frozenset[int]], parameter: int) -> list[int]:
-    """h-vector of the complex generated by the given facets; zeros if empty."""
-    if not facet_sets:
-        return [0] * (parameter + 1)
-    cx = SimplicialComplex.from_facets(facet_sets)
-    return list(h_from_f(f_vector(cx)).entries)
-
-
 def key_shelling_defects(
     cert: ShellingCertificate, y_id: int, v_id: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -611,27 +625,39 @@ def key_shelling_defects(
     h^j means the h-vector of the union of the first j facets.  The F
     complex is read off as the link of y (its facets are the y-facets of
     the prefix with y removed), since stacking beyond the special facet
-    makes that link the facet's boundary sphere.
+    makes that link the facet's boundary sphere; F/v is the link of the
+    edge yv.  A link with no faces yet has the zero h-vector.
+
+    One pass over the order keeps the faces seen so far.  The link of a
+    face u in the prefix is generated by {f - u : u <= f}, so its faces
+    are the prefix faces containing u, less u: each new face is counted
+    into every link whose face it contains, |u| sizes lower.  The cost is
+    O(m 2^d) for m facets of size d; no complex is built per step.
     """
+    if y_id == v_id:
+        raise DomainError("y and v must be two distinct vertex ids")
     d = cert.complex.dim + 1
+    # Q, Q/v, F and F/v are the links of these faces, with these signs.
+    links = (frozenset(), frozenset({v_id}), frozenset({y_id}), frozenset({y_id, v_id}))
+    signs = (1, -1, -1, 1)
+    counts = [[0] * (d + 1 - len(u)) for u in links]
+    hs = [(0,) * (d + 1)] * len(links)
+    seen: set[frozenset[int]] = set()
     out = []
-    for j in range(1, len(cert.order) + 1):
-        pre = list(cert.order[:j])
-        hq = _prefix_h(pre, d)
-        hqv = _prefix_h([f - {v_id} for f in pre if v_id in f], d - 1)
-        hf = _prefix_h([f - {y_id} for f in pre if y_id in f], d - 1)
-        hfv = _prefix_h(
-            [f - {y_id, v_id} for f in pre if y_id in f and v_id in f], d - 2
-        )
-
-        def at(vec: list[int], k: int) -> int:
-            return vec[k] if k < len(vec) else 0
-
-        out.append(
-            tuple(
-                at(hq, k) - at(hqv, k) - at(hf, k) + at(hfv, k) for k in range(d + 1)
-            )
-        )
+    for facet in cert.order:
+        for size in range(d + 1):
+            for face in map(frozenset, combinations(facet, size)):
+                if face in seen:
+                    continue
+                seen.add(face)
+                for u, c in zip(links, counts):
+                    if u <= face:
+                        c[size - len(u)] += 1
+        for i, u in enumerate(links):
+            if u <= facet:  # else the link gained no face at this step
+                h = h_from_f(FVector(d - len(u), tuple(counts[i]))).entries
+                hs[i] = h + (0,) * len(u)
+        out.append(tuple(sum(s * h[k] for s, h in zip(signs, hs)) for k in range(d + 1)))
     return tuple(out)
 
 

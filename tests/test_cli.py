@@ -164,6 +164,60 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            (("complex", "ball"), "complex.ball"),
+            (("complex", "special_facet"), "complex.special_facet"),
+            (("complex", "d"), "complex.d"),
+            (("complex", "n"), "complex.n"),
+            (("complex", "s"), "complex.s"),
+            (("complex", "ball", "facets"), "complex.ball.facets"),
+            (("points", "d"), "points.d"),
+            (("points", "points"), "points.points"),
+            (("points", "points", 3, "id"), "points.points[3].id"),
+            (("points", "points", 3, "coords"), "points.points[3].coords"),
+        ],
+    )
+    def test_missing_key_is_named(self, capsys, tmp_path, path, name):
+        _, artifact = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
+        )
+        entry = artifact
+        for key in path[:-1]:
+            entry = entry[key]
+        del entry[path[-1]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(artifact))
+        for command in ("verify", "shelling", "recognize"):
+            code, out, err = run(capsys, command, "--input", str(bad))
+            assert code == 2 and out == ""
+            assert err == f"error: artifact is missing '{name}'; rebuild it with construct\n"
+
+    def test_entry_that_is_not_an_object(self, capsys, tmp_path):
+        _, artifact = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
+        )
+        artifact["points"]["points"][0] = 7
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(artifact))
+        code, out, err = run(capsys, "verify", "--input", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: artifact entry 'points.points[0]' is not a JSON object\n"
+
+    def test_rigidity_names_missing_key(self, capsys, tmp_path):
+        _, artifact = make_artifact(
+            capsys, tmp_path,
+            "construct", "stacked-asp", "--d", "4", "--n", "8", "--s", "2",
+        )
+        del artifact["complex"]["ball"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(artifact))
+        code, _, err = run(capsys, "rigidity", "report", "--input", str(bad))
+        assert code == 2 and "'complex.ball'" in err
+
     def test_unparseable_input(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

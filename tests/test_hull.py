@@ -8,14 +8,17 @@ the predicates with hand-checkable answers.
 import hashlib
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aspoly.complexes import (
+    SimplicialComplex,
     boundary_of_ball,
     f_vector,
     h_from_shelling,
@@ -32,11 +35,13 @@ from aspoly.errors import (
     NotASPError,
     RankDeficientError,
     ShapeError,
+    ShellingError,
     ShellingSearchError,
 )
 from aspoly.gale import almost_cyclic_facets
 from aspoly.hull import (
     FacetDescriptor,
+    _LinesFrom,
     constrained_line_shelling,
     designate_special,
     detect_asp,
@@ -49,7 +54,6 @@ from aspoly.hull import (
     neighborliness,
     orientation,
     point_beyond,
-    shelling_prefix_ok,
     simpliciality,
     stack_over_special,
 )
@@ -107,6 +111,90 @@ def stacked_by_enumeration(geom, toward, closeness):
     return detect_asp(extend_config(geom.config, y), cap=None)
 
 
+def shelling_prefix_ok(order, y_id, v_id) -> bool:
+    """Oracle: the two-block prefix, all of st(y), then the rest of st(v)."""
+    block1 = {f for f in order if y_id in f}
+    block2 = {f for f in order if v_id in f} - block1
+    k1, k2 = len(block1), len(block2)
+    return set(order[:k1]) == block1 and set(order[k1 : k1 + k2]) == block2
+
+
+def prefix_h(facet_sets, parameter):
+    """h-vector of the complex generated by the given facets; zeros if empty."""
+    if not facet_sets:
+        return [0] * (parameter + 1)
+    cx = SimplicialComplex.from_facets(facet_sets)
+    return list(h_from_f(f_vector(cx)).entries)
+
+
+def defects_by_rebuild(cert, y_id, v_id):
+    """Oracle: key-lemma defects with the four prefix complexes rebuilt at every step."""
+    d = cert.complex.dim + 1
+    out = []
+    for j in range(1, len(cert.order) + 1):
+        pre = list(cert.order[:j])
+        hq = prefix_h(pre, d)
+        hqv = prefix_h([f - {v_id} for f in pre if v_id in f], d - 1)
+        hf = prefix_h([f - {y_id} for f in pre if y_id in f], d - 1)
+        hfv = prefix_h([f - {y_id, v_id} for f in pre if y_id in f and v_id in f], d - 2)
+
+        def at(vec, k):
+            return vec[k] if k < len(vec) else 0
+
+        out.append(
+            tuple(at(hq, k) - at(hqv, k) - at(hf, k) + at(hfv, k) for k in range(d + 1))
+        )
+    return tuple(out)
+
+
+def homogeneous(coords):
+    scale = math.lcm(*(c.denominator for c in coords))
+    return [scale] + [c.numerator * (scale // c.denominator) for c in coords]
+
+
+def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
+    """Oracle: the constrained search that ranks every line before its prefix test.
+
+    Each line's facets are all keyed and sorted, lines with a parallel
+    hyperplane or tied keys are skipped, and the sorted order must pass
+    shelling_prefix_ok and verify.  Returns (attempt, certificate) for the
+    first line that does, or None when the retries run out.
+    """
+    cx = geom.boundary_complex()
+    hb = homogeneous(interior_point(geom))
+    values = [f.eval_homogeneous(hb) for f in geom.facets]
+    lcm = math.lcm(*values)
+    scales = [hb[0] * lcm // a for a in values]
+    hom = {pid: homogeneous(c) for pid, c in geom.config.points}
+    den = math.lcm(*(h[0] for h in hom.values()))
+    num = {pid: [x * (den // h[0]) for x in h[1:]] for pid, h in hom.items()}
+    y, v = num[y_id], num[v_id]
+    others = [c for pid, c in num.items() if pid not in (y_id, v_id)]
+    rng = random.Random(seed)
+    for attempt in range(retries):
+        k = 3 + attempt
+        weights = [rng.randint(1, 1000) for _ in others]
+        total = sum(weights)
+        target = [2**k * 8 * total * den] + [
+            (2**k - 1) * 8 * total * yc
+            + 7 * total * vc
+            + sum(wt * c[j] for wt, c in zip(weights, others))
+            for j, (yc, vc) in enumerate(zip(y, v))
+        ]
+        keys = [f.eval_homogeneous(target) * sc for f, sc in zip(geom.facets, scales)]
+        if lcm * target[0] in keys or len(set(keys)) != len(keys):
+            continue
+        ranked = sorted(range(len(keys)), key=keys.__getitem__)
+        order = [geom.facets[i].vertex_ids for i in ranked]
+        if not shelling_prefix_ok(order, y_id, v_id):
+            continue
+        try:
+            return attempt, verify_shelling(cx, order)
+        except ShellingError:
+            continue
+    return None
+
+
 def asp_geometry(d, n, s):
     geom = detect_asp(almost_cyclic_points(ASPParams(d, n, s)), cap=None)
     if geom.ball is None:
@@ -127,6 +215,25 @@ def stacking_cases(draw):
     toward = draw(st.sampled_from([None, *range(1, d + s + 1)]))
     closeness = draw(st.sampled_from([2, 12, 20, 28, 40]))
     return (d, n, s), toward, closeness
+
+
+@st.composite
+def shelled_stacked_cases(draw):
+    d = draw(st.integers(3, 5))
+    s = draw(st.integers(0, 3))
+    n = draw(st.integers(d + s + 1, min(d + s + 3, 10)))
+    return (d, n, s), draw(st.integers(0, 10**6)), draw(st.booleans())
+
+
+def lines_with_keys(slopes, vertex_sets=None):
+    """_LinesFrom over one-dimensional facets 1 + a*x >= 0, one per slope a.
+
+    Shot from the base (1, 0), the target (1, 1) gets the key 1 + a, so
+    a test can place keys, and ties, exactly.
+    """
+    vertex_sets = vertex_sets or [frozenset({i}) for i in range(len(slopes))]
+    facets = tuple(FacetDescriptor(vs, (a,), 1) for vs, a in zip(vertex_sets, slopes))
+    return _LinesFrom(SimpleNamespace(facets=facets), [1, 0])
 
 
 def tetrahedron_config() -> PointConfig:
@@ -413,6 +520,18 @@ class TestPointBeyond:
         with pytest.raises(NotAFaceError):
             point_beyond(geom, other.facets[0])
 
+    @settings(deadline=None, max_examples=30)
+    @given(stacking_cases())
+    def test_beyond_conditions_in_rationals(self, case):
+        cell, toward, closeness = case
+        geom = asp_geometry(*cell)
+        weight = Fraction(0) if toward is None else 1 - Fraction(1, 2**closeness)
+        y = point_beyond(
+            geom, geom.special, toward=toward, toward_weight=weight, extra_halvings=closeness
+        )
+        assert geom.special.eval_at(y) < 0
+        assert all(f.eval_at(y) > 0 for f in geom.facets if f is not geom.special)
+
     def test_twin_hyperplane_is_degenerate(self):
         # A second, equal copy of the chosen facet can never be strictly
         # beneath a point beyond the first: no step length works.
@@ -547,6 +666,30 @@ class TestConstrainedShelling:
         assert len(order) == size and digest(payload) == cert_digest
         assert defects[-1] == last_row
 
+    @pytest.mark.parametrize("cell", [(4, 7, 0), (4, 9, 1), (5, 10, 2), (4, 10, 3), (5, 12, 3)])
+    def test_matches_full_ranking(self, cell):
+        # The same certificate at the same attempt, and exhaustion on the
+        # same seeds, as the search that ranks every line before testing it.
+        d, n, s = cell
+        geom = asp_geometry(*cell)
+        y = n + 1
+        outcomes = set()
+        for v in range(1, d + s + 1):
+            for closeness in (12, 40):
+                q = stack_over_special(geom, toward=v, closeness=closeness)
+                found = search_by_full_ranking(q, y, v, seed=closeness)
+                if found is None:
+                    with pytest.raises(ShellingSearchError):
+                        constrained_line_shelling(q, y, v, seed=closeness)
+                    outcomes.add("exhausted")
+                    continue
+                attempt, cert = found
+                assert constrained_line_shelling(q, y, v, closeness, retries=attempt + 1) == cert
+                with pytest.raises(ShellingSearchError):
+                    constrained_line_shelling(q, y, v, closeness, retries=attempt)
+                outcomes.add("certified")
+        assert outcomes == {"certified", "exhausted"}
+
     def test_identical_vertices_rejected(self):
         geom = detect_asp(bipyramid_config())
         with pytest.raises(DomainError):
@@ -556,6 +699,82 @@ class TestConstrainedShelling:
         geom = detect_asp(bipyramid_config())
         with pytest.raises(DomainError):
             constrained_line_shelling(geom, 4, 5, seed=1)
+
+
+class TestPrefixTest:
+    TARGET = [1, 1]
+
+    def test_out_of_place_keys_rejected(self):
+        lines = lines_with_keys([1, 4, 3, 5, 6])  # keys 2, 5, 4, 6, 7
+        assert lines.starts_with(self.TARGET, [0, 2], [1], [3, 4])
+        assert not lines.starts_with(self.TARGET, [0, 1], [2], [3, 4])
+        assert not lines.starts_with(self.TARGET, [0], [1], [2, 3, 4])
+        assert not lines.starts_with(self.TARGET, [1], [3], [4, 0])
+
+    def test_ties_pass_to_the_degeneracy_check(self):
+        # A tie at a block boundary is left to order(), which reports it.
+        lines = lines_with_keys([1, 3, 3, 5])  # keys 2, 4, 4, 6
+        assert lines.starts_with(self.TARGET, [0, 1], [2], [3])
+        assert lines.starts_with(self.TARGET, [0], [1], [2, 3])
+        with pytest.raises(DegeneracyError, match="one parameter"):
+            lines.order(self.TARGET)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-60, 60).filter(bool), st.sampled_from("ybvr")),
+            min_size=2,
+            max_size=14,
+            unique_by=lambda t: t[0],
+        )
+    )
+    def test_matches_prefix_of_ranked_order(self, case):
+        # Tags: y in st(y) only, b in both stars, v in st(v) only, r in neither.
+        y_id, v_id = 100, 101
+        tags = [tag for _, tag in case]
+        vertex_sets = [
+            frozenset({i} | ({y_id} if t in "yb" else set()) | ({v_id} if t in "vb" else set()))
+            for i, t in enumerate(tags)
+        ]
+        lines = lines_with_keys([a for a, _ in case], vertex_sets)
+        first = [i for i, t in enumerate(tags) if t in "yb"]
+        second = [i for i, t in enumerate(tags) if t == "v"]
+        rest = [i for i, t in enumerate(tags) if t == "r"]
+        if not first:
+            return
+        expected = shelling_prefix_ok(lines.order(self.TARGET), y_id, v_id)
+        assert lines.starts_with(self.TARGET, first, second, rest) == expected
+
+
+class TestKeyShellingDefects:
+    @settings(deadline=None, max_examples=25)
+    @given(shelled_stacked_cases())
+    def test_matches_rebuild(self, case):
+        (d, n, s), seed, reverse = case
+        cert = line_shelling(stack_over_special(asp_geometry(d, n, s)), seed)
+        if reverse:
+            cert = verify_shelling(cert.complex, list(reversed(cert.order)))
+        y = n + 1
+        for v in range(1, d + s + 1):
+            assert key_shelling_defects(cert, y, v) == defects_by_rebuild(cert, y, v)
+
+    def test_empty_links_at_start(self):
+        # Reversed, a constrained shelling ends with st(y) and st(v): the
+        # links of y and v stay empty for the first steps.
+        q = stack_over_special(asp_geometry(4, 8, 1), toward=3, closeness=28)
+        cert = constrained_line_shelling(q, 9, 3, seed=28)
+        rev = verify_shelling(cert.complex, list(reversed(cert.order)))
+        assert not rev.order[0] & {3, 9} and not rev.order[1] & {3, 9}
+        for y, v in [(9, 3), (9, 1), (3, 9), (9, 8), (2, 7)]:
+            defects = key_shelling_defects(rev, y, v)
+            assert defects == defects_by_rebuild(rev, y, v)
+        assert key_shelling_defects(rev, 9, 3)[0] == (1, 0, 0, 0, 0)
+
+    def test_needs_distinct_vertices(self):
+        q = stack_over_special(asp_geometry(4, 7, 1), toward=2, closeness=12)
+        cert = constrained_line_shelling(q, 8, 2, seed=5)
+        with pytest.raises(DomainError):
+            key_shelling_defects(cert, 2, 2)
 
 
 class TestMeasurements:
