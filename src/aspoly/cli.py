@@ -246,6 +246,9 @@ def _check_rigidity(asp: ASPComplex, seed: int) -> tuple[bool, str]:
     skel = one_skeleton(asp.ball)
     report = sample_generic(skel, asp.params.d, seed=seed)
     g2 = g2_of_skeleton(asp.params.n, skel.n_edges, asp.params.d)
+    if g2 < 0 and report.stress_free_certified:
+        detail = f"stress_dim=0, g2={g2} < 0: too few edges to be rigid, stress-free certified"
+        return (True, detail)
     if not report.rigid_certified:
         return (False, "rank certificate not reached (inconclusive)")
     ok = report.stress_dim == g2

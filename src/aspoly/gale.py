@@ -1,42 +1,47 @@
-"""Combinatorial facet oracle for the face-maximizing family.
+"""Combinatorial facet prediction for the face-maximizing family.
 
-A d-subset of the curve points spans a simplex facet exactly when it is
-not contained in the flat prefix block and satisfies the evenness rule:
-between any two points outside the subset, an even number of subset
-points occur.  The prefix block itself is the one non-simplex facet.
+A d-subset of the curve points 1..n spans a simplex facet exactly when
+it is not inside the flat prefix block 1..d+s and is Gale-even (Gale
+1963; Ziegler, Lectures on Polytopes, Thm 0.7): every maximal run of
+consecutive subset points has even length, unless the run contains 1
+or n.  The prefix block itself is the one non-simplex facet.
+
+The subsets are generated, not filtered out of all C(n, d): a
+depth-first walk includes or skips each position in turn, and skips
+only where the current run may end.  Including first yields
+lexicographic order, and a branch is cut once fewer positions remain
+than points to pick, so the cost follows the output.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from itertools import combinations
 
 from .enumerative import ASPParams, binom
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class GaleQuery:
-    params: ASPParams
-    subset: tuple[int, ...]
+def _gale_even_subsets(n: int, k: int, last: int) -> list[tuple[int, ...]]:
+    """Gale-even k-subsets of 1..n within 1..last, in lexicographic order."""
+    out, picked = [], []
 
-    def __post_init__(self):
-        if any(not 1 <= v <= self.params.n for v in self.subset):
-            raise DomainError("vertex ids must lie in 1..n")
-        if list(self.subset) != sorted(set(self.subset)):
-            raise DomainError("subset must be sorted and duplicate-free")
+    def walk(i: int, left: int, run: int) -> None:
+        # Positions below i are decided and the last `run` of them picked.
+        # The run may end at an even length or if it started at 1; one
+        # that reaches n may end at any length.
+        may_end = run % 2 == 0 or run == i - 1
+        if left == 0:
+            if may_end or i > n:
+                out.append(tuple(picked))
+            return
+        if last - i + 1 < left:
+            return
+        picked.append(i)
+        walk(i + 1, left - 1, run + 1)
+        picked.pop()
+        if may_end:
+            walk(i + 1, left, 0)
 
-
-def gale_even(q: GaleQuery) -> bool:
-    """All-pairs evenness: every out-pair sees an even subset count between."""
-    inside = set(q.subset)
-    outside = [v for v in range(1, q.params.n + 1) if v not in inside]
-    for i, u in enumerate(outside):
-        for v in outside[i + 1 :]:
-            between = sum(1 for w in q.subset if u < w < v)
-            if between % 2:
-                return False
-    return True
+    walk(1, k, 0)
+    return out
 
 
 def special_block(params: ASPParams) -> frozenset[int]:
@@ -46,15 +51,9 @@ def special_block(params: ASPParams) -> frozenset[int]:
 
 def simplex_facets(params: ASPParams) -> list[frozenset[int]]:
     """Gale-even d-subsets not inside the prefix block, sorted."""
-    block = special_block(params)
-    out = []
-    for sub in combinations(range(1, params.n + 1), params.d):
-        fs = frozenset(sub)
-        if fs <= block:
-            continue
-        if gale_even(GaleQuery(params, sub)):
-            out.append(fs)
-    return sorted(out, key=lambda f: tuple(sorted(f)))
+    top = params.d + params.s
+    subsets = _gale_even_subsets(params.n, params.d, params.n)
+    return [frozenset(sub) for sub in subsets if sub[-1] > top]
 
 
 def almost_cyclic_facets(params: ASPParams) -> list[frozenset[int]]:
@@ -71,14 +70,8 @@ def almost_cyclic_facets(params: ASPParams) -> list[frozenset[int]]:
 def interior_tuples(params: ASPParams) -> list[frozenset[int]]:
     """Gale-even d-subsets strictly inside the prefix block, uninterpreted."""
     block = special_block(params)
-    out = []
-    for sub in combinations(sorted(block), params.d):
-        fs = frozenset(sub)
-        if fs == block:
-            continue
-        if gale_even(GaleQuery(params, sub)):
-            out.append(fs)
-    return sorted(out, key=lambda f: tuple(sorted(f)))
+    tuples = (frozenset(sub) for sub in _gale_even_subsets(params.n, params.d, len(block)))
+    return [t for t in tuples if t != block]
 
 
 def simplex_facet_count_even_d(params: ASPParams) -> int:

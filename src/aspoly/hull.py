@@ -26,6 +26,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -107,6 +108,11 @@ class ASPGeometry:
     @property
     def is_simplicial(self) -> bool:
         return all(f.is_simplex() for f in self.facets)
+
+    @cached_property
+    def interior_point(self) -> tuple[Fraction, ...]:
+        """Centroid of the configuration (interior by convex position), computed once."""
+        return _centroid([c for _, c in self.config.points])
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)
@@ -349,11 +355,6 @@ def _centroid(coord_rows: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
     return tuple(sum(col) / n for col in zip(*coord_rows))
 
 
-def interior_point(geom: ASPGeometry) -> tuple[Fraction, ...]:
-    """Centroid of the configuration; interior since points are in convex position."""
-    return _centroid([c for _, c in geom.config.points])
-
-
 def point_beyond(
     geom: ASPGeometry,
     facet: FacetDescriptor,
@@ -378,7 +379,7 @@ def point_beyond(
         raise NotAFaceError("facet descriptor does not belong to this geometry")
     if not 0 <= toward_weight < 1:
         raise DomainError("toward_weight must lie in [0, 1)")
-    b = interior_point(geom)
+    b = geom.interior_point
     exit_pt = _centroid([geom.config.coords(v) for v in sorted(facet.vertex_ids)])
     if toward is not None:
         if toward not in facet.vertex_ids:
@@ -489,7 +490,7 @@ def line_shelling(
     if not geom.is_simplicial:
         raise DomainError("line shelling requires a simplicial boundary")
     cx = geom.boundary_complex()
-    hb = _homogeneous(interior_point(geom))
+    hb = _homogeneous(geom.interior_point)
     lines = _LinesFrom(geom, hb)
     rng = random.Random(seed)
     last = None
@@ -528,7 +529,7 @@ def constrained_line_shelling(
         raise DomainError("y and v must be two distinct vertex ids")
     if not any({y_id, v_id} <= f.vertex_ids for f in geom.facets):
         raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
-    lines = _LinesFrom(geom, _homogeneous(interior_point(geom)))
+    lines = _LinesFrom(geom, _homogeneous(geom.interior_point))
     first, second, rest = [], [], []
     for i, f in enumerate(geom.facets):
         if y_id in f.vertex_ids:

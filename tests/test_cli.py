@@ -1,10 +1,13 @@
 """End-to-end command surface: artifacts, checks, tables, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from aspoly import cli
 from aspoly.cli import main
+from aspoly.rigidity import sample_generic
 
 
 # `table --d 3..4 --s 1 --n-span 2` output, one format each.
@@ -157,6 +160,66 @@ class TestVerify:
         report = json.loads(out)
         assert report["all_pass"]
         assert report["checks"]["shelling"]["pass"]
+
+    @pytest.mark.parametrize(
+        "kind,d,n,s",
+        [
+            ("cyclic-asp", 3, 9, 1),
+            ("cyclic-asp", 3, 8, 1),
+            ("cyclic-asp", 3, 9, 2),
+            ("stacked-asp", 3, 9, 1),
+        ],
+    )
+    def test_dimension_three_with_excess(self, capsys, tmp_path, kind, d, n, s):
+        # The ball's skeleton has 3n - 6 - s edges, so g2 = -s < 0: it
+        # cannot be rigid, and the rigidity check certifies it stress-free.
+        path, _ = make_artifact(
+            capsys, tmp_path,
+            "construct", kind, "--d", str(d), "--n", str(n), "--s", str(s), "--seed", "1",
+        )
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["all_pass"]
+        assert report["checks"]["rigidity"] == {
+            "detail": f"stress_dim=0, g2={-s} < 0: too few edges to be rigid, "
+            "stress-free certified",
+            "pass": True,
+        }
+
+    def test_dimension_three_simplicial_detail(self, capsys, tmp_path):
+        path, _ = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "3", "--n", "9", "--s", "0",
+        )
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--checks", "rigidity")
+        assert code == 0
+        assert json.loads(out)["checks"]["rigidity"]["detail"] == "stress_dim=0, g2=0"
+
+    def test_missed_stress_free_certificate_is_inconclusive(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path, _ = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "3", "--n", "9", "--s", "1",
+        )
+
+        def unlucky(graph, d, seed=0):
+            report = sample_generic(graph, d, seed=seed)
+            return dataclasses.replace(
+                report,
+                best_rank=report.best_rank - 1,
+                stress_dim=1,
+                stress_free_certified=False,
+            )
+
+        monkeypatch.setattr(cli, "sample_generic", unlucky)
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--checks", "rigidity")
+        assert code == 1
+        assert json.loads(out)["checks"]["rigidity"] == {
+            "detail": "rank certificate not reached (inconclusive)",
+            "pass": False,
+        }
 
     def test_missing_complex_entry(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -48,7 +48,6 @@ from aspoly.hull import (
     enumerate_facets,
     extend_config,
     geometry_f_vector,
-    interior_point,
     key_shelling_defects,
     line_shelling,
     neighborliness,
@@ -161,7 +160,7 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
     first line that does, or None when the retries run out.
     """
     cx = geom.boundary_complex()
-    hb = homogeneous(interior_point(geom))
+    hb = homogeneous(geom.interior_point)
     values = [f.eval_homogeneous(hb) for f in geom.facets]
     lcm = math.lcm(*values)
     scales = [hb[0] * lcm // a for a in values]
@@ -789,7 +788,7 @@ class TestMeasurements:
 
     def test_interior_point_is_interior(self):
         geom = detect_asp(octahedron_config())
-        b = interior_point(geom)
+        b = geom.interior_point
         assert all(f.eval_at(b) > 0 for f in geom.facets)
 
     def test_extend_config_ids(self):
