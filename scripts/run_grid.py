@@ -28,7 +28,7 @@ from aspoly.enumerative import (
     ridge_identity_defect,
 )
 from aspoly.gale import almost_cyclic_facets
-from aspoly.hull import designate_special, detect_asp
+from aspoly.hull import asp_geometry
 from aspoly.stackgen import random_minimizer
 
 
@@ -46,9 +46,7 @@ def ds_zero(ball):
 
 
 def run_cell(p, seed):
-    geom = detect_asp(almost_cyclic_points(p), cap=None)
-    if geom.ball is None:
-        geom = designate_special(geom, range(1, p.d + 1))
+    geom = asp_geometry(almost_cyclic_points(p), range(1, p.d + 1))
     gale_ok = {f.vertex_ids for f in geom.facets} == {
         frozenset(x) for x in almost_cyclic_facets(p)
     }

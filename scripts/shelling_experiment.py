@@ -22,9 +22,8 @@ from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import ASPParams
 from aspoly.errors import DegeneracyError, ShellingSearchError
 from aspoly.hull import (
+    asp_geometry,
     constrained_line_shelling,
-    designate_special,
-    detect_asp,
     key_shelling_defects,
     stack_over_special,
 )
@@ -55,9 +54,7 @@ def main():
         for s in (0, 1, 2, 3):
             for n in range(d + s + 1, d + s + args.n_span + 1):
                 p = ASPParams(d, n, s)
-                geom = detect_asp(almost_cyclic_points(p), cap=None)
-                if geom.ball is None:
-                    geom = designate_special(geom, range(1, d + 1))
+                geom = asp_geometry(almost_cyclic_points(p), range(1, d + 1))
                 for v in range(1, d + s + 1):
                     attempted += 1
                     closeness, cert = attempt(geom, n + 1, v, args.closeness)

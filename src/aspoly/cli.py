@@ -39,8 +39,7 @@ from .gale import (
     special_block,
 )
 from .hull import (
-    designate_special,
-    detect_asp,
+    asp_geometry,
     enumerate_facets,
     line_shelling,
     stack_over_special,
@@ -103,9 +102,7 @@ def cmd_construct(args) -> int:
     _check_caps(p.d, p.n, args.unsafe_large)
     if args.kind == "cyclic-asp":
         config = almost_cyclic_points(p)
-        geom = detect_asp(config, cap=None)
-        if geom.ball is None:
-            geom = designate_special(geom, range(1, p.d + 1))
+        geom = asp_geometry(config, range(1, p.d + 1))
         payload = {
             "kind": "cyclic-asp",
             "params": {"d": p.d, "n": p.n, "s": p.s},
@@ -227,10 +224,7 @@ def _check_ridge(asp: ASPComplex) -> tuple[bool, str]:
 def _check_shelling(asp: ASPComplex, config: PointConfig | None, seed: int) -> tuple[bool, str]:
     if config is None:
         return (False, "shelling check needs point data in the artifact")
-    geom = detect_asp(config, cap=None)
-    if geom.ball is None:
-        geom = designate_special(geom, sorted(asp.special_facet))
-    stacked = stack_over_special(geom)
+    stacked = stack_over_special(asp_geometry(config, sorted(asp.special_facet)))
     cert = line_shelling(stacked, seed)
     fq = f_vector(cert.complex)
     ok1 = h_from_shelling(cert).entries == h_from_f(fq).entries
@@ -376,10 +370,7 @@ def cmd_shelling(args) -> int:
     asp, config, _ = _load_artifact(args.input)
     if config is None:
         raise AspolyError("shelling needs an artifact with point data (cyclic-asp)")
-    geom = detect_asp(config, cap=None)
-    if geom.ball is None:
-        geom = designate_special(geom, sorted(asp.special_facet))
-    stacked = stack_over_special(geom)
+    stacked = stack_over_special(asp_geometry(config, sorted(asp.special_facet)))
     runs = []
     all_pass = True
     for i in range(args.count):

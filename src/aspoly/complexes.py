@@ -4,6 +4,11 @@ Complexes are immutable: a frozenset of same-size facets plus the dimension.
 Vertex ids are arbitrary integers.  Operations that would produce a
 non-pure result (induced subcomplexes of scattered vertex sets) raise
 rather than silently change representation.
+
+Prime decomposition has one implementation, on spheres of cells: a
+simplicial sphere is the case where every cell is a simplex, and the
+minimizer recognizer in stackgen passes polyhedral cells too.  Missing
+simplices are found once, from the ridges, and carried down the splits.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .enumerative import ASPParams, FVector, HVector, h_from_f
+from .enumerative import ASPParams, FVector, HVector
 from .errors import (
     DegeneracyError,
     DomainError,
@@ -253,22 +258,6 @@ def h_from_shelling(cert: ShellingCertificate) -> HVector:
     return HVector(cert.complex.dim + 1, cert.prefix_h[-1])
 
 
-def missing_faces(c: SimplicialComplex, k: int) -> frozenset[frozenset[int]]:
-    """Minimal non-faces of dimension k: not a face, but every proper subset is."""
-    if k < 0:
-        raise DomainError("missing faces start at dimension 0")
-    faces = _face_set(c)
-    verts = c.vertex_ids
-    out = []
-    for cand in combinations(verts, k + 1):
-        a = frozenset(cand)
-        if a in faces:
-            continue
-        if all(a - {x} in faces for x in a):
-            out.append(a)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class PrimeDecomposition:
     """Prime factors of a sphere and the tree of cuts joining them.
@@ -281,47 +270,135 @@ class PrimeDecomposition:
     tree_edges: tuple[tuple[int, int, frozenset[int]], ...]
 
 
-def _split_along(
-    c: SimplicialComplex, a: frozenset[int]
-) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """Cut a sphere along a missing facet-size face a into two spheres."""
-    cut_ridges = {a - {x} for x in a}
-    inc = ridge_incidence(c)
-    adj: dict[frozenset[int], list[frozenset[int]]] = {g: [] for g in c.facets}
-    for ridge, fs in inc.items():
-        if len(fs) == 2 and ridge not in cut_ridges:
-            adj[fs[0]].append(fs[1])
-            adj[fs[1]].append(fs[0])
-    seen: set[frozenset[int]] = set()
-    components: list[set[frozenset[int]]] = []
-    for g in c.sorted_facets():
-        if g in seen:
-            continue
-        comp = {g}
-        stack = [g]
+@dataclass(frozen=True)
+class _Cell:
+    """Polyhedral cell: vertex set and boundary ridges.
+
+    original_f marks a prime factor of an ASP's special facet F.
+    """
+
+    vertices: frozenset[int]
+    ridges: frozenset[frozenset[int]]
+    original_f: bool
+
+    def is_simplex(self, d: int) -> bool:
+        return len(self.vertices) == d
+
+
+def _simplex_cell(vertices: frozenset[int]) -> _Cell:
+    return _Cell(vertices, frozenset(vertices - {x} for x in vertices), False)
+
+
+def _cell_missing_simplices(cells: Sequence[_Cell], d: int) -> list[frozenset[int]]:
+    """Missing facets: d-vertex sets that are not faces but whose facets are.
+
+    Every (d-1)-vertex face is a cell ridge and every d-vertex face is a
+    simplex cell, so each candidate is a ridge plus one vertex off it.
+    """
+    ridges = {r for c in cells for r in c.ridges}
+    simplices = {c.vertices for c in cells if c.is_simplex(d)}
+    verts = frozenset().union(*(c.vertices for c in cells))
+    out = set()
+    for r in ridges:
+        for x in verts - r:
+            a = r | {x}
+            if a not in simplices and all(a - {y} in ridges for y in r):
+                out.add(a)
+    return sorted(out, key=face_key)
+
+
+def _cell_split(
+    cells: Sequence[_Cell], a: frozenset[int]
+) -> tuple[list[_Cell], list[_Cell]]:
+    """Cut a sphere of cells along a missing simplex a into two spheres.
+
+    Each part keeps its cells in the given order, with a appended.
+    """
+    cut = {a - {x} for x in a}
+    inc: dict[frozenset[int], list[int]] = {}
+    for i, c in enumerate(cells):
+        for r in c.ridges:
+            inc.setdefault(r, []).append(i)
+    for r, owners in inc.items():
+        if len(owners) > 2:
+            raise PseudomanifoldError(f"ridge {sorted(r)} lies in {len(owners)} cells")
+
+    def reach(i: int) -> set[int]:
+        comp, stack = {i}, [i]
         while stack:
-            cur = stack.pop()
-            for nb in adj[cur]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        components.append(comp)
-    if len(components) != 2:
-        raise DegeneracyError(
-            f"cutting along {sorted(a)} produced {len(components)} components"
-        )
-    side1, side2 = components
+            for r in cells[stack.pop()].ridges - cut:
+                for nb in inc[r]:
+                    if nb not in comp:
+                        comp.add(nb)
+                        stack.append(nb)
+        return comp
+
+    side = reach(0)
+    rest = set(range(len(cells))) - side
+    if not rest or reach(min(rest)) != rest:
+        raise DegeneracyError(f"cutting along {sorted(a)} does not give two components")
+    new = _simplex_cell(a)
     return (
-        SimplicialComplex.from_facets(side1 | {a}),
-        SimplicialComplex.from_facets(side2 | {a}),
+        [c for i, c in enumerate(cells) if i in side] + [new],
+        [c for i, c in enumerate(cells) if i in rest] + [new],
     )
 
 
-def prime_decomposition(sphere: SimplicialComplex) -> PrimeDecomposition:
-    """Recursively split along missing facet-size faces until no more exist.
+def _carried_missing(
+    part: Sequence[_Cell], missing: Iterable[frozenset[int]]
+) -> list[frozenset[int]]:
+    """The parent's missing simplices whose ridges are all ridges of part."""
+    ridges = {r for c in part for r in c.ridges}
+    return [m for m in missing if all(m - {x} in ridges for x in m)]
 
-    Missing faces are processed in lexicographic order; the result is
+
+def _cell_decomposition(
+    cells: Sequence[_Cell], d: int
+) -> tuple[list[tuple[_Cell, ...]], list[tuple[int, int, frozenset[int]]]]:
+    """Split a sphere of cells along missing simplices until none is left.
+
+    Returns the prime factors, each a tuple of cells, and the tree of
+    cuts as (factor index, factor index, cut simplex).  The lexicographically
+    first missing simplex a is cut first.
+
+    The missing set is searched once, at the root, and carried down: each
+    part of the cut along a keeps the parent's other missing simplices
+    whose ridges are all ridges of that part (_carried_missing).  Such a
+    simplex is still missing there, since the part's cells are parent
+    cells plus a.  No new one appears either.  The part's ridges are
+    parent ridges (a's ridges are, as a was missing), so a new missing
+    simplex of the part would be a simplex cell of the other side whose
+    ridges all lie in this part.  A ridge lies in two cells, and two cells
+    on different sides meet only in a cut ridge, so all its ridges would
+    be ridges of a: it would be a itself, but a was missing in the
+    parent, so it is no cell of the other side.
+    """
+    factors: list[tuple[_Cell, ...]] = []
+    edges: list[tuple[int, int, frozenset[int]]] = []
+
+    def decompose(part: Sequence[_Cell], missing: list[frozenset[int]]) -> list[int]:
+        if not missing:
+            factors.append(tuple(part))
+            return [len(factors) - 1]
+        a = missing[0]
+        s1, s2 = _cell_split(part, a)
+        idx1 = decompose(s1, _carried_missing(s1, missing[1:]))
+        idx2 = decompose(s2, _carried_missing(s2, missing[1:]))
+        i, j = (
+            next(k for k in idx if any(c.vertices == a for c in factors[k]))
+            for idx in (idx1, idx2)
+        )
+        edges.append((i, j, a))
+        return idx1 + idx2
+
+    decompose(cells, _cell_missing_simplices(cells, d))
+    return factors, edges
+
+
+def prime_decomposition(sphere: SimplicialComplex) -> PrimeDecomposition:
+    """Split a simplicial sphere, its facets taken as simplex cells.
+
+    The cut simplices are taken in lexicographic order; the result is
     order-independent for spheres of dimension at least 2 and the facet
     counts obey sum_i f_top(factor_i) = f_top(sphere) + 2 (number of cuts).
     """
@@ -329,25 +406,9 @@ def prime_decomposition(sphere: SimplicialComplex) -> PrimeDecomposition:
         raise DomainError("prime decomposition needs dimension at least 2")
     if not is_closed_pseudomanifold(sphere):
         raise PseudomanifoldError("input has boundary or fat ridges")
-
-    factors: list[SimplicialComplex] = []
-    edges: list[tuple[int, int, frozenset[int]]] = []
-
-    def decompose(cx: SimplicialComplex) -> list[int]:
-        missing = sorted(missing_faces(cx, cx.dim), key=face_key)
-        if not missing:
-            factors.append(cx)
-            return [len(factors) - 1]
-        a = missing[0]
-        s1, s2 = _split_along(cx, a)
-        idx1 = decompose(s1)
-        idx2 = decompose(s2)
-        i = next(k for k in idx1 if a in factors[k].facets)
-        j = next(k for k in idx2 if a in factors[k].facets)
-        edges.append((i, j, a))
-        return idx1 + idx2
-
-    decompose(sphere)
+    cells = [_simplex_cell(g) for g in sphere.sorted_facets()]
+    parts, edges = _cell_decomposition(cells, sphere.dim + 1)
+    factors = [SimplicialComplex.from_facets(c.vertices for c in part) for part in parts]
     total = sum(f.n_facets for f in factors)
     if total != sphere.n_facets + 2 * len(edges) or len(edges) != len(factors) - 1:
         raise DegeneracyError("decomposition bookkeeping violated the cut identity")

@@ -350,6 +350,14 @@ def designate_special(geom: ASPGeometry, vertex_ids: Iterable[int]) -> ASPGeomet
     return ASPGeometry(geom.config, geom.facets, chosen, asp)
 
 
+def asp_geometry(config: PointConfig, special: Iterable[int]) -> ASPGeometry:
+    """The uncapped hull as an ASP; special is designated if all facets are simplices."""
+    geom = detect_asp(config, cap=None)
+    if geom.ball is None:
+        geom = designate_special(geom, special)
+    return geom
+
+
 def _centroid(coord_rows: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
     n = len(coord_rows)
     return tuple(sum(col) / n for col in zip(*coord_rows))

@@ -3,19 +3,23 @@
 Everything here is purely combinatorial: stacked spheres, pyramids, the
 almost-stacked construction (pyramid over a stacked facet, then repeated
 stacking), hyperplane stacking which grows the special facet in place,
-and the minimizer recognizer built on a prime decomposition that treats
-the special facet's prime factors as indivisible polyhedral cells.
+and the minimizer recognizer.  The recognizer runs the cell
+decomposition of complexes on the boundary sphere, with the special
+facet's prime factors as indivisible polyhedral cells.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .complexes import (
     ASPComplex,
     SimplicialComplex,
+    _Cell,
+    _cell_decomposition,
+    _simplex_cell,
     boundary_of_ball,
     face_key,
     prime_decomposition,
@@ -24,10 +28,8 @@ from .complexes import (
 )
 from .enumerative import ASPParams
 from .errors import (
-    DegeneracyError,
     DomainError,
     InvalidMoveError,
-    PseudomanifoldError,
     ShapeError,
     UnsupportedRegimeError,
 )
@@ -274,91 +276,6 @@ def random_minimizer(p: ASPParams, seed: int, style: str = "stack") -> ASPComple
 
 
 @dataclass(frozen=True)
-class _Cell:
-    """Polyhedral cell: vertex set, boundary ridges, and F-factor origin."""
-
-    vertices: frozenset[int]
-    ridges: frozenset[frozenset[int]]
-    original_f: bool
-
-    def is_simplex(self, d: int) -> bool:
-        return len(self.vertices) == d
-
-
-def _simplex_cell(vertices: frozenset[int], original_f: bool = False) -> _Cell:
-    ridges = frozenset(vertices - {x} for x in vertices)
-    return _Cell(vertices, ridges, original_f)
-
-
-def _cell_missing_simplices(cells: Sequence[_Cell], d: int) -> list[frozenset[int]]:
-    """Missing facets: d-vertex sets that are not faces but whose facets are.
-
-    Every (d-1)-vertex face is a cell ridge and every d-vertex face is a
-    simplex cell, so each candidate is a ridge plus one vertex off it.
-    """
-    ridges = {r for c in cells for r in c.ridges}
-    simplices = {c.vertices for c in cells if c.is_simplex(d)}
-    verts = frozenset().union(*(c.vertices for c in cells))
-    out = set()
-    for r in ridges:
-        for x in verts - r:
-            a = r | {x}
-            if a not in simplices and all(a - {y} in ridges for y in r):
-                out.add(a)
-    return sorted(out, key=face_key)
-
-
-def _cell_split(
-    cells: Sequence[_Cell], d: int, a: frozenset[int]
-) -> tuple[list[_Cell], list[_Cell]]:
-    cut = {a - {x} for x in a}
-    inc: dict[frozenset[int], list[int]] = {}
-    for i, c in enumerate(cells):
-        for r in c.ridges:
-            inc.setdefault(r, []).append(i)
-    adj: dict[int, list[int]] = {i: [] for i in range(len(cells))}
-    for r, owners in inc.items():
-        if len(owners) > 2:
-            raise PseudomanifoldError(f"ridge {sorted(r)} lies in {len(owners)} cells")
-        if len(owners) == 2 and r not in cut:
-            adj[owners[0]].append(owners[1])
-            adj[owners[1]].append(owners[0])
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for i in range(len(cells)):
-        if i in seen:
-            continue
-        comp = [i]
-        seen.add(i)
-        stack = [i]
-        while stack:
-            cur = stack.pop()
-            for nb in adj[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    stack.append(nb)
-        comps.append(comp)
-    if len(comps) != 2:
-        raise DegeneracyError(
-            f"cutting along {sorted(a)} produced {len(comps)} components"
-        )
-    new = _simplex_cell(a)
-    return (
-        [cells[i] for i in comps[0]] + [new],
-        [cells[i] for i in comps[1]] + [new],
-    )
-
-
-def _cell_prime_factors(cells: Sequence[_Cell], d: int) -> list[tuple[_Cell, ...]]:
-    missing = _cell_missing_simplices(cells, d)
-    if not missing:
-        return [tuple(cells)]
-    s1, s2 = _cell_split(cells, d, missing[0])
-    return _cell_prime_factors(s1, d) + _cell_prime_factors(s2, d)
-
-
-@dataclass(frozen=True)
 class FactorReport:
     vertices: tuple[int, ...]
     is_simplex: bool
@@ -440,7 +357,7 @@ def recognize_minimizer(asp: ASPComplex) -> MinimizerVerdict:
             "every 3-dimensional instance is a minimizer; nothing to recognize"
         )
     validate_asp(asp)
-    factors = _cell_prime_factors(_refined_cells(asp), d)
+    factors, _ = _cell_decomposition(_refined_cells(asp), d)
     regime = "d4" if d == 4 else "dGT4"
 
     def factor_key(factor: tuple[_Cell, ...]):

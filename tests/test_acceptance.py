@@ -24,9 +24,8 @@ from aspoly.enumerative import (
 from aspoly.errors import DegeneracyError, ShellingSearchError
 from aspoly.gale import almost_cyclic_facets, simplex_facet_count_even_d
 from aspoly.hull import (
+    asp_geometry,
     constrained_line_shelling,
-    designate_special,
-    detect_asp,
     key_shelling_defects,
     line_shelling,
     neighborliness,
@@ -58,11 +57,9 @@ def grid_geometry():
     started = time.monotonic()
     cells = {}
     for (d, n, s) in GRID:
-        p = ASPParams(d, n, s)
-        geom = detect_asp(almost_cyclic_points(p), cap=None)
-        if geom.ball is None:
-            geom = designate_special(geom, range(1, d + 1))
-        cells[(d, n, s)] = geom
+        cells[(d, n, s)] = asp_geometry(
+            almost_cyclic_points(ASPParams(d, n, s)), range(1, d + 1)
+        )
     return cells, time.monotonic() - started
 
 

@@ -8,7 +8,7 @@ definitions and are frozen here.
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aspoly.complexes import (
     ASPComplex,
@@ -22,15 +22,17 @@ from aspoly.complexes import (
     is_closed_pseudomanifold,
     is_stacked_sphere,
     link,
-    missing_faces,
     prime_decomposition,
     refine_by_triangulation,
+    ridge_incidence,
     simplex_join,
     star,
     validate_asp,
     verify_shelling,
 )
 from aspoly.enumerative import ASPParams, h_from_f
+from aspoly.gale import almost_cyclic_facets
+from aspoly.stackgen import Move, StackingScript, random_minimizer, stacked_sphere
 from aspoly.errors import (
     DegeneracyError,
     DomainError,
@@ -196,6 +198,62 @@ class TestShelling:
         assert cert.prefix_h[-1] == (1, 1, 1, 1)
 
 
+def missing_faces(c: SimplicialComplex, k: int) -> frozenset[frozenset[int]]:
+    """Oracle: minimal non-faces of dimension k, scanning all C(n, k+1) sets."""
+    faces = {frozenset()} | {
+        frozenset(s) for g in c.facets for j in range(1, len(g) + 1) for s in combinations(g, j)
+    }
+    out = []
+    for cand in combinations(c.vertex_ids, k + 1):
+        a = frozenset(cand)
+        if a not in faces and all(a - {x} in faces for x in a):
+            out.append(a)
+    return frozenset(out)
+
+
+def split_along(c: SimplicialComplex, a: frozenset[int]):
+    """Oracle: cut a sphere along a missing facet-size face into two spheres."""
+    cut_ridges = {a - {x} for x in a}
+    adj = {g: [] for g in c.facets}
+    for ridge, fs in ridge_incidence(c).items():
+        if len(fs) == 2 and ridge not in cut_ridges:
+            adj[fs[0]].append(fs[1])
+            adj[fs[1]].append(fs[0])
+    seen = set()
+    components = []
+    for g in c.sorted_facets():
+        if g in seen:
+            continue
+        comp = {g}
+        stack = [g]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in comp:
+                    comp.add(nb)
+                    stack.append(nb)
+        seen |= comp
+        components.append(comp)
+    assert len(components) == 2, f"cutting along {sorted(a)} gave {len(components)} parts"
+    return tuple(SimplicialComplex.from_facets(side | {a}) for side in components)
+
+
+def prime_decomposition_by_scan(sphere: SimplicialComplex):
+    """Oracle: (factor facet sets, cut faces), rescanning every part for missing faces."""
+    factors, cuts = [], []
+
+    def decompose(cx):
+        missing = sorted(missing_faces(cx, cx.dim), key=sorted)
+        if not missing:
+            factors.append(cx.facets)
+            return
+        cuts.append(missing[0])
+        for part in split_along(cx, missing[0]):
+            decompose(part)
+
+    decompose(sphere)
+    return factors, cuts
+
+
 class TestMissingFacesAndDecomposition:
     def test_octahedron_diagonals(self):
         diag = missing_faces(octahedron(), 1)
@@ -258,6 +316,53 @@ class TestMissingFacesAndDecomposition:
         ball = SimplicialComplex.from_facets([[1, 2, 3], [2, 3, 4]])
         with pytest.raises(PseudomanifoldError):
             prime_decomposition(ball)
+
+
+@st.composite
+def stacked_spheres(draw):
+    d = draw(st.integers(3, 7))
+    picks = draw(st.lists(st.integers(0, 10**6), max_size=5))
+    # stacking adds d - 1 facets to the d + 1 of the simplex boundary
+    moves = tuple(Move("stack", k % (d + 1 + i * (d - 1))) for i, k in enumerate(picks))
+    return stacked_sphere(d, d + 1 + len(picks), StackingScript(moves))
+
+
+@st.composite
+def special_facet_boundaries(draw):
+    d, s = draw(st.integers(4, 7)), draw(st.integers(0, 3))
+    n = d + s + 1 + draw(st.integers(0, 2))
+    style = draw(st.sampled_from(["stack", "hstack"]))
+    asp = random_minimizer(ASPParams(d, n, s), draw(st.integers(0, 10**6)), style=style)
+    return boundary_of_ball(asp.ball)
+
+
+@st.composite
+def cyclic_spheres(draw):
+    d = draw(st.integers(3, 6))
+    n = draw(st.integers(d + 1, d + 5))
+    return SimplicialComplex.from_facets(almost_cyclic_facets(ASPParams(d, n, 0)))
+
+
+class TestPrimeDecompositionMatchesScan:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(stacked_spheres(), special_facet_boundaries(), cyclic_spheres()))
+    def test_same_factors_and_cuts(self, sphere):
+        factors, cuts = prime_decomposition_by_scan(sphere)
+        dec = prime_decomposition(sphere)
+        assert {f.facets for f in dec.factors} == set(factors)
+        assert len(dec.factors) == len(factors)
+        assert {a for _, _, a in dec.tree_edges} == set(cuts)
+        assert len(dec.tree_edges) == len(cuts)
+        for i, j, a in dec.tree_edges:
+            assert a in dec.factors[i].facets and a in dec.factors[j].facets
+
+    def test_stacked_spheres_split_into_simplices(self):
+        script = StackingScript(tuple(Move("stack", k) for k in (0, 2, 5)))
+        for d in range(3, 8):
+            sphere = stacked_sphere(d, d + 4, script)
+            factors, cuts = prime_decomposition_by_scan(sphere)
+            assert len(factors) == 4 and len(cuts) == 3
+            assert is_stacked_sphere(sphere)
 
 
 class TestClassC:

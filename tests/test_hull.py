@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aspoly import hull
 from aspoly.complexes import (
     SimplicialComplex,
     boundary_of_ball,
@@ -195,10 +196,7 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
 
 
 def asp_geometry(d, n, s):
-    geom = detect_asp(almost_cyclic_points(ASPParams(d, n, s)), cap=None)
-    if geom.ball is None:
-        geom = designate_special(geom, range(1, d + 1))
-    return geom
+    return hull.asp_geometry(almost_cyclic_points(ASPParams(d, n, s)), range(1, d + 1))
 
 
 def digest(payload) -> str:

@@ -1,0 +1,33 @@
+"""Smoke tests: both scripts run end to end on a tiny grid."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv):
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_run_grid_rows_all_ok():
+    proc = run_script("scripts/run_grid.py", "--d", "4", "--s", "0..1", "--n-span", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if line.strip().startswith("(")]
+    # (4,5,0), (4,6,0), (4,6,1), (4,7,1)
+    assert len(rows) == 4
+    assert all(row.endswith(" ok") for row in rows), proc.stdout
+    assert "0 check failures" in proc.stdout
+
+
+def test_shelling_experiment_runs():
+    proc = run_script("scripts/shelling_experiment.py", "--n-span", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 negative-defect certificates" in proc.stderr

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
+    _carried_missing,
+    _cell_missing_simplices,
+    _cell_split,
     boundary_of_ball,
     f_vector,
     face_key,
@@ -32,8 +35,6 @@ from aspoly.gale import almost_cyclic_facets
 from aspoly.stackgen import (
     Move,
     StackingScript,
-    _cell_missing_simplices,
-    _cell_split,
     _refined_cells,
     almost_stacked,
     apply_script,
@@ -87,13 +88,19 @@ def cell_missing_simplices_by_scan(cells, d):
     return sorted(out, key=face_key)
 
 
-def assert_missing_matches_scan(cells, d):
-    """Compare with the oracle at every level of the split recursion."""
+def assert_missing_matches_scan(cells, d, carried=None):
+    """Compare with the oracle at every level of the split recursion.
+
+    Below the root, the missing set the recursion carries down must equal
+    both a fresh search and the scan.
+    """
     missing = _cell_missing_simplices(cells, d)
     assert missing == cell_missing_simplices_by_scan(cells, d)
+    if carried is not None:
+        assert carried == missing
     if missing:
-        for part in _cell_split(cells, d, missing[0]):
-            assert_missing_matches_scan(part, d)
+        for part in _cell_split(cells, missing[0]):
+            assert_missing_matches_scan(part, d, _carried_missing(part, missing[1:]))
     return missing
 
 
