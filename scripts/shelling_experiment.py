@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Constrained-shelling search: success rates and key-lemma defect profiles.
+"""Constrained-shelling search: the smallest working closeness and key-lemma defects.
 
-For each cell with d in {4,5} and each vertex v of the special facet, a
-point y is placed beyond the facet close to v and a shelling line through
-y is searched for whose order starts with the facets containing y and
-continues with the rest of the star of v.  Each certificate found is
-checked for nonnegative prefix defects; the per-closeness success counts
-show how tight the placement needs to be.
+For each cell with d in the --d range and each vertex v of the special
+facet, a point y is placed beyond the facet close to v (at distance
+shrinking in 2^-closeness) and the line through y, perturbed toward v,
+is tested for an order that starts with the facets containing y and
+continues with the rest of the star of v.  The closeness runs up a
+doubling ladder to the first rung that certifies, then is bisected
+below that rung, down to the previous one, to report the smallest
+working closeness of each pair (exact when success is monotone in the
+closeness).  The certificate at that closeness is checked for
+nonnegative prefix defects.
 
-Usage: python3 scripts/shelling_experiment.py [--n-span 4] [--out report.json]
+Usage: python3 scripts/shelling_experiment.py [--d 4..5] [--n-span 4] [--out report.json]
 """
 
 import argparse
@@ -27,37 +31,56 @@ from aspoly.hull import (
     key_shelling_defects,
     stack_over_special,
 )
+from run_grid import parse_range
 
 
-def attempt(geom, y_id, v, closenesses):
-    for closeness in closenesses:
-        try:
-            stacked = stack_over_special(geom, toward=v, closeness=closeness, cap=None)
-            cert = constrained_line_shelling(stacked, y_id, v, seed=closeness)
-            return closeness, cert
-        except (ShellingSearchError, DegeneracyError):
-            continue
-    return None, None
+def certificate(geom, y_id, v, closeness):
+    try:
+        stacked = stack_over_special(geom, toward=v, closeness=closeness, cap=None)
+        return constrained_line_shelling(stacked, y_id, v, seed=closeness)
+    except (ShellingSearchError, DegeneracyError):
+        return None
+
+
+def smallest_closeness(geom, y_id, v, ladder):
+    """(closeness, certificate) at the smallest working closeness, or (None, None)."""
+    below = -1
+    for rung in ladder:
+        cert = certificate(geom, y_id, v, rung)
+        if cert is not None:
+            break
+        below = rung
+    else:
+        return None, None
+    while rung - below > 1:
+        mid = (below + rung) // 2
+        found = certificate(geom, y_id, v, mid)
+        if found is None:
+            below = mid
+        else:
+            rung, cert = mid, found
+    return rung, cert
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--d", default="4..5")
     ap.add_argument("--n-span", type=int, default=4)
-    ap.add_argument("--closeness", type=int, nargs="+", default=[12, 20, 28, 40])
+    ap.add_argument("--closeness", type=int, nargs="+", default=[12, 24, 48, 96, 192])
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
     by_closeness = Counter()
     rows = []
     attempted = certified = negatives = 0
-    for d in (4, 5):
+    for d in parse_range(args.d):
         for s in (0, 1, 2, 3):
             for n in range(d + s + 1, d + s + args.n_span + 1):
                 p = ASPParams(d, n, s)
                 geom = asp_geometry(almost_cyclic_points(p), range(1, d + 1))
                 for v in range(1, d + s + 1):
                     attempted += 1
-                    closeness, cert = attempt(geom, n + 1, v, args.closeness)
+                    closeness, cert = smallest_closeness(geom, n + 1, v, args.closeness)
                     if cert is None:
                         rows.append({"cell": [d, n, s], "v": v, "status": "inconclusive"})
                         continue
@@ -83,6 +106,7 @@ def main():
         "rate": round(certified / attempted, 4) if attempted else None,
         "negative_defects": negatives,
         "certificates_by_closeness": dict(sorted(by_closeness.items())),
+        "max_closeness": max(by_closeness, default=None),
         "rows": rows,
     }
     text = json.dumps(summary, indent=2, sort_keys=True)
@@ -92,7 +116,8 @@ def main():
     else:
         print(text)
     print(
-        f"\n{certified}/{attempted} certified, {negatives} negative-defect certificates",
+        f"\n{certified}/{attempted} certified, {negatives} negative-defect certificates, "
+        f"smallest working closeness at most {summary['max_closeness']}",
         file=sys.stderr,
     )
     return 1 if negatives else 0

@@ -59,7 +59,7 @@ class ShellingError(AspolyError, ValueError):
 
 
 class ShellingSearchError(AspolyError, RuntimeError):
-    """A randomized shelling search exhausted its retries (inconclusive)."""
+    """A shelling search found no certificate for its input (inconclusive)."""
 
 
 class ParameterMismatchError(AspolyError, ValueError):

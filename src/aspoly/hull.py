@@ -11,12 +11,12 @@ with no rational arithmetic.  Stacking a point beyond the special facet
 builds the new boundary by the beneath-beyond theorem instead of
 enumerating the hull again, and checks every new hyperplane against all
 points.  Shelling orders are produced geometrically.  The constrained
-search splits the facets once into st(y), st(v) - st(y) and the rest and
-rejects a line on its first out-of-place key, before any order is
-ranked; every order that is returned is re-checked by the independent
-combinatorial verifier, so a bug in the crossing logic cannot leak an
-invalid certificate.  Key-lemma defects are read off running face counts
-in one pass over the shelling order.
+search shoots one line, through y symbolically perturbed toward v, and
+ranks the facets by their exact keys lexicographically; every order that
+is returned is re-checked by the independent combinatorial verifier, so
+a bug in the crossing logic cannot leak an invalid certificate.
+Key-lemma defects are read off running face counts in one pass over the
+shelling order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .complexes import (
     ASPComplex,
@@ -437,9 +437,15 @@ class _LinesFrom:
     in ascending r; the returning line (tau < 0, r > 1) then meets the rest
     in ascending r.  So the Bruggesser-Mani order sorts the facets by r,
     compared exactly as the integer r * t0 * lcm(A), since A > 0 at an
-    interior base.  r = 1 (a parallel hyperplane) or two equal r (two
-    hyperplanes met at one point) is a degeneracy, and the caller retries
-    with fresh randomness.  Orders are not verified here.
+    interior base.
+
+    Several targets t1, t2, t3, ... stand for the symbolically perturbed
+    target t1 + eps*(t2 - t1) + eps^2*(t3 - t1) + ... with eps > 0
+    infinitesimal.  r is affine in the target, so that line sorts the
+    facets by the tuples of their keys at t1, t2, ... lexicographically
+    (Edelsbrunner-Mucke, "Simulation of Simplicity").  r = 1 at every
+    target (a parallel hyperplane) or two equal tuples (two hyperplanes met
+    at one point) is a degeneracy.  Orders are not verified here.
     """
 
     def __init__(self, geom: ASPGeometry, base_hom: Sequence[int]) -> None:
@@ -451,34 +457,17 @@ class _LinesFrom:
         self.lcm = math.lcm(*values)
         self.scales = [base_hom[0] * self.lcm // a for a in values]
 
-    def _keys(self, target_hom: Sequence[int], indices: Iterable[int]) -> Iterator[int]:
-        rows, scales = self.rows, self.scales
-        return (sum(map(operator.mul, rows[i], target_hom)) * scales[i] for i in indices)
+    def _keys(self, target_hom: Sequence[int]) -> list[int]:
+        return [k * s for k, s in zip(_dots(target_hom, self.rows), self.scales)]
 
-    def order(self, target_hom: Sequence[int]) -> list[frozenset[int]]:
-        keys = list(self._keys(target_hom, range(len(self.rows))))
-        if self.lcm * target_hom[0] in keys:
+    def order(self, *target_homs: Sequence[int]) -> list[frozenset[int]]:
+        keys = list(zip(*map(self._keys, target_homs)))
+        if tuple(self.lcm * t[0] for t in target_homs) in keys:
             raise DegeneracyError("line parallel to a facet hyperplane")
         if len(set(keys)) != len(keys):
             raise DegeneracyError("line meets two facet hyperplanes at one parameter")
         ranked = sorted(range(len(keys)), key=keys.__getitem__)
         return [self.facets[i].vertex_ids for i in ranked]
-
-    def starts_with(
-        self, target_hom: Sequence[int], first: list[int], second: list[int], rest: list[int]
-    ) -> bool:
-        """Whether the order lists the facets at `first`, then `second`, then `rest`.
-
-        Decided on the keys alone, False at the first key below a key of an
-        earlier block.  Tied keys pass; order() reports them as degenerate.
-        """
-        top = max(self._keys(target_hom, first))
-        high = top
-        for key in self._keys(target_hom, second):
-            if key < top:
-                return False
-            high = max(high, key)
-        return not any(key < high for key in self._keys(target_hom, rest))
 
 
 def _verified(
@@ -515,68 +504,43 @@ def line_shelling(
 
 
 def constrained_line_shelling(
-    geom: ASPGeometry, y_id: int, v_id: int, seed: int, retries: int = 64
+    geom: ASPGeometry, y_id: int, v_id: int, seed: int
 ) -> ShellingCertificate:
     """Shelling whose order starts with st(y) and continues with the rest of st(v).
 
-    The line is shot from the interior centroid through the position of y
-    perturbed slightly toward v (seeded rational jiggle, shrinking scale).
-    Almost every line gives a valid shelling that fails only this prefix,
-    so each line is first tested on the keys of st(y), st(v) - st(y) and
-    the rest, in turn, and rejected at the first key out of place, before
-    any order is ranked.  A line that passes is ranked with the degeneracy
-    checks and verified, so a returned certificate is always a verified
-    shelling.  Exhausting the retries is reported as inconclusive, not as
-    a refutation; the "last degeneracy" detail names the last line only
-    if it passed the prefix test.
+    The line is shot from the interior centroid through y + eps*(v - y) +
+    eps^2*(g - y) for an infinitesimal eps > 0, where g is a positive
+    average of the other points with weights drawn from Random(seed).
+    Facets through y have key 0 at y and come first; a facet of st(v) -
+    st(y) tied at y with another facet is ranked first at v, where its key
+    is 0; g then orders the facets through both y and v, so the seed
+    reorders only those.  Whether the prefix holds therefore depends on
+    where y is placed, not on the seed: a wrong prefix raises
+    ShellingSearchError, inconclusive at this placement, and a tie left
+    after g raises DegeneracyError.  A returned order is always a verified
+    shelling.
     """
     if not geom.is_simplicial:
         raise DomainError("constrained shelling requires a simplicial boundary")
-    ids = {pid for pid, _ in geom.config.points}
-    if y_id not in ids or v_id not in ids or y_id == v_id:
+    coords = dict(geom.config.points)
+    if y_id not in coords or v_id not in coords or y_id == v_id:
         raise DomainError("y and v must be two distinct vertex ids")
     if not any({y_id, v_id} <= f.vertex_ids for f in geom.facets):
         raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
-    lines = _LinesFrom(geom, _homogeneous(geom.interior_point))
-    first, second, rest = [], [], []
-    for i, f in enumerate(geom.facets):
-        if y_id in f.vertex_ids:
-            first.append(i)
-        elif v_id in f.vertex_ids:
-            second.append(i)
-        else:
-            rest.append(i)
-    # The target (1-eta)*y + eta*(7/8*v + sum(wt*x)/(8*W)), with eta = 2^-k
-    # and W = sum(wt) over the other points x, is built as an integer
-    # homogeneous vector over the points' common denominator.
-    hom = {pid: _homogeneous(c) for pid, c in geom.config.points}
-    den = math.lcm(*(h[0] for h in hom.values()))
-    num = {pid: [x * (den // h[0]) for x in h[1:]] for pid, h in hom.items()}
-    y, v = num[y_id], num[v_id]
-    others = [c for pid, c in num.items() if pid not in (y_id, v_id)]
-    columns = list(zip(*others))
+    others = [c for pid, c in geom.config.points if pid not in (y_id, v_id)]
     rng = random.Random(seed)
-    last = None
-    for attempt in range(retries):
-        k = 3 + attempt
-        weights = [rng.randint(1, 1000) for _ in others]
-        total = sum(weights)
-        target = [2**k * 8 * total * den] + [
-            (2**k - 1) * 8 * total * yc + 7 * total * vc + _dot(weights, col)
-            for yc, vc, col in zip(y, v, columns)
-        ]
-        if not lines.starts_with(target, first, second, rest):
-            last = None
-            continue
-        try:
-            return _verified(geom.boundary_complex(), lines.order(target))
-        except DegeneracyError as exc:
-            last = exc
-    detail = f" (last degeneracy: {last})" if last else ""
-    raise ShellingSearchError(
-        f"no constrained shelling for y={y_id}, v={v_id} in {retries} tries; "
-        f"inconclusive{detail}"
-    )
+    weights = [rng.randint(1, 1000) for _ in others]
+    total = sum(weights)
+    g = [_dot(weights, col) / total for col in zip(*others)]
+    lines = _LinesFrom(geom, _homogeneous(geom.interior_point))
+    order = lines.order(*(_homogeneous(p) for p in (coords[y_id], coords[v_id], g)))
+    blocks = [0 if y_id in f else 1 if v_id in f else 2 for f in order]
+    if blocks != sorted(blocks):
+        raise ShellingSearchError(
+            f"the line through y={y_id} perturbed toward v={v_id} does not shell "
+            "st(y), then st(v), first; inconclusive at this placement of y"
+        )
+    return _verified(geom.boundary_complex(), order)
 
 
 def stack_over_special(

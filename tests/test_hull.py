@@ -153,9 +153,11 @@ def homogeneous(coords):
 
 
 def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
-    """Oracle: the constrained search that ranks every line before its prefix test.
+    """Oracle: the seeded retry search the constrained shelling once ran.
 
-    Each line's facets are all keyed and sorted, lines with a parallel
+    Line k (k = 3, 4, ...) aims at y pulled 2^-k of the way toward
+    7/8 v + 1/8 g, with fresh random weights for g on every line.  Each
+    line's facets are all keyed and sorted, lines with a parallel
     hyperplane or tied keys are skipped, and the sorted order must pass
     shelling_prefix_ok and verify.  Returns (attempt, certificate) for the
     first line that does, or None when the retries run out.
@@ -195,6 +197,14 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
     return None
 
 
+def perturbation_point(geom, y_id, v_id, seed):
+    """g of the deterministic search: the other points averaged with Random(seed) weights."""
+    others = [c for pid, c in geom.config.points if pid not in (y_id, v_id)]
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 1000) for _ in others]
+    return [sum(w * x for w, x in zip(weights, col)) / sum(weights) for col in zip(*others)]
+
+
 def asp_geometry(d, n, s):
     return hull.asp_geometry(almost_cyclic_points(ASPParams(d, n, s)), range(1, d + 1))
 
@@ -222,15 +232,24 @@ def shelled_stacked_cases(draw):
     return (d, n, s), draw(st.integers(0, 10**6)), draw(st.booleans())
 
 
-def lines_with_keys(slopes, vertex_sets=None):
-    """_LinesFrom over one-dimensional facets 1 + a*x >= 0, one per slope a.
+def lines_with_normals(normals):
+    """_LinesFrom over facets 1 + a.x >= 0, one per normal a, shot from the origin.
 
-    Shot from the base (1, 0), the target (1, 1) gets the key 1 + a, so
-    a test can place keys, and ties, exactly.
+    The target e_i (homogeneous (1, e_i)) gets the keys 1 + a_i, so a test
+    can place keys, and ties, exactly at each level.
     """
-    vertex_sets = vertex_sets or [frozenset({i}) for i in range(len(slopes))]
-    facets = tuple(FacetDescriptor(vs, (a,), 1) for vs, a in zip(vertex_sets, slopes))
-    return _LinesFrom(SimpleNamespace(facets=facets), [1, 0])
+    facets = tuple(FacetDescriptor(frozenset({i}), a, 1) for i, a in enumerate(normals))
+    return _LinesFrom(SimpleNamespace(facets=facets), [1, 0, 0])
+
+
+@st.composite
+def constrained_cases(draw):
+    d = draw(st.integers(3, 5))
+    s = draw(st.integers(0, 3))
+    n = draw(st.integers(d + s + 1, min(d + s + 4, 12)))
+    v = draw(st.integers(1, d + s))
+    closeness = draw(st.sampled_from([12, 24, 48, 60]))
+    return (d, n, s), v, closeness, draw(st.integers(0, 10**6))
 
 
 def tetrahedron_config() -> PointConfig:
@@ -634,6 +653,27 @@ class TestConstrainedShelling:
         defects = key_shelling_defects(cert, 8, 2)
         assert all(x >= 0 for row in defects for x in row)
 
+    @staticmethod
+    def first_certificate(search, cell, v, seed, closeness):
+        """Run the criterion-09 ladder 12, 20, 28, 40 with search seed seed+closeness.
+
+        Every rung below `closeness` must be inconclusive (search returns
+        None); returns the certificate at `closeness` with a digest of its
+        order and defect table.
+        """
+        geom = asp_geometry(*cell)
+        y = cell[1] + 1
+        ladder = (12, 20, 28, 40)
+        for step in ladder[: ladder.index(closeness)]:
+            q = stack_over_special(geom, toward=v, closeness=step)
+            assert search(q, y, v, seed + step) is None
+        q = stack_over_special(geom, toward=v, closeness=closeness)
+        cert = search(q, y, v, seed + closeness)
+        defects = key_shelling_defects(cert, y, v)
+        order = [sorted(f) for f in cert.order]
+        payload = {"order": order, "defects": [list(r) for r in defects]}
+        return order, defects, digest(payload)
+
     @pytest.mark.parametrize(
         "cell, v, seed, closeness, size, cert_digest, last_row",
         [
@@ -644,29 +684,40 @@ class TestConstrainedShelling:
         ],
     )
     def test_frozen_ladder(self, cell, v, seed, closeness, size, cert_digest, last_row):
-        # The criterion-09 closeness ladder with search seed seed+closeness.
-        # Values from the Fraction-arithmetic search that re-enumerated the
-        # stacked hull and verified every line: the first closeness that
-        # certifies, and a digest of the order and the defect table.
-        geom = asp_geometry(*cell)
-        y = cell[1] + 1
-        ladder = (12, 20, 28, 40)
-        for step in ladder[: ladder.index(closeness)]:
-            q = stack_over_special(geom, toward=v, closeness=step)
-            with pytest.raises(ShellingSearchError):
-                constrained_line_shelling(q, y, v, seed=seed + step)
-        q = stack_over_special(geom, toward=v, closeness=closeness)
-        cert = constrained_line_shelling(q, y, v, seed=seed + closeness)
-        defects = key_shelling_defects(cert, y, v)
-        order = [sorted(f) for f in cert.order]
-        payload = {"order": order, "defects": [list(r) for r in defects]}
-        assert len(order) == size and digest(payload) == cert_digest
+        # The retry oracle.  Values from the Fraction-arithmetic retry search
+        # that re-enumerated the stacked hull and verified every line.
+        def search(q, y, v, seed):
+            found = search_by_full_ranking(q, y, v, seed)
+            return found and found[1]
+
+        order, defects, got = self.first_certificate(search, cell, v, seed, closeness)
+        assert len(order) == size and got == cert_digest
+        assert defects[-1] == last_row
+
+    @pytest.mark.parametrize(
+        "cell, v, seed, closeness, size, cert_digest, last_row",
+        [
+            ((4, 7, 1), 2, 5, 12, 17, "8c0f1e86ddf59f9c", (0, 0, 3, 2, 1)),
+            ((4, 8, 1), 3, 0, 28, 23, "6c11fb9a7c4156bb", (0, 0, 5, 3, 1)),
+            ((5, 9, 1), 2, 0, 40, 36, "9043ecbfd2d8fadd", (0, 0, 5, 6, 3, 1)),
+            ((4, 7, 0), 1, 0, 20, 17, "4b472d114690dd49", (0, 0, 3, 2, 1)),
+        ],
+    )
+    def test_frozen_symbolic_line(self, cell, v, seed, closeness, size, cert_digest, last_row):
+        # The one-line search certifies at the same rung as the retry oracle.
+        def search(q, y, v, seed):
+            try:
+                return constrained_line_shelling(q, y, v, seed=seed)
+            except ShellingSearchError:
+                return None
+
+        order, defects, got = self.first_certificate(search, cell, v, seed, closeness)
+        assert len(order) == size and got == cert_digest
         assert defects[-1] == last_row
 
     @pytest.mark.parametrize("cell", [(4, 7, 0), (4, 9, 1), (5, 10, 2), (4, 10, 3), (5, 12, 3)])
     def test_matches_full_ranking(self, cell):
-        # The same certificate at the same attempt, and exhaustion on the
-        # same seeds, as the search that ranks every line before testing it.
+        # Certified exactly where the 64-line retry oracle certifies.
         d, n, s = cell
         geom = asp_geometry(*cell)
         y = n + 1
@@ -674,18 +725,43 @@ class TestConstrainedShelling:
         for v in range(1, d + s + 1):
             for closeness in (12, 40):
                 q = stack_over_special(geom, toward=v, closeness=closeness)
-                found = search_by_full_ranking(q, y, v, seed=closeness)
-                if found is None:
+                if search_by_full_ranking(q, y, v, seed=closeness) is None:
                     with pytest.raises(ShellingSearchError):
                         constrained_line_shelling(q, y, v, seed=closeness)
-                    outcomes.add("exhausted")
+                    outcomes.add("inconclusive")
                     continue
-                attempt, cert = found
-                assert constrained_line_shelling(q, y, v, closeness, retries=attempt + 1) == cert
-                with pytest.raises(ShellingSearchError):
-                    constrained_line_shelling(q, y, v, closeness, retries=attempt)
+                cert = constrained_line_shelling(q, y, v, seed=closeness)
+                assert shelling_prefix_ok(cert.order, y, v)
                 outcomes.add("certified")
-        assert outcomes == {"certified", "exhausted"}
+        assert outcomes == {"certified", "inconclusive"}
+
+    @settings(deadline=None, max_examples=30)
+    @given(constrained_cases())
+    def test_order_of_a_real_line(self, case):
+        # The lexicographic order is the crossing order of the line through
+        # y + (v - y)/E + (g - y)/E^2 with E = 2^400, and whether the prefix
+        # holds does not depend on the seed that draws g.
+        (d, n, s), v, closeness, seed = case
+        q = stack_over_special(asp_geometry(d, n, s), toward=v, closeness=closeness)
+        y = n + 1
+        coords = dict(q.config.points)
+        g = perturbation_point(q, y, v, seed)
+        e = Fraction(2**400)
+        target = [
+            a + (b - a) / e + (c - a) / e**2 for a, b, c in zip(coords[y], coords[v], g)
+        ]
+        real = _LinesFrom(q, homogeneous(q.interior_point)).order(homogeneous(target))
+        outcomes = []
+        for sd in (seed, seed + 1):
+            try:
+                cert = constrained_line_shelling(q, y, v, seed=sd)
+            except ShellingSearchError:
+                outcomes.append(False)
+                continue
+            outcomes.append(True)
+            if sd == seed:
+                assert cert.order == tuple(real)
+        assert outcomes[0] == outcomes[1] == shelling_prefix_ok(real, y, v)
 
     def test_identical_vertices_rejected(self):
         geom = detect_asp(bipyramid_config())
@@ -698,49 +774,22 @@ class TestConstrainedShelling:
             constrained_line_shelling(geom, 4, 5, seed=1)
 
 
-class TestPrefixTest:
-    TARGET = [1, 1]
-
-    def test_out_of_place_keys_rejected(self):
-        lines = lines_with_keys([1, 4, 3, 5, 6])  # keys 2, 5, 4, 6, 7
-        assert lines.starts_with(self.TARGET, [0, 2], [1], [3, 4])
-        assert not lines.starts_with(self.TARGET, [0, 1], [2], [3, 4])
-        assert not lines.starts_with(self.TARGET, [0], [1], [2, 3, 4])
-        assert not lines.starts_with(self.TARGET, [1], [3], [4, 0])
-
-    def test_ties_pass_to_the_degeneracy_check(self):
-        # A tie at a block boundary is left to order(), which reports it.
-        lines = lines_with_keys([1, 3, 3, 5])  # keys 2, 4, 4, 6
-        assert lines.starts_with(self.TARGET, [0, 1], [2], [3])
-        assert lines.starts_with(self.TARGET, [0], [1], [2, 3])
+class TestLexicographicOrder:
+    def test_ties_broken_at_later_targets(self):
+        lines = lines_with_normals([(2, 5), (1, 3), (2, -1), (1, 4)])
+        # Keys 3, 2, 3, 2 at e_1, then 6, 4, 0, 5 at e_2.
         with pytest.raises(DegeneracyError, match="one parameter"):
-            lines.order(self.TARGET)
+            lines.order([1, 1, 0])
+        order = lines.order([1, 1, 0], [1, 0, 1])
+        assert order == [frozenset({i}) for i in (1, 3, 2, 0)]
 
-    @settings(deadline=None, max_examples=200)
-    @given(
-        st.lists(
-            st.tuples(st.integers(-60, 60).filter(bool), st.sampled_from("ybvr")),
-            min_size=2,
-            max_size=14,
-            unique_by=lambda t: t[0],
-        )
-    )
-    def test_matches_prefix_of_ranked_order(self, case):
-        # Tags: y in st(y) only, b in both stars, v in st(v) only, r in neither.
-        y_id, v_id = 100, 101
-        tags = [tag for _, tag in case]
-        vertex_sets = [
-            frozenset({i} | ({y_id} if t in "yb" else set()) | ({v_id} if t in "vb" else set()))
-            for i, t in enumerate(tags)
-        ]
-        lines = lines_with_keys([a for a, _ in case], vertex_sets)
-        first = [i for i, t in enumerate(tags) if t in "yb"]
-        second = [i for i, t in enumerate(tags) if t == "v"]
-        rest = [i for i, t in enumerate(tags) if t == "r"]
-        if not first:
-            return
-        expected = shelling_prefix_ok(lines.order(self.TARGET), y_id, v_id)
-        assert lines.starts_with(self.TARGET, first, second, rest) == expected
+    def test_full_tie_and_parallel_are_degenerate(self):
+        with pytest.raises(DegeneracyError, match="one parameter"):
+            lines_with_normals([(1, 2), (3, 0), (1, 2)]).order([1, 1, 0], [1, 0, 1])
+        # Parallel at e_1 only is no degeneracy; parallel at both is.
+        lines_with_normals([(0, 2), (3, 0)]).order([1, 1, 0], [1, 0, 1])
+        with pytest.raises(DegeneracyError, match="parallel"):
+            lines_with_normals([(0, 0), (3, 0)]).order([1, 1, 0], [1, 0, 1])
 
 
 class TestKeyShellingDefects:
