@@ -1,6 +1,7 @@
 """End-to-end command surface: artifacts, checks, tables, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -286,6 +287,53 @@ class TestVerify:
         path.write_text("{not json")
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert code == 2
+
+
+ARTIFACTS = {
+    "cyclic": ("cyclic-asp", "--d", "4", "--n", "8", "--s", "2"),
+    "stacked": ("stacked-asp", "--d", "4", "--n", "8", "--s", "2", "--seed", "7"),
+    "cyclic-d3": ("cyclic-asp", "--d", "3", "--n", "9", "--s", "1"),
+}
+
+# (exit code, first 16 hex digits of the SHA-256 of stdout).  The stacked
+# gale and shelling requests and the d = 3 minimizer request do not apply
+# and fail with a reason.
+FROZEN_VERIFY = {
+    ("cyclic", "all"): (0, "a18ac563812b4c7c"),
+    ("cyclic", "bounds"): (0, "ccd3d38b7888e95a"),
+    ("cyclic", "ds"): (0, "e2ce847e946ae511"),
+    ("cyclic", "gale"): (0, "9b3672462cef313a"),
+    ("cyclic", "ridge"): (0, "60be0df0213b9cdc"),
+    ("cyclic", "shelling"): (0, "c71b43228670808b"),
+    ("cyclic", "rigidity"): (0, "55bab5945cd33e79"),
+    ("cyclic", "minimizer"): (0, "e95870bf4202f0d0"),
+    ("stacked", "all"): (0, "c8903f5d7da08085"),
+    ("stacked", "bounds"): (0, "ccd3d38b7888e95a"),
+    ("stacked", "ds"): (0, "e2ce847e946ae511"),
+    ("stacked", "gale"): (1, "de768040a227ac44"),
+    ("stacked", "ridge"): (0, "60be0df0213b9cdc"),
+    ("stacked", "shelling"): (1, "16414e1bcb03a358"),
+    ("stacked", "rigidity"): (0, "7c2fb941960157df"),
+    ("stacked", "minimizer"): (0, "e08bdb03a0444d7a"),
+    ("cyclic-d3", "minimizer"): (1, "88017cf0d451145a"),
+}
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize("artifact,checks", sorted(FROZEN_VERIFY))
+    def test_verify(self, capsys, tmp_path, artifact, checks):
+        path, _ = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS[artifact])
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--checks", checks)
+        assert (code, digest(out)) == FROZEN_VERIFY[artifact, checks], out
+
+    def test_shelling(self, capsys, tmp_path):
+        path, _ = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS["cyclic"])
+        code, out, _ = run(capsys, "shelling", "--input", str(path), "--count", "3")
+        assert (code, digest(out)) == (0, "3f3365bcedd9fc8a")
 
 
 class TestGaleAndFacets:

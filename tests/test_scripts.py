@@ -1,5 +1,6 @@
 """Smoke tests: both scripts run end to end on a tiny grid."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,9 @@ def test_run_grid_rows_all_ok():
     assert len(rows) == 4
     assert all(row.endswith(" ok") for row in rows), proc.stdout
     assert "0 check failures" in proc.stdout
+    # Everything above the timing line, frozen.
+    above_timing = "\n".join(proc.stdout.splitlines()[:-1])
+    assert hashlib.sha256(above_timing.encode()).hexdigest()[:16] == "8d9f1c7282ecb371"
 
 
 def test_shelling_experiment_runs():
