@@ -16,56 +16,26 @@ import time
 
 sys.path.insert(0, "src")
 
-from aspoly.complexes import boundary_of_ball, f_vector
+from aspoly.cli import Artifact, check_ds, check_gale, check_ridge, parse_range
 from aspoly.curves import almost_cyclic_points
-from aspoly.enumerative import (
-    ASPParams,
-    check_asp_bounds,
-    dehn_sommerville_defect,
-    f_almost_cyclic,
-    g_from_h,
-    h_from_f,
-    ridge_identity_defect,
-)
-from aspoly.gale import almost_cyclic_facets
+from aspoly.enumerative import ASPParams, check_asp_bounds, f_almost_cyclic
 from aspoly.hull import asp_geometry
 from aspoly.stackgen import random_minimizer
 
 
-def parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
-
-
-def ds_zero(ball):
-    h_ball = h_from_f(f_vector(ball))
-    g_bd = g_from_h(h_from_f(f_vector(boundary_of_ball(ball))))
-    return all(x == 0 for x in dehn_sommerville_defect(h_ball, g_bd))
-
-
 def run_cell(p, seed):
     geom = asp_geometry(almost_cyclic_points(p), range(1, p.d + 1))
-    gale_ok = {f.vertex_ids for f in geom.facets} == {
-        frozenset(x) for x in almost_cyclic_facets(p)
-    }
-    f_c = geom.ball.f_polytope()
-    form_ok = f_c.entries == f_almost_cyclic(p).entries
+    cyclic = Artifact(geom.ball, kind="cyclic-asp")
     stacked = random_minimizer(p, seed)
-    f_s = stacked.f_polytope()
+    f_c, f_s = geom.ball.f_polytope(), stacked.f_polytope()
     bounds = check_asp_bounds(f_s, p)
-    bounds_ok = all(v.lower_ok and v.upper_ok and v.equal_lower for v in bounds.verdicts)
-    ridge_ok = all(
-        ridge_identity_defect(asp.f_polytope(), f_vector(boundary_of_ball(asp.ball))) == 0
-        for asp in (geom.ball, stacked)
-    )
+    both = (cyclic, Artifact(stacked))
     checks = {
-        "gale": gale_ok,
-        "form": form_ok,
-        "bounds": bounds_ok,
-        "ds": ds_zero(geom.ball.ball) and ds_zero(stacked.ball),
-        "ridge": ridge_ok,
+        "gale": check_gale(cyclic)[0],
+        "form": f_c.entries == f_almost_cyclic(p).entries,
+        "bounds": bounds.all_ok and bounds.all_equal_lower,
+        "ds": all(check_ds(art)[0] for art in both),
+        "ridge": all(check_ridge(art)[0] for art in both),
     }
     return f_c, f_s, checks
 

@@ -22,31 +22,17 @@ from collections import Counter
 
 sys.path.insert(0, "src")
 
+from aspoly.cli import parse_range
 from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import ASPParams
-from aspoly.errors import DegeneracyError, ShellingSearchError
-from aspoly.hull import (
-    asp_geometry,
-    constrained_line_shelling,
-    key_shelling_defects,
-    stack_over_special,
-)
-from run_grid import parse_range
+from aspoly.hull import asp_geometry, key_lemma_rung, key_shelling_defects
 
 
-def certificate(geom, y_id, v, closeness):
-    try:
-        stacked = stack_over_special(geom, toward=v, closeness=closeness, cap=None)
-        return constrained_line_shelling(stacked, y_id, v, seed=closeness)
-    except (ShellingSearchError, DegeneracyError):
-        return None
-
-
-def smallest_closeness(geom, y_id, v, ladder):
+def smallest_closeness(geom, v, ladder):
     """(closeness, certificate) at the smallest working closeness, or (None, None)."""
     below = -1
     for rung in ladder:
-        cert = certificate(geom, y_id, v, rung)
+        cert = key_lemma_rung(geom, v, rung)
         if cert is not None:
             break
         below = rung
@@ -54,7 +40,7 @@ def smallest_closeness(geom, y_id, v, ladder):
         return None, None
     while rung - below > 1:
         mid = (below + rung) // 2
-        found = certificate(geom, y_id, v, mid)
+        found = key_lemma_rung(geom, v, mid)
         if found is None:
             below = mid
         else:
@@ -80,7 +66,7 @@ def main():
                 geom = asp_geometry(almost_cyclic_points(p), range(1, d + 1))
                 for v in range(1, d + s + 1):
                     attempted += 1
-                    closeness, cert = smallest_closeness(geom, n + 1, v, args.closeness)
+                    closeness, cert = smallest_closeness(geom, v, args.closeness)
                     if cert is None:
                         rows.append({"cell": [d, n, s], "v": v, "status": "inconclusive"})
                         continue

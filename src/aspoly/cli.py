@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from io import StringIO
 
 from .complexes import (
     ASPComplex,
+    ShellingCertificate,
     boundary_of_ball,
     f_vector,
     h_from_shelling,
@@ -23,6 +25,7 @@ from .complexes import (
 from .curves import PointConfig, almost_cyclic_points
 from .enumerative import (
     ASPParams,
+    HVector,
     check_asp_bounds,
     dehn_sommerville_defect,
     f_almost_cyclic,
@@ -39,6 +42,7 @@ from .gale import (
     special_block,
 )
 from .hull import (
+    ASPGeometry,
     asp_geometry,
     enumerate_facets,
     line_shelling,
@@ -47,26 +51,14 @@ from .hull import (
 from .rigidity import Graph, g2_of_skeleton, one_skeleton, sample_generic
 from .stackgen import random_minimizer, recognize_minimizer
 
-DEFAULT_MAX_N = 16
-DEFAULT_MAX_D = 6
-
-ALL_CHECKS = ("bounds", "ds", "gale", "ridge", "shelling", "rigidity", "minimizer")
-
-
-def _caps() -> tuple[int, int]:
-    return (
-        int(os.environ.get("ASPOLY_MAX_N", DEFAULT_MAX_N)),
-        int(os.environ.get("ASPOLY_MAX_D", DEFAULT_MAX_D)),
-    )
+MAX_N = 16
+MAX_D = 6
 
 
 def _check_caps(d: int, n: int, unsafe: bool) -> None:
-    max_n, max_d = _caps()
-    if unsafe:
-        return
-    if n > max_n or d > max_d:
+    if not unsafe and (n > MAX_N or d > MAX_D):
         raise AspolyError(
-            f"requested d={d}, n={n} exceeds caps d<={max_d}, n<={max_n}; "
+            f"requested d={d}, n={n} exceeds caps d<={MAX_D}, n<={MAX_N}; "
             "exact hulls grow with the facet count, pass --unsafe-large to proceed"
         )
 
@@ -177,7 +169,21 @@ def _asp_from_json(entry) -> ASPComplex:
     return ASPComplex.from_json(entry)
 
 
-def _load_artifact(path: str) -> tuple[ASPComplex, PointConfig | None, str]:
+@dataclass(frozen=True)
+class Artifact:
+    """A loaded artifact: its complex, its points (cyclic artifacts only) and its kind."""
+
+    asp: ASPComplex
+    config: PointConfig | None = None
+    kind: str = "unknown"
+
+    @cached_property
+    def stacked(self) -> ASPGeometry:
+        """The hull of the points with one vertex stacked beyond the special facet."""
+        return stack_over_special(asp_geometry(self.config, sorted(self.asp.special_facet)))
+
+
+def _load_artifact(path: str) -> Artifact:
     with open(path) as fh:
         data = json.load(fh)
     if "complex" not in data:
@@ -189,54 +195,65 @@ def _load_artifact(path: str) -> tuple[ASPComplex, PointConfig | None, str]:
         for i, point in enumerate(data["points"]["points"]):
             _require(point, ("id", "coords"), f"points.points[{i}]")
         config = PointConfig.from_json(data["points"])
-    return asp, config, data.get("kind", "unknown")
+    return Artifact(asp, config, data.get("kind", "unknown"))
 
 
-def _check_bounds(asp: ASPComplex) -> tuple[bool, str]:
-    report = check_asp_bounds(asp.f_polytope(), asp.params)
+# Every check takes an artifact and a seed and returns (pass, detail).
+# pass is None when the check does not apply; detail then says why.
+CheckResult = tuple[bool | None, str]
+
+
+def check_bounds(art: Artifact, seed: int = 0) -> CheckResult:
+    report = check_asp_bounds(art.asp.f_polytope(), art.asp.params)
     bad = [v.index for v in report.verdicts if not (v.lower_ok and v.upper_ok)]
     return (not bad, "violations at indices " + str(bad) if bad else "sandwich holds")
 
 
-def _check_ds(asp: ASPComplex) -> tuple[bool, str]:
-    h_ball = h_from_f(f_vector(asp.ball))
-    g_bd = g_from_h(h_from_f(f_vector(boundary_of_ball(asp.ball))))
+def check_ds(art: Artifact, seed: int = 0) -> CheckResult:
+    h_ball = h_from_f(f_vector(art.asp.ball))
+    g_bd = g_from_h(h_from_f(f_vector(boundary_of_ball(art.asp.ball))))
     defect = dehn_sommerville_defect(h_ball, g_bd)
-    ok = all(x == 0 for x in defect)
-    return (ok, f"defect {list(defect)}")
+    return (all(x == 0 for x in defect), f"defect {list(defect)}")
 
 
-def _check_gale(asp: ASPComplex, kind: str) -> tuple[bool, str]:
-    if kind != "cyclic-asp":
-        return (False, "gale check applies to cyclic-asp artifacts only")
-    predicted = almost_cyclic_facets(asp.params)
-    got = asp.boundary_sphere_facets()
-    ok = {frozenset(f) for f in predicted} == set(got)
+def check_gale(art: Artifact, seed: int = 0) -> CheckResult:
+    if art.kind != "cyclic-asp":
+        return (None, "gale check applies to cyclic-asp artifacts only")
+    predicted = almost_cyclic_facets(art.asp.params)
+    ok = {frozenset(f) for f in predicted} == set(art.asp.boundary_sphere_facets())
     return (ok, "facet families agree" if ok else "facet families differ")
 
 
-def _check_ridge(asp: ASPComplex) -> tuple[bool, str]:
-    f_facet = f_vector(boundary_of_ball(asp.ball))
-    defect = ridge_identity_defect(asp.f_polytope(), f_facet)
+def check_ridge(art: Artifact, seed: int = 0) -> CheckResult:
+    f_facet = f_vector(boundary_of_ball(art.asp.ball))
+    defect = ridge_identity_defect(art.asp.f_polytope(), f_facet)
     return (defect == 0, f"defect {defect}")
 
 
-def _check_shelling(asp: ASPComplex, config: PointConfig | None, seed: int) -> tuple[bool, str]:
-    if config is None:
-        return (False, "shelling check needs point data in the artifact")
-    stacked = stack_over_special(asp_geometry(config, sorted(asp.special_facet)))
-    cert = line_shelling(stacked, seed)
-    fq = f_vector(cert.complex)
-    ok1 = h_from_shelling(cert).entries == h_from_f(fq).entries
-    hq = h_from_f(fq)
+def stacking_identity(cert: ShellingCertificate, asp: ASPComplex) -> tuple[HVector, bool, bool]:
+    """Check a shelling of Q, the hull stacked beyond the special facet of asp.
+
+    Returns h(Q) read off the shelling, whether it equals h from the
+    f-vector of Q, and whether h_k(Q) = h_k(P) + h_{k-1}(F) for every k,
+    with P the ball of asp and F its boundary, the special facet's.
+    """
+    hq = h_from_shelling(cert)
+    matches_f = hq.entries == h_from_f(f_vector(cert.complex)).entries
     hp = h_from_f(f_vector(asp.ball))
     hf = h_from_f(f_vector(boundary_of_ball(asp.ball)))
-    d = asp.params.d
-    ok2 = all(hq.h(k) == hp.h(k) + hf.h(k - 1) for k in range(d + 1))
-    return (ok1 and ok2, f"h(Q)={list(hq.entries)}")
+    stacks = all(hq.h(k) == hp.h(k) + hf.h(k - 1) for k in range(asp.params.d + 1))
+    return hq, matches_f, stacks
 
 
-def _check_rigidity(asp: ASPComplex, seed: int) -> tuple[bool, str]:
+def check_shelling(art: Artifact, seed: int = 0) -> CheckResult:
+    if art.config is None:
+        return (None, "shelling check needs point data in the artifact")
+    hq, matches_f, stacks = stacking_identity(line_shelling(art.stacked, seed), art.asp)
+    return (matches_f and stacks, f"h(Q)={list(hq.entries)}")
+
+
+def check_rigidity(art: Artifact, seed: int = 0) -> CheckResult:
+    asp = art.asp
     skel = one_skeleton(asp.ball)
     report = sample_generic(skel, asp.params.d, seed=seed)
     g2 = g2_of_skeleton(asp.params.n, skel.n_edges, asp.params.d)
@@ -249,48 +266,39 @@ def _check_rigidity(asp: ASPComplex, seed: int) -> tuple[bool, str]:
     return (ok, f"stress_dim={report.stress_dim}, g2={g2}")
 
 
-def _check_minimizer(asp: ASPComplex) -> tuple[bool, str]:
+def check_minimizer(art: Artifact, seed: int = 0) -> CheckResult:
+    asp = art.asp
     if asp.params.d < 4:
-        return (False, "minimizer recognition needs d >= 4")
+        return (None, "minimizer recognition needs d >= 4")
     verdict = recognize_minimizer(asp)
     extremal = asp.f_polytope().entries == f_almost_stacked(asp.params).entries
     ok = verdict.is_minimizer == extremal
     return (ok, f"is_minimizer={verdict.is_minimizer}, regime={verdict.regime}")
 
 
+CHECKS = {
+    "bounds": check_bounds,
+    "ds": check_ds,
+    "gale": check_gale,
+    "ridge": check_ridge,
+    "shelling": check_shelling,
+    "rigidity": check_rigidity,
+    "minimizer": check_minimizer,
+}
+
+
 def cmd_verify(args) -> int:
-    asp, config, kind = _load_artifact(args.input)
-    requested = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
-    unknown = [c for c in requested if c not in ALL_CHECKS]
+    """Run the requested checks; 'all' skips those that do not apply."""
+    art = _load_artifact(args.input)
+    requested = tuple(CHECKS) if args.checks == "all" else tuple(args.checks.split(","))
+    unknown = [c for c in requested if c not in CHECKS]
     if unknown:
-        raise AspolyError(f"unknown checks {unknown}; valid: {ALL_CHECKS}")
-    if args.checks == "all":
-        applicable = ["bounds", "ds", "ridge"]
-        if kind == "cyclic-asp":
-            applicable.append("gale")
-        if config is not None:
-            applicable.append("shelling")
-        if asp.params.d >= 3:
-            applicable.append("rigidity")
-        if asp.params.d >= 4:
-            applicable.append("minimizer")
-        requested = tuple(applicable)
+        raise AspolyError(f"unknown checks {unknown}; valid: {tuple(CHECKS)}")
     results = {}
     for name in requested:
-        if name == "bounds":
-            results[name] = _check_bounds(asp)
-        elif name == "ds":
-            results[name] = _check_ds(asp)
-        elif name == "gale":
-            results[name] = _check_gale(asp, kind)
-        elif name == "ridge":
-            results[name] = _check_ridge(asp)
-        elif name == "shelling":
-            results[name] = _check_shelling(asp, config, args.seed)
-        elif name == "rigidity":
-            results[name] = _check_rigidity(asp, args.seed)
-        elif name == "minimizer":
-            results[name] = _check_minimizer(asp)
+        ok, detail = CHECKS[name](art, args.seed)
+        if ok is not None or args.checks != "all":
+            results[name] = (bool(ok), detail)
     all_pass = all(ok for ok, _ in results.values())
     payload = {
         "checks": {k: {"pass": ok, "detail": txt} for k, (ok, txt) in results.items()},
@@ -300,7 +308,8 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _parse_range(text: str) -> range:
+def parse_range(text: str) -> range:
+    """A value "v" or an inclusive range "a..b"."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         return range(int(lo), int(hi) + 1)
@@ -329,8 +338,8 @@ def _table_cell(cell: tuple[int, int, int]) -> dict:
 
 def cmd_table(args) -> int:
     cells = []
-    for d in _parse_range(args.d):
-        for s in _parse_range(args.s):
+    for d in parse_range(args.d):
+        for s in parse_range(args.s):
             for n in range(d + s + 1, d + s + 1 + args.n_span):
                 _check_caps(d, n, args.unsafe_large)
                 cells.append((d, s, n))
@@ -367,32 +376,28 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_shelling(args) -> int:
-    asp, config, _ = _load_artifact(args.input)
-    if config is None:
+    art = _load_artifact(args.input)
+    if art.config is None:
         raise AspolyError("shelling needs an artifact with point data (cyclic-asp)")
-    stacked = stack_over_special(asp_geometry(config, sorted(asp.special_facet)))
     runs = []
-    all_pass = True
-    for i in range(args.count):
-        cert = line_shelling(stacked, args.seed + i)
-        fq = f_vector(cert.complex)
-        ok = h_from_shelling(cert).entries == h_from_f(fq).entries
-        all_pass = all_pass and ok
+    for seed in range(args.seed, args.seed + args.count):
+        cert = line_shelling(art.stacked, seed)
+        hq, matches_f, _ = stacking_identity(cert, art.asp)
         runs.append(
             {
-                "seed": args.seed + i,
-                "h": list(h_from_shelling(cert).entries),
+                "seed": seed,
+                "h": list(hq.entries),
                 "order": [sorted(f) for f in cert.order],
-                "matches_f": ok,
+                "matches_f": matches_f,
             }
         )
+    all_pass = all(run["matches_f"] for run in runs)
     _emit({"runs": runs, "all_pass": all_pass}, args.out)
     return 0 if all_pass else 1
 
 
 def cmd_recognize(args) -> int:
-    asp, _, _ = _load_artifact(args.input)
-    verdict = recognize_minimizer(asp)
+    verdict = recognize_minimizer(_load_artifact(args.input).asp)
     _emit(verdict.to_json(), args.out)
     return 0
 
@@ -478,10 +483,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except AspolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (AspolyError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

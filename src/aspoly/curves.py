@@ -44,9 +44,6 @@ class PointConfig:
     def coords(self, pid: int) -> tuple[Fraction, ...]:
         return self.points[pid - 1][1]
 
-    def coord_rows(self) -> list[list[Fraction]]:
-        return [list(c) for _, c in self.points]
-
     def to_json(self) -> dict:
         return {
             "d": self.d,

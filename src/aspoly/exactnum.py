@@ -90,47 +90,15 @@ def clear_row_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[lis
     return out, scales
 
 
-def int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Bareiss fraction-free row echelon form, its pivot columns and swap sign.
 
-    All divisions are exact (divisors are leading principal minors of the
-    permuted matrix), so the result is the exact integer determinant.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ShapeError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        ak = a[k]
-        pk = ak[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (pk * ai[j] - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
-
-
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form and its pivot columns.
-
-    Column pivoting with the same Sylvester-identity division as int_det;
-    skipped columns leave the update divisor untouched, which keeps every
-    division exact.  Row k of the result is zero left of its pivot, and
-    the last pivot is the determinant of the pivot block of the rows
-    taken in the order the elimination used them.
+    Column pivoting with the Sylvester-identity division: every division
+    is exact, since each divisor is a minor of the rows taken in the
+    order the elimination used them; skipped columns leave the update
+    divisor untouched.  Row k of the result is zero left of its pivot,
+    the last pivot is the determinant of the pivot block of the permuted
+    rows, and the sign (+1 or -1) is that of the row permutation.
     """
     a = [list(r) for r in rows]
     m = len(a)
@@ -138,6 +106,7 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]
     if any(len(r) != n for r in a):
         raise ShapeError("ragged rows")
     pivots: list[int] = []
+    sign = 1
     prev = 1
     for c in range(n):
         r = len(pivots)
@@ -148,6 +117,7 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         ar = a[r]
         pk = ar[c]
         for i in range(r + 1, m):
@@ -158,7 +128,18 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]
             ai[c] = 0
         prev = pk
         pivots.append(c)
-    return a, pivots
+    return a, pivots, sign
+
+
+def int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: the signed last Bareiss pivot."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ShapeError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    a, pivots, sign = _echelon(rows)
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -215,7 +196,7 @@ def int_nullspace(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """
     if not rows:
         raise ShapeError("a kernel needs at least one row to fix its width")
-    a, pivots = _echelon(rows)
+    a, pivots, _ = _echelon(rows)
     n = len(a[0])
     top = a[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []

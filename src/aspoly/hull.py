@@ -543,6 +543,23 @@ def constrained_line_shelling(
     return _verified(geom.boundary_complex(), order)
 
 
+def key_lemma_rung(
+    geom: ASPGeometry, v_id: int, closeness: int
+) -> ShellingCertificate | None:
+    """One rung of the key-lemma ladder, or None when it is inconclusive.
+
+    Stacks y = n+1 beyond the special facet toward v at this closeness
+    and shoots the constrained line through y toward v (seeded by the
+    closeness).  A misplaced prefix or a degenerate placement or line
+    gives None: a closer y may still certify.
+    """
+    try:
+        stacked = stack_over_special(geom, toward=v_id, closeness=closeness, cap=None)
+        return constrained_line_shelling(stacked, stacked.config.n, v_id, seed=closeness)
+    except (ShellingSearchError, DegeneracyError):
+        return None
+
+
 def stack_over_special(
     geom: ASPGeometry,
     toward: int | None = None,

@@ -9,23 +9,18 @@ import time
 
 import pytest
 
-from aspoly.complexes import boundary_of_ball, f_vector, h_from_shelling
+from aspoly.cli import Artifact, check_ds, check_ridge, stacking_identity
 from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import (
     ASPParams,
     check_asp_bounds,
-    dehn_sommerville_defect,
     f_almost_cyclic,
     f_almost_stacked,
-    g_from_h,
-    h_from_f,
-    ridge_identity_defect,
 )
-from aspoly.errors import DegeneracyError, ShellingSearchError
 from aspoly.gale import almost_cyclic_facets, simplex_facet_count_even_d
 from aspoly.hull import (
     asp_geometry,
-    constrained_line_shelling,
+    key_lemma_rung,
     key_shelling_defects,
     line_shelling,
     neighborliness,
@@ -116,21 +111,20 @@ def test_criterion_03_closed_forms(grid_geometry):
     report(3, "f equals closed form (and even-d facet count)", not bad, str(bad) if bad else "")
 
 
-def _ds_defect(ball: SimplicialComplex):
-    h_ball = h_from_f(f_vector(ball))
-    g_bd = g_from_h(h_from_f(f_vector(boundary_of_ball(ball))))
-    return dehn_sommerville_defect(h_ball, g_bd)
+def both_families(grid_geometry, grid_minimizers):
+    """(family, cell, artifact) for every almost-cyclic, then almost-stacked, instance."""
+    for key, geom in grid_geometry[0].items():
+        yield "C", key, Artifact(geom.ball)
+    for key, asp in grid_minimizers.items():
+        yield "S", key, Artifact(asp)
 
 
 def test_criterion_04_dehn_sommerville(grid_geometry, grid_minimizers):
-    cells, _ = grid_geometry
-    bad = []
-    for key, geom in cells.items():
-        if any(x != 0 for x in _ds_defect(geom.ball.ball)):
-            bad.append(("C", key))
-    for key, asp in grid_minimizers.items():
-        if any(x != 0 for x in _ds_defect(asp.ball)):
-            bad.append(("S", key))
+    bad = [
+        (source, key)
+        for source, key, art in both_families(grid_geometry, grid_minimizers)
+        if not check_ds(art)[0]
+    ]
     report(4, "Dehn-Sommerville defect zero for all balls", not bad, str(bad[:4]) if bad else "")
 
 
@@ -163,13 +157,11 @@ def test_criterion_06_dimension_three_profile(grid_geometry):
 
 
 def test_criterion_07_ridge_identity(grid_geometry, grid_minimizers):
-    bad = []
-    for source, items in (("C", grid_geometry[0]), ("S", grid_minimizers)):
-        for key, obj in items.items():
-            asp = obj.ball if source == "C" else obj
-            f_facet = f_vector(boundary_of_ball(asp.ball))
-            if ridge_identity_defect(asp.f_polytope(), f_facet) != 0:
-                bad.append((source, key))
+    bad = [
+        (source, key)
+        for source, key, art in both_families(grid_geometry, grid_minimizers)
+        if not check_ridge(art)[0]
+    ]
     report(7, "ridge identity", not bad, str(bad) if bad else "")
 
 
@@ -181,16 +173,12 @@ def test_criterion_08_shelling_identities(grid_geometry):
         if d > 5:
             continue
         stacked = stack_over_special(geom, cap=None)
-        hp = h_from_f(f_vector(geom.ball.ball))
-        hf = h_from_f(f_vector(boundary_of_ball(geom.ball.ball)))
         for seed in range(10):
-            cert = line_shelling(stacked, seed)
+            _, matches_f, stacks = stacking_identity(line_shelling(stacked, seed), geom.ball)
             runs += 1
-            hq = h_from_shelling(cert)
-            if hq.entries != h_from_f(f_vector(cert.complex)).entries:
+            if not matches_f:
                 bad.append((d, n, s, seed, "h-from-f"))
-                continue
-            if any(hq.h(k) != hp.h(k) + hf.h(k - 1) for k in range(d + 1)):
+            elif not stacks:
                 bad.append((d, n, s, seed, "stacking-identity"))
     report(8, "shelling h identities", not bad, f"{runs} shellings" + (f", bad {bad[:3]}" if bad else ""))
 
@@ -206,17 +194,11 @@ def test_criterion_09_key_lemma_defects(grid_geometry):
         y_id = n + 1
         for v in range(1, d + s + 1):
             attempted += 1
-            cert = None
             for closeness in (12, 24, 48, 96):
-                try:
-                    stacked = stack_over_special(
-                        geom, toward=v, closeness=closeness, cap=None
-                    )
-                    cert = constrained_line_shelling(stacked, y_id, v, seed=closeness)
+                cert = key_lemma_rung(geom, v, closeness)
+                if cert is not None:
                     break
-                except (ShellingSearchError, DegeneracyError):
-                    continue
-            if cert is None:
+            else:
                 continue
             certified += 1
             defects = key_shelling_defects(cert, y_id, v)

@@ -87,13 +87,6 @@ class TestConstruct:
         assert code == 2
         assert "caps" in err
 
-    def test_env_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ASPOLY_MAX_D", "3")
-        code, _, err = run(
-            capsys, "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2"
-        )
-        assert code == 2 and "caps" in err
-
 
 class TestVerify:
     def test_all_checks_pass_on_cyclic(self, capsys, tmp_path):
