@@ -1,5 +1,7 @@
 """Stress spaces, generic rank sampling, and g2 accounting."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -236,6 +238,58 @@ class TestRankCertificate:
         }
         expected = g.n_edges - rank(rigidity_matrix(g, emb)) if g.n_edges else 0
         assert stress_dimension(g, emb) == expected
+
+
+def frozen_rigidity_records():
+    """Reports and stress dimensions on seeded minimizers of the benchmark grid.
+
+    Every instance gets its generic report in dimension d.  At n = 12 it
+    also gets a report in dimension d - 1 (stressed, rigid) and the stress
+    dimension at two special embeddings: small coordinates in {-1, 0, 1},
+    where ranks drop, and a flat rational one, where only the edge bound
+    holds; both reach the Bareiss fallback.
+    """
+    out = []
+    for d in (4, 5, 6):
+        for n in range(12, 17):
+            for s in range(4):
+                for style in ("stack", "hstack"):
+                    asp = random_minimizer(ASPParams(d, n, s), 100 * n + 10 * s + d, style)
+                    g = one_skeleton(asp.ball)
+                    row = [d, n, s, style, sample_generic(g, d, seed=n + s).to_json()]
+                    if n == 12:
+                        rng = random.Random(f"{d}:{s}:{style}")
+                        verts = g.sorted_vertices()
+                        small = {v: [rng.randrange(-1, 2) for _ in range(d)] for v in verts}
+                        flat = {
+                            v: [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                                for _ in range(d - 1)] + [Fraction(1, 2)]
+                            for v in verts
+                        }
+                        row += [
+                            sample_generic(g, d - 1, trials=2, seed=s).to_json(),
+                            stress_dimension(g, small),
+                            stress_dimension(g, flat),
+                        ]
+                    out.append(row)
+    return out
+
+
+def test_frozen_rigidity_records():
+    # SHA-256 of the records' sorted-key JSON, captured before the rigidity
+    # matrix's columns were reordered; the spot values make a diff readable.
+    records = frozen_rigidity_records()
+    assert len(records) == 120
+    assert records[0] == [
+        4, 12, 0, "stack",
+        {"d": 4, "n_vertices": 12, "n_edges": 38, "best_rank": 38, "stress_dim": 0,
+         "rigid_certified": True, "stress_free_certified": True, "trials": 3, "seed": 12},
+        {"d": 3, "n_vertices": 12, "n_edges": 38, "best_rank": 30, "stress_dim": 8,
+         "rigid_certified": True, "stress_free_certified": False, "trials": 2, "seed": 0},
+        1, 8,
+    ]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "3d6cc13bf433dce9872b1ff05f8b3d5ecb52fc6c387bf35145451f1beebd538f"
 
 
 class TestAffineInvariance:
