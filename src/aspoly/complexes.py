@@ -525,12 +525,13 @@ class ASPComplex:
         )
 
 
-def validate_asp(asp: ASPComplex) -> None:
+def validate_asp(asp: ASPComplex) -> SimplicialComplex:
     """Structural checks tying the ball, the special facet, and the parameters.
 
     The ball must be a pure (d-1)-complex on n vertices whose boundary is
     exactly the induced subcomplex on the special facet's vertices, and the
-    carried triangulation, if any, must fill that boundary.
+    carried triangulation, if any, must fill that boundary.  Returns that
+    boundary, the special facet's boundary complex.
     """
     d, n, s = asp.params.d, asp.params.n, asp.params.s
     if asp.ball.dim != d - 1:
@@ -551,6 +552,7 @@ def validate_asp(asp: ASPComplex) -> None:
         )
     if asp.f_triangulation is not None:
         _check_fills_boundary(asp.f_triangulation, asp.special_facet, bd)
+    return bd
 
 
 def _check_fills_boundary(

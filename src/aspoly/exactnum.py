@@ -7,7 +7,9 @@ fraction-free elimination on integer rows obtained by clearing denominators,
 so every intermediate quantity is an exact minor of the scaled matrix.  A
 rank modulo the prime 2^61 - 1 is also offered; it is only a lower bound on
 the rational rank, and callers accept it only where it meets an upper bound
-they have proven.
+they have proven.  Its row updates walk only the pivot row's nonzero
+entries, so on sparse rows (an edge row of a rigidity matrix has 2d of
+d*n) an update costs what the pivot row holds, not the matrix width.
 """
 
 from __future__ import annotations
@@ -154,8 +156,9 @@ def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix over the field of p = 2^61 - 1 elements.
 
     Plain row reduction on the residues: the pivot row is scaled by its
-    inverse and subtracted from every later row that is nonzero in the
-    pivot column.  The result never exceeds the rational rank, since an
+    inverse, and its nonzero entries right of the pivot, taken once as
+    (column, value) pairs, are subtracted from every later row that is
+    nonzero in the pivot column.  The result never exceeds the rational rank, since an
     r x r minor that is nonzero mod p is a nonzero integer; it can fall
     below it when p divides every maximal nonzero minor, so on its own
     it is only a lower bound.
@@ -174,13 +177,15 @@ def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        tail = [x * inv % p for x in a[r][c + 1 :]]
+        ar = a[r]
+        inv = pow(ar[c], -1, p)
+        tail = [(j, x * inv % p) for j, x in enumerate(ar[c + 1 :], c + 1) if x]
         for i in range(r + 1, m):
             ai = a[i]
             f = ai[c]
             if f:
-                ai[c + 1 :] = [(x - f * y) % p for x, y in zip(ai[c + 1 :], tail)]
+                for j, y in tail:
+                    ai[j] = (ai[j] - f * y) % p
         r += 1
     return r
 

@@ -53,7 +53,7 @@ from .errors import (
     ShellingError,
     ShellingSearchError,
 )
-from .exactnum import RatMatrix, det, format_rational, int_nullspace, int_rank
+from .exactnum import format_rational, int_nullspace, int_rank
 
 DEFAULT_POINT_CAP = 16
 # Most step halvings point_beyond accepts.  The 80-cell grid needs at
@@ -125,17 +125,6 @@ class ASPGeometry:
         if not self.is_simplicial:
             raise ShapeError("boundary complex requires a simplicial geometry")
         return SimplicialComplex.from_facets(f.vertex_ids for f in self.facets)
-
-
-def orientation(pts: Sequence[Sequence[Fraction]]) -> int:
-    """Sign of the determinant with a prepended coordinate of ones."""
-    d = len(pts) - 1
-    for p in pts:
-        if len(p) != d:
-            raise ShapeError(f"need d+1 points of dimension d, got {len(p)} != {d}")
-    rows = [[Fraction(1), *map(Fraction, p)] for p in pts]
-    value = det(RatMatrix.from_rows(rows))
-    return (value > 0) - (value < 0)
 
 
 def _homogeneous(coords: Sequence[Fraction]) -> list[int]:

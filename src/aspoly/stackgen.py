@@ -331,9 +331,12 @@ def _classify_factor(
     return FactorReport(tuple(sorted(verts)), is_simplex, has_facet_in_f, pyramid)
 
 
-def _refined_cells(asp: ASPComplex) -> list[_Cell]:
-    """Boundary cells: the special facet's prime factors, then the ball facets."""
-    f_factors = prime_decomposition(boundary_of_ball(asp.ball)).factors
+def _refined_cells(asp: ASPComplex, boundary: SimplicialComplex) -> list[_Cell]:
+    """Boundary cells: the special facet's prime factors, then the ball facets.
+
+    `boundary` is the ball's boundary, the special facet's boundary complex.
+    """
+    f_factors = prime_decomposition(boundary).factors
     cells = [_Cell(frozenset(s.vertex_ids), s.facets, True) for s in f_factors]
     cells.extend(_simplex_cell(b) for b in asp.ball.facets)
     return cells
@@ -356,8 +359,7 @@ def recognize_minimizer(asp: ASPComplex) -> MinimizerVerdict:
         raise UnsupportedRegimeError(
             "every 3-dimensional instance is a minimizer; nothing to recognize"
         )
-    validate_asp(asp)
-    factors, _ = _cell_decomposition(_refined_cells(asp), d)
+    factors, _ = _cell_decomposition(_refined_cells(asp, validate_asp(asp)), d)
     regime = "d4" if d == 4 else "dGT4"
 
     def factor_key(factor: tuple[_Cell, ...]):

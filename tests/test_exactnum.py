@@ -222,6 +222,31 @@ def test_nullspace_of_full_rank_is_the_cofactor_vector(n, data):
     assert [ratio * c for c in cof] == v
 
 
+def dense_rank_mod_p(rows):
+    """Oracle: row reduction mod 2^61 - 1 that updates every entry right of the pivot."""
+    p = xn.MERSENNE_61
+    a = [[x % p for x in r] for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        tail = [x * inv % p for x in a[r][c + 1 :]]
+        for i in range(r + 1, m):
+            ai = a[i]
+            f = ai[c]
+            if f:
+                ai[c + 1 :] = [(x - f * y) % p for x, y in zip(ai[c + 1 :], tail)]
+        r += 1
+    return r
+
+
 def test_rank_mod_p_examples():
     p = xn.MERSENNE_61
     assert xn.rank_mod_p([]) == 0
@@ -254,3 +279,18 @@ def test_rank_mod_p_is_exact_for_small_entries(m, n, data):
         st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=m, max_size=m)
     )
     assert xn.rank_mod_p(rows) == gauss_rank(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([1, 3, 10]), st.data())
+def test_rank_mod_p_matches_dense_oracle(m, n, density, data):
+    # An entry is nonzero with odds density/10: sparse rows like the
+    # rigidity matrix's as well as dense ones.  Multiples of p are nonzero
+    # integers that vanish mod p, so they test the walk over the residues.
+    p = xn.MERSENNE_61
+    value = st.one_of(
+        st.integers(-9, 9), st.integers(-(2**64), 2**64), st.integers(-3, 3).map(lambda k: k * p)
+    )
+    entry = st.tuples(st.integers(0, 9), value).map(lambda t: t[1] if t[0] < density else 0)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    assert xn.rank_mod_p(rows) == dense_rank_mod_p(rows)

@@ -27,7 +27,7 @@ from aspoly.complexes import (
 )
 from aspoly.curves import PointConfig, almost_cyclic_points
 from aspoly.enumerative import ASPParams, f_almost_cyclic, h_from_f
-from aspoly.exactnum import RatMatrix, int_det, int_rank, rank
+from aspoly.exactnum import RatMatrix, det, int_det, int_rank, rank
 from aspoly.errors import (
     CapExceededError,
     DegeneracyError,
@@ -52,7 +52,6 @@ from aspoly.hull import (
     key_shelling_defects,
     line_shelling,
     neighborliness,
-    orientation,
     point_beyond,
     simpliciality,
     stack_over_special,
@@ -266,6 +265,12 @@ def bipyramid_config() -> PointConfig:
     return config_from_coords(
         [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
     )
+
+
+def orientation(pts):
+    """Sign of the determinant of the points with a prepended coordinate of ones."""
+    value = det(RatMatrix.from_rows([[1, *p] for p in pts]))
+    return (value > 0) - (value < 0)
 
 
 class TestOrientation:

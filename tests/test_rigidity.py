@@ -62,6 +62,21 @@ def sample_generic_by_bareiss(g, d, trials=3, seed=0):
     )
 
 
+def sorted_id_rows(g, emb):
+    """Oracle layout: the rigidity matrix with its vertex blocks in sorted id order."""
+    order = g.sorted_vertices()
+    d = len(emb[order[0]])
+    rows = []
+    for u, v in g.sorted_edges():
+        row = [0] * (d * len(order))
+        for k in range(d):
+            delta = emb[u][k] - emb[v][k]
+            row[d * order.index(u) + k] = delta
+            row[d * order.index(v) + k] = -delta
+        rows.append(row)
+    return rows
+
+
 @st.composite
 def graphs(draw, max_vertices=8):
     n = draw(st.integers(1, max_vertices))
@@ -213,6 +228,22 @@ class TestRankCertificate:
         for g in (cyclic, stacked):
             for d in (cell[0] - 1, cell[0], cell[0] + 1):
                 assert sample_generic(g, d, seed=7) == sample_generic_by_bareiss(g, d, seed=7)
+
+    def test_columns_in_ascending_degree(self):
+        # The centre of a star has degree 3, so its block comes last.
+        star = Graph.from_edges([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
+        rows = _edge_rows(star, {1: [0], 2: [1], 3: [2], 4: [3]})
+        assert rows == [[1, 0, 0, -1], [0, 2, 0, -2], [0, 0, 3, -3]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(), st.integers(1, 6), st.sampled_from([1, 3, COORD_BOUND]), st.data())
+    def test_degree_order_rank_matches_sorted_id_layout(self, g, d, bound, data):
+        # Small coordinates make flat embeddings and rank drops, which the
+        # Bareiss fallback decides; large ones are generic.
+        coords = st.integers(-bound, bound)
+        emb = {v: data.draw(st.lists(coords, min_size=d, max_size=d)) for v in g.sorted_vertices()}
+        expected = int_rank(sorted_id_rows(g, emb)) if g.n_edges else 0
+        assert _rigidity_rank(g, emb) == expected
 
     def test_rank_drop_mod_p_falls_back_to_bareiss(self):
         p = MERSENNE_61

@@ -422,7 +422,7 @@ class TestMissingSimplexSearch:
     )
     def test_matches_scan_on_minimizers(self, d, s, extra, seed, style):
         asp = random_minimizer(ASPParams(d, d + s + 1 + extra, s), seed, style=style)
-        assert_missing_matches_scan(_refined_cells(asp), d)
+        assert_missing_matches_scan(_refined_cells(asp, validate_asp(asp)), d)
 
     @pytest.mark.parametrize(
         "cell", [(4, 7, 1), (4, 8, 2), (4, 9, 3), (5, 9, 1), (5, 10, 2), (6, 11, 1), (6, 12, 3)]
@@ -431,17 +431,18 @@ class TestMissingSimplexSearch:
         # For d >= 5 and s >= 1 the special facet keeps a non-simplex cell;
         # for d = 4 it splits into simplices.
         asp = cyclic_ball(*cell)
-        cells = _refined_cells(asp)
+        cells = _refined_cells(asp, validate_asp(asp))
         assert any(not c.is_simplex(cell[0]) for c in cells) == (cell[0] > 4)
         assert_missing_matches_scan(cells, cell[0])
         for k in range(3):
-            assert_missing_matches_scan(_refined_cells(stack_over(asp, k)), cell[0])
+            stacked = stack_over(asp, k)
+            assert_missing_matches_scan(_refined_cells(stacked, validate_asp(stacked)), cell[0])
 
     def test_matches_scan_on_pyramid_over_octahedron(self):
         asp = ASPComplex(
             ASPParams(4, 7, 2), pyramid(octahedron(), 7), frozenset(range(1, 7)), None
         )
-        assert assert_missing_matches_scan(_refined_cells(asp), 4) == []
+        assert assert_missing_matches_scan(_refined_cells(asp, validate_asp(asp)), 4) == []
 
     @pytest.mark.parametrize("cell, seed, style, regime, factors", FROZEN_MINIMIZERS)
     def test_frozen_minimizer_verdicts(self, cell, seed, style, regime, factors):
