@@ -158,10 +158,10 @@ def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
     Plain row reduction on the residues: the pivot row is scaled by its
     inverse, and its nonzero entries right of the pivot, taken once as
     (column, value) pairs, are subtracted from every later row that is
-    nonzero in the pivot column.  The result never exceeds the rational rank, since an
-    r x r minor that is nonzero mod p is a nonzero integer; it can fall
-    below it when p divides every maximal nonzero minor, so on its own
-    it is only a lower bound.
+    nonzero in the pivot column.  The result never exceeds the rational
+    rank, since an r x r minor that is nonzero mod p is a nonzero
+    integer; it can fall below it when p divides every maximal nonzero
+    minor, so on its own it is only a lower bound.
     """
     p = MERSENNE_61
     a = [[x % p for x in r] for r in rows]
