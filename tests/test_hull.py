@@ -412,6 +412,18 @@ def check_against_oracle(config: PointConfig) -> None:
 
 
 class TestGiftWrapOracle:
+    def test_frozen_hulls(self):
+        # Every facet's vertex ids, normal and offset on the almost-cyclic
+        # cells d 3..6, s 0..3, n <= 16, plus three cells past the caps.
+        cells = [(d, n, s) for d in range(3, 7) for s in range(4) for n in range(d + s + 1, 17)]
+        cells += [(4, 40, 1), (6, 22, 3), (7, 16, 2)]
+        payload = [
+            [cell, [[sorted(f.vertex_ids), f.normal, f.offset] for f in facets]]
+            for cell in cells
+            for facets in [enumerate_facets(almost_cyclic_points(ASPParams(*cell)), cap=None)]
+        ]
+        assert len(payload) == 163 and digest(payload) == "c05a55dd16ef67a5"
+
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_acceptance_grid(self, d):
         for cell in GRID:
