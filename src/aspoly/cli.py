@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from io import StringIO
 
@@ -119,7 +120,7 @@ def cmd_construct(args) -> int:
 def cmd_facets(args) -> int:
     if args.input:
         with open(args.input) as fh:
-            config = PointConfig.from_json(json.load(fh))
+            config = _points_from_json(json.load(fh), "input")
     else:
         if None in (args.d, args.n):
             raise AspolyError("facets needs --input or all of --d/--n/--s")
@@ -163,10 +164,50 @@ def _require(entry, keys: tuple[str, ...], where: str) -> None:
             raise AspolyError(f"artifact is missing '{where}.{key}'; rebuild it with construct")
 
 
+def _require_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise AspolyError(f"artifact field '{where}' is not a list")
+    return value
+
+
+def _require_ids(value, where: str) -> None:
+    if any(type(v) is not int for v in _require_list(value, where)):
+        raise AspolyError(f"artifact field '{where}' is not a list of integer vertex ids")
+
+
+def _require_facets(value, where: str) -> None:
+    for i, facet in enumerate(_require_list(value, where)):
+        _require_ids(facet, f"{where}[{i}]")
+
+
 def _asp_from_json(entry) -> ASPComplex:
     _require(entry, ("d", "n", "s", "ball", "special_facet"), "complex")
+    for key in ("d", "n", "s"):
+        if type(entry[key]) is not int:
+            raise AspolyError(f"artifact field 'complex.{key}' is not an integer")
     _require(entry["ball"], ("facets",), "complex.ball")
+    _require_facets(entry["ball"]["facets"], "complex.ball.facets")
+    _require_ids(entry["special_facet"], "complex.special_facet")
+    if entry.get("f_triangulation"):
+        _require(entry["f_triangulation"], ("facets",), "complex.f_triangulation")
+        _require_facets(entry["f_triangulation"]["facets"], "complex.f_triangulation.facets")
     return ASPComplex.from_json(entry)
+
+
+def _points_from_json(entry, where: str) -> PointConfig:
+    """A point configuration whose coordinates are all finite rationals."""
+    _require(entry, ("d", "points"), where)
+    for i, point in enumerate(_require_list(entry["points"], f"{where}.points")):
+        _require(point, ("id", "coords"), f"{where}.points[{i}]")
+        for k, x in enumerate(_require_list(point["coords"], f"{where}.points[{i}].coords")):
+            try:
+                Fraction(x)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise AspolyError(
+                    f"artifact field '{where}.points[{i}].coords[{k}]' is not a finite "
+                    f"rational: {x!r}"
+                ) from None
+    return PointConfig.from_json(entry)
 
 
 @dataclass(frozen=True)
@@ -189,12 +230,7 @@ def _load_artifact(path: str) -> Artifact:
     if "complex" not in data:
         raise AspolyError("artifact has no 'complex' entry; run construct first")
     asp = _asp_from_json(data["complex"])
-    config = None
-    if "points" in data:
-        _require(data["points"], ("d", "points"), "points")
-        for i, point in enumerate(data["points"]["points"]):
-            _require(point, ("id", "coords"), f"points.points[{i}]")
-        config = PointConfig.from_json(data["points"])
+    config = _points_from_json(data["points"], "points") if "points" in data else None
     return Artifact(asp, config, data.get("kind", "unknown"))
 
 

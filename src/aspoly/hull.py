@@ -3,10 +3,11 @@
 Facets are enumerated by gift-wrapping (Chand-Kapur): from one facet,
 each ridge is crossed once by rotating the facet's hyperplane about it
 until the hyperplane meets further points, so the cost follows the
-number of facets rather than C(n, d).  Each hyperplane through given
-points is one fraction-free kernel computation, and every sign decision
-is an integer comparison.  Facet hyperplanes are primitive integer
-vectors, so the facets a line crosses are ranked by integer dot products
+number of facets rather than C(n, d).  A simplex facet's ridge planes
+pass to a simplex neighbour by a rank-one update, so a fraction-free
+kernel is solved only where no simplex facet hands them on, and every
+sign decision is an integer comparison.  Facet hyperplanes are primitive
+integer vectors, so the facets a line crosses are ranked by integer keys
 with no rational arithmetic.  Stacking a point beyond the special facet
 builds the new boundary by the beneath-beyond theorem instead of
 enumerating the hull again, and checks every new hyperplane against all
@@ -179,9 +180,12 @@ def _supporting_hyperplane(
 def _rotate(
     hom: list[list[int]], w: list[int], a: list[int], g: Sequence[int]
 ) -> tuple[list[int], list[int]]:
-    """Rotate the supporting hyperplane w about the flat where w = g = 0.
+    """Rotate the supporting hyperplane w about a ridge, outward onto the next facet.
 
-    a holds w's values at the points.  Among the points with a > 0, the
+    a holds w's values at the points.  g is any plane through the ridge
+    that is negative on the facet's points off the ridge; the planes
+    through the ridge are the combinations of w and g, so the result does
+    not depend on which such g is given.  Among the points with a > 0, the
     ones maximising b/a, b = g.x, are met first (ratios compared by
     cross-multiplication); the plane b*.w - a*.g through them is >= 0 at
     every point with a > 0 and equals -a*.b where a = 0.  Returns it
@@ -195,6 +199,38 @@ def _rotate(
     new = [best_b * x - best_a * y for x, y in zip(w, g)]
     k = math.gcd(*new)
     return [x // k for x in new], [(best_b * x - best_a * y) // k for x, y in zip(a, b)]
+
+
+def _pivot(
+    hom: list[list[int]], ridge: Iterable[int], off: Sequence[int], drop: int
+) -> list[int]:
+    """The hyperplane through the ridge's points and off, negative at point drop."""
+    g = int_nullspace([hom[i] for i in ridge] + [off])[0]
+    return g if _dot(g, hom[drop]) < 0 else [-x for x in g]
+
+
+def _inherited_normals(
+    hom: list[list[int]],
+    w: Sequence[int],
+    a: Sequence[int],
+    normals: dict[int, list[int]],
+    v: int,
+    x: int,
+) -> dict[int, list[int]]:
+    """Ridge normals of the simplex facet (F - {v}) + {x}, carried over from F.
+
+    w is the simplex facet F's hyperplane and a its values at the points;
+    normals[j] vanishes on F - {j} and is negative at j.  The new facet's
+    normal for x is -w.  For j in F - {v} it is a(x)*g_j - (g_j.x)*w,
+    made primitive: it vanishes on the new facet less j and on v, and at
+    j it is a(x)*g_j(j) < 0.  A rank-one update replaces a kernel.
+    """
+    out = {x: [-c for c in w]}
+    for j, g in normals.items():
+        if j != v:
+            gx = _dot(g, hom[x])
+            out[j] = _primitive([a[x] * gc - gx * wc for gc, wc in zip(g, w)])
+    return out
 
 
 def _ridges(
@@ -223,10 +259,17 @@ def _gift_wrap(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
     hyperplane (offset, *normal).  The first facet comes from the support
     at the least first coordinate, rotated about its face until the face
     spans a hyperplane.  Each facet's ridges are then pivoted across once:
-    g is the hyperplane through the ridge and one point off the facet,
-    oriented negative on the facet's points off the ridge, so _rotate
-    turns the facet outward about the ridge onto the neighbouring facet,
-    taking every tied point with it.
+    _rotate turns the facet outward about the ridge onto the neighbouring
+    facet, taking every tied point with it.  The plane g it turns against
+    passes through the ridge and is negative on the facet's other points.
+
+    A simplex facet holds one such g per vertex j, for its ridge without
+    j.  When it is reached from another simplex facet, it inherits them
+    by _inherited_normals; otherwise (the first facet, and the neighbours
+    of a non-simplex facet) it solves one kernel per vertex, through the
+    ridge and a point off the facet.  A non-simplex facet solves that
+    kernel per ridge, its ridges coming from the wrap one dimension down.
+    A facet's normals are dropped once its ridges are crossed.
     """
     d = len(hom[0]) - 1
     low = min(range(len(hom)), key=lambda i: Fraction(hom[i][1], hom[i][0]))
@@ -240,24 +283,32 @@ def _gift_wrap(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
         w, a = _rotate(hom, w, a, kernel[0])
     first = frozenset(i for i, x in enumerate(a) if x == 0)
     found = {first: (w, a)}
+    inherited: dict[frozenset[int], dict[int, list[int]]] = {}
     queue = [first]
     crossed: set[frozenset[int]] = set()
     while queue:
         facet = queue.pop()
         w, a = found[facet]
+        normals = inherited.pop(facet, None)
+        ridges = [r for r in _ridges(hom, facet, w) if r not in crossed]
+        if not ridges:
+            continue
+        crossed.update(ridges)
         off = hom[a.index(max(a))]
-        for ridge in _ridges(hom, facet, w):
-            if ridge in crossed:
-                continue
-            crossed.add(ridge)
-            g = int_nullspace([hom[i] for i in ridge] + [off])[0]
-            if _dot(g, hom[min(facet - ridge)]) > 0:
-                g = [-x for x in g]
+        simplex = len(facet) == d
+        if simplex and normals is None:
+            normals = {j: _pivot(hom, facet - {j}, off, j) for j in facet}
+        for ridge in ridges:
+            v = min(facet - ridge)
+            g = normals[v] if simplex else _pivot(hom, ridge, off, v)
             nw, na = _rotate(hom, w, a, g)
             key = frozenset(i for i, x in enumerate(na) if x == 0)
             if key not in found:
                 found[key] = (nw, na)
                 queue.append(key)
+                if simplex and len(key) == d:
+                    (x,) = key - ridge
+                    inherited[key] = _inherited_normals(hom, w, a, normals, v, x)
     return {facet: w for facet, (w, _) in found.items()}
 
 
@@ -425,34 +476,38 @@ class _LinesFrom:
     with r = (C/t0)/(A/b0).  Going out (tau > 0, r < 1) the facets are met
     in ascending r; the returning line (tau < 0, r > 1) then meets the rest
     in ascending r.  So the Bruggesser-Mani order sorts the facets by r,
-    compared exactly as the integer r * t0 * lcm(A), since A > 0 at an
-    interior base.
+    that is by C/A, since b0/t0 > 0 is shared by every facet and A > 0 at
+    an interior base.  The key floor(C * 2^s / A), with 2^s > (max A)^2,
+    ranks C/A exactly: two distinct ratios C1/A1 and C2/A2 differ by at
+    least 1/(A1*A2) > 2^-s, so their keys differ, and equal ratios get
+    equal keys.  A key has about the size of C plus twice that of A,
+    whatever the number of facets.
 
     Several targets t1, t2, t3, ... stand for the symbolically perturbed
     target t1 + eps*(t2 - t1) + eps^2*(t3 - t1) + ... with eps > 0
     infinitesimal.  r is affine in the target, so that line sorts the
     facets by the tuples of their keys at t1, t2, ... lexicographically
     (Edelsbrunner-Mucke, "Simulation of Simplicity").  r = 1 at every
-    target (a parallel hyperplane) or two equal tuples (two hyperplanes met
-    at one point) is a degeneracy.  Orders are not verified here.
+    target (C*b0 = A*t0: a parallel hyperplane) or two equal tuples (two
+    hyperplanes met at one point) is a degeneracy.  Orders are not
+    verified here.
     """
 
     def __init__(self, geom: ASPGeometry, base_hom: Sequence[int]) -> None:
         self.facets = geom.facets
         self.rows = [(f.offset, *f.normal) for f in geom.facets]
-        values = _dots(base_hom, self.rows)
-        if min(values) <= 0:
+        self.values = _dots(base_hom, self.rows)
+        if min(self.values) <= 0:
             raise DegeneracyError("base point is not interior")
-        self.lcm = math.lcm(*values)
-        self.scales = [base_hom[0] * self.lcm // a for a in values]
-
-    def _keys(self, target_hom: Sequence[int]) -> list[int]:
-        return [k * s for k, s in zip(_dots(target_hom, self.rows), self.scales)]
+        self.b0 = base_hom[0]
+        self.shift = 2 * max(self.values).bit_length()
 
     def order(self, *target_homs: Sequence[int]) -> list[frozenset[int]]:
-        keys = list(zip(*map(self._keys, target_homs)))
-        if tuple(self.lcm * t[0] for t in target_homs) in keys:
-            raise DegeneracyError("line parallel to a facet hyperplane")
+        at = [_dots(t, self.rows) for t in target_homs]
+        for i, a in enumerate(self.values):
+            if all(c[i] * self.b0 == a * t[0] for c, t in zip(at, target_homs)):
+                raise DegeneracyError("line parallel to a facet hyperplane")
+        keys = [tuple((c[i] << self.shift) // a for c in at) for i, a in enumerate(self.values)]
         if len(set(keys)) != len(keys):
             raise DegeneracyError("line meets two facet hyperplanes at one parameter")
         ranked = sorted(range(len(keys)), key=keys.__getitem__)

@@ -252,6 +252,48 @@ class TestVerify:
             assert code == 2 and out == ""
             assert err == f"error: artifact is missing '{name}'; rebuild it with construct\n"
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (
+                ("complex", "ball", "facets"),
+                None,
+                "artifact field 'complex.ball.facets' is not a list",
+            ),
+            (
+                ("points", "points", 0, "coords", 0),
+                "1/0",
+                "artifact field 'points.points[0].coords[0]' is not a finite rational: '1/0'",
+            ),
+            (
+                ("points", "points", 2, "coords", 1),
+                "abc",
+                "artifact field 'points.points[2].coords[1]' is not a finite rational: 'abc'",
+            ),
+            (
+                ("complex", "special_facet", 1),
+                "2",
+                "artifact field 'complex.special_facet' is not a list of integer vertex ids",
+            ),
+            (("complex", "d"), "4", "artifact field 'complex.d' is not an integer"),
+        ],
+        ids=["null-facets", "zero-denominator", "non-numeric", "string-id", "string-d"],
+    )
+    def test_malformed_field_is_named(self, capsys, tmp_path, path, value, message):
+        _, artifact = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
+        )
+        entry = artifact
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(artifact))
+        for command in ("verify", "shelling", "recognize"):
+            code, out, err = run(capsys, command, "--input", str(bad))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_entry_that_is_not_an_object(self, capsys, tmp_path):
         _, artifact = make_artifact(
             capsys, tmp_path,

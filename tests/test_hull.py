@@ -15,7 +15,7 @@ from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from aspoly import hull
 from aspoly.complexes import (
@@ -27,7 +27,7 @@ from aspoly.complexes import (
 )
 from aspoly.curves import PointConfig, almost_cyclic_points
 from aspoly.enumerative import ASPParams, f_almost_cyclic, h_from_f
-from aspoly.exactnum import RatMatrix, det, int_det, int_rank, rank
+from aspoly.exactnum import RatMatrix, det, int_det, int_nullspace, int_rank, rank
 from aspoly.errors import (
     CapExceededError,
     DegeneracyError,
@@ -196,6 +196,90 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
     return None
 
 
+def gift_wrap_per_ridge(hom):
+    """Oracle: the gift-wrap that solved one kernel for every ridge it crossed.
+
+    Same first facet and the same rotation as hull._gift_wrap, but each
+    ridge's g is the kernel of [ridge rows; a point off the facet],
+    oriented negative on the facet's points off the ridge, and a
+    non-simplex facet's ridges come from this oracle one dimension down.
+    """
+    d = len(hom[0]) - 1
+    low = min(range(len(hom)), key=lambda i: Fraction(hom[i][1], hom[i][0]))
+    w = hull._primitive([-hom[low][1], hom[low][0]] + [0] * (d - 1))
+    a = hull._dots(w, hom)
+    while True:
+        off = hom[a.index(max(a))]
+        kernel = int_nullspace([h for h, x in zip(hom, a) if x == 0] + [off])
+        if not kernel:
+            break
+        w, a = hull._rotate(hom, w, a, kernel[0])
+    first = frozenset(i for i, x in enumerate(a) if x == 0)
+    found = {first: (w, a)}
+    queue = [first]
+    crossed = set()
+    while queue:
+        facet = queue.pop()
+        w, a = found[facet]
+        off = hom[a.index(max(a))]
+        if len(facet) == d:
+            ridges = [facet - {i} for i in facet]
+        else:
+            j = next(c for c in range(1, d + 1) if w[c])
+            ids = sorted(facet)
+            sub = [hom[i][:j] + hom[i][j + 1 :] for i in ids]
+            ridges = [frozenset(ids[k] for k in r) for r in gift_wrap_per_ridge(sub)]
+        for ridge in ridges:
+            if ridge in crossed:
+                continue
+            crossed.add(ridge)
+            g = int_nullspace([hom[i] for i in ridge] + [off])[0]
+            if hull._dot(g, hom[min(facet - ridge)]) > 0:
+                g = [-x for x in g]
+            nw, na = hull._rotate(hom, w, a, g)
+            key = frozenset(i for i, x in enumerate(na) if x == 0)
+            if key not in found:
+                found[key] = (nw, na)
+                queue.append(key)
+    return {facet: w for facet, (w, _) in found.items()}
+
+
+class LcmLines:
+    """Oracle: _LinesFrom as it keyed facets by r * t0 * lcm(A) over all facets."""
+
+    def __init__(self, geom, base_hom):
+        self.facets = geom.facets
+        self.rows = [(f.offset, *f.normal) for f in geom.facets]
+        values = hull._dots(base_hom, self.rows)
+        if min(values) <= 0:
+            raise DegeneracyError("base point is not interior")
+        self.lcm = math.lcm(*values)
+        self.scales = [base_hom[0] * self.lcm // a for a in values]
+
+    def _keys(self, target_hom):
+        return [k * s for k, s in zip(hull._dots(target_hom, self.rows), self.scales)]
+
+    def order(self, *target_homs):
+        keys = list(zip(*map(self._keys, target_homs)))
+        if tuple(self.lcm * t[0] for t in target_homs) in keys:
+            raise DegeneracyError("line parallel to a facet hyperplane")
+        if len(set(keys)) != len(keys):
+            raise DegeneracyError("line meets two facet hyperplanes at one parameter")
+        ranked = sorted(range(len(keys)), key=keys.__getitem__)
+        return [self.facets[i].vertex_ids for i in ranked]
+
+
+def same_order(lines, oracle, targets):
+    """Both give the same order, or both raise DegeneracyError with the same message."""
+    outcomes = []
+    for impl in (lines, oracle):
+        try:
+            outcomes.append(impl.order(*targets))
+        except DegeneracyError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 def perturbation_point(geom, y_id, v_id, seed):
     """g of the deterministic search: the other points averaged with Random(seed) weights."""
     others = [c for pid, c in geom.config.points if pid not in (y_id, v_id)]
@@ -234,8 +318,8 @@ def shelled_stacked_cases(draw):
 def lines_with_normals(normals):
     """_LinesFrom over facets 1 + a.x >= 0, one per normal a, shot from the origin.
 
-    The target e_i (homogeneous (1, e_i)) gets the keys 1 + a_i, so a test
-    can place keys, and ties, exactly at each level.
+    The target e_i (homogeneous (1, e_i)) gets the ratios C/A = 1 + a_i,
+    so a test can place keys, and ties, exactly at each level.
     """
     facets = tuple(FacetDescriptor(frozenset({i}), a, 1) for i, a in enumerate(normals))
     return _LinesFrom(SimpleNamespace(facets=facets), [1, 0, 0])
@@ -354,8 +438,8 @@ def distinct_config(coords):
 
 
 @st.composite
-def general_position_configs(draw):
-    d = draw(st.integers(2, 5))
+def general_position_configs(draw, max_d=5):
+    d = draw(st.integers(2, max_d))
     n = draw(st.integers(d + 1, 11))
     coord = st.fractions(min_value=-1000, max_value=1000, max_denominator=7)
     return distinct_config(
@@ -364,9 +448,9 @@ def general_position_configs(draw):
 
 
 @st.composite
-def configs_with_interior_points(draw):
+def configs_with_interior_points(draw, max_d=4):
     """Random hull points plus points at positive weighted means of all of them."""
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(2, max_d))
     outer = draw(
         st.lists(st.tuples(*[st.integers(-30, 30)] * d), min_size=d + 1, max_size=8)
     )
@@ -384,10 +468,10 @@ def configs_with_interior_points(draw):
 
 
 @st.composite
-def special_position_configs(draw):
+def special_position_configs(draw, max_d=4):
     """Many points per hyperplane: subsets of the grid {0,1,2}^d, or a
     lattice-point base on x_d = 0 with apexes on either side."""
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(2, max_d))
     if draw(st.booleans()):
         grid = list(product(range(3), repeat=d))
         pts = draw(st.lists(st.sampled_from(grid), min_size=d + 1, max_size=12, unique=True))
@@ -423,6 +507,43 @@ class TestGiftWrapOracle:
             for facets in [enumerate_facets(almost_cyclic_points(ASPParams(*cell)), cap=None)]
         ]
         assert len(payload) == 163 and digest(payload) == "c05a55dd16ef67a5"
+
+    @pytest.mark.parametrize(
+        "configs", [general_position_configs, configs_with_interior_points, special_position_configs]
+    )
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matches_per_ridge_wrap(self, configs, data):
+        config = data.draw(configs(max_d=7))
+        assume(spans_space(config))
+        hom = hull._integer_homogeneous(config)
+        assert hull._gift_wrap(hom) == gift_wrap_per_ridge(hom)
+
+    def test_inherited_normals_are_kernels(self, monkeypatch):
+        calls = []
+        inherit = hull._inherited_normals
+
+        def spy(hom, w, a, normals, v, x):
+            out = inherit(hom, w, a, normals, v, x)
+            calls.append((hom, set(normals), v, x, out))
+            return out
+
+        monkeypatch.setattr(hull, "_inherited_normals", spy)
+        for cell in [(3, 9, 2), (4, 10, 1), (5, 11, 3), (6, 12, 0), (7, 13, 2)]:
+            enumerate_facets(almost_cyclic_points(ASPParams(*cell)), cap=None)
+        # pyramid over a 3-cube: simplex facets beside square pyramids
+        enumerate_facets(
+            config_from_coords(
+                [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(0, 0, 0, 1)]
+            )
+        )
+        assert len(calls) > 100
+        for hom, old, v, x, out in calls:
+            assert set(out) == old - {v} | {x}
+            for j, g in out.items():
+                (kernel,) = int_nullspace([hom[i] for i in sorted(set(out) - {j})] + [hom[v]])
+                k = math.gcd(*kernel) if hull._dot(kernel, hom[j]) < 0 else -math.gcd(*kernel)
+                assert g == [c // k for c in kernel]
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_acceptance_grid(self, d):
@@ -807,6 +928,42 @@ class TestLexicographicOrder:
         lines_with_normals([(0, 2), (3, 0)]).order([1, 1, 0], [1, 0, 1])
         with pytest.raises(DegeneracyError, match="parallel"):
             lines_with_normals([(0, 0), (3, 0)]).order([1, 1, 0], [1, 0, 1])
+
+
+    @settings(deadline=None, max_examples=40)
+    @given(stacking_cases(), st.data())
+    def test_matches_lcm_keys_on_stacked_hulls(self, case, data):
+        cell, toward, closeness = case
+        q = stack_over_special(asp_geometry(*cell), toward=toward, closeness=closeness)
+        hb = homogeneous(q.interior_point)
+        coord = st.fractions(min_value=-20, max_value=20, max_denominator=5)
+        target = st.one_of(
+            st.sampled_from([c for _, c in q.config.points]), st.tuples(*[coord] * q.d)
+        )
+        targets = data.draw(st.lists(target, min_size=1, max_size=3))
+        same_order(_LinesFrom(q, hb), LcmLines(q, hb), [homogeneous(t) for t in targets])
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(-2, 2), st.integers(-2, 2)),
+            min_size=2,
+            max_size=7,
+        ),
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_matches_lcm_keys_with_ties(self, planes, targets):
+        # Facets off + a.x >= 0 seen from the origin: A = off varies, and
+        # small integers make ties and parallel hyperplanes common.
+        facets = tuple(
+            FacetDescriptor(frozenset({i}), (a1, a2), off) for i, (off, a1, a2) in enumerate(planes)
+        )
+        geom = SimpleNamespace(facets=facets)
+        same_order(_LinesFrom(geom, [1, 0, 0]), LcmLines(geom, [1, 0, 0]), targets)
 
 
 class TestKeyShellingDefects:
