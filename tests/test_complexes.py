@@ -5,6 +5,8 @@ octahedron, bipyramids, stacked chains) were computed by hand from the
 definitions and are frozen here.
 """
 
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -32,7 +34,13 @@ from aspoly.complexes import (
 )
 from aspoly.enumerative import ASPParams, h_from_f
 from aspoly.gale import almost_cyclic_facets
-from aspoly.stackgen import Move, StackingScript, random_minimizer, stacked_sphere
+from aspoly.stackgen import (
+    Move,
+    StackingScript,
+    random_minimizer,
+    recognize_minimizer,
+    stacked_sphere,
+)
 from aspoly.errors import (
     DegeneracyError,
     DomainError,
@@ -505,3 +513,54 @@ class TestProperties:
         fv = f_vector(c)
         total = sum(fv.entries)
         assert total == sum(len(all_faces(c, k)) for k in range(-1, c.dim + 1))
+
+
+def frozen_minimizer_records():
+    """Decompositions, verdicts and f-vectors of seeded minimizers.
+
+    One record per (d, n, s, style, seed) for d 4..6, n 12..16, s 0..3,
+    both styles and seeds 0..2: the prime factors (sorted facets, in
+    factor order) and tree edges of the special facet's boundary and of
+    the refined sphere (ball plus the carried triangulation), the
+    recognizer's verdict JSON, and the ball and boundary f-vectors.
+    """
+
+    def decomposition(sphere):
+        dec = prime_decomposition(sphere)
+        return [
+            [[sorted(g) for g in f.sorted_facets()] for f in dec.factors],
+            [[i, j, sorted(a)] for i, j, a in dec.tree_edges],
+        ]
+
+    out = []
+    for d in range(4, 7):
+        for n in range(12, 17):
+            for s in range(4):
+                for style in ("stack", "hstack"):
+                    for seed in range(3):
+                        asp = random_minimizer(ASPParams(d, n, s), seed, style=style)
+                        bd = boundary_of_ball(asp.ball)
+                        refined = SimplicialComplex.from_facets(
+                            asp.ball.facets | asp.f_triangulation.facets
+                        )
+                        out.append([
+                            d, n, s, style, seed,
+                            decomposition(bd),
+                            decomposition(refined),
+                            recognize_minimizer(asp).to_json(),
+                            list(f_vector(asp.ball).entries),
+                            list(f_vector(bd).entries),
+                        ])
+    return out
+
+
+def test_frozen_minimizer_digest():
+    # SHA-256 of the records' sorted-key JSON, captured before the
+    # missing-simplex search, the decomposition and the face counts were
+    # indexed; the spot values make a diff readable.
+    records = frozen_minimizer_records()
+    assert len(records) == 360
+    assert records[0][:5] == [4, 12, 0, "stack", 0]
+    assert records[0][8:] == [[1, 12, 38, 52, 25], [1, 4, 6, 4]]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "f5e1763d9676af3fbe4fb6de06c5854b5904f2b296a6aab9f4047f07d532aae4"
