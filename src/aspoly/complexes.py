@@ -5,14 +5,20 @@ Vertex ids are arbitrary integers.  Operations that would produce a
 non-pure result (induced subcomplexes of scattered vertex sets) raise
 rather than silently change representation.
 
+Face counts work on each facet's sorted vertex tuple, and f_vector caches
+them per complex; boundaries come from a count of ridges.
+
 Prime decomposition has one implementation, on spheres of cells: a
 simplicial sphere is the case where every cell is a simplex, and the
 minimizer recognizer in stackgen passes polyhedral cells too.  Missing
-simplices are found once, from the ridges, and carried down the splits.
+simplices are found once, by looking each ridge's completions up in an
+index of the (d-2)-faces, and carried down the splits.  One map from
+ridges to their cells serves every split.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -28,8 +34,6 @@ from .errors import (
     ShapeError,
     ShellingError,
 )
-
-Face = frozenset
 
 
 def face_key(face: frozenset) -> tuple[int, ...]:
@@ -83,32 +87,26 @@ class SimplicialComplex:
         return SimplicialComplex.from_facets(data["facets"])
 
 
-@lru_cache(maxsize=256)
-def _face_set(c: SimplicialComplex) -> frozenset[frozenset[int]]:
-    """All faces of c including the empty face."""
-    out: set[frozenset[int]] = set()
-    for f in c.facets:
-        verts = tuple(f)
-        for k in range(len(verts) + 1):
-            out.update(frozenset(s) for s in combinations(verts, k))
-    return frozenset(out)
-
-
 def all_faces(c: SimplicialComplex, k: int) -> frozenset[frozenset[int]]:
     """Faces of dimension k (k+1 vertices); k = -1 gives the empty face."""
     if not -1 <= k <= c.dim:
         raise DomainError(f"no faces of dimension {k} in a {c.dim}-complex")
-    return frozenset(f for f in _face_set(c) if len(f) == k + 1)
+    faces = {t for f in c.facets for t in combinations(sorted(f), k + 1)}
+    return frozenset(map(frozenset, faces))
 
 
+@lru_cache(maxsize=256)
 def f_vector(c: SimplicialComplex) -> FVector:
-    """Face counts (f_{-1}, ..., f_dim) with parameter d = dim + 1."""
+    """Face counts (f_{-1}, ..., f_dim) with parameter d = dim + 1.
+
+    Faces are counted size by size as the combinations of each facet's
+    sorted vertex tuple, so equal faces are equal tuples.
+    """
     if not c.facets:
         raise DomainError("empty complex has no f-vector")
-    counts = [0] * (c.dim + 2)
-    for f in _face_set(c):
-        counts[len(f)] += 1
-    return FVector(c.dim + 1, tuple(counts))
+    facets = [sorted(f) for f in c.facets]
+    counts = [len({t for f in facets for t in combinations(f, k)}) for k in range(c.dim + 1)]
+    return FVector(c.dim + 1, (*counts, len(facets)))
 
 
 def link(c: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
@@ -162,13 +160,9 @@ def simplex_join(apex_set: Iterable[int], c: SimplicialComplex) -> SimplicialCom
     return SimplicialComplex.from_facets([a])
 
 
-def ridge_incidence(c: SimplicialComplex) -> dict[frozenset[int], list[frozenset[int]]]:
-    """Map each ridge (codimension-1 face) to the facets containing it."""
-    inc: dict[frozenset[int], list[frozenset[int]]] = {}
-    for g in c.sorted_facets():
-        for x in g:
-            inc.setdefault(g - {x}, []).append(g)
-    return inc
+def _ridge_counts(c: SimplicialComplex) -> Counter:
+    """Number of facets containing each ridge (codimension-1 face)."""
+    return Counter(g - {x} for g in c.facets for x in g)
 
 
 def boundary_of_ball(c: SimplicialComplex) -> SimplicialComplex:
@@ -179,19 +173,16 @@ def boundary_of_ball(c: SimplicialComplex) -> SimplicialComplex:
     """
     if not c.facets:
         raise DomainError("empty complex has no boundary")
-    boundary = []
-    for ridge, fs in ridge_incidence(c).items():
-        if len(fs) > 2:
-            raise PseudomanifoldError(
-                f"ridge {sorted(ridge)} lies in {len(fs)} facets"
-            )
-        if len(fs) == 1:
-            boundary.append(ridge)
-    return SimplicialComplex.from_facets(boundary)
+    counts = _ridge_counts(c)
+    fat = [r for r, k in counts.items() if k > 2]
+    if fat:
+        r = min(fat, key=face_key)
+        raise PseudomanifoldError(f"ridge {sorted(r)} lies in {counts[r]} facets")
+    return SimplicialComplex.from_facets(r for r, k in counts.items() if k == 1)
 
 
 def is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
-    return all(len(fs) == 2 for fs in ridge_incidence(c).values())
+    return all(k == 2 for k in _ridge_counts(c).values())
 
 
 @dataclass(frozen=True)
@@ -293,63 +284,27 @@ def _cell_missing_simplices(cells: Sequence[_Cell], d: int) -> list[frozenset[in
     """Missing facets: d-vertex sets that are not faces but whose facets are.
 
     Every (d-1)-vertex face is a cell ridge and every d-vertex face is a
-    simplex cell, so each candidate is a ridge plus one vertex off it.
+    simplex cell.  A candidate a = r + x, with r a ridge, needs (r - y) + x
+    to be a ridge for every y in r.  So an index sends each (d-2)-face to
+    the vertices that extend it to a ridge, and x is looked up in the
+    index sets of r's (d-2)-faces.  Only x > max(r) is taken, which finds
+    each a once, from r = a - max(a).
     """
     ridges = {r for c in cells for r in c.ridges}
     simplices = {c.vertices for c in cells if c.is_simplex(d)}
-    verts = frozenset().union(*(c.vertices for c in cells))
-    out = set()
+    extensions: dict[frozenset[int], set[int]] = {}
     for r in ridges:
-        for x in verts - r:
-            a = r | {x}
-            if a not in simplices and all(a - {y} in ridges for y in r):
-                out.add(a)
+        for y in r:
+            extensions.setdefault(r - {y}, set()).add(y)
+    out = []
+    for r in ridges:
+        top = max(r)
+        for x in set.intersection(*[extensions[r - {y}] for y in r]):
+            if x > top:
+                a = r | {x}
+                if a not in simplices:
+                    out.append(a)
     return sorted(out, key=face_key)
-
-
-def _cell_split(
-    cells: Sequence[_Cell], a: frozenset[int]
-) -> tuple[list[_Cell], list[_Cell]]:
-    """Cut a sphere of cells along a missing simplex a into two spheres.
-
-    Each part keeps its cells in the given order, with a appended.
-    """
-    cut = {a - {x} for x in a}
-    inc: dict[frozenset[int], list[int]] = {}
-    for i, c in enumerate(cells):
-        for r in c.ridges:
-            inc.setdefault(r, []).append(i)
-    for r, owners in inc.items():
-        if len(owners) > 2:
-            raise PseudomanifoldError(f"ridge {sorted(r)} lies in {len(owners)} cells")
-
-    def reach(i: int) -> set[int]:
-        comp, stack = {i}, [i]
-        while stack:
-            for r in cells[stack.pop()].ridges - cut:
-                for nb in inc[r]:
-                    if nb not in comp:
-                        comp.add(nb)
-                        stack.append(nb)
-        return comp
-
-    side = reach(0)
-    rest = set(range(len(cells))) - side
-    if not rest or reach(min(rest)) != rest:
-        raise DegeneracyError(f"cutting along {sorted(a)} does not give two components")
-    new = _simplex_cell(a)
-    return (
-        [c for i, c in enumerate(cells) if i in side] + [new],
-        [c for i, c in enumerate(cells) if i in rest] + [new],
-    )
-
-
-def _carried_missing(
-    part: Sequence[_Cell], missing: Iterable[frozenset[int]]
-) -> list[frozenset[int]]:
-    """The parent's missing simplices whose ridges are all ridges of part."""
-    ridges = {r for c in part for r in c.ridges}
-    return [m for m in missing if all(m - {x} in ridges for x in m)]
 
 
 def _cell_decomposition(
@@ -359,40 +314,76 @@ def _cell_decomposition(
 
     Returns the prime factors, each a tuple of cells, and the tree of
     cuts as (factor index, factor index, cut simplex).  The lexicographically
-    first missing simplex a is cut first.
+    first missing simplex a is cut first.  A ridge in three or more cells
+    raises PseudomanifoldError.
+
+    One map, built once, sends each ridge to the cells that own it.  A part
+    is a list of indices into the cells; it is cut along a by two walks
+    that cross only its own members' ridges other than a's, and each part
+    keeps its cells in the given order, with a appended.  The cut simplex
+    joins the cells, and its index joins the owners of its ridges.
 
     The missing set is searched once, at the root, and carried down: each
     part of the cut along a keeps the parent's other missing simplices
-    whose ridges are all ridges of that part (_carried_missing).  Such a
-    simplex is still missing there, since the part's cells are parent
-    cells plus a.  No new one appears either.  The part's ridges are
-    parent ridges (a's ridges are, as a was missing), so a new missing
-    simplex of the part would be a simplex cell of the other side whose
-    ridges all lie in this part.  A ridge lies in two cells, and two cells
-    on different sides meet only in a cut ridge, so all its ridges would
-    be ridges of a: it would be a itself, but a was missing in the
-    parent, so it is no cell of the other side.
+    whose ridges all have an owner in that part.  Such a simplex is still
+    missing there, since the part's cells are parent cells plus a.  No new
+    one appears either.  The part's ridges are parent ridges (a's ridges
+    are, as a was missing), so a new missing simplex of the part would be
+    a simplex cell of the other side whose ridges all lie in this part.  A
+    ridge lies in two cells, and two cells on different sides meet only in
+    a cut ridge, so all its ridges would be ridges of a: it would be a
+    itself, but a was missing in the parent, so it is no cell of the other
+    side.
     """
-    factors: list[tuple[_Cell, ...]] = []
+    cells = list(cells)
+    owners: dict[frozenset[int], list[int]] = {}
+    for i, c in enumerate(cells):
+        for r in c.ridges:
+            owners.setdefault(r, []).append(i)
+    for r, own in owners.items():
+        if len(own) > 2:
+            raise PseudomanifoldError(f"ridge {sorted(r)} lies in {len(own)} cells")
+    factors: list[list[int]] = []
     edges: list[tuple[int, int, frozenset[int]]] = []
 
-    def decompose(part: Sequence[_Cell], missing: list[frozenset[int]]) -> list[int]:
+    def reach(i: int, members: set[int], cut: set[frozenset[int]]) -> set[int]:
+        comp, stack = {i}, [i]
+        while stack:
+            for r in cells[stack.pop()].ridges - cut:
+                for nb in owners[r]:
+                    if nb in members and nb not in comp:
+                        comp.add(nb)
+                        stack.append(nb)
+        return comp
+
+    def decompose(part: list[int], carried: list[frozenset[int]]) -> list[int]:
+        members = set(part)
+        missing = [
+            m for m in carried if all(not members.isdisjoint(owners[m - {x}]) for x in m)
+        ]
         if not missing:
-            factors.append(tuple(part))
+            factors.append(part)
             return [len(factors) - 1]
         a = missing[0]
-        s1, s2 = _cell_split(part, a)
-        idx1 = decompose(s1, _carried_missing(s1, missing[1:]))
-        idx2 = decompose(s2, _carried_missing(s2, missing[1:]))
-        i, j = (
-            next(k for k in idx if any(c.vertices == a for c in factors[k]))
-            for idx in (idx1, idx2)
-        )
+        cut = {a - {x} for x in a}
+        side = reach(part[0], members, cut)
+        rest = [i for i in part if i not in side]
+        if not rest or reach(rest[0], members, cut) != set(rest):
+            raise DegeneracyError(f"cutting along {sorted(a)} does not give two components")
+        k = len(cells)
+        cells.append(_simplex_cell(a))
+        for r in cut:
+            owners[r].append(k)
+        s1 = [i for i in part if i in side] + [k]
+        s2 = rest + [k]
+        idx1 = decompose(s1, missing[1:])
+        idx2 = decompose(s2, missing[1:])
+        i, j = (next(f for f in idx if k in factors[f]) for idx in (idx1, idx2))
         edges.append((i, j, a))
         return idx1 + idx2
 
-    decompose(cells, _cell_missing_simplices(cells, d))
-    return factors, edges
+    decompose(list(range(len(cells))), _cell_missing_simplices(cells, d))
+    return [tuple(cells[i] for i in part) for part in factors], edges
 
 
 def prime_decomposition(sphere: SimplicialComplex) -> PrimeDecomposition:

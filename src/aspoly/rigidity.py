@@ -77,7 +77,7 @@ class Graph:
 
 
 def one_skeleton(c: SimplicialComplex) -> Graph:
-    return Graph(frozenset(c.vertex_ids), frozenset(all_faces(c, 1)))
+    return Graph(frozenset(c.vertex_ids), all_faces(c, 1))
 
 
 def _edge_rows(g: Graph, embedding: Mapping[int, Sequence]) -> list[list]:

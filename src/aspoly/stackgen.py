@@ -222,14 +222,6 @@ def h_stack(asp: ASPComplex, selector: int | tuple[int, ...]) -> ASPComplex:
     return out
 
 
-def apply_script(asp: ASPComplex, script: StackingScript) -> ASPComplex:
-    for mv in script.moves:
-        asp = stack_over(asp, mv.selector) if mv.kind == "stack" else h_stack(
-            asp, mv.selector
-        )
-    return asp
-
-
 def trivial_asp(d: int) -> ASPComplex:
     """The d-simplex as an ASP: ball = all facets but {1..d}, which plays F."""
     empty = StackingScript(())
@@ -265,12 +257,14 @@ def random_minimizer(p: ASPParams, seed: int, style: str = "stack") -> ASPComple
     kinds = ["hstack"] * s + ["stack"] * (n - d - 1 - s)
     rng.shuffle(kinds)
     asp = trivial_asp(d)
+    # The special facet's boundary starts with d facets; h_stack adds d-2.
+    f_count = d
     for kind in kinds:
-        pool = (
-            asp.ball.facets if kind == "stack" else boundary_of_ball(asp.ball).facets
-        )
-        mv = Move(kind, rng.randrange(len(pool)))
-        asp = apply_script(asp, StackingScript((mv,)))
+        if kind == "stack":
+            asp = stack_over(asp, rng.randrange(len(asp.ball.facets)))
+        else:
+            asp = h_stack(asp, rng.randrange(f_count))
+            f_count += d - 2
     validate_asp(asp)
     return asp
 

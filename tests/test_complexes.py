@@ -15,6 +15,9 @@ from hypothesis import given, settings, strategies as st
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
+    _cell_decomposition,
+    _cell_missing_simplices,
+    _simplex_cell,
     all_faces,
     boundary_of_ball,
     class_c_membership,
@@ -26,7 +29,6 @@ from aspoly.complexes import (
     link,
     prime_decomposition,
     refine_by_triangulation,
-    ridge_incidence,
     simplex_join,
     star,
     validate_asp,
@@ -37,6 +39,7 @@ from aspoly.gale import almost_cyclic_facets
 from aspoly.stackgen import (
     Move,
     StackingScript,
+    _refined_cells,
     random_minimizer,
     recognize_minimizer,
     stacked_sphere,
@@ -49,6 +52,14 @@ from aspoly.errors import (
     RefinementError,
     ShapeError,
     ShellingError,
+)
+from oracles import (
+    boundary_by_incidence,
+    cell_decomposition_per_split,
+    cell_missing_by_ridge_scan,
+    f_vector_by_face_set,
+    face_set,
+    ridge_incidence,
 )
 
 
@@ -513,6 +524,70 @@ class TestProperties:
         fv = f_vector(c)
         total = sum(fv.entries)
         assert total == sum(len(all_faces(c, k)) for k in range(-1, c.dim + 1))
+
+
+@st.composite
+def minimizer_balls(draw):
+    d, s = draw(st.integers(4, 7)), draw(st.integers(0, 3))
+    n = d + s + 1 + draw(st.integers(0, 3))
+    style = draw(st.sampled_from(["stack", "hstack"]))
+    return random_minimizer(ASPParams(d, n, s), draw(st.integers(0, 10**6)), style=style)
+
+
+def sphere_cells(sphere):
+    return [_simplex_cell(g) for g in sphere.sorted_facets()], sphere.dim + 1
+
+
+def refined_cells(asp):
+    return _refined_cells(asp, validate_asp(asp)), asp.params.d
+
+
+SPHERES = st.one_of(stacked_spheres(), special_facet_boundaries(), cyclic_spheres())
+CELL_LISTS = st.one_of(SPHERES.map(sphere_cells), minimizer_balls().map(refined_cells))
+
+
+class TestIndexedMatchesOracles:
+    """The indexed searches, decomposition and face counts against tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(CELL_LISTS)
+    def test_missing_simplices(self, cells_d):
+        cells, d = cells_d
+        assert _cell_missing_simplices(cells, d) == cell_missing_by_ridge_scan(cells, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(CELL_LISTS)
+    def test_decomposition(self, cells_d):
+        cells, d = cells_d
+        assert _cell_decomposition(cells, d) == cell_decomposition_per_split(cells, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(SPHERES, minimizer_balls().map(lambda asp: asp.ball), small_pure_complexes()))
+    def test_face_counts(self, c):
+        assert f_vector(c) == f_vector_by_face_set(c)
+        faces = face_set(c)
+        for k in range(-1, c.dim + 1):
+            assert all_faces(c, k) == {f for f in faces if len(f) == k + 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(SPHERES, minimizer_balls().map(lambda asp: asp.ball), small_pure_complexes()))
+    def test_boundary(self, c):
+        closed = all(len(fs) == 2 for fs in ridge_incidence(c).values())
+        assert is_closed_pseudomanifold(c) == closed
+        try:
+            expected = boundary_by_incidence(c)
+        except PseudomanifoldError:
+            with pytest.raises(PseudomanifoldError):
+                boundary_of_ball(c)
+        else:
+            assert boundary_of_ball(c) == expected
+
+    def test_fat_ridge_rejected(self):
+        fat = SimplicialComplex.from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5], [3, 4, 5]])
+        with pytest.raises(PseudomanifoldError):
+            prime_decomposition(fat)
+        with pytest.raises(PseudomanifoldError):
+            _cell_decomposition(*sphere_cells(fat))
 
 
 def frozen_minimizer_records():

@@ -1,8 +1,11 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every public
+library name is read outside tests/.
 
 Parses the library modules (all but the package ``__init__``) and the
 scripts with ``ast``; a name counts as used when it is read anywhere in
-the module, including inside string annotations.
+the module, including inside string annotations.  A public name counts
+as read when the library, the scripts or the benchmark load it, or
+access an attribute of that name, outside its own definition.
 """
 
 import ast
@@ -11,9 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p for p in (ROOT / "src" / "aspoly").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "scripts").glob("*.py"))
+LIBRARY = sorted(p for p in (ROOT / "src" / "aspoly").glob("*.py") if p.name != "__init__.py")
+MODULES = LIBRARY + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -66,3 +68,71 @@ def test_every_import_is_used(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+
+# Public names that only tests/ reads.  ROADMAP item 2 decides for each
+# whether it moves into tests/ as an oracle or gains a caller; this list
+# may only shrink.
+TEST_ONLY = {
+    "complexes": {
+        "class_c_membership",
+        "is_stacked_sphere",
+        "link",
+        "refine_by_triangulation",
+        "star",
+    },
+    "curves": {"homogeneous_rows"},
+    "enumerative": {"ubt_h_profile", "ubt_recurrence_defect"},
+    "exactnum": {"det", "rank", "vandermonde"},
+    "hull": {"geometry_f_vector", "neighborliness", "simpliciality"},
+    "rigidity": {"kalai_monotonicity_defect", "rigidity_matrix", "stress_dimension"},
+    "stackgen": {"stacked_sphere"},
+}
+
+
+def public_definitions(tree: ast.Module):
+    """(name, first line, last line) of each top-level public def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node.lineno, node.end_lineno
+
+
+def reads(tree: ast.Module):
+    """(name, line) of each name loaded or attribute accessed."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id, n.lineno
+        elif isinstance(n, ast.Attribute):
+            yield n.attr, n.lineno
+
+
+def test_every_public_name_is_read_outside_tests():
+    read_at: dict[str, list[tuple[Path, int]]] = {}
+    for path in READERS:
+        for name, line in reads(ast.parse(path.read_text(), filename=str(path))):
+            read_at.setdefault(name, []).append((path, line))
+    unread: dict[str, set[str]] = {}
+    for path in LIBRARY:
+        for name, first, last in public_definitions(ast.parse(path.read_text())):
+            outside = [
+                (p, line)
+                for p, line in read_at.get(name, [])
+                if not (p == path and first <= line <= last)
+            ]
+            if not outside:
+                unread.setdefault(path.stem, set()).add(name)
+    new = {m: names - TEST_ONLY.get(m, set()) for m, names in unread.items()}
+    stale = {m: names - unread.get(m, set()) for m, names in TEST_ONLY.items()}
+    assert not any(new.values()), f"public names nothing outside tests/ reads: {new}"
+    assert not any(stale.values()), f"read now, so drop them from TEST_ONLY: {stale}"

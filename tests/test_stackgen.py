@@ -1,5 +1,6 @@
 """Builders for stacked families, hyperplane stacking, and the recognizer."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
-    _carried_missing,
     _cell_missing_simplices,
-    _cell_split,
     boundary_of_ball,
     f_vector,
     face_key,
@@ -37,7 +36,6 @@ from aspoly.stackgen import (
     StackingScript,
     _refined_cells,
     almost_stacked,
-    apply_script,
     h_stack,
     pyramid,
     random_minimizer,
@@ -47,8 +45,29 @@ from aspoly.stackgen import (
     stacked_sphere,
     trivial_asp,
 )
+from oracles import carried_missing, cell_split
 
 EMPTY = StackingScript(())
+
+
+def apply_script(asp, script):
+    for mv in script.moves:
+        asp = (stack_over if mv.kind == "stack" else h_stack)(asp, mv.selector)
+    return asp
+
+
+def hstack_minimizer_by_pool(p, seed):
+    """Oracle: the hstack style, each selector drawn from the built boundary."""
+    rng = random.Random(seed)
+    kinds = ["hstack"] * p.s + ["stack"] * (p.n - p.d - 1 - p.s)
+    rng.shuffle(kinds)
+    asp = trivial_asp(p.d)
+    for kind in kinds:
+        if kind == "stack":
+            asp = stack_over(asp, rng.randrange(asp.ball.n_facets))
+        else:
+            asp = h_stack(asp, rng.randrange(boundary_of_ball(asp.ball).n_facets))
+    return asp
 
 
 def index_script(*idx):
@@ -99,8 +118,8 @@ def assert_missing_matches_scan(cells, d, carried=None):
     if carried is not None:
         assert carried == missing
     if missing:
-        for part in _cell_split(cells, missing[0]):
-            assert_missing_matches_scan(part, d, _carried_missing(part, missing[1:]))
+        for part in cell_split(cells, missing[0]):
+            assert_missing_matches_scan(part, d, carried_missing(part, missing[1:]))
     return missing
 
 
@@ -240,6 +259,26 @@ class TestHStack:
         ball_facet = tuple(sorted(next(iter(asp.ball.facets))))
         with pytest.raises(InvalidMoveError):
             h_stack(asp, ball_facet)
+
+    @pytest.mark.parametrize(
+        "selector, message",
+        [
+            (4, "facet index 4 out of range 0..3"),
+            ((1, 2, 5), "[1, 2, 5] is not a facet available to this move"),
+        ],
+    )
+    def test_invalid_selector_message(self, selector, message):
+        with pytest.raises(InvalidMoveError) as ei:
+            h_stack(trivial_asp(4), selector)
+        assert str(ei.value) == message
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_random_minimizer_counts_the_boundary(self, d):
+        for s in range(1, 4):
+            for seed in range(10):
+                p = ASPParams(d, d + s + 4, s)
+                asp = random_minimizer(p, seed, style="hstack")
+                assert asp == hstack_minimizer_by_pool(p, seed)
 
     def test_mixed_script_parameter_arithmetic(self):
         script = StackingScript(
