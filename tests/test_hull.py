@@ -715,6 +715,22 @@ class TestStackOverSpecial:
         with pytest.raises(DomainError):
             stack_over_special(geom)
 
+    def test_frozen_criterion_09_stacks(self):
+        # y and every facet (ids, normal, offset) of the stacked hull for
+        # each criterion-09 pair at closeness 12 and 40.
+        rows = []
+        for d in (4, 5):
+            for s in range(4):
+                for n in range(d + s + 1, d + s + 5):
+                    geom = asp_geometry(d, n, s)
+                    for v in range(1, d + s + 1):
+                        for closeness in (12, 40):
+                            q = stack_over_special(geom, toward=v, closeness=closeness)
+                            y = [str(x) for x in q.config.points[-1][1]]
+                            facets = [[sorted(f.vertex_ids), list(f.normal), f.offset] for f in q.facets]
+                            rows.append([d, n, s, v, closeness, y, facets])
+        assert len(rows) == 384 and digest(rows) == "cea2cb3e51b4ad0d"
+
 
 class TestLineShelling:
     def test_tetrahedron(self):
