@@ -224,12 +224,14 @@ class Artifact:
         return stack_over_special(asp_geometry(self.config, sorted(self.asp.special_facet)))
 
 
-def _load_artifact(path: str) -> Artifact:
-    with open(path) as fh:
+def _load_artifact(args) -> Artifact:
+    """The artifact at args.input, refused past the d/n caps unless args.unsafe_large."""
+    with open(args.input) as fh:
         data = json.load(fh)
     if "complex" not in data:
         raise AspolyError("artifact has no 'complex' entry; run construct first")
     asp = _asp_from_json(data["complex"])
+    _check_caps(asp.params.d, asp.params.n, args.unsafe_large)
     config = _points_from_json(data["points"], "points") if "points" in data else None
     return Artifact(asp, config, data.get("kind", "unknown"))
 
@@ -325,7 +327,7 @@ CHECKS = {
 
 def cmd_verify(args) -> int:
     """Run the requested checks; 'all' skips those that do not apply."""
-    art = _load_artifact(args.input)
+    art = _load_artifact(args)
     requested = tuple(CHECKS) if args.checks == "all" else tuple(args.checks.split(","))
     unknown = [c for c in requested if c not in CHECKS]
     if unknown:
@@ -412,7 +414,7 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_shelling(args) -> int:
-    art = _load_artifact(args.input)
+    art = _load_artifact(args)
     if art.config is None:
         raise AspolyError("shelling needs an artifact with point data (cyclic-asp)")
     runs = []
@@ -433,7 +435,7 @@ def cmd_shelling(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    verdict = recognize_minimizer(_load_artifact(args.input).asp)
+    verdict = recognize_minimizer(_load_artifact(args).asp)
     _emit(verdict.to_json(), args.out)
     return 0
 
@@ -478,8 +480,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run checks against an artifact")
     p.add_argument("--input", required=True)
     p.add_argument("--checks", default="all", help="comma list or 'all'")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    common(p, seed=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="grid summary of extremal f-vectors")
@@ -503,13 +504,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shelling", help="seeded line shellings of the stacked hull")
     p.add_argument("--input", required=True)
     p.add_argument("--count", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    common(p, seed=True)
     p.set_defaults(func=cmd_shelling)
 
     p = sub.add_parser("recognize", help="structural minimizer recognition")
     p.add_argument("--input", required=True)
-    p.add_argument("--out", default=None)
+    common(p)
     p.set_defaults(func=cmd_recognize)
 
     return top

@@ -212,32 +212,38 @@ def verify_shelling(
 ) -> ShellingCertificate:
     """Check the shelling condition step by step and certify the order.
 
-    At step j >= 2 every face of the new facet already present must lie in
-    an old ridge of that facet; equivalently all maximal intersections with
-    earlier facets have codimension 1.  The restriction face is the set of
-    vertices whose opposite ridge is old; it is the unique minimal new face.
+    At step j >= 2 every face of the new facet F_j already present must lie
+    in an old ridge of F_j.  The restriction face R_j is the set of vertices
+    x whose opposite ridge F_j - x is old; it is the unique minimal new face.
+    F_j & F_i lies in F_j - x exactly when x is not in F_i, so the condition
+    reads: R_j is nonempty and lies in no earlier facet.  A bitmask per
+    vertex of the earlier facets holding it tests that in O(d) per step.
     """
     seq = [frozenset(f) for f in order]
     if len(seq) != len(c.facets) or set(seq) != set(c.facets) or len(set(seq)) != len(seq):
         raise DomainError("order must list every facet exactly once")
-    size = c.dim + 1
+    old_ridges: set[frozenset[int]] = set()
+    holders: dict[int, int] = {}
     restriction: list[frozenset[int]] = []
-    hist = [0] * (size + 1)
+    hist = [0] * (c.dim + 2)
     prefix: list[tuple[int, ...]] = []
     for j, fj in enumerate(seq):
-        if j == 0:
-            rj = frozenset()
-        else:
-            inters = {fj & seq[i] for i in range(j)}
-            big = {x for x in inters if len(x) == size - 1}
-            for x in inters:
-                if not any(x <= b for b in big):
-                    raise ShellingError(
-                        j + 1,
-                        f"facet {sorted(fj)} meets earlier facets in "
-                        f"{sorted(x)}, not inside any old ridge",
-                    )
-            rj = frozenset(x for x in fj if (fj - {x}) in big)
+        ridges = [fj - {x} for x in fj]
+        rj = frozenset(x for x, r in zip(fj, ridges) if r in old_ridges)
+        if j:
+            inside = (1 << j) - 1  # earlier facets that hold all of R_j
+            for x in rj:
+                inside &= holders.get(x, 0)
+            if inside:
+                i = (inside & -inside).bit_length() - 1
+                raise ShellingError(
+                    j + 1,
+                    f"facet {sorted(fj)} meets earlier facets in "
+                    f"{sorted(fj & seq[i])}, not inside any old ridge",
+                )
+        old_ridges.update(ridges)
+        for x in fj:
+            holders[x] = holders.get(x, 0) | 1 << j
         restriction.append(rj)
         hist[len(rj)] += 1
         prefix.append(tuple(hist))

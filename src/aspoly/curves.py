@@ -33,9 +33,11 @@ class PointConfig:
                 raise ShapeError(f"point ids must be 1..n in order, got {pid} at {i}")
             if len(coords) != self.d:
                 raise ShapeError(f"point {pid} has {len(coords)} coordinates, not {self.d}")
-            if coords in seen:
+            # (numerator, denominator) pairs hash much faster than Fractions.
+            key = tuple((x.numerator, x.denominator) for x in coords)
+            if key in seen:
                 raise ShapeError(f"point {pid} duplicates an earlier point")
-            seen.add(coords)
+            seen.add(key)
 
     @property
     def n(self) -> int:

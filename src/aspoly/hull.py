@@ -10,14 +10,15 @@ sign decision is an integer comparison.  Facet hyperplanes are primitive
 integer vectors, so the facets a line crosses are ranked by integer keys
 with no rational arithmetic.  Stacking a point beyond the special facet
 builds the new boundary by the beneath-beyond theorem instead of
-enumerating the hull again, and checks every new hyperplane against all
-points.  Shelling orders are produced geometrically.  The constrained
-search shoots one line, through y symbolically perturbed toward v, and
-ranks the facets by their exact keys lexicographically; every order that
-is returned is re-checked by the independent combinatorial verifier, so
-a bug in the crossing logic cannot leak an invalid certificate.
-Key-lemma defects are read off running face counts in one pass over the
-shelling order.
+enumerating the hull again: each new hyperplane is a combination of two
+old ones, and is checked against all points.  Centroids, beyond points
+and line targets are integer homogeneous vectors.  Shelling orders are
+produced geometrically.  The constrained search shoots one line, through
+y symbolically perturbed toward v, and ranks the facets by their exact
+keys lexicographically; every order that is returned is re-checked by
+the independent combinatorial verifier, so a bug in the crossing logic
+cannot leak an invalid certificate.  Key-lemma defects are read off the
+certificate's restriction faces, O(d) per shelling step.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from .complexes import (
     SimplicialComplex,
     all_faces,
     boundary_of_ball,
-    f_vector,
     validate_asp,
     verify_shelling,
 )
 from .curves import PointConfig
-from .enumerative import ASPParams, FVector, h_from_f
+from .enumerative import ASPParams
 from .errors import (
     CapExceededError,
     DegeneracyError,
@@ -80,7 +80,7 @@ class FacetDescriptor:
 
     def eval_homogeneous(self, hom: Sequence[int]) -> int:
         """offset*hom[0] + normal.hom[1:]: the value at hom[1:]/hom[0], times hom[0]."""
-        return self.offset * hom[0] + sum(a * x for a, x in zip(self.normal, hom[1:]))
+        return self.offset * hom[0] + sum(map(operator.mul, self.normal, hom[1:]))
 
     def is_simplex(self) -> bool:
         return len(self.vertex_ids) == len(self.normal)
@@ -111,9 +111,9 @@ class ASPGeometry:
         return all(f.is_simplex() for f in self.facets)
 
     @cached_property
-    def interior_point(self) -> tuple[Fraction, ...]:
-        """Centroid of the configuration (interior by convex position), computed once."""
-        return _centroid([c for _, c in self.config.points])
+    def homogeneous(self) -> tuple[tuple[int, ...], ...]:
+        """Per point, an integer vector positively proportional to (1, x), computed once."""
+        return tuple(map(tuple, _integer_homogeneous(self.config)))
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)
@@ -139,42 +139,28 @@ def _integer_homogeneous(config: PointConfig) -> list[list[int]]:
     return [_homogeneous(coords) for _, coords in config.points]
 
 
+def _mean(hom: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
+    """An integer vector positively proportional to (1, x), x the weighted mean of the points.
+
+    Each row of hom is positively proportional to (1, point); the weights
+    are nonnegative and not all zero.
+    """
+    scale = math.lcm(*(h[0] for h in hom))
+    coef = [w * (scale // h[0]) for w, h in zip(weights, hom)]
+    return [_dot(coef, col) for col in zip(*hom)]
+
+
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(operator.mul, u, v))
 
 
-def _dots(w: Sequence[int], hom: list[list[int]]) -> list[int]:
+def _dots(w: Sequence[int], hom: Sequence[Sequence[int]]) -> list[int]:
     return [_dot(w, h) for h in hom]
 
 
 def _primitive(w: Sequence[int]) -> list[int]:
     g = math.gcd(*w)
     return [x // g for x in w]
-
-
-def _supporting_hyperplane(
-    hom: list[list[int]], subset: Sequence[int]
-) -> tuple[tuple[int, ...], frozenset[int]] | None:
-    """Primitive inward hyperplane through the points at 0-based `subset`.
-
-    The normal spans the kernel of the subset's homogeneous coordinate
-    matrix.  Returns it as (offset, *normal) with the ids of every point
-    on it, or None when the subset spans no hyperplane or points lie
-    strictly on both sides.
-    """
-    kernel = int_nullspace([hom[i] for i in subset])
-    if len(kernel) != 1:
-        return None
-    w = kernel[0]
-    dots = _dots(w, hom)
-    has_pos = any(x > 0 for x in dots)
-    has_neg = any(x < 0 for x in dots)
-    if has_pos and has_neg:
-        return None
-    if has_neg:
-        w = [-x for x in w]
-    on_ids = frozenset(i + 1 for i, x in enumerate(dots) if x == 0)
-    return tuple(_primitive(w)), on_ids
 
 
 def _rotate(
@@ -398,11 +384,6 @@ def asp_geometry(config: PointConfig, special: Iterable[int]) -> ASPGeometry:
     return geom
 
 
-def _centroid(coord_rows: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
-    n = len(coord_rows)
-    return tuple(sum(col) / n for col in zip(*coord_rows))
-
-
 def point_beyond(
     geom: ASPGeometry,
     facet: FacetDescriptor,
@@ -421,27 +402,27 @@ def point_beyond(
     facet vertex by toward_weight (must stay below 1 so the exit point
     remains in the relative interior); extra halvings then bring the
     result as close to the facet as desired, since shrinking preserves
-    all three conditions.  The returned point is checked exactly.
+    all three conditions.  The returned point is checked exactly.  The
+    centroid, the exit point and the result are integer vectors positively
+    proportional to (1, point) until the result is returned.
     """
     if facet not in geom.facets:
         raise NotAFaceError("facet descriptor does not belong to this geometry")
     if not 0 <= toward_weight < 1:
         raise DomainError("toward_weight must lie in [0, 1)")
-    b = geom.interior_point
-    exit_pt = _centroid([geom.config.coords(v) for v in sorted(facet.vertex_ids)])
+    hom = geom.homogeneous
+    hb = _mean(hom, [1] * len(hom))
+    he = _mean([hom[v - 1] for v in facet.vertex_ids], [1] * len(facet.vertex_ids))
     if toward is not None:
         if toward not in facet.vertex_ids:
             raise DomainError(f"vertex {toward} is not on the chosen facet")
-        tv = geom.config.coords(toward)
         w = toward_weight
-        exit_pt = tuple((1 - w) * a + w * c for a, c in zip(exit_pt, tv))
-    step = tuple(e - a for e, a in zip(exit_pt, b))
+        he = _mean([he, hom[toward - 1]], [w.denominator - w.numerator, w.numerator])
     others = [f for f in geom.facets if f is not facet]
-    # At exit_pt + lam*step a facet's value is E + lam*(E - B), with E and B
-    # its values at the exit point and the centroid: positive at lam = 2^-k
-    # exactly when 2^k * E > B - E.  In homogeneous form that reads
-    # 2^k * r > p below.
-    he, hb = _homogeneous(exit_pt), _homogeneous(b)
+    # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
+    # with E and B its values at the exit point and the centroid: positive
+    # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
+    # reads 2^k * r > p below.
     halvings = 0
     for f in others:
         r = f.eval_homogeneous(he) * hb[0]
@@ -453,12 +434,12 @@ def point_beyond(
             f"no beyond point within {_MAX_HALVINGS} halvings of the step; "
             "another facet hyperplane passes through or next to the exit point"
         )
-    lam = Fraction(1, 2 ** (halvings + extra_halvings))
-    y = tuple(e + lam * s for e, s in zip(exit_pt, step))
-    hy = _homogeneous(y)
+    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0].
+    up = (1 << (halvings + extra_halvings)) + 1
+    hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
     if facet.eval_homogeneous(hy) >= 0 or any(f.eval_homogeneous(hy) <= 0 for f in others):
         raise DegeneracyError("beyond point fails the beyond conditions")
-    return y
+    return tuple(Fraction(c, hy[0]) for c in hy[1:])
 
 
 def extend_config(config: PointConfig, coords: Sequence[Fraction]) -> PointConfig:
@@ -531,7 +512,8 @@ def line_shelling(
     if not geom.is_simplicial:
         raise DomainError("line shelling requires a simplicial boundary")
     cx = geom.boundary_complex()
-    hb = _homogeneous(geom.interior_point)
+    hom = geom.homogeneous
+    hb = _mean(hom, [1] * len(hom))
     lines = _LinesFrom(geom, hb)
     rng = random.Random(seed)
     last = None
@@ -571,13 +553,12 @@ def constrained_line_shelling(
         raise DomainError("y and v must be two distinct vertex ids")
     if not any({y_id, v_id} <= f.vertex_ids for f in geom.facets):
         raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
-    others = [c for pid, c in geom.config.points if pid not in (y_id, v_id)]
+    hom = geom.homogeneous
+    others = [h for pid, h in enumerate(hom, 1) if pid not in (y_id, v_id)]
     rng = random.Random(seed)
-    weights = [rng.randint(1, 1000) for _ in others]
-    total = sum(weights)
-    g = [_dot(weights, col) / total for col in zip(*others)]
-    lines = _LinesFrom(geom, _homogeneous(geom.interior_point))
-    order = lines.order(*(_homogeneous(p) for p in (coords[y_id], coords[v_id], g)))
+    g = _mean(others, [rng.randint(1, 1000) for _ in others])
+    lines = _LinesFrom(geom, _mean(hom, [1] * len(hom)))
+    order = lines.order(hom[y_id - 1], hom[v_id - 1], g)
     blocks = [0 if y_id in f else 1 if v_id in f else 2 for f in order]
     if blocks != sorted(blocks):
         raise ShellingSearchError(
@@ -615,39 +596,44 @@ def stack_over_special(
     With `toward`, y is placed near that facet vertex at geometric
     distance shrinking in 2^-closeness, which is what the constrained
     shelling search needs.  point_beyond certifies that y is beyond the
-    special facet and strictly beneath every other facet, so by the
+    special facet F and strictly beneath every other facet, so by the
     beneath-beyond theorem the new hull is simplicial and its facets are
     the old simplex facets, hyperplanes unchanged, plus the cone from y
-    over each ridge of the special facet.  No hull is enumerated: only
-    the cones' hyperplanes are computed, and each must meet the n+1
-    points exactly in its own vertices, or DegeneracyError is raised.
-    A `cap` bounds the extended point count as enumerate_facets does.
+    over each ridge of F.  No hull is enumerated and no kernel is solved:
+    a ridge of F is G & F for the one simplex facet G that meets F in d-1
+    vertices, and the cone's hyperplane is the member w_G(y)*w_F -
+    w_F(y)*w_G of the pencil through that ridge which vanishes at y, made
+    primitive.  It is >= 0 at the old points, as w_G(y) > 0 > w_F(y), and
+    each one must still meet the n+1 points exactly in its own vertices,
+    or DegeneracyError is raised.  A `cap` bounds the extended point count
+    as enumerate_facets does.
     """
-    if geom.special is None:
+    special = geom.special
+    if special is None:
         raise DomainError("geometry has no designated special facet to stack over")
     weight = Fraction(0) if toward is None else 1 - Fraction(1, 2**closeness)
-    y = point_beyond(
-        geom,
-        geom.special,
-        toward=toward,
-        toward_weight=weight,
-        extra_halvings=closeness,
-    )
+    y = point_beyond(geom, special, toward=toward, toward_weight=weight, extra_halvings=closeness)
     config = extend_config(geom.config, y)
     _check_cap(config.n, cap)
-    hom = _integer_homogeneous(config)
+    hom = [*geom.homogeneous, _homogeneous(y)]
+    wf = (special.offset, *special.normal)
+    af = _dot(wf, hom[-1])
+    kept = [f for f in geom.facets if f is not special]
     cones = []
-    for ridge in boundary_of_ball(geom.ball.ball).facets:
+    for g in kept:
+        ridge = g.vertex_ids & special.vertex_ids
+        if len(ridge) != geom.d - 1:
+            continue
+        wg = (g.offset, *g.normal)
+        w = _primitive([_dot(wg, hom[-1]) * a - af * b for a, b in zip(wf, wg)])
+        values = _dots(w, hom)
         vertex_ids = ridge | {config.n}
-        plane = _supporting_hyperplane(hom, sorted(i - 1 for i in vertex_ids))
-        if plane is None or plane[1] != vertex_ids:
+        if min(values) < 0 or frozenset(i for i, x in enumerate(values, 1) if x == 0) != vertex_ids:
             raise DegeneracyError(
                 f"cone from {config.n} over ridge {sorted(ridge)} "
                 "is not a facet of the stacked hull"
             )
-        w = plane[0]
-        cones.append(FacetDescriptor(vertex_ids, w[1:], w[0]))
-    kept = [f for f in geom.facets if f is not geom.special]
+        cones.append(FacetDescriptor(vertex_ids, tuple(w[1:]), w[0]))
     return ASPGeometry(config, _facet_order(kept + cones), None, None)
 
 
@@ -662,36 +648,29 @@ def key_shelling_defects(
     makes that link the facet's boundary sphere; F/v is the link of the
     edge yv.  A link with no faces yet has the zero h-vector.
 
-    One pass over the order keeps the faces seen so far.  The link of a
-    face u in the prefix is generated by {f - u : u <= f}, so its faces
-    are the prefix faces containing u, less u: each new face is counted
-    into every link whose face it contains, |u| sizes lower.  The cost is
-    O(m 2^d) for m facets of size d; no complex is built per step.
+    The h-vectors are read off the certificate's restriction faces.  The
+    faces of the link of u that step i adds are the G with G + u new,
+    that is G + u >= R_i; so when u <= F_i the induced order shells the
+    link with restriction face R_i - u, and h^j(lk u) gains 1 at index
+    |R_i - u|.  The cost is O(d) per step.
     """
     if y_id == v_id:
         raise DomainError("y and v must be two distinct vertex ids")
     d = cert.complex.dim + 1
     # Q, Q/v, F and F/v are the links of these faces, with these signs.
-    links = (frozenset(), frozenset({v_id}), frozenset({y_id}), frozenset({y_id, v_id}))
-    signs = (1, -1, -1, 1)
-    counts = [[0] * (d + 1 - len(u)) for u in links]
-    hs = [(0,) * (d + 1)] * len(links)
-    seen: set[frozenset[int]] = set()
+    links = (
+        (frozenset(), 1),
+        (frozenset({v_id}), -1),
+        (frozenset({y_id}), -1),
+        (frozenset({y_id, v_id}), 1),
+    )
+    row = [0] * (d + 1)
     out = []
-    for facet in cert.order:
-        for size in range(d + 1):
-            for face in map(frozenset, combinations(facet, size)):
-                if face in seen:
-                    continue
-                seen.add(face)
-                for u, c in zip(links, counts):
-                    if u <= face:
-                        c[size - len(u)] += 1
-        for i, u in enumerate(links):
-            if u <= facet:  # else the link gained no face at this step
-                h = h_from_f(FVector(d - len(u), tuple(counts[i]))).entries
-                hs[i] = h + (0,) * len(u)
-        out.append(tuple(sum(s * h[k] for s, h in zip(signs, hs)) for k in range(d + 1)))
+    for facet, restriction in zip(cert.order, cert.restriction):
+        for u, sign in links:
+            if u <= facet:
+                row[len(restriction - u)] += sign
+        out.append(tuple(row))
     return tuple(out)
 
 
@@ -726,34 +705,3 @@ def neighborliness(geom: ASPGeometry) -> int:
         else:
             break
     return best
-
-
-def simpliciality(geom: ASPGeometry) -> int:
-    """Largest k with all k-faces simplices, measured at the ridge level.
-
-    Ridges are facet-pair intersections of affine rank d-1; a ridge is a
-    simplex exactly when it has d-1 vertices.  Faces below the ridges
-    live in simplex facets or in the simplicial boundary of the special
-    facet, so the ridge level decides the answer.
-    """
-    d = geom.d
-    if geom.is_simplicial:
-        return d - 1
-    hom = _integer_homogeneous(geom.config)
-    for f1, f2 in combinations(geom.facets, 2):
-        common = f1.vertex_ids & f2.vertex_ids
-        if len(common) < d - 1:
-            continue
-        rows = [hom[i - 1] for i in sorted(common)]
-        if int_rank(rows) == d - 1 and len(common) != d - 1:
-            raise DegeneracyError(
-                "non-simplex ridge; simpliciality below d-2 is out of scope"
-            )
-    return d - 2
-
-
-def geometry_f_vector(geom: ASPGeometry) -> FVector:
-    """Face numbers of the enumerated polytope."""
-    if geom.ball is not None:
-        return geom.ball.f_polytope()
-    return f_vector(geom.boundary_complex())

@@ -1,18 +1,28 @@
-"""Earlier implementations of aspoly.complexes, kept as test oracles.
+"""Earlier implementations of aspoly.complexes and aspoly.hull, kept as test oracles.
 
 Each function here is the direct version of an indexed one in the
 library: faces counted as frozensets, ridges found by sorting the
 facets, missing simplices found by testing every ridge-plus-vertex pair,
-and a decomposition that rebuilds the ridge incidence at every split.
-The property tests check that the library gives the same results.
+a decomposition that rebuilds the ridge incidence at every split, a
+shelling check that intersects every pair of facets, key-lemma defects
+from running face counts, and hyperplanes from a kernel solve.  The
+property tests check that the library gives the same results.
 """
 
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from aspoly.complexes import SimplicialComplex, _Cell, _simplex_cell, face_key
-from aspoly.enumerative import FVector
-from aspoly.errors import DegeneracyError, DomainError, PseudomanifoldError
+from aspoly.complexes import (
+    ShellingCertificate,
+    SimplicialComplex,
+    _Cell,
+    _simplex_cell,
+    face_key,
+)
+from aspoly.enumerative import FVector, h_from_f
+from aspoly.errors import DegeneracyError, DomainError, PseudomanifoldError, ShellingError
+from aspoly.exactnum import int_nullspace
+from aspoly.hull import _dots, _primitive
 
 
 def face_set(c: SimplicialComplex) -> frozenset[frozenset[int]]:
@@ -137,3 +147,111 @@ def cell_decomposition_per_split(
 
     decompose(cells, cell_missing_by_ridge_scan(cells, d))
     return factors, edges
+
+
+def verify_shelling_pairwise(
+    c: SimplicialComplex, order: Sequence[Iterable[int]]
+) -> ShellingCertificate:
+    """verify_shelling as it intersected each facet with every earlier one.
+
+    At step j >= 2 every face of the new facet already present must lie in
+    an old ridge of that facet; equivalently all maximal intersections with
+    earlier facets have codimension 1.  The restriction face is the set of
+    vertices whose opposite ridge is old; it is the unique minimal new face.
+    """
+    seq = [frozenset(f) for f in order]
+    if len(seq) != len(c.facets) or set(seq) != set(c.facets) or len(set(seq)) != len(seq):
+        raise DomainError("order must list every facet exactly once")
+    size = c.dim + 1
+    restriction: list[frozenset[int]] = []
+    hist = [0] * (size + 1)
+    prefix: list[tuple[int, ...]] = []
+    for j, fj in enumerate(seq):
+        if j == 0:
+            rj = frozenset()
+        else:
+            inters = {fj & seq[i] for i in range(j)}
+            big = {x for x in inters if len(x) == size - 1}
+            for x in inters:
+                if not any(x <= b for b in big):
+                    raise ShellingError(
+                        j + 1,
+                        f"facet {sorted(fj)} meets earlier facets in "
+                        f"{sorted(x)}, not inside any old ridge",
+                    )
+            rj = frozenset(x for x in fj if (fj - {x}) in big)
+        restriction.append(rj)
+        hist[len(rj)] += 1
+        prefix.append(tuple(hist))
+    return ShellingCertificate(c, tuple(seq), tuple(restriction), tuple(prefix))
+
+
+def key_shelling_defects_by_face_counts(
+    cert: ShellingCertificate, y_id: int, v_id: int
+) -> tuple[tuple[int, ...], ...]:
+    """key_shelling_defects as it counted the faces of the four links.
+
+    Per-step, per-k values of (h^j(Q) - h^j(Q/v)) - (h^j(F) - h^j(F/v)).
+    h^j means the h-vector of the union of the first j facets.  The F
+    complex is read off as the link of y (its facets are the y-facets of
+    the prefix with y removed), since stacking beyond the special facet
+    makes that link the facet's boundary sphere; F/v is the link of the
+    edge yv.  A link with no faces yet has the zero h-vector.
+
+    One pass over the order keeps the faces seen so far.  The link of a
+    face u in the prefix is generated by {f - u : u <= f}, so its faces
+    are the prefix faces containing u, less u: each new face is counted
+    into every link whose face it contains, |u| sizes lower.  The cost is
+    O(m 2^d) for m facets of size d; no complex is built per step.
+    """
+    if y_id == v_id:
+        raise DomainError("y and v must be two distinct vertex ids")
+    d = cert.complex.dim + 1
+    # Q, Q/v, F and F/v are the links of these faces, with these signs.
+    links = (frozenset(), frozenset({v_id}), frozenset({y_id}), frozenset({y_id, v_id}))
+    signs = (1, -1, -1, 1)
+    counts = [[0] * (d + 1 - len(u)) for u in links]
+    hs = [(0,) * (d + 1)] * len(links)
+    seen: set[frozenset[int]] = set()
+    out = []
+    for facet in cert.order:
+        for size in range(d + 1):
+            for face in map(frozenset, combinations(facet, size)):
+                if face in seen:
+                    continue
+                seen.add(face)
+                for u, c in zip(links, counts):
+                    if u <= face:
+                        c[size - len(u)] += 1
+        for i, u in enumerate(links):
+            if u <= facet:  # else the link gained no face at this step
+                h = h_from_f(FVector(d - len(u), tuple(counts[i]))).entries
+                hs[i] = h + (0,) * len(u)
+        out.append(tuple(sum(s * h[k] for s, h in zip(signs, hs)) for k in range(d + 1)))
+    return tuple(out)
+
+
+def supporting_hyperplane(
+    hom: list[list[int]], subset: Sequence[int]
+) -> tuple[tuple[int, ...], frozenset[int]] | None:
+    """Primitive inward hyperplane through the points at 0-based `subset`.
+
+    The kernel solve stack_over_special once made per cone.  The normal
+    spans the kernel of the subset's homogeneous coordinate matrix.
+    Returns it as (offset, *normal) with the ids of every point on it, or
+    None when the subset spans no hyperplane or points lie strictly on
+    both sides.
+    """
+    kernel = int_nullspace([hom[i] for i in subset])
+    if len(kernel) != 1:
+        return None
+    w = kernel[0]
+    dots = _dots(w, hom)
+    has_pos = any(x > 0 for x in dots)
+    has_neg = any(x < 0 for x in dots)
+    if has_pos and has_neg:
+        return None
+    if has_neg:
+        w = [-x for x in w]
+    on_ids = frozenset(i + 1 for i, x in enumerate(dots) if x == 0)
+    return tuple(_primitive(w)), on_ids

@@ -528,6 +528,23 @@ class TestShellingAndRecognize:
         code, _, err = run(capsys, "recognize", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["shelling", "--count", "1"], ["recognize"]],
+        ids=["verify", "shelling", "recognize"],
+    )
+    def test_artifact_past_caps(self, capsys, tmp_path, argv):
+        # An artifact construct makes only with --unsafe-large is refused by
+        # the commands that read it unless they get the flag too.
+        path, _ = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "17", "--s", "1", "--unsafe-large",
+        )
+        code, _, err = run(capsys, *argv, "--input", str(path))
+        assert code == 2 and "exceeds caps d<=6, n<=16" in err and "--unsafe-large" in err
+        code, _, err = run(capsys, *argv, "--input", str(path), "--unsafe-large")
+        assert code == 0, err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -7,6 +7,7 @@ definitions and are frozen here.
 
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -60,6 +61,7 @@ from oracles import (
     f_vector_by_face_set,
     face_set,
     ridge_incidence,
+    verify_shelling_pairwise,
 )
 
 
@@ -202,6 +204,16 @@ class TestShelling:
             3,
             1,
         )
+
+    def test_failure_names_the_first_bad_intersection(self):
+        # {2, 4, 5} shares no ridge with the two facets before it; the
+        # message names its intersection with the first of them.
+        c = octahedron()
+        first = [{1, 3, 5}, {1, 3, 6}, {2, 4, 5}]
+        order = first + [f for f in c.sorted_facets() if f not in first]
+        with pytest.raises(ShellingError, match=r"meets earlier facets in \[5\]") as ei:
+            verify_shelling(c, order)
+        assert ei.value.step == 3
 
     def test_order_must_be_permutation(self):
         c = simplex_boundary(3)
@@ -524,6 +536,40 @@ class TestProperties:
         fv = f_vector(c)
         total = sum(fv.entries)
         assert total == sum(len(all_faces(c, k)) for k in range(-1, c.dim + 1))
+
+
+@st.composite
+def facet_orders(draw):
+    """A complex and an order of its facets: shuffled, or grown across shared ridges."""
+    c = draw(st.one_of(stacked_spheres(), cyclic_spheres(), small_pure_complexes()))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    facets = c.sorted_facets()
+    rng.shuffle(facets)
+    if draw(st.booleans()):
+        # Each next facet shares a ridge with an earlier one where it can,
+        # which gives a shelling far more often than a shuffle does.
+        order = [facets.pop()]
+        while facets:
+            near = [f for f in facets if any(len(f & g) == c.dim for g in order)]
+            pick = rng.choice(near or facets)
+            facets.remove(pick)
+            order.append(pick)
+        facets = order
+    return c, facets
+
+
+class TestShellingMatchesPairwise:
+    @settings(deadline=None, max_examples=200)
+    @given(facet_orders())
+    def test_same_certificate_or_failing_step(self, case):
+        c, order = case
+        outcomes = []
+        for check in (verify_shelling, verify_shelling_pairwise):
+            try:
+                outcomes.append(check(c, order))
+            except ShellingError as exc:
+                outcomes.append(exc.step)
+        assert outcomes[0] == outcomes[1]
 
 
 @st.composite

@@ -142,3 +142,9 @@ class TestPointConfigValidation:
         pt = (Fraction(1), Fraction(2))
         with pytest.raises(ShapeError):
             PointConfig(2, ((1, pt), (2, pt)))
+        with pytest.raises(ShapeError):
+            PointConfig(2, ((1, pt), (2, (Fraction(2, 2), Fraction(4, 2)))))
+
+    def test_equal_numerators_are_distinct_points(self):
+        pts = [(Fraction(1, k), Fraction(1, k * k)) for k in (1, 2, 3)]
+        assert PointConfig(2, tuple(enumerate(pts, start=1))).n == 3

@@ -48,14 +48,13 @@ from aspoly.hull import (
     detect_asp,
     enumerate_facets,
     extend_config,
-    geometry_f_vector,
     key_shelling_defects,
     line_shelling,
     neighborliness,
     point_beyond,
-    simpliciality,
     stack_over_special,
 )
+from oracles import key_shelling_defects_by_face_counts, supporting_hyperplane
 
 
 def config_from_coords(coords) -> PointConfig:
@@ -151,6 +150,43 @@ def homogeneous(coords):
     return [scale] + [c.numerator * (scale // c.denominator) for c in coords]
 
 
+def centroid(geom):
+    """The centroid of the configuration, interior by convex position."""
+    pts = [c for _, c in geom.config.points]
+    return tuple(sum(col) / len(pts) for col in zip(*pts))
+
+
+def simpliciality(geom) -> int:
+    """Largest k with all k-faces simplices, measured at the ridge level.
+
+    Ridges are facet-pair intersections of affine rank d-1; a ridge is a
+    simplex exactly when it has d-1 vertices.  Faces below the ridges
+    live in simplex facets or in the simplicial boundary of the special
+    facet, so the ridge level decides the answer.
+    """
+    d = geom.d
+    if geom.is_simplicial:
+        return d - 1
+    hom = geom.homogeneous
+    for f1, f2 in combinations(geom.facets, 2):
+        common = f1.vertex_ids & f2.vertex_ids
+        if len(common) < d - 1:
+            continue
+        rows = [hom[i - 1] for i in sorted(common)]
+        if int_rank(rows) == d - 1 and len(common) != d - 1:
+            raise DegeneracyError(
+                "non-simplex ridge; simpliciality below d-2 is out of scope"
+            )
+    return d - 2
+
+
+def geometry_f_vector(geom):
+    """Face numbers of the enumerated polytope."""
+    if geom.ball is not None:
+        return geom.ball.f_polytope()
+    return f_vector(geom.boundary_complex())
+
+
 def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
     """Oracle: the seeded retry search the constrained shelling once ran.
 
@@ -162,7 +198,7 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
     first line that does, or None when the retries run out.
     """
     cx = geom.boundary_complex()
-    hb = homogeneous(geom.interior_point)
+    hb = homogeneous(centroid(geom))
     values = [f.eval_homogeneous(hb) for f in geom.facets]
     lcm = math.lcm(*values)
     scales = [hb[0] * lcm // a for a in values]
@@ -704,6 +740,20 @@ class TestStackOverSpecial:
         fast = stack_over_special(geom, toward, closeness, cap=None)
         assert fast == stacked_by_enumeration(geom, toward, closeness)
 
+    @settings(deadline=None, max_examples=40)
+    @given(stacking_cases())
+    def test_cone_planes_are_kernel_planes(self, case):
+        # Each pencil plane is the primitive kernel plane through its cone's
+        # vertices, and meets the points exactly there.
+        cell, toward, closeness = case
+        geom = asp_geometry(*cell)
+        q = stack_over_special(geom, toward, closeness)
+        cones = [f for f in q.facets if q.config.n in f.vertex_ids]
+        assert len(cones) == boundary_of_ball(geom.ball.ball).n_facets
+        for f in cones:
+            plane = supporting_hyperplane(q.homogeneous, sorted(i - 1 for i in f.vertex_ids))
+            assert plane == ((f.offset, *f.normal), f.vertex_ids)
+
     def test_explicit_cap(self):
         geom = asp_geometry(4, 8, 2)
         with pytest.raises(CapExceededError):
@@ -904,7 +954,7 @@ class TestConstrainedShelling:
         target = [
             a + (b - a) / e + (c - a) / e**2 for a, b, c in zip(coords[y], coords[v], g)
         ]
-        real = _LinesFrom(q, homogeneous(q.interior_point)).order(homogeneous(target))
+        real = _LinesFrom(q, homogeneous(centroid(q))).order(homogeneous(target))
         outcomes = []
         for sd in (seed, seed + 1):
             try:
@@ -951,7 +1001,7 @@ class TestLexicographicOrder:
     def test_matches_lcm_keys_on_stacked_hulls(self, case, data):
         cell, toward, closeness = case
         q = stack_over_special(asp_geometry(*cell), toward=toward, closeness=closeness)
-        hb = homogeneous(q.interior_point)
+        hb = homogeneous(centroid(q))
         coord = st.fractions(min_value=-20, max_value=20, max_denominator=5)
         target = st.one_of(
             st.sampled_from([c for _, c in q.config.points]), st.tuples(*[coord] * q.d)
@@ -994,6 +1044,34 @@ class TestKeyShellingDefects:
         for v in range(1, d + s + 1):
             assert key_shelling_defects(cert, y, v) == defects_by_rebuild(cert, y, v)
 
+    @settings(deadline=None, max_examples=25)
+    @given(shelled_stacked_cases(), st.booleans())
+    def test_matches_face_counts(self, case, constrained):
+        # Line shellings under different seeds, constrained shellings, and
+        # their reversals: every valid order gives the face-count table.
+        (d, n, s), seed, reverse = case
+        geom = asp_geometry(d, n, s)
+        stacked = stack_over_special(geom)
+        y = n + 1
+        certs = []
+        for v in range(1, d + s + 1):
+            if constrained:
+                q = stack_over_special(geom, toward=v, closeness=40)
+                try:
+                    certs.append((v, constrained_line_shelling(q, y, v, seed)))
+                except (ShellingSearchError, DegeneracyError):
+                    continue
+            else:
+                certs.append((v, line_shelling(stacked, seed + v)))
+        for v, cert in certs:
+            if reverse:
+                cert = verify_shelling(cert.complex, list(reversed(cert.order)))
+            for a, b in [(y, v), (v, y), (y, 1 + v % (d + s))]:
+                if a != b:
+                    assert key_shelling_defects(cert, a, b) == key_shelling_defects_by_face_counts(
+                        cert, a, b
+                    )
+
     def test_empty_links_at_start(self):
         # Reversed, a constrained shelling ends with st(y) and st(v): the
         # links of y and v stay empty for the first steps.
@@ -1024,9 +1102,14 @@ class TestMeasurements:
         assert simpliciality(detect_asp(octahedron_config())) == 2
 
     def test_interior_point_is_interior(self):
-        geom = detect_asp(octahedron_config())
-        b = geom.interior_point
-        assert all(f.eval_at(b) > 0 for f in geom.facets)
+        # The integer base point of the line shellings is the centroid.
+        octahedron = detect_asp(octahedron_config())
+        stacked = stack_over_special(asp_geometry(4, 8, 2), toward=1, closeness=12)
+        for geom in (octahedron, stacked):
+            hb = hull._mean(geom.homogeneous, [1] * geom.config.n)
+            b = centroid(geom)
+            assert hb[0] > 0 and tuple(Fraction(x, hb[0]) for x in hb[1:]) == b
+            assert all(f.eval_at(b) > 0 for f in geom.facets)
 
     def test_extend_config_ids(self):
         cfg = tetrahedron_config()

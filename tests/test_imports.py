@@ -86,7 +86,7 @@ TEST_ONLY = {
     "curves": {"homogeneous_rows"},
     "enumerative": {"ubt_h_profile", "ubt_recurrence_defect"},
     "exactnum": {"det", "rank", "vandermonde"},
-    "hull": {"geometry_f_vector", "neighborliness", "simpliciality"},
+    "hull": {"neighborliness"},
     "rigidity": {"kalai_monotonicity_defect", "rigidity_matrix", "stress_dimension"},
     "stackgen": {"stacked_sphere"},
 }
