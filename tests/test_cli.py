@@ -354,6 +354,17 @@ FROZEN_VERIFY = {
 }
 
 
+# (d, s, n) of every cyclic artifact with d 3..6, s 0..3 and n from
+# d+s+1 to min(d+s+4, 16).
+CYCLIC_GRID = [
+    (d, s, n)
+    for d in range(3, 7)
+    for s in range(4)
+    for n in range(d + s + 1, min(d + s + 4, 16) + 1)
+]
+FROZEN_CYCLIC_GRID = "8f3480590ad0c703332f400d20255491b7217a685cf2246b447795adea448e82"
+
+
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -369,6 +380,20 @@ class TestFrozenOutputs:
         path, _ = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS["cyclic"])
         code, out, _ = run(capsys, "shelling", "--input", str(path), "--count", "3")
         assert (code, digest(out)) == (0, "3f3365bcedd9fc8a")
+
+    def test_cyclic_grid(self, capsys, tmp_path):
+        # verify --seed 5 and shelling --count 2 on every cyclic artifact of
+        # CYCLIC_GRID: one SHA-256 over each exit code and stdout, in order.
+        h = hashlib.sha256()
+        for d, s, n in CYCLIC_GRID:
+            path, _ = make_artifact(
+                capsys, tmp_path,
+                "construct", "cyclic-asp", "--d", str(d), "--n", str(n), "--s", str(s),
+            )
+            for argv in (("verify", "--seed", "5"), ("shelling", "--count", "2")):
+                code, out, _ = run(capsys, argv[0], "--input", str(path), *argv[1:])
+                h.update(f"{code}\n{out}".encode())
+        assert h.hexdigest() == FROZEN_CYCLIC_GRID
 
 
 class TestGaleAndFacets:
