@@ -3,7 +3,9 @@
 All payloads are JSON with sorted keys and compact separators, so a
 fixed seed and configuration produce byte-identical output.  Exit codes:
 0 all checks pass, 1 a verification check failed, 2 usage or input
-errors.
+errors.  Input errors include an artifact refused at load: a missing or
+malformed field, or, for an artifact with points, stored facets that
+disagree with its points or its complex (hull.certified_geometry).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from io import StringIO
 from .complexes import (
     ASPComplex,
     ShellingCertificate,
+    SimplicialComplex,
     boundary_of_ball,
     f_vector,
     h_from_shelling,
@@ -44,7 +47,9 @@ from .gale import (
 )
 from .hull import (
     ASPGeometry,
+    FacetDescriptor,
     asp_geometry,
+    certified_geometry,
     enumerate_facets,
     line_shelling,
     stack_over_special,
@@ -161,7 +166,8 @@ def _require(entry, keys: tuple[str, ...], where: str) -> None:
         raise AspolyError(f"artifact entry '{where}' is not a JSON object")
     for key in keys:
         if key not in entry:
-            raise AspolyError(f"artifact is missing '{where}.{key}'; rebuild it with construct")
+            name = f"{where}.{key}" if where else key
+            raise AspolyError(f"artifact is missing '{name}'; rebuild it with construct")
 
 
 def _require_list(value, where: str) -> list:
@@ -173,6 +179,14 @@ def _require_list(value, where: str) -> list:
 def _require_ids(value, where: str) -> None:
     if any(type(v) is not int for v in _require_list(value, where)):
         raise AspolyError(f"artifact field '{where}' is not a list of integer vertex ids")
+
+
+def _require_int(value, where: str) -> int:
+    """An integer written "k" or "k/1"."""
+    num, slash, den = value.partition("/") if isinstance(value, str) else ("", "/", "")
+    if den == ("1" if slash else "") and num.removeprefix("-").isdecimal():
+        return int(num)
+    raise AspolyError(f"artifact field '{where}' is not an integer: {value!r}")
 
 
 def _require_facets(value, where: str) -> None:
@@ -195,45 +209,78 @@ def _asp_from_json(entry) -> ASPComplex:
 
 
 def _points_from_json(entry, where: str) -> PointConfig:
-    """A point configuration whose coordinates are all finite rationals."""
+    """A point configuration whose coordinates are all finite rationals, each parsed once."""
     _require(entry, ("d", "points"), where)
+    points = []
     for i, point in enumerate(_require_list(entry["points"], f"{where}.points")):
         _require(point, ("id", "coords"), f"{where}.points[{i}]")
+        coords = []
         for k, x in enumerate(_require_list(point["coords"], f"{where}.points[{i}].coords")):
             try:
-                Fraction(x)
+                coords.append(Fraction(x))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise AspolyError(
                     f"artifact field '{where}.points[{i}].coords[{k}]' is not a finite "
                     f"rational: {x!r}"
                 ) from None
-    return PointConfig.from_json(entry)
+        points.append((point["id"], tuple(coords)))
+    return PointConfig(entry["d"], tuple(points))
+
+
+def _facets_from_json(data) -> list[FacetDescriptor]:
+    """The stored hull facets, with integer vertex ids, normal and offset."""
+    _require(data, ("facets",), "")
+    facets = []
+    for i, entry in enumerate(_require_list(data["facets"], "facets")):
+        at = f"facets[{i}]"
+        _require(entry, ("vertices", "normal", "offset"), at)
+        _require_ids(entry["vertices"], f"{at}.vertices")
+        normal = enumerate(_require_list(entry["normal"], f"{at}.normal"))
+        w = [_require_int(a, f"{at}.normal[{k}]") for k, a in normal]
+        offset = _require_int(entry["offset"], f"{at}.offset")
+        facets.append(FacetDescriptor(frozenset(entry["vertices"]), tuple(w), offset))
+    return facets
 
 
 @dataclass(frozen=True)
 class Artifact:
-    """A loaded artifact: its complex, its points (cyclic artifacts only) and its kind."""
+    """A loaded artifact: its complex, its certified hull (artifacts with points) and its kind."""
 
     asp: ASPComplex
-    config: PointConfig | None = None
+    geometry: ASPGeometry | None = None
     kind: str = "unknown"
+    checked_boundary: SimplicialComplex | None = None
+
+    @cached_property
+    def boundary(self) -> SimplicialComplex:
+        """The special facet's boundary complex: the one checked at load, else built once."""
+        known = self.checked_boundary
+        return boundary_of_ball(self.asp.ball) if known is None else known
 
     @cached_property
     def stacked(self) -> ASPGeometry:
         """The hull of the points with one vertex stacked beyond the special facet."""
-        return stack_over_special(asp_geometry(self.config, sorted(self.asp.special_facet)))
+        return stack_over_special(self.geometry)
 
 
 def _load_artifact(args) -> Artifact:
-    """The artifact at args.input, refused past the d/n caps unless args.unsafe_large."""
+    """The artifact at args.input, refused past the d/n caps unless args.unsafe_large.
+
+    With points, its stored facets are checked against them and against the
+    complex (hull.certified_geometry) and become the artifact's geometry.
+    """
     with open(args.input) as fh:
         data = json.load(fh)
     if "complex" not in data:
         raise AspolyError("artifact has no 'complex' entry; run construct first")
     asp = _asp_from_json(data["complex"])
     _check_caps(asp.params.d, asp.params.n, args.unsafe_large)
-    config = _points_from_json(data["points"], "points") if "points" in data else None
-    return Artifact(asp, config, data.get("kind", "unknown"))
+    kind = data.get("kind", "unknown")
+    if "points" not in data:
+        return Artifact(asp, kind=kind)
+    config = _points_from_json(data["points"], "points")
+    geometry, boundary = certified_geometry(config, asp, _facets_from_json(data))
+    return Artifact(asp, geometry, kind, boundary)
 
 
 # Every check takes an artifact and a seed and returns (pass, detail).
@@ -249,7 +296,7 @@ def check_bounds(art: Artifact, seed: int = 0) -> CheckResult:
 
 def check_ds(art: Artifact, seed: int = 0) -> CheckResult:
     h_ball = h_from_f(f_vector(art.asp.ball))
-    g_bd = g_from_h(h_from_f(f_vector(boundary_of_ball(art.asp.ball))))
+    g_bd = g_from_h(h_from_f(f_vector(art.boundary)))
     defect = dehn_sommerville_defect(h_ball, g_bd)
     return (all(x == 0 for x in defect), f"defect {list(defect)}")
 
@@ -263,30 +310,34 @@ def check_gale(art: Artifact, seed: int = 0) -> CheckResult:
 
 
 def check_ridge(art: Artifact, seed: int = 0) -> CheckResult:
-    f_facet = f_vector(boundary_of_ball(art.asp.ball))
+    f_facet = f_vector(art.boundary)
     defect = ridge_identity_defect(art.asp.f_polytope(), f_facet)
     return (defect == 0, f"defect {defect}")
 
 
-def stacking_identity(cert: ShellingCertificate, asp: ASPComplex) -> tuple[HVector, bool, bool]:
+def stacking_identity(
+    cert: ShellingCertificate, asp: ASPComplex, boundary: SimplicialComplex | None = None
+) -> tuple[HVector, bool, bool]:
     """Check a shelling of Q, the hull stacked beyond the special facet of asp.
 
     Returns h(Q) read off the shelling, whether it equals h from the
     f-vector of Q, and whether h_k(Q) = h_k(P) + h_{k-1}(F) for every k,
-    with P the ball of asp and F its boundary, the special facet's.
+    with P the ball of asp and F its boundary, the special facet's
+    (built from the ball unless given).
     """
     hq = h_from_shelling(cert)
     matches_f = hq.entries == h_from_f(f_vector(cert.complex)).entries
     hp = h_from_f(f_vector(asp.ball))
-    hf = h_from_f(f_vector(boundary_of_ball(asp.ball)))
+    hf = h_from_f(f_vector(boundary_of_ball(asp.ball) if boundary is None else boundary))
     stacks = all(hq.h(k) == hp.h(k) + hf.h(k - 1) for k in range(asp.params.d + 1))
     return hq, matches_f, stacks
 
 
 def check_shelling(art: Artifact, seed: int = 0) -> CheckResult:
-    if art.config is None:
+    if art.geometry is None:
         return (None, "shelling check needs point data in the artifact")
-    hq, matches_f, stacks = stacking_identity(line_shelling(art.stacked, seed), art.asp)
+    cert = line_shelling(art.stacked, seed)
+    hq, matches_f, stacks = stacking_identity(cert, art.asp, art.boundary)
     return (matches_f and stacks, f"h(Q)={list(hq.entries)}")
 
 
@@ -415,12 +466,12 @@ def cmd_rigidity(args) -> int:
 
 def cmd_shelling(args) -> int:
     art = _load_artifact(args)
-    if art.config is None:
+    if art.geometry is None:
         raise AspolyError("shelling needs an artifact with point data (cyclic-asp)")
     runs = []
     for seed in range(args.seed, args.seed + args.count):
         cert = line_shelling(art.stacked, seed)
-        hq, matches_f, _ = stacking_identity(cert, art.asp)
+        hq, matches_f, _ = stacking_identity(cert, art.asp, art.boundary)
         runs.append(
             {
                 "seed": seed,

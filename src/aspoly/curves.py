@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 from .enumerative import ASPParams
 from .errors import DomainError, ShapeError
-from .exactnum import Rational, format_rational, parse_rational
+from .exactnum import Rational, format_rational
 
 TailPoly = Callable[[int], Fraction]
 
@@ -54,14 +54,6 @@ class PointConfig:
                 for pid, coords in self.points
             ],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "PointConfig":
-        pts = tuple(
-            (p["id"], tuple(parse_rational(x) for x in p["coords"]))
-            for p in data["points"]
-        )
-        return PointConfig(data["d"], pts)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,6 @@ from .errors import ShapeError
 Rational = Fraction
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" or "num" into an exact rational."""
-    return Fraction(text)
-
-
 def format_rational(x: Fraction) -> str:
     """Render a rational as "num/den", always with an explicit denominator."""
     return f"{x.numerator}/{x.denominator}"

@@ -6,19 +6,23 @@ until the hyperplane meets further points, so the cost follows the
 number of facets rather than C(n, d).  A simplex facet's ridge planes
 pass to a simplex neighbour by a rank-one update, so a fraction-free
 kernel is solved only where no simplex facet hands them on, and every
-sign decision is an integer comparison.  Facet hyperplanes are primitive
-integer vectors, so the facets a line crosses are ranked by integer keys
-with no rational arithmetic.  Stacking a point beyond the special facet
-builds the new boundary by the beneath-beyond theorem instead of
-enumerating the hull again: each new hyperplane is a combination of two
-old ones, and is checked against all points.  Centroids, beyond points
-and line targets are integer homogeneous vectors.  Shelling orders are
-produced geometrically.  The constrained search shoots one line, through
-y symbolically perturbed toward v, and ranks the facets by their exact
-keys lexicographically; every order that is returned is re-checked by
-the independent combinatorial verifier, so a bug in the crossing logic
-cannot leak an invalid certificate.  Key-lemma defects are read off the
-certificate's restriction faces, O(d) per shelling step.
+sign decision is an integer comparison.  A hull that is already known,
+such as the facets an artifact stores, is checked instead of enumerated:
+each hyperplane against every point, the vertex sets against the
+complex, and completeness from the facet-ridge graph.
+Facet hyperplanes are primitive integer vectors, so the facets a line
+crosses are ranked by integer keys with no rational arithmetic.
+Stacking a point beyond the special facet builds the new boundary by
+the beneath-beyond theorem instead of enumerating the hull again: each
+new hyperplane is a combination of two old ones, and is checked against
+all points.  Centroids, beyond points and line targets are integer
+homogeneous vectors.  Shelling orders are produced geometrically.  The
+constrained search shoots one line, through y symbolically perturbed
+toward v, and ranks the facets by their exact keys lexicographically;
+every order that is returned is re-checked by the independent
+combinatorial verifier, so a bug in the crossing logic cannot leak an
+invalid certificate.  Key-lemma defects are read off the certificate's
+restriction faces, O(d) per shelling step.
 """
 
 from __future__ import annotations
@@ -114,6 +118,11 @@ class ASPGeometry:
     def homogeneous(self) -> tuple[tuple[int, ...], ...]:
         """Per point, an integer vector positively proportional to (1, x), computed once."""
         return tuple(map(tuple, _integer_homogeneous(self.config)))
+
+    @cached_property
+    def facet_keys(self) -> tuple[tuple[int, ...], ...]:
+        """Per facet, its sorted vertex ids, the key of _facet_order; computed once."""
+        return tuple(tuple(sorted(f.vertex_ids)) for f in self.facets)
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)
@@ -384,6 +393,54 @@ def asp_geometry(config: PointConfig, special: Iterable[int]) -> ASPGeometry:
     return geom
 
 
+def certified_geometry(
+    config: PointConfig, asp: ASPComplex, stored: Iterable[FacetDescriptor]
+) -> tuple[ASPGeometry, SimplicialComplex]:
+    """The hull asp_geometry would enumerate, read off stored facets once they are checked.
+
+    Each stored hyperplane must be primitive, >= 0 at every point and 0
+    exactly at its own vertices; the stored vertex sets, with no repeats,
+    must be the complex's facets; and validate_asp must hold.  So each
+    ridge of a ball facet G lies in a second stored facet H: another ball
+    facet, or the special facet F for a ridge on the ball's boundary.
+    Then G spans its hyperplane: were its points dependent, some v in G
+    would lie in the affine hull of G - v, so H's hyperplane would be 0
+    at v, making H = G or G inside F, which validate_asp rules out.  F
+    spans too: it holds a boundary ridge of some G, so were it flatter it
+    would lie on G's plane, whose only points are G's.  So every stored
+    facet is a true facet, H is the other true facet through the ridge,
+    and as the facet-ridge graph stays connected without F (Balinski), no
+    facet is missing.  No rank is computed.  Returns the geometry and
+    validate_asp's boundary; a failed test raises an AspolyError naming
+    the facet.
+    """
+    d, n = config.d, config.n
+    if (asp.params.d, asp.params.n) != (d, n):
+        raise ShapeError(f"complex has d={asp.params.d}, n={asp.params.n}; points d={d}, n={n}")
+    facets = _facet_order(stored)
+    special = next((f for f in facets if f.vertex_ids == asp.special_facet), None)
+    geom = ASPGeometry(config, facets, special, asp)
+    for f in facets:
+        name, w = sorted(f.vertex_ids), (f.offset, *f.normal)
+        if len(w) != d + 1 or math.gcd(*w) != 1:
+            raise NotAFaceError(f"facet {name}: hyperplane is not {d + 1} coprime integers")
+        values = _dots(w, geom.homogeneous)
+        if min(values) < 0:
+            low = values.index(min(values)) + 1
+            raise NotAFaceError(f"facet {name}: hyperplane is negative at point {low}")
+        zeros = [i for i, x in enumerate(values, 1) if x == 0]
+        if frozenset(zeros) != f.vertex_ids:
+            raise NotAFaceError(f"facet {name}: hyperplane is zero at points {zeros}")
+    for f, g in zip(facets, facets[1:]):
+        if f.vertex_ids == g.vertex_ids:
+            raise NotAFaceError(f"facet {sorted(f.vertex_ids)} is stored twice")
+    sets, sphere = {f.vertex_ids for f in facets}, asp.boundary_sphere_facets()
+    for odd, where in ((sets - sphere, "not in the complex"), (sphere - sets, "not stored")):
+        if odd:
+            raise NotAFaceError(f"facet {min(map(sorted, odd))} is {where}")
+    return geom, validate_asp(asp)
+
+
 def point_beyond(
     geom: ASPGeometry,
     facet: FacetDescriptor,
@@ -618,9 +675,9 @@ def stack_over_special(
     hom = [*geom.homogeneous, _homogeneous(y)]
     wf = (special.offset, *special.normal)
     af = _dot(wf, hom[-1])
-    kept = [f for f in geom.facets if f is not special]
+    kept = [(key, f) for key, f in zip(geom.facet_keys, geom.facets) if f is not special]
     cones = []
-    for g in kept:
+    for _, g in kept:
         ridge = g.vertex_ids & special.vertex_ids
         if len(ridge) != geom.d - 1:
             continue
@@ -633,8 +690,10 @@ def stack_over_special(
                 f"cone from {config.n} over ridge {sorted(ridge)} "
                 "is not a facet of the stacked hull"
             )
-        cones.append(FacetDescriptor(vertex_ids, tuple(w[1:]), w[0]))
-    return ASPGeometry(config, _facet_order(kept + cones), None, None)
+        cones.append(((*sorted(ridge), config.n), FacetDescriptor(vertex_ids, tuple(w[1:]), w[0])))
+    # kept is in _facet_order already (geom.facet_keys), and the sort merges
+    # the cones into it; vertex sets differ, so no two keys tie.
+    return ASPGeometry(config, tuple(f for _, f in sorted(kept + cones)), None, None)
 
 
 def key_shelling_defects(

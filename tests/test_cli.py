@@ -1,13 +1,24 @@
 """End-to-end command surface: artifacts, checks, tables, exit codes."""
 
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
+import tempfile
+from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aspoly import cli
 from aspoly.cli import main
+from aspoly.complexes import boundary_of_ball
+from aspoly.hull import asp_geometry
 from aspoly.rigidity import sample_generic
 
 
@@ -234,6 +245,8 @@ class TestVerify:
             (("points", "points"), "points.points"),
             (("points", "points", 3, "id"), "points.points[3].id"),
             (("points", "points", 3, "coords"), "points.points[3].coords"),
+            (("facets",), "facets"),
+            (("facets", 2, "normal"), "facets[2].normal"),
         ],
     )
     def test_missing_key_is_named(self, capsys, tmp_path, path, name):
@@ -276,8 +289,21 @@ class TestVerify:
                 "artifact field 'complex.special_facet' is not a list of integer vertex ids",
             ),
             (("complex", "d"), "4", "artifact field 'complex.d' is not an integer"),
+            (
+                ("facets", 3, "normal", 1),
+                "1/2",
+                "artifact field 'facets[3].normal[1]' is not an integer: '1/2'",
+            ),
+            (
+                ("facets", 0, "offset"),
+                7,
+                "artifact field 'facets[0].offset' is not an integer: 7",
+            ),
         ],
-        ids=["null-facets", "zero-denominator", "non-numeric", "string-id", "string-d"],
+        ids=[
+            "null-facets", "zero-denominator", "non-numeric", "string-id", "string-d",
+            "half-normal", "bare-offset",
+        ],
     )
     def test_malformed_field_is_named(self, capsys, tmp_path, path, value, message):
         _, artifact = make_artifact(
@@ -394,6 +420,116 @@ class TestFrozenOutputs:
                 code, out, _ = run(capsys, argv[0], "--input", str(path), *argv[1:])
                 h.update(f"{code}\n{out}".encode())
         assert h.hexdigest() == FROZEN_CYCLIC_GRID
+
+
+def run_quiet(*argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@lru_cache(maxsize=None)
+def constructed(*argv) -> str:
+    """The JSON text construct writes for argv, built once per argv."""
+    code, out, err = run_quiet("construct", *argv)
+    assert code == 0, err
+    return out
+
+
+# Cyclic artifacts the tampering test draws from: small, with and without
+# excess, d = 3 included.
+TAMPER_CELLS = [(3, 7, 1), (4, 8, 2), (4, 9, 0), (5, 10, 1)]
+
+
+@st.composite
+def tampered_artifacts(draw):
+    """A constructed cyclic artifact with one of its points, facets or complex corrupted."""
+    d, n, s = draw(st.sampled_from(TAMPER_CELLS))
+    params = ("--d", str(d), "--n", str(n), "--s", str(s))
+    art = json.loads(constructed("cyclic-asp", *params))
+    facets, points = art["facets"], art["points"]["points"]
+    i = draw(st.integers(0, len(facets) - 1))
+    how = draw(st.sampled_from(
+        ["normal", "double", "drop", "duplicate", "swap", "midpoint", "stacked"]
+    ))
+    if how == "normal":
+        k, step = draw(st.integers(0, d - 1)), draw(st.sampled_from([-1, 1]))
+        facets[i]["normal"][k] = f"{Fraction(facets[i]['normal'][k]) + step}/1"
+    elif how == "double":
+        facets[i]["offset"] = f"{2 * Fraction(facets[i]['offset'])}/1"
+        facets[i]["normal"] = [f"{2 * Fraction(a)}/1" for a in facets[i]["normal"]]
+    elif how == "drop":
+        del facets[i]
+    elif how == "duplicate":
+        facets.insert(draw(st.integers(0, len(facets))), copy.deepcopy(facets[i]))
+    elif how == "swap":
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        points[a]["coords"], points[b]["coords"] = points[b]["coords"], points[a]["coords"]
+    elif how == "midpoint":
+        a, b, c = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+        points[c]["coords"] = [
+            str((Fraction(x) + Fraction(y)) / 2)
+            for x, y in zip(points[a]["coords"], points[b]["coords"])
+        ]
+    else:
+        seed = str(draw(st.integers(0, 50)))
+        stacked = json.loads(constructed("stacked-asp", *params, "--seed", seed))["complex"]
+        same = {frozenset(f) for f in stacked["ball"]["facets"]} == {
+            frozenset(f) for f in art["complex"]["ball"]["facets"]
+        }
+        assume(not same)
+        art["complex"] = stacked
+    return how, art
+
+
+class TestStoredHull:
+    def test_loaded_geometry_matches_enumeration(self, capsys, tmp_path):
+        # The enumerated hull is the oracle for the certified one, field by
+        # field, and the boundary kept at load is the ball's boundary.
+        for d, s, n in CYCLIC_GRID:
+            path, _ = make_artifact(
+                capsys, tmp_path,
+                "construct", "cyclic-asp", "--d", str(d), "--n", str(n), "--s", str(s),
+            )
+            art = cli._load_artifact(SimpleNamespace(input=str(path), unsafe_large=False))
+            oracle = asp_geometry(art.geometry.config, sorted(art.asp.special_facet))
+            for field in ("config", "facets", "special", "ball"):
+                assert getattr(art.geometry, field) == getattr(oracle, field), (d, s, n, field)
+            assert art.boundary == boundary_of_ball(art.asp.ball)
+
+    def test_one_boundary_per_artifact(self, capsys, tmp_path, monkeypatch):
+        # A cyclic artifact's checks read the boundary validated at load; a
+        # stacked one's build it once, for every check that reads it.
+        built = []
+
+        def counted(ball):
+            built.append(ball)
+            return boundary_of_ball(ball)
+
+        monkeypatch.setattr(cli, "boundary_of_ball", counted)
+        for artifact, checks, count in (
+            ("cyclic", "ds,ridge,shelling", 0),
+            ("stacked", "ds,ridge", 1),
+        ):
+            path, _ = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS[artifact])
+            built.clear()
+            code, _, err = run(capsys, "verify", "--input", str(path), "--checks", checks)
+            assert code == 0, err
+            assert len(built) == count, artifact
+
+    @settings(max_examples=60, deadline=None)
+    @given(tampered_artifacts())
+    def test_tampered_artifact_is_refused_at_load(self, case):
+        how, art = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tampered.json"
+            path.write_text(json.dumps(art))
+            for command in ("verify", "shelling", "recognize"):
+                code, out, err = run_quiet(command, "--input", str(path))
+                assert (code, out) == (2, ""), (how, command, err)
+                assert err.startswith("error: ") and err.count("\n") == 1, (how, err)
 
 
 class TestGaleAndFacets:

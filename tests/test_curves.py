@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aspoly.cli import _points_from_json
 from aspoly.curves import (
     CurveSpec,
     PointConfig,
@@ -83,7 +84,7 @@ class TestAlmostCyclicPoints:
 
     def test_json_roundtrip(self):
         cfg = almost_cyclic_points(ASPParams(3, 6, 1))
-        assert PointConfig.from_json(cfg.to_json()) == cfg
+        assert _points_from_json(cfg.to_json(), "points") == cfg
 
 
 class TestGeneralCurve:

@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from aspoly import hull
 from aspoly.complexes import (
+    ASPComplex,
     SimplicialComplex,
     boundary_of_ball,
     f_vector,
@@ -43,6 +44,7 @@ from aspoly.gale import almost_cyclic_facets
 from aspoly.hull import (
     FacetDescriptor,
     _LinesFrom,
+    certified_geometry,
     constrained_line_shelling,
     designate_special,
     detect_asp,
@@ -666,6 +668,96 @@ class TestDetectASP:
             p = ASPParams(*dns)
             geom = detect_asp(almost_cyclic_points(p))
             assert geometry_f_vector(geom).entries == f_almost_cyclic(p).entries
+
+
+def scaled(f, k):
+    return replace(f, normal=tuple(k * a for a in f.normal), offset=k * f.offset)
+
+
+# Each tampering of (the ASP, the stored facets) of cyclic (4, 8, 2), with
+# the error it must raise and a fragment of its message.  fs[0] is the
+# special facet [1, ..., 6] and fs[1] the simplex facet [1, 2, 3, 8].
+REFUSALS = {
+    "scaled": (
+        lambda asp, fs: (asp, [fs[0], scaled(fs[1], 2), *fs[2:]]),
+        NotAFaceError, "facet [1, 2, 3, 8]: hyperplane is not 5 coprime integers",
+    ),
+    "long-normal": (
+        lambda asp, fs: (asp, [fs[0], replace(fs[1], normal=(*fs[1].normal, 0)), *fs[2:]]),
+        NotAFaceError, "facet [1, 2, 3, 8]: hyperplane is not 5 coprime integers",
+    ),
+    "flipped": (
+        lambda asp, fs: (asp, [fs[0], scaled(fs[1], -1), *fs[2:]]),
+        NotAFaceError, "facet [1, 2, 3, 8]: hyperplane is negative at point 7",
+    ),
+    "relabelled": (
+        lambda asp, fs: (asp, [fs[0], replace(fs[1], vertex_ids=frozenset({1, 2, 3, 7})), *fs[2:]]),
+        NotAFaceError, "facet [1, 2, 3, 7]: hyperplane is zero at points [1, 2, 3, 8]",
+    ),
+    "twice": (
+        lambda asp, fs: (asp, [*fs, fs[1]]),
+        NotAFaceError, "facet [1, 2, 3, 8] is stored twice",
+    ),
+    "dropped": (
+        lambda asp, fs: (asp, [fs[0], *fs[2:]]),
+        NotAFaceError, "facet [1, 2, 3, 8] is not stored",
+    ),
+    "not-in-complex": (
+        lambda asp, fs: (
+            replace(asp, ball=SimplicialComplex.from_facets(asp.ball.facets - {fs[1].vertex_ids})),
+            fs,
+        ),
+        NotAFaceError, "facet [1, 2, 3, 8] is not in the complex",
+    ),
+    "other-n": (
+        lambda asp, fs: (replace(asp, params=ASPParams(4, 9, 2)), fs),
+        ShapeError, "complex has d=4, n=9; points d=4, n=8",
+    ),
+    "invalid-asp": (
+        lambda asp, fs: (replace(asp, params=ASPParams(4, 8, 3)), fs),
+        ShapeError, "special facet has 6 vertices, expected 7",
+    ),
+}
+
+
+class TestCertifiedGeometry:
+    @pytest.mark.parametrize("dns", [(3, 7, 1), (4, 7, 0), (4, 8, 2), (5, 10, 3), (6, 12, 1)])
+    def test_equals_the_enumerated_hull_in_any_stored_order(self, dns):
+        geom = asp_geometry(*dns)
+        stored = list(geom.facets)
+        random.Random(sum(dns)).shuffle(stored)
+        certified, boundary = certified_geometry(geom.config, geom.ball, stored)
+        assert certified == geom
+        assert boundary == boundary_of_ball(geom.ball.ball)
+
+    def test_triangulated_second_nonsimplex_facet_is_refused(self):
+        # A triangular prism with its quad y = 0 as the special facet: the
+        # complex triangulates the other two quads, and each triangle is
+        # stored with its quad's hyperplane, which is zero at a fourth point.
+        # Every other test passes.
+        config = config_from_coords(
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
+        )
+        ball = [{1, 2, 3}, {4, 5, 6}, {1, 3, 6}, {1, 4, 6}, {2, 3, 6}, {2, 5, 6}]
+        special = frozenset({1, 2, 4, 5})
+        asp = ASPComplex(ASPParams(3, 6, 1), SimplicialComplex.from_facets(ball), special)
+        planes = enumerate_facets(config)
+        stored = [
+            replace(next(f for f in planes if f.vertex_ids >= g), vertex_ids=frozenset(g))
+            for g in [*ball, special]
+        ]
+        with pytest.raises(NotAFaceError, match=r"facet \[1, 3, 6\]: hyperplane is zero at "
+                           r"points \[1, 3, 4, 6\]"):
+            certified_geometry(config, asp, stored)
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refusal_names_the_facet_and_the_test(self, name):
+        tamper, error, fragment = REFUSALS[name]
+        geom = asp_geometry(4, 8, 2)
+        asp, stored = tamper(geom.ball, list(geom.facets))
+        with pytest.raises(error) as exc:
+            certified_geometry(geom.config, asp, stored)
+        assert fragment in str(exc.value)
 
 
 class TestPointBeyond:
