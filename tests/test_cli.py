@@ -390,6 +390,13 @@ CYCLIC_GRID = [
 ]
 FROZEN_CYCLIC_GRID = "8f3480590ad0c703332f400d20255491b7217a685cf2246b447795adea448e82"
 
+# The same (d, s, n) cells as stacked artifacts, the style alternating
+# from cell to cell and the construction seed the cell's index.
+STACKED_GRID = [
+    (d, s, n, ("stack", "hstack")[i % 2], i) for i, (d, s, n) in enumerate(CYCLIC_GRID)
+]
+FROZEN_STACKED_GRID = "65c6172daf1cceaf00a4aa2eb42923d1754bb7e00d2989968d068e008c64f373"
+
 
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -420,6 +427,22 @@ class TestFrozenOutputs:
                 code, out, _ = run(capsys, argv[0], "--input", str(path), *argv[1:])
                 h.update(f"{code}\n{out}".encode())
         assert h.hexdigest() == FROZEN_CYCLIC_GRID
+
+    def test_stacked_grid(self, capsys, tmp_path):
+        # verify --seed 5, recognize and rigidity report on every stacked
+        # artifact of STACKED_GRID: one SHA-256 over each exit code and
+        # stdout, in order.  recognize refuses d = 3 with exit 2.
+        h = hashlib.sha256()
+        for d, s, n, style, seed in STACKED_GRID:
+            path, _ = make_artifact(
+                capsys, tmp_path,
+                "construct", "stacked-asp", "--d", str(d), "--n", str(n), "--s", str(s),
+                "--style", style, "--seed", str(seed),
+            )
+            for argv in (("verify", "--seed", "5"), ("recognize",), ("rigidity", "report")):
+                code, out, _ = run(capsys, *argv, "--input", str(path))
+                h.update(f"{code}\n{out}".encode())
+        assert h.hexdigest() == FROZEN_STACKED_GRID
 
 
 def run_quiet(*argv):
