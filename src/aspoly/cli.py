@@ -4,8 +4,10 @@ All payloads are JSON with sorted keys and compact separators, so a
 fixed seed and configuration produce byte-identical output.  Exit codes:
 0 all checks pass, 1 a verification check failed, 2 usage or input
 errors.  Input errors include an artifact refused at load: a missing or
-malformed field, or, for an artifact with points, stored facets that
-disagree with its points or its complex (hull.certified_geometry).
+malformed field, a complex that fails validate_asp (any artifact's
+complex is checked when it is loaded, once), or, for an artifact with
+points, stored facets that disagree with its points or its complex
+(hull.certified_geometry).
 """
 
 from __future__ import annotations
@@ -15,17 +17,10 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from io import StringIO
 
-from .complexes import (
-    ASPComplex,
-    ShellingCertificate,
-    SimplicialComplex,
-    boundary_of_ball,
-    f_vector,
-    h_from_shelling,
-)
+from .complexes import ASPComplex, ShellingCertificate, f_vector, h_from_shelling
 from .curves import PointConfig, almost_cyclic_points
 from .enumerative import (
     ASPParams,
@@ -249,13 +244,6 @@ class Artifact:
     asp: ASPComplex
     geometry: ASPGeometry | None = None
     kind: str = "unknown"
-    checked_boundary: SimplicialComplex | None = None
-
-    @cached_property
-    def boundary(self) -> SimplicialComplex:
-        """The special facet's boundary complex: the one checked at load, else built once."""
-        known = self.checked_boundary
-        return boundary_of_ball(self.asp.ball) if known is None else known
 
     @cached_property
     def stacked(self) -> ASPGeometry:
@@ -266,8 +254,10 @@ class Artifact:
 def _load_artifact(args) -> Artifact:
     """The artifact at args.input, refused past the d/n caps unless args.unsafe_large.
 
-    With points, its stored facets are checked against them and against the
-    complex (hull.certified_geometry) and become the artifact's geometry.
+    Its complex is validated (validate_asp, through special_boundary).  With
+    points, its stored facets are first checked against them and against
+    the complex (hull.certified_geometry, which validates last) and become
+    the artifact's geometry.
     """
     with open(args.input) as fh:
         data = json.load(fh)
@@ -277,10 +267,10 @@ def _load_artifact(args) -> Artifact:
     _check_caps(asp.params.d, asp.params.n, args.unsafe_large)
     kind = data.get("kind", "unknown")
     if "points" not in data:
+        asp.special_boundary  # validate_asp
         return Artifact(asp, kind=kind)
     config = _points_from_json(data["points"], "points")
-    geometry, boundary = certified_geometry(config, asp, _facets_from_json(data))
-    return Artifact(asp, geometry, kind, boundary)
+    return Artifact(asp, certified_geometry(config, asp, _facets_from_json(data)), kind)
 
 
 # Every check takes an artifact and a seed and returns (pass, detail).
@@ -296,7 +286,7 @@ def check_bounds(art: Artifact, seed: int = 0) -> CheckResult:
 
 def check_ds(art: Artifact, seed: int = 0) -> CheckResult:
     h_ball = h_from_f(f_vector(art.asp.ball))
-    g_bd = g_from_h(h_from_f(f_vector(art.boundary)))
+    g_bd = g_from_h(h_from_f(f_vector(art.asp.special_boundary)))
     defect = dehn_sommerville_defect(h_ball, g_bd)
     return (all(x == 0 for x in defect), f"defect {list(defect)}")
 
@@ -310,25 +300,22 @@ def check_gale(art: Artifact, seed: int = 0) -> CheckResult:
 
 
 def check_ridge(art: Artifact, seed: int = 0) -> CheckResult:
-    f_facet = f_vector(art.boundary)
+    f_facet = f_vector(art.asp.special_boundary)
     defect = ridge_identity_defect(art.asp.f_polytope(), f_facet)
     return (defect == 0, f"defect {defect}")
 
 
-def stacking_identity(
-    cert: ShellingCertificate, asp: ASPComplex, boundary: SimplicialComplex | None = None
-) -> tuple[HVector, bool, bool]:
+def stacking_identity(cert: ShellingCertificate, asp: ASPComplex) -> tuple[HVector, bool, bool]:
     """Check a shelling of Q, the hull stacked beyond the special facet of asp.
 
     Returns h(Q) read off the shelling, whether it equals h from the
     f-vector of Q, and whether h_k(Q) = h_k(P) + h_{k-1}(F) for every k,
-    with P the ball of asp and F its boundary, the special facet's
-    (built from the ball unless given).
+    with P the ball of asp and F its boundary, the special facet's.
     """
     hq = h_from_shelling(cert)
     matches_f = hq.entries == h_from_f(f_vector(cert.complex)).entries
     hp = h_from_f(f_vector(asp.ball))
-    hf = h_from_f(f_vector(boundary_of_ball(asp.ball) if boundary is None else boundary))
+    hf = h_from_f(f_vector(asp.special_boundary))
     stacks = all(hq.h(k) == hp.h(k) + hf.h(k - 1) for k in range(asp.params.d + 1))
     return hq, matches_f, stacks
 
@@ -337,7 +324,7 @@ def check_shelling(art: Artifact, seed: int = 0) -> CheckResult:
     if art.geometry is None:
         return (None, "shelling check needs point data in the artifact")
     cert = line_shelling(art.stacked, seed)
-    hq, matches_f, stacks = stacking_identity(cert, art.asp, art.boundary)
+    hq, matches_f, stacks = stacking_identity(cert, art.asp)
     return (matches_f and stacks, f"h(Q)={list(hq.entries)}")
 
 
@@ -452,6 +439,7 @@ def cmd_rigidity(args) -> int:
         data = json.load(fh)
     if "complex" in data:
         asp = _asp_from_json(data["complex"])
+        asp.special_boundary  # validate_asp
         graph = one_skeleton(asp.ball)
         dim = args.dim or asp.params.d
     else:
@@ -471,7 +459,7 @@ def cmd_shelling(args) -> int:
     runs = []
     for seed in range(args.seed, args.seed + args.count):
         cert = line_shelling(art.stacked, seed)
-        hq, matches_f, _ = stacking_identity(cert, art.asp, art.boundary)
+        hq, matches_f, _ = stacking_identity(cert, art.asp)
         runs.append(
             {
                 "seed": seed,
@@ -491,7 +479,9 @@ def cmd_recognize(args) -> int:
     return 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     top = argparse.ArgumentParser(
         prog="aspoly",
         description="Construct and verify almost simplicial polytopes.",

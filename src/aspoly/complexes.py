@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -198,13 +198,6 @@ class ShellingCertificate:
     order: tuple[frozenset[int], ...]
     restriction: tuple[frozenset[int], ...]
     prefix_h: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "order": [sorted(f) for f in self.order],
-            "restriction": [sorted(f) for f in self.restriction],
-            "prefix_h": [list(row) for row in self.prefix_h],
-        }
 
 
 def verify_shelling(
@@ -483,13 +476,23 @@ class ASPComplex:
     ``ball`` is the boundary complex with the special facet removed;
     ``special_facet`` is that facet's vertex set (d+s vertices).  When the
     instance came from a stacking construction, ``f_triangulation`` carries
-    the triangulation of the special facet for later refinement.
+    the triangulation of the special facet for later refinement.  Every
+    reader of the special facet's boundary takes ``special_boundary``, so
+    each instance is validated once.
     """
 
     params: ASPParams
     ball: SimplicialComplex
     special_facet: frozenset[int]
     f_triangulation: SimplicialComplex | None = None
+
+    @cached_property
+    def special_boundary(self) -> SimplicialComplex:
+        """The special facet's boundary complex: validate_asp's result, computed once.
+
+        A failed check raises and caches nothing.
+        """
+        return validate_asp(self)
 
     def boundary_sphere_facets(self) -> frozenset[frozenset[int]]:
         return self.ball.facets | {self.special_facet}
@@ -565,8 +568,7 @@ def refine_by_triangulation(
     asp: ASPComplex, tri_f: SimplicialComplex
 ) -> SimplicialComplex:
     """Replace the special facet by a triangulation, producing a simplicial sphere."""
-    bd = boundary_of_ball(asp.ball)
-    _check_fills_boundary(tri_f, asp.special_facet, bd)
+    _check_fills_boundary(tri_f, asp.special_facet, asp.special_boundary)
     if tri_f.dim != asp.ball.dim:
         raise RefinementError(
             f"triangulation dimension {tri_f.dim} != ball dimension {asp.ball.dim}"

@@ -65,9 +65,6 @@ class FVector:
             raise ShapeError(f"f_{k} undefined for d={self.d}")
         return self.entries[k + 1]
 
-    def to_list(self) -> list[int]:
-        return list(self.entries)
-
 
 @dataclass(frozen=True)
 class HVector:
@@ -88,9 +85,6 @@ class HVector:
             return self.entries[k]
         return 0
 
-    def to_list(self) -> list[int]:
-        return list(self.entries)
-
 
 @dataclass(frozen=True)
 class GVector:
@@ -102,9 +96,6 @@ class GVector:
         if 0 <= k < len(self.entries):
             return self.entries[k]
         return 0
-
-    def to_list(self) -> list[int]:
-        return list(self.entries)
 
 
 def h_from_f(f: FVector) -> HVector:
@@ -256,25 +247,6 @@ class BoundsReport:
     @property
     def all_equal_lower(self) -> bool:
         return all(v.equal_lower for v in self.verdicts)
-
-    def to_json(self) -> dict:
-        return {
-            "params": {"d": self.params.d, "n": self.params.n, "s": self.params.s},
-            "f_lower": self.f_lower.to_list(),
-            "f_subject": self.f_subject.to_list(),
-            "f_upper": self.f_upper.to_list(),
-            "verdicts": [
-                {
-                    "index": v.index,
-                    "lower_ok": v.lower_ok,
-                    "upper_ok": v.upper_ok,
-                    "equal_lower": v.equal_lower,
-                    "equal_upper": v.equal_upper,
-                }
-                for v in self.verdicts
-            ],
-            "all_ok": self.all_ok,
-        }
 
 
 def check_asp_bounds(f_subject: FVector, p: ASPParams) -> BoundsReport:

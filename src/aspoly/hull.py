@@ -41,8 +41,6 @@ from .complexes import (
     ShellingCertificate,
     SimplicialComplex,
     all_faces,
-    boundary_of_ball,
-    validate_asp,
     verify_shelling,
 )
 from .curves import PointConfig
@@ -351,8 +349,7 @@ def detect_asp(
     special via designate_special.
     """
     facets = enumerate_facets(config, cap)
-    d, n = config.d, config.n
-    big = [f for f in facets if len(f.vertex_ids) > d]
+    big = [f for f in facets if len(f.vertex_ids) > config.d]
     if len(big) > 1:
         raise NotASPError(
             f"{len(big)} non-simplex facets: "
@@ -360,29 +357,25 @@ def detect_asp(
         )
     if not big:
         return ASPGeometry(config, facets, None, None)
-    special = big[0]
-    s = len(special.vertex_ids) - d
-    ball = SimplicialComplex.from_facets(
-        f.vertex_ids for f in facets if f is not special
-    )
-    asp = ASPComplex(ASPParams(d, n, s), ball, special.vertex_ids)
-    validate_asp(asp)
-    return ASPGeometry(config, facets, special, asp)
+    return _with_special(config, facets, big[0])
 
 
 def designate_special(geom: ASPGeometry, vertex_ids: Iterable[int]) -> ASPGeometry:
     """Pick a facet of a simplicial geometry to play the special role (s=0)."""
     if geom.special is not None:
         raise DomainError("geometry already has a non-simplex facet")
-    chosen = geom.facet_by_vertices(vertex_ids)
-    ball = SimplicialComplex.from_facets(
-        f.vertex_ids for f in geom.facets if f is not chosen
-    )
-    asp = ASPComplex(
-        ASPParams(geom.d, geom.config.n, 0), ball, chosen.vertex_ids
-    )
-    validate_asp(asp)
-    return ASPGeometry(geom.config, geom.facets, chosen, asp)
+    return _with_special(geom.config, geom.facets, geom.facet_by_vertices(vertex_ids))
+
+
+def _with_special(
+    config: PointConfig, facets: tuple[FacetDescriptor, ...], special: FacetDescriptor
+) -> ASPGeometry:
+    """The hull with `special` as its special facet and the other facets as its ball, checked."""
+    d = config.d
+    ball = SimplicialComplex.from_facets(f.vertex_ids for f in facets if f is not special)
+    asp = ASPComplex(ASPParams(d, config.n, len(special.vertex_ids) - d), ball, special.vertex_ids)
+    asp.special_boundary  # validate_asp
+    return ASPGeometry(config, facets, special, asp)
 
 
 def asp_geometry(config: PointConfig, special: Iterable[int]) -> ASPGeometry:
@@ -395,7 +388,7 @@ def asp_geometry(config: PointConfig, special: Iterable[int]) -> ASPGeometry:
 
 def certified_geometry(
     config: PointConfig, asp: ASPComplex, stored: Iterable[FacetDescriptor]
-) -> tuple[ASPGeometry, SimplicialComplex]:
+) -> ASPGeometry:
     """The hull asp_geometry would enumerate, read off stored facets once they are checked.
 
     Each stored hyperplane must be primitive, >= 0 at every point and 0
@@ -410,9 +403,9 @@ def certified_geometry(
     would lie on G's plane, whose only points are G's.  So every stored
     facet is a true facet, H is the other true facet through the ridge,
     and as the facet-ridge graph stays connected without F (Balinski), no
-    facet is missing.  No rank is computed.  Returns the geometry and
-    validate_asp's boundary; a failed test raises an AspolyError naming
-    the facet.
+    facet is missing.  No rank is computed.  validate_asp runs last, as
+    asp.special_boundary; a failed test raises an AspolyError naming the
+    facet.
     """
     d, n = config.d, config.n
     if (asp.params.d, asp.params.n) != (d, n):
@@ -438,7 +431,8 @@ def certified_geometry(
     for odd, where in ((sets - sphere, "not in the complex"), (sphere - sets, "not stored")):
         if odd:
             raise NotAFaceError(f"facet {min(map(sorted, odd))} is {where}")
-    return geom, validate_asp(asp)
+    asp.special_boundary  # validate_asp
+    return geom
 
 
 def point_beyond(
@@ -745,7 +739,7 @@ def neighborliness(geom: ASPGeometry) -> int:
     special_set = None
     if geom.special is not None and geom.ball is not None:
         special_set = geom.special.vertex_ids
-        bd = boundary_of_ball(geom.ball.ball)
+        bd = geom.ball.special_boundary
         special_faces = frozenset().union(
             *(all_faces(bd, k) for k in range(-1, bd.dim + 1))
         )

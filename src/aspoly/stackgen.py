@@ -24,7 +24,6 @@ from .complexes import (
     face_key,
     prime_decomposition,
     simplex_join,
-    validate_asp,
 )
 from .enumerative import ASPParams
 from .errors import (
@@ -51,31 +50,10 @@ class Move:
         if self.kind not in ("stack", "hstack"):
             raise DomainError(f"unknown move kind {self.kind!r}")
 
-    def to_json(self) -> dict:
-        sel = (
-            {"facet_index": self.selector}
-            if isinstance(self.selector, int)
-            else {"facet": sorted(self.selector)}
-        )
-        return {"kind": self.kind, **sel}
-
-    @staticmethod
-    def from_json(data: dict) -> "Move":
-        if "facet_index" in data:
-            return Move(data["kind"], data["facet_index"])
-        return Move(data["kind"], tuple(data["facet"]))
-
 
 @dataclass(frozen=True)
 class StackingScript:
     moves: tuple[Move, ...]
-
-    def to_json(self) -> list:
-        return [m.to_json() for m in self.moves]
-
-    @staticmethod
-    def from_json(data: list) -> "StackingScript":
-        return StackingScript(tuple(Move.from_json(m) for m in data))
 
 
 def _resolve(selector: int | tuple[int, ...], facets: Iterable[frozenset[int]]):
@@ -146,7 +124,8 @@ def almost_stacked(
     script_f drives the stacked (d-2)-sphere bounding the special facet F
     on ids 1..d+s (s moves); the pyramid apex is d+s+1; script_p then
     stacks n-d-s-1 times over ball facets.  F's stacked triangulation is
-    carried on the result for later refinement.
+    carried on the result for later refinement.  The result is validated
+    (its special_boundary is read).
     """
     d, n, s = p.d, p.n, p.s
     f_boundary, f_solids = _stacked_sphere_with_solids(d - 1, d + s, script_f)
@@ -163,7 +142,7 @@ def almost_stacked(
         raise ShapeError(
             f"script length mismatch: built {asp.params}, requested {p}"
         )
-    validate_asp(asp)
+    asp.special_boundary  # validate_asp
     return asp
 
 
@@ -246,7 +225,7 @@ def random_scripts(p: ASPParams, seed: int) -> tuple[StackingScript, StackingScr
 
 
 def random_minimizer(p: ASPParams, seed: int, style: str = "stack") -> ASPComplex:
-    """Seeded minimizer instance, by scripts ('stack') or h-stacking ('hstack')."""
+    """Seeded minimizer instance, by scripts ('stack') or h-stacking ('hstack'), validated."""
     if style == "stack":
         sf, sp = random_scripts(p, seed)
         return almost_stacked(p, sf, sp)
@@ -265,7 +244,7 @@ def random_minimizer(p: ASPParams, seed: int, style: str = "stack") -> ASPComple
         else:
             asp = h_stack(asp, rng.randrange(f_count))
             f_count += d - 2
-    validate_asp(asp)
+    asp.special_boundary  # validate_asp
     return asp
 
 
@@ -325,12 +304,9 @@ def _classify_factor(
     return FactorReport(tuple(sorted(verts)), is_simplex, has_facet_in_f, pyramid)
 
 
-def _refined_cells(asp: ASPComplex, boundary: SimplicialComplex) -> list[_Cell]:
-    """Boundary cells: the special facet's prime factors, then the ball facets.
-
-    `boundary` is the ball's boundary, the special facet's boundary complex.
-    """
-    f_factors = prime_decomposition(boundary).factors
+def _refined_cells(asp: ASPComplex) -> list[_Cell]:
+    """Boundary cells: the special facet's prime factors, then the ball facets."""
+    f_factors = prime_decomposition(asp.special_boundary).factors
     cells = [_Cell(frozenset(s.vertex_ids), s.facets, True) for s in f_factors]
     cells.extend(_simplex_cell(b) for b in asp.ball.facets)
     return cells
@@ -346,14 +322,16 @@ def recognize_minimizer(asp: ASPComplex) -> MinimizerVerdict:
     with no cell inside the special facet, or a pyramid over one of the
     facet's prime factors (any valid apex accepted).  d = 3 is rejected:
     there every instance has the minimal f-vector and the structural
-    test carries no information.
+    test carries no information.  The special facet's boundary is
+    asp.special_boundary, so an instance validated before is not
+    validated again.
     """
     d = asp.params.d
     if d == 3:
         raise UnsupportedRegimeError(
             "every 3-dimensional instance is a minimizer; nothing to recognize"
         )
-    factors, _ = _cell_decomposition(_refined_cells(asp, validate_asp(asp)), d)
+    factors, _ = _cell_decomposition(_refined_cells(asp), d)
     regime = "d4" if d == 4 else "dGT4"
 
     def factor_key(factor: tuple[_Cell, ...]):

@@ -15,9 +15,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aspoly import cli
+from aspoly import cli, complexes
 from aspoly.cli import main
-from aspoly.complexes import boundary_of_ball
+from aspoly.complexes import SimplicialComplex, boundary_of_ball, validate_asp
+from aspoly.errors import AspolyError
 from aspoly.hull import asp_geometry
 from aspoly.rigidity import sample_generic
 
@@ -122,17 +123,23 @@ class TestVerify:
         assert json.loads(out)["all_pass"]
 
     def test_injected_bounds_violation_fails(self, capsys, tmp_path):
+        # Dropping a ball facet breaks the complex, so the artifact is
+        # refused at load; built in process (Artifact does not validate),
+        # the same complex fails the bounds check.
         path, data = make_artifact(
             capsys, tmp_path,
             "construct", "stacked-asp", "--d", "4", "--n", "8", "--s", "2",
         )
         data["complex"]["ball"]["facets"] = data["complex"]["ball"]["facets"][1:]
         path.write_text(json.dumps(data))
-        code, out, _ = run(capsys, "verify", "--input", str(path), "--checks", "bounds")
-        assert code == 1
-        report = json.loads(out)
-        assert not report["checks"]["bounds"]["pass"]
-        assert "indices" in report["checks"]["bounds"]["detail"]
+        code, out, err = run(capsys, "verify", "--input", str(path), "--checks", "bounds")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: boundary of the ball is not the induced complex on the special facet\n"
+        )
+        ok, detail = cli.check_bounds(cli.Artifact(cli._asp_from_json(data["complex"])))
+        assert not ok
+        assert "violations at indices" in detail
 
     def test_subset_of_checks(self, capsys, tmp_path):
         path, _ = make_artifact(
@@ -446,10 +453,16 @@ class TestFrozenOutputs:
 
 
 def run_quiet(*argv):
-    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr).
+
+    argparse's own exit (a usage error, --help) counts as the exit code.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -520,27 +533,30 @@ class TestStoredHull:
             oracle = asp_geometry(art.geometry.config, sorted(art.asp.special_facet))
             for field in ("config", "facets", "special", "ball"):
                 assert getattr(art.geometry, field) == getattr(oracle, field), (d, s, n, field)
-            assert art.boundary == boundary_of_ball(art.asp.ball)
+            assert art.asp.special_boundary == boundary_of_ball(art.asp.ball)
 
     def test_one_boundary_per_artifact(self, capsys, tmp_path, monkeypatch):
-        # A cyclic artifact's checks read the boundary validated at load; a
-        # stacked one's build it once, for every check that reads it.
+        # Validating the complex at load builds the ball's boundary once, and
+        # every check reads that one (ASPComplex.special_boundary).
         built = []
 
-        def counted(ball):
-            built.append(ball)
-            return boundary_of_ball(ball)
+        def counted(complex_):
+            built.append(complex_)
+            return boundary_of_ball(complex_)
 
-        monkeypatch.setattr(cli, "boundary_of_ball", counted)
-        for artifact, checks, count in (
-            ("cyclic", "ds,ridge,shelling", 0),
-            ("stacked", "ds,ridge", 1),
+        monkeypatch.setattr(complexes, "boundary_of_ball", counted)
+        for artifact, checks in (
+            ("cyclic", "all"),
+            ("cyclic", "ds,ridge,shelling"),
+            ("stacked", "all"),
+            ("stacked", "ds,ridge"),
         ):
-            path, _ = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS[artifact])
+            path, data = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS[artifact])
+            ball = SimplicialComplex.from_json(data["complex"]["ball"])
             built.clear()
             code, _, err = run(capsys, "verify", "--input", str(path), "--checks", checks)
             assert code == 0, err
-            assert len(built) == count, artifact
+            assert built.count(ball) == 1, (artifact, checks)
 
     @settings(max_examples=60, deadline=None)
     @given(tampered_artifacts())
@@ -553,6 +569,134 @@ class TestStoredHull:
                 code, out, err = run_quiet(command, "--input", str(path))
                 assert (code, out) == (2, ""), (how, command, err)
                 assert err.startswith("error: ") and err.count("\n") == 1, (how, err)
+
+
+# The defects reproduced on the stacked (4, 8, 2) seed-7 artifact, each
+# with the message validate_asp refuses it with.
+STACKED_DEFECTS = {
+    "ball facet dropped": (
+        lambda c: c["ball"]["facets"].pop(0),
+        "boundary of the ball is not the induced complex on the special facet",
+    ),
+    "special facet cut to 5 vertices": (
+        lambda c: c["special_facet"].pop(),
+        "special facet has 5 vertices, expected 6",
+    ),
+    "triangulation facet dropped": (
+        lambda c: c["f_triangulation"]["facets"].pop(0),
+        "triangulation boundary does not match the facet boundary",
+    ),
+}
+
+# Commands that load a stacked artifact's complex.
+LOADERS = (
+    ("verify", "--checks", "bounds"),
+    ("verify", "--checks", "ds,ridge"),
+    ("verify", "--checks", "all"),
+    ("recognize",),
+    ("rigidity",),
+)
+
+# Stacked artifacts the tampering test draws from; d >= 4, so recognize
+# applies to every valid complex.
+STACKED_TAMPER_CELLS = [(4, 8, 2), (4, 9, 0), (5, 9, 1), (5, 10, 2)]
+
+
+@st.composite
+def tampered_stacked_artifacts(draw):
+    """A constructed stacked artifact with its complex changed in one place."""
+    d, n, s = draw(st.sampled_from(STACKED_TAMPER_CELLS))
+    style, seed = draw(st.sampled_from(["stack", "hstack"])), draw(st.integers(0, 20))
+    art = json.loads(constructed(
+        "stacked-asp", "--d", str(d), "--n", str(n), "--s", str(s),
+        "--style", style, "--seed", str(seed),
+    ))
+    c = art["complex"]
+    facets, special = c["ball"]["facets"], c["special_facet"]
+    how = draw(st.sampled_from(
+        ["drop", "add", "vertex", "shrink", "grow", "s", "n", "triangulation"]
+    ))
+    if how == "drop":
+        del facets[draw(st.integers(0, len(facets) - 1))]
+    elif how == "add":
+        facets.append(draw(st.lists(st.integers(1, n), min_size=d, max_size=d, unique=True)))
+    elif how == "vertex":
+        facets[draw(st.integers(0, len(facets) - 1))][draw(st.integers(0, d - 1))] = draw(
+            st.integers(1, n + 1)
+        )
+    elif how == "shrink":
+        del special[draw(st.integers(0, len(special) - 1))]
+    elif how == "grow":
+        special.append(draw(st.integers(1, n + 1)))
+    elif how in ("s", "n"):
+        c[how] += draw(st.sampled_from([-1, 1]))
+    else:
+        tri = c["f_triangulation"]["facets"]
+        del tri[draw(st.integers(0, len(tri) - 1))]
+    return how, art
+
+
+def invalid_in_process(entry) -> bool:
+    """Whether building the complex and validating it raises."""
+    try:
+        validate_asp(cli._asp_from_json(entry))
+    except (AspolyError, ValueError):  # what main turns into exit 2
+        return True
+    return False
+
+
+class TestStackedArtifactLoad:
+    @pytest.mark.parametrize("defect", sorted(STACKED_DEFECTS))
+    def test_reproduced_defect_is_refused_at_load(self, tmp_path, defect):
+        tamper, message = STACKED_DEFECTS[defect]
+        art = json.loads(constructed(*ARTIFACTS["stacked"]))
+        tamper(art["complex"])
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(art))
+        for argv in LOADERS:
+            assert run_quiet(*argv, "--input", str(path)) == (2, "", f"error: {message}\n"), argv
+
+    @settings(max_examples=80, deadline=None)
+    @given(tampered_stacked_artifacts())
+    def test_refused_exactly_when_the_complex_is_invalid(self, case):
+        how, art = case
+        invalid = invalid_in_process(art["complex"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tampered.json"
+            path.write_text(json.dumps(art))
+            for argv in LOADERS:
+                code, out, err = run_quiet(*argv, "--input", str(path))
+                assert (code == 2) == invalid, (how, argv, code, err)
+                if invalid:
+                    assert out == "", (how, argv)
+                    assert err.startswith("error: ") and err.count("\n") == 1, (how, argv, err)
+
+
+class TestParser:
+    def test_one_parser_gives_the_bytes_of_fresh_ones(self, tmp_path):
+        # main builds its parser once per process; reusing it must not change
+        # any output, usage errors and help included.
+        path = str(tmp_path / "stacked.json")
+        argvs = [
+            ("construct", *ARTIFACTS["stacked"], "--out", path),
+            ("verify", "--input", path, "--checks", "bounds,ds"),
+            ("gale", "--d", "4", "--n", "8", "--s", "2"),
+            ("verify", "--input", path, "--bogus"),
+            ("verify", "--input", path, "--checks", "nope"),
+            ("recognize", "--input", path),
+            ("table", "--d", "3", "--s", "0", "--n-span", "1"),
+            ("rigidity", "--help"),
+            (),
+        ]
+        cli._parser.cache_clear()
+        warm = [run_quiet(*argv) for argv in argvs]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run_quiet(*argv))
+        assert fresh == warm
+        assert [code for code, _, _ in warm] == [0, 0, 0, 2, 2, 0, 0, 0, 2]
 
 
 class TestGaleAndFacets:

@@ -585,7 +585,7 @@ def sphere_cells(sphere):
 
 
 def refined_cells(asp):
-    return _refined_cells(asp, validate_asp(asp)), asp.params.d
+    return _refined_cells(asp), asp.params.d
 
 
 SPHERES = st.one_of(stacked_spheres(), special_facet_boundaries(), cyclic_spheres())

@@ -726,9 +726,9 @@ class TestCertifiedGeometry:
         geom = asp_geometry(*dns)
         stored = list(geom.facets)
         random.Random(sum(dns)).shuffle(stored)
-        certified, boundary = certified_geometry(geom.config, geom.ball, stored)
-        assert certified == geom
-        assert boundary == boundary_of_ball(geom.ball.ball)
+        asp = replace(geom.ball)  # a fresh instance, not validated yet
+        assert certified_geometry(geom.config, asp, stored) == geom
+        assert vars(asp)["special_boundary"] == boundary_of_ball(geom.ball.ball)
 
     def test_triangulated_second_nonsimplex_facet_is_refused(self):
         # A triangular prism with its quad y = 0 as the special facet: the

@@ -1,12 +1,14 @@
 """Builders for stacked families, hyperplane stacking, and the recognizer."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspoly import complexes
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
@@ -295,12 +297,6 @@ class TestHStack:
 
 
 class TestScripts:
-    def test_json_roundtrip(self):
-        script = StackingScript(
-            (Move("stack", 3), Move("hstack", (1, 2, 4)), Move("stack", (5, 6, 7)))
-        )
-        assert StackingScript.from_json(script.to_json()) == script
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             Move("wedge", 0)
@@ -336,6 +332,23 @@ class TestRecognizeMinimizer:
         assert verdict.is_minimizer
         assert verdict.regime == "dGT4"
         assert all(r.is_simplex for r in verdict.factor_reports)
+
+    @pytest.mark.parametrize("style", ["stack", "hstack"])
+    def test_generated_instance_is_not_validated_again(self, monkeypatch, style):
+        # random_minimizer returns a validated instance, so recognizing it
+        # runs validate_asp zero more times; an equal fresh instance runs it once.
+        asp = random_minimizer(ASPParams(5, 11, 2), 3, style=style)
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return validate_asp(a)
+
+        monkeypatch.setattr(complexes, "validate_asp", counted)
+        verdict = recognize_minimizer(asp)
+        assert calls == []
+        assert recognize_minimizer(replace(asp)) == verdict
+        assert calls == [asp]
 
     def test_hstack_family_d4_and_d5(self):
         for d in (4, 5):
@@ -461,7 +474,7 @@ class TestMissingSimplexSearch:
     )
     def test_matches_scan_on_minimizers(self, d, s, extra, seed, style):
         asp = random_minimizer(ASPParams(d, d + s + 1 + extra, s), seed, style=style)
-        assert_missing_matches_scan(_refined_cells(asp, validate_asp(asp)), d)
+        assert_missing_matches_scan(_refined_cells(asp), d)
 
     @pytest.mark.parametrize(
         "cell", [(4, 7, 1), (4, 8, 2), (4, 9, 3), (5, 9, 1), (5, 10, 2), (6, 11, 1), (6, 12, 3)]
@@ -470,18 +483,18 @@ class TestMissingSimplexSearch:
         # For d >= 5 and s >= 1 the special facet keeps a non-simplex cell;
         # for d = 4 it splits into simplices.
         asp = cyclic_ball(*cell)
-        cells = _refined_cells(asp, validate_asp(asp))
+        cells = _refined_cells(asp)
         assert any(not c.is_simplex(cell[0]) for c in cells) == (cell[0] > 4)
         assert_missing_matches_scan(cells, cell[0])
         for k in range(3):
             stacked = stack_over(asp, k)
-            assert_missing_matches_scan(_refined_cells(stacked, validate_asp(stacked)), cell[0])
+            assert_missing_matches_scan(_refined_cells(stacked), cell[0])
 
     def test_matches_scan_on_pyramid_over_octahedron(self):
         asp = ASPComplex(
             ASPParams(4, 7, 2), pyramid(octahedron(), 7), frozenset(range(1, 7)), None
         )
-        assert assert_missing_matches_scan(_refined_cells(asp, validate_asp(asp)), 4) == []
+        assert assert_missing_matches_scan(_refined_cells(asp), 4) == []
 
     @pytest.mark.parametrize("cell, seed, style, regime, factors", FROZEN_MINIMIZERS)
     def test_frozen_minimizer_verdicts(self, cell, seed, style, regime, factors):
