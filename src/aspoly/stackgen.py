@@ -202,9 +202,16 @@ def h_stack(asp: ASPComplex, selector: int | tuple[int, ...]) -> ASPComplex:
 
 
 def trivial_asp(d: int) -> ASPComplex:
-    """The d-simplex as an ASP: ball = all facets but {1..d}, which plays F."""
-    empty = StackingScript(())
-    return almost_stacked(ASPParams(d, d + 1, 0), empty, empty)
+    """The d-simplex as an ASP: ball = all facets but {1..d}, which plays F.
+
+    The instance is not validated here: its special_boundary is checked
+    on first read, so a walk that starts here and moves on checks only
+    what it ends with.
+    """
+    p = ASPParams(d, d + 1, 0)
+    f = frozenset(range(1, d + 1))
+    ball = SimplicialComplex.from_facets((f - {x}) | {d + 1} for x in f)
+    return ASPComplex(p, ball, f, SimplicialComplex.from_facets([f]))
 
 
 def random_scripts(p: ASPParams, seed: int) -> tuple[StackingScript, StackingScript]:

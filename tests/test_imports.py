@@ -87,7 +87,6 @@ TEST_ONLY = {
     "enumerative": {"ubt_h_profile", "ubt_recurrence_defect"},
     "exactnum": {"det", "rank", "vandermonde"},
     "hull": {"neighborliness"},
-    "rigidity": {"kalai_monotonicity_defect", "rigidity_matrix", "stress_dimension"},
     "stackgen": {"stacked_sphere"},
 }
 

@@ -4,15 +4,17 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspoly import rigidity
 from aspoly.complexes import ASPComplex, SimplicialComplex, f_vector, validate_asp
 from aspoly.enumerative import ASPParams, f_almost_stacked
 from aspoly.errors import DomainError, ShapeError
-from aspoly.exactnum import MERSENNE_61, int_rank, rank, rank_mod_p
+from aspoly.exactnum import MERSENNE_61, RatMatrix, int_rank, rank, rank_mod_p
 from aspoly.gale import almost_cyclic_facets
 from aspoly.rigidity import (
     COORD_BOUND,
@@ -20,18 +22,47 @@ from aspoly.rigidity import (
     RigidityReport,
     _edge_rows,
     _rigidity_rank,
+    _trilateration_order,
+    _trilateration_rank,
     g2_of_skeleton,
-    kalai_monotonicity_defect,
     one_skeleton,
     rigid_rank_target,
-    rigidity_matrix,
     sample_generic,
-    stress_dimension,
 )
 from aspoly.stackgen import pyramid, random_minimizer
 
 TRIANGLE = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
 K4 = Graph.from_edges([1, 2, 3, 4], [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])
+
+
+def rigidity_matrix(g, embedding):
+    """One row per edge; the left kernel of this matrix is the stress space."""
+    rows = _edge_rows(g, embedding)
+    if not rows:
+        raise DomainError("graph has no edges; the rigidity matrix is empty")
+    return RatMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
+
+
+def stress_dimension(g, embedding):
+    """Dimension of the stress space at a rational embedding."""
+    if g.n_edges == 0:
+        return 0
+    # A common positive scale clears the denominators and keeps the rank.
+    scale = lcm(*(Fraction(x).denominator for pt in embedding.values() for x in pt))
+    scaled = {v: [int(Fraction(x) * scale) for x in pt] for v, pt in embedding.items()}
+    return g.n_edges - _rigidity_rank(g, scaled)
+
+
+def kalai_monotonicity_defect(g_p, g_f):
+    """g2 of the polytope minus g2 of its special facet; nonnegative for
+    ASPs with simplicial 2-skeleton."""
+    return g_p - g_f
+
+
+def generic_embedding(g, d, seed, trial=0):
+    """The embedding sample_generic draws at this seed and trial."""
+    rng = random.Random(f"{seed}:{trial}")
+    return {v: [rng.randrange(-COORD_BOUND, COORD_BOUND) for _ in range(d)] for v in g.sorted_vertices()}
 
 
 def sample_generic_by_bareiss(g, d, trials=3, seed=0):
@@ -40,11 +71,7 @@ def sample_generic_by_bareiss(g, d, trials=3, seed=0):
     cap = min(g.n_edges, max(target, 0))
     best = 0
     for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        emb = {
-            v: [rng.randrange(-COORD_BOUND, COORD_BOUND) for _ in range(d)]
-            for v in g.sorted_vertices()
-        }
+        emb = generic_embedding(g, d, seed, t)
         if g.n_edges:
             best = max(best, int_rank(_edge_rows(g, emb)))
         if best == cap:
@@ -91,6 +118,21 @@ def octahedron_graph():
         [frozenset({a, b, c}) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
     )
     return one_skeleton(skel)
+
+
+def cross_polytope_graph(d):
+    """The 1-skeleton of the d-dimensional cross-polytope: no (d+1)-clique."""
+    verts = range(1, 2 * d + 1)
+    return Graph.from_edges(verts, [(a, b) for a in verts for b in verts if a < b and b - a != d])
+
+
+def proven_bound(g, emb):
+    """The upper bound the rank certificates must meet: E, or the rigid rank if the points span."""
+    d = len(next(iter(emb.values())))
+    bound = g.n_edges
+    if int_rank([[1, *emb[v]] for v in g.vertices]) == d + 1:
+        bound = min(bound, rigid_rank_target(d, g.n_vertices))
+    return bound
 
 
 def cyclic_skeleton(d, n, s):
@@ -269,6 +311,72 @@ class TestRankCertificate:
         }
         expected = g.n_edges - rank(rigidity_matrix(g, emb)) if g.n_edges else 0
         assert stress_dimension(g, emb) == expected
+
+
+class TestTrilaterationCertificate:
+    @pytest.fixture
+    def full_rows(self, monkeypatch):
+        """Counts the builds of the full matrix, which only the fallback makes."""
+        calls = []
+
+        def counted(g, emb):
+            calls.append(g)
+            return _edge_rows(g, emb)
+
+        monkeypatch.setattr(rigidity, "_edge_rows", counted)
+        return calls
+
+    def test_greedy_order(self):
+        # Most placed neighbours first, ties by smallest id; the octahedron
+        # has no 4-clique, so its fourth vertex sees only two placed ones.
+        order = [(v, sorted(e)) for v, e in _trilateration_order(octahedron_graph())]
+        assert order == [(1, []), (3, [1]), (5, [1, 3]), (2, [3, 5]), (4, [1, 2, 5]), (6, [1, 2, 3, 4])]
+        assert [v for v, _ in _trilateration_order(K4)] == [1, 2, 3, 4]
+
+    @settings(max_examples=120, deadline=None)
+    @given(graphs(), st.integers(1, 6), st.sampled_from([1, 3, COORD_BOUND]), st.data())
+    def test_sum_is_a_lower_bound_exact_when_accepted(self, g, d, bound, data):
+        coords = st.integers(-bound, bound)
+        emb = {v: data.draw(st.lists(coords, min_size=d, max_size=d)) for v in g.sorted_vertices()}
+        exact = int_rank(_edge_rows(g, emb)) if g.n_edges else 0
+        total = _trilateration_rank(g, emb)
+        assert total <= exact
+        if g.n_edges and total == proven_bound(g, emb):
+            assert total == exact
+
+    @pytest.mark.parametrize("cell", [(4, 8, 2), (5, 9, 1), (6, 11, 3)])
+    @pytest.mark.parametrize("family", ["cyclic", "stacked"])
+    def test_accepted_on_skeletons(self, cell, family, full_rows):
+        if family == "cyclic":
+            _, g = cyclic_skeleton(*cell)
+        else:
+            g = one_skeleton(random_minimizer(ASPParams(*cell), 1).ball)
+        for d in (cell[0] - 1, cell[0]):
+            emb = generic_embedding(g, d, seed=7)
+            assert _trilateration_rank(g, emb) == proven_bound(g, emb)
+            assert _rigidity_rank(g, emb) == int_rank(_edge_rows(g, emb))
+        assert full_rows == []
+
+    @pytest.mark.parametrize(
+        "g, d, collinear",
+        [
+            (octahedron_graph(), 3, False),
+            (K4, 3, True),
+            (Graph.from_edges(range(1, 7), [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]), 2, False),
+            (cross_polytope_graph(4), 4, False),
+        ],
+        ids=["octahedron", "K4-collinear", "K33", "cross-polytope-4"],
+    )
+    def test_falls_back(self, g, d, collinear, full_rows):
+        # With no (d+1)-clique the first d+1 placed vertices miss an edge, so
+        # the sum stays below the rigid bound; collinear points keep every
+        # block at rank 1.
+        emb = generic_embedding(g, d, seed=3)
+        if collinear:
+            emb = {v: [v * (k + 1) for k in range(d)] for v in g.vertices}
+        assert _trilateration_rank(g, emb) < proven_bound(g, emb)
+        assert _rigidity_rank(g, emb) == int_rank(_edge_rows(g, emb))
+        assert full_rows == [g]
 
 
 def frozen_rigidity_records():

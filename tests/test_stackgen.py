@@ -335,9 +335,9 @@ class TestRecognizeMinimizer:
 
     @pytest.mark.parametrize("style", ["stack", "hstack"])
     def test_generated_instance_is_not_validated_again(self, monkeypatch, style):
-        # random_minimizer returns a validated instance, so recognizing it
-        # runs validate_asp zero more times; an equal fresh instance runs it once.
-        asp = random_minimizer(ASPParams(5, 11, 2), 3, style=style)
+        # random_minimizer validates the finished instance once (not the
+        # hstack walk's simplex start), so recognizing it runs validate_asp
+        # zero more times; an equal fresh instance runs it once.
         calls = []
 
         def counted(a):
@@ -345,10 +345,12 @@ class TestRecognizeMinimizer:
             return validate_asp(a)
 
         monkeypatch.setattr(complexes, "validate_asp", counted)
-        verdict = recognize_minimizer(asp)
-        assert calls == []
-        assert recognize_minimizer(replace(asp)) == verdict
+        asp = random_minimizer(ASPParams(5, 11, 2), 3, style=style)
         assert calls == [asp]
+        verdict = recognize_minimizer(asp)
+        assert calls == [asp]
+        assert recognize_minimizer(replace(asp)) == verdict
+        assert calls == [asp, asp]
 
     def test_hstack_family_d4_and_d5(self):
         for d in (4, 5):
