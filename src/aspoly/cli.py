@@ -126,7 +126,7 @@ def cmd_facets(args) -> int:
             raise AspolyError("facets needs --input or all of --d/--n/--s")
         config = almost_cyclic_points(_params(args))
     _check_caps(config.d, config.n, args.unsafe_large)
-    facets = enumerate_facets(config, cap=None)
+    facets = enumerate_facets(config)
     payload = {
         "d": config.d,
         "n": config.n,
@@ -158,7 +158,8 @@ def cmd_gale(args) -> int:
 
 def _require(entry, keys: tuple[str, ...], where: str) -> None:
     if not isinstance(entry, dict):
-        raise AspolyError(f"artifact entry '{where}' is not a JSON object")
+        name = f"entry '{where}'" if where else "file"
+        raise AspolyError(f"artifact {name} is not a JSON object")
     for key in keys:
         if key not in entry:
             name = f"{where}.{key}" if where else key
@@ -261,8 +262,7 @@ def _load_artifact(args) -> Artifact:
     """
     with open(args.input) as fh:
         data = json.load(fh)
-    if "complex" not in data:
-        raise AspolyError("artifact has no 'complex' entry; run construct first")
+    _require(data, ("complex",), "")
     asp = _asp_from_json(data["complex"])
     _check_caps(asp.params.d, asp.params.n, args.unsafe_large)
     kind = data.get("kind", "unknown")
@@ -437,12 +437,15 @@ def cmd_table(args) -> int:
 def cmd_rigidity(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
+    _require(data, (), "")
     if "complex" in data:
         asp = _asp_from_json(data["complex"])
         asp.special_boundary  # validate_asp
         graph = one_skeleton(asp.ball)
         dim = args.dim or asp.params.d
     else:
+        _require_ids(data["vertices"], "vertices")
+        _require_facets(data["edges"], "edges")
         graph = Graph.from_json(data)
         if args.dim is None:
             raise AspolyError("--dim is required for raw graph input")

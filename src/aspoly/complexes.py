@@ -28,7 +28,6 @@ from .enumerative import ASPParams, FVector, HVector
 from .errors import (
     DegeneracyError,
     DomainError,
-    NotAFaceError,
     PseudomanifoldError,
     RefinementError,
     ShapeError,
@@ -107,24 +106,6 @@ def f_vector(c: SimplicialComplex) -> FVector:
     facets = [sorted(f) for f in c.facets]
     counts = [len({t for f in facets for t in combinations(f, k)}) for k in range(c.dim + 1)]
     return FVector(c.dim + 1, (*counts, len(facets)))
-
-
-def link(c: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
-    """Link of a face: {G - face : face <= G facet}; pure of dim c.dim - |face|."""
-    fs = frozenset(face)
-    cofacets = [g - fs for g in c.facets if fs <= g]
-    if not cofacets:
-        raise NotAFaceError(f"{sorted(fs)} is not a face of the complex")
-    return SimplicialComplex.from_facets(cofacets)
-
-
-def star(c: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
-    """Closed star: the complex generated by all facets containing the face."""
-    fs = frozenset(face)
-    cofacets = [g for g in c.facets if fs <= g]
-    if not cofacets:
-        raise NotAFaceError(f"{sorted(fs)} is not a face of the complex")
-    return SimplicialComplex.from_facets(cofacets)
 
 
 def induced(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
@@ -405,70 +386,6 @@ def prime_decomposition(sphere: SimplicialComplex) -> PrimeDecomposition:
     return PrimeDecomposition(tuple(factors), tuple(edges))
 
 
-def is_simplex_boundary(c: SimplicialComplex) -> bool:
-    """True when c is the boundary of a simplex on dim+2 vertices."""
-    m = c.dim + 2
-    return len(c.vertex_ids) == m and len(c.facets) == m
-
-
-def is_stacked_sphere(sphere: SimplicialComplex) -> bool:
-    """True when every prime factor is a simplex boundary."""
-    dec = prime_decomposition(sphere)
-    return all(is_simplex_boundary(f) for f in dec.factors)
-
-
-@dataclass(frozen=True)
-class ClassCReport:
-    """Outcome of the internal-structure test for triangulated balls."""
-
-    is_member: bool
-    reason: str | None
-    internal_vertices: frozenset[int]
-
-
-def class_c_membership(ball: SimplicialComplex) -> ClassCReport:
-    """Check the two structural conditions used for minimizer rigidity.
-
-    (i) the subgraph induced on internal vertices (those missing from the
-    boundary) is nonempty and connected; (ii) every boundary edge lies in a
-    2-face whose third vertex is internal.  A ball without internal
-    vertices fails condition (i) by convention.
-    """
-    bd = boundary_of_ball(ball)
-    bd_vertices = frozenset(bd.vertex_ids)
-    internal = frozenset(ball.vertex_ids) - bd_vertices
-    if not internal:
-        return ClassCReport(False, "no internal vertices", internal)
-    edges = all_faces(ball, 1)
-    adj: dict[int, set[int]] = {v: set() for v in internal}
-    for e in edges:
-        if e <= internal:
-            u, w = tuple(e)
-            adj[u].add(w)
-            adj[w].add(u)
-    start = min(internal)
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for nb in adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if seen != internal:
-        return ClassCReport(False, "internal vertex graph disconnected", internal)
-    if bd.dim >= 1:
-        triangles = all_faces(ball, 2) if ball.dim >= 2 else frozenset()
-        for e in all_faces(bd, 1):
-            if not any(e <= t and (t - e) <= internal for t in triangles):
-                return ClassCReport(
-                    False,
-                    f"boundary edge {sorted(e)} misses an internal 2-face",
-                    internal,
-                )
-    return ClassCReport(True, None, internal)
-
-
 @dataclass(frozen=True)
 class ASPComplex:
     """Combinatorial almost simplicial polytope: a ball plus its special facet.
@@ -550,27 +467,10 @@ def validate_asp(asp: ASPComplex) -> SimplicialComplex:
         raise ShapeError(
             "boundary of the ball is not the induced complex on the special facet"
         )
-    if asp.f_triangulation is not None:
-        _check_fills_boundary(asp.f_triangulation, asp.special_facet, bd)
+    tri = asp.f_triangulation
+    if tri is not None:
+        if not frozenset(tri.vertex_ids) <= asp.special_facet:
+            raise RefinementError("triangulation uses vertices outside the special facet")
+        if boundary_of_ball(tri).facets != bd.facets:
+            raise RefinementError("triangulation boundary does not match the facet boundary")
     return bd
-
-
-def _check_fills_boundary(
-    tri: SimplicialComplex, fv: frozenset[int], bd: SimplicialComplex
-) -> None:
-    if not frozenset(tri.vertex_ids) <= fv:
-        raise RefinementError("triangulation uses vertices outside the special facet")
-    if boundary_of_ball(tri).facets != bd.facets:
-        raise RefinementError("triangulation boundary does not match the facet boundary")
-
-
-def refine_by_triangulation(
-    asp: ASPComplex, tri_f: SimplicialComplex
-) -> SimplicialComplex:
-    """Replace the special facet by a triangulation, producing a simplicial sphere."""
-    _check_fills_boundary(tri_f, asp.special_facet, asp.special_boundary)
-    if tri_f.dim != asp.ball.dim:
-        raise RefinementError(
-            f"triangulation dimension {tri_f.dim} != ball dimension {asp.ball.dim}"
-        )
-    return SimplicialComplex.from_facets(asp.ball.facets | tri_f.facets)

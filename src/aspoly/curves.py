@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .enumerative import ASPParams
 from .errors import DomainError, ShapeError
-from .exactnum import Rational, format_rational
+from .exactnum import format_rational
 
 TailPoly = Callable[[int], Fraction]
 
@@ -75,7 +75,7 @@ class CurveSpec:
         return head + tuple(p(t) for p in self.tail_polys)
 
 
-def p_eval(t: int, params: ASPParams) -> Rational:
+def p_eval(t: int, params: ASPParams) -> Fraction:
     """Last-coordinate polynomial: (n-1)^((t-1)(d-1)) * t(t+1)...(t+d+s-1).
 
     Vanishes exactly for t in {-(d+s-1), ..., 0} and is positive for t >= 1.
@@ -116,11 +116,3 @@ def almost_cyclic_points(params: ASPParams) -> PointConfig:
     non-simplex facet; all later points sit strictly above that hyperplane.
     """
     return general_curve_points(almost_cyclic_spec(params), curve_parameters(params))
-
-
-def homogeneous_rows(
-    config: PointConfig, ids: Sequence[int] | None = None
-) -> list[list[Fraction]]:
-    """Rows (1, x_1, ..., x_d) for the selected points, default all."""
-    sel = ids if ids is not None else [pid for pid, _ in config.points]
-    return [[Fraction(1), *config.coords(pid)] for pid in sel]

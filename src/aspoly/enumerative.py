@@ -10,7 +10,6 @@ obtained by deleting that facet from the boundary has one facet fewer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, ParameterMismatchError, ShapeError
@@ -196,33 +195,6 @@ def f_almost_cyclic(p: ASPParams) -> FVector:
     return FVector(p.d, tuple(ent))
 
 
-def ubt_h_bounds(p: ASPParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Upper bounds for the ball h-vector of any instance with parameters p.
-
-    Returns (low, high): low[k] bounds h_k for 0 <= k <= floor((d-1)/2);
-    high[k-1] bounds h_{d-k} for 1 <= k <= floor(d/2).  Both are attained
-    by the almost-cyclic family.
-    """
-    d, n, s = p.d, p.n, p.s
-    low = tuple(binom(n - d - 1 + k, k) for k in range((d - 1) // 2 + 1))
-    high = tuple(
-        binom(n - d - 1 + k, k) - binom(s + k - 1, k) for k in range(1, d // 2 + 1)
-    )
-    return low, high
-
-
-def ubt_h_profile(p: ASPParams) -> tuple[int, ...]:
-    """The bounds of ubt_h_bounds assembled as one vector indexed 0..d."""
-    d = p.d
-    low, high = ubt_h_bounds(p)
-    ent = [0] * (d + 1)
-    for k, v in enumerate(low):
-        ent[k] = v
-    for k1, v in enumerate(high, start=1):
-        ent[d - k1] = v
-    return tuple(ent)
-
-
 @dataclass(frozen=True)
 class BoundsVerdict:
     index: int
@@ -286,30 +258,3 @@ def ridge_identity_defect(f_polytope: FVector, f_facet: FVector) -> int:
     if f_facet.d != d - 1:
         raise ShapeError(f"facet f-vector must have dimension {d - 1}, got {f_facet.d}")
     return 2 * f_polytope.f(d - 2) - d * (f_polytope.f(d - 1) - 1) - f_facet.f(d - 2)
-
-
-def ubt_recurrence_defect(
-    h_ball: HVector, g_boundary: GVector, p: ASPParams
-) -> tuple[Fraction, ...]:
-    """Slack in the shelling recurrence bounding ball h-numbers from above.
-
-    For k = 0..d-1 the recurrence states
-        h_{d-k-1} <= (n-d+k)/(k+1) h_{d-k} + (n-d-s)/(k+1) g_k(boundary of F),
-    with equality at k = 0.  Returns RHS - LHS as exact rationals, all of
-    which must be nonnegative for a genuine instance.
-    """
-    d, n, s = p.d, p.n, p.s
-    if h_ball.d != d:
-        raise ShapeError(f"ball h-vector parameter {h_ball.d} != d={d}")
-    if len(g_boundary.entries) != d:
-        raise ShapeError(
-            f"facet-boundary g-vector must have {d} entries, got {len(g_boundary.entries)}"
-        )
-    out = []
-    for k in range(d):
-        rhs = (
-            Fraction(n - d + k, k + 1) * h_ball.h(d - k)
-            + Fraction(n - d - s, k + 1) * g_boundary.g(k)
-        )
-        out.append(rhs - h_ball.h(d - k - 1))
-    return tuple(out)

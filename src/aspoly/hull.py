@@ -33,14 +33,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import (
     ASPComplex,
     ShellingCertificate,
     SimplicialComplex,
-    all_faces,
     verify_shelling,
 )
 from .curves import PointConfig
@@ -58,7 +56,6 @@ from .errors import (
 )
 from .exactnum import format_rational, int_nullspace, int_rank
 
-DEFAULT_POINT_CAP = 16
 # Most step halvings point_beyond accepts.  The 80-cell grid needs at
 # most 125 (d=6, pulled toward a vertex at closeness 40).
 _MAX_HALVINGS = 1024
@@ -76,9 +73,6 @@ class FacetDescriptor:
     vertex_ids: frozenset[int]
     normal: tuple[int, ...]
     offset: int
-
-    def eval_at(self, coords: Sequence[Fraction]) -> Fraction:
-        return self.offset + sum(a * x for a, x in zip(self.normal, coords))
 
     def eval_homogeneous(self, hom: Sequence[int]) -> int:
         """offset*hom[0] + normal.hom[1:]: the value at hom[1:]/hom[0], times hom[0]."""
@@ -315,7 +309,7 @@ def _facet_order(facets: Iterable[FacetDescriptor]) -> tuple[FacetDescriptor, ..
 
 
 def enumerate_facets(
-    config: PointConfig, cap: int | None = DEFAULT_POINT_CAP
+    config: PointConfig, cap: int | None = None
 ) -> tuple[FacetDescriptor, ...]:
     """All facets of the convex hull, by exact gift-wrapping.
 
@@ -338,9 +332,7 @@ def enumerate_facets(
     )
 
 
-def detect_asp(
-    config: PointConfig, cap: int | None = DEFAULT_POINT_CAP
-) -> ASPGeometry:
+def detect_asp(config: PointConfig, cap: int | None = None) -> ASPGeometry:
     """Classify an enumerated boundary as almost simplicial or simplicial.
 
     With exactly one non-simplex facet the ball complex (all other
@@ -380,7 +372,7 @@ def _with_special(
 
 def asp_geometry(config: PointConfig, special: Iterable[int]) -> ASPGeometry:
     """The uncapped hull as an ASP; special is designated if all facets are simplices."""
-    geom = detect_asp(config, cap=None)
+    geom = detect_asp(config)
     if geom.ball is None:
         geom = designate_special(geom, special)
     return geom
@@ -439,8 +431,7 @@ def point_beyond(
     geom: ASPGeometry,
     facet: FacetDescriptor,
     toward: int | None = None,
-    toward_weight: Fraction = Fraction(1, 2),
-    extra_halvings: int = 0,
+    closeness: int = 0,
 ) -> tuple[Fraction, ...]:
     """Exact point beyond one facet: outside it, strictly inside all others.
 
@@ -450,25 +441,22 @@ def point_beyond(
     affine along the walk, so k is solved for exactly, facet by facet; a
     facet that needs more than _MAX_HALVINGS halvings raises
     DegeneracyError.  With `toward` the exit point is pulled toward that
-    facet vertex by toward_weight (must stay below 1 so the exit point
-    remains in the relative interior); extra halvings then bring the
-    result as close to the facet as desired, since shrinking preserves
-    all three conditions.  The returned point is checked exactly.  The
-    centroid, the exit point and the result are integer vectors positively
-    proportional to (1, point) until the result is returned.
+    facet vertex by the weight 1 - 2^-closeness, which stays below 1, so
+    the exit point remains in the relative interior.  Closeness extra
+    halvings then bring the result toward the facet, since shrinking
+    preserves all three conditions.  The returned point is checked
+    exactly.  The centroid, the exit point and the result are integer
+    vectors positively proportional to (1, point) until it is returned.
     """
     if facet not in geom.facets:
         raise NotAFaceError("facet descriptor does not belong to this geometry")
-    if not 0 <= toward_weight < 1:
-        raise DomainError("toward_weight must lie in [0, 1)")
     hom = geom.homogeneous
     hb = _mean(hom, [1] * len(hom))
     he = _mean([hom[v - 1] for v in facet.vertex_ids], [1] * len(facet.vertex_ids))
     if toward is not None:
         if toward not in facet.vertex_ids:
             raise DomainError(f"vertex {toward} is not on the chosen facet")
-        w = toward_weight
-        he = _mean([he, hom[toward - 1]], [w.denominator - w.numerator, w.numerator])
+        he = _mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
     others = [f for f in geom.facets if f is not facet]
     # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
     # with E and B its values at the exit point and the centroid: positive
@@ -486,7 +474,7 @@ def point_beyond(
             "another facet hyperplane passes through or next to the exit point"
         )
     # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0].
-    up = (1 << (halvings + extra_halvings)) + 1
+    up = (1 << (halvings + closeness)) + 1
     hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
     if facet.eval_homogeneous(hy) >= 0 or any(f.eval_homogeneous(hy) <= 0 for f in others):
         raise DegeneracyError("beyond point fails the beyond conditions")
@@ -630,7 +618,7 @@ def key_lemma_rung(
     gives None: a closer y may still certify.
     """
     try:
-        stacked = stack_over_special(geom, toward=v_id, closeness=closeness, cap=None)
+        stacked = stack_over_special(geom, toward=v_id, closeness=closeness)
         return constrained_line_shelling(stacked, stacked.config.n, v_id, seed=closeness)
     except (ShellingSearchError, DegeneracyError):
         return None
@@ -662,8 +650,7 @@ def stack_over_special(
     special = geom.special
     if special is None:
         raise DomainError("geometry has no designated special facet to stack over")
-    weight = Fraction(0) if toward is None else 1 - Fraction(1, 2**closeness)
-    y = point_beyond(geom, special, toward=toward, toward_weight=weight, extra_halvings=closeness)
+    y = point_beyond(geom, special, toward=toward, closeness=closeness)
     config = extend_config(geom.config, y)
     _check_cap(config.n, cap)
     hom = [*geom.homogeneous, _homogeneous(y)]
@@ -725,36 +712,3 @@ def key_shelling_defects(
                 row[len(restriction - u)] += sign
         out.append(tuple(row))
     return tuple(out)
-
-
-def neighborliness(geom: ASPGeometry) -> int:
-    """Largest k with every k-subset of vertices a face, measured exactly.
-
-    Faces inside the special facet are faces of its boundary complex (or
-    the facet itself); everything else must lie in a simplex facet.
-    """
-    ids = [pid for pid, _ in geom.config.points]
-    simplex_sets = [f.vertex_ids for f in geom.facets if f.is_simplex()]
-    special_faces: frozenset[frozenset[int]] = frozenset()
-    special_set = None
-    if geom.special is not None and geom.ball is not None:
-        special_set = geom.special.vertex_ids
-        bd = geom.ball.special_boundary
-        special_faces = frozenset().union(
-            *(all_faces(bd, k) for k in range(-1, bd.dim + 1))
-        )
-
-    def is_face(sub: frozenset[int]) -> bool:
-        if any(sub <= s for s in simplex_sets):
-            return True
-        if special_set is not None and sub <= special_set:
-            return sub == special_set or sub in special_faces
-        return False
-
-    best = 0
-    for k in range(1, len(ids) + 1):
-        if all(is_face(frozenset(s)) for s in combinations(ids, k)):
-            best = k
-        else:
-            break
-    return best

@@ -77,16 +77,11 @@ def _stack_facets(
     return (facets - {target}) | {(target - {x}) | {w} for x in target}
 
 
-def stacked_sphere(d: int, n: int, script: StackingScript) -> SimplicialComplex:
-    """Stacked (d-1)-sphere on vertex ids 1..n driven by a stack script."""
-    sphere, _ = _stacked_sphere_with_solids(d, n, script)
-    return sphere
-
-
 def _stacked_sphere_with_solids(
     d: int, n: int, script: StackingScript
 ) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """Stacked sphere plus the solid simplices accumulated while stacking."""
+    """Stacked (d-1)-sphere on vertex ids 1..n driven by a stack script, plus
+    the solid simplices accumulated while stacking."""
     if d < 2:
         raise DomainError("stacked spheres need dimension at least 2")
     if n < d + 1:

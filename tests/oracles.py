@@ -7,8 +7,14 @@ a decomposition that rebuilds the ridge incidence at every split, a
 shelling check that intersects every pair of facets, key-lemma defects
 from running face counts, and hyperplanes from a kernel solve.  The
 property tests check that the library gives the same results.
+
+Below them sit the small exact tools several test modules share:
+cofactor determinants, Gaussian-elimination ranks and Bareiss
+determinants, stacked spheres from a stacking script, and the
+stacked-sphere test by prime decomposition.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -18,11 +24,19 @@ from aspoly.complexes import (
     _Cell,
     _simplex_cell,
     face_key,
+    prime_decomposition,
 )
 from aspoly.enumerative import FVector, h_from_f
-from aspoly.errors import DegeneracyError, DomainError, PseudomanifoldError, ShellingError
-from aspoly.exactnum import int_nullspace
+from aspoly.errors import (
+    DegeneracyError,
+    DomainError,
+    PseudomanifoldError,
+    ShapeError,
+    ShellingError,
+)
+from aspoly.exactnum import _echelon, int_nullspace
 from aspoly.hull import _dots, _primitive
+from aspoly.stackgen import StackingScript, _stacked_sphere_with_solids
 
 
 def face_set(c: SimplicialComplex) -> frozenset[frozenset[int]]:
@@ -255,3 +269,63 @@ def supporting_hyperplane(
         w = [-x for x in w]
     on_ids = frozenset(i + 1 for i, x in enumerate(dots) if x == 0)
     return tuple(_primitive(w)), on_ids
+
+
+def cofactor_det(rows) -> Fraction:
+    """Determinant by recursive cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction(rows[0][0])
+    total = Fraction(0)
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = Fraction(rows[0][j]) * cofactor_det(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def gauss_rank(rows) -> int:
+    """Rank by Gaussian elimination over Fraction."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: the signed last pivot of exactnum's Bareiss."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ShapeError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    a, pivots, sign = _echelon(rows)
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
+
+
+def stacked_sphere(d: int, n: int, script: StackingScript) -> SimplicialComplex:
+    """Stacked (d-1)-sphere on vertex ids 1..n driven by a stack script."""
+    return _stacked_sphere_with_solids(d, n, script)[0]
+
+
+def is_stacked_sphere(sphere: SimplicialComplex) -> bool:
+    """True when every prime factor is a simplex boundary: dim+2 facets on dim+2 vertices."""
+    return all(
+        len(f.vertex_ids) == len(f.facets) == f.dim + 2
+        for f in prime_decomposition(sphere).factors
+    )

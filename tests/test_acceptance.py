@@ -23,13 +23,12 @@ from aspoly.hull import (
     key_lemma_rung,
     key_shelling_defects,
     line_shelling,
-    neighborliness,
     stack_over_special,
 )
 from aspoly.rigidity import g2_of_skeleton, one_skeleton, sample_generic
 from aspoly.stackgen import pyramid, random_minimizer, recognize_minimizer
 from aspoly.complexes import ASPComplex, SimplicialComplex, validate_asp
-from test_hull import simpliciality
+from test_hull import neighborliness, simpliciality
 
 GRID = [
     (d, n, s)

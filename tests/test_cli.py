@@ -356,6 +356,43 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            pytest.param(
+                command, data, "artifact file is not a JSON object", id=f"{command}-{kind}"
+            )
+            for command in ("verify", "recognize", "shelling", "rigidity")
+            for kind, data in (("number", 5), ("string", "complex"))
+        ]
+        + [
+            pytest.param(
+                "rigidity",
+                {"vertices": [1, 2, "x"], "edges": [[1, 2]]},
+                "artifact field 'vertices' is not a list of integer vertex ids",
+                id="rigidity-string-vertex",
+            ),
+            pytest.param(
+                "rigidity",
+                {"vertices": [1.5, 2], "edges": []},
+                "artifact field 'vertices' is not a list of integer vertex ids",
+                id="rigidity-float-vertex",
+            ),
+            pytest.param(
+                "rigidity",
+                {"vertices": [1, 2], "edges": [[1, 2.0]]},
+                "artifact field 'edges[0]' is not a list of integer vertex ids",
+                id="rigidity-float-edge-end",
+            ),
+        ],
+    )
+    def test_malformed_input_file_is_refused(self, capsys, tmp_path, command, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        dim = ["--dim", "2"] if command == "rigidity" else []
+        code, out, err = run(capsys, command, "--input", str(path), *dim)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 ARTIFACTS = {
     "cyclic": ("cyclic-asp", "--d", "4", "--n", "8", "--s", "2"),

@@ -21,17 +21,11 @@ from aspoly.complexes import (
     _simplex_cell,
     all_faces,
     boundary_of_ball,
-    class_c_membership,
     f_vector,
     h_from_shelling,
     induced,
     is_closed_pseudomanifold,
-    is_stacked_sphere,
-    link,
     prime_decomposition,
-    refine_by_triangulation,
-    simplex_join,
-    star,
     validate_asp,
     verify_shelling,
 )
@@ -43,12 +37,10 @@ from aspoly.stackgen import (
     _refined_cells,
     random_minimizer,
     recognize_minimizer,
-    stacked_sphere,
 )
 from aspoly.errors import (
     DegeneracyError,
     DomainError,
-    NotAFaceError,
     PseudomanifoldError,
     RefinementError,
     ShapeError,
@@ -60,7 +52,9 @@ from oracles import (
     cell_missing_by_ridge_scan,
     f_vector_by_face_set,
     face_set,
+    is_stacked_sphere,
     ridge_incidence,
+    stacked_sphere,
     verify_shelling_pairwise,
 )
 
@@ -114,21 +108,6 @@ class TestBasicQueries:
 
     def test_f_vector_octahedron(self):
         assert f_vector(octahedron()).entries == (1, 6, 12, 8)
-
-    def test_link_of_vertex_in_simplex_boundary(self):
-        lk = link(simplex_boundary(3), [4])
-        assert lk.facets == SimplicialComplex.from_facets(
-            [[1, 2], [1, 3], [2, 3]]
-        ).facets
-
-    def test_link_requires_face(self):
-        with pytest.raises(NotAFaceError):
-            link(octahedron(), [1, 2])
-
-    def test_star_generated_by_cofacets(self):
-        stc = star(octahedron(), [1])
-        assert stc.n_facets == 4
-        assert all(1 in f for f in stc.facets)
 
     def test_induced_equator_is_square(self):
         sq = induced(octahedron(), [3, 4, 5, 6])
@@ -396,46 +375,6 @@ class TestPrimeDecompositionMatchesScan:
             assert is_stacked_sphere(sphere)
 
 
-class TestClassC:
-    def test_single_facet_ball_excluded(self):
-        c = SimplicialComplex.from_facets([[1, 2, 3, 4]])
-        rep = class_c_membership(c)
-        assert not rep.is_member
-        assert "internal" in rep.reason
-
-    def test_glued_tetrahedra_excluded(self):
-        c = SimplicialComplex.from_facets([[1, 2, 3, 4], [2, 3, 4, 5]])
-        assert not class_c_membership(c).is_member
-
-    def test_coned_sphere_is_member(self):
-        # solid tetrahedron triangulated around an interior vertex 5
-        c = SimplicialComplex.from_facets(
-            [[1, 2, 3, 5], [1, 2, 4, 5], [1, 3, 4, 5], [2, 3, 4, 5]]
-        )
-        rep = class_c_membership(c)
-        assert rep.is_member
-        assert rep.internal_vertices == {5}
-
-    def test_disconnected_internal_graph_detected(self):
-        # two coned solid tetrahedra glued on triangle 234: the cone apices
-        # 7 and 8 are internal but share no edge
-        facets = [
-            [1, 2, 3, 7],
-            [1, 2, 4, 7],
-            [1, 3, 4, 7],
-            [2, 3, 4, 7],
-            [2, 3, 4, 8],
-            [2, 3, 5, 8],
-            [2, 4, 5, 8],
-            [3, 4, 5, 8],
-        ]
-        c = SimplicialComplex.from_facets(facets)
-        rep = class_c_membership(c)
-        assert not rep.is_member
-        assert "disconnected" in rep.reason
-        assert rep.internal_vertices == {7, 8}
-
-
 class TestASPComplex:
     def test_validate_octahedron_minus_facet(self):
         ball = SimplicialComplex.from_facets(
@@ -458,24 +397,27 @@ class TestASPComplex:
             validate_asp(asp)
 
     def test_refine_square_pyramid(self):
-        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}))
+        # A triangulation filling the base boundary is accepted, and the
+        # ball with the base replaced by it is a stacked sphere.
         tri = SimplicialComplex.from_facets([[1, 2, 4], [2, 3, 4]])
-        sphere = refine_by_triangulation(asp, tri)
+        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}), tri)
+        assert validate_asp(asp) == boundary_of_ball(tri)
+        sphere = SimplicialComplex.from_facets(asp.ball.facets | tri.facets)
         assert sphere.n_facets == 6
         assert is_closed_pseudomanifold(sphere)
         assert is_stacked_sphere(sphere)
 
     def test_refine_rejects_foreign_vertices(self):
-        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}))
-        with pytest.raises(RefinementError):
-            refine_by_triangulation(
-                asp, SimplicialComplex.from_facets([[1, 2, 5], [2, 3, 5]])
-            )
+        tri = SimplicialComplex.from_facets([[1, 2, 5], [2, 3, 5]])
+        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}), tri)
+        with pytest.raises(RefinementError, match="outside the special facet"):
+            validate_asp(asp)
 
     def test_refine_rejects_boundary_mismatch(self):
-        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}))
-        with pytest.raises(RefinementError):
-            refine_by_triangulation(asp, SimplicialComplex.from_facets([[1, 2, 3]]))
+        tri = SimplicialComplex.from_facets([[1, 2, 3]])
+        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}), tri)
+        with pytest.raises(RefinementError, match="does not match"):
+            validate_asp(asp)
 
     def test_json_roundtrip(self):
         asp = ASPComplex(
@@ -498,14 +440,6 @@ def small_pure_complexes(draw):
 
 
 class TestProperties:
-    @given(small_pure_complexes(), st.data())
-    def test_star_is_join_of_face_and_link(self, c, data):
-        facet = data.draw(st.sampled_from(sorted(c.facets, key=sorted)))
-        size = data.draw(st.integers(min_value=1, max_value=len(facet)))
-        face = frozenset(sorted(facet)[:size])
-        joined = simplex_join(face, link(c, face))
-        assert joined.facets == star(c, face).facets
-
     @given(small_pure_complexes())
     def test_induced_on_all_vertices_is_identity(self, c):
         assert induced(c, c.vertex_ids) == c

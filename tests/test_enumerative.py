@@ -131,19 +131,11 @@ def test_d3_closed_forms():
             assert en.f_almost_cyclic(p).entries == expect
 
 
-def test_ubt_bounds_match_almost_cyclic():
-    for d, n, s in [(4, 8, 2), (5, 9, 2), (6, 13, 3), (3, 7, 1), (4, 9, 0)]:
-        p = en.ASPParams(d, n, s)
-        profile = en.ubt_h_profile(p)
-        assert profile == en.h_almost_cyclic_ball(p).entries
-
-
 def test_ubt_bound_top_index():
-    # the k = 1 high bound is n - d - s
+    # the upper bound on h_{d-1} of the ball is n - d - s
     for d, n, s in [(4, 8, 2), (5, 11, 3), (6, 10, 0)]:
         p = en.ASPParams(d, n, s)
-        _, high = en.ubt_h_bounds(p)
-        assert high[0] == n - d - s
+        assert en.h_almost_cyclic_ball(p).h(d - 1) == n - d - s
 
 
 def test_check_asp_bounds_sandwich():
@@ -181,17 +173,35 @@ def test_ridge_identity_simplex():
     assert en.ridge_identity_defect(f_p, f_facet) == 0
 
 
+def ubt_recurrence_defect(h_ball, g_boundary, p):
+    """Slack in the shelling recurrence bounding ball h-numbers from above.
+
+    For k = 0..d-1 the recurrence states
+        h_{d-k-1} <= (n-d+k)/(k+1) h_{d-k} + (n-d-s)/(k+1) g_k(boundary of F),
+    with equality at k = 0.  Returns RHS - LHS as exact rationals, all of
+    which must be nonnegative for a genuine instance.
+    """
+    d, n, s = p.d, p.n, p.s
+    assert h_ball.d == d and len(g_boundary.entries) == d
+    return tuple(
+        Fraction(n - d + k, k + 1) * h_ball.h(d - k)
+        + Fraction(n - d - s, k + 1) * g_boundary.g(k)
+        - h_ball.h(d - k - 1)
+        for k in range(d)
+    )
+
+
 def test_ubt_recurrence_on_models():
     p = en.ASPParams(4, 8, 2)
     h_ball = hv(4, [1, 4, 7, 2, 0])
     g_bd = en.GVector((1, 2, 0, -2))
-    defects = en.ubt_recurrence_defect(h_ball, g_bd, p)
+    defects = ubt_recurrence_defect(h_ball, g_bd, p)
     assert defects[0] == 0  # equality at the top step
     assert all(x >= 0 for x in defects)
     assert defects == (0, 0, 10, 5)
 
     h_stacked_ball = hv(4, [1, 4, 4, 2, 0])
-    defects = en.ubt_recurrence_defect(h_stacked_ball, g_bd, p)
+    defects = ubt_recurrence_defect(h_stacked_ball, g_bd, p)
     assert defects[0] == 0
     assert all(x >= 0 for x in defects)
     assert isinstance(defects[1], Fraction)

@@ -21,6 +21,7 @@ from aspoly import hull
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
+    all_faces,
     boundary_of_ball,
     f_vector,
     h_from_shelling,
@@ -28,7 +29,7 @@ from aspoly.complexes import (
 )
 from aspoly.curves import PointConfig, almost_cyclic_points
 from aspoly.enumerative import ASPParams, f_almost_cyclic, h_from_f
-from aspoly.exactnum import RatMatrix, det, int_det, int_nullspace, int_rank, rank
+from aspoly.exactnum import int_nullspace, int_rank
 from aspoly.errors import (
     CapExceededError,
     DegeneracyError,
@@ -52,11 +53,10 @@ from aspoly.hull import (
     extend_config,
     key_shelling_defects,
     line_shelling,
-    neighborliness,
     point_beyond,
     stack_over_special,
 )
-from oracles import key_shelling_defects_by_face_counts, supporting_hyperplane
+from oracles import int_det, key_shelling_defects_by_face_counts, supporting_hyperplane
 
 
 def config_from_coords(coords) -> PointConfig:
@@ -100,15 +100,8 @@ def facets_by_subset_scan(config: PointConfig) -> tuple[FacetDescriptor, ...]:
 
 def stacked_by_enumeration(geom, toward, closeness):
     """stack_over_special the brute-force way: place y, then re-enumerate the hull."""
-    weight = Fraction(0) if toward is None else 1 - Fraction(1, 2**closeness)
-    y = point_beyond(
-        geom,
-        geom.special,
-        toward=toward,
-        toward_weight=weight,
-        extra_halvings=closeness,
-    )
-    return detect_asp(extend_config(geom.config, y), cap=None)
+    y = point_beyond(geom, geom.special, toward=toward, closeness=closeness)
+    return detect_asp(extend_config(geom.config, y))
 
 
 def shelling_prefix_ok(order, y_id, v_id) -> bool:
@@ -152,10 +145,48 @@ def homogeneous(coords):
     return [scale] + [c.numerator * (scale // c.denominator) for c in coords]
 
 
+def eval_at(f: FacetDescriptor, coords) -> Fraction:
+    """A facet's affine function at a rational point: positive inside, zero on it."""
+    return f.offset + sum(a * x for a, x in zip(f.normal, coords))
+
+
 def centroid(geom):
     """The centroid of the configuration, interior by convex position."""
     pts = [c for _, c in geom.config.points]
     return tuple(sum(col) / len(pts) for col in zip(*pts))
+
+
+def neighborliness(geom) -> int:
+    """Largest k with every k-subset of vertices a face, measured exactly.
+
+    Faces inside the special facet are faces of its boundary complex (or
+    the facet itself); everything else must lie in a simplex facet.
+    """
+    ids = [pid for pid, _ in geom.config.points]
+    simplex_sets = [f.vertex_ids for f in geom.facets if f.is_simplex()]
+    special_faces: frozenset[frozenset[int]] = frozenset()
+    special_set = None
+    if geom.special is not None and geom.ball is not None:
+        special_set = geom.special.vertex_ids
+        bd = geom.ball.special_boundary
+        special_faces = frozenset().union(
+            *(all_faces(bd, k) for k in range(-1, bd.dim + 1))
+        )
+
+    def is_face(sub: frozenset[int]) -> bool:
+        if any(sub <= s for s in simplex_sets):
+            return True
+        if special_set is not None and sub <= special_set:
+            return sub == special_set or sub in special_faces
+        return False
+
+    best = 0
+    for k in range(1, len(ids) + 1):
+        if all(is_face(frozenset(s)) for s in combinations(ids, k)):
+            best = k
+        else:
+            break
+    return best
 
 
 def simpliciality(geom) -> int:
@@ -391,7 +422,7 @@ def bipyramid_config() -> PointConfig:
 
 def orientation(pts):
     """Sign of the determinant of the points with a prepended coordinate of ones."""
-    value = det(RatMatrix.from_rows([[1, *p] for p in pts]))
+    value = int_det([homogeneous(p) for p in pts])
     return (value > 0) - (value < 0)
 
 
@@ -434,7 +465,7 @@ class TestEnumerateFacets:
         facets = enumerate_facets(octahedron_config())
         centroid = [Fraction(0)] * 3
         for f in facets:
-            assert f.eval_at(centroid) > 0
+            assert eval_at(f, centroid) > 0
 
     def test_flat_configuration_rejected(self):
         cfg = config_from_coords([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
@@ -444,8 +475,8 @@ class TestEnumerateFacets:
     def test_cap(self):
         cfg = config_from_coords([(i, i * i) for i in range(17)])
         with pytest.raises(CapExceededError):
-            enumerate_facets(cfg)
-        assert len(enumerate_facets(cfg, cap=None)) == 17
+            enumerate_facets(cfg, cap=16)
+        assert len(enumerate_facets(cfg)) == 17
 
     def test_matches_gale_on_4_7_1(self):
         p = ASPParams(4, 7, 1)
@@ -522,7 +553,7 @@ def special_position_configs(draw, max_d=4):
 
 
 def spans_space(config: PointConfig) -> bool:
-    return rank(RatMatrix.from_rows([[1, *c] for _, c in config.points])) == config.d + 1
+    return int_rank(hull._integer_homogeneous(config)) == config.d + 1
 
 
 def check_against_oracle(config: PointConfig) -> None:
@@ -766,10 +797,10 @@ class TestPointBeyond:
         geom = designate_special(geom, sorted(geom.facets[0].vertex_ids))
         for f in geom.facets:
             y = point_beyond(geom, f)
-            assert f.eval_at(y) < 0
+            assert eval_at(f, y) < 0
             for g in geom.facets:
                 if g is not f:
-                    assert g.eval_at(y) > 0
+                    assert eval_at(g, y) > 0
 
     def test_frozen_points(self):
         # The longest step 2^-k that satisfies the beyond conditions.
@@ -791,11 +822,6 @@ class TestPointBeyond:
         assert q.config.n == 8
         assert q.special is None
 
-    def test_toward_weight_validated(self):
-        geom = detect_asp(almost_cyclic_points(ASPParams(4, 7, 1)))
-        with pytest.raises(DomainError):
-            point_beyond(geom, geom.special, toward=1, toward_weight=Fraction(1))
-
     def test_bad_facet_rejected(self):
         geom = detect_asp(tetrahedron_config())
         other = detect_asp(octahedron_config())
@@ -807,12 +833,9 @@ class TestPointBeyond:
     def test_beyond_conditions_in_rationals(self, case):
         cell, toward, closeness = case
         geom = asp_geometry(*cell)
-        weight = Fraction(0) if toward is None else 1 - Fraction(1, 2**closeness)
-        y = point_beyond(
-            geom, geom.special, toward=toward, toward_weight=weight, extra_halvings=closeness
-        )
-        assert geom.special.eval_at(y) < 0
-        assert all(f.eval_at(y) > 0 for f in geom.facets if f is not geom.special)
+        y = point_beyond(geom, geom.special, toward=toward, closeness=closeness)
+        assert eval_at(geom.special, y) < 0
+        assert all(eval_at(f, y) > 0 for f in geom.facets if f is not geom.special)
 
     def test_twin_hyperplane_is_degenerate(self):
         # A second, equal copy of the chosen facet can never be strictly
@@ -1201,7 +1224,7 @@ class TestMeasurements:
             hb = hull._mean(geom.homogeneous, [1] * geom.config.n)
             b = centroid(geom)
             assert hb[0] > 0 and tuple(Fraction(x, hb[0]) for x in hb[1:]) == b
-            assert all(f.eval_at(b) > 0 for f in geom.facets)
+            assert all(eval_at(f, b) > 0 for f in geom.facets)
 
     def test_extend_config_ids(self):
         cfg = tetrahedron_config()

@@ -1,5 +1,5 @@
 """Every name a module imports is used in that module, and every public
-library name is read outside tests/.
+library name and public method of a library class is read outside tests/.
 
 Parses the library modules (all but the package ``__init__``) and the
 scripts with ``ast``; a name counts as used when it is read anywhere in
@@ -72,27 +72,10 @@ def test_every_import_is_used(path):
 
 READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
-# Public names that only tests/ reads.  ROADMAP item 2 decides for each
-# whether it moves into tests/ as an oracle or gains a caller; this list
-# may only shrink.
-TEST_ONLY = {
-    "complexes": {
-        "class_c_membership",
-        "is_stacked_sphere",
-        "link",
-        "refine_by_triangulation",
-        "star",
-    },
-    "curves": {"homogeneous_rows"},
-    "enumerative": {"ubt_h_profile", "ubt_recurrence_defect"},
-    "exactnum": {"det", "rank", "vandermonde"},
-    "hull": {"neighborliness"},
-    "stackgen": {"stacked_sphere"},
-}
-
 
 def public_definitions(tree: ast.Module):
-    """(name, first line, last line) of each top-level public def, class or assignment."""
+    """(name, first line, last line) of each public top-level def, class or
+    assignment, and of each public method of a top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -105,6 +88,11 @@ def public_definitions(tree: ast.Module):
         for name in names:
             if not name.startswith("_"):
                 yield name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not member.name.startswith("_"):
+                        yield member.name, member.lineno, member.end_lineno
 
 
 def reads(tree: ast.Module):
@@ -131,7 +119,4 @@ def test_every_public_name_is_read_outside_tests():
             ]
             if not outside:
                 unread.setdefault(path.stem, set()).add(name)
-    new = {m: names - TEST_ONLY.get(m, set()) for m, names in unread.items()}
-    stale = {m: names - unread.get(m, set()) for m, names in TEST_ONLY.items()}
-    assert not any(new.values()), f"public names nothing outside tests/ reads: {new}"
-    assert not any(stale.values()), f"read now, so drop them from TEST_ONLY: {stale}"
+    assert not unread, f"public names nothing outside tests/ reads: {unread}"

@@ -16,7 +16,6 @@ from aspoly.complexes import (
     boundary_of_ball,
     f_vector,
     face_key,
-    is_stacked_sphere,
     prime_decomposition,
     validate_asp,
 )
@@ -44,10 +43,9 @@ from aspoly.stackgen import (
     random_scripts,
     recognize_minimizer,
     stack_over,
-    stacked_sphere,
     trivial_asp,
 )
-from oracles import carried_missing, cell_split
+from oracles import carried_missing, cell_split, is_stacked_sphere, stacked_sphere
 
 EMPTY = StackingScript(())
 
