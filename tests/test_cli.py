@@ -440,6 +440,7 @@ STACKED_GRID = [
     (d, s, n, ("stack", "hstack")[i % 2], i) for i, (d, s, n) in enumerate(CYCLIC_GRID)
 ]
 FROZEN_STACKED_GRID = "65c6172daf1cceaf00a4aa2eb42923d1754bb7e00d2989968d068e008c64f373"
+FROZEN_CONSTRUCT = "a28ce556b12cad40cabd103dbc6d6d6d3635829fac7456fc700de1dd7bf2227a"
 
 
 def digest(text):
@@ -487,6 +488,25 @@ class TestFrozenOutputs:
                 code, out, _ = run(capsys, *argv, "--input", str(path))
                 h.update(f"{code}\n{out}".encode())
         assert h.hexdigest() == FROZEN_STACKED_GRID
+
+    def test_construct_grid(self, capsys):
+        # The artifacts themselves: construct's stdout for every cell of
+        # CYCLIC_GRID, then of STACKED_GRID in both styles at the cell's
+        # seed, one SHA-256 over them in order.
+        h = hashlib.sha256()
+        argvs = [("cyclic-asp", d, n, s) for d, s, n in CYCLIC_GRID] + [
+            ("stacked-asp", d, n, s, "--style", style, "--seed", seed)
+            for d, s, n, _, seed in STACKED_GRID
+            for style in ("stack", "hstack")
+        ]
+        for kind, d, n, s, *rest in argvs:
+            code, out, err = run(
+                capsys, "construct", kind, "--d", str(d), "--n", str(n), "--s", str(s),
+                *map(str, rest),
+            )
+            assert code == 0, err
+            h.update(out.encode())
+        assert h.hexdigest() == FROZEN_CONSTRUCT
 
 
 def run_quiet(*argv):
