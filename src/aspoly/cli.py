@@ -24,6 +24,7 @@ from .complexes import ASPComplex, ShellingCertificate, f_vector, h_from_shellin
 from .curves import PointConfig, almost_cyclic_points
 from .enumerative import (
     ASPParams,
+    FVector,
     HVector,
     check_asp_bounds,
     dehn_sommerville_defect,
@@ -398,8 +399,8 @@ def _table_cell(cell: tuple[int, int, int]) -> dict:
     p = ASPParams(d, n, s)
     lo = f_almost_stacked(p)
     hi = f_almost_cyclic(p)
-    asp = random_minimizer(p, 0)
-    hb = h_from_f(f_vector(asp.ball))
+    # Every minimizer has f-vector lo; its ball lacks the special facet.
+    hb = h_from_f(FVector(d, (*lo.entries[:-1], lo.entries[-1] - 1)))
     return {
         "d": d,
         "s": s,
@@ -444,9 +445,12 @@ def cmd_rigidity(args) -> int:
         graph = one_skeleton(asp.ball)
         dim = args.dim or asp.params.d
     else:
+        for key in ("vertices", "edges"):
+            if key not in data:
+                raise AspolyError(f"graph file is missing '{key}'")
         _require_ids(data["vertices"], "vertices")
         _require_facets(data["edges"], "edges")
-        graph = Graph.from_json(data)
+        graph = Graph.from_edges(data["vertices"], data["edges"])
         if args.dim is None:
             raise AspolyError("--dim is required for raw graph input")
         dim = args.dim

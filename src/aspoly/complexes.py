@@ -129,18 +129,6 @@ def induced(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
     return SimplicialComplex.from_facets(maximal)
 
 
-def simplex_join(apex_set: Iterable[int], c: SimplicialComplex) -> SimplicialComplex:
-    """Join of a full simplex on apex_set with c (facetwise union)."""
-    a = frozenset(apex_set)
-    if not a:
-        raise DomainError("apex set must be nonempty")
-    if c.facets:
-        if a & frozenset(c.vertex_ids):
-            raise DomainError("join requires disjoint vertex sets")
-        return SimplicialComplex.from_facets(a | g for g in c.facets)
-    return SimplicialComplex.from_facets([a])
-
-
 def _ridge_counts(c: SimplicialComplex) -> Counter:
     """Number of facets containing each ridge (codimension-1 face)."""
     return Counter(g - {x} for g in c.facets for x in g)
@@ -168,17 +156,11 @@ def is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
 
 @dataclass(frozen=True)
 class ShellingCertificate:
-    """A verified shelling order with its restriction faces.
-
-    prefix_h[j] is the h-vector histogram after j+1 steps: entry k counts
-    steps whose restriction face has k vertices.  The final histogram is
-    the h-vector of the full complex.
-    """
+    """A verified shelling order with its restriction faces."""
 
     complex: SimplicialComplex
     order: tuple[frozenset[int], ...]
     restriction: tuple[frozenset[int], ...]
-    prefix_h: tuple[tuple[int, ...], ...]
 
 
 def verify_shelling(
@@ -199,8 +181,6 @@ def verify_shelling(
     old_ridges: set[frozenset[int]] = set()
     holders: dict[int, int] = {}
     restriction: list[frozenset[int]] = []
-    hist = [0] * (c.dim + 2)
-    prefix: list[tuple[int, ...]] = []
     for j, fj in enumerate(seq):
         ridges = [fj - {x} for x in fj]
         rj = frozenset(x for x, r in zip(fj, ridges) if r in old_ridges)
@@ -219,26 +199,16 @@ def verify_shelling(
         for x in fj:
             holders[x] = holders.get(x, 0) | 1 << j
         restriction.append(rj)
-        hist[len(rj)] += 1
-        prefix.append(tuple(hist))
-    return ShellingCertificate(c, tuple(seq), tuple(restriction), tuple(prefix))
+    return ShellingCertificate(c, tuple(seq), tuple(restriction))
 
 
 def h_from_shelling(cert: ShellingCertificate) -> HVector:
-    """h-vector read off the restriction-face histogram of a full shelling."""
-    return HVector(cert.complex.dim + 1, cert.prefix_h[-1])
-
-
-@dataclass(frozen=True)
-class PrimeDecomposition:
-    """Prime factors of a sphere and the tree of cuts joining them.
-
-    Each tree edge records the indices of the two factors glued along the
-    inserted missing facet.
-    """
-
-    factors: tuple[SimplicialComplex, ...]
-    tree_edges: tuple[tuple[int, int, frozenset[int]], ...]
+    """h-vector of a full shelling: h_k counts the steps whose restriction face has k vertices."""
+    d = cert.complex.dim + 1
+    hist = [0] * (d + 1)
+    for r in cert.restriction:
+        hist[len(r)] += 1
+    return HVector(d, tuple(hist))
 
 
 @dataclass(frozen=True)
@@ -366,12 +336,13 @@ def _cell_decomposition(
     return [tuple(cells[i] for i in part) for part in factors], edges
 
 
-def prime_decomposition(sphere: SimplicialComplex) -> PrimeDecomposition:
-    """Split a simplicial sphere, its facets taken as simplex cells.
+def prime_decomposition(sphere: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
+    """The prime factors of a simplicial sphere, its facets taken as simplex cells.
 
     The cut simplices are taken in lexicographic order; the result is
     order-independent for spheres of dimension at least 2 and the facet
     counts obey sum_i f_top(factor_i) = f_top(sphere) + 2 (number of cuts).
+    The cut tree is _cell_decomposition's.
     """
     if sphere.dim < 2:
         raise DomainError("prime decomposition needs dimension at least 2")
@@ -383,7 +354,7 @@ def prime_decomposition(sphere: SimplicialComplex) -> PrimeDecomposition:
     total = sum(f.n_facets for f in factors)
     if total != sphere.n_facets + 2 * len(edges) or len(edges) != len(factors) - 1:
         raise DegeneracyError("decomposition bookkeeping violated the cut identity")
-    return PrimeDecomposition(tuple(factors), tuple(edges))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)

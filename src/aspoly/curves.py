@@ -1,22 +1,19 @@
-"""Exact point configurations on modified moment curves.
+"""Exact point configurations on the modified moment curve.
 
-The curve behind the face-maximizing family keeps the first d-1 moment
-coordinates and replaces the last one by a polynomial-with-power factor
-that vanishes on a prescribed prefix of the parameter grid, forcing those
-points into a common hyperplane.
+The curve behind the face-maximizing family, (t, t^2, ..., t^(d-1), p(t)),
+keeps the first d-1 moment coordinates and replaces the last one by a
+polynomial-with-power factor p that vanishes on a prescribed prefix of
+the parameter grid, forcing those points into a common hyperplane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .enumerative import ASPParams
 from .errors import DomainError, ShapeError
 from .exactnum import format_rational
-
-TailPoly = Callable[[int], Fraction]
 
 
 @dataclass(frozen=True)
@@ -43,9 +40,6 @@ class PointConfig:
     def n(self) -> int:
         return len(self.points)
 
-    def coords(self, pid: int) -> tuple[Fraction, ...]:
-        return self.points[pid - 1][1]
-
     def to_json(self) -> dict:
         return {
             "d": self.d,
@@ -54,25 +48,6 @@ class PointConfig:
                 for pid, coords in self.points
             ],
         }
-
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """Curve (t, t^2, ..., t^(d-r), p_1(t), ..., p_r(t))."""
-
-    d: int
-    r: int
-    tail_polys: tuple[TailPoly, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.r < self.d:
-            raise DomainError(f"need 0 <= r < d, got r={self.r}, d={self.d}")
-        if len(self.tail_polys) != self.r:
-            raise ShapeError(f"expected {self.r} tail polynomials")
-
-    def point(self, t: int) -> tuple[Fraction, ...]:
-        head = tuple(Fraction(t) ** k for k in range(1, self.d - self.r + 1))
-        return head + tuple(p(t) for p in self.tail_polys)
 
 
 def p_eval(t: int, params: ASPParams) -> Fraction:
@@ -96,23 +71,15 @@ def curve_parameters(params: ASPParams) -> tuple[int, ...]:
     return tuple(-params.s - params.d + i for i in range(1, params.n + 1))
 
 
-def almost_cyclic_spec(params: ASPParams) -> CurveSpec:
-    return CurveSpec(params.d, 1, (lambda t: p_eval(t, params),))
-
-
-def general_curve_points(spec: CurveSpec, ts: Iterable[int]) -> PointConfig:
-    """Points x(t) for the given parameters, ids assigned in ascending t."""
-    tlist = sorted(ts)
-    if len(set(tlist)) != len(tlist):
-        raise DomainError("curve parameters must be distinct")
-    pts = tuple((i, spec.point(t)) for i, t in enumerate(tlist, start=1))
-    return PointConfig(spec.d, pts)
-
-
 def almost_cyclic_points(params: ASPParams) -> PointConfig:
     """The n-point configuration generating the face-maximizing family.
 
     The first d+s points have last coordinate zero, so they span the
     non-simplex facet; all later points sit strictly above that hyperplane.
+    Ids 1..n follow the ascending parameters of curve_parameters.
     """
-    return general_curve_points(almost_cyclic_spec(params), curve_parameters(params))
+    points = (
+        (i, (*(Fraction(t) ** k for k in range(1, params.d)), p_eval(t, params)))
+        for i, t in enumerate(curve_parameters(params), start=1)
+    )
+    return PointConfig(params.d, tuple(points))

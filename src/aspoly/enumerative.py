@@ -85,18 +85,6 @@ class HVector:
         return 0
 
 
-@dataclass(frozen=True)
-class GVector:
-    """Successive differences g_k = h_k - h_{k-1} of an h-vector."""
-
-    entries: tuple[int, ...]
-
-    def g(self, k: int) -> int:
-        if 0 <= k < len(self.entries):
-            return self.entries[k]
-        return 0
-
-
 def h_from_f(f: FVector) -> HVector:
     """h_k = sum_{i=0}^{k} (-1)^{k-i} C(d-i, k-i) f_{i-1}."""
     d = f.d
@@ -117,17 +105,17 @@ def f_from_h(h: HVector) -> FVector:
     return FVector(d, ent)
 
 
-def g_from_h(h: HVector) -> GVector:
-    """Termwise differences, same length as h, with h_{-1} = 0."""
+def g_from_h(h: HVector) -> tuple[int, ...]:
+    """Termwise differences g_k = h_k - h_{k-1}, same length as h, with h_{-1} = 0."""
     prev = 0
     out = []
     for x in h.entries:
         out.append(x - prev)
         prev = x
-    return GVector(tuple(out))
+    return tuple(out)
 
 
-def dehn_sommerville_defect(h_ball: HVector, g_boundary: GVector) -> tuple[int, ...]:
+def dehn_sommerville_defect(h_ball: HVector, g_boundary: tuple[int, ...]) -> tuple[int, ...]:
     """Defects h_k - h_{d-k} - g_k for a simplicial ball against its boundary.
 
     ``h_ball`` is the h-vector (parameter d) of the ball; ``g_boundary`` is
@@ -137,12 +125,12 @@ def dehn_sommerville_defect(h_ball: HVector, g_boundary: GVector) -> tuple[int, 
     A zero defect vector is the ball form of the Dehn-Sommerville relations.
     """
     d = h_ball.d
-    if len(g_boundary.entries) != d:
+    if len(g_boundary) != d:
         raise ShapeError(
             f"boundary g-vector must have {d} entries for ball parameter {d}, "
-            f"got {len(g_boundary.entries)}"
+            f"got {len(g_boundary)}"
         )
-    g_ext = list(g_boundary.entries) + [-sum(g_boundary.entries)]
+    g_ext = [*g_boundary, -sum(g_boundary)]
     return tuple(h_ball.h(k) - h_ball.h(d - k) - g_ext[k] for k in range(d + 1))
 
 
@@ -201,15 +189,10 @@ class BoundsVerdict:
     lower_ok: bool
     upper_ok: bool
     equal_lower: bool
-    equal_upper: bool
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    params: ASPParams
-    f_lower: FVector
-    f_subject: FVector
-    f_upper: FVector
     verdicts: tuple[BoundsVerdict, ...]
 
     @property
@@ -234,16 +217,8 @@ def check_asp_bounds(f_subject: FVector, p: ASPParams) -> BoundsReport:
     verdicts = []
     for i in range(p.d):
         a, b, c = lo.f(i), f_subject.f(i), hi.f(i)
-        verdicts.append(
-            BoundsVerdict(
-                index=i,
-                lower_ok=a <= b,
-                upper_ok=b <= c,
-                equal_lower=a == b,
-                equal_upper=b == c,
-            )
-        )
-    return BoundsReport(p, lo, f_subject, hi, tuple(verdicts))
+        verdicts.append(BoundsVerdict(i, lower_ok=a <= b, upper_ok=b <= c, equal_lower=a == b))
+    return BoundsReport(tuple(verdicts))
 
 
 def ridge_identity_defect(f_polytope: FVector, f_facet: FVector) -> int:

@@ -60,6 +60,9 @@ from .exactnum import format_rational, int_nullspace, int_rank
 # most 125 (d=6, pulled toward a vertex at closeness 40).
 _MAX_HALVINGS = 1024
 
+# Seeded directions line_shelling tries before it gives up.
+_LINE_RETRIES = 32
+
 
 @dataclass(frozen=True)
 class FacetDescriptor:
@@ -544,9 +547,7 @@ def _verified(
         raise DegeneracyError(f"crossing order failed verification: {exc}") from exc
 
 
-def line_shelling(
-    geom: ASPGeometry, seed: int, retries: int = 32
-) -> ShellingCertificate:
+def line_shelling(geom: ASPGeometry, seed: int) -> ShellingCertificate:
     """Seeded Bruggesser-Mani shelling of a simplicial boundary."""
     if not geom.is_simplicial:
         raise DomainError("line shelling requires a simplicial boundary")
@@ -556,7 +557,7 @@ def line_shelling(
     lines = _LinesFrom(geom, hb)
     rng = random.Random(seed)
     last = None
-    for _ in range(retries):
+    for _ in range(_LINE_RETRIES):
         direction = [rng.randint(-(2**30), 2**30) for _ in range(geom.d)]
         if all(x == 0 for x in direction):
             continue
@@ -565,7 +566,7 @@ def line_shelling(
             return _verified(cx, lines.order(target))
         except DegeneracyError as exc:
             last = exc
-    raise DegeneracyError(f"no usable direction after {retries} tries: {last}")
+    raise DegeneracyError(f"no usable direction after {_LINE_RETRIES} tries: {last}")
 
 
 def constrained_line_shelling(

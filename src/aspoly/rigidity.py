@@ -82,13 +82,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
-    def to_json(self) -> dict:
-        return {"vertices": self.sorted_vertices(), "edges": [list(e) for e in self.sorted_edges()]}
-
-    @staticmethod
-    def from_json(data: dict) -> "Graph":
-        return Graph.from_edges(data["vertices"], data["edges"])
-
 
 def one_skeleton(c: SimplicialComplex) -> Graph:
     return Graph(frozenset(c.vertex_ids), all_faces(c, 1))

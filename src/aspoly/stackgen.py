@@ -3,9 +3,11 @@
 Everything here is purely combinatorial: stacked spheres, pyramids, the
 almost-stacked construction (pyramid over a stacked facet, then repeated
 stacking), hyperplane stacking which grows the special facet in place,
-and the minimizer recognizer.  The recognizer runs the cell
-decomposition of complexes on the boundary sphere, with the special
-facet's prime factors as indivisible polyhedral cells.
+and the minimizer recognizer.  A stacking step names its facet by an
+index into the sorted facet list, so a script is a tuple of ints.  The
+recognizer runs the cell decomposition of complexes on the boundary
+sphere, with the special facet's prime factors as indivisible
+polyhedral cells.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .complexes import (
     boundary_of_ball,
     face_key,
     prime_decomposition,
-    simplex_join,
 )
 from .enumerative import ASPParams
 from .errors import (
@@ -34,40 +35,12 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Move:
-    """One script step: kind 'stack' or 'hstack' plus a facet selector.
-
-    The selector is either an index into the sorted current facet list
-    (ball facets for stack, special-facet boundary facets for hstack) or
-    an explicit vertex tuple that must match a current facet.
-    """
-
-    kind: str
-    selector: int | tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("stack", "hstack"):
-            raise DomainError(f"unknown move kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class StackingScript:
-    moves: tuple[Move, ...]
-
-
-def _resolve(selector: int | tuple[int, ...], facets: Iterable[frozenset[int]]):
+def _resolve(index: int, facets: Iterable[frozenset[int]]) -> frozenset[int]:
+    """The facet at this index of the sorted facet list."""
     ordered = sorted(facets, key=face_key)
-    if isinstance(selector, int):
-        if not 0 <= selector < len(ordered):
-            raise InvalidMoveError(
-                f"facet index {selector} out of range 0..{len(ordered) - 1}"
-            )
-        return ordered[selector]
-    fs = frozenset(selector)
-    if fs not in set(ordered):
-        raise InvalidMoveError(f"{sorted(fs)} is not a facet available to this move")
-    return fs
+    if not 0 <= index < len(ordered):
+        raise InvalidMoveError(f"facet index {index} out of range 0..{len(ordered) - 1}")
+    return ordered[index]
 
 
 def _stack_facets(
@@ -78,26 +51,22 @@ def _stack_facets(
 
 
 def _stacked_sphere_with_solids(
-    d: int, n: int, script: StackingScript
+    d: int, n: int, moves: tuple[int, ...]
 ) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """Stacked (d-1)-sphere on vertex ids 1..n driven by a stack script, plus
-    the solid simplices accumulated while stacking."""
+    """Stacked (d-1)-sphere on vertex ids 1..n, each move the index of the
+    facet stacked over, plus the solid simplices accumulated while stacking."""
     if d < 2:
         raise DomainError("stacked spheres need dimension at least 2")
     if n < d + 1:
         raise DomainError(f"need at least {d + 1} vertices, got {n}")
-    if len(script.moves) != n - d - 1:
-        raise ShapeError(
-            f"script needs exactly {n - d - 1} moves for n={n}, got {len(script.moves)}"
-        )
+    if len(moves) != n - d - 1:
+        raise ShapeError(f"script needs exactly {n - d - 1} moves for n={n}, got {len(moves)}")
     base = frozenset(range(1, d + 2))
     facets = frozenset(base - {x} for x in base)
     solids = {base}
     next_id = d + 2
-    for mv in script.moves:
-        if mv.kind != "stack":
-            raise InvalidMoveError("stacked spheres accept only stack moves")
-        target = _resolve(mv.selector, facets)
+    for index in moves:
+        target = _resolve(index, facets)
         facets = _stack_facets(facets, target, next_id)
         solids.add(target | {next_id})
         next_id += 1
@@ -108,31 +77,29 @@ def pyramid(base: SimplicialComplex, apex: int) -> SimplicialComplex:
     """Cone over a complex with a fresh apex vertex."""
     if apex in base.vertex_ids:
         raise DomainError(f"apex {apex} already occurs in the base")
-    return simplex_join({apex}, base)
+    return SimplicialComplex.from_facets(g | {apex} for g in base.facets)
 
 
 def almost_stacked(
-    p: ASPParams, script_f: StackingScript, script_p: StackingScript
+    p: ASPParams, f_moves: tuple[int, ...], p_moves: tuple[int, ...]
 ) -> ASPComplex:
     """The face-count minimizing family: pyramid over a stacked facet, then stack.
 
-    script_f drives the stacked (d-2)-sphere bounding the special facet F
-    on ids 1..d+s (s moves); the pyramid apex is d+s+1; script_p then
-    stacks n-d-s-1 times over ball facets.  F's stacked triangulation is
-    carried on the result for later refinement.  The result is validated
-    (its special_boundary is read).
+    f_moves builds the stacked (d-2)-sphere bounding the special facet F
+    on ids 1..d+s (s moves); the pyramid apex is d+s+1; p_moves then
+    stacks n-d-s-1 times over ball facets.  Each move is a facet index.
+    F's stacked triangulation is carried on the result for later
+    refinement.  The result is validated (its special_boundary is read).
     """
     d, n, s = p.d, p.n, p.s
-    f_boundary, f_solids = _stacked_sphere_with_solids(d - 1, d + s, script_f)
+    f_boundary, f_solids = _stacked_sphere_with_solids(d - 1, d + s, f_moves)
     apex = d + s + 1
     ball = pyramid(f_boundary, apex)
     asp = ASPComplex(
         ASPParams(d, apex, s), ball, frozenset(range(1, d + s + 1)), f_solids
     )
-    for mv in script_p.moves:
-        if mv.kind != "stack":
-            raise InvalidMoveError("almost_stacked accepts only stack moves here")
-        asp = stack_over(asp, mv.selector)
+    for index in p_moves:
+        asp = stack_over(asp, index)
     if asp.params != p:
         raise ShapeError(
             f"script length mismatch: built {asp.params}, requested {p}"
@@ -145,13 +112,13 @@ def _next_vertex_id(asp: ASPComplex) -> int:
     return max(asp.ball.vertex_ids) + 1
 
 
-def stack_over(asp: ASPComplex, selector: int | tuple[int, ...]) -> ASPComplex:
-    """Stack a fresh vertex over one ball facet; F is untouched.
+def stack_over(asp: ASPComplex, index: int) -> ASPComplex:
+    """Stack a fresh vertex over the ball facet at this sorted index; F is untouched.
 
     Only ball facets are selectable, so the special facet can never be
     stacked over through this operation.
     """
-    target = _resolve(selector, asp.ball.facets)
+    target = _resolve(index, asp.ball.facets)
     w = _next_vertex_id(asp)
     ball = SimplicialComplex.from_facets(_stack_facets(asp.ball.facets, target, w))
     q = asp.params
@@ -160,24 +127,17 @@ def stack_over(asp: ASPComplex, selector: int | tuple[int, ...]) -> ASPComplex:
     )
 
 
-def h_stack(asp: ASPComplex, selector: int | tuple[int, ...]) -> ASPComplex:
+def h_stack(asp: ASPComplex, index: int) -> ASPComplex:
     """Grow the special facet by stacking inside its own hyperplane.
 
-    The selected boundary facet G of F lies in exactly one ball facet T;
-    the new vertex w replaces T by cones over T's other ridges, F gains
-    w, and the carried triangulation is stacked over G.  Net effect:
-    n and s both grow by one and the ball gains d-2 facets.
+    The facet G of F's boundary at this sorted index is a boundary ridge
+    of the ball, so it lies in exactly one ball facet T; the new vertex w
+    replaces T by cones over T's other ridges, F gains w, and the carried
+    triangulation is stacked over G.  Net effect: n and s both grow by one
+    and the ball gains d-2 facets.
     """
-    bd = boundary_of_ball(asp.ball)
-    g = _resolve(selector, bd.facets)
-    if not g <= asp.special_facet:
-        raise InvalidMoveError(f"{sorted(g)} does not lie on the special facet")
-    hosts = [t for t in asp.ball.facets if g <= t]
-    if len(hosts) != 1:
-        raise InvalidMoveError(
-            f"{sorted(g)} lies in {len(hosts)} ball facets, expected exactly 1"
-        )
-    t = hosts[0]
+    g = _resolve(index, boundary_of_ball(asp.ball).facets)
+    t = next(t for t in asp.ball.facets if g <= t)
     w = _next_vertex_id(asp)
     new_facets = (asp.ball.facets - {t}) | {
         (t - {x}) | {w} for x in t if (t - {x}) != g
@@ -187,13 +147,12 @@ def h_stack(asp: ASPComplex, selector: int | tuple[int, ...]) -> ASPComplex:
     new_tri = None
     if tri is not None:
         new_tri = SimplicialComplex.from_facets(tri.facets | {g | {w}})
-    out = ASPComplex(
+    return ASPComplex(
         ASPParams(q.d, q.n + 1, q.s + 1),
         SimplicialComplex.from_facets(new_facets),
         asp.special_facet | {w},
         new_tri,
     )
-    return out
 
 
 def trivial_asp(d: int) -> ASPComplex:
@@ -209,21 +168,21 @@ def trivial_asp(d: int) -> ASPComplex:
     return ASPComplex(p, ball, f, SimplicialComplex.from_facets([f]))
 
 
-def random_scripts(p: ASPParams, seed: int) -> tuple[StackingScript, StackingScript]:
-    """Seeded scripts for almost_stacked: facet counts are simulated exactly."""
+def random_scripts(p: ASPParams, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Seeded facet indices for almost_stacked: facet counts are simulated exactly."""
     rng = random.Random(seed)
     d, n, s = p.d, p.n, p.s
     count = d
     moves_f = []
     for _ in range(s):
-        moves_f.append(Move("stack", rng.randrange(count)))
+        moves_f.append(rng.randrange(count))
         count += d - 2
     moves_p = []
     ball_count = count
     for _ in range(n - d - s - 1):
-        moves_p.append(Move("stack", rng.randrange(ball_count)))
+        moves_p.append(rng.randrange(ball_count))
         ball_count += d - 1
-    return StackingScript(tuple(moves_f)), StackingScript(tuple(moves_p))
+    return tuple(moves_f), tuple(moves_p)
 
 
 def random_minimizer(p: ASPParams, seed: int, style: str = "stack") -> ASPComplex:
@@ -308,7 +267,7 @@ def _classify_factor(
 
 def _refined_cells(asp: ASPComplex) -> list[_Cell]:
     """Boundary cells: the special facet's prime factors, then the ball facets."""
-    f_factors = prime_decomposition(asp.special_boundary).factors
+    f_factors = prime_decomposition(asp.special_boundary)
     cells = [_Cell(frozenset(s.vertex_ids), s.facets, True) for s in f_factors]
     cells.extend(_simplex_cell(b) for b in asp.ball.facets)
     return cells

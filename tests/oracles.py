@@ -10,7 +10,7 @@ property tests check that the library gives the same results.
 
 Below them sit the small exact tools several test modules share:
 cofactor determinants, Gaussian-elimination ranks and Bareiss
-determinants, stacked spheres from a stacking script, and the
+determinants, stacked spheres from facet indices, and the
 stacked-sphere test by prime decomposition.
 """
 
@@ -36,7 +36,7 @@ from aspoly.errors import (
 )
 from aspoly.exactnum import _echelon, int_nullspace
 from aspoly.hull import _dots, _primitive
-from aspoly.stackgen import StackingScript, _stacked_sphere_with_solids
+from aspoly.stackgen import _stacked_sphere_with_solids
 
 
 def face_set(c: SimplicialComplex) -> frozenset[frozenset[int]]:
@@ -178,8 +178,6 @@ def verify_shelling_pairwise(
         raise DomainError("order must list every facet exactly once")
     size = c.dim + 1
     restriction: list[frozenset[int]] = []
-    hist = [0] * (size + 1)
-    prefix: list[tuple[int, ...]] = []
     for j, fj in enumerate(seq):
         if j == 0:
             rj = frozenset()
@@ -195,9 +193,7 @@ def verify_shelling_pairwise(
                     )
             rj = frozenset(x for x in fj if (fj - {x}) in big)
         restriction.append(rj)
-        hist[len(rj)] += 1
-        prefix.append(tuple(hist))
-    return ShellingCertificate(c, tuple(seq), tuple(restriction), tuple(prefix))
+    return ShellingCertificate(c, tuple(seq), tuple(restriction))
 
 
 def key_shelling_defects_by_face_counts(
@@ -318,14 +314,14 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
-def stacked_sphere(d: int, n: int, script: StackingScript) -> SimplicialComplex:
-    """Stacked (d-1)-sphere on vertex ids 1..n driven by a stack script."""
-    return _stacked_sphere_with_solids(d, n, script)[0]
+def stacked_sphere(d: int, n: int, moves: tuple[int, ...]) -> SimplicialComplex:
+    """Stacked (d-1)-sphere on vertex ids 1..n, each move the index of the facet stacked over."""
+    return _stacked_sphere_with_solids(d, n, moves)[0]
 
 
 def is_stacked_sphere(sphere: SimplicialComplex) -> bool:
     """True when every prime factor is a simplex boundary: dim+2 facets on dim+2 vertices."""
     return all(
         len(f.vertex_ids) == len(f.facets) == f.dim + 2
-        for f in prime_decomposition(sphere).factors
+        for f in prime_decomposition(sphere)
     )

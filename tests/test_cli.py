@@ -384,6 +384,18 @@ class TestVerify:
                 "artifact field 'edges[0]' is not a list of integer vertex ids",
                 id="rigidity-float-edge-end",
             ),
+            pytest.param(
+                "rigidity",
+                {"edges": [[1, 2]]},
+                "graph file is missing 'vertices'",
+                id="rigidity-no-vertices",
+            ),
+            pytest.param(
+                "rigidity",
+                {"vertices": [1, 2]},
+                "graph file is missing 'edges'",
+                id="rigidity-no-edges",
+            ),
         ],
     )
     def test_malformed_input_file_is_refused(self, capsys, tmp_path, command, data, message):

@@ -32,8 +32,6 @@ from aspoly.complexes import (
 from aspoly.enumerative import ASPParams, h_from_f
 from aspoly.gale import almost_cyclic_facets
 from aspoly.stackgen import (
-    Move,
-    StackingScript,
     _refined_cells,
     random_minimizer,
     recognize_minimizer,
@@ -203,9 +201,8 @@ class TestShelling:
         c = simplex_boundary(3)
         order = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
         cert = verify_shelling(c, order)
-        assert cert.prefix_h[0] == (1, 0, 0, 0)
-        assert cert.prefix_h[1] == (1, 1, 0, 0)
-        assert cert.prefix_h[-1] == (1, 1, 1, 1)
+        assert [len(r) for r in cert.restriction] == [0, 1, 2, 3]
+        assert h_from_shelling(cert).entries == (1, 1, 1, 1)
 
 
 def missing_faces(c: SimplicialComplex, k: int) -> frozenset[frozenset[int]]:
@@ -264,6 +261,17 @@ def prime_decomposition_by_scan(sphere: SimplicialComplex):
     return factors, cuts
 
 
+def decompose(sphere: SimplicialComplex):
+    """prime_decomposition's factors, with the cut tree of the same split.
+
+    The tree comes from _cell_decomposition on the sphere's facets as
+    simplex cells, the split prime_decomposition runs.
+    """
+    cells = [_simplex_cell(g) for g in sphere.sorted_facets()]
+    _, tree_edges = _cell_decomposition(cells, sphere.dim + 1)
+    return prime_decomposition(sphere), tree_edges
+
+
 class TestMissingFacesAndDecomposition:
     def test_octahedron_diagonals(self):
         diag = missing_faces(octahedron(), 1)
@@ -279,20 +287,20 @@ class TestMissingFacesAndDecomposition:
         assert missing_faces(triangle_bipyramid(), 2) == {frozenset({1, 2, 3})}
 
     def test_bipyramid_decomposition(self):
-        dec = prime_decomposition(triangle_bipyramid())
-        assert len(dec.factors) == 2
-        assert len(dec.tree_edges) == 1
-        i, j, a = dec.tree_edges[0]
+        factors, tree_edges = decompose(triangle_bipyramid())
+        assert len(factors) == 2
+        assert len(tree_edges) == 1
+        i, j, a = tree_edges[0]
         assert a == frozenset({1, 2, 3})
-        for f in dec.factors:
+        for f in factors:
             assert f.n_facets == 4 and len(f.vertex_ids) == 4
             assert a in f.facets
 
     def test_simplex_boundary_is_prime(self):
         c = simplex_boundary(3)
-        dec = prime_decomposition(c)
-        assert dec.factors == (c,)
-        assert dec.tree_edges == ()
+        factors, tree_edges = decompose(c)
+        assert factors == (c,)
+        assert tree_edges == []
 
     def test_stacked_chain_three_factors(self):
         # stack twice: on 234 with vertex 5, then on 345 with vertex 6
@@ -307,14 +315,14 @@ class TestMissingFacesAndDecomposition:
             [4, 5, 6],
         ]
         c = SimplicialComplex.from_facets(facets)
-        dec = prime_decomposition(c)
-        assert len(dec.factors) == 3
-        assert {a for _, _, a in dec.tree_edges} == {
+        factors, tree_edges = decompose(c)
+        assert len(factors) == 3
+        assert {a for _, _, a in tree_edges} == {
             frozenset({2, 3, 4}),
             frozenset({3, 4, 5}),
         }
-        total = sum(f.n_facets for f in dec.factors)
-        assert total == c.n_facets + 2 * len(dec.tree_edges)
+        total = sum(f.n_facets for f in factors)
+        assert total == c.n_facets + 2 * len(tree_edges)
         assert is_stacked_sphere(c)
 
     def test_stacked_recognition(self):
@@ -333,8 +341,8 @@ def stacked_spheres(draw):
     d = draw(st.integers(3, 7))
     picks = draw(st.lists(st.integers(0, 10**6), max_size=5))
     # stacking adds d - 1 facets to the d + 1 of the simplex boundary
-    moves = tuple(Move("stack", k % (d + 1 + i * (d - 1))) for i, k in enumerate(picks))
-    return stacked_sphere(d, d + 1 + len(picks), StackingScript(moves))
+    moves = tuple(k % (d + 1 + i * (d - 1)) for i, k in enumerate(picks))
+    return stacked_sphere(d, d + 1 + len(picks), moves)
 
 
 @st.composite
@@ -358,18 +366,17 @@ class TestPrimeDecompositionMatchesScan:
     @given(st.one_of(stacked_spheres(), special_facet_boundaries(), cyclic_spheres()))
     def test_same_factors_and_cuts(self, sphere):
         factors, cuts = prime_decomposition_by_scan(sphere)
-        dec = prime_decomposition(sphere)
-        assert {f.facets for f in dec.factors} == set(factors)
-        assert len(dec.factors) == len(factors)
-        assert {a for _, _, a in dec.tree_edges} == set(cuts)
-        assert len(dec.tree_edges) == len(cuts)
-        for i, j, a in dec.tree_edges:
-            assert a in dec.factors[i].facets and a in dec.factors[j].facets
+        got, tree_edges = decompose(sphere)
+        assert {f.facets for f in got} == set(factors)
+        assert len(got) == len(factors)
+        assert {a for _, _, a in tree_edges} == set(cuts)
+        assert len(tree_edges) == len(cuts)
+        for i, j, a in tree_edges:
+            assert a in got[i].facets and a in got[j].facets
 
     def test_stacked_spheres_split_into_simplices(self):
-        script = StackingScript(tuple(Move("stack", k) for k in (0, 2, 5)))
         for d in range(3, 8):
-            sphere = stacked_sphere(d, d + 4, script)
+            sphere = stacked_sphere(d, d + 4, (0, 2, 5))
             factors, cuts = prime_decomposition_by_scan(sphere)
             assert len(factors) == 4 and len(cuts) == 3
             assert is_stacked_sphere(sphere)
@@ -460,7 +467,7 @@ class TestProperties:
         c = SimplicialComplex.from_facets(edges)
         if expected:
             cert = verify_shelling(c, order)
-            assert sum(cert.prefix_h[-1]) == len(edges)
+            assert sum(h_from_shelling(cert).entries) == len(edges)
         else:
             with pytest.raises(ShellingError):
                 verify_shelling(c, order)
@@ -581,10 +588,10 @@ def frozen_minimizer_records():
     """
 
     def decomposition(sphere):
-        dec = prime_decomposition(sphere)
+        factors, tree_edges = decompose(sphere)
         return [
-            [[sorted(g) for g in f.sorted_facets()] for f in dec.factors],
-            [[i, j, sorted(a)] for i, j, a in dec.tree_edges],
+            [[sorted(g) for g in f.sorted_facets()] for f in factors],
+            [[i, j, sorted(a)] for i, j, a in tree_edges],
         ]
 
     out = []

@@ -9,12 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from aspoly.cli import _points_from_json
 from aspoly.curves import (
-    CurveSpec,
     PointConfig,
     almost_cyclic_points,
-    almost_cyclic_spec,
     curve_parameters,
-    general_curve_points,
     p_eval,
 )
 from aspoly.enumerative import ASPParams
@@ -25,7 +22,7 @@ from oracles import cofactor_det, gauss_rank
 def homogeneous_rows(config: PointConfig, ids=None) -> list[list[Fraction]]:
     """Rows (1, x_1, ..., x_d) for the selected points, default all."""
     sel = ids if ids is not None else [pid for pid, _ in config.points]
-    return [[Fraction(1), *config.coords(pid)] for pid in sel]
+    return [[Fraction(1), *config.points[pid - 1][1]] for pid in sel]
 
 
 class TestPEval:
@@ -84,9 +81,17 @@ class TestAlmostCyclicPoints:
             assert c[:3] == (Fraction(t), Fraction(t) ** 2, Fraction(t) ** 3)
 
     def test_specialization_matches_general(self):
-        p = ASPParams(4, 7, 1)
-        via_general = general_curve_points(almost_cyclic_spec(p), curve_parameters(p))
-        assert via_general == almost_cyclic_points(p)
+        # The curve (t, t^2, ..., t^(d-1), p(t)) written out at the grid.
+        for d in range(3, 8):
+            for s in range(4):
+                for n in range(d + s + 1, 23):
+                    p = ASPParams(d, n, s)
+                    ts = curve_parameters(p)
+                    points = tuple(
+                        (i, tuple(Fraction(t) ** k for k in range(1, d)) + (p_eval(t, p),))
+                        for i, t in enumerate(ts, start=1)
+                    )
+                    assert almost_cyclic_points(p) == PointConfig(d, points)
 
     def test_json_roundtrip(self):
         cfg = almost_cyclic_points(ASPParams(3, 6, 1))
@@ -94,46 +99,29 @@ class TestAlmostCyclicPoints:
 
 
 class TestGeneralCurve:
-    def test_duplicate_params_rejected(self):
-        spec = CurveSpec(3, 0, ())
-        with pytest.raises(DomainError):
-            general_curve_points(spec, [1, 1, 2])
-
-    def test_r_bounds(self):
-        with pytest.raises(DomainError):
-            CurveSpec(3, 3, (lambda t: Fraction(0),) * 3)
-        with pytest.raises(ShapeError):
-            CurveSpec(3, 1, ())
-
-    def test_moment_curve_orientation_nonzero(self):
-        spec = CurveSpec(3, 0, ())
-        cfg = general_curve_points(spec, [-1, 0, 2, 5])
-        assert cofactor_det(homogeneous_rows(cfg)) != 0
+    """Minors and affine independence of the curve points."""
 
     def test_modified_curve_head_minor_is_vandermonde(self):
         p = ASPParams(4, 9, 2)
-        spec = almost_cyclic_spec(p)
-        ts = [-3, -1, 0, 2]
-        cfg = general_curve_points(spec, ts)
-        rows = [[Fraction(1), *cfg.coords(i)[:-1]] for i in range(1, 5)]
+        cfg = almost_cyclic_points(p)
+        ids = [3, 5, 6, 8]
+        ts = [curve_parameters(p)[i - 1] for i in ids]
+        assert ts == [-3, -1, 0, 2]
+        rows = [[Fraction(1), *cfg.points[i - 1][1][:-1]] for i in ids]
         # prod_{i<j} (t_j - t_i), the Vandermonde determinant
         assert cofactor_det(rows) == prod(tj - ti for ti, tj in combinations(ts, 2))
 
     @settings(deadline=None, max_examples=40)
     @given(
         st.integers(min_value=3, max_value=5),
-        st.sets(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6),
-        st.booleans(),
+        st.sets(st.integers(min_value=1, max_value=9), min_size=1, max_size=6),
     )
-    def test_affine_independence_of_small_subsets(self, d, ts, modified):
-        if modified:
-            params = ASPParams(d, d + 6, 1)
-            spec = almost_cyclic_spec(params)
-        else:
-            spec = CurveSpec(d, 0, ())
-        cfg = general_curve_points(spec, ts)
-        k = min(len(ts), d - spec.r + 1)
-        for sub in combinations(range(1, len(ts) + 1), k):
+    def test_affine_independence_of_small_subsets(self, d, ids):
+        # Any d points of the (d, d + 6, 1) configuration are affinely
+        # independent; d + 1 need not be, as the first d + 1 are flat.
+        cfg = almost_cyclic_points(ASPParams(d, d + 6, 1))
+        k = min(len(ids), d)
+        for sub in combinations(sorted(ids), k):
             assert gauss_rank(homogeneous_rows(cfg, sub)) == k
 
 

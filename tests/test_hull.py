@@ -445,7 +445,7 @@ class TestOrientation:
         block = range(1, p.d + p.s + 1)
         for sub in combinations(block, p.d):
             for outside in range(p.d + p.s + 1, p.n + 1):
-                pts = [cfg.coords(i) for i in sub] + [cfg.coords(outside)]
+                pts = [cfg.points[i - 1][1] for i in (*sub, outside)]
                 assert orientation(pts) == 1
 
 

@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, and every public
-library name and public method of a library class is read outside tests/.
+library name, public method of a library class and field of a library
+dataclass is read outside tests/.
 
 Parses the library modules (all but the package ``__init__``) and the
 scripts with ``ast``; a name counts as used when it is read anywhere in
@@ -120,3 +121,40 @@ def test_every_public_name_is_read_outside_tests():
             if not outside:
                 unread.setdefault(path.stem, set()).add(name)
     assert not unread, f"public names nothing outside tests/ reads: {unread}"
+
+
+def dataclass_fields(tree: ast.Module):
+    """(class name, field name) of each field of a dataclass, nested ones included."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    yield node.name, member.target.id
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a library dataclass is read as an attribute in the
+    library, the scripts or the benchmark.
+
+    Fields are matched by attribute name alone, whatever the object, so
+    the gate is lenient: a field passes when an attribute of the same name
+    is read anywhere, on any class.  An unread field named ``d`` or
+    ``params`` would pass, as those names are read on many objects; the
+    public-name test above is lenient the same way for methods.
+    """
+    read = {
+        n.attr
+        for path in READERS
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{path.stem}.{cls}.{name}"
+        for path in LIBRARY
+        for cls, name in dataclass_fields(ast.parse(path.read_text()))
+        if name not in read
+    )
+    assert not unread, f"dataclass fields nothing outside tests/ reads: {unread}"

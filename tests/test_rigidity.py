@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspoly import rigidity
+from aspoly.cli import main
 from aspoly.complexes import ASPComplex, SimplicialComplex, f_vector, validate_asp
 from aspoly.enumerative import ASPParams, f_almost_stacked
 from aspoly.errors import DomainError, ShapeError
@@ -154,9 +155,14 @@ class TestGraph:
         with pytest.raises(ShapeError):
             Graph.from_edges([1, 2], [(1, 3)])
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path, capsys):
+        # A graph file of sorted vertices and edges reads back as the same
+        # graph: rigidity reports on it what sample_generic reports on g.
         g = Graph.from_edges([3, 1, 2], [(1, 3), (2, 3)])
-        assert Graph.from_json(g.to_json()) == g
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": g.sorted_vertices(), "edges": g.sorted_edges()}))
+        assert main(["rigidity", "--input", str(path), "--dim", "2"]) == 0
+        assert json.loads(capsys.readouterr().out) == sample_generic(g, 2).to_json()
 
 
 class TestRigidityMatrix:
