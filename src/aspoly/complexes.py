@@ -10,10 +10,14 @@ them per complex; boundaries come from a count of ridges.
 
 Prime decomposition has one implementation, on spheres of cells: a
 simplicial sphere is the case where every cell is a simplex, and the
-minimizer recognizer in stackgen passes polyhedral cells too.  Missing
-simplices are found once, by looking each ridge's completions up in an
-index of the (d-2)-faces, and carried down the splits.  One map from
-ridges to their cells serves every split.
+minimizer recognizer in stackgen passes polyhedral cells too.  Inside it
+a face is an int bitmask over vertex positions: the vertex of rank k in
+sorted id order is bit k, whatever its id, so masks order faces as
+face_key does.  Missing simplices are found once, by looking each
+ridge's completions up in an index of the (d-2)-faces, and carried down
+the splits.  One map from ridges to their cells serves every split.
+Faces leave the decomposition, results and error messages alike, as
+vertex ids.
 """
 
 from __future__ import annotations
@@ -211,67 +215,88 @@ def h_from_shelling(cert: ShellingCertificate) -> HVector:
     return HVector(d, tuple(hist))
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """Polyhedral cell: vertex set and boundary ridges.
+# A cell of the decomposition: its vertex mask and its ridges' masks.
+_MaskCell = tuple[int, tuple[int, ...]]
 
-    original_f marks a prime factor of an ASP's special facet F.
+
+def _bits(m: int) -> list[int]:
+    """The one-bit masks of m, lowest first.
+
+    As a sort key it gives face_key order, since bits follow sorted id
+    order.
     """
-
-    vertices: frozenset[int]
-    ridges: frozenset[frozenset[int]]
-    original_f: bool
-
-    def is_simplex(self, d: int) -> bool:
-        return len(self.vertices) == d
-
-
-def _simplex_cell(vertices: frozenset[int]) -> _Cell:
-    return _Cell(vertices, frozenset(vertices - {x} for x in vertices), False)
+    out = []
+    while m:
+        low = m & -m
+        out.append(low)
+        m ^= low
+    return out
 
 
-def _cell_missing_simplices(cells: Sequence[_Cell], d: int) -> list[frozenset[int]]:
+def _vertex_bits(ids: Sequence[int]) -> dict[int, int]:
+    """Bit 1 << k for the vertex at position k of the sorted ids, whatever its id."""
+    return {v: 1 << k for k, v in enumerate(ids)}
+
+
+def _mask(face: Iterable[int], bit: dict[int, int]) -> int:
+    return sum(map(bit.__getitem__, face))
+
+
+def _face_ids(m: int, ids: Sequence[int]) -> list[int]:
+    """The sorted vertex ids of a mask."""
+    return [ids[b.bit_length() - 1] for b in _bits(m)]
+
+
+def _simplex_cell(m: int) -> _MaskCell:
+    return m, tuple(m ^ b for b in _bits(m))
+
+
+def _cell_missing_simplices(cells: Sequence[_MaskCell], d: int) -> list[int]:
     """Missing facets: d-vertex sets that are not faces but whose facets are.
 
     Every (d-1)-vertex face is a cell ridge and every d-vertex face is a
     simplex cell.  A candidate a = r + x, with r a ridge, needs (r - y) + x
-    to be a ridge for every y in r.  So an index sends each (d-2)-face to
-    the vertices that extend it to a ridge, and x is looked up in the
-    index sets of r's (d-2)-faces.  Only x > max(r) is taken, which finds
-    each a once, from r = a - max(a).
+    to be a ridge for every y in r.  So an index sends each (d-2)-face
+    r ^ y to the OR of the bits that extend it to a ridge, and the AND of
+    r's d - 1 index values holds every x.  Only bits above r's top bit are
+    taken, which finds each a once, from r = a - max(a).  The result is in
+    face_key order.
     """
-    ridges = {r for c in cells for r in c.ridges}
-    simplices = {c.vertices for c in cells if c.is_simplex(d)}
-    extensions: dict[frozenset[int], set[int]] = {}
-    for r in ridges:
-        for y in r:
-            extensions.setdefault(r - {y}, set()).add(y)
+    ridges = {r: _bits(r) for r in {r for _, rs in cells for r in rs}}
+    simplices = {m for m, _ in cells if m.bit_count() == d}
+    extensions: dict[int, int] = {}
+    for r, ys in ridges.items():
+        for y in ys:
+            extensions[r ^ y] = extensions.get(r ^ y, 0) | y
     out = []
-    for r in ridges:
-        top = max(r)
-        for x in set.intersection(*[extensions[r - {y}] for y in r]):
-            if x > top:
-                a = r | {x}
-                if a not in simplices:
-                    out.append(a)
-    return sorted(out, key=face_key)
+    for r, ys in ridges.items():
+        cand = -1 << r.bit_length()
+        for y in ys:
+            cand &= extensions[r ^ y]
+        for x in _bits(cand):
+            a = r | x
+            if a not in simplices:
+                out.append(a)
+    return sorted(out, key=_bits)
 
 
 def _cell_decomposition(
-    cells: Sequence[_Cell], d: int
-) -> tuple[list[tuple[_Cell, ...]], list[tuple[int, int, frozenset[int]]]]:
+    cells: Sequence[_MaskCell], d: int, ids: Sequence[int]
+) -> tuple[list[_MaskCell], list[list[int]], list[tuple[int, int, int]]]:
     """Split a sphere of cells along missing simplices until none is left.
 
-    Returns the prime factors, each a tuple of cells, and the tree of
-    cuts as (factor index, factor index, cut simplex).  The lexicographically
-    first missing simplex a is cut first.  A ridge in three or more cells
-    raises PseudomanifoldError.
+    Bit k of a mask stands for ids[k], and errors name faces by those ids.
+    Returns the cells with the cut simplices appended, the prime factors as
+    lists of indices into them, and the tree of cuts as (factor index,
+    factor index, cut simplex).  The lexicographically first missing
+    simplex a is cut first.  A ridge in three or more cells raises
+    PseudomanifoldError, naming the first such ridge in face_key order.
 
     One map, built once, sends each ridge to the cells that own it.  A part
-    is a list of indices into the cells; it is cut along a by two walks
-    that cross only its own members' ridges other than a's, and each part
-    keeps its cells in the given order, with a appended.  The cut simplex
-    joins the cells, and its index joins the owners of its ridges.
+    is a list of cell indices; it is cut along a by two walks that cross
+    only its own members' ridges other than a's, and each part keeps its
+    cells in the given order, with a appended.  The cut simplex joins the
+    cells, and its index joins the owners of its ridges.
 
     The missing set is searched once, at the root, and carried down: each
     part of the cut along a keeps the parent's other missing simplices
@@ -286,42 +311,47 @@ def _cell_decomposition(
     side.
     """
     cells = list(cells)
-    owners: dict[frozenset[int], list[int]] = {}
-    for i, c in enumerate(cells):
-        for r in c.ridges:
+    owners: dict[int, list[int]] = {}
+    for i, (_, rs) in enumerate(cells):
+        for r in rs:
             owners.setdefault(r, []).append(i)
-    for r, own in owners.items():
-        if len(own) > 2:
-            raise PseudomanifoldError(f"ridge {sorted(r)} lies in {len(own)} cells")
+    fat = [r for r, own in owners.items() if len(own) > 2]
+    if fat:
+        r = min(fat, key=_bits)
+        raise PseudomanifoldError(f"ridge {_face_ids(r, ids)} lies in {len(owners[r])} cells")
     factors: list[list[int]] = []
-    edges: list[tuple[int, int, frozenset[int]]] = []
+    edges: list[tuple[int, int, int]] = []
 
-    def reach(i: int, members: set[int], cut: set[frozenset[int]]) -> set[int]:
+    def reach(i: int, members: set[int], cut: set[int]) -> set[int]:
         comp, stack = {i}, [i]
         while stack:
-            for r in cells[stack.pop()].ridges - cut:
-                for nb in owners[r]:
-                    if nb in members and nb not in comp:
-                        comp.add(nb)
-                        stack.append(nb)
+            for r in cells[stack.pop()][1]:
+                if r not in cut:
+                    for nb in owners[r]:
+                        if nb in members and nb not in comp:
+                            comp.add(nb)
+                            stack.append(nb)
         return comp
 
-    def decompose(part: list[int], carried: list[frozenset[int]]) -> list[int]:
+    def decompose(part: list[int], carried: list[_MaskCell]) -> list[int]:
         members = set(part)
         missing = [
-            m for m in carried if all(not members.isdisjoint(owners[m - {x}]) for x in m)
+            m for m in carried if all(not members.isdisjoint(owners[r]) for r in m[1])
         ]
         if not missing:
             factors.append(part)
             return [len(factors) - 1]
-        a = missing[0]
-        cut = {a - {x} for x in a}
+        cell = missing[0]
+        a = cell[0]
+        cut = set(cell[1])
         side = reach(part[0], members, cut)
         rest = [i for i in part if i not in side]
         if not rest or reach(rest[0], members, cut) != set(rest):
-            raise DegeneracyError(f"cutting along {sorted(a)} does not give two components")
+            raise DegeneracyError(
+                f"cutting along {_face_ids(a, ids)} does not give two components"
+            )
         k = len(cells)
-        cells.append(_simplex_cell(a))
+        cells.append(cell)
         for r in cut:
             owners[r].append(k)
         s1 = [i for i in part if i in side] + [k]
@@ -332,8 +362,9 @@ def _cell_decomposition(
         edges.append((i, j, a))
         return idx1 + idx2
 
-    decompose(list(range(len(cells))), _cell_missing_simplices(cells, d))
-    return [tuple(cells[i] for i in part) for part in factors], edges
+    missing = [_simplex_cell(a) for a in _cell_missing_simplices(cells, d)]
+    decompose(list(range(len(cells))), missing)
+    return cells, factors, edges
 
 
 def prime_decomposition(sphere: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
@@ -342,15 +373,21 @@ def prime_decomposition(sphere: SimplicialComplex) -> tuple[SimplicialComplex, .
     The cut simplices are taken in lexicographic order; the result is
     order-independent for spheres of dimension at least 2 and the facet
     counts obey sum_i f_top(factor_i) = f_top(sphere) + 2 (number of cuts).
-    The cut tree is _cell_decomposition's.
+    The cut tree is _cell_decomposition's, run on masks over the sphere's
+    sorted vertex ids.
     """
     if sphere.dim < 2:
         raise DomainError("prime decomposition needs dimension at least 2")
     if not is_closed_pseudomanifold(sphere):
         raise PseudomanifoldError("input has boundary or fat ridges")
-    cells = [_simplex_cell(g) for g in sphere.sorted_facets()]
-    parts, edges = _cell_decomposition(cells, sphere.dim + 1)
-    factors = [SimplicialComplex.from_facets(c.vertices for c in part) for part in parts]
+    ids = sphere.vertex_ids
+    bit = _vertex_bits(ids)
+    cells = [_simplex_cell(_mask(g, bit)) for g in sphere.sorted_facets()]
+    cells, parts, edges = _cell_decomposition(cells, sphere.dim + 1, ids)
+    factors = [
+        SimplicialComplex.from_facets(_face_ids(cells[i][0], ids) for i in part)
+        for part in parts
+    ]
     total = sum(f.n_facets for f in factors)
     if total != sphere.n_facets + 2 * len(edges) or len(edges) != len(factors) - 1:
         raise DegeneracyError("decomposition bookkeeping violated the cut identity")

@@ -7,21 +7,25 @@ and the minimizer recognizer.  A stacking step names its facet by an
 index into the sorted facet list, so a script is a tuple of ints.  The
 recognizer runs the cell decomposition of complexes on the boundary
 sphere, with the special facet's prime factors as indivisible
-polyhedral cells.
+polyhedral cells; it builds the cells and classifies the factors on
+the decomposition's vertex bitmasks, and reports vertex ids.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .complexes import (
     ASPComplex,
     SimplicialComplex,
-    _Cell,
+    _MaskCell,
     _cell_decomposition,
+    _face_ids,
+    _mask,
     _simplex_cell,
+    _vertex_bits,
     boundary_of_ball,
     face_key,
     prime_decomposition,
@@ -240,37 +244,46 @@ class MinimizerVerdict:
 
 
 def _classify_factor(
-    factor: tuple[_Cell, ...], d: int, fset: frozenset[int]
+    part: list[int], cells: list[_MaskCell], n_f: int, d: int, fmask: int, ids: Sequence[int]
 ) -> FactorReport:
-    verts = frozenset().union(*(c.vertices for c in factor))
+    """Report on one factor, its cells given by index; the first n_f cells are F's factors."""
+    verts = 0
+    for i in part:
+        verts |= cells[i][0]
     is_simplex = (
-        len(verts) == d + 1
-        and len(factor) == d + 1
-        and all(c.is_simplex(d) for c in factor)
+        verts.bit_count() == d + 1
+        and len(part) == d + 1
+        and all(cells[i][0].bit_count() == d for i in part)
     )
-    has_facet_in_f = any(c.vertices <= fset for c in factor)
+    has_facet_in_f = any(not cells[i][0] & ~fmask for i in part)
     pyramid = False
-    for c in factor:
-        if not c.original_f:
+    for i in part:
+        if i >= n_f:
             continue
-        apexes = verts - c.vertices
-        if len(apexes) != 1:
+        m, ridges = cells[i]
+        apex = verts & ~m
+        if not apex or apex & (apex - 1):
             continue
-        a = next(iter(apexes))
-        expected = {r | {a} for r in c.ridges}
-        others = {x.vertices for x in factor if x is not c}
-        if others == expected and len(factor) == 1 + len(c.ridges):
+        expected = {r | apex for r in ridges}
+        others = {cells[j][0] for j in part if j != i}
+        if others == expected and len(part) == 1 + len(ridges):
             pyramid = True
             break
-    return FactorReport(tuple(sorted(verts)), is_simplex, has_facet_in_f, pyramid)
+    return FactorReport(tuple(_face_ids(verts, ids)), is_simplex, has_facet_in_f, pyramid)
 
 
-def _refined_cells(asp: ASPComplex) -> list[_Cell]:
-    """Boundary cells: the special facet's prime factors, then the ball facets."""
-    f_factors = prime_decomposition(asp.special_boundary)
-    cells = [_Cell(frozenset(s.vertex_ids), s.facets, True) for s in f_factors]
-    cells.extend(_simplex_cell(b) for b in asp.ball.facets)
-    return cells
+def _refined_cells(asp: ASPComplex, bit: dict[int, int]) -> tuple[list[_MaskCell], int]:
+    """Boundary cells as masks under bit: the special facet's prime factors, then the ball facets.
+
+    Also returns the number of factor cells.
+    """
+    cells = [
+        (_mask(s.vertex_ids, bit), tuple(_mask(g, bit) for g in s.facets))
+        for s in prime_decomposition(asp.special_boundary)
+    ]
+    n_f = len(cells)
+    cells.extend(_simplex_cell(_mask(b, bit)) for b in asp.ball.facets)
+    return cells, n_f
 
 
 def recognize_minimizer(asp: ASPComplex) -> MinimizerVerdict:
@@ -292,15 +305,17 @@ def recognize_minimizer(asp: ASPComplex) -> MinimizerVerdict:
         raise UnsupportedRegimeError(
             "every 3-dimensional instance is a minimizer; nothing to recognize"
         )
-    factors, _ = _cell_decomposition(_refined_cells(asp), d)
+    ids = asp.ball.vertex_ids
+    bit = _vertex_bits(ids)
+    cells, n_f = _refined_cells(asp, bit)
+    cells, parts, _ = _cell_decomposition(cells, d, ids)
     regime = "d4" if d == 4 else "dGT4"
-
-    def factor_key(factor: tuple[_Cell, ...]):
-        return face_key(frozenset().union(*(c.vertices for c in factor)))
-
+    fmask = _mask(asp.special_facet, bit)
     reports = tuple(
-        _classify_factor(factor, d, asp.special_facet)
-        for factor in sorted(factors, key=factor_key)
+        sorted(
+            (_classify_factor(part, cells, n_f, d, fmask, ids) for part in parts),
+            key=lambda r: r.vertices,
+        )
     )
     if regime == "dGT4":
         ok = all(r.is_simplex for r in reports)

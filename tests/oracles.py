@@ -6,7 +6,14 @@ facets, missing simplices found by testing every ridge-plus-vertex pair,
 a decomposition that rebuilds the ridge incidence at every split, a
 shelling check that intersects every pair of facets, key-lemma defects
 from running face counts, and hyperplanes from a kernel solve.  The
-property tests check that the library gives the same results.
+frozenset cells, their indexed missing-simplex search and their
+decomposition are the library's code before it moved to vertex
+bitmasks.  The property tests check that the library gives the same
+results.
+
+The mask converters run the library's bitmask search and decomposition
+on frozenset cells and hand back frozensets, so the oracles and the
+library are compared on one input.
 
 Below them sit the small exact tools several test modules share:
 cofactor determinants, Gaussian-elimination ranks and Bareiss
@@ -14,15 +21,20 @@ determinants, stacked spheres from facet indices, and the
 stacked-sphere test by prime decomposition.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from aspoly.complexes import (
+    ASPComplex,
     ShellingCertificate,
     SimplicialComplex,
-    _Cell,
-    _simplex_cell,
+    _cell_decomposition,
+    _cell_missing_simplices,
+    _face_ids,
+    _mask,
+    _vertex_bits,
     face_key,
     prime_decomposition,
 )
@@ -36,7 +48,7 @@ from aspoly.errors import (
 )
 from aspoly.exactnum import _echelon, int_nullspace
 from aspoly.hull import _dots, _primitive
-from aspoly.stackgen import _stacked_sphere_with_solids
+from aspoly.stackgen import _refined_cells, _stacked_sphere_with_solids
 
 
 def face_set(c: SimplicialComplex) -> frozenset[frozenset[int]]:
@@ -80,7 +92,156 @@ def boundary_by_incidence(c: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex.from_facets(boundary)
 
 
-def cell_missing_by_ridge_scan(cells: Sequence[_Cell], d: int) -> list[frozenset[int]]:
+@dataclass(frozen=True)
+class Cell:
+    """Polyhedral cell: vertex set and boundary ridges.
+
+    original_f marks a prime factor of an ASP's special facet F.
+    """
+
+    vertices: frozenset[int]
+    ridges: frozenset[frozenset[int]]
+    original_f: bool
+
+    def is_simplex(self, d: int) -> bool:
+        return len(self.vertices) == d
+
+
+def simplex_cell(vertices: frozenset[int]) -> Cell:
+    return Cell(vertices, frozenset(vertices - {x} for x in vertices), False)
+
+
+def mask_cells(cells: Sequence[Cell]) -> tuple[list, tuple[int, ...]]:
+    """The cells as the library's (vertex mask, ridge masks) pairs, and the sorted ids."""
+    ids = tuple(sorted(frozenset().union(*(c.vertices for c in cells))))
+    bit = _vertex_bits(ids)
+    return [(_mask(c.vertices, bit), tuple(_mask(r, bit) for r in c.ridges)) for c in cells], ids
+
+
+def cell_missing_by_masks(cells: Sequence[Cell], d: int) -> list[frozenset[int]]:
+    """The library's bitmask search, on frozenset cells."""
+    masks, ids = mask_cells(cells)
+    return [frozenset(_face_ids(a, ids)) for a in _cell_missing_simplices(masks, d)]
+
+
+def cell_decomposition_by_masks(
+    cells: Sequence[Cell], d: int
+) -> tuple[list[tuple[Cell, ...]], list[tuple[int, int, frozenset[int]]]]:
+    """The library's bitmask decomposition, on frozenset cells.
+
+    A factor lists the given cells it keeps, and a cut simplex as a
+    simplex cell.
+    """
+    masks, ids = mask_cells(cells)
+    out, parts, edges = _cell_decomposition(masks, d, ids)
+    view = list(cells) + [simplex_cell(frozenset(_face_ids(m, ids))) for m, _ in out[len(cells):]]
+    return (
+        [tuple(view[i] for i in part) for part in parts],
+        [(i, j, frozenset(_face_ids(a, ids))) for i, j, a in edges],
+    )
+
+
+def refined_frozenset_cells(asp: ASPComplex) -> list[Cell]:
+    """The recognizer's boundary cells as frozenset cells, F's factors marked."""
+    ids = asp.ball.vertex_ids
+    masks, n_f = _refined_cells(asp, _vertex_bits(ids))
+
+    def face(m: int) -> frozenset[int]:
+        return frozenset(_face_ids(m, ids))
+
+    return [
+        Cell(face(m), frozenset(map(face, rs)), i < n_f) for i, (m, rs) in enumerate(masks)
+    ]
+
+
+def cell_missing_by_extension_index(cells: Sequence[Cell], d: int) -> list[frozenset[int]]:
+    """Missing facets: d-vertex sets that are not faces but whose facets are.
+
+    Every (d-1)-vertex face is a cell ridge and every d-vertex face is a
+    simplex cell.  A candidate a = r + x, with r a ridge, needs (r - y) + x
+    to be a ridge for every y in r.  So an index sends each (d-2)-face to
+    the vertices that extend it to a ridge, and x is looked up in the
+    index sets of r's (d-2)-faces.  Only x > max(r) is taken, which finds
+    each a once, from r = a - max(a).
+    """
+    ridges = {r for c in cells for r in c.ridges}
+    simplices = {c.vertices for c in cells if c.is_simplex(d)}
+    extensions: dict[frozenset[int], set[int]] = {}
+    for r in ridges:
+        for y in r:
+            extensions.setdefault(r - {y}, set()).add(y)
+    out = []
+    for r in ridges:
+        top = max(r)
+        for x in set.intersection(*[extensions[r - {y}] for y in r]):
+            if x > top:
+                a = r | {x}
+                if a not in simplices:
+                    out.append(a)
+    return sorted(out, key=face_key)
+
+
+def cell_decomposition_by_frozensets(
+    cells: Sequence[Cell], d: int
+) -> tuple[list[tuple[Cell, ...]], list[tuple[int, int, frozenset[int]]]]:
+    """Factors and cut tree from one ridge-to-cell map, on frozenset cells.
+
+    The missing set is searched once, at the root, and carried down: each
+    part of the cut along a keeps the parent's other missing simplices
+    whose ridges all have an owner in that part.
+    """
+    cells = list(cells)
+    owners: dict[frozenset[int], list[int]] = {}
+    for i, c in enumerate(cells):
+        for r in c.ridges:
+            owners.setdefault(r, []).append(i)
+    for r, own in owners.items():
+        if len(own) > 2:
+            raise PseudomanifoldError(f"ridge {sorted(r)} lies in {len(own)} cells")
+    factors: list[list[int]] = []
+    edges: list[tuple[int, int, frozenset[int]]] = []
+
+    def reach(i: int, members: set[int], cut: set[frozenset[int]]) -> set[int]:
+        comp, stack = {i}, [i]
+        while stack:
+            for r in cells[stack.pop()].ridges - cut:
+                for nb in owners[r]:
+                    if nb in members and nb not in comp:
+                        comp.add(nb)
+                        stack.append(nb)
+        return comp
+
+    def decompose(part: list[int], carried: list[frozenset[int]]) -> list[int]:
+        members = set(part)
+        missing = [
+            m for m in carried if all(not members.isdisjoint(owners[m - {x}]) for x in m)
+        ]
+        if not missing:
+            factors.append(part)
+            return [len(factors) - 1]
+        a = missing[0]
+        cut = {a - {x} for x in a}
+        side = reach(part[0], members, cut)
+        rest = [i for i in part if i not in side]
+        if not rest or reach(rest[0], members, cut) != set(rest):
+            raise DegeneracyError(f"cutting along {sorted(a)} does not give two components")
+        k = len(cells)
+        cells.append(simplex_cell(a))
+        for r in cut:
+            owners[r].append(k)
+        s1 = [i for i in part if i in side] + [k]
+        s2 = rest + [k]
+        idx1 = decompose(s1, missing[1:])
+        idx2 = decompose(s2, missing[1:])
+        i, j = (next(f for f in idx if k in factors[f]) for idx in (idx1, idx2))
+        edges.append((i, j, a))
+        return idx1 + idx2
+
+    decompose(list(range(len(cells))), cell_missing_by_extension_index(cells, d))
+    return [tuple(cells[i] for i in part) for part in factors], edges
+
+
+def cell_missing_by_ridge_scan(cells: Sequence[Cell], d: int) -> list[frozenset[int]]:
     """Missing simplices, testing every ridge plus every vertex off it."""
     ridges = {r for c in cells for r in c.ridges}
     simplices = {c.vertices for c in cells if c.is_simplex(d)}
@@ -94,7 +255,7 @@ def cell_missing_by_ridge_scan(cells: Sequence[_Cell], d: int) -> list[frozenset
     return sorted(out, key=face_key)
 
 
-def cell_split(cells: Sequence[_Cell], a: frozenset[int]) -> tuple[list[_Cell], list[_Cell]]:
+def cell_split(cells: Sequence[Cell], a: frozenset[int]) -> tuple[list[Cell], list[Cell]]:
     """Cut a sphere of cells along a missing simplex a, rebuilding the incidence.
 
     Each part keeps its cells in the given order, with a appended.
@@ -122,7 +283,7 @@ def cell_split(cells: Sequence[_Cell], a: frozenset[int]) -> tuple[list[_Cell], 
     rest = set(range(len(cells))) - side
     if not rest or reach(min(rest)) != rest:
         raise DegeneracyError(f"cutting along {sorted(a)} does not give two components")
-    new = _simplex_cell(a)
+    new = simplex_cell(a)
     return (
         [c for i, c in enumerate(cells) if i in side] + [new],
         [c for i, c in enumerate(cells) if i in rest] + [new],
@@ -130,7 +291,7 @@ def cell_split(cells: Sequence[_Cell], a: frozenset[int]) -> tuple[list[_Cell], 
 
 
 def carried_missing(
-    part: Sequence[_Cell], missing: Iterable[frozenset[int]]
+    part: Sequence[Cell], missing: Iterable[frozenset[int]]
 ) -> list[frozenset[int]]:
     """The parent's missing simplices whose ridges are all ridges of part."""
     ridges = {r for c in part for r in c.ridges}
@@ -138,13 +299,13 @@ def carried_missing(
 
 
 def cell_decomposition_per_split(
-    cells: Sequence[_Cell], d: int
-) -> tuple[list[tuple[_Cell, ...]], list[tuple[int, int, frozenset[int]]]]:
+    cells: Sequence[Cell], d: int
+) -> tuple[list[tuple[Cell, ...]], list[tuple[int, int, frozenset[int]]]]:
     """Factors and cut tree, each split building its own part's incidence."""
-    factors: list[tuple[_Cell, ...]] = []
+    factors: list[tuple[Cell, ...]] = []
     edges: list[tuple[int, int, frozenset[int]]] = []
 
-    def decompose(part: Sequence[_Cell], missing: list[frozenset[int]]) -> list[int]:
+    def decompose(part: Sequence[Cell], missing: list[frozenset[int]]) -> list[int]:
         if not missing:
             factors.append(tuple(part))
             return [len(factors) - 1]

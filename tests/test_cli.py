@@ -18,9 +18,11 @@ from hypothesis import assume, given, settings, strategies as st
 from aspoly import cli, complexes
 from aspoly.cli import main
 from aspoly.complexes import SimplicialComplex, boundary_of_ball, validate_asp
+from aspoly.enumerative import ASPParams
 from aspoly.errors import AspolyError
 from aspoly.hull import asp_geometry
 from aspoly.rigidity import sample_generic
+from aspoly.stackgen import random_minimizer, recognize_minimizer
 
 
 # `table --d 3..4 --s 1 --n-span 2` output, one format each.
@@ -739,6 +741,38 @@ class TestStackedArtifactLoad:
                 if invalid:
                     assert out == "", (how, argv)
                     assert err.startswith("error: ") and err.count("\n") == 1, (how, argv, err)
+
+
+class TestRelabelledArtifact:
+    """A stacked artifact whose ids go through an increasing map onto
+    negative ids and ids above 2**64 is recognized with the relabelled verdict."""
+
+    @pytest.mark.parametrize("cell", STACKED_TAMPER_CELLS)
+    @pytest.mark.parametrize("style", ["stack", "hstack"])
+    def test_recognize_relabels_the_verdict(self, cell, style):
+        d, n, s = cell
+        art = json.loads(constructed(
+            "stacked-asp", "--d", str(d), "--n", str(n), "--s", str(s), "--style", style,
+        ))
+
+        def f(v):
+            return (v - 4) * 2**66
+
+        c = art["complex"]
+        for facets in (c["ball"]["facets"], c["f_triangulation"]["facets"]):
+            facets[:] = [[f(v) for v in g] for g in facets]
+        c["special_facet"] = [f(v) for v in c["special_facet"]]
+        assert min(c["special_facet"]) < 0 and max(map(max, c["ball"]["facets"])) > 2**64
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "relabelled.json"
+            path.write_text(json.dumps(art))
+            code, out, err = run_quiet("recognize", "--input", str(path))
+        assert code == 0, err
+        asp = random_minimizer(ASPParams(d, n, s), 0, style=style)
+        expected = recognize_minimizer(asp).to_json()
+        for report in expected["factors"]:
+            report["vertices"] = [f(v) for v in report["vertices"]]
+        assert json.loads(out) == expected
 
 
 class TestParser:

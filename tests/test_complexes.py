@@ -16,9 +16,6 @@ from hypothesis import given, settings, strategies as st
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
-    _cell_decomposition,
-    _cell_missing_simplices,
-    _simplex_cell,
     all_faces,
     boundary_of_ball,
     f_vector,
@@ -31,11 +28,7 @@ from aspoly.complexes import (
 )
 from aspoly.enumerative import ASPParams, h_from_f
 from aspoly.gale import almost_cyclic_facets
-from aspoly.stackgen import (
-    _refined_cells,
-    random_minimizer,
-    recognize_minimizer,
-)
+from aspoly.stackgen import random_minimizer, recognize_minimizer
 from aspoly.errors import (
     DegeneracyError,
     DomainError,
@@ -46,12 +39,18 @@ from aspoly.errors import (
 )
 from oracles import (
     boundary_by_incidence,
+    cell_decomposition_by_frozensets,
+    cell_decomposition_by_masks,
     cell_decomposition_per_split,
+    cell_missing_by_extension_index,
+    cell_missing_by_masks,
     cell_missing_by_ridge_scan,
     f_vector_by_face_set,
     face_set,
     is_stacked_sphere,
+    refined_frozenset_cells,
     ridge_incidence,
+    simplex_cell,
     stacked_sphere,
     verify_shelling_pairwise,
 )
@@ -267,8 +266,8 @@ def decompose(sphere: SimplicialComplex):
     The tree comes from _cell_decomposition on the sphere's facets as
     simplex cells, the split prime_decomposition runs.
     """
-    cells = [_simplex_cell(g) for g in sphere.sorted_facets()]
-    _, tree_edges = _cell_decomposition(cells, sphere.dim + 1)
+    cells = [simplex_cell(g) for g in sphere.sorted_facets()]
+    _, tree_edges = cell_decomposition_by_masks(cells, sphere.dim + 1)
     return prime_decomposition(sphere), tree_edges
 
 
@@ -522,11 +521,11 @@ def minimizer_balls(draw):
 
 
 def sphere_cells(sphere):
-    return [_simplex_cell(g) for g in sphere.sorted_facets()], sphere.dim + 1
+    return [simplex_cell(g) for g in sphere.sorted_facets()], sphere.dim + 1
 
 
 def refined_cells(asp):
-    return _refined_cells(asp), asp.params.d
+    return refined_frozenset_cells(asp), asp.params.d
 
 
 SPHERES = st.one_of(stacked_spheres(), special_facet_boundaries(), cyclic_spheres())
@@ -534,19 +533,28 @@ CELL_LISTS = st.one_of(SPHERES.map(sphere_cells), minimizer_balls().map(refined_
 
 
 class TestIndexedMatchesOracles:
-    """The indexed searches, decomposition and face counts against tests/oracles.py."""
+    """The indexed searches, decomposition and face counts against tests/oracles.py.
+
+    The bitmask search and decomposition are compared with the ridge scan
+    and the per-split decomposition, and with the frozenset code they
+    replaced.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(CELL_LISTS)
     def test_missing_simplices(self, cells_d):
         cells, d = cells_d
-        assert _cell_missing_simplices(cells, d) == cell_missing_by_ridge_scan(cells, d)
+        missing = cell_missing_by_masks(cells, d)
+        assert missing == cell_missing_by_ridge_scan(cells, d)
+        assert missing == cell_missing_by_extension_index(cells, d)
 
     @settings(max_examples=60, deadline=None)
     @given(CELL_LISTS)
     def test_decomposition(self, cells_d):
         cells, d = cells_d
-        assert _cell_decomposition(cells, d) == cell_decomposition_per_split(cells, d)
+        decomposition = cell_decomposition_by_masks(cells, d)
+        assert decomposition == cell_decomposition_per_split(cells, d)
+        assert decomposition == cell_decomposition_by_frozensets(cells, d)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(SPHERES, minimizer_balls().map(lambda asp: asp.ball), small_pure_complexes()))
@@ -574,7 +582,7 @@ class TestIndexedMatchesOracles:
         with pytest.raises(PseudomanifoldError):
             prime_decomposition(fat)
         with pytest.raises(PseudomanifoldError):
-            _cell_decomposition(*sphere_cells(fat))
+            cell_decomposition_by_masks(*sphere_cells(fat))
 
 
 def frozen_minimizer_records():

@@ -12,7 +12,6 @@ from aspoly import complexes
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
-    _cell_missing_simplices,
     boundary_of_ball,
     f_vector,
     face_key,
@@ -26,14 +25,15 @@ from aspoly.enumerative import (
     phi,
 )
 from aspoly.errors import (
+    DegeneracyError,
     DomainError,
     InvalidMoveError,
+    PseudomanifoldError,
     ShapeError,
     UnsupportedRegimeError,
 )
 from aspoly.gale import almost_cyclic_facets
 from aspoly.stackgen import (
-    _refined_cells,
     almost_stacked,
     h_stack,
     pyramid,
@@ -43,7 +43,16 @@ from aspoly.stackgen import (
     stack_over,
     trivial_asp,
 )
-from oracles import carried_missing, cell_split, is_stacked_sphere, stacked_sphere
+from oracles import (
+    carried_missing,
+    cell_decomposition_by_masks,
+    cell_missing_by_masks,
+    cell_split,
+    is_stacked_sphere,
+    refined_frozenset_cells,
+    simplex_cell,
+    stacked_sphere,
+)
 
 def hstack_minimizer_by_pool(p, seed):
     """Oracle: the hstack style, each selector drawn from the built boundary."""
@@ -98,7 +107,7 @@ def assert_missing_matches_scan(cells, d, carried=None):
     Below the root, the missing set the recursion carries down must equal
     both a fresh search and the scan.
     """
-    missing = _cell_missing_simplices(cells, d)
+    missing = cell_missing_by_masks(cells, d)
     assert missing == cell_missing_simplices_by_scan(cells, d)
     if carried is not None:
         assert carried == missing
@@ -432,7 +441,7 @@ class TestMissingSimplexSearch:
     )
     def test_matches_scan_on_minimizers(self, d, s, extra, seed, style):
         asp = random_minimizer(ASPParams(d, d + s + 1 + extra, s), seed, style=style)
-        assert_missing_matches_scan(_refined_cells(asp), d)
+        assert_missing_matches_scan(refined_frozenset_cells(asp), d)
 
     @pytest.mark.parametrize(
         "cell", [(4, 7, 1), (4, 8, 2), (4, 9, 3), (5, 9, 1), (5, 10, 2), (6, 11, 1), (6, 12, 3)]
@@ -441,18 +450,18 @@ class TestMissingSimplexSearch:
         # For d >= 5 and s >= 1 the special facet keeps a non-simplex cell;
         # for d = 4 it splits into simplices.
         asp = cyclic_ball(*cell)
-        cells = _refined_cells(asp)
+        cells = refined_frozenset_cells(asp)
         assert any(not c.is_simplex(cell[0]) for c in cells) == (cell[0] > 4)
         assert_missing_matches_scan(cells, cell[0])
         for k in range(3):
             stacked = stack_over(asp, k)
-            assert_missing_matches_scan(_refined_cells(stacked), cell[0])
+            assert_missing_matches_scan(refined_frozenset_cells(stacked), cell[0])
 
     def test_matches_scan_on_pyramid_over_octahedron(self):
         asp = ASPComplex(
             ASPParams(4, 7, 2), pyramid(octahedron(), 7), frozenset(range(1, 7)), None
         )
-        assert assert_missing_matches_scan(_refined_cells(asp), 4) == []
+        assert assert_missing_matches_scan(refined_frozenset_cells(asp), 4) == []
 
     @pytest.mark.parametrize("cell, seed, style, regime, factors", FROZEN_MINIMIZERS)
     def test_frozen_minimizer_verdicts(self, cell, seed, style, regime, factors):
@@ -473,3 +482,87 @@ class TestMissingSimplexSearch:
             "regime": regime,
         }
         assert verdict.to_json() == expected
+
+
+# The 7-vertex torus: a closed pseudomanifold whose first missing triangle
+# does not separate it.
+TORUS = SimplicialComplex.from_facets(
+    [[i % 7 + 1, (i + k) % 7 + 1, (i + 3) % 7 + 1] for i in range(7) for k in (1, 2)]
+)
+
+
+@st.composite
+def relabellings(draw, ids):
+    """A strictly increasing map of the ids onto integers from below -2**70 to above 2**64."""
+    ids = sorted(ids)
+    middle = draw(st.lists(
+        st.integers(-(2**66), 2**66), min_size=len(ids) - 2, max_size=len(ids) - 2, unique=True
+    ))
+    low = -(2**70) - draw(st.integers(0, 9))
+    high = 2**67 + 2**65 + draw(st.integers(0, 9))
+    return dict(zip(ids, [low, *sorted(middle), high]))
+
+
+def relabel(c, f):
+    return SimplicialComplex.from_facets([f[v] for v in g] for g in c.facets)
+
+
+def relabel_asp(asp, f):
+    tri = asp.f_triangulation
+    return ASPComplex(
+        asp.params,
+        relabel(asp.ball, f),
+        frozenset(f[v] for v in asp.special_facet),
+        relabel(tri, f) if tri else None,
+    )
+
+
+@st.composite
+def relabel_instances(draw):
+    """A seeded minimizer, or a cyclic ball stacked over a few of its facets."""
+    if draw(st.booleans()):
+        d, s = draw(st.integers(4, 6)), draw(st.integers(0, 3))
+        p = ASPParams(d, d + s + 1 + draw(st.integers(0, 3)), s)
+        style = draw(st.sampled_from(["stack", "hstack"]))
+        return random_minimizer(p, draw(st.integers(0, 10**6)), style=style)
+    cell = draw(st.sampled_from([(4, 8, 2), (5, 9, 1), (5, 10, 2), (6, 11, 1)]))
+    return stacked_cyclic(cell, draw(st.lists(st.integers(0, 5), max_size=3)))
+
+
+class TestMonotoneRelabelling:
+    """Faces become bitmasks by sorted position, so any increasing relabelling,
+    negative and above 2**64 included, relabels every result and message."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_verdict_and_factors_relabel(self, data):
+        asp = data.draw(relabel_instances())
+        f = data.draw(relabellings(asp.ball.vertex_ids))
+        moved = relabel_asp(asp, f)
+        expected = recognize_minimizer(asp).to_json()
+        for report in expected["factors"]:
+            report["vertices"] = [f[v] for v in report["vertices"]]
+        assert recognize_minimizer(moved).to_json() == expected
+        spheres = [asp.special_boundary]
+        if asp.f_triangulation is not None:
+            spheres.append(
+                SimplicialComplex.from_facets(asp.ball.facets | asp.f_triangulation.facets)
+            )
+        for sphere in spheres:
+            assert prime_decomposition(relabel(sphere, f)) == tuple(
+                relabel(x, f) for x in prime_decomposition(sphere)
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(relabellings(range(1, 8)))
+    def test_errors_name_vertex_ids(self, f):
+        fat = SimplicialComplex.from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5], [3, 4, 5]])
+        cells = [simplex_cell(g) for g in relabel(fat, f).sorted_facets()]
+        with pytest.raises(PseudomanifoldError) as exc:
+            cell_decomposition_by_masks(cells, 3)
+        assert str(exc.value) == f"ridge {[f[1], f[2]]} lies in 3 cells"
+        with pytest.raises(DegeneracyError) as exc:
+            prime_decomposition(relabel(TORUS, f))
+        assert str(exc.value) == (
+            f"cutting along {[f[1], f[2], f[3]]} does not give two components"
+        )
