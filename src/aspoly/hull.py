@@ -1,15 +1,17 @@
 """Exact convex-position geometry: facets, beyond points, line shellings.
 
 Facets are enumerated by gift-wrapping (Chand-Kapur): from one facet,
-each ridge is crossed once by rotating the facet's hyperplane about it
-until the hyperplane meets further points, so the cost follows the
-number of facets rather than C(n, d).  A simplex facet's ridge planes
-pass to a simplex neighbour by a rank-one update, so a fraction-free
-kernel is solved only where no simplex facet hands them on, and every
-sign decision is an integer comparison.  A hull that is already known,
-such as the facets an artifact stores, is checked instead of enumerated:
-each hyperplane against every point, the vertex sets against the
-complex, and completeness from the facet-ridge graph.
+a ridge is crossed by rotating the facet's hyperplane about it until the
+hyperplane meets further points.  Found facets register their ridges,
+and only a ridge whose second facet is still unknown is crossed, so each
+crossing finds a new facet and the cost follows the number of facets
+rather than C(n, d).  A simplex facet's ridge planes pass to a simplex
+neighbour by a rank-one update, so a fraction-free kernel is solved only
+where no simplex facet hands them on, and every sign decision is an
+integer comparison.  A hull that is already known, such as the facets an
+artifact stores, is checked instead of enumerated: each hyperplane
+against every point, the vertex sets against the complex, and
+completeness from the facet-ridge graph.
 Facet hyperplanes are primitive integer vectors, so the facets a line
 crosses are ranked by integer keys with no rational arithmetic.
 Stacking a point beyond the special facet builds the new boundary by
@@ -49,6 +51,7 @@ from .errors import (
     DomainError,
     NotAFaceError,
     NotASPError,
+    PseudomanifoldError,
     RankDeficientError,
     ShapeError,
     ShellingError,
@@ -248,18 +251,25 @@ def _gift_wrap(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
     Maps each facet's 0-based point set to its primitive inward
     hyperplane (offset, *normal).  The first facet comes from the support
     at the least first coordinate, rotated about its face until the face
-    spans a hyperplane.  Each facet's ridges are then pivoted across once:
-    _rotate turns the facet outward about the ridge onto the neighbouring
-    facet, taking every tied point with it.  The plane g it turns against
-    passes through the ridge and is negative on the facet's other points.
+    spans a hyperplane.  A facet registers its ridges when it is found:
+    a ridge registered once is open, held by that facet; registered
+    again, by the facet on its other side, it is closed.  When a facet
+    is popped it crosses only its ridges that are still open: _rotate
+    turns it outward about the ridge onto the neighbouring facet, taking
+    every tied point with it, so each crossing finds a new facet.  The
+    plane g it turns against passes through the ridge and is negative on
+    the facet's other points.  The walk ends with every ridge closed and
+    no crossing landing on a facet already found, or it raises
+    PseudomanifoldError naming the ridge.
 
     A simplex facet holds one such g per vertex j, for its ridge without
-    j.  When it is reached from another simplex facet, it inherits them
-    by _inherited_normals; otherwise (the first facet, and the neighbours
-    of a non-simplex facet) it solves one kernel per vertex, through the
-    ridge and a point off the facet.  A non-simplex facet solves that
-    kernel per ridge, its ridges coming from the wrap one dimension down.
-    A facet's normals are dropped once its ridges are crossed.
+    j.  When it is reached from another simplex facet it inherits them
+    by _inherited_normals, from the parent's planes stored when it was
+    found, and only if it still has an open ridge when popped; otherwise
+    (the first facet, and the neighbours of a non-simplex facet) it
+    solves one kernel per vertex, through the ridge and a point off the
+    facet.  A non-simplex facet solves that kernel per open ridge, its
+    ridges coming from the wrap one dimension down.
     """
     d = len(hom[0]) - 1
     low = min(range(len(hom)), key=lambda i: Fraction(hom[i][1], hom[i][0]))
@@ -271,34 +281,56 @@ def _gift_wrap(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
         if not kernel:
             break
         w, a = _rotate(hom, w, a, kernel[0])
+    found: dict[frozenset[int], tuple[list[int], list[int]]] = {}
+    ridges_of: dict[frozenset[int], list[frozenset[int]]] = {}
+    open_ridges: dict[frozenset[int], frozenset[int]] = {}
+    parents: dict[frozenset[int], tuple] = {}
+
+    def register(facet: frozenset[int], w: list[int], a: list[int]) -> None:
+        found[facet] = (w, a)
+        ridges_of[facet] = _ridges(hom, facet, w)
+        for ridge in ridges_of[facet]:
+            if open_ridges.pop(ridge, None) is None:
+                open_ridges[ridge] = facet
+
     first = frozenset(i for i, x in enumerate(a) if x == 0)
-    found = {first: (w, a)}
-    inherited: dict[frozenset[int], dict[int, list[int]]] = {}
+    register(first, w, a)
     queue = [first]
-    crossed: set[frozenset[int]] = set()
     while queue:
         facet = queue.pop()
-        w, a = found[facet]
-        normals = inherited.pop(facet, None)
-        ridges = [r for r in _ridges(hom, facet, w) if r not in crossed]
+        parent = parents.pop(facet, None)
+        ridges = [r for r in ridges_of.pop(facet) if r in open_ridges]
         if not ridges:
             continue
-        crossed.update(ridges)
+        w, a = found[facet]
         off = hom[a.index(max(a))]
         simplex = len(facet) == d
-        if simplex and normals is None:
-            normals = {j: _pivot(hom, facet - {j}, off, j) for j in facet}
+        if simplex:
+            if parent is None:
+                normals = {j: _pivot(hom, facet - {j}, off, j) for j in facet}
+            else:
+                normals = _inherited_normals(hom, *parent)
         for ridge in ridges:
             v = min(facet - ridge)
             g = normals[v] if simplex else _pivot(hom, ridge, off, v)
             nw, na = _rotate(hom, w, a, g)
             key = frozenset(i for i, x in enumerate(na) if x == 0)
-            if key not in found:
-                found[key] = (nw, na)
-                queue.append(key)
-                if simplex and len(key) == d:
-                    (x,) = key - ridge
-                    inherited[key] = _inherited_normals(hom, w, a, normals, v, x)
+            if key in found:
+                raise PseudomanifoldError(
+                    f"ridge {sorted(ridge)} of facet {sorted(facet)} crosses onto "
+                    f"facet {sorted(key)}, which is already found (0-based point indexes)"
+                )
+            register(key, nw, na)
+            queue.append(key)
+            if simplex and len(key) == d:
+                (x,) = key - ridge
+                parents[key] = (w, a, normals, v, x)
+    if open_ridges:
+        ridge, facet = next(iter(open_ridges.items()))
+        raise PseudomanifoldError(
+            f"ridge {sorted(ridge)} of facet {sorted(facet)} lies in no second facet "
+            "(0-based point indexes)"
+        )
     return {facet: w for facet, (w, _) in found.items()}
 
 
@@ -316,11 +348,12 @@ def enumerate_facets(
 ) -> tuple[FacetDescriptor, ...]:
     """All facets of the convex hull, by exact gift-wrapping.
 
-    Starting from one facet, each ridge is crossed once by rotating the
-    facet's hyperplane about it until it meets further points; the cost
-    follows the number of facets, not C(n, d).  A facet's point set is
-    every point on its hyperplane, so non-simplex facets come out whole.
-    Flat configurations raise RankDeficientError.
+    Starting from one facet, each ridge whose second facet is still
+    unknown is crossed by rotating the facet's hyperplane about it until
+    it meets further points; the cost follows the number of facets, not
+    C(n, d).  A facet's point set is every point on its hyperplane, so
+    non-simplex facets come out whole.  Flat configurations raise
+    RankDeficientError.
     """
     n, d = config.n, config.d
     _check_cap(n, cap)

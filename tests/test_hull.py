@@ -36,6 +36,7 @@ from aspoly.errors import (
     DomainError,
     NotAFaceError,
     NotASPError,
+    PseudomanifoldError,
     RankDeficientError,
     ShapeError,
     ShellingError,
@@ -266,12 +267,14 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
 
 
 def gift_wrap_per_ridge(hom):
-    """Oracle: the gift-wrap that solved one kernel for every ridge it crossed.
+    """Oracle: the gift-wrap that crosses every ridge, solving one kernel each.
 
     Same first facet and the same rotation as hull._gift_wrap, but each
-    ridge's g is the kernel of [ridge rows; a point off the facet],
-    oriented negative on the facet's points off the ridge, and a
-    non-simplex facet's ridges come from this oracle one dimension down.
+    ridge is crossed from whichever of its facets is popped first, even
+    when the facet on its other side is already found; each ridge's g is
+    the kernel of [ridge rows; a point off the facet], oriented negative
+    on the facet's points off the ridge, and a non-simplex facet's ridges
+    come from this oracle one dimension down.
     """
     d = len(hom[0]) - 1
     low = min(range(len(hom)), key=lambda i: Fraction(hom[i][1], hom[i][0]))
@@ -613,6 +616,56 @@ class TestGiftWrapOracle:
                 (kernel,) = int_nullspace([hom[i] for i in sorted(set(out) - {j})] + [hom[v]])
                 k = math.gcd(*kernel) if hull._dot(kernel, hom[j]) < 0 else -math.gcd(*kernel)
                 assert g == [c // k for c in kernel]
+
+    def test_rotation_counts(self, monkeypatch):
+        # The 32 hull_scan cells.  Every facet past the first is found by
+        # one crossing, so enumerate_facets rotates little more often than
+        # it finds facets (the rest start the first facet and wrap the
+        # non-simplex facet's ridges); the oracle crosses every ridge.
+        calls = []
+        rotate = hull._rotate
+
+        def spy(*args):
+            calls.append(None)
+            return rotate(*args)
+
+        monkeypatch.setattr(hull, "_rotate", spy)
+        facets = wrapped = oracle = 0
+        for d, n, s in product((5, 6), range(13, 17), range(4)):
+            config = almost_cyclic_points(ASPParams(d, n, s))
+            facets += len(enumerate_facets(config))
+            wrapped += len(calls)
+            calls.clear()
+            gift_wrap_per_ridge(hull._integer_homogeneous(config))
+            oracle += len(calls)
+            calls.clear()
+        assert (facets, wrapped, oracle) == (5736, 6328, 17600)
+
+    @pytest.mark.parametrize("cell", [(4, 9, 0), (3, 7, 1), (4, 9, 2)])
+    def test_open_boundary_raises(self, monkeypatch, cell):
+        # One facet (or a non-simplex facet's sub-wrap facet) registers one
+        # ridge too few: the walk refuses instead of returning a wrong hull.
+        config = almost_cyclic_points(ASPParams(*cell))
+        ridges = hull._ridges
+        registrations = []
+        monkeypatch.setattr(hull, "_ridges", lambda *args: registrations.append(None) or ridges(*args))
+        enumerate_facets(config)
+        already_found = set()
+        for k, end in product(range(len(registrations)), (0, -1)):
+            seen = []
+
+            def drop_one(*args):
+                out = ridges(*args)
+                if len(seen) == k:
+                    out.pop(end)
+                seen.append(None)
+                return out
+
+            monkeypatch.setattr(hull, "_ridges", drop_one)
+            with pytest.raises(PseudomanifoldError, match=r"^ridge \[") as err:
+                enumerate_facets(config)
+            already_found.add("already found" in str(err.value))
+        assert already_found == {True, False}
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_acceptance_grid(self, d):
