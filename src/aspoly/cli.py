@@ -208,6 +208,8 @@ def _asp_from_json(entry) -> ASPComplex:
 def _points_from_json(entry, where: str) -> PointConfig:
     """A point configuration whose coordinates are all finite rationals, each parsed once."""
     _require(entry, ("d", "points"), where)
+    if type(entry["d"]) is not int or entry["d"] < 1:
+        raise AspolyError(f"artifact field '{where}.d' is not a positive integer")
     points = []
     for i, point in enumerate(_require_list(entry["points"], f"{where}.points")):
         _require(point, ("id", "coords"), f"{where}.points[{i}]")
@@ -460,6 +462,8 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_shelling(args) -> int:
+    if args.count < 1:
+        raise AspolyError(f"--count must be at least 1, got {args.count}")
     art = _load_artifact(args)
     if art.geometry is None:
         raise AspolyError("shelling needs an artifact with point data (cyclic-asp)")

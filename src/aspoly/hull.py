@@ -14,17 +14,18 @@ against every point, the vertex sets against the complex, and
 completeness from the facet-ridge graph.
 Facet hyperplanes are primitive integer vectors, so the facets a line
 crosses are ranked by integer keys with no rational arithmetic.
-Stacking a point beyond the special facet builds the new boundary by
-the beneath-beyond theorem instead of enumerating the hull again: each
-new hyperplane is a combination of two old ones, and is checked against
-all points.  Centroids, beyond points and line targets are integer
-homogeneous vectors.  Shelling orders are produced geometrically.  The
-constrained search shoots one line, through y symbolically perturbed
-toward v, and ranks the facets by their exact keys lexicographically;
-every order that is returned is re-checked by the independent
-combinatorial verifier, so a bug in the crossing logic cannot leak an
-invalid certificate.  Key-lemma defects are read off the certificate's
-restriction faces, O(d) per shelling step.
+stack_over_special is the one place a point y beyond the special facet
+is found; it builds the new boundary by the beneath-beyond theorem
+instead of enumerating the hull again: each new hyperplane is a
+combination of two old ones, and is checked against all points.
+Centroids, y and line targets are integer homogeneous vectors.  Shelling
+orders are produced geometrically.  The constrained search shoots one
+line, through y symbolically perturbed toward v, and ranks the facets by
+their exact keys lexicographically; every order that is returned is
+re-checked by the independent combinatorial verifier, so a bug in the
+crossing logic cannot leak an invalid certificate.  Key-lemma defects
+are read off the certificate's restriction faces, O(d) per shelling
+step.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ from .errors import (
 )
 from .exactnum import format_rational, int_nullspace, int_rank
 
-# Most step halvings point_beyond accepts.  The 80-cell grid needs at
-# most 125 (d=6, pulled toward a vertex at closeness 40).
+# Most step halvings stack_over_special accepts when it places y.  The
+# 80-cell grid needs at most 125 (d=6, pulled toward a vertex at
+# closeness 40).
 _MAX_HALVINGS = 1024
 
 # Seeded directions line_shelling tries before it gives up.
@@ -463,66 +465,6 @@ def certified_geometry(
     return geom
 
 
-def point_beyond(
-    geom: ASPGeometry,
-    facet: FacetDescriptor,
-    toward: int | None = None,
-    closeness: int = 0,
-) -> tuple[Fraction, ...]:
-    """Exact point beyond one facet: outside it, strictly inside all others.
-
-    Walks out of the polytope from the interior centroid through a
-    relative-interior point of the facet, taking the longest step 2^-k
-    (k >= 0) for which the beyond conditions hold.  Every facet's value is
-    affine along the walk, so k is solved for exactly, facet by facet; a
-    facet that needs more than _MAX_HALVINGS halvings raises
-    DegeneracyError.  With `toward` the exit point is pulled toward that
-    facet vertex by the weight 1 - 2^-closeness, which stays below 1, so
-    the exit point remains in the relative interior.  Closeness extra
-    halvings then bring the result toward the facet, since shrinking
-    preserves all three conditions.  The returned point is checked
-    exactly.  The centroid, the exit point and the result are integer
-    vectors positively proportional to (1, point) until it is returned.
-    """
-    if facet not in geom.facets:
-        raise NotAFaceError("facet descriptor does not belong to this geometry")
-    hom = geom.homogeneous
-    hb = _mean(hom, [1] * len(hom))
-    he = _mean([hom[v - 1] for v in facet.vertex_ids], [1] * len(facet.vertex_ids))
-    if toward is not None:
-        if toward not in facet.vertex_ids:
-            raise DomainError(f"vertex {toward} is not on the chosen facet")
-        he = _mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
-    others = [f for f in geom.facets if f is not facet]
-    # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
-    # with E and B its values at the exit point and the centroid: positive
-    # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
-    # reads 2^k * r > p below.
-    halvings = 0
-    for f in others:
-        r = f.eval_homogeneous(he) * hb[0]
-        p = f.eval_homogeneous(hb) * he[0] - r
-        needed = (max(p, 0) // r).bit_length() if r > 0 else _MAX_HALVINGS + 1
-        halvings = max(halvings, needed)
-    if halvings > _MAX_HALVINGS:
-        raise DegeneracyError(
-            f"no beyond point within {_MAX_HALVINGS} halvings of the step; "
-            "another facet hyperplane passes through or next to the exit point"
-        )
-    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0].
-    up = (1 << (halvings + closeness)) + 1
-    hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
-    if facet.eval_homogeneous(hy) >= 0 or any(f.eval_homogeneous(hy) <= 0 for f in others):
-        raise DegeneracyError("beyond point fails the beyond conditions")
-    return tuple(Fraction(c, hy[0]) for c in hy[1:])
-
-
-def extend_config(config: PointConfig, coords: Sequence[Fraction]) -> PointConfig:
-    """Append one point with the next vertex id."""
-    pts = config.points + ((config.n + 1, tuple(Fraction(c) for c in coords)),)
-    return PointConfig(config.d, pts)
-
-
 class _LinesFrom:
     """Facet crossing orders of lines shot from one interior base point.
 
@@ -666,46 +608,86 @@ def stack_over_special(
 ) -> ASPGeometry:
     """Extend the configuration with a vertex y beyond the special facet.
 
-    With `toward`, y is placed near that facet vertex at geometric
-    distance shrinking in 2^-closeness, which is what the constrained
-    shelling search needs.  point_beyond certifies that y is beyond the
-    special facet F and strictly beneath every other facet, so by the
-    beneath-beyond theorem the new hull is simplicial and its facets are
-    the old simplex facets, hyperplanes unchanged, plus the cone from y
-    over each ridge of F.  No hull is enumerated and no kernel is solved:
-    a ridge of F is G & F for the one simplex facet G that meets F in d-1
-    vertices, and the cone's hyperplane is the member w_G(y)*w_F -
-    w_F(y)*w_G of the pencil through that ridge which vanishes at y, made
-    primitive.  It is >= 0 at the old points, as w_G(y) > 0 > w_F(y), and
-    each one must still meet the n+1 points exactly in its own vertices,
-    or DegeneracyError is raised.  A `cap` bounds the extended point count
+    y is outside the special facet F and strictly inside all others.  It
+    is found on the walk out of the polytope from the interior centroid
+    through a relative-interior point of F, at the longest step 2^-k
+    (k >= 0) for which those conditions hold.  Every facet's value is
+    affine along the walk, so k is solved for exactly, facet by facet; a
+    facet that needs more than _MAX_HALVINGS halvings raises
+    DegeneracyError.  With `toward` the exit point is pulled toward that
+    vertex of F by the weight 1 - 2^-closeness, which stays below 1, so
+    the exit point remains in the relative interior; the constrained
+    shelling search needs this.  Closeness extra halvings then bring y
+    toward F, since shrinking preserves all the conditions, and each
+    facet's value at y is checked exactly.  The centroid, the exit point
+    and y are integer vectors positively proportional to (1, point); y is
+    stored with rational coordinates.
+
+    By the beneath-beyond theorem the new hull is simplicial and its
+    facets are the old simplex facets, hyperplanes unchanged, plus the
+    cone from y over each ridge of F.  No hull is enumerated and no kernel
+    is solved: a ridge of F is G & F for the one simplex facet G that
+    meets F in d-1 vertices, and the cone's hyperplane is the member
+    w_G(y)*w_F - w_F(y)*w_G of the pencil through that ridge which
+    vanishes at y, made primitive, with the values of the beyond check.
+    It is >= 0 at the old points, as w_G(y) > 0 > w_F(y), and each one
+    must still meet the n+1 points exactly in its own vertices, or
+    DegeneracyError is raised.  A `cap` bounds the extended point count
     as enumerate_facets does.
     """
     special = geom.special
     if special is None:
         raise DomainError("geometry has no designated special facet to stack over")
-    y = point_beyond(geom, special, toward=toward, closeness=closeness)
-    config = extend_config(geom.config, y)
-    _check_cap(config.n, cap)
-    hom = [*geom.homogeneous, _homogeneous(y)]
-    wf = (special.offset, *special.normal)
-    af = _dot(wf, hom[-1])
+    hom = geom.homogeneous
+    hb = _mean(hom, [1] * len(hom))
+    he = _mean([hom[v - 1] for v in special.vertex_ids], [1] * len(special.vertex_ids))
+    if toward is not None:
+        if toward not in special.vertex_ids:
+            raise DomainError(f"vertex {toward} is not on the chosen facet")
+        he = _mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
     kept = [(key, f) for key, f in zip(geom.facet_keys, geom.facets) if f is not special]
+    # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
+    # with E and B its values at the exit point and the centroid: positive
+    # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
+    # reads 2^k * r > p below.
+    halvings = 0
+    for _, f in kept:
+        r = f.eval_homogeneous(he) * hb[0]
+        p = f.eval_homogeneous(hb) * he[0] - r
+        needed = (max(p, 0) // r).bit_length() if r > 0 else _MAX_HALVINGS + 1
+        halvings = max(halvings, needed)
+    if halvings > _MAX_HALVINGS:
+        raise DegeneracyError(
+            f"no beyond point within {_MAX_HALVINGS} halvings of the step; "
+            "another facet hyperplane passes through or next to the exit point"
+        )
+    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0].
+    up = (1 << (halvings + closeness)) + 1
+    hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
+    wf = (special.offset, *special.normal)
+    af = _dot(wf, hy)
+    at_y = [f.eval_homogeneous(hy) for _, f in kept]
+    if af >= 0 or min(at_y) <= 0:
+        raise DegeneracyError("beyond point fails the beyond conditions")
+    y_id = geom.config.n + 1
+    _check_cap(y_id, cap)
+    y = (y_id, tuple(Fraction(c, hy[0]) for c in hy[1:]))
+    config = PointConfig(geom.d, geom.config.points + (y,))
+    hom = [*hom, hy]
     cones = []
-    for _, g in kept:
+    for (_, g), ag in zip(kept, at_y):
         ridge = g.vertex_ids & special.vertex_ids
         if len(ridge) != geom.d - 1:
             continue
-        wg = (g.offset, *g.normal)
-        w = _primitive([_dot(wg, hom[-1]) * a - af * b for a, b in zip(wf, wg)])
+        w = _primitive([ag * a - af * b for a, b in zip(wf, (g.offset, *g.normal))])
         values = _dots(w, hom)
-        vertex_ids = ridge | {config.n}
+        vertex_ids = ridge | {y_id}
         if min(values) < 0 or frozenset(i for i, x in enumerate(values, 1) if x == 0) != vertex_ids:
             raise DegeneracyError(
-                f"cone from {config.n} over ridge {sorted(ridge)} "
+                f"cone from {y_id} over ridge {sorted(ridge)} "
                 "is not a facet of the stacked hull"
             )
-        cones.append(((*sorted(ridge), config.n), FacetDescriptor(vertex_ids, tuple(w[1:]), w[0])))
+        cones.append(((*sorted(ridge), y_id), FacetDescriptor(vertex_ids, tuple(w[1:]), w[0])))
     # kept is in _facet_order already (geom.facet_keys), and the sort merges
     # the cones into it; vertex sets differ, so no two keys tie.
     return ASPGeometry(config, tuple(f for _, f in sorted(kept + cones)), None, None)

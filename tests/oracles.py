@@ -5,11 +5,11 @@ library: faces counted as frozensets, ridges found by sorting the
 facets, missing simplices found by testing every ridge-plus-vertex pair,
 a decomposition that rebuilds the ridge incidence at every split, a
 shelling check that intersects every pair of facets, key-lemma defects
-from running face counts, and hyperplanes from a kernel solve.  The
-frozenset cells, their indexed missing-simplex search and their
-decomposition are the library's code before it moved to vertex
-bitmasks.  The property tests check that the library gives the same
-results.
+from running face counts, hyperplanes from a kernel solve, and a point
+placed beyond any one facet.  The frozenset cells, their indexed
+missing-simplex search and their decomposition are the library's code
+before it moved to vertex bitmasks.  The property tests check that the
+library gives the same results.
 
 The mask converters run the library's bitmask search and decomposition
 on frozenset cells and hand back frozensets, so the oracles and the
@@ -38,16 +38,18 @@ from aspoly.complexes import (
     face_key,
     prime_decomposition,
 )
+from aspoly.curves import PointConfig
 from aspoly.enumerative import FVector, h_from_f
 from aspoly.errors import (
     DegeneracyError,
     DomainError,
+    NotAFaceError,
     PseudomanifoldError,
     ShapeError,
     ShellingError,
 )
 from aspoly.exactnum import _echelon, int_nullspace
-from aspoly.hull import _dots, _primitive
+from aspoly.hull import _MAX_HALVINGS, ASPGeometry, FacetDescriptor, _dots, _mean, _primitive
 from aspoly.stackgen import _refined_cells, _stacked_sphere_with_solids
 
 
@@ -426,6 +428,68 @@ def supporting_hyperplane(
         w = [-x for x in w]
     on_ids = frozenset(i + 1 for i, x in enumerate(dots) if x == 0)
     return tuple(_primitive(w)), on_ids
+
+
+def point_beyond(
+    geom: ASPGeometry,
+    facet: FacetDescriptor,
+    toward: int | None = None,
+    closeness: int = 0,
+) -> tuple[Fraction, ...]:
+    """Exact point beyond one facet: outside it, strictly inside all others.
+
+    Walks out of the polytope from the interior centroid through a
+    relative-interior point of the facet, taking the longest step 2^-k
+    (k >= 0) for which the beyond conditions hold.  Every facet's value is
+    affine along the walk, so k is solved for exactly, facet by facet; a
+    facet that needs more than _MAX_HALVINGS halvings raises
+    DegeneracyError.  With `toward` the exit point is pulled toward that
+    facet vertex by the weight 1 - 2^-closeness, which stays below 1, so
+    the exit point remains in the relative interior.  Closeness extra
+    halvings then bring the result toward the facet, since shrinking
+    preserves all three conditions.  The returned point is checked
+    exactly.  The centroid, the exit point and the result are integer
+    vectors positively proportional to (1, point) until it is returned.
+
+    stack_over_special makes this placement inline, for the special facet.
+    """
+    if facet not in geom.facets:
+        raise NotAFaceError("facet descriptor does not belong to this geometry")
+    hom = geom.homogeneous
+    hb = _mean(hom, [1] * len(hom))
+    he = _mean([hom[v - 1] for v in facet.vertex_ids], [1] * len(facet.vertex_ids))
+    if toward is not None:
+        if toward not in facet.vertex_ids:
+            raise DomainError(f"vertex {toward} is not on the chosen facet")
+        he = _mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
+    others = [f for f in geom.facets if f is not facet]
+    # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
+    # with E and B its values at the exit point and the centroid: positive
+    # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
+    # reads 2^k * r > p below.
+    halvings = 0
+    for f in others:
+        r = f.eval_homogeneous(he) * hb[0]
+        p = f.eval_homogeneous(hb) * he[0] - r
+        needed = (max(p, 0) // r).bit_length() if r > 0 else _MAX_HALVINGS + 1
+        halvings = max(halvings, needed)
+    if halvings > _MAX_HALVINGS:
+        raise DegeneracyError(
+            f"no beyond point within {_MAX_HALVINGS} halvings of the step; "
+            "another facet hyperplane passes through or next to the exit point"
+        )
+    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0].
+    up = (1 << (halvings + closeness)) + 1
+    hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
+    if facet.eval_homogeneous(hy) >= 0 or any(f.eval_homogeneous(hy) <= 0 for f in others):
+        raise DegeneracyError("beyond point fails the beyond conditions")
+    return tuple(Fraction(c, hy[0]) for c in hy[1:])
+
+
+def extend_config(config: PointConfig, coords: Sequence[Fraction]) -> PointConfig:
+    """Append one point with the next vertex id."""
+    pts = config.points + ((config.n + 1, tuple(Fraction(c) for c in coords)),)
+    return PointConfig(config.d, pts)
 
 
 def cofactor_det(rows) -> Fraction:

@@ -298,6 +298,7 @@ class TestVerify:
                 "artifact field 'complex.special_facet' is not a list of integer vertex ids",
             ),
             (("complex", "d"), "4", "artifact field 'complex.d' is not an integer"),
+            (("points", "d"), 0, "artifact field 'points.d' is not a positive integer"),
             (
                 ("facets", 3, "normal", 1),
                 "1/2",
@@ -311,7 +312,7 @@ class TestVerify:
         ],
         ids=[
             "null-facets", "zero-denominator", "non-numeric", "string-id", "string-d",
-            "half-normal", "bare-offset",
+            "zero-points-d", "half-normal", "bare-offset",
         ],
     )
     def test_malformed_field_is_named(self, capsys, tmp_path, path, value, message):
@@ -835,6 +836,22 @@ class TestGaleAndFacets:
         code, _, err = run(capsys, "facets")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            {"d": "x", "points": []},
+            {"d": 0, "points": [{"id": 1, "coords": []}]},
+            {"d": True, "points": [{"id": 1, "coords": [0]}, {"id": 2, "coords": [1]}]},
+        ],
+        ids=["string", "zero", "bool"],
+    )
+    def test_facets_refuses_bad_dimension(self, tmp_path, points):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(points))
+        assert run_quiet("facets", "--input", str(path)) == (
+            2, "", "error: artifact field 'input.d' is not a positive integer\n"
+        )
+
 
 class TestTable:
     def test_row_count_and_order(self, capsys):
@@ -932,6 +949,15 @@ class TestShellingAndRecognize:
         assert data["all_pass"] and len(data["runs"]) == 2
         assert all(len(r["order"]) == 107 for r in data["runs"])
         assert data["runs"][0]["h"] == [1, 13, 79, 13, 1]
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_shelling_refuses_no_runs(self, capsys, tmp_path, count):
+        path, _ = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
+        )
+        code, out, err = run(capsys, "shelling", "--input", str(path), "--count", count)
+        assert (code, out, err) == (2, "", f"error: --count must be at least 1, got {count}\n")
 
     def test_shelling_needs_points(self, capsys, tmp_path):
         path, _ = make_artifact(

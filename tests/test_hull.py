@@ -51,13 +51,17 @@ from aspoly.hull import (
     designate_special,
     detect_asp,
     enumerate_facets,
-    extend_config,
     key_shelling_defects,
     line_shelling,
-    point_beyond,
     stack_over_special,
 )
-from oracles import int_det, key_shelling_defects_by_face_counts, supporting_hyperplane
+from oracles import (
+    extend_config,
+    int_det,
+    key_shelling_defects_by_face_counts,
+    point_beyond,
+    supporting_hyperplane,
+)
 
 
 def config_from_coords(coords) -> PointConfig:
@@ -845,11 +849,14 @@ class TestCertifiedGeometry:
 
 
 class TestPointBeyond:
+    """Where stack_over_special places y: its last point."""
+
     def test_tetrahedron_each_facet(self):
+        # Each facet in turn is the special one; y is beyond it alone.
         geom = detect_asp(tetrahedron_config())
-        geom = designate_special(geom, sorted(geom.facets[0].vertex_ids))
         for f in geom.facets:
-            y = point_beyond(geom, f)
+            q = stack_over_special(designate_special(geom, f.vertex_ids), closeness=0)
+            y = q.config.points[-1][1]
             assert eval_at(f, y) < 0
             for g in geom.facets:
                 if g is not f:
@@ -857,15 +864,18 @@ class TestPointBeyond:
 
     def test_frozen_points(self):
         # The longest step 2^-k that satisfies the beyond conditions.
+        def y(geom, special=None):
+            if special is not None:
+                geom = designate_special(geom, special)
+            return stack_over_special(geom, closeness=0).config.points[-1]
+
         geom = detect_asp(tetrahedron_config())
         F = Fraction
-        assert point_beyond(geom, geom.facet_by_vertices([1, 2, 3])) == (
-            F(5, 12), F(5, 12), F(-1, 4)
-        )
-        assert point_beyond(geom, geom.facet_by_vertices([2, 3, 4])) == (F(5, 12),) * 3
+        assert y(geom, [1, 2, 3]) == (5, (F(5, 12), F(5, 12), F(-1, 4)))
+        assert y(geom, [2, 3, 4]) == (5, (F(5, 12),) * 3)
         geom = detect_asp(almost_cyclic_points(ASPParams(4, 7, 1)))
-        assert point_beyond(geom, geom.special) == (
-            F(-4097, 2048), F(12289, 2048), F(-40967, 2048), F(-19455, 1792)
+        assert y(geom) == (
+            8, (F(-4097, 2048), F(12289, 2048), F(-40967, 2048), F(-19455, 1792))
         )
 
     def test_stacking_makes_simplicial(self):
@@ -875,28 +885,31 @@ class TestPointBeyond:
         assert q.config.n == 8
         assert q.special is None
 
-    def test_bad_facet_rejected(self):
-        geom = detect_asp(tetrahedron_config())
-        other = detect_asp(octahedron_config())
-        with pytest.raises(NotAFaceError):
-            point_beyond(geom, other.facets[0])
+    def test_toward_off_the_special_facet(self):
+        geom = asp_geometry(4, 8, 2)
+        assert 7 not in geom.special.vertex_ids
+        with pytest.raises(DomainError, match="vertex 7 is not on the chosen facet"):
+            stack_over_special(geom, toward=7)
 
     @settings(deadline=None, max_examples=30)
     @given(stacking_cases())
     def test_beyond_conditions_in_rationals(self, case):
+        # y is beyond F alone, and it is the placement oracle's point.
         cell, toward, closeness = case
         geom = asp_geometry(*cell)
-        y = point_beyond(geom, geom.special, toward=toward, closeness=closeness)
+        pid, y = stack_over_special(geom, toward, closeness).config.points[-1]
         assert eval_at(geom.special, y) < 0
         assert all(eval_at(f, y) > 0 for f in geom.facets if f is not geom.special)
+        assert (pid, y) == (geom.config.n + 1, point_beyond(geom, geom.special, toward, closeness))
 
     def test_twin_hyperplane_is_degenerate(self):
-        # A second, equal copy of the chosen facet can never be strictly
+        # A second, equal copy of the special facet can never be strictly
         # beneath a point beyond the first: no step length works.
         geom = detect_asp(tetrahedron_config())
-        twin = replace(geom, facets=geom.facets + (replace(geom.facets[0]),))
+        geom = designate_special(geom, geom.facets[0].vertex_ids)
+        twin = replace(geom, facets=geom.facets + (replace(geom.special),))
         with pytest.raises(DegeneracyError, match="halvings"):
-            point_beyond(twin, twin.facets[0])
+            stack_over_special(twin)
 
 
 class TestStackOverSpecial:
@@ -1278,9 +1291,3 @@ class TestMeasurements:
             b = centroid(geom)
             assert hb[0] > 0 and tuple(Fraction(x, hb[0]) for x in hb[1:]) == b
             assert all(eval_at(f, b) > 0 for f in geom.facets)
-
-    def test_extend_config_ids(self):
-        cfg = tetrahedron_config()
-        bigger = extend_config(cfg, [Fraction(5), Fraction(5), Fraction(5)])
-        assert bigger.n == 5
-        assert bigger.points[-1][0] == 5
