@@ -1120,6 +1120,32 @@ class TestConstrainedShelling:
                 outcomes.add("certified")
         assert outcomes == {"certified", "inconclusive"}
 
+    def test_frozen_rung_outcomes(self):
+        # Rungs past the benchmark's cells, where the integers grow large:
+        # per vertex v of F and closeness, y, the outcome of the search (its
+        # order, or the exception's type and message) and the crossing
+        # order of its line, recomputed here in rationals.
+        rows = []
+        for cell in ((4, 22, 1), (6, 16, 2), (4, 40, 1)):
+            geom = asp_geometry(*cell)
+            y = cell[1] + 1
+            for v in sorted(geom.special.vertex_ids):
+                for closeness in (12, 24, 48, 96):
+                    q = stack_over_special(geom, toward=v, closeness=closeness)
+                    try:
+                        cert = constrained_line_shelling(q, y, v, seed=closeness)
+                        outcome = [sorted(f) for f in cert.order]
+                    except (ShellingSearchError, DegeneracyError) as exc:
+                        outcome = [type(exc).__name__, str(exc)]
+                    coords = dict(q.config.points)
+                    targets = (coords[y], coords[v], perturbation_point(q, y, v, closeness))
+                    lines = _LinesFrom(q, homogeneous(centroid(q)))
+                    line = lines.order(*map(homogeneous, targets))
+                    rows.append(
+                        [*cell, v, closeness, [str(x) for x in coords[y]], outcome, [sorted(f) for f in line]]
+                    )
+        assert len(rows) == 72 and digest(rows) == "bb2dc1c0f34e7a29"
+
     @settings(deadline=None, max_examples=30)
     @given(constrained_cases())
     def test_order_of_a_real_line(self, case):
