@@ -212,15 +212,19 @@ def _points_from_json(entry, where: str) -> PointConfig:
         raise AspolyError(f"artifact field '{where}.d' is not a positive integer")
     points = []
     for i, point in enumerate(_require_list(entry["points"], f"{where}.points")):
-        _require(point, ("id", "coords"), f"{where}.points[{i}]")
+        at = f"{where}.points[{i}]"
+        _require(point, ("id", "coords"), at)
+        if type(point["id"]) is not int:
+            raise AspolyError(f"artifact field '{at}.id' is not an integer: {point['id']!r}")
         coords = []
-        for k, x in enumerate(_require_list(point["coords"], f"{where}.points[{i}].coords")):
+        for k, x in enumerate(_require_list(point["coords"], f"{at}.coords")):
             try:
+                if isinstance(x, bool):
+                    raise TypeError
                 coords.append(Fraction(x))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise AspolyError(
-                    f"artifact field '{where}.points[{i}].coords[{k}]' is not a finite "
-                    f"rational: {x!r}"
+                    f"artifact field '{at}.coords[{k}]' is not a finite rational: {x!r}"
                 ) from None
         points.append((point["id"], tuple(coords)))
     return PointConfig(entry["d"], tuple(points))

@@ -18,12 +18,18 @@ stack_over_special is the one place a point y beyond the special facet
 is found; it builds the new boundary by the beneath-beyond theorem
 instead of enumerating the hull again: each new hyperplane is a
 combination of two old ones, and is checked against all points.
-Centroids, y and line targets are integer homogeneous vectors.  Shelling
-orders are produced geometrically.  The constrained search shoots one
-line, through y symbolically perturbed toward v, and ranks the facets by
-their exact keys lexicographically; every order that is returned is
-re-checked by the independent combinatorial verifier, so a bug in the
-crossing logic cannot leak an invalid certificate.  Key-lemma defects
+Centroids, y and line targets are integer homogeneous vectors.  A
+geometry computes its centroid and every facet's value there once;
+stacking reads the parent's values, gets each kept facet's value at y by
+linearity, and hands the stacked geometry its homogeneous points,
+centroid and centroid values, so a key-lemma rung evaluates each facet
+plane at most once at each point it needs.  Shelling orders are produced
+geometrically.  The constrained search shoots one line, through y
+symbolically perturbed toward v, and ranks the facets by their exact keys
+lexicographically, evaluating v and the later targets only on facets
+still tied; every order that is returned is re-checked by the
+independent combinatorial verifier, so a bug in the crossing logic
+cannot leak an invalid certificate.  Key-lemma defects
 are read off the certificate's restriction faces, O(d) per shelling
 step.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -123,6 +130,16 @@ class ASPGeometry:
     def facet_keys(self) -> tuple[tuple[int, ...], ...]:
         """Per facet, its sorted vertex ids, the key of _facet_order; computed once."""
         return tuple(tuple(sorted(f.vertex_ids)) for f in self.facets)
+
+    @cached_property
+    def centroid(self) -> tuple[int, ...]:
+        """An integer vector positively proportional to (1, mean of the points), computed once."""
+        return tuple(_mean(self.homogeneous, [1] * self.config.n))
+
+    @cached_property
+    def centroid_values(self) -> tuple[int, ...]:
+        """Per facet, its value at the centroid vector, computed once."""
+        return tuple(f.eval_homogeneous(self.centroid) for f in self.facets)
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)
@@ -479,37 +496,61 @@ class _LinesFrom:
     ranks C/A exactly: two distinct ratios C1/A1 and C2/A2 differ by at
     least 1/(A1*A2) > 2^-s, so their keys differ, and equal ratios get
     equal keys.  A key has about the size of C plus twice that of A,
-    whatever the number of facets.
+    whatever the number of facets.  The values A may be handed in, as a
+    geometry's centroid_values, instead of evaluated here.
 
     Several targets t1, t2, t3, ... stand for the symbolically perturbed
     target t1 + eps*(t2 - t1) + eps^2*(t3 - t1) + ... with eps > 0
     infinitesimal.  r is affine in the target, so that line sorts the
     facets by the tuples of their keys at t1, t2, ... lexicographically
-    (Edelsbrunner-Mucke, "Simulation of Simplicity").  r = 1 at every
-    target (C*b0 = A*t0: a parallel hyperplane) or two equal tuples (two
-    hyperplanes met at one point) is a degeneracy.  Orders are not
-    verified here.
+    (Edelsbrunner-Mucke, "Simulation of Simplicity").  A later target
+    only breaks ties, so it is evaluated only on the facets still tied
+    with another facet at the earlier ones, and on those parallel at every
+    earlier one.  r = 1 at every target (C*b0 = A*t0: a parallel
+    hyperplane) or two equal tuples (two hyperplanes met at one point) is
+    a degeneracy.  Orders are not verified here.
     """
 
-    def __init__(self, geom: ASPGeometry, base_hom: Sequence[int]) -> None:
+    def __init__(
+        self, geom: ASPGeometry, base_hom: Sequence[int], values: Sequence[int] | None = None
+    ) -> None:
         self.facets = geom.facets
         self.rows = [(f.offset, *f.normal) for f in geom.facets]
-        self.values = _dots(base_hom, self.rows)
+        self.values = _dots(base_hom, self.rows) if values is None else values
         if min(self.values) <= 0:
             raise DegeneracyError("base point is not interior")
         self.b0 = base_hom[0]
         self.shift = 2 * max(self.values).bit_length()
 
-    def order(self, *target_homs: Sequence[int]) -> list[frozenset[int]]:
-        at = [_dots(t, self.rows) for t in target_homs]
-        for i, a in enumerate(self.values):
-            if all(c[i] * self.b0 == a * t[0] for c, t in zip(at, target_homs)):
-                raise DegeneracyError("line parallel to a facet hyperplane")
-        keys = [tuple((c[i] << self.shift) // a for c in at) for i, a in enumerate(self.values)]
-        if len(set(keys)) != len(keys):
+    def order(self, first: Sequence[int], *later: Sequence[int]) -> list[frozenset[int]]:
+        rows, values, b0, shift = self.rows, self.values, self.b0, self.shift
+        at = _dots(first, rows)
+        keys = [((c << shift) // a,) for c, a in zip(at, values)]
+        flat = [i for i, (c, a) in enumerate(zip(at, values)) if c * b0 == a * first[0]]
+        tied = _tied(keys, range(len(keys)))
+        for t in later:
+            if not (tied or flat):
+                break
+            at = {i: _dot(t, rows[i]) for i in {*tied, *flat}}
+            flat = [i for i in flat if at[i] * b0 == values[i] * t[0]]
+            for i, c in at.items():
+                keys[i] += ((c << shift) // values[i],)
+            tied = _tied(keys, tied)
+        if flat:
+            raise DegeneracyError("line parallel to a facet hyperplane")
+        if tied:
             raise DegeneracyError("line meets two facet hyperplanes at one parameter")
         ranked = sorted(range(len(keys)), key=keys.__getitem__)
         return [self.facets[i].vertex_ids for i in ranked]
+
+
+def _tied(keys: Sequence[tuple[int, ...]], among: Sequence[int]) -> list[int]:
+    """The indexes among `among` whose key another of them shares."""
+    group = [keys[i] for i in among]
+    if len(set(group)) == len(group):
+        return []
+    count = Counter(group)
+    return [i for i in among if count[keys[i]] > 1]
 
 
 def _verified(
@@ -527,9 +568,8 @@ def line_shelling(geom: ASPGeometry, seed: int) -> ShellingCertificate:
     if not geom.is_simplicial:
         raise DomainError("line shelling requires a simplicial boundary")
     cx = geom.boundary_complex()
-    hom = geom.homogeneous
-    hb = _mean(hom, [1] * len(hom))
-    lines = _LinesFrom(geom, hb)
+    hb = geom.centroid
+    lines = _LinesFrom(geom, hb, geom.centroid_values)
     rng = random.Random(seed)
     last = None
     for _ in range(_LINE_RETRIES):
@@ -572,7 +612,7 @@ def constrained_line_shelling(
     others = [h for pid, h in enumerate(hom, 1) if pid not in (y_id, v_id)]
     rng = random.Random(seed)
     g = _mean(others, [rng.randint(1, 1000) for _ in others])
-    lines = _LinesFrom(geom, _mean(hom, [1] * len(hom)))
+    lines = _LinesFrom(geom, geom.centroid, geom.centroid_values)
     order = lines.order(hom[y_id - 1], hom[v_id - 1], g)
     blocks = [0 if y_id in f else 1 if v_id in f else 2 for f in order]
     if blocks != sorted(blocks):
@@ -634,26 +674,36 @@ def stack_over_special(
     must still meet the n+1 points exactly in its own vertices, or
     DegeneracyError is raised.  A `cap` bounds the extended point count
     as enumerate_facets does.
+
+    A kept facet is evaluated once, at the exit point: its centroid value
+    is the geometry's own and its value at y follows by linearity.  The
+    stacked geometry comes with its homogeneous points (y primitive),
+    centroid and centroid values set, a kept facet's from its two values
+    and a cone's by one dot product, so its line shellings evaluate no
+    facet at the centroid again.
     """
     special = geom.special
     if special is None:
         raise DomainError("geometry has no designated special facet to stack over")
     hom = geom.homogeneous
-    hb = _mean(hom, [1] * len(hom))
+    hb = geom.centroid
     he = _mean([hom[v - 1] for v in special.vertex_ids], [1] * len(special.vertex_ids))
     if toward is not None:
         if toward not in special.vertex_ids:
             raise DomainError(f"vertex {toward} is not on the chosen facet")
         he = _mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
-    kept = [(key, f) for key, f in zip(geom.facet_keys, geom.facets) if f is not special]
+    kept = zip(geom.facet_keys, geom.facets, geom.centroid_values)
+    kept = [(key, f, b) for key, f, b in kept if f is not special]
     # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
     # with E and B its values at the exit point and the centroid: positive
     # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
     # reads 2^k * r > p below.
     halvings = 0
-    for _, f in kept:
+    steps = []
+    for _, f, b in kept:
         r = f.eval_homogeneous(he) * hb[0]
-        p = f.eval_homogeneous(hb) * he[0] - r
+        p = b * he[0] - r
+        steps.append((r, p))
         needed = (max(p, 0) // r).bit_length() if r > 0 else _MAX_HALVINGS + 1
         halvings = max(halvings, needed)
     if halvings > _MAX_HALVINGS:
@@ -661,21 +711,31 @@ def stack_over_special(
             f"no beyond point within {_MAX_HALVINGS} halvings of the step; "
             "another facet hyperplane passes through or next to the exit point"
         )
-    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0].
+    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0]; a kept
+    # facet's value there is up * hb[0] * E - he[0] * B = up * r - (p + r).
     up = (1 << (halvings + closeness)) + 1
     hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
     wf = (special.offset, *special.normal)
     af = _dot(wf, hy)
-    at_y = [f.eval_homogeneous(hy) for _, f in kept]
+    at_y = [up * r - (p + r) for r, p in steps]
     if af >= 0 or min(at_y) <= 0:
         raise DegeneracyError("beyond point fails the beyond conditions")
     y_id = geom.config.n + 1
     _check_cap(y_id, cap)
     y = (y_id, tuple(Fraction(c, hy[0]) for c in hy[1:]))
     config = PointConfig(geom.d, geom.config.points + (y,))
-    hom = [*hom, hy]
-    cones = []
-    for (_, g), ag in zip(kept, at_y):
+    # The stacked centroid vector, as _mean would build it: with scale the
+    # lcm of the old first coordinates (hb[0] = n * scale), it is
+    # lcm(scale, y0)/scale * hb + lcm(scale, y0)/y0 * y, y made primitive.
+    k = math.gcd(*hy)
+    hy = tuple(c // k for c in hy)
+    hom = (*hom, hy)
+    scale = hb[0] // geom.config.n
+    both = math.lcm(scale, hy[0])
+    mb, my = both // scale, both // hy[0]
+    hc = tuple(mb * b + my * c for b, c in zip(hb, hy))
+    facets = [(key, f, mb * b + my * (ag // k)) for (key, f, b), ag in zip(kept, at_y)]
+    for (_, g, _), ag in zip(kept, at_y):
         ridge = g.vertex_ids & special.vertex_ids
         if len(ridge) != geom.d - 1:
             continue
@@ -687,10 +747,17 @@ def stack_over_special(
                 f"cone from {y_id} over ridge {sorted(ridge)} "
                 "is not a facet of the stacked hull"
             )
-        cones.append(((*sorted(ridge), y_id), FacetDescriptor(vertex_ids, tuple(w[1:]), w[0])))
-    # kept is in _facet_order already (geom.facet_keys), and the sort merges
-    # the cones into it; vertex sets differ, so no two keys tie.
-    return ASPGeometry(config, tuple(f for _, f in sorted(kept + cones)), None, None)
+        cone = FacetDescriptor(vertex_ids, tuple(w[1:]), w[0])
+        facets.append(((*sorted(ridge), y_id), cone, _dot(w, hc)))
+    # The kept facets are in _facet_order already (geom.facet_keys), and the
+    # sort merges the cones into them; vertex sets differ, so no keys tie.
+    facets.sort()
+    stacked = ASPGeometry(config, tuple(f for _, f, _ in facets), None, None)
+    # The cached properties, as a fresh geometry would compute them.
+    vars(stacked).update(
+        homogeneous=hom, centroid=hc, centroid_values=tuple(c for _, _, c in facets)
+    )
+    return stacked
 
 
 def key_shelling_defects(

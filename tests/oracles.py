@@ -5,8 +5,9 @@ library: faces counted as frozensets, ridges found by sorting the
 facets, missing simplices found by testing every ridge-plus-vertex pair,
 a decomposition that rebuilds the ridge incidence at every split, a
 shelling check that intersects every pair of facets, key-lemma defects
-from running face counts, hyperplanes from a kernel solve, and a point
-placed beyond any one facet.  The frozenset cells, their indexed
+from running face counts, hyperplanes from a kernel solve, a point
+placed beyond any one facet, and line orders that evaluate every target
+on every facet.  The frozenset cells, their indexed
 missing-simplex search and their decomposition are the library's code
 before it moved to vertex bitmasks.  The property tests check that the
 library gives the same results.
@@ -49,7 +50,15 @@ from aspoly.errors import (
     ShellingError,
 )
 from aspoly.exactnum import _echelon, int_nullspace
-from aspoly.hull import _MAX_HALVINGS, ASPGeometry, FacetDescriptor, _dots, _mean, _primitive
+from aspoly.hull import (
+    _MAX_HALVINGS,
+    ASPGeometry,
+    FacetDescriptor,
+    _dots,
+    _LinesFrom,
+    _mean,
+    _primitive,
+)
 from aspoly.stackgen import _refined_cells, _stacked_sphere_with_solids
 
 
@@ -490,6 +499,25 @@ def extend_config(config: PointConfig, coords: Sequence[Fraction]) -> PointConfi
     """Append one point with the next vertex id."""
     pts = config.points + ((config.n + 1, tuple(Fraction(c) for c in coords)),)
     return PointConfig(config.d, pts)
+
+
+class EagerLines(_LinesFrom):
+    """_LinesFrom as it evaluated every target on every facet.
+
+    The library evaluates a later target only on the facets it still has
+    to tell apart; the order and the DegeneracyError raised must not change.
+    """
+
+    def order(self, *target_homs: Sequence[int]) -> list[frozenset[int]]:
+        at = [_dots(t, self.rows) for t in target_homs]
+        for i, a in enumerate(self.values):
+            if all(c[i] * self.b0 == a * t[0] for c, t in zip(at, target_homs)):
+                raise DegeneracyError("line parallel to a facet hyperplane")
+        keys = [tuple((c[i] << self.shift) // a for c in at) for i, a in enumerate(self.values)]
+        if len(set(keys)) != len(keys):
+            raise DegeneracyError("line meets two facet hyperplanes at one parameter")
+        ranked = sorted(range(len(keys)), key=keys.__getitem__)
+        return [self.facets[i].vertex_ids for i in ranked]
 
 
 def cofactor_det(rows) -> Fraction:

@@ -309,10 +309,26 @@ class TestVerify:
                 7,
                 "artifact field 'facets[0].offset' is not an integer: 7",
             ),
+            (
+                ("points", "points", 0, "id"),
+                True,
+                "artifact field 'points.points[0].id' is not an integer: True",
+            ),
+            (
+                ("points", "points", 3, "id"),
+                4.0,
+                "artifact field 'points.points[3].id' is not an integer: 4.0",
+            ),
+            (
+                ("points", "points", 1, "coords", 2),
+                False,
+                "artifact field 'points.points[1].coords[2]' is not a finite rational: False",
+            ),
         ],
         ids=[
             "null-facets", "zero-denominator", "non-numeric", "string-id", "string-d",
-            "zero-points-d", "half-normal", "bare-offset",
+            "zero-points-d", "half-normal", "bare-offset", "bool-point-id", "float-point-id",
+            "bool-coordinate",
         ],
     )
     def test_malformed_field_is_named(self, capsys, tmp_path, path, value, message):
@@ -851,6 +867,32 @@ class TestGaleAndFacets:
         assert run_quiet("facets", "--input", str(path)) == (
             2, "", "error: artifact field 'input.d' is not a positive integer\n"
         )
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (
+                {"d": 1, "points": [{"id": True, "coords": [False]}, {"id": 2, "coords": [True]}]},
+                "artifact field 'input.points[0].id' is not an integer: True",
+            ),
+            (
+                {"d": 1, "points": [{"id": 1.0, "coords": [0]}, {"id": 2, "coords": [1]}]},
+                "artifact field 'input.points[0].id' is not an integer: 1.0",
+            ),
+            (
+                {"d": 1, "points": [{"id": 1, "coords": [0]}, {"id": 2, "coords": [True]}]},
+                "artifact field 'input.points[1].coords[0]' is not a finite rational: True",
+            ),
+        ],
+        ids=["bool-id", "float-id", "bool-coordinate"],
+    )
+    def test_facets_refuses_non_integer_ids_and_boolean_coordinates(
+        self, tmp_path, points, message
+    ):
+        # JSON true passed as the id 1 and the coordinate 1, and 1.0 as the id 1.
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(points))
+        assert run_quiet("facets", "--input", str(path)) == (2, "", f"error: {message}\n")
 
 
 class TestTable:

@@ -56,6 +56,7 @@ from aspoly.hull import (
     stack_over_special,
 )
 from oracles import (
+    EagerLines,
     extend_config,
     int_det,
     key_shelling_defects_by_face_counts,
@@ -389,6 +390,22 @@ def shelled_stacked_cases(draw):
     s = draw(st.integers(0, 3))
     n = draw(st.integers(d + s + 1, min(d + s + 3, 10)))
     return (d, n, s), draw(st.integers(0, 10**6)), draw(st.booleans())
+
+
+TIED_PLANES = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=7
+)
+TIED_TARGETS = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=3
+)
+
+
+def planes_geometry(planes):
+    """Facets off + a1*x1 + a2*x2 >= 0, one per (off, a1, a2), as _LinesFrom reads them."""
+    facets = tuple(
+        FacetDescriptor(frozenset({i}), (a1, a2), off) for i, (off, a1, a2) in enumerate(planes)
+    )
+    return SimpleNamespace(facets=facets)
 
 
 def lines_with_normals(normals):
@@ -935,6 +952,38 @@ class TestStackOverSpecial:
             plane = supporting_hyperplane(q.homogeneous, sorted(i - 1 for i in f.vertex_ids))
             assert plane == ((f.offset, *f.normal), f.vertex_ids)
 
+    @settings(deadline=None, max_examples=40)
+    @given(stacking_cases(), st.integers(0, 40))
+    def test_stored_values_match_a_fresh_geometry(self, case, closeness):
+        # The homogeneous points, centroid and centroid values handed over
+        # are the ones a fresh geometry computes; and each kept facet's
+        # value at y, up * r - (p + r), is its value at y evaluated.
+        cell, toward, _ = case
+        geom = asp_geometry(*cell)
+        q = stack_over_special(geom, toward, closeness)
+        fresh = hull.ASPGeometry(q.config, q.facets, None, None)
+        assert q.homogeneous == fresh.homogeneous
+        assert q.centroid == fresh.centroid
+        assert q.centroid_values == fresh.centroid_values
+        hom, hb = geom.homogeneous, geom.centroid
+        special = sorted(geom.special.vertex_ids)
+        he = hull._mean([hom[i - 1] for i in special], [1] * len(special))
+        if toward is not None:
+            he = hull._mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
+        # y = exit + (exit - centroid) / (up - 1), so up - 1 is read off y.
+        y, e, b = q.config.points[-1][1], he[1:], hb[1:]
+        j = next(j for j in range(geom.d) if y[j] != Fraction(e[j], he[0]))
+        step = (Fraction(e[j], he[0]) - Fraction(b[j], hb[0])) / (y[j] - Fraction(e[j], he[0]))
+        assert step.denominator == 1 and step.numerator & (step.numerator - 1) == 0
+        up = step.numerator + 1
+        hy = [up * hb[0] * x - he[0] * z for x, z in zip(he, hb)]
+        assert homogeneous(y) == [x // math.gcd(*hy) for x in hy]
+        for f, value in zip(geom.facets, geom.centroid_values):
+            if f is not geom.special:
+                r = f.eval_homogeneous(he) * hb[0]
+                p = value * he[0] - r
+                assert up * r - (p + r) == f.eval_homogeneous(hy) > 0
+
     def test_explicit_cap(self):
         geom = asp_geometry(4, 8, 2)
         with pytest.raises(CapExceededError):
@@ -1141,9 +1190,8 @@ class TestConstrainedShelling:
                     targets = (coords[y], coords[v], perturbation_point(q, y, v, closeness))
                     lines = _LinesFrom(q, homogeneous(centroid(q)))
                     line = lines.order(*map(homogeneous, targets))
-                    rows.append(
-                        [*cell, v, closeness, [str(x) for x in coords[y]], outcome, [sorted(f) for f in line]]
-                    )
+                    y_coords = [str(x) for x in coords[y]]
+                    rows.append([*cell, v, closeness, y_coords, outcome, [sorted(f) for f in line]])
         assert len(rows) == 72 and digest(rows) == "bb2dc1c0f34e7a29"
 
     @settings(deadline=None, max_examples=30)
@@ -1217,26 +1265,34 @@ class TestLexicographicOrder:
         same_order(_LinesFrom(q, hb), LcmLines(q, hb), [homogeneous(t) for t in targets])
 
     @settings(deadline=None, max_examples=150)
-    @given(
-        st.lists(
-            st.tuples(st.integers(1, 6), st.integers(-2, 2), st.integers(-2, 2)),
-            min_size=2,
-            max_size=7,
-        ),
-        st.lists(
-            st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3)),
-            min_size=1,
-            max_size=3,
-        ),
-    )
+    @given(TIED_PLANES, TIED_TARGETS)
     def test_matches_lcm_keys_with_ties(self, planes, targets):
         # Facets off + a.x >= 0 seen from the origin: A = off varies, and
         # small integers make ties and parallel hyperplanes common.
-        facets = tuple(
-            FacetDescriptor(frozenset({i}), (a1, a2), off) for i, (off, a1, a2) in enumerate(planes)
-        )
-        geom = SimpleNamespace(facets=facets)
+        geom = planes_geometry(planes)
         same_order(_LinesFrom(geom, [1, 0, 0]), LcmLines(geom, [1, 0, 0]), targets)
+
+    @settings(deadline=None, max_examples=150)
+    @given(TIED_PLANES, TIED_TARGETS)
+    def test_lazy_matches_eager_with_ties(self, planes, targets):
+        # Later targets evaluated only where a tie or a parallel hyperplane
+        # is left: the same order, or the same DegeneracyError message.
+        geom = planes_geometry(planes)
+        same_order(_LinesFrom(geom, [1, 0, 0]), EagerLines(geom, [1, 0, 0]), targets)
+
+    @settings(deadline=None, max_examples=40)
+    @given(constrained_cases(), st.integers(1, 3))
+    def test_lazy_matches_eager_on_search_lines(self, case, count):
+        # The search's targets y, v and g, from the stored centroid values.
+        (d, n, s), v, closeness, seed = case
+        q = stack_over_special(asp_geometry(d, n, s), toward=v, closeness=closeness)
+        y = n + 1
+        others = [h for pid, h in enumerate(q.homogeneous, 1) if pid not in (y, v)]
+        rng = random.Random(seed)
+        g = hull._mean(others, [rng.randint(1, 1000) for _ in others])
+        targets = [q.homogeneous[y - 1], q.homogeneous[v - 1], g][:count]
+        lazy = _LinesFrom(q, q.centroid, q.centroid_values)
+        same_order(lazy, EagerLines(q, q.centroid), targets)
 
 
 class TestKeyShellingDefects:
