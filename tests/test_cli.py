@@ -894,6 +894,48 @@ class TestGaleAndFacets:
         path.write_text(json.dumps(points))
         assert run_quiet("facets", "--input", str(path)) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (
+                {"d": 1, "points": [{"id": i, "coords": [i]} for i in (2, 1, 3)]},
+                "point ids must be 1..n in order, got 2 at 1",
+            ),
+            (
+                {"d": 3, "points": [{"id": 1, "coords": [0, 1]}, {"id": 2, "coords": [1, 0, 0]}]},
+                "point 1 has 2 coordinates, not 3",
+            ),
+        ],
+        ids=["id-order", "coordinate-count"],
+    )
+    def test_facets_refuses_misnumbered_or_misshapen_points(self, tmp_path, points, message):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(points))
+        assert run_quiet("facets", "--input", str(path)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda pts: pts.insert(0, pts.pop(1)),
+                "point ids must be 1..n in order, got 2 at 1",
+            ),
+            (lambda pts: pts[0]["coords"].pop(), "point 1 has 3 coordinates, not 4"),
+        ],
+        ids=["id-order", "coordinate-count"],
+    )
+    def test_artifact_points_misnumbered_or_misshapen(self, capsys, tmp_path, edit, message):
+        _, artifact = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
+        )
+        edit(artifact["points"]["points"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(artifact))
+        for command in ("verify", "shelling", "recognize"):
+            code, out, err = run(capsys, command, "--input", str(bad))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestTable:
     def test_row_count_and_order(self, capsys):
