@@ -206,7 +206,7 @@ def _asp_from_json(entry) -> ASPComplex:
 
 
 def _points_from_json(entry, where: str) -> PointConfig:
-    """A point configuration whose coordinates are all finite rationals, each parsed once."""
+    """Points with ids 1..n in order and finite rational coordinates, each parsed once."""
     _require(entry, ("d", "points"), where)
     if type(entry["d"]) is not int or entry["d"] < 1:
         raise AspolyError(f"artifact field '{where}.d' is not a positive integer")
@@ -226,8 +226,11 @@ def _points_from_json(entry, where: str) -> PointConfig:
                 raise AspolyError(
                     f"artifact field '{at}.coords[{k}]' is not a finite rational: {x!r}"
                 ) from None
-        points.append((point["id"], tuple(coords)))
-    return PointConfig(entry["d"], tuple(points))
+        points.append((point["id"], coords))
+    for i, (pid, _) in enumerate(points, start=1):
+        if pid != i:
+            raise AspolyError(f"point ids must be 1..n in order, got {pid} at {i}")
+    return PointConfig.from_rationals(entry["d"], (coords for _, coords in points))
 
 
 def _facets_from_json(data) -> list[FacetDescriptor]:

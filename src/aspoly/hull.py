@@ -18,20 +18,20 @@ stack_over_special is the one place a point y beyond the special facet
 is found; it builds the new boundary by the beneath-beyond theorem
 instead of enumerating the hull again: each new hyperplane is a
 combination of two old ones, and is checked against all points.
-Centroids, y and line targets are integer homogeneous vectors.  A
+Points, centroids, y and line targets are integer homogeneous vectors;
+the points are read as PointConfig holds them, with no conversion.  A
 geometry computes its centroid and every facet's value there once;
 stacking reads the parent's values, gets each kept facet's value at y by
-linearity, and hands the stacked geometry its homogeneous points,
-centroid and centroid values, so a key-lemma rung evaluates each facet
-plane at most once at each point it needs.  Shelling orders are produced
-geometrically.  The constrained search shoots one line, through y
-symbolically perturbed toward v, and ranks the facets by their exact keys
-lexicographically, evaluating v and the later targets only on facets
-still tied; every order that is returned is re-checked by the
-independent combinatorial verifier, so a bug in the crossing logic
-cannot leak an invalid certificate.  Key-lemma defects
-are read off the certificate's restriction faces, O(d) per shelling
-step.
+linearity, and hands the stacked geometry its centroid and centroid
+values, so a key-lemma rung evaluates each facet plane at most once at
+each point it needs.  Shelling orders are produced geometrically.  The
+constrained search shoots one line, through y symbolically perturbed
+toward v, and ranks the facets by their exact keys lexicographically,
+evaluating v and the later targets only on facets still tied; every
+order that is returned is re-checked by the independent combinatorial
+verifier, so a bug in the crossing logic cannot leak an invalid
+certificate.  Key-lemma defects are read off the certificate's
+restriction faces, O(d) per shelling step.
 """
 
 from __future__ import annotations
@@ -117,14 +117,9 @@ class ASPGeometry:
     def d(self) -> int:
         return self.config.d
 
-    @property
+    @cached_property
     def is_simplicial(self) -> bool:
         return all(f.is_simplex() for f in self.facets)
-
-    @cached_property
-    def homogeneous(self) -> tuple[tuple[int, ...], ...]:
-        """Per point, an integer vector positively proportional to (1, x), computed once."""
-        return tuple(map(tuple, _integer_homogeneous(self.config)))
 
     @cached_property
     def facet_keys(self) -> tuple[tuple[int, ...], ...]:
@@ -134,7 +129,7 @@ class ASPGeometry:
     @cached_property
     def centroid(self) -> tuple[int, ...]:
         """An integer vector positively proportional to (1, mean of the points), computed once."""
-        return tuple(_mean(self.homogeneous, [1] * self.config.n))
+        return tuple(_mean(self.config.hom, [1] * self.config.n))
 
     @cached_property
     def centroid_values(self) -> tuple[int, ...]:
@@ -152,17 +147,6 @@ class ASPGeometry:
         if not self.is_simplicial:
             raise ShapeError("boundary complex requires a simplicial geometry")
         return SimplicialComplex.from_facets(f.vertex_ids for f in self.facets)
-
-
-def _homogeneous(coords: Sequence[Fraction]) -> list[int]:
-    """An integer vector positively proportional to (1, coords)."""
-    scale = math.lcm(*(c.denominator for c in coords)) if coords else 1
-    return [scale] + [c.numerator * (scale // c.denominator) for c in coords]
-
-
-def _integer_homogeneous(config: PointConfig) -> list[list[int]]:
-    """Per point, an integer vector positively proportional to (1, x)."""
-    return [_homogeneous(coords) for _, coords in config.points]
 
 
 def _mean(hom: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
@@ -378,7 +362,7 @@ def enumerate_facets(
     _check_cap(n, cap)
     if n < d + 1:
         raise RankDeficientError("too few points to span the ambient dimension")
-    hom = _integer_homogeneous(config)
+    hom = config.hom
     if int_rank(hom) != d + 1:
         raise RankDeficientError("points do not affinely span the ambient space")
     return _facet_order(
@@ -464,7 +448,7 @@ def certified_geometry(
         name, w = sorted(f.vertex_ids), (f.offset, *f.normal)
         if len(w) != d + 1 or math.gcd(*w) != 1:
             raise NotAFaceError(f"facet {name}: hyperplane is not {d + 1} coprime integers")
-        values = _dots(w, geom.homogeneous)
+        values = _dots(w, config.hom)
         if min(values) < 0:
             low = values.index(min(values)) + 1
             raise NotAFaceError(f"facet {name}: hyperplane is negative at point {low}")
@@ -603,12 +587,11 @@ def constrained_line_shelling(
     """
     if not geom.is_simplicial:
         raise DomainError("constrained shelling requires a simplicial boundary")
-    coords = dict(geom.config.points)
-    if y_id not in coords or v_id not in coords or y_id == v_id:
+    hom = geom.config.hom
+    if not (1 <= y_id <= len(hom) and 1 <= v_id <= len(hom)) or y_id == v_id:
         raise DomainError("y and v must be two distinct vertex ids")
     if not any({y_id, v_id} <= f.vertex_ids for f in geom.facets):
         raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
-    hom = geom.homogeneous
     others = [h for pid, h in enumerate(hom, 1) if pid not in (y_id, v_id)]
     rng = random.Random(seed)
     g = _mean(others, [rng.randint(1, 1000) for _ in others])
@@ -660,8 +643,8 @@ def stack_over_special(
     shelling search needs this.  Closeness extra halvings then bring y
     toward F, since shrinking preserves all the conditions, and each
     facet's value at y is checked exactly.  The centroid, the exit point
-    and y are integer vectors positively proportional to (1, point); y is
-    stored with rational coordinates.
+    and y are integer vectors positively proportional to (1, point); y
+    joins the configuration as its primitive vector.
 
     By the beneath-beyond theorem the new hull is simplicial and its
     facets are the old simplex facets, hyperplanes unchanged, plus the
@@ -677,15 +660,14 @@ def stack_over_special(
 
     A kept facet is evaluated once, at the exit point: its centroid value
     is the geometry's own and its value at y follows by linearity.  The
-    stacked geometry comes with its homogeneous points (y primitive),
-    centroid and centroid values set, a kept facet's from its two values
-    and a cone's by one dot product, so its line shellings evaluate no
-    facet at the centroid again.
+    stacked geometry comes with its centroid and centroid values set, a
+    kept facet's from its two values and a cone's by one dot product, so
+    its line shellings evaluate no facet at the centroid again.
     """
     special = geom.special
     if special is None:
         raise DomainError("geometry has no designated special facet to stack over")
-    hom = geom.homogeneous
+    hom = geom.config.hom
     hb = geom.centroid
     he = _mean([hom[v - 1] for v in special.vertex_ids], [1] * len(special.vertex_ids))
     if toward is not None:
@@ -722,14 +704,13 @@ def stack_over_special(
         raise DegeneracyError("beyond point fails the beyond conditions")
     y_id = geom.config.n + 1
     _check_cap(y_id, cap)
-    y = (y_id, tuple(Fraction(c, hy[0]) for c in hy[1:]))
-    config = PointConfig(geom.d, geom.config.points + (y,))
-    # The stacked centroid vector, as _mean would build it: with scale the
-    # lcm of the old first coordinates (hb[0] = n * scale), it is
-    # lcm(scale, y0)/scale * hb + lcm(scale, y0)/y0 * y, y made primitive.
     k = math.gcd(*hy)
     hy = tuple(c // k for c in hy)
     hom = (*hom, hy)
+    config = PointConfig(geom.d, hom)
+    # The stacked centroid vector, as _mean would build it: with scale the
+    # lcm of the old first coordinates (hb[0] = n * scale), it is
+    # lcm(scale, y0)/scale * hb + lcm(scale, y0)/y0 * y.
     scale = hb[0] // geom.config.n
     both = math.lcm(scale, hy[0])
     mb, my = both // scale, both // hy[0]
@@ -754,9 +735,7 @@ def stack_over_special(
     facets.sort()
     stacked = ASPGeometry(config, tuple(f for _, f, _ in facets), None, None)
     # The cached properties, as a fresh geometry would compute them.
-    vars(stacked).update(
-        homogeneous=hom, centroid=hc, centroid_values=tuple(c for _, _, c in facets)
-    )
+    vars(stacked).update(centroid=hc, centroid_values=tuple(c for _, _, c in facets))
     return stacked
 
 

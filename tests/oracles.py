@@ -5,7 +5,8 @@ library: faces counted as frozensets, ridges found by sorting the
 facets, missing simplices found by testing every ridge-plus-vertex pair,
 a decomposition that rebuilds the ridge incidence at every split, a
 shelling check that intersects every pair of facets, key-lemma defects
-from running face counts, hyperplanes from a kernel solve, a point
+from running face counts, hyperplanes from a kernel solve, a point's
+integer homogeneous vector from its rational coordinates, a point
 placed beyond any one facet, and line orders that evaluate every target
 on every facet.  The frozenset cells, their indexed
 missing-simplex search and their decomposition are the library's code
@@ -22,6 +23,7 @@ determinants, stacked spheres from facet indices, and the
 stacked-sphere test by prime decomposition.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -439,6 +441,23 @@ def supporting_hyperplane(
     return tuple(_primitive(w)), on_ids
 
 
+def homogeneous(coords: Sequence[Fraction]) -> list[int]:
+    """An integer vector positively proportional to (1, coords).
+
+    The conversion aspoly.hull once made for every point, when PointConfig
+    stored rational coordinates; PointConfig.from_rationals must agree.
+    """
+    scale = math.lcm(*(c.denominator for c in coords)) if coords else 1
+    return [scale] + [c.numerator * (scale // c.denominator) for c in coords]
+
+
+def rational_points(config: PointConfig) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
+    """(id, rational coordinates) per point, as PointConfig once stored them."""
+    return tuple(
+        (pid, tuple(Fraction(c, h[0]) for c in h[1:])) for pid, h in enumerate(config.hom, 1)
+    )
+
+
 def point_beyond(
     geom: ASPGeometry,
     facet: FacetDescriptor,
@@ -464,7 +483,7 @@ def point_beyond(
     """
     if facet not in geom.facets:
         raise NotAFaceError("facet descriptor does not belong to this geometry")
-    hom = geom.homogeneous
+    hom = geom.config.hom
     hb = _mean(hom, [1] * len(hom))
     he = _mean([hom[v - 1] for v in facet.vertex_ids], [1] * len(facet.vertex_ids))
     if toward is not None:
@@ -497,8 +516,7 @@ def point_beyond(
 
 def extend_config(config: PointConfig, coords: Sequence[Fraction]) -> PointConfig:
     """Append one point with the next vertex id."""
-    pts = config.points + ((config.n + 1, tuple(Fraction(c) for c in coords)),)
-    return PointConfig(config.d, pts)
+    return PointConfig(config.d, (*config.hom, tuple(homogeneous(coords))))
 
 
 class EagerLines(_LinesFrom):

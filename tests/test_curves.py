@@ -1,5 +1,6 @@
 """Curve evaluation tests: root pattern, frozen values, independence."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -15,14 +16,26 @@ from aspoly.curves import (
     p_eval,
 )
 from aspoly.enumerative import ASPParams
-from aspoly.errors import DomainError, ShapeError
-from oracles import cofactor_det, gauss_rank
+from aspoly.errors import AspolyError, DomainError, ShapeError
+from aspoly.exactnum import format_rational
+from oracles import cofactor_det, gauss_rank, homogeneous, rational_points
 
 
 def homogeneous_rows(config: PointConfig, ids=None) -> list[list[Fraction]]:
     """Rows (1, x_1, ..., x_d) for the selected points, default all."""
-    sel = ids if ids is not None else [pid for pid, _ in config.points]
-    return [[Fraction(1), *config.points[pid - 1][1]] for pid in sel]
+    points = rational_points(config)
+    sel = ids if ids is not None else [pid for pid, _ in points]
+    return [[Fraction(1), *points[pid - 1][1]] for pid in sel]
+
+
+def rational_rows(max_denominator):
+    """(d, rows): d in 1..5 and 1 to 8 distinct points of R^d with rational coordinates."""
+
+    def rows(d):
+        row = st.lists(st.fractions(max_denominator=max_denominator), min_size=d, max_size=d)
+        return st.tuples(st.just(d), st.lists(row, min_size=1, max_size=8, unique_by=tuple))
+
+    return st.integers(1, 5).flatmap(rows)
 
 
 class TestPEval:
@@ -34,8 +47,12 @@ class TestPEval:
 
     def test_root_set_is_exactly_prefix(self):
         p = ASPParams(4, 9, 2)
-        roots = {t for t in range(-12, 6) if p_eval(t, p) == 0}
+        roots = {t for t in range(-(p.d + p.s - 1), 6) if p_eval(t, p) == 0}
         assert roots == set(range(-(p.d + p.s - 1), 1))
+        # Below the grid the value is not an integer, and p_eval refuses it.
+        for t in range(-12, -(p.d + p.s - 1)):
+            with pytest.raises(DomainError):
+                p_eval(t, p)
 
     def test_positive_beyond_roots(self):
         p = ASPParams(5, 11, 1)
@@ -62,22 +79,22 @@ class TestAlmostCyclicPoints:
 
     def test_d3_last_coordinates(self):
         cfg = almost_cyclic_points(ASPParams(3, 5, 0))
-        assert [c[-1] for _, c in cfg.points] == [0, 0, 0, 6, 384]
+        assert [c[-1] for _, c in rational_points(cfg)] == [0, 0, 0, 6, 384]
 
     def test_first_block_in_hyperplane(self):
         p = ASPParams(4, 7, 1)
         cfg = almost_cyclic_points(p)
         assert cfg.n == 7
-        zeros = [pid for pid, c in cfg.points if c[-1] == 0]
+        zeros = [pid for pid, c in rational_points(cfg) if c[-1] == 0]
         assert zeros == list(range(1, p.d + p.s + 1))
-        for pid, c in cfg.points:
+        for pid, c in rational_points(cfg):
             if pid > p.d + p.s:
                 assert c[-1] > 0
 
     def test_head_coordinates_are_moments(self):
         p = ASPParams(4, 8, 2)
         cfg = almost_cyclic_points(p)
-        for (pid, c), t in zip(cfg.points, curve_parameters(p)):
+        for (pid, c), t in zip(rational_points(cfg), curve_parameters(p)):
             assert c[:3] == (Fraction(t), Fraction(t) ** 2, Fraction(t) ** 3)
 
     def test_specialization_matches_general(self):
@@ -88,10 +105,10 @@ class TestAlmostCyclicPoints:
                     p = ASPParams(d, n, s)
                     ts = curve_parameters(p)
                     points = tuple(
-                        (i, tuple(Fraction(t) ** k for k in range(1, d)) + (p_eval(t, p),))
-                        for i, t in enumerate(ts, start=1)
+                        tuple(Fraction(t) ** k for k in range(1, d)) + (p_eval(t, p),)
+                        for t in ts
                     )
-                    assert almost_cyclic_points(p) == PointConfig(d, points)
+                    assert almost_cyclic_points(p) == PointConfig.from_rationals(d, points)
 
     def test_json_roundtrip(self):
         cfg = almost_cyclic_points(ASPParams(3, 6, 1))
@@ -107,7 +124,7 @@ class TestGeneralCurve:
         ids = [3, 5, 6, 8]
         ts = [curve_parameters(p)[i - 1] for i in ids]
         assert ts == [-3, -1, 0, 2]
-        rows = [[Fraction(1), *cfg.points[i - 1][1][:-1]] for i in ids]
+        rows = [[Fraction(1), *rational_points(cfg)[i - 1][1][:-1]] for i in ids]
         # prod_{i<j} (t_j - t_i), the Vandermonde determinant
         assert cofactor_det(rows) == prod(tj - ti for ti, tj in combinations(ts, 2))
 
@@ -127,16 +144,54 @@ class TestGeneralCurve:
 
 class TestPointConfigValidation:
     def test_id_order_enforced(self):
-        with pytest.raises(ShapeError):
-            PointConfig(2, ((2, (Fraction(0), Fraction(0))),))
+        # Ids are implicit in PointConfig; the JSON reader checks them.
+        entry = {"d": 2, "points": [{"id": 2, "coords": ["0", "0"]}]}
+        with pytest.raises(AspolyError, match=r"^point ids must be 1\.\.n in order, got 2 at 1$"):
+            _points_from_json(entry, "points")
 
     def test_duplicate_coordinates_rejected(self):
         pt = (Fraction(1), Fraction(2))
         with pytest.raises(ShapeError):
-            PointConfig(2, ((1, pt), (2, pt)))
+            PointConfig.from_rationals(2, (pt, pt))
         with pytest.raises(ShapeError):
-            PointConfig(2, ((1, pt), (2, (Fraction(2, 2), Fraction(4, 2)))))
+            PointConfig.from_rationals(2, (pt, (Fraction(2, 2), Fraction(4, 2))))
+        with pytest.raises(ShapeError, match="^point 2 duplicates an earlier point$"):
+            PointConfig(2, ((1, 1, 2), (1, 1, 2)))
 
     def test_equal_numerators_are_distinct_points(self):
         pts = [(Fraction(1, k), Fraction(1, k * k)) for k in (1, 2, 3)]
-        assert PointConfig(2, tuple(enumerate(pts, start=1))).n == 3
+        assert PointConfig.from_rationals(2, pts).n == 3
+
+    @pytest.mark.parametrize(
+        "hom, message",
+        [
+            (((0, 1, 2),), "point 1 is not a primitive integer (w, w*x) with w > 0"),
+            (((1, 0, 0), (-1, 1, 2)), "point 2 is not a primitive integer (w, w*x) with w > 0"),
+            (((1, 0, 0), (2, 2, 4)), "point 2 is not a primitive integer (w, w*x) with w > 0"),
+            (((1, 0, 0), (1, 2)), "point 2 has 1 coordinates, not 2"),
+            (((1, 0, 0, 0),), "point 1 has 3 coordinates, not 2"),
+        ],
+        ids=["zero-w", "negative-w", "not-primitive", "short", "long"],
+    )
+    def test_malformed_vector_rejected(self, hom, message):
+        with pytest.raises(ShapeError) as exc:
+            PointConfig(2, hom)
+        assert str(exc.value) == message
+
+    @settings(deadline=None, max_examples=100)
+    @given(rational_rows(10**12))
+    def test_from_rationals_matches_oracle(self, case):
+        d, rows = case
+        config = PointConfig.from_rationals(d, rows)
+        assert config.hom == tuple(tuple(homogeneous(r)) for r in rows)
+        assert [c for _, c in rational_points(config)] == [tuple(r) for r in rows]
+
+    @settings(deadline=None, max_examples=100)
+    @given(rational_rows(2**80))
+    def test_json_roundtrip_keeps_hom(self, case):
+        # to_json writes each coordinate as the rational it was given.
+        d, rows = case
+        config = PointConfig.from_rationals(d, rows)
+        data = json.loads(json.dumps(config.to_json()))
+        assert [p["coords"] for p in data["points"]] == [list(map(format_rational, r)) for r in rows]
+        assert _points_from_json(data, "points").hom == config.hom

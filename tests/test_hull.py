@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aspoly import hull
+from aspoly import curves, hull
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
@@ -58,18 +58,18 @@ from aspoly.hull import (
 from oracles import (
     EagerLines,
     extend_config,
+    homogeneous,
     int_det,
     key_shelling_defects_by_face_counts,
     point_beyond,
+    rational_points,
     supporting_hyperplane,
 )
 
 
 def config_from_coords(coords) -> PointConfig:
-    pts = tuple(
-        (i, tuple(Fraction(x) for x in c)) for i, c in enumerate(coords, start=1)
-    )
-    return PointConfig(len(coords[0]), pts)
+    rows = [tuple(Fraction(x) for x in c) for c in coords]
+    return PointConfig.from_rationals(len(coords[0]), rows)
 
 
 def facets_by_subset_scan(config: PointConfig) -> tuple[FacetDescriptor, ...]:
@@ -82,7 +82,7 @@ def facets_by_subset_scan(config: PointConfig) -> tuple[FacetDescriptor, ...]:
     """
     n, d = config.n, config.d
     hom = []
-    for _, coords in config.points:
+    for _, coords in rational_points(config):
         scale = math.lcm(*(c.denominator for c in coords))
         hom.append([scale] + [int(c * scale) for c in coords])
     assert int_rank(hom) == d + 1
@@ -146,11 +146,6 @@ def defects_by_rebuild(cert, y_id, v_id):
     return tuple(out)
 
 
-def homogeneous(coords):
-    scale = math.lcm(*(c.denominator for c in coords))
-    return [scale] + [c.numerator * (scale // c.denominator) for c in coords]
-
-
 def eval_at(f: FacetDescriptor, coords) -> Fraction:
     """A facet's affine function at a rational point: positive inside, zero on it."""
     return f.offset + sum(a * x for a, x in zip(f.normal, coords))
@@ -158,7 +153,7 @@ def eval_at(f: FacetDescriptor, coords) -> Fraction:
 
 def centroid(geom):
     """The centroid of the configuration, interior by convex position."""
-    pts = [c for _, c in geom.config.points]
+    pts = [c for _, c in rational_points(geom.config)]
     return tuple(sum(col) / len(pts) for col in zip(*pts))
 
 
@@ -168,7 +163,7 @@ def neighborliness(geom) -> int:
     Faces inside the special facet are faces of its boundary complex (or
     the facet itself); everything else must lie in a simplex facet.
     """
-    ids = [pid for pid, _ in geom.config.points]
+    ids = [pid for pid, _ in rational_points(geom.config)]
     simplex_sets = [f.vertex_ids for f in geom.facets if f.is_simplex()]
     special_faces: frozenset[frozenset[int]] = frozenset()
     special_set = None
@@ -206,7 +201,7 @@ def simpliciality(geom) -> int:
     d = geom.d
     if geom.is_simplicial:
         return d - 1
-    hom = geom.homogeneous
+    hom = geom.config.hom
     for f1, f2 in combinations(geom.facets, 2):
         common = f1.vertex_ids & f2.vertex_ids
         if len(common) < d - 1:
@@ -241,7 +236,7 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
     values = [f.eval_homogeneous(hb) for f in geom.facets]
     lcm = math.lcm(*values)
     scales = [hb[0] * lcm // a for a in values]
-    hom = {pid: homogeneous(c) for pid, c in geom.config.points}
+    hom = {pid: homogeneous(c) for pid, c in rational_points(geom.config)}
     den = math.lcm(*(h[0] for h in hom.values()))
     num = {pid: [x * (den // h[0]) for x in h[1:]] for pid, h in hom.items()}
     y, v = num[y_id], num[v_id]
@@ -359,7 +354,7 @@ def same_order(lines, oracle, targets):
 
 def perturbation_point(geom, y_id, v_id, seed):
     """g of the deterministic search: the other points averaged with Random(seed) weights."""
-    others = [c for pid, c in geom.config.points if pid not in (y_id, v_id)]
+    others = [c for pid, c in rational_points(geom.config) if pid not in (y_id, v_id)]
     rng = random.Random(seed)
     weights = [rng.randint(1, 1000) for _ in others]
     return [sum(w * x for w, x in zip(weights, col)) / sum(weights) for col in zip(*others)]
@@ -469,7 +464,7 @@ class TestOrientation:
         block = range(1, p.d + p.s + 1)
         for sub in combinations(block, p.d):
             for outside in range(p.d + p.s + 1, p.n + 1):
-                pts = [cfg.points[i - 1][1] for i in (*sub, outside)]
+                pts = [rational_points(cfg)[i - 1][1] for i in (*sub, outside)]
                 assert orientation(pts) == 1
 
 
@@ -577,7 +572,7 @@ def special_position_configs(draw, max_d=4):
 
 
 def spans_space(config: PointConfig) -> bool:
-    return int_rank(hull._integer_homogeneous(config)) == config.d + 1
+    return int_rank(config.hom) == config.d + 1
 
 
 def check_against_oracle(config: PointConfig) -> None:
@@ -609,7 +604,7 @@ class TestGiftWrapOracle:
     def test_matches_per_ridge_wrap(self, configs, data):
         config = data.draw(configs(max_d=7))
         assume(spans_space(config))
-        hom = hull._integer_homogeneous(config)
+        hom = config.hom
         assert hull._gift_wrap(hom) == gift_wrap_per_ridge(hom)
 
     def test_inherited_normals_are_kernels(self, monkeypatch):
@@ -657,7 +652,7 @@ class TestGiftWrapOracle:
             facets += len(enumerate_facets(config))
             wrapped += len(calls)
             calls.clear()
-            gift_wrap_per_ridge(hull._integer_homogeneous(config))
+            gift_wrap_per_ridge(config.hom)
             oracle += len(calls)
             calls.clear()
         assert (facets, wrapped, oracle) == (5736, 6328, 17600)
@@ -736,7 +731,7 @@ class TestGiftWrapOracle:
     def test_flat_inputs_rejected(self, config):
         # Append a coordinate that is an affine function of the others.
         flat = config_from_coords(
-            [(*c, 2 * c[0] - c[-1] + 1) for _, c in config.points]
+            [(*c, 2 * c[0] - c[-1] + 1) for _, c in rational_points(config)]
         )
         with pytest.raises(RankDeficientError):
             enumerate_facets(flat, cap=None)
@@ -873,7 +868,7 @@ class TestPointBeyond:
         geom = detect_asp(tetrahedron_config())
         for f in geom.facets:
             q = stack_over_special(designate_special(geom, f.vertex_ids), closeness=0)
-            y = q.config.points[-1][1]
+            y = rational_points(q.config)[-1][1]
             assert eval_at(f, y) < 0
             for g in geom.facets:
                 if g is not f:
@@ -884,7 +879,7 @@ class TestPointBeyond:
         def y(geom, special=None):
             if special is not None:
                 geom = designate_special(geom, special)
-            return stack_over_special(geom, closeness=0).config.points[-1]
+            return rational_points(stack_over_special(geom, closeness=0).config)[-1]
 
         geom = detect_asp(tetrahedron_config())
         F = Fraction
@@ -902,6 +897,18 @@ class TestPointBeyond:
         assert q.config.n == 8
         assert q.special is None
 
+    def test_builds_no_fraction(self, monkeypatch):
+        # The curve's points, y and the stacked hull's shellings are made
+        # on integers alone.  (The gift-wrap, run first, picks its start
+        # point by a rational key.)
+        geom = asp_geometry(4, 9, 2)
+        monkeypatch.setattr(curves, "Fraction", None)
+        monkeypatch.setattr(hull, "Fraction", None)
+        assert almost_cyclic_points(ASPParams(4, 9, 2)) == geom.config
+        q = stack_over_special(geom, toward=1, closeness=12)
+        assert q.config.hom[-1][0] > 0 and math.gcd(*q.config.hom[-1]) == 1
+        line_shelling(q, seed=0)
+
     def test_toward_off_the_special_facet(self):
         geom = asp_geometry(4, 8, 2)
         assert 7 not in geom.special.vertex_ids
@@ -914,7 +921,7 @@ class TestPointBeyond:
         # y is beyond F alone, and it is the placement oracle's point.
         cell, toward, closeness = case
         geom = asp_geometry(*cell)
-        pid, y = stack_over_special(geom, toward, closeness).config.points[-1]
+        pid, y = rational_points(stack_over_special(geom, toward, closeness).config)[-1]
         assert eval_at(geom.special, y) < 0
         assert all(eval_at(f, y) > 0 for f in geom.facets if f is not geom.special)
         assert (pid, y) == (geom.config.n + 1, point_beyond(geom, geom.special, toward, closeness))
@@ -949,29 +956,30 @@ class TestStackOverSpecial:
         cones = [f for f in q.facets if q.config.n in f.vertex_ids]
         assert len(cones) == boundary_of_ball(geom.ball.ball).n_facets
         for f in cones:
-            plane = supporting_hyperplane(q.homogeneous, sorted(i - 1 for i in f.vertex_ids))
+            plane = supporting_hyperplane(q.config.hom, sorted(i - 1 for i in f.vertex_ids))
             assert plane == ((f.offset, *f.normal), f.vertex_ids)
 
     @settings(deadline=None, max_examples=40)
     @given(stacking_cases(), st.integers(0, 40))
     def test_stored_values_match_a_fresh_geometry(self, case, closeness):
-        # The homogeneous points, centroid and centroid values handed over
-        # are the ones a fresh geometry computes; and each kept facet's
-        # value at y, up * r - (p + r), is its value at y evaluated.
+        # The points are the oracle's primitive vectors of their rational
+        # coordinates, the centroid and centroid values handed over are the
+        # ones a fresh geometry computes; and each kept facet's value at y,
+        # up * r - (p + r), is its value at y evaluated.
         cell, toward, _ = case
         geom = asp_geometry(*cell)
         q = stack_over_special(geom, toward, closeness)
         fresh = hull.ASPGeometry(q.config, q.facets, None, None)
-        assert q.homogeneous == fresh.homogeneous
+        assert q.config.hom == tuple(tuple(homogeneous(c)) for _, c in rational_points(q.config))
         assert q.centroid == fresh.centroid
         assert q.centroid_values == fresh.centroid_values
-        hom, hb = geom.homogeneous, geom.centroid
+        hom, hb = geom.config.hom, geom.centroid
         special = sorted(geom.special.vertex_ids)
         he = hull._mean([hom[i - 1] for i in special], [1] * len(special))
         if toward is not None:
             he = hull._mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
         # y = exit + (exit - centroid) / (up - 1), so up - 1 is read off y.
-        y, e, b = q.config.points[-1][1], he[1:], hb[1:]
+        y, e, b = rational_points(q.config)[-1][1], he[1:], hb[1:]
         j = next(j for j in range(geom.d) if y[j] != Fraction(e[j], he[0]))
         step = (Fraction(e[j], he[0]) - Fraction(b[j], hb[0])) / (y[j] - Fraction(e[j], he[0]))
         assert step.denominator == 1 and step.numerator & (step.numerator - 1) == 0
@@ -1006,7 +1014,7 @@ class TestStackOverSpecial:
                     for v in range(1, d + s + 1):
                         for closeness in (12, 40):
                             q = stack_over_special(geom, toward=v, closeness=closeness)
-                            y = [str(x) for x in q.config.points[-1][1]]
+                            y = [str(x) for x in rational_points(q.config)[-1][1]]
                             facets = [[sorted(f.vertex_ids), list(f.normal), f.offset] for f in q.facets]
                             rows.append([d, n, s, v, closeness, y, facets])
         assert len(rows) == 384 and digest(rows) == "cea2cb3e51b4ad0d"
@@ -1186,7 +1194,7 @@ class TestConstrainedShelling:
                         outcome = [sorted(f) for f in cert.order]
                     except (ShellingSearchError, DegeneracyError) as exc:
                         outcome = [type(exc).__name__, str(exc)]
-                    coords = dict(q.config.points)
+                    coords = dict(rational_points(q.config))
                     targets = (coords[y], coords[v], perturbation_point(q, y, v, closeness))
                     lines = _LinesFrom(q, homogeneous(centroid(q)))
                     line = lines.order(*map(homogeneous, targets))
@@ -1203,7 +1211,7 @@ class TestConstrainedShelling:
         (d, n, s), v, closeness, seed = case
         q = stack_over_special(asp_geometry(d, n, s), toward=v, closeness=closeness)
         y = n + 1
-        coords = dict(q.config.points)
+        coords = dict(rational_points(q.config))
         g = perturbation_point(q, y, v, seed)
         e = Fraction(2**400)
         target = [
@@ -1259,7 +1267,7 @@ class TestLexicographicOrder:
         hb = homogeneous(centroid(q))
         coord = st.fractions(min_value=-20, max_value=20, max_denominator=5)
         target = st.one_of(
-            st.sampled_from([c for _, c in q.config.points]), st.tuples(*[coord] * q.d)
+            st.sampled_from([c for _, c in rational_points(q.config)]), st.tuples(*[coord] * q.d)
         )
         targets = data.draw(st.lists(target, min_size=1, max_size=3))
         same_order(_LinesFrom(q, hb), LcmLines(q, hb), [homogeneous(t) for t in targets])
@@ -1287,10 +1295,10 @@ class TestLexicographicOrder:
         (d, n, s), v, closeness, seed = case
         q = stack_over_special(asp_geometry(d, n, s), toward=v, closeness=closeness)
         y = n + 1
-        others = [h for pid, h in enumerate(q.homogeneous, 1) if pid not in (y, v)]
+        others = [h for pid, h in enumerate(q.config.hom, 1) if pid not in (y, v)]
         rng = random.Random(seed)
         g = hull._mean(others, [rng.randint(1, 1000) for _ in others])
-        targets = [q.homogeneous[y - 1], q.homogeneous[v - 1], g][:count]
+        targets = [q.config.hom[y - 1], q.config.hom[v - 1], g][:count]
         lazy = _LinesFrom(q, q.centroid, q.centroid_values)
         same_order(lazy, EagerLines(q, q.centroid), targets)
 
@@ -1369,7 +1377,7 @@ class TestMeasurements:
         octahedron = detect_asp(octahedron_config())
         stacked = stack_over_special(asp_geometry(4, 8, 2), toward=1, closeness=12)
         for geom in (octahedron, stacked):
-            hb = hull._mean(geom.homogeneous, [1] * geom.config.n)
+            hb = hull._mean(geom.config.hom, [1] * geom.config.n)
             b = centroid(geom)
             assert hb[0] > 0 and tuple(Fraction(x, hb[0]) for x in hb[1:]) == b
             assert all(eval_at(f, b) > 0 for f in geom.facets)
