@@ -462,9 +462,10 @@ class TestOrientation:
         p = ASPParams(3, 6, 1)
         cfg = almost_cyclic_points(p)
         block = range(1, p.d + p.s + 1)
+        points = rational_points(cfg)
         for sub in combinations(block, p.d):
             for outside in range(p.d + p.s + 1, p.n + 1):
-                pts = [rational_points(cfg)[i - 1][1] for i in (*sub, outside)]
+                pts = [points[i - 1][1] for i in (*sub, outside)]
                 assert orientation(pts) == 1
 
 
