@@ -162,6 +162,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", str(path), "--checks", "nope")
         assert code == 2 and "unknown checks" in err
 
+    def test_unknown_check_is_named_before_loading(self, capsys, tmp_path):
+        # The artifact would be refused at load; the usage error comes first.
+        _, artifact = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
+        )
+        artifact["facets"][1]["offset"] = "999/1"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(artifact))
+        valid = "('bounds', 'ds', 'gale', 'ridge', 'shelling', 'rigidity', 'minimizer')"
+        assert run(capsys, "verify", "--input", str(bad), "--checks", "nope") == (
+            2, "", f"error: unknown checks ['nope']; valid: {valid}\n"
+        )
+
     def test_cap_edge_n16(self, capsys, tmp_path):
         # construct accepts n = 16, so verify must work on it too; the
         # shelling check stacks a 17th point over the special facet.
@@ -1008,6 +1022,34 @@ class TestRigidityCommand:
         code, out, _ = run(capsys, "rigidity", "--input", str(path))
         report = json.loads(out)
         assert report["stress_dim"] == 3 and report["d"] == 4
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (
+                lambda art: art["facets"][1].update(offset="999/1"),
+                "facet [1, 2, 3, 8]: hyperplane is negative at point 1",
+            ),
+            (
+                lambda art: art.pop("facets"),
+                "artifact is missing 'facets'; rebuild it with construct",
+            ),
+        ],
+        ids=["wrong-offset", "no-facets"],
+    )
+    def test_artifact_refused_as_every_loader_refuses_it(
+        self, capsys, tmp_path, tamper, message
+    ):
+        _, artifact = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
+        )
+        tamper(artifact)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(artifact))
+        for command in ("verify", "recognize", "shelling", "rigidity"):
+            code, out, err = run(capsys, command, "--input", str(bad))
+            assert (command, code, out, err) == (command, 2, "", f"error: {message}\n")
 
 
 class TestShellingAndRecognize:
