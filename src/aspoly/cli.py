@@ -120,8 +120,7 @@ def cmd_construct(args) -> int:
 
 def cmd_facets(args) -> int:
     if args.input:
-        with open(args.input) as fh:
-            config = _points_from_json(json.load(fh), "input")
+        config = _points_from_json(_read_json(args.input), "input")
     else:
         if None in (args.d, args.n):
             raise AspolyError("facets needs --input or all of --d/--n/--s")
@@ -234,7 +233,7 @@ def _points_from_json(entry, where: str) -> PointConfig:
 
 
 def _facets_from_json(data) -> list[FacetDescriptor]:
-    """The stored hull facets, with integer vertex ids, normal and offset."""
+    """The stored hull facets: integer vertex ids, and the plane (offset, *normal)."""
     _require(data, ("facets",), "")
     facets = []
     for i, entry in enumerate(_require_list(data["facets"], "facets")):
@@ -244,7 +243,7 @@ def _facets_from_json(data) -> list[FacetDescriptor]:
         normal = enumerate(_require_list(entry["normal"], f"{at}.normal"))
         w = [_require_int(a, f"{at}.normal[{k}]") for k, a in normal]
         offset = _require_int(entry["offset"], f"{at}.offset")
-        facets.append(FacetDescriptor(frozenset(entry["vertices"]), tuple(w), offset))
+        facets.append(FacetDescriptor(frozenset(entry["vertices"]), (offset, *w)))
     return facets
 
 
@@ -262,19 +261,22 @@ class Artifact:
         return stack_over_special(self.geometry)
 
 
-def _load_artifact(args) -> Artifact:
-    """The artifact at args.input, refused past the d/n caps unless args.unsafe_large.
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _load_artifact(data, unsafe_large: bool) -> Artifact:
+    """An artifact from its parsed JSON, refused past the d/n caps unless unsafe_large.
 
     Its complex is validated (validate_asp, through special_boundary).  With
     points, its stored facets are first checked against them and against
     the complex (hull.certified_geometry, which validates last) and become
     the artifact's geometry.
     """
-    with open(args.input) as fh:
-        data = json.load(fh)
     _require(data, ("complex",), "")
     asp = _asp_from_json(data["complex"])
-    _check_caps(asp.params.d, asp.params.n, args.unsafe_large)
+    _check_caps(asp.params.d, asp.params.n, unsafe_large)
     kind = data.get("kind", "unknown")
     if "points" not in data:
         asp.special_boundary  # validate_asp
@@ -374,12 +376,12 @@ CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    """Run the requested checks; 'all' skips those that do not apply."""
-    art = _load_artifact(args)
+    """Run the requested checks once all are known; 'all' skips those that do not apply."""
     requested = tuple(CHECKS) if args.checks == "all" else tuple(args.checks.split(","))
     unknown = [c for c in requested if c not in CHECKS]
     if unknown:
         raise AspolyError(f"unknown checks {unknown}; valid: {tuple(CHECKS)}")
+    art = _load_artifact(_read_json(args.input), args.unsafe_large)
     results = {}
     for name in requested:
         ok, detail = CHECKS[name](art, args.seed)
@@ -445,12 +447,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    with open(args.input) as fh:
-        data = json.load(fh)
+    """An artifact's ball skeleton, loaded with no caps, or a raw graph file."""
+    data = _read_json(args.input)
     _require(data, (), "")
     if "complex" in data:
-        asp = _asp_from_json(data["complex"])
-        asp.special_boundary  # validate_asp
+        asp = _load_artifact(data, unsafe_large=True).asp
         graph = one_skeleton(asp.ball)
         dim = args.dim or asp.params.d
     else:
@@ -471,7 +472,7 @@ def cmd_rigidity(args) -> int:
 def cmd_shelling(args) -> int:
     if args.count < 1:
         raise AspolyError(f"--count must be at least 1, got {args.count}")
-    art = _load_artifact(args)
+    art = _load_artifact(_read_json(args.input), args.unsafe_large)
     if art.geometry is None:
         raise AspolyError("shelling needs an artifact with point data (cyclic-asp)")
     runs = []
@@ -492,7 +493,7 @@ def cmd_shelling(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    verdict = recognize_minimizer(_load_artifact(args).asp)
+    verdict = recognize_minimizer(_load_artifact(_read_json(args.input), args.unsafe_large).asp)
     _emit(verdict.to_json(), args.out)
     return 0
 

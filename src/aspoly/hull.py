@@ -12,8 +12,11 @@ integer comparison.  A hull that is already known, such as the facets an
 artifact stores, is checked instead of enumerated: each hyperplane
 against every point, the vertex sets against the complex, and
 completeness from the facet-ridge graph.
-Facet hyperplanes are primitive integer vectors, so the facets a line
-crosses are ranked by integer keys with no rational arithmetic.
+A facet holds its hyperplane as one primitive integer vector (offset,
+*normal), the form the gift-wrap finds it in, and every plane is
+evaluated by one integer dot product with a homogeneous point.  The
+facets a line crosses are ranked by integer keys, and nothing in this
+module uses rational arithmetic.
 stack_over_special is the one place a point y beyond the special facet
 is found; it builds the new boundary by the beneath-beyond theorem
 instead of enumerating the hull again: each new hyperplane is a
@@ -41,8 +44,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -80,27 +82,22 @@ _LINE_RETRIES = 32
 class FacetDescriptor:
     """A facet with its supporting hyperplane, oriented inward.
 
-    normal and offset are integers with no common factor.  Every
-    configuration point x satisfies offset + normal.x >= 0, with equality
-    exactly for the points listed in vertex_ids.
+    plane = (offset, *normal) is a primitive integer vector, and
+    _dot(plane, h) is its value at the homogeneous point h: >= 0 at every
+    configuration point, 0 exactly at the points listed in vertex_ids.
     """
 
     vertex_ids: frozenset[int]
-    normal: tuple[int, ...]
-    offset: int
-
-    def eval_homogeneous(self, hom: Sequence[int]) -> int:
-        """offset*hom[0] + normal.hom[1:]: the value at hom[1:]/hom[0], times hom[0]."""
-        return self.offset * hom[0] + sum(map(operator.mul, self.normal, hom[1:]))
+    plane: tuple[int, ...]
 
     def is_simplex(self) -> bool:
-        return len(self.vertex_ids) == len(self.normal)
+        return len(self.vertex_ids) == len(self.plane) - 1
 
     def to_json(self) -> dict:
         return {
             "vertices": sorted(self.vertex_ids),
-            "normal": [format_rational(a) for a in self.normal],
-            "offset": format_rational(self.offset),
+            "normal": [format_rational(a) for a in self.plane[1:]],
+            "offset": format_rational(self.plane[0]),
         }
 
 
@@ -134,7 +131,7 @@ class ASPGeometry:
     @cached_property
     def centroid_values(self) -> tuple[int, ...]:
         """Per facet, its value at the centroid vector, computed once."""
-        return tuple(f.eval_homogeneous(self.centroid) for f in self.facets)
+        return tuple(_dot(f.plane, self.centroid) for f in self.facets)
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)
@@ -253,8 +250,9 @@ def _gift_wrap(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
 
     Maps each facet's 0-based point set to its primitive inward
     hyperplane (offset, *normal).  The first facet comes from the support
-    at the least first coordinate, rotated about its face until the face
-    spans a hyperplane.  A facet registers its ridges when it is found:
+    at the first point of least x_1 (ratios h[1]/h[0] compared by
+    cross-multiplication), rotated about its face until the face spans a
+    hyperplane.  A facet registers its ridges when it is found:
     a ridge registered once is open, held by that facet; registered
     again, by the facet on its other side, it is closed.  When a facet
     is popped it crosses only its ridges that are still open: _rotate
@@ -275,7 +273,8 @@ def _gift_wrap(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
     ridges coming from the wrap one dimension down.
     """
     d = len(hom[0]) - 1
-    low = min(range(len(hom)), key=lambda i: Fraction(hom[i][1], hom[i][0]))
+    by_x1 = cmp_to_key(lambda i, j: hom[i][1] * hom[j][0] - hom[j][1] * hom[i][0])
+    low = min(range(len(hom)), key=by_x1)
     w = _primitive([-hom[low][1], hom[low][0]] + [0] * (d - 1))
     a = _dots(w, hom)
     while True:
@@ -366,7 +365,7 @@ def enumerate_facets(
     if int_rank(hom) != d + 1:
         raise RankDeficientError("points do not affinely span the ambient space")
     return _facet_order(
-        FacetDescriptor(frozenset(i + 1 for i in on), tuple(w[1:]), w[0])
+        FacetDescriptor(frozenset(i + 1 for i in on), tuple(w))
         for on, w in _gift_wrap(hom).items()
     )
 
@@ -380,7 +379,7 @@ def detect_asp(config: PointConfig, cap: int | None = None) -> ASPGeometry:
     special via designate_special.
     """
     facets = enumerate_facets(config, cap)
-    big = [f for f in facets if len(f.vertex_ids) > config.d]
+    big = [f for f in facets if not f.is_simplex()]
     if len(big) > 1:
         raise NotASPError(
             f"{len(big)} non-simplex facets: "
@@ -445,7 +444,7 @@ def certified_geometry(
     special = next((f for f in facets if f.vertex_ids == asp.special_facet), None)
     geom = ASPGeometry(config, facets, special, asp)
     for f in facets:
-        name, w = sorted(f.vertex_ids), (f.offset, *f.normal)
+        name, w = sorted(f.vertex_ids), f.plane
         if len(w) != d + 1 or math.gcd(*w) != 1:
             raise NotAFaceError(f"facet {name}: hyperplane is not {d + 1} coprime integers")
         values = _dots(w, config.hom)
@@ -480,8 +479,10 @@ class _LinesFrom:
     ranks C/A exactly: two distinct ratios C1/A1 and C2/A2 differ by at
     least 1/(A1*A2) > 2^-s, so their keys differ, and equal ratios get
     equal keys.  A key has about the size of C plus twice that of A,
-    whatever the number of facets.  The values A may be handed in, as a
-    geometry's centroid_values, instead of evaluated here.
+    whatever the number of facets.  The base point is the geometry's
+    centroid and the values A its centroid_values, each computed once per
+    geometry (or handed over by stack_over_special), so the facet planes
+    are read as stored and not evaluated at the base here.
 
     Several targets t1, t2, t3, ... stand for the symbolically perturbed
     target t1 + eps*(t2 - t1) + eps^2*(t3 - t1) + ... with eps > 0
@@ -495,15 +496,13 @@ class _LinesFrom:
     a degeneracy.  Orders are not verified here.
     """
 
-    def __init__(
-        self, geom: ASPGeometry, base_hom: Sequence[int], values: Sequence[int] | None = None
-    ) -> None:
+    def __init__(self, geom: ASPGeometry) -> None:
         self.facets = geom.facets
-        self.rows = [(f.offset, *f.normal) for f in geom.facets]
-        self.values = _dots(base_hom, self.rows) if values is None else values
+        self.rows = [f.plane for f in geom.facets]
+        self.values = geom.centroid_values
         if min(self.values) <= 0:
             raise DegeneracyError("base point is not interior")
-        self.b0 = base_hom[0]
+        self.b0 = geom.centroid[0]
         self.shift = 2 * max(self.values).bit_length()
 
     def order(self, first: Sequence[int], *later: Sequence[int]) -> list[frozenset[int]]:
@@ -553,7 +552,7 @@ def line_shelling(geom: ASPGeometry, seed: int) -> ShellingCertificate:
         raise DomainError("line shelling requires a simplicial boundary")
     cx = geom.boundary_complex()
     hb = geom.centroid
-    lines = _LinesFrom(geom, hb, geom.centroid_values)
+    lines = _LinesFrom(geom)
     rng = random.Random(seed)
     last = None
     for _ in range(_LINE_RETRIES):
@@ -595,8 +594,7 @@ def constrained_line_shelling(
     others = [h for pid, h in enumerate(hom, 1) if pid not in (y_id, v_id)]
     rng = random.Random(seed)
     g = _mean(others, [rng.randint(1, 1000) for _ in others])
-    lines = _LinesFrom(geom, geom.centroid, geom.centroid_values)
-    order = lines.order(hom[y_id - 1], hom[v_id - 1], g)
+    order = _LinesFrom(geom).order(hom[y_id - 1], hom[v_id - 1], g)
     blocks = [0 if y_id in f else 1 if v_id in f else 2 for f in order]
     if blocks != sorted(blocks):
         raise ShellingSearchError(
@@ -683,7 +681,7 @@ def stack_over_special(
     halvings = 0
     steps = []
     for _, f, b in kept:
-        r = f.eval_homogeneous(he) * hb[0]
+        r = _dot(f.plane, he) * hb[0]
         p = b * he[0] - r
         steps.append((r, p))
         needed = (max(p, 0) // r).bit_length() if r > 0 else _MAX_HALVINGS + 1
@@ -697,8 +695,7 @@ def stack_over_special(
     # facet's value there is up * hb[0] * E - he[0] * B = up * r - (p + r).
     up = (1 << (halvings + closeness)) + 1
     hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
-    wf = (special.offset, *special.normal)
-    af = _dot(wf, hy)
+    af = _dot(special.plane, hy)
     at_y = [up * r - (p + r) for r, p in steps]
     if af >= 0 or min(at_y) <= 0:
         raise DegeneracyError("beyond point fails the beyond conditions")
@@ -720,7 +717,7 @@ def stack_over_special(
         ridge = g.vertex_ids & special.vertex_ids
         if len(ridge) != geom.d - 1:
             continue
-        w = _primitive([ag * a - af * b for a, b in zip(wf, (g.offset, *g.normal))])
+        w = tuple(_primitive([ag * a - af * b for a, b in zip(special.plane, g.plane)]))
         values = _dots(w, hom)
         vertex_ids = ridge | {y_id}
         if min(values) < 0 or frozenset(i for i, x in enumerate(values, 1) if x == 0) != vertex_ids:
@@ -728,8 +725,7 @@ def stack_over_special(
                 f"cone from {y_id} over ridge {sorted(ridge)} "
                 "is not a facet of the stacked hull"
             )
-        cone = FacetDescriptor(vertex_ids, tuple(w[1:]), w[0])
-        facets.append(((*sorted(ridge), y_id), cone, _dot(w, hc)))
+        facets.append(((*sorted(ridge), y_id), FacetDescriptor(vertex_ids, w), _dot(w, hc)))
     # The kept facets are in _facet_order already (geom.facet_keys), and the
     # sort merges the cones into them; vertex sets differ, so no keys tie.
     facets.sort()

@@ -56,6 +56,7 @@ from aspoly.hull import (
     _MAX_HALVINGS,
     ASPGeometry,
     FacetDescriptor,
+    _dot,
     _dots,
     _LinesFrom,
     _mean,
@@ -497,8 +498,8 @@ def point_beyond(
     # reads 2^k * r > p below.
     halvings = 0
     for f in others:
-        r = f.eval_homogeneous(he) * hb[0]
-        p = f.eval_homogeneous(hb) * he[0] - r
+        r = _dot(f.plane, he) * hb[0]
+        p = _dot(f.plane, hb) * he[0] - r
         needed = (max(p, 0) // r).bit_length() if r > 0 else _MAX_HALVINGS + 1
         halvings = max(halvings, needed)
     if halvings > _MAX_HALVINGS:
@@ -509,7 +510,7 @@ def point_beyond(
     # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0].
     up = (1 << (halvings + closeness)) + 1
     hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
-    if facet.eval_homogeneous(hy) >= 0 or any(f.eval_homogeneous(hy) <= 0 for f in others):
+    if _dot(facet.plane, hy) >= 0 or any(_dot(f.plane, hy) <= 0 for f in others):
         raise DegeneracyError("beyond point fails the beyond conditions")
     return tuple(Fraction(c, hy[0]) for c in hy[1:])
 

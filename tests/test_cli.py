@@ -10,7 +10,6 @@ import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,9 +17,10 @@ from hypothesis import assume, given, settings, strategies as st
 from aspoly import cli, complexes
 from aspoly.cli import main
 from aspoly.complexes import SimplicialComplex, boundary_of_ball, validate_asp
+from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import ASPParams
 from aspoly.errors import AspolyError
-from aspoly.hull import asp_geometry
+from aspoly.hull import asp_geometry, enumerate_facets
 from aspoly.rigidity import sample_generic
 from aspoly.stackgen import random_minimizer, recognize_minimizer
 
@@ -631,11 +631,21 @@ class TestStoredHull:
                 capsys, tmp_path,
                 "construct", "cyclic-asp", "--d", str(d), "--n", str(n), "--s", str(s),
             )
-            art = cli._load_artifact(SimpleNamespace(input=str(path), unsafe_large=False))
+            art = cli._load_artifact(json.loads(path.read_text()), unsafe_large=False)
             oracle = asp_geometry(art.geometry.config, sorted(art.asp.special_facet))
             for field in ("config", "facets", "special", "ball"):
                 assert getattr(art.geometry, field) == getattr(oracle, field), (d, s, n, field)
             assert art.asp.special_boundary == boundary_of_ball(art.asp.ball)
+
+    @pytest.mark.parametrize("cell", [(3, 7, 1), (4, 9, 0), (5, 10, 2), (6, 16, 3), (4, 40, 1)])
+    def test_planes_round_trip_through_json(self, cell):
+        # to_json splits each plane into normal and offset; the loader
+        # builds the same primitive vector (offset, *normal) back.
+        facets = enumerate_facets(almost_cyclic_points(ASPParams(*cell)), cap=None)
+        data = json.loads(json.dumps({"facets": [f.to_json() for f in facets]}))
+        loaded = cli._facets_from_json(data)
+        assert [f.plane for f in loaded] == [f.plane for f in facets]
+        assert loaded == list(facets)
 
     def test_one_boundary_per_artifact(self, capsys, tmp_path, monkeypatch):
         # Validating the complex at load builds the ball's boundary once, and

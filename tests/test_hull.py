@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aspoly import curves, hull
+from aspoly import curves, exactnum, hull
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
@@ -100,7 +100,7 @@ def facets_by_subset_scan(config: PointConfig) -> tuple[FacetDescriptor, ...]:
         g = -math.gcd(*w) if min(dots) < 0 else math.gcd(*w)
         on = frozenset(i + 1 for i, x in enumerate(dots) if x == 0)
         found[on] = [x // g for x in w]
-    facets = (FacetDescriptor(on, tuple(w[1:]), w[0]) for on, w in found.items())
+    facets = (FacetDescriptor(on, tuple(w)) for on, w in found.items())
     return tuple(sorted(facets, key=lambda f: sorted(f.vertex_ids)))
 
 
@@ -148,7 +148,7 @@ def defects_by_rebuild(cert, y_id, v_id):
 
 def eval_at(f: FacetDescriptor, coords) -> Fraction:
     """A facet's affine function at a rational point: positive inside, zero on it."""
-    return f.offset + sum(a * x for a, x in zip(f.normal, coords))
+    return f.plane[0] + sum(a * x for a, x in zip(f.plane[1:], coords))
 
 
 def centroid(geom):
@@ -233,7 +233,7 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
     """
     cx = geom.boundary_complex()
     hb = homogeneous(centroid(geom))
-    values = [f.eval_homogeneous(hb) for f in geom.facets]
+    values = [hull._dot(f.plane, hb) for f in geom.facets]
     lcm = math.lcm(*values)
     scales = [hb[0] * lcm // a for a in values]
     hom = {pid: homogeneous(c) for pid, c in rational_points(geom.config)}
@@ -252,7 +252,7 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
             + sum(wt * c[j] for wt, c in zip(weights, others))
             for j, (yc, vc) in enumerate(zip(y, v))
         ]
-        keys = [f.eval_homogeneous(target) * sc for f, sc in zip(geom.facets, scales)]
+        keys = [hull._dot(f.plane, target) * sc for f, sc in zip(geom.facets, scales)]
         if lcm * target[0] in keys or len(set(keys)) != len(keys):
             continue
         ranked = sorted(range(len(keys)), key=keys.__getitem__)
@@ -321,7 +321,7 @@ class LcmLines:
 
     def __init__(self, geom, base_hom):
         self.facets = geom.facets
-        self.rows = [(f.offset, *f.normal) for f in geom.facets]
+        self.rows = [f.plane for f in geom.facets]
         values = hull._dots(base_hom, self.rows)
         if min(values) <= 0:
             raise DegeneracyError("base point is not interior")
@@ -395,12 +395,16 @@ TIED_TARGETS = st.lists(
 )
 
 
+def based_at(facets, base):
+    """A geometry as _LinesFrom reads it: facets, with base as centroid and its values there."""
+    values = tuple(hull._dot(f.plane, base) for f in facets)
+    return SimpleNamespace(facets=facets, centroid=base, centroid_values=values)
+
+
 def planes_geometry(planes):
-    """Facets off + a1*x1 + a2*x2 >= 0, one per (off, a1, a2), as _LinesFrom reads them."""
-    facets = tuple(
-        FacetDescriptor(frozenset({i}), (a1, a2), off) for i, (off, a1, a2) in enumerate(planes)
-    )
-    return SimpleNamespace(facets=facets)
+    """Facets off + a1*x1 + a2*x2 >= 0, one per (off, a1, a2), seen from the origin."""
+    facets = tuple(FacetDescriptor(frozenset({i}), plane) for i, plane in enumerate(planes))
+    return based_at(facets, (1, 0, 0))
 
 
 def lines_with_normals(normals):
@@ -409,8 +413,8 @@ def lines_with_normals(normals):
     The target e_i (homogeneous (1, e_i)) gets the ratios C/A = 1 + a_i,
     so a test can place keys, and ties, exactly at each level.
     """
-    facets = tuple(FacetDescriptor(frozenset({i}), a, 1) for i, a in enumerate(normals))
-    return _LinesFrom(SimpleNamespace(facets=facets), [1, 0, 0])
+    facets = tuple(FacetDescriptor(frozenset({i}), (1, *a)) for i, a in enumerate(normals))
+    return _LinesFrom(based_at(facets, (1, 0, 0)))
 
 
 @st.composite
@@ -591,7 +595,7 @@ class TestGiftWrapOracle:
         cells = [(d, n, s) for d in range(3, 7) for s in range(4) for n in range(d + s + 1, 17)]
         cells += [(4, 40, 1), (6, 22, 3), (7, 16, 2)]
         payload = [
-            [cell, [[sorted(f.vertex_ids), f.normal, f.offset] for f in facets]]
+            [cell, [[sorted(f.vertex_ids), f.plane[1:], f.plane[0]] for f in facets]]
             for cell in cells
             for facets in [enumerate_facets(almost_cyclic_points(ASPParams(*cell)), cap=None)]
         ]
@@ -772,7 +776,7 @@ class TestDetectASP:
 
 
 def scaled(f, k):
-    return replace(f, normal=tuple(k * a for a in f.normal), offset=k * f.offset)
+    return replace(f, plane=tuple(k * a for a in f.plane))
 
 
 # Each tampering of (the ASP, the stored facets) of cyclic (4, 8, 2), with
@@ -784,7 +788,7 @@ REFUSALS = {
         NotAFaceError, "facet [1, 2, 3, 8]: hyperplane is not 5 coprime integers",
     ),
     "long-normal": (
-        lambda asp, fs: (asp, [fs[0], replace(fs[1], normal=(*fs[1].normal, 0)), *fs[2:]]),
+        lambda asp, fs: (asp, [fs[0], replace(fs[1], plane=(*fs[1].plane, 0)), *fs[2:]]),
         NotAFaceError, "facet [1, 2, 3, 8]: hyperplane is not 5 coprime integers",
     ),
     "flipped": (
@@ -899,13 +903,17 @@ class TestPointBeyond:
         assert q.special is None
 
     def test_builds_no_fraction(self, monkeypatch):
-        # The curve's points, y and the stacked hull's shellings are made
-        # on integers alone.  (The gift-wrap, run first, picks its start
-        # point by a rational key.)
+        # The curve's points, the hull, its certification from stored
+        # facets, y and the stacked hull's shellings are made on integers
+        # alone; hull.py does not import Fraction at all.
         geom = asp_geometry(4, 9, 2)
+        assert not hasattr(hull, "Fraction")
         monkeypatch.setattr(curves, "Fraction", None)
-        monkeypatch.setattr(hull, "Fraction", None)
-        assert almost_cyclic_points(ASPParams(4, 9, 2)) == geom.config
+        monkeypatch.setattr(exactnum, "Fraction", None)
+        config = almost_cyclic_points(ASPParams(4, 9, 2))
+        assert config == geom.config
+        assert enumerate_facets(config) == geom.facets
+        assert certified_geometry(config, replace(geom.ball), geom.facets) == geom
         q = stack_over_special(geom, toward=1, closeness=12)
         assert q.config.hom[-1][0] > 0 and math.gcd(*q.config.hom[-1]) == 1
         line_shelling(q, seed=0)
@@ -958,7 +966,7 @@ class TestStackOverSpecial:
         assert len(cones) == boundary_of_ball(geom.ball.ball).n_facets
         for f in cones:
             plane = supporting_hyperplane(q.config.hom, sorted(i - 1 for i in f.vertex_ids))
-            assert plane == ((f.offset, *f.normal), f.vertex_ids)
+            assert plane == (f.plane, f.vertex_ids)
 
     @settings(deadline=None, max_examples=40)
     @given(stacking_cases(), st.integers(0, 40))
@@ -989,9 +997,9 @@ class TestStackOverSpecial:
         assert homogeneous(y) == [x // math.gcd(*hy) for x in hy]
         for f, value in zip(geom.facets, geom.centroid_values):
             if f is not geom.special:
-                r = f.eval_homogeneous(he) * hb[0]
+                r = hull._dot(f.plane, he) * hb[0]
                 p = value * he[0] - r
-                assert up * r - (p + r) == f.eval_homogeneous(hy) > 0
+                assert up * r - (p + r) == hull._dot(f.plane, hy) > 0
 
     def test_explicit_cap(self):
         geom = asp_geometry(4, 8, 2)
@@ -1016,7 +1024,10 @@ class TestStackOverSpecial:
                         for closeness in (12, 40):
                             q = stack_over_special(geom, toward=v, closeness=closeness)
                             y = [str(x) for x in rational_points(q.config)[-1][1]]
-                            facets = [[sorted(f.vertex_ids), list(f.normal), f.offset] for f in q.facets]
+                            facets = [
+                                [sorted(f.vertex_ids), list(f.plane[1:]), f.plane[0]]
+                                for f in q.facets
+                            ]
                             rows.append([d, n, s, v, closeness, y, facets])
         assert len(rows) == 384 and digest(rows) == "cea2cb3e51b4ad0d"
 
@@ -1197,7 +1208,7 @@ class TestConstrainedShelling:
                         outcome = [type(exc).__name__, str(exc)]
                     coords = dict(rational_points(q.config))
                     targets = (coords[y], coords[v], perturbation_point(q, y, v, closeness))
-                    lines = _LinesFrom(q, homogeneous(centroid(q)))
+                    lines = _LinesFrom(based_at(q.facets, homogeneous(centroid(q))))
                     line = lines.order(*map(homogeneous, targets))
                     y_coords = [str(x) for x in coords[y]]
                     rows.append([*cell, v, closeness, y_coords, outcome, [sorted(f) for f in line]])
@@ -1218,7 +1229,8 @@ class TestConstrainedShelling:
         target = [
             a + (b - a) / e + (c - a) / e**2 for a, b, c in zip(coords[y], coords[v], g)
         ]
-        real = _LinesFrom(q, homogeneous(centroid(q))).order(homogeneous(target))
+        lines = _LinesFrom(based_at(q.facets, homogeneous(centroid(q))))
+        real = lines.order(homogeneous(target))
         outcomes = []
         for sd in (seed, seed + 1):
             try:
@@ -1271,7 +1283,8 @@ class TestLexicographicOrder:
             st.sampled_from([c for _, c in rational_points(q.config)]), st.tuples(*[coord] * q.d)
         )
         targets = data.draw(st.lists(target, min_size=1, max_size=3))
-        same_order(_LinesFrom(q, hb), LcmLines(q, hb), [homogeneous(t) for t in targets])
+        lines = _LinesFrom(based_at(q.facets, hb))
+        same_order(lines, LcmLines(q, hb), [homogeneous(t) for t in targets])
 
     @settings(deadline=None, max_examples=150)
     @given(TIED_PLANES, TIED_TARGETS)
@@ -1279,7 +1292,7 @@ class TestLexicographicOrder:
         # Facets off + a.x >= 0 seen from the origin: A = off varies, and
         # small integers make ties and parallel hyperplanes common.
         geom = planes_geometry(planes)
-        same_order(_LinesFrom(geom, [1, 0, 0]), LcmLines(geom, [1, 0, 0]), targets)
+        same_order(_LinesFrom(geom), LcmLines(geom, [1, 0, 0]), targets)
 
     @settings(deadline=None, max_examples=150)
     @given(TIED_PLANES, TIED_TARGETS)
@@ -1287,7 +1300,7 @@ class TestLexicographicOrder:
         # Later targets evaluated only where a tie or a parallel hyperplane
         # is left: the same order, or the same DegeneracyError message.
         geom = planes_geometry(planes)
-        same_order(_LinesFrom(geom, [1, 0, 0]), EagerLines(geom, [1, 0, 0]), targets)
+        same_order(_LinesFrom(geom), EagerLines(geom), targets)
 
     @settings(deadline=None, max_examples=40)
     @given(constrained_cases(), st.integers(1, 3))
@@ -1300,8 +1313,8 @@ class TestLexicographicOrder:
         rng = random.Random(seed)
         g = hull._mean(others, [rng.randint(1, 1000) for _ in others])
         targets = [q.config.hom[y - 1], q.config.hom[v - 1], g][:count]
-        lazy = _LinesFrom(q, q.centroid, q.centroid_values)
-        same_order(lazy, EagerLines(q, q.centroid), targets)
+        fresh = hull.ASPGeometry(q.config, q.facets, None, None)
+        same_order(_LinesFrom(q), EagerLines(fresh), targets)
 
 
 class TestKeyShellingDefects:
