@@ -367,31 +367,30 @@ def _cell_decomposition(
     return cells, factors, edges
 
 
-def prime_decomposition(sphere: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
+def _prime_cells(
+    sphere: SimplicialComplex, ids: Sequence[int], bit: dict[int, int]
+) -> tuple[list[_MaskCell], list[list[int]]]:
     """The prime factors of a simplicial sphere, its facets taken as simplex cells.
 
-    The cut simplices are taken in lexicographic order; the result is
-    order-independent for spheres of dimension at least 2 and the facet
-    counts obey sum_i f_top(factor_i) = f_top(sphere) + 2 (number of cuts).
-    The cut tree is _cell_decomposition's, run on masks over the sphere's
-    sorted vertex ids.
+    Returns _cell_decomposition's cells and parts: each part is one
+    factor, whose facets are the masks of the cells it lists.  The cut
+    simplices are taken in lexicographic order; the result is
+    order-independent for spheres of dimension at least 2, and the facet
+    counts obey sum_i f_top(factor_i) = f_top(sphere) + 2 (number of
+    cuts), which is checked.  bit is _vertex_bits(ids) for sorted ids
+    that hold the sphere's vertices and may hold more: the decomposition
+    compares masks only by bit order, which every such map keeps.
     """
     if sphere.dim < 2:
         raise DomainError("prime decomposition needs dimension at least 2")
     if not is_closed_pseudomanifold(sphere):
         raise PseudomanifoldError("input has boundary or fat ridges")
-    ids = sphere.vertex_ids
-    bit = _vertex_bits(ids)
     cells = [_simplex_cell(_mask(g, bit)) for g in sphere.sorted_facets()]
     cells, parts, edges = _cell_decomposition(cells, sphere.dim + 1, ids)
-    factors = [
-        SimplicialComplex.from_facets(_face_ids(cells[i][0], ids) for i in part)
-        for part in parts
-    ]
-    total = sum(f.n_facets for f in factors)
-    if total != sphere.n_facets + 2 * len(edges) or len(edges) != len(factors) - 1:
+    total = sum(len({cells[i][0] for i in part}) for part in parts)
+    if total != sphere.n_facets + 2 * len(edges) or len(edges) != len(parts) - 1:
         raise DegeneracyError("decomposition bookkeeping violated the cut identity")
-    return tuple(factors)
+    return cells, parts
 
 
 @dataclass(frozen=True)

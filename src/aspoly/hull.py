@@ -69,11 +69,6 @@ from .errors import (
 )
 from .exactnum import format_rational, int_nullspace, int_rank
 
-# Most step halvings stack_over_special accepts when it places y.  The
-# 80-cell grid needs at most 125 (d=6, pulled toward a vertex at
-# closeness 40).
-_MAX_HALVINGS = 1024
-
 # Seeded directions line_shelling tries before it gives up.
 _LINE_RETRIES = 32
 
@@ -633,16 +628,18 @@ def stack_over_special(
     is found on the walk out of the polytope from the interior centroid
     through a relative-interior point of F, at the longest step 2^-k
     (k >= 0) for which those conditions hold.  Every facet's value is
-    affine along the walk, so k is solved for exactly, facet by facet; a
-    facet that needs more than _MAX_HALVINGS halvings raises
-    DegeneracyError.  With `toward` the exit point is pulled toward that
-    vertex of F by the weight 1 - 2^-closeness, which stays below 1, so
-    the exit point remains in the relative interior; the constrained
-    shelling search needs this.  Closeness extra halvings then bring y
-    toward F, since shrinking preserves all the conditions, and each
-    facet's value at y is checked exactly.  The centroid, the exit point
-    and y are integer vectors positively proportional to (1, point); y
-    joins the configuration as its primitive vector.
+    affine along the walk, so k is solved for exactly, facet by facet.  A
+    facet positive at the exit point needs a finite k, bounded by the bit
+    lengths of its values there and at the centroid, so no fixed bound is
+    set; a facet whose hyperplane passes through the exit point, or cuts
+    it off, raises DegeneracyError.  With `toward` the exit point is
+    pulled toward that vertex of F by the weight 1 - 2^-closeness, which
+    stays below 1, so the exit point remains in the relative interior;
+    the constrained shelling search needs this.  Closeness extra halvings
+    then bring y toward F, since shrinking preserves all the conditions,
+    and each facet's value at y is checked exactly.  The centroid, the
+    exit point and y are integer vectors positively proportional to
+    (1, point); y joins the configuration as its primitive vector.
 
     By the beneath-beyond theorem the new hull is simplicial and its
     facets are the old simplex facets, hyperplanes unchanged, plus the
@@ -683,14 +680,13 @@ def stack_over_special(
     for _, f, b in kept:
         r = _dot(f.plane, he) * hb[0]
         p = b * he[0] - r
+        if r <= 0:
+            raise DegeneracyError(
+                "no number of halvings of the step gives a beyond point; "
+                "another facet hyperplane passes through or cuts off the exit point"
+            )
         steps.append((r, p))
-        needed = (max(p, 0) // r).bit_length() if r > 0 else _MAX_HALVINGS + 1
-        halvings = max(halvings, needed)
-    if halvings > _MAX_HALVINGS:
-        raise DegeneracyError(
-            f"no beyond point within {_MAX_HALVINGS} halvings of the step; "
-            "another facet hyperplane passes through or next to the exit point"
-        )
+        halvings = max(halvings, (max(p, 0) // r).bit_length())
     # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0]; a kept
     # facet's value there is up * hb[0] * E - he[0] * B = up * r - (p + r).
     up = (1 << (halvings + closeness)) + 1

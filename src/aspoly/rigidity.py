@@ -19,22 +19,23 @@ tried, the cheap one first:
   zero left of vk's block, so the matrix is in block echelon form and
   its rank is at least the sum over k of rank(D_k), where D_k holds the
   d-vectors p(vk) - p(u) for the earlier neighbours u of vk.  Each D_k
-  has d columns, so the sum costs n small eliminations.  A
-  (d+1)-clique followed by vertices with at least d earlier neighbours
-  reaches the rigid bound; at most d earlier neighbours per vertex reach
-  the edge bound.  One greedy order serves both: next is the unplaced
-  vertex with the most placed neighbours, ties by smallest id.
-- The rank of the full matrix.
+  has d columns, so the sum costs n small eliminations, each an exact
+  Bareiss rank.  A (d+1)-clique followed by vertices with at least d
+  earlier neighbours reaches the rigid bound; at most d earlier
+  neighbours per vertex reach the edge bound.  One greedy order serves
+  both: next is the unplaced vertex with the most placed neighbours,
+  ties by smallest id.
+- The rank of the full matrix modulo the prime 2^61 - 1, which is a
+  lower bound on the rational rank (a minor that is nonzero mod p is a
+  nonzero integer).
 
-Each rank is taken modulo the prime 2^61 - 1, which is a lower bound on
-the rational rank (a minor that is nonzero mod p is a nonzero integer).
 When neither meets the bound (a graph with dependent edges; a flat
-embedding; or a prime that divides the relevant minors) the
-fraction-free Bareiss rank of the full matrix decides.  The full
-modular rank also covers graphs with no good order: the rigid bound
-needs a (d+1)-clique to start from, so the octahedron in R^3, rigid
-and stress-free, is decided there.  Every path returns the exact rank, so which one
-decides never shows in a result.
+embedding; or a prime that divides the relevant minors of the full
+matrix) the fraction-free Bareiss rank of the full matrix decides.  The
+full modular rank also covers graphs with no good order: the rigid bound
+needs a (d+1)-clique to start from, so the octahedron in R^3, rigid and
+stress-free, is decided there.  Every path returns the exact rank, so
+which one decides never shows in a result.
 """
 
 from __future__ import annotations
@@ -154,16 +155,17 @@ def _trilateration_order(g: Graph) -> list[tuple[int, list[int]]]:
 
 
 def _trilateration_rank(g: Graph, embedding: Mapping[int, Sequence[int]]) -> int:
-    """The sum over the trilateration order of rank_p(D_k), a lower bound on the rank.
+    """The sum over the trilateration order of rank(D_k), a lower bound on the rank.
 
     D_k holds p(vk) - p(u) for the earlier neighbours u of vk; see the
     module docstring for why the sum bounds the rigidity rank from below.
+    Each D_k has d columns and is ranked exactly, by Bareiss.
     """
     total = 0
     for v, earlier in _trilateration_order(g):
         if earlier:
             pv = embedding[v]
-            total += rank_mod_p([[a - b for a, b in zip(pv, embedding[u])] for u in earlier])
+            total += int_rank([[a - b for a, b in zip(pv, embedding[u])] for u in earlier])
     return total
 
 

@@ -4,16 +4,21 @@ Everything here is purely combinatorial: stacked spheres, pyramids, the
 almost-stacked construction (pyramid over a stacked facet, then repeated
 stacking), hyperplane stacking which grows the special facet in place,
 and the minimizer recognizer.  A stacking step names its facet by an
-index into the sorted facet list, so a script is a tuple of ints.  The
-recognizer runs the cell decomposition of complexes on the boundary
-sphere, with the special facet's prime factors as indivisible
-polyhedral cells; it builds the cells and classifies the factors on
-the decomposition's vertex bitmasks, and reports vertex ids.
+index into the sorted facet list, so a script is a tuple of ints.  Each
+construction runs one walk: the ball's facets, and for hyperplane stacking
+the special facet's boundary, are kept as sorted lists that each move
+updates by bisection, and the complex is built and validated once, at
+the end.  The recognizer runs the cell decomposition of complexes on
+the boundary sphere, with the special facet's prime factors as
+indivisible polyhedral cells, taken as masks from the decomposition of
+F's boundary; it builds the cells and classifies the factors on the
+decomposition's vertex bitmasks, and reports vertex ids.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,11 +29,11 @@ from .complexes import (
     _cell_decomposition,
     _face_ids,
     _mask,
+    _prime_cells,
     _simplex_cell,
     _vertex_bits,
     boundary_of_ball,
     face_key,
-    prime_decomposition,
 )
 from .enumerative import ASPParams
 from .errors import (
@@ -39,49 +44,94 @@ from .errors import (
 )
 
 
-def _resolve(index: int, facets: Iterable[frozenset[int]]) -> frozenset[int]:
-    """The facet at this index of the sorted facet list."""
-    ordered = sorted(facets, key=face_key)
-    if not 0 <= index < len(ordered):
-        raise InvalidMoveError(f"facet index {index} out of range 0..{len(ordered) - 1}")
-    return ordered[index]
+def _complex(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
+    """The complex with these facets.
+
+    Each facet passes through a set first: a frozenset made from a set
+    is sized for its elements, while one grown from a tuple of five or
+    more vertices takes twice the slots, and every later pass over the
+    facet's vertices walks them all.
+    """
+    return SimplicialComplex.from_facets(map(set, faces))
 
 
-def _stack_facets(
-    facets: frozenset[frozenset[int]], target: frozenset[int], w: int
-) -> frozenset[frozenset[int]]:
-    """Replace one facet by the cone from w over its boundary ridges."""
-    return (facets - {target}) | {(target - {x}) | {w} for x in target}
+def _take(faces: list[tuple[int, ...]], index: int) -> tuple[int, ...]:
+    """Remove and return the face at this index of a sorted face list."""
+    if not 0 <= index < len(faces):
+        raise InvalidMoveError(f"facet index {index} out of range 0..{len(faces) - 1}")
+    return faces.pop(index)
+
+
+class _Walk:
+    """A run of stacking moves, with the complex built once, at the end.
+
+    The ball's facets are one list of sorted vertex tuples, kept in
+    face_key order, so a move reads its facet off the list by index and
+    puts the cone over it in by bisection: no move sorts the facets or
+    builds a complex.  Each fresh vertex is one above every id so far,
+    so a cone's facet (t - x) + w is sorted as written.  For h-stacking
+    the special facet's boundary is kept the same way: stacking over a
+    ball facet leaves that boundary alone, and h-stacking replaces the
+    chosen ridge g by the cone from w over g's ridges.
+    """
+
+    def __init__(self, facets: Iterable[Iterable[int]], boundary: Iterable[Iterable[int]] = ()):
+        self.facets = sorted(map(face_key, facets))
+        self.boundary = sorted(map(face_key, boundary))
+        self.next_id = max((f[-1] for f in self.facets), default=0) + 1
+
+    def _fresh(self) -> int:
+        self.next_id += 1
+        return self.next_id - 1
+
+    def pyramid(self) -> None:
+        """Cone every facet from a fresh apex; the apex tops every id, so the order holds."""
+        apex = self._fresh()
+        self.facets = [f + (apex,) for f in self.facets]
+
+    def stack(self, index: int) -> tuple[int, ...]:
+        """Stack a fresh vertex w over the facet at this index; returns the solid t + w."""
+        t = _take(self.facets, index)
+        w = self._fresh()
+        for i in range(len(t)):
+            insort(self.facets, t[:i] + t[i + 1 :] + (w,))
+        return t + (w,)
+
+    def h_stack(self, index: int) -> tuple[int, ...]:
+        """Grow the special facet over the boundary ridge at this index; returns g + w.
+
+        g lies in exactly one ball facet t = g + a, which is replaced by
+        the cones from w over t's ridges other than g.
+        """
+        g = _take(self.boundary, index)
+        inside = set(g)
+        t = next(t for t in self.facets if inside.issubset(t))
+        self.facets.remove(t)
+        (a,) = set(t) - inside
+        w = self._fresh()
+        for i in range(len(g)):
+            ridge = g[:i] + g[i + 1 :]
+            insort(self.facets, tuple(sorted((*ridge, a))) + (w,))
+            insort(self.boundary, ridge + (w,))
+        return g + (w,)
 
 
 def _stacked_sphere_with_solids(
     d: int, n: int, moves: tuple[int, ...]
-) -> tuple[SimplicialComplex, SimplicialComplex]:
+) -> tuple[_Walk, SimplicialComplex]:
     """Stacked (d-1)-sphere on vertex ids 1..n, each move the index of the
-    facet stacked over, plus the solid simplices accumulated while stacking."""
+    facet stacked over: the walk that holds it, and the complex of the
+    solid simplices accumulated while stacking."""
     if d < 2:
         raise DomainError("stacked spheres need dimension at least 2")
     if n < d + 1:
         raise DomainError(f"need at least {d + 1} vertices, got {n}")
     if len(moves) != n - d - 1:
         raise ShapeError(f"script needs exactly {n - d - 1} moves for n={n}, got {len(moves)}")
-    base = frozenset(range(1, d + 2))
-    facets = frozenset(base - {x} for x in base)
-    solids = {base}
-    next_id = d + 2
-    for index in moves:
-        target = _resolve(index, facets)
-        facets = _stack_facets(facets, target, next_id)
-        solids.add(target | {next_id})
-        next_id += 1
-    return SimplicialComplex.from_facets(facets), SimplicialComplex.from_facets(solids)
-
-
-def pyramid(base: SimplicialComplex, apex: int) -> SimplicialComplex:
-    """Cone over a complex with a fresh apex vertex."""
-    if apex in base.vertex_ids:
-        raise DomainError(f"apex {apex} already occurs in the base")
-    return SimplicialComplex.from_facets(g | {apex} for g in base.facets)
+    base = tuple(range(1, d + 2))
+    walk = _Walk(base[:i] + base[i + 1 :] for i in range(d + 1))
+    solids = [base, *map(walk.stack, moves)]
+    return walk, _complex(solids)
 
 
 def almost_stacked(
@@ -92,71 +142,21 @@ def almost_stacked(
     f_moves builds the stacked (d-2)-sphere bounding the special facet F
     on ids 1..d+s (s moves); the pyramid apex is d+s+1; p_moves then
     stacks n-d-s-1 times over ball facets.  Each move is a facet index.
+    One walk makes every move, and the ball is built once, at the end.
     F's stacked triangulation is carried on the result for later
     refinement.  The result is validated (its special_boundary is read).
     """
-    d, n, s = p.d, p.n, p.s
-    f_boundary, f_solids = _stacked_sphere_with_solids(d - 1, d + s, f_moves)
-    apex = d + s + 1
-    ball = pyramid(f_boundary, apex)
-    asp = ASPComplex(
-        ASPParams(d, apex, s), ball, frozenset(range(1, d + s + 1)), f_solids
-    )
+    d, s = p.d, p.s
+    walk, f_solids = _stacked_sphere_with_solids(d - 1, d + s, f_moves)
+    walk.pyramid()
     for index in p_moves:
-        asp = stack_over(asp, index)
-    if asp.params != p:
-        raise ShapeError(
-            f"script length mismatch: built {asp.params}, requested {p}"
-        )
+        walk.stack(index)
+    built = ASPParams(d, walk.next_id - 1, s)
+    if built != p:
+        raise ShapeError(f"script length mismatch: built {built}, requested {p}")
+    asp = ASPComplex(p, _complex(walk.facets), frozenset(range(1, d + s + 1)), f_solids)
     asp.special_boundary  # validate_asp
     return asp
-
-
-def _next_vertex_id(asp: ASPComplex) -> int:
-    return max(asp.ball.vertex_ids) + 1
-
-
-def stack_over(asp: ASPComplex, index: int) -> ASPComplex:
-    """Stack a fresh vertex over the ball facet at this sorted index; F is untouched.
-
-    Only ball facets are selectable, so the special facet can never be
-    stacked over through this operation.
-    """
-    target = _resolve(index, asp.ball.facets)
-    w = _next_vertex_id(asp)
-    ball = SimplicialComplex.from_facets(_stack_facets(asp.ball.facets, target, w))
-    q = asp.params
-    return ASPComplex(
-        ASPParams(q.d, q.n + 1, q.s), ball, asp.special_facet, asp.f_triangulation
-    )
-
-
-def h_stack(asp: ASPComplex, index: int) -> ASPComplex:
-    """Grow the special facet by stacking inside its own hyperplane.
-
-    The facet G of F's boundary at this sorted index is a boundary ridge
-    of the ball, so it lies in exactly one ball facet T; the new vertex w
-    replaces T by cones over T's other ridges, F gains w, and the carried
-    triangulation is stacked over G.  Net effect: n and s both grow by one
-    and the ball gains d-2 facets.
-    """
-    g = _resolve(index, boundary_of_ball(asp.ball).facets)
-    t = next(t for t in asp.ball.facets if g <= t)
-    w = _next_vertex_id(asp)
-    new_facets = (asp.ball.facets - {t}) | {
-        (t - {x}) | {w} for x in t if (t - {x}) != g
-    }
-    q = asp.params
-    tri = asp.f_triangulation
-    new_tri = None
-    if tri is not None:
-        new_tri = SimplicialComplex.from_facets(tri.facets | {g | {w}})
-    return ASPComplex(
-        ASPParams(q.d, q.n + 1, q.s + 1),
-        SimplicialComplex.from_facets(new_facets),
-        asp.special_facet | {w},
-        new_tri,
-    )
 
 
 def trivial_asp(d: int) -> ASPComplex:
@@ -190,7 +190,12 @@ def random_scripts(p: ASPParams, seed: int) -> tuple[tuple[int, ...], tuple[int,
 
 
 def random_minimizer(p: ASPParams, seed: int, style: str = "stack") -> ASPComplex:
-    """Seeded minimizer instance, by scripts ('stack') or h-stacking ('hstack'), validated."""
+    """Seeded minimizer instance, by scripts ('stack') or h-stacking ('hstack'), validated.
+
+    The hstack style starts from trivial_asp(d) and runs one walk, each
+    move on a seeded index into the ball's facets or the special facet's
+    boundary; the instance is built once, at the end.
+    """
     if style == "stack":
         sf, sp = random_scripts(p, seed)
         return almost_stacked(p, sf, sp)
@@ -200,15 +205,16 @@ def random_minimizer(p: ASPParams, seed: int, style: str = "stack") -> ASPComple
     d, n, s = p.d, p.n, p.s
     kinds = ["hstack"] * s + ["stack"] * (n - d - 1 - s)
     rng.shuffle(kinds)
-    asp = trivial_asp(d)
-    # The special facet's boundary starts with d facets; h_stack adds d-2.
-    f_count = d
+    start = trivial_asp(d)
+    walk = _Walk(start.ball.facets, boundary_of_ball(start.ball).facets)
+    grown = []
     for kind in kinds:
         if kind == "stack":
-            asp = stack_over(asp, rng.randrange(len(asp.ball.facets)))
+            walk.stack(rng.randrange(len(walk.facets)))
         else:
-            asp = h_stack(asp, rng.randrange(f_count))
-            f_count += d - 2
+            grown.append(walk.h_stack(rng.randrange(len(walk.boundary))))
+    tri = _complex([*start.f_triangulation.facets, *grown])
+    asp = ASPComplex(p, _complex(walk.facets), start.special_facet | {g[-1] for g in grown}, tri)
     asp.special_boundary  # validate_asp
     return asp
 
@@ -272,15 +278,23 @@ def _classify_factor(
     return FactorReport(tuple(_face_ids(verts, ids)), is_simplex, has_facet_in_f, pyramid)
 
 
-def _refined_cells(asp: ASPComplex, bit: dict[int, int]) -> tuple[list[_MaskCell], int]:
+def _refined_cells(
+    asp: ASPComplex, ids: Sequence[int], bit: dict[int, int]
+) -> tuple[list[_MaskCell], int]:
     """Boundary cells as masks under bit: the special facet's prime factors, then the ball facets.
 
-    Also returns the number of factor cells.
+    A factor's cell is the union of its facets' masks, with those masks
+    as its ridges, read off _prime_cells.  Also returns the number of
+    factor cells.
     """
-    cells = [
-        (_mask(s.vertex_ids, bit), tuple(_mask(g, bit) for g in s.facets))
-        for s in prime_decomposition(asp.special_boundary)
-    ]
+    masks, parts = _prime_cells(asp.special_boundary, ids, bit)
+    cells = []
+    for part in parts:
+        ridges = tuple(masks[i][0] for i in part)
+        verts = 0
+        for r in ridges:
+            verts |= r
+        cells.append((verts, ridges))
     n_f = len(cells)
     cells.extend(_simplex_cell(_mask(b, bit)) for b in asp.ball.facets)
     return cells, n_f
@@ -307,7 +321,7 @@ def recognize_minimizer(asp: ASPComplex) -> MinimizerVerdict:
         )
     ids = asp.ball.vertex_ids
     bit = _vertex_bits(ids)
-    cells, n_f = _refined_cells(asp, bit)
+    cells, n_f = _refined_cells(asp, ids, bit)
     cells, parts, _ = _cell_decomposition(cells, d, ids)
     regime = "d4" if d == 4 else "dGT4"
     fmask = _mask(asp.special_facet, bit)

@@ -1,4 +1,4 @@
-"""Earlier implementations of aspoly.complexes and aspoly.hull, kept as test oracles.
+"""Earlier implementations of aspoly library code, kept as test oracles.
 
 Each function here is the direct version of an indexed one in the
 library: faces counted as frozensets, ridges found by sorting the
@@ -7,11 +7,14 @@ a decomposition that rebuilds the ridge incidence at every split, a
 shelling check that intersects every pair of facets, key-lemma defects
 from running face counts, hyperplanes from a kernel solve, a point's
 integer homogeneous vector from its rational coordinates, a point
-placed beyond any one facet, and line orders that evaluate every target
-on every facet.  The frozenset cells, their indexed
-missing-simplex search and their decomposition are the library's code
-before it moved to vertex bitmasks.  The property tests check that the
-library gives the same results.
+placed beyond any one facet, line orders that evaluate every target
+on every facet, stacking constructions that sort the facets and rebuild the
+complex at every move, refined cells masked from the prime factors as
+complexes, and trilateration blocks ranked modulo 2^61 - 1.  The
+frozenset cells, their indexed missing-simplex search and their
+decomposition are the library's code before it moved to vertex
+bitmasks.  The property tests check that the library gives the same
+results.
 
 The mask converters run the library's bitmask search and decomposition
 on frozenset cells and hand back frozensets, so the oracles and the
@@ -19,15 +22,17 @@ library are compared on one input.
 
 Below them sit the small exact tools several test modules share:
 cofactor determinants, Gaussian-elimination ranks and Bareiss
-determinants, stacked spheres from facet indices, and the
+determinants, pyramids, single stacking moves on the library's walk, prime
+factors as complexes, stacked spheres from facet indices, and the
 stacked-sphere test by prime decomposition.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from aspoly.complexes import (
     ASPComplex,
@@ -37,23 +42,25 @@ from aspoly.complexes import (
     _cell_missing_simplices,
     _face_ids,
     _mask,
+    _prime_cells,
+    _simplex_cell,
     _vertex_bits,
+    boundary_of_ball,
     face_key,
-    prime_decomposition,
 )
 from aspoly.curves import PointConfig
-from aspoly.enumerative import FVector, h_from_f
+from aspoly.enumerative import ASPParams, FVector, h_from_f
 from aspoly.errors import (
     DegeneracyError,
     DomainError,
+    InvalidMoveError,
     NotAFaceError,
     PseudomanifoldError,
     ShapeError,
     ShellingError,
 )
-from aspoly.exactnum import _echelon, int_nullspace
+from aspoly.exactnum import _echelon, int_nullspace, rank_mod_p
 from aspoly.hull import (
-    _MAX_HALVINGS,
     ASPGeometry,
     FacetDescriptor,
     _dot,
@@ -62,7 +69,15 @@ from aspoly.hull import (
     _mean,
     _primitive,
 )
-from aspoly.stackgen import _refined_cells, _stacked_sphere_with_solids
+from aspoly.rigidity import Graph, _trilateration_order
+from aspoly.stackgen import (
+    _complex,
+    _refined_cells,
+    _stacked_sphere_with_solids,
+    _Walk,
+    random_scripts,
+    trivial_asp,
+)
 
 
 def face_set(c: SimplicialComplex) -> frozenset[frozenset[int]]:
@@ -158,7 +173,7 @@ def cell_decomposition_by_masks(
 def refined_frozenset_cells(asp: ASPComplex) -> list[Cell]:
     """The recognizer's boundary cells as frozenset cells, F's factors marked."""
     ids = asp.ball.vertex_ids
-    masks, n_f = _refined_cells(asp, _vertex_bits(ids))
+    masks, n_f = _refined_cells(asp, ids, _vertex_bits(ids))
 
     def face(m: int) -> frozenset[int]:
         return frozenset(_face_ids(m, ids))
@@ -471,10 +486,10 @@ def point_beyond(
     relative-interior point of the facet, taking the longest step 2^-k
     (k >= 0) for which the beyond conditions hold.  Every facet's value is
     affine along the walk, so k is solved for exactly, facet by facet; a
-    facet that needs more than _MAX_HALVINGS halvings raises
-    DegeneracyError.  With `toward` the exit point is pulled toward that
-    facet vertex by the weight 1 - 2^-closeness, which stays below 1, so
-    the exit point remains in the relative interior.  Closeness extra
+    facet whose hyperplane passes through the exit point, or cuts it off,
+    raises DegeneracyError.  With `toward` the exit point is pulled toward
+    that facet vertex by the weight 1 - 2^-closeness, which stays below 1,
+    so the exit point remains in the relative interior.  Closeness extra
     halvings then bring the result toward the facet, since shrinking
     preserves all three conditions.  The returned point is checked
     exactly.  The centroid, the exit point and the result are integer
@@ -500,13 +515,12 @@ def point_beyond(
     for f in others:
         r = _dot(f.plane, he) * hb[0]
         p = _dot(f.plane, hb) * he[0] - r
-        needed = (max(p, 0) // r).bit_length() if r > 0 else _MAX_HALVINGS + 1
-        halvings = max(halvings, needed)
-    if halvings > _MAX_HALVINGS:
-        raise DegeneracyError(
-            f"no beyond point within {_MAX_HALVINGS} halvings of the step; "
-            "another facet hyperplane passes through or next to the exit point"
-        )
+        if r <= 0:
+            raise DegeneracyError(
+                "no number of halvings of the step gives a beyond point; "
+                "another facet hyperplane passes through or cuts off the exit point"
+            )
+        halvings = max(halvings, (max(p, 0) // r).bit_length())
     # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0].
     up = (1 << (halvings + closeness)) + 1
     hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
@@ -537,6 +551,146 @@ class EagerLines(_LinesFrom):
             raise DegeneracyError("line meets two facet hyperplanes at one parameter")
         ranked = sorted(range(len(keys)), key=keys.__getitem__)
         return [self.facets[i].vertex_ids for i in ranked]
+
+
+def _resolve(index: int, facets: Iterable[frozenset[int]]) -> frozenset[int]:
+    """The facet at this index of the sorted facet list."""
+    ordered = sorted(facets, key=face_key)
+    if not 0 <= index < len(ordered):
+        raise InvalidMoveError(f"facet index {index} out of range 0..{len(ordered) - 1}")
+    return ordered[index]
+
+
+def _stack_facets(
+    facets: frozenset[frozenset[int]], target: frozenset[int], w: int
+) -> frozenset[frozenset[int]]:
+    """Replace one facet by the cone from w over its boundary ridges."""
+    return (facets - {target}) | {(target - {x}) | {w} for x in target}
+
+
+def stacked_sphere_with_solids_by_sorting(
+    d: int, n: int, moves: tuple[int, ...]
+) -> tuple[SimplicialComplex, SimplicialComplex]:
+    """Stacked (d-1)-sphere on vertex ids 1..n, each move the index of the
+    facet stacked over, plus the solid simplices accumulated while stacking."""
+    if d < 2:
+        raise DomainError("stacked spheres need dimension at least 2")
+    if n < d + 1:
+        raise DomainError(f"need at least {d + 1} vertices, got {n}")
+    if len(moves) != n - d - 1:
+        raise ShapeError(f"script needs exactly {n - d - 1} moves for n={n}, got {len(moves)}")
+    base = frozenset(range(1, d + 2))
+    facets = frozenset(base - {x} for x in base)
+    solids = {base}
+    next_id = d + 2
+    for index in moves:
+        target = _resolve(index, facets)
+        facets = _stack_facets(facets, target, next_id)
+        solids.add(target | {next_id})
+        next_id += 1
+    return SimplicialComplex.from_facets(facets), SimplicialComplex.from_facets(solids)
+
+
+def almost_stacked_by_sorting(
+    p: ASPParams, f_moves: tuple[int, ...], p_moves: tuple[int, ...]
+) -> ASPComplex:
+    """almost_stacked as it sorted the facets and rebuilt the complex at every move."""
+    d, n, s = p.d, p.n, p.s
+    f_boundary, f_solids = stacked_sphere_with_solids_by_sorting(d - 1, d + s, f_moves)
+    apex = d + s + 1
+    ball = pyramid(f_boundary, apex)
+    asp = ASPComplex(
+        ASPParams(d, apex, s), ball, frozenset(range(1, d + s + 1)), f_solids
+    )
+    for index in p_moves:
+        asp = stack_over_by_sorting(asp, index)
+    if asp.params != p:
+        raise ShapeError(
+            f"script length mismatch: built {asp.params}, requested {p}"
+        )
+    asp.special_boundary  # validate_asp
+    return asp
+
+
+def _next_vertex_id(asp: ASPComplex) -> int:
+    return max(asp.ball.vertex_ids) + 1
+
+
+def stack_over_by_sorting(asp: ASPComplex, index: int) -> ASPComplex:
+    """stack_over as it sorted the ball's facets and rebuilt the complex."""
+    target = _resolve(index, asp.ball.facets)
+    w = _next_vertex_id(asp)
+    ball = SimplicialComplex.from_facets(_stack_facets(asp.ball.facets, target, w))
+    q = asp.params
+    return ASPComplex(
+        ASPParams(q.d, q.n + 1, q.s), ball, asp.special_facet, asp.f_triangulation
+    )
+
+
+def h_stack_by_sorting(asp: ASPComplex, index: int) -> ASPComplex:
+    """h_stack as it recounted the ball's ridges for the special facet's boundary."""
+    g = _resolve(index, boundary_of_ball(asp.ball).facets)
+    t = next(t for t in asp.ball.facets if g <= t)
+    w = _next_vertex_id(asp)
+    new_facets = (asp.ball.facets - {t}) | {
+        (t - {x}) | {w} for x in t if (t - {x}) != g
+    }
+    q = asp.params
+    tri = asp.f_triangulation
+    new_tri = None
+    if tri is not None:
+        new_tri = SimplicialComplex.from_facets(tri.facets | {g | {w}})
+    return ASPComplex(
+        ASPParams(q.d, q.n + 1, q.s + 1),
+        SimplicialComplex.from_facets(new_facets),
+        asp.special_facet | {w},
+        new_tri,
+    )
+
+
+def random_minimizer_by_sorting(p: ASPParams, seed: int, style: str = "stack") -> ASPComplex:
+    """random_minimizer as it built and rebuilt an ASPComplex at every move."""
+    if style == "stack":
+        sf, sp = random_scripts(p, seed)
+        return almost_stacked_by_sorting(p, sf, sp)
+    if style != "hstack":
+        raise DomainError(f"unknown style {style!r}")
+    rng = random.Random(seed)
+    d, n, s = p.d, p.n, p.s
+    kinds = ["hstack"] * s + ["stack"] * (n - d - 1 - s)
+    rng.shuffle(kinds)
+    asp = trivial_asp(d)
+    # The special facet's boundary starts with d facets; h_stack adds d-2.
+    f_count = d
+    for kind in kinds:
+        if kind == "stack":
+            asp = stack_over_by_sorting(asp, rng.randrange(len(asp.ball.facets)))
+        else:
+            asp = h_stack_by_sorting(asp, rng.randrange(f_count))
+            f_count += d - 2
+    asp.special_boundary  # validate_asp
+    return asp
+
+
+def refined_cells_by_complexes(asp: ASPComplex, bit: dict[int, int]) -> tuple[list, int]:
+    """_refined_cells as it masked prime_decomposition's SimplicialComplex factors again."""
+    cells = [
+        (_mask(s.vertex_ids, bit), tuple(_mask(g, bit) for g in s.facets))
+        for s in prime_decomposition(asp.special_boundary)
+    ]
+    n_f = len(cells)
+    cells.extend(_simplex_cell(_mask(b, bit)) for b in asp.ball.facets)
+    return cells, n_f
+
+
+def trilateration_rank_mod_p(g: Graph, embedding: Mapping[int, Sequence[int]]) -> int:
+    """_trilateration_rank as it ranked each d-column block modulo 2^61 - 1."""
+    total = 0
+    for v, earlier in _trilateration_order(g):
+        if earlier:
+            pv = embedding[v]
+            total += rank_mod_p([[a - b for a, b in zip(pv, embedding[u])] for u in earlier])
+    return total
 
 
 def cofactor_det(rows) -> Fraction:
@@ -586,9 +740,63 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
+def pyramid(base: SimplicialComplex, apex: int) -> SimplicialComplex:
+    """Cone over a complex with a fresh apex vertex."""
+    if apex in base.vertex_ids:
+        raise DomainError(f"apex {apex} already occurs in the base")
+    return SimplicialComplex.from_facets(g | {apex} for g in base.facets)
+
+
+def stack_over(asp: ASPComplex, index: int) -> ASPComplex:
+    """Stack a fresh vertex over the ball facet at this sorted index; F is untouched.
+
+    One move of the library's walk.  Only ball facets are selectable, so
+    the special facet can never be stacked over through this operation.
+    """
+    walk = _Walk(asp.ball.facets)
+    walk.stack(index)
+    q = asp.params
+    return ASPComplex(
+        ASPParams(q.d, q.n + 1, q.s), _complex(walk.facets), asp.special_facet, asp.f_triangulation
+    )
+
+
+def h_stack(asp: ASPComplex, index: int) -> ASPComplex:
+    """Grow the special facet by stacking inside its own hyperplane.
+
+    One move of the library's walk.  The facet G of F's boundary at this
+    sorted index is a boundary ridge of the ball, so it lies in exactly
+    one ball facet T; the new vertex w replaces T by cones over T's other
+    ridges, F gains w, and the carried triangulation is stacked over G.
+    Net effect: n and s both grow by one and the ball gains d-2 facets.
+    """
+    walk = _Walk(asp.ball.facets, boundary_of_ball(asp.ball).facets)
+    solid = walk.h_stack(index)
+    q = asp.params
+    tri = asp.f_triangulation
+    if tri is not None:
+        tri = SimplicialComplex.from_facets(tri.facets | {frozenset(solid)})
+    ball = _complex(walk.facets)
+    return ASPComplex(ASPParams(q.d, q.n + 1, q.s + 1), ball, asp.special_facet | {solid[-1]}, tri)
+
+
+def prime_decomposition(sphere: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
+    """The prime factors of a simplicial sphere as complexes on its vertex ids.
+
+    The library's decomposition, with each factor's facet masks read back
+    as vertex ids.
+    """
+    ids = sphere.vertex_ids
+    cells, parts = _prime_cells(sphere, ids, _vertex_bits(ids))
+    return tuple(
+        SimplicialComplex.from_facets(_face_ids(cells[i][0], ids) for i in part)
+        for part in parts
+    )
+
+
 def stacked_sphere(d: int, n: int, moves: tuple[int, ...]) -> SimplicialComplex:
     """Stacked (d-1)-sphere on vertex ids 1..n, each move the index of the facet stacked over."""
-    return _stacked_sphere_with_solids(d, n, moves)[0]
+    return _complex(_stacked_sphere_with_solids(d, n, moves)[0].facets)
 
 
 def is_stacked_sphere(sphere: SimplicialComplex) -> bool:

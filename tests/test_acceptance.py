@@ -26,8 +26,9 @@ from aspoly.hull import (
     stack_over_special,
 )
 from aspoly.rigidity import g2_of_skeleton, one_skeleton, sample_generic
-from aspoly.stackgen import pyramid, random_minimizer, recognize_minimizer
+from aspoly.stackgen import random_minimizer, recognize_minimizer
 from aspoly.complexes import ASPComplex, SimplicialComplex, validate_asp
+from oracles import pyramid
 from test_hull import neighborliness, simpliciality
 
 GRID = [

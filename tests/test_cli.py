@@ -1138,6 +1138,27 @@ class TestShellingAndRecognize:
         code, _, err = run(capsys, *argv, "--input", str(path), "--unsafe-large")
         assert code == 0, err
 
+    def test_every_command_past_the_old_halving_bound(self, capsys, tmp_path):
+        # Placing y at (3, 94, 1) takes 1,181 halvings of the step, which a
+        # fixed bound of 1,024 refused with exit 2.  recognize exits 2 on
+        # every d = 3 artifact, so it is left out here.
+        path, _ = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "3", "--n", "94", "--s", "1", "--unsafe-large",
+        )
+        code, out, err = run(capsys, "verify", "--input", str(path), "--unsafe-large")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["all_pass"] and data["checks"]["shelling"]["detail"] == "h(Q)=[1, 92, 92, 1]"
+        code, out, err = run(
+            capsys, "shelling", "--input", str(path), "--count", "2", "--unsafe-large"
+        )
+        assert code == 0, err
+        assert [r["h"] for r in json.loads(out)["runs"]] == [[1, 92, 92, 1]] * 2
+        code, out, err = run(capsys, "rigidity", "report", "--input", str(path))
+        assert code == 0, err
+        assert json.loads(out)["stress_free_certified"]
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

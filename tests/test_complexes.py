@@ -22,7 +22,6 @@ from aspoly.complexes import (
     h_from_shelling,
     induced,
     is_closed_pseudomanifold,
-    prime_decomposition,
     validate_asp,
     verify_shelling,
 )
@@ -48,6 +47,7 @@ from oracles import (
     f_vector_by_face_set,
     face_set,
     is_stacked_sphere,
+    prime_decomposition,
     refined_frozenset_cells,
     ridge_incidence,
     simplex_cell,

@@ -30,8 +30,8 @@ from aspoly.rigidity import (
     rigid_rank_target,
     sample_generic,
 )
-from aspoly.stackgen import pyramid, random_minimizer
-from oracles import gauss_rank
+from aspoly.stackgen import random_minimizer
+from oracles import gauss_rank, pyramid, trilateration_rank_mod_p
 
 TRIANGLE = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
 K4 = Graph.from_edges([1, 2, 3, 4], [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])
@@ -295,11 +295,16 @@ class TestRankCertificate:
         assert _rigidity_rank(g, emb) == expected
 
     def test_rank_drop_mod_p_falls_back_to_bareiss(self):
+        # The octahedron has no 4-clique, so the trilateration sum misses the
+        # bound in R^3; every entry is a multiple of p, so the full matrix
+        # has rank 0 mod p, and only Bareiss finds the rank 12.
+        g = octahedron_graph()
         p = MERSENNE_61
-        emb = {1: [0, 0], 2: [3 * p, p], 3: [p, 4 * p]}
-        assert rank_mod_p(_edge_rows(TRIANGLE, emb)) == 0
-        assert _rigidity_rank(TRIANGLE, emb) == 3
-        assert stress_dimension(TRIANGLE, emb) == 0
+        emb = {v: [p * c for c in pt] for v, pt in generic_embedding(g, 3, seed=3).items()}
+        assert _trilateration_rank(g, emb) < proven_bound(g, emb) == 12
+        assert rank_mod_p(_edge_rows(g, emb)) == 0
+        assert _rigidity_rank(g, emb) == 12
+        assert stress_dimension(g, emb) == 0
 
     def test_flat_embedding_uses_edge_bound_only(self):
         # Three points cannot span R^4: d*n - C(d+1, 2) = 2 is no bound here.
@@ -350,6 +355,19 @@ class TestTrilaterationCertificate:
         assert total <= exact
         if g.n_edges and total == proven_bound(g, emb):
             assert total == exact
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        graphs(), st.integers(1, 6), st.sampled_from([1, 3, COORD_BOUND]), st.booleans(), st.data()
+    )
+    def test_exact_blocks_between_mod_p_blocks_and_the_rank(self, g, d, bound, scaled, data):
+        # Scaled by p, every block is zero mod p, so the two sums differ.
+        coords = st.integers(-bound, bound)
+        emb = {v: data.draw(st.lists(coords, min_size=d, max_size=d)) for v in g.sorted_vertices()}
+        if scaled:
+            emb = {v: [MERSENNE_61 * c for c in pt] for v, pt in emb.items()}
+        exact = int_rank(_edge_rows(g, emb)) if g.n_edges else 0
+        assert trilateration_rank_mod_p(g, emb) <= _trilateration_rank(g, emb) <= exact
 
     @pytest.mark.parametrize("cell", [(4, 8, 2), (5, 9, 1), (6, 11, 3)])
     @pytest.mark.parametrize("family", ["cyclic", "stacked"])

@@ -12,10 +12,10 @@ from aspoly import complexes
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
+    _vertex_bits,
     boundary_of_ball,
     f_vector,
     face_key,
-    prime_decomposition,
     validate_asp,
 )
 from aspoly.enumerative import (
@@ -34,23 +34,30 @@ from aspoly.errors import (
 )
 from aspoly.gale import almost_cyclic_facets
 from aspoly.stackgen import (
+    _refined_cells,
     almost_stacked,
-    h_stack,
-    pyramid,
     random_minimizer,
     random_scripts,
     recognize_minimizer,
-    stack_over,
     trivial_asp,
 )
 from oracles import (
+    almost_stacked_by_sorting,
     carried_missing,
     cell_decomposition_by_masks,
     cell_missing_by_masks,
     cell_split,
+    h_stack,
+    h_stack_by_sorting,
     is_stacked_sphere,
+    prime_decomposition,
+    pyramid,
+    random_minimizer_by_sorting,
+    refined_cells_by_complexes,
     refined_frozenset_cells,
     simplex_cell,
+    stack_over,
+    stack_over_by_sorting,
     stacked_sphere,
 )
 
@@ -263,6 +270,141 @@ class TestHStack:
         asp = stack_over(trivial_asp(4), 0)
         assert asp.params == ASPParams(4, 6, 0)
         assert asp.special_facet == frozenset(range(1, 5))
+
+
+def outcome(build, *args):
+    """A build's result, or the type and message of what it raised."""
+    try:
+        return build(*args)
+    except (DomainError, InvalidMoveError, ShapeError) as e:
+        return type(e), str(e)
+
+
+def as_fields(asp):
+    return asp.params, asp.ball, asp.special_facet, asp.f_triangulation
+
+
+@st.composite
+def scripts(draw):
+    """Parameters and almost_stacked scripts, mostly in range.
+
+    An index may fall one past either end of the facet list at its move,
+    and a script may be one move short or long.
+    """
+    d, s = draw(st.integers(3, 7)), draw(st.integers(0, 3))
+    p = ASPParams(d, d + s + 1 + draw(st.integers(0, 8)), s)
+    sf, sp = random_scripts(p, draw(st.integers(0, 10**6)))
+    script = []
+    for moves, first, growth in ((sf, d, d - 2), (sp, d + s * (d - 2), d - 1)):
+        moves = list(moves)
+        if moves and draw(st.booleans()):
+            k = draw(st.integers(0, len(moves) - 1))
+            moves[k] = draw(st.sampled_from([-1, first + k * growth]))
+        moves += draw(st.sampled_from([[], [], [], [0]]))
+        if moves and draw(st.integers(0, 3)) == 0:
+            moves.pop()
+        script.append(tuple(moves))
+    return p, *script
+
+
+class TestWalkMatchesRebuild:
+    """The one-walk constructions against the rebuild-per-move ones they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 7),
+        st.integers(0, 3),
+        st.integers(0, 11),
+        st.integers(0, 10**6),
+        st.sampled_from(["stack", "hstack"]),
+    )
+    def test_random_minimizer(self, d, s, extra, seed, style):
+        p = ASPParams(d, d + s + 1 + extra, s)
+        walk = random_minimizer(p, seed, style=style)
+        assert as_fields(walk) == as_fields(random_minimizer_by_sorting(p, seed, style=style))
+
+    @settings(max_examples=80, deadline=None)
+    @given(scripts())
+    def test_almost_stacked_scripts(self, case):
+        walk = outcome(almost_stacked, *case)
+        rebuilt = outcome(almost_stacked_by_sorting, *case)
+        if isinstance(rebuilt, ASPComplex):
+            assert as_fields(walk) == as_fields(rebuilt)
+        else:
+            assert walk == rebuilt
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(3, 7),
+        st.integers(0, 3),
+        st.integers(0, 6),
+        st.integers(0, 10**6),
+        st.sampled_from(["stack", "hstack"]),
+        st.data(),
+    )
+    def test_single_moves(self, d, s, extra, seed, style, data):
+        asp = random_minimizer(ASPParams(d, d + s + 1 + extra, s), seed, style=style)
+        for move, rebuild, count in (
+            (stack_over, stack_over_by_sorting, asp.ball.n_facets),
+            (h_stack, h_stack_by_sorting, asp.special_boundary.n_facets),
+        ):
+            index = data.draw(st.integers(-1, count))
+            walk, rebuilt = outcome(move, asp, index), outcome(rebuild, asp, index)
+            if isinstance(rebuilt, ASPComplex):
+                assert as_fields(walk) == as_fields(rebuilt)
+                validate_asp(walk)
+            else:
+                assert walk == rebuilt
+
+
+class TestRefusals:
+    # p = (5, 12, 3): F's boundary starts with 5 facets and each F-move adds
+    # 3; the ball starts with 14 and each P-move adds 4.
+    @pytest.mark.parametrize(
+        "f_moves, p_moves, message",
+        [
+            ((5, 0, 0), (0, 0, 0), "facet index 5 out of range 0..4"),
+            ((0, 8, 0), (0, 0, 0), "facet index 8 out of range 0..7"),
+            ((0, 0, 11), (0, 0, 0), "facet index 11 out of range 0..10"),
+            ((0, -1, 0), (0, 0, 0), "facet index -1 out of range 0..7"),
+            ((0, 0, 0), (14, 0, 0), "facet index 14 out of range 0..13"),
+            ((0, 0, 0), (0, 18, 0), "facet index 18 out of range 0..17"),
+            ((0, 0, 0), (0, 0, 22), "facet index 22 out of range 0..21"),
+            ((0, 0, 0), (0, 0, -1), "facet index -1 out of range 0..21"),
+        ],
+        ids=[
+            "F-first", "F-middle", "F-last", "F-negative",
+            "P-first", "P-middle", "P-last", "P-negative",
+        ],
+    )
+    def test_almost_stacked_move_out_of_range(self, f_moves, p_moves, message):
+        p = ASPParams(5, 12, 3)
+        with pytest.raises(InvalidMoveError) as ei:
+            almost_stacked(p, f_moves, p_moves)
+        assert str(ei.value) == message
+
+    # trivial_asp(5): F's boundary starts with 5 facets and each h_stack adds 3.
+    @pytest.mark.parametrize(
+        "selectors, message",
+        [
+            ((5, 0, 0), "facet index 5 out of range 0..4"),
+            ((0, 8, 0), "facet index 8 out of range 0..7"),
+            ((0, 0, 11), "facet index 11 out of range 0..10"),
+            ((0, 0, -1), "facet index -1 out of range 0..10"),
+        ],
+        ids=["first", "middle", "last", "negative"],
+    )
+    def test_h_stack_selector_out_of_range(self, selectors, message):
+        asp = trivial_asp(5)
+        with pytest.raises(InvalidMoveError) as ei:
+            for k in selectors:
+                asp = h_stack(asp, k)
+        assert str(ei.value) == message
+
+    def test_unknown_style(self):
+        with pytest.raises(DomainError) as ei:
+            random_minimizer(ASPParams(5, 9, 1), 0, style="stacked")
+        assert str(ei.value) == "unknown style 'stacked'"
 
 
 class TestScripts:
@@ -566,3 +708,17 @@ class TestMonotoneRelabelling:
         assert str(exc.value) == (
             f"cutting along {[f[1], f[2], f[3]]} does not give two components"
         )
+
+
+class TestRefinedCells:
+    @settings(max_examples=40, deadline=None)
+    @given(relabel_instances())
+    def test_match_the_masked_complexes_they_replace(self, asp):
+        # Same cells in the same order and the same n_f; a factor's ridges
+        # are compared sorted, since the old ones came in frozenset order.
+        ids = asp.ball.vertex_ids
+        bit = _vertex_bits(ids)
+        cells, n_f = _refined_cells(asp, ids, bit)
+        old_cells, old_n_f = refined_cells_by_complexes(asp, bit)
+        assert n_f == old_n_f
+        assert [(m, sorted(rs)) for m, rs in cells] == [(m, sorted(rs)) for m, rs in old_cells]
