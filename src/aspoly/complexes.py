@@ -60,7 +60,13 @@ class SimplicialComplex:
 
     @staticmethod
     def from_facets(facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        fs = frozenset(frozenset(f) for f in facets)
+        """The complex with these facets; a list or tuple facet passes through a set.
+
+        A frozenset grown from a sequence of five or more vertices takes
+        twice the slots of one made from a set, and every later pass over
+        the facet walks them all.  A frozenset facet is kept as given.
+        """
+        fs = frozenset(f if isinstance(f, frozenset) else frozenset(set(f)) for f in facets)
         if not fs:
             return SimplicialComplex(-1, frozenset())
         sizes = {len(f) for f in fs}

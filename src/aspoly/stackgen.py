@@ -44,17 +44,6 @@ from .errors import (
 )
 
 
-def _complex(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """The complex with these facets.
-
-    Each facet passes through a set first: a frozenset made from a set
-    is sized for its elements, while one grown from a tuple of five or
-    more vertices takes twice the slots, and every later pass over the
-    facet's vertices walks them all.
-    """
-    return SimplicialComplex.from_facets(map(set, faces))
-
-
 def _take(faces: list[tuple[int, ...]], index: int) -> tuple[int, ...]:
     """Remove and return the face at this index of a sorted face list."""
     if not 0 <= index < len(faces):
@@ -131,7 +120,7 @@ def _stacked_sphere_with_solids(
     base = tuple(range(1, d + 2))
     walk = _Walk(base[:i] + base[i + 1 :] for i in range(d + 1))
     solids = [base, *map(walk.stack, moves)]
-    return walk, _complex(solids)
+    return walk, SimplicialComplex.from_facets(solids)
 
 
 def almost_stacked(
@@ -154,7 +143,8 @@ def almost_stacked(
     built = ASPParams(d, walk.next_id - 1, s)
     if built != p:
         raise ShapeError(f"script length mismatch: built {built}, requested {p}")
-    asp = ASPComplex(p, _complex(walk.facets), frozenset(range(1, d + s + 1)), f_solids)
+    ball = SimplicialComplex.from_facets(walk.facets)
+    asp = ASPComplex(p, ball, frozenset(range(1, d + s + 1)), f_solids)
     asp.special_boundary  # validate_asp
     return asp
 
@@ -213,8 +203,9 @@ def random_minimizer(p: ASPParams, seed: int, style: str = "stack") -> ASPComple
             walk.stack(rng.randrange(len(walk.facets)))
         else:
             grown.append(walk.h_stack(rng.randrange(len(walk.boundary))))
-    tri = _complex([*start.f_triangulation.facets, *grown])
-    asp = ASPComplex(p, _complex(walk.facets), start.special_facet | {g[-1] for g in grown}, tri)
+    tri = SimplicialComplex.from_facets([*start.f_triangulation.facets, *grown])
+    ball = SimplicialComplex.from_facets(walk.facets)
+    asp = ASPComplex(p, ball, start.special_facet | {g[-1] for g in grown}, tri)
     asp.special_boundary  # validate_asp
     return asp
 

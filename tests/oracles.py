@@ -71,7 +71,6 @@ from aspoly.hull import (
 )
 from aspoly.rigidity import Graph, _trilateration_order
 from aspoly.stackgen import (
-    _complex,
     _refined_cells,
     _stacked_sphere_with_solids,
     _Walk,
@@ -756,9 +755,8 @@ def stack_over(asp: ASPComplex, index: int) -> ASPComplex:
     walk = _Walk(asp.ball.facets)
     walk.stack(index)
     q = asp.params
-    return ASPComplex(
-        ASPParams(q.d, q.n + 1, q.s), _complex(walk.facets), asp.special_facet, asp.f_triangulation
-    )
+    ball = SimplicialComplex.from_facets(walk.facets)
+    return ASPComplex(ASPParams(q.d, q.n + 1, q.s), ball, asp.special_facet, asp.f_triangulation)
 
 
 def h_stack(asp: ASPComplex, index: int) -> ASPComplex:
@@ -776,7 +774,7 @@ def h_stack(asp: ASPComplex, index: int) -> ASPComplex:
     tri = asp.f_triangulation
     if tri is not None:
         tri = SimplicialComplex.from_facets(tri.facets | {frozenset(solid)})
-    ball = _complex(walk.facets)
+    ball = SimplicialComplex.from_facets(walk.facets)
     return ASPComplex(ASPParams(q.d, q.n + 1, q.s + 1), ball, asp.special_facet | {solid[-1]}, tri)
 
 
@@ -796,7 +794,7 @@ def prime_decomposition(sphere: SimplicialComplex) -> tuple[SimplicialComplex, .
 
 def stacked_sphere(d: int, n: int, moves: tuple[int, ...]) -> SimplicialComplex:
     """Stacked (d-1)-sphere on vertex ids 1..n, each move the index of the facet stacked over."""
-    return _complex(_stacked_sphere_with_solids(d, n, moves)[0].facets)
+    return SimplicialComplex.from_facets(_stacked_sphere_with_solids(d, n, moves)[0].facets)
 
 
 def is_stacked_sphere(sphere: SimplicialComplex) -> bool:

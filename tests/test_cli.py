@@ -18,7 +18,7 @@ from aspoly import cli, complexes
 from aspoly.cli import main
 from aspoly.complexes import SimplicialComplex, boundary_of_ball, validate_asp
 from aspoly.curves import almost_cyclic_points
-from aspoly.enumerative import ASPParams
+from aspoly.enumerative import ASPParams, check_asp_bounds
 from aspoly.errors import AspolyError
 from aspoly.hull import asp_geometry, enumerate_facets
 from aspoly.rigidity import sample_generic
@@ -102,27 +102,53 @@ class TestConstruct:
         assert "caps" in err
 
 
+# f_polytope of the cyclic artifact and of the default (seed 0, stack)
+# stacked artifact at small (d, n, s) cells, frozen.
+FROZEN_F_CYCLIC = {
+    (4, 5, 0): [1, 5, 10, 10, 5],
+    (4, 6, 0): [1, 6, 15, 18, 9],
+    (4, 6, 1): [1, 6, 14, 15, 7],
+    (4, 7, 1): [1, 7, 20, 25, 12],
+    (4, 8, 2): [1, 8, 25, 32, 15],
+}
+FROZEN_F_STACKED = {
+    (4, 5, 0): [1, 5, 10, 10, 5],
+    (4, 6, 0): [1, 6, 14, 16, 8],
+    (4, 6, 1): [1, 6, 14, 15, 7],
+    (4, 7, 1): [1, 7, 18, 21, 10],
+    (4, 9, 1): [1, 9, 26, 33, 16],
+}
+
+
 class TestVerify:
     def test_all_checks_pass_on_cyclic(self, capsys, tmp_path):
-        path, _ = make_artifact(
-            capsys, tmp_path,
-            "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
-        )
-        code, out, _ = run(capsys, "verify", "--input", str(path))
-        assert code == 0
-        report = json.loads(out)
-        assert report["all_pass"]
-        for name in ("bounds", "ds", "gale", "ridge", "shelling", "rigidity", "minimizer"):
-            assert report["checks"][name]["pass"], name
+        for cell, f in FROZEN_F_CYCLIC.items():
+            d, n, s = map(str, cell)
+            path, data = make_artifact(
+                capsys, tmp_path, "construct", "cyclic-asp", "--d", d, "--n", n, "--s", s
+            )
+            assert data["f_polytope"] == f, cell
+            code, out, _ = run(capsys, "verify", "--input", str(path))
+            assert code == 0, cell
+            report = json.loads(out)
+            assert report["all_pass"], cell
+            for name in ("bounds", "ds", "gale", "ridge", "shelling", "rigidity", "minimizer"):
+                assert report["checks"][name]["pass"], (cell, name)
 
     def test_all_checks_pass_on_stacked(self, capsys, tmp_path):
-        path, _ = make_artifact(
-            capsys, tmp_path,
-            "construct", "stacked-asp", "--d", "4", "--n", "9", "--s", "1",
-        )
-        code, out, _ = run(capsys, "verify", "--input", str(path))
-        assert code == 0
-        assert json.loads(out)["all_pass"]
+        # The minimizer also sits on the lower bound, which verify's bounds
+        # check (the sandwich) does not ask.
+        for cell, f in FROZEN_F_STACKED.items():
+            d, n, s = map(str, cell)
+            path, data = make_artifact(
+                capsys, tmp_path, "construct", "stacked-asp", "--d", d, "--n", n, "--s", s
+            )
+            assert data["f_polytope"] == f, cell
+            p = ASPParams(*cell)
+            assert check_asp_bounds(random_minimizer(p, 0).f_polytope(), p).all_equal_lower, cell
+            code, out, _ = run(capsys, "verify", "--input", str(path))
+            assert code == 0, cell
+            assert json.loads(out)["all_pass"], cell
 
     def test_injected_bounds_violation_fails(self, capsys, tmp_path):
         # Dropping a ball facet breaks the complex, so the artifact is

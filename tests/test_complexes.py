@@ -8,11 +8,13 @@ definitions and are frozen here.
 import hashlib
 import json
 import random
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aspoly import cli
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
@@ -99,6 +101,27 @@ class TestBasicQueries:
     def test_mixed_facet_sizes_rejected(self):
         with pytest.raises(ShapeError):
             SimplicialComplex.from_facets([[1, 2], [3, 4, 5]])
+
+    def test_sequence_facets_are_sized_as_sets(self):
+        # A frozenset grown from a list or tuple of five or more vertices
+        # takes twice the hash slots of one made from a set (sys.getsizeof
+        # on CPython); the builders and the artifact loader hand over lists
+        # and tuples, and a frozenset comes through as the same object.
+        asp = random_minimizer(ASPParams(5, 9, 2), 0)
+        data = json.loads(json.dumps({"complex": asp.to_json()}))
+        loaded = cli._load_artifact(data, unsafe_large=False).asp
+        rows = [sorted(f) for f in asp.ball.facets]
+        for c in (
+            SimplicialComplex.from_facets(rows),
+            SimplicialComplex.from_facets(map(tuple, rows)),
+            asp.ball,
+            loaded.ball,
+            loaded.f_triangulation,
+        ):
+            assert all(sys.getsizeof(f) <= sys.getsizeof(frozenset(set(f))) for f in c.facets)
+        assert loaded.ball == asp.ball
+        facet = frozenset(range(1, 7))
+        assert next(iter(SimplicialComplex.from_facets([facet]).facets)) is facet
 
     def test_f_vector_simplex_boundary(self):
         assert f_vector(simplex_boundary(3)).entries == (1, 4, 6, 4)

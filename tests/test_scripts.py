@@ -1,4 +1,4 @@
-"""Smoke tests: both scripts run end to end on a tiny grid."""
+"""Smoke tests: the shelling experiment runs end to end, and its default grid is frozen."""
 
 import hashlib
 import subprocess
@@ -16,19 +16,6 @@ def run_script(*argv):
         text=True,
         timeout=300,
     )
-
-
-def test_run_grid_rows_all_ok():
-    proc = run_script("scripts/run_grid.py", "--d", "4", "--s", "0..1", "--n-span", "2")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    rows = [line for line in proc.stdout.splitlines() if line.strip().startswith("(")]
-    # (4,5,0), (4,6,0), (4,6,1), (4,7,1)
-    assert len(rows) == 4
-    assert all(row.endswith(" ok") for row in rows), proc.stdout
-    assert "0 check failures" in proc.stdout
-    # Everything above the timing line, frozen.
-    above_timing = "\n".join(proc.stdout.splitlines()[:-1])
-    assert hashlib.sha256(above_timing.encode()).hexdigest()[:16] == "8d9f1c7282ecb371"
 
 
 def test_shelling_experiment_runs():
