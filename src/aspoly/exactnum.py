@@ -31,15 +31,19 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
     Column pivoting with the Sylvester-identity division: every division
     is exact, since each divisor is a minor of the rows taken in the
     order the elimination used them; skipped columns leave the update
-    divisor untouched.  Row k of the result is zero left of its pivot,
-    the last pivot is the determinant of the pivot block of the permuted
-    rows, and the sign (+1 or -1) is that of the row permutation.
+    divisor untouched.  A row that is zero in the pivot column is only
+    multiplied by the pivot and divided by the previous one (left as it
+    is when the two are equal), without the second product.  Row k of
+    the result is zero left of its pivot, the last pivot is the
+    determinant of the pivot block of the permuted rows, and the sign
+    (+1 or -1) is that of the row permutation.
     """
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
-    if any(len(r) != n for r in a):
-        raise ShapeError("ragged rows")
+    for row in a:
+        if len(row) != n:
+            raise ShapeError("ragged rows")
     pivots: list[int] = []
     sign = 1
     prev = 1
@@ -47,20 +51,27 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
         r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
+        piv = r
+        while piv < m and not a[piv][c]:
+            piv += 1
+        if piv == m:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         ar = a[r]
         pk = ar[c]
+        cols = range(c + 1, n)
         for i in range(r + 1, m):
             ai = a[i]
             aic = ai[c]
-            for j in range(c + 1, n):
-                ai[j] = (pk * ai[j] - aic * ar[j]) // prev
-            ai[c] = 0
+            if aic:
+                for j in cols:
+                    ai[j] = (pk * ai[j] - aic * ar[j]) // prev
+                ai[c] = 0
+            elif pk != prev:
+                for j in cols:
+                    ai[j] = pk * ai[j] // prev
         prev = pk
         pivots.append(c)
     return a, pivots, sign

@@ -5,13 +5,17 @@ a ridge is crossed by rotating the facet's hyperplane about it until the
 hyperplane meets further points.  Found facets register their ridges,
 and only a ridge whose second facet is still unknown is crossed, so each
 crossing finds a new facet and the cost follows the number of facets
-rather than C(n, d).  A simplex facet's ridge planes pass to a simplex
-neighbour by a rank-one update, so a fraction-free kernel is solved only
-where no simplex facet hands them on, and every sign decision is an
-integer comparison.  A hull that is already known, such as the facets an
-artifact stores, is checked instead of enumerated: each hyperplane
-against every point, the vertex sets against the complex, and
-completeness from the facet-ridge graph.
+rather than C(n, d).  A crossing evaluates only the points off the
+facet, and reads the new facet off that ratio search: the ridge plus the
+points tied at the best ratio.  A facet's values at all the points are
+formed only if it is popped with a ridge still to cross, and inside the
+walk facets and ridges are bitmasks over point indexes.  A simplex
+facet's ridge planes pass to a simplex neighbour by a rank-one update,
+so a fraction-free kernel is solved only where no simplex facet hands
+them on, and every sign decision is an integer comparison.  A hull that
+is already known, such as the facets an artifact stores, is checked
+instead of enumerated: each hyperplane against every point, the vertex
+sets against the complex, and completeness from the facet-ridge graph.
 A facet holds its hyperplane as one primitive integer vector (offset,
 *normal), the form the gift-wrap finds it in, and every plane is
 evaluated by one integer dot product with a homogeneous point.  The
@@ -51,6 +55,7 @@ from .complexes import (
     ASPComplex,
     ShellingCertificate,
     SimplicialComplex,
+    _bits,
     verify_shelling,
 )
 from .curves import PointConfig
@@ -165,28 +170,58 @@ def _primitive(w: Sequence[int]) -> list[int]:
     return [x // g for x in w]
 
 
+def _ids(m: int) -> list[int]:
+    """The 0-based point indexes of a mask, ascending."""
+    return [b.bit_length() - 1 for b in _bits(m)]
+
+
 def _rotate(
-    hom: list[list[int]], w: list[int], a: list[int], g: Sequence[int]
-) -> tuple[list[int], list[int]]:
+    hom: list[list[int]], w: list[int], a: list[int], g: Sequence[int], ridge: int
+) -> tuple[list[int], int, tuple]:
     """Rotate the supporting hyperplane w about a ridge, outward onto the next facet.
 
-    a holds w's values at the points.  g is any plane through the ridge
-    that is negative on the facet's points off the ridge; the planes
+    a holds w's values at the points and ridge is the mask of the points
+    with a = 0 where g vanishes; g is negative at w's other points (or,
+    while the first facet is wrapped, vanishes at them too).  The planes
     through the ridge are the combinations of w and g, so the result does
-    not depend on which such g is given.  Among the points with a > 0, the
-    ones maximising b/a, b = g.x, are met first (ratios compared by
-    cross-multiplication); the plane b*.w - a*.g through them is >= 0 at
-    every point with a > 0 and equals -a*.b where a = 0.  Returns it
-    primitive, with its values at the points.
+    not depend on which such g is given.  Only the points with a > 0 are
+    evaluated: among them the ones maximising b/a, b = g.x, are met first
+    (ratios compared by cross-multiplication), and the plane b*.w - a*.g
+    through them is >= 0 at every point with a > 0 and equals -a*.b >= 0
+    where a = 0, zero exactly on the ridge.  So the new facet is the ridge
+    plus the points tied at the best ratio.  Returns the plane, primitive,
+    the new facet's mask, and the arguments from which _values forms its
+    values at the points, should they be needed.
     """
-    b = _dots(g, hom)
-    best_a, best_b = 0, 0
-    for ai, bi in zip(a, b):
-        if ai > 0 and (best_a == 0 or bi * best_a > best_b * ai):
-            best_a, best_b = ai, bi
+    b = [_dot(g, h) if x else 0 for x, h in zip(a, hom)]
+    best_a, best_b, tied = 0, 0, 0
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        if ai:
+            over, under = bi * best_a, best_b * ai
+            if over > under or not best_a:
+                best_a, best_b, tied = ai, bi, 1 << i
+            elif over == under:
+                tied |= 1 << i
     new = [best_b * x - best_a * y for x, y in zip(w, g)]
     k = math.gcd(*new)
-    return [x // k for x in new], [(best_b * x - best_a * y) // k for x, y in zip(a, b)]
+    return [x // k for x in new], ridge | tied, (a, b, best_a, best_b, k)
+
+
+def _values(
+    hom: list[list[int]],
+    w: list[int],
+    a: list[int],
+    b: list[int],
+    best_a: int,
+    best_b: int,
+    k: int,
+) -> list[int]:
+    """The values at the points of the plane w, from what _rotate returned with it.
+
+    Where a > 0 they are (best_b*a - best_a*b)/k; the old facet's own
+    points, where b was not evaluated, each cost one dot.
+    """
+    return [(best_b * x - best_a * y) // k if x else _dot(w, h) for x, y, h in zip(a, b, hom)]
 
 
 def _pivot(
@@ -200,31 +235,29 @@ def _pivot(
 def _inherited_normals(
     hom: list[list[int]],
     w: Sequence[int],
-    a: Sequence[int],
+    ax: int,
     normals: dict[int, list[int]],
     v: int,
     x: int,
 ) -> dict[int, list[int]]:
     """Ridge normals of the simplex facet (F - {v}) + {x}, carried over from F.
 
-    w is the simplex facet F's hyperplane and a its values at the points;
+    w is the simplex facet F's hyperplane and ax > 0 its value at x;
     normals[j] vanishes on F - {j} and is negative at j.  The new facet's
-    normal for x is -w.  For j in F - {v} it is a(x)*g_j - (g_j.x)*w,
-    made primitive: it vanishes on the new facet less j and on v, and at
-    j it is a(x)*g_j(j) < 0.  A rank-one update replaces a kernel.
+    normal for x is -w.  For j in F - {v} it is ax*g_j - (g_j.x)*w, made
+    primitive: it vanishes on the new facet less j and on v, and at j it
+    is ax*g_j(j) < 0.  A rank-one update replaces a kernel.
     """
     out = {x: [-c for c in w]}
     for j, g in normals.items():
         if j != v:
             gx = _dot(g, hom[x])
-            out[j] = _primitive([a[x] * gc - gx * wc for gc, wc in zip(g, w)])
+            out[j] = _primitive([ax * gc - gx * wc for gc, wc in zip(g, w)])
     return out
 
 
-def _ridges(
-    hom: list[list[int]], facet: frozenset[int], w: Sequence[int]
-) -> list[frozenset[int]]:
-    """Point sets of the ridges of one facet.
+def _ridges(hom: list[list[int]], facet: int, w: Sequence[int]) -> list[int]:
+    """Point masks of the ridges of one facet, given as a mask.
 
     A simplex facet's ridges drop one vertex each.  Otherwise they are
     the facets of the facet's own points, wrapped one dimension down with
@@ -232,31 +265,36 @@ def _ridges(
     facet hyperplane).
     """
     d = len(w) - 1
-    if len(facet) == d:
-        return [facet - {i} for i in facet]
+    if facet.bit_count() == d:
+        return [facet ^ b for b in _bits(facet)]
     j = next(c for c in range(1, d + 1) if w[c])
-    ids = sorted(facet)
+    ids = _ids(facet)
     sub = [hom[i][:j] + hom[i][j + 1 :] for i in ids]
-    return [frozenset(ids[k] for k in ridge) for ridge in _gift_wrap(sub)]
+    return [sum(1 << ids[k] for k in _ids(ridge)) for ridge in _gift_wrap(sub)]
 
 
-def _gift_wrap(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
+def _gift_wrap(hom: list[list[int]]) -> dict[int, list[int]]:
     """Facets of full-dimensional homogeneous points, by gift-wrapping.
 
-    Maps each facet's 0-based point set to its primitive inward
-    hyperplane (offset, *normal).  The first facet comes from the support
-    at the first point of least x_1 (ratios h[1]/h[0] compared by
-    cross-multiplication), rotated about its face until the face spans a
-    hyperplane.  A facet registers its ridges when it is found:
-    a ridge registered once is open, held by that facet; registered
-    again, by the facet on its other side, it is closed.  When a facet
-    is popped it crosses only its ridges that are still open: _rotate
-    turns it outward about the ridge onto the neighbouring facet, taking
-    every tied point with it, so each crossing finds a new facet.  The
-    plane g it turns against passes through the ridge and is negative on
-    the facet's other points.  The walk ends with every ridge closed and
-    no crossing landing on a facet already found, or it raises
+    Maps each facet's mask of 0-based point indexes to its primitive
+    inward hyperplane (offset, *normal).  The first facet comes from the
+    support at the first point of least x_1 (ratios h[1]/h[0] compared
+    by cross-multiplication), rotated about its face until the face spans
+    a hyperplane.  A facet registers its ridges, as masks, when it is
+    found: a ridge registered once is open, held by that facet;
+    registered again, by the facet on its other side, it is closed.
+    When a facet is popped it crosses only its ridges that are still
+    open: _rotate turns it outward about the ridge onto the neighbouring
+    facet, taking every tied point with it, so each crossing finds a new
+    facet, read off the ratio search as the ridge plus the tied points.
+    The plane g it turns against passes through the ridge and is
+    negative on the facet's other points.  The walk ends with every ridge
+    closed and no crossing landing on a facet already found, or it raises
     PseudomanifoldError naming the ridge.
+
+    A found facet keeps only its plane and what _rotate returned; its
+    values at the points are formed by _values when it is popped with an
+    open ridge, and most facets never are.
 
     A simplex facet holds one such g per vertex j, for its ridge without
     j.  When it is reached from another simplex facet it inherits them
@@ -272,63 +310,70 @@ def _gift_wrap(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
     low = min(range(len(hom)), key=by_x1)
     w = _primitive([-hom[low][1], hom[low][0]] + [0] * (d - 1))
     a = _dots(w, hom)
+    first = sum(1 << i for i, x in enumerate(a) if x == 0)
     while True:
         off = hom[a.index(max(a))]
-        kernel = int_nullspace([h for h, x in zip(hom, a) if x == 0] + [off])
+        kernel = int_nullspace([hom[i] for i in _ids(first)] + [off])
         if not kernel:
             break
-        w, a = _rotate(hom, w, a, kernel[0])
-    found: dict[frozenset[int], tuple[list[int], list[int]]] = {}
-    ridges_of: dict[frozenset[int], list[frozenset[int]]] = {}
-    open_ridges: dict[frozenset[int], frozenset[int]] = {}
-    parents: dict[frozenset[int], tuple] = {}
+        w, first, crossing = _rotate(hom, w, a, kernel[0], first)
+        a = _values(hom, w, *crossing)
+    found: dict[int, list[int]] = {}
+    crossings: dict[int, tuple] = {}
+    ridges_of: dict[int, list[int]] = {}
+    open_ridges: dict[int, int] = {}
+    parents: dict[int, tuple] = {}
 
-    def register(facet: frozenset[int], w: list[int], a: list[int]) -> None:
-        found[facet] = (w, a)
+    def register(facet: int, w: list[int]) -> None:
+        found[facet] = w
         ridges_of[facet] = _ridges(hom, facet, w)
         for ridge in ridges_of[facet]:
             if open_ridges.pop(ridge, None) is None:
                 open_ridges[ridge] = facet
 
-    first = frozenset(i for i, x in enumerate(a) if x == 0)
-    register(first, w, a)
+    register(first, w)
     queue = [first]
     while queue:
         facet = queue.pop()
         parent = parents.pop(facet, None)
+        crossing = crossings.pop(facet, None)
         ridges = [r for r in ridges_of.pop(facet) if r in open_ridges]
         if not ridges:
             continue
-        w, a = found[facet]
+        w = found[facet]
+        if crossing is not None:
+            a = _values(hom, w, *crossing)
         off = hom[a.index(max(a))]
-        simplex = len(facet) == d
+        simplex = facet.bit_count() == d
         if simplex:
             if parent is None:
-                normals = {j: _pivot(hom, facet - {j}, off, j) for j in facet}
+                ids = _ids(facet)
+                normals = {j: _pivot(hom, [i for i in ids if i != j], off, j) for j in ids}
             else:
                 normals = _inherited_normals(hom, *parent)
         for ridge in ridges:
-            v = min(facet - ridge)
-            g = normals[v] if simplex else _pivot(hom, ridge, off, v)
-            nw, na = _rotate(hom, w, a, g)
-            key = frozenset(i for i, x in enumerate(na) if x == 0)
+            rest = facet ^ ridge
+            v = (rest & -rest).bit_length() - 1
+            g = normals[v] if simplex else _pivot(hom, _ids(ridge), off, v)
+            nw, key, crossing = _rotate(hom, w, a, g, ridge)
             if key in found:
                 raise PseudomanifoldError(
-                    f"ridge {sorted(ridge)} of facet {sorted(facet)} crosses onto "
-                    f"facet {sorted(key)}, which is already found (0-based point indexes)"
+                    f"ridge {_ids(ridge)} of facet {_ids(facet)} crosses onto "
+                    f"facet {_ids(key)}, which is already found (0-based point indexes)"
                 )
-            register(key, nw, na)
+            register(key, nw)
+            crossings[key] = crossing
             queue.append(key)
-            if simplex and len(key) == d:
-                (x,) = key - ridge
-                parents[key] = (w, a, normals, v, x)
+            if simplex and key.bit_count() == d:
+                x = (key ^ ridge).bit_length() - 1
+                parents[key] = (w, a[x], normals, v, x)
     if open_ridges:
         ridge, facet = next(iter(open_ridges.items()))
         raise PseudomanifoldError(
-            f"ridge {sorted(ridge)} of facet {sorted(facet)} lies in no second facet "
+            f"ridge {_ids(ridge)} of facet {_ids(facet)} lies in no second facet "
             "(0-based point indexes)"
         )
-    return {facet: w for facet, (w, _) in found.items()}
+    return found
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -360,7 +405,7 @@ def enumerate_facets(
     if int_rank(hom) != d + 1:
         raise RankDeficientError("points do not affinely span the ambient space")
     return _facet_order(
-        FacetDescriptor(frozenset(i + 1 for i in on), tuple(w))
+        FacetDescriptor(frozenset({i + 1 for i in _ids(on)}), tuple(w))
         for on, w in _gift_wrap(hom).items()
     )
 

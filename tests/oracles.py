@@ -10,11 +10,13 @@ integer homogeneous vector from its rational coordinates, a point
 placed beyond any one facet, line orders that evaluate every target
 on every facet, stacking constructions that sort the facets and rebuild the
 complex at every move, refined cells masked from the prime factors as
-complexes, and trilateration blocks ranked modulo 2^61 - 1.  The
-frozenset cells, their indexed missing-simplex search and their
-decomposition are the library's code before it moved to vertex
-bitmasks.  The property tests check that the library gives the same
-results.
+complexes, trilateration blocks ranked modulo 2^61 - 1, the gift-wrap
+that carried every facet's values at all points with facets and ridges
+as frozensets, and the Bareiss echelon form that found its pivots by
+generators.  The frozenset cells, their indexed missing-simplex search
+and their decomposition are the library's code before it moved to
+vertex bitmasks.  The property tests check that the library gives the
+same results.
 
 The mask converters run the library's bitmask search and decomposition
 on frozenset cells and hand back frozensets, so the oracles and the
@@ -30,6 +32,7 @@ stacked-sphere test by prime decomposition.
 import math
 import random
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -67,6 +70,7 @@ from aspoly.hull import (
     _dots,
     _LinesFrom,
     _mean,
+    _pivot,
     _primitive,
 )
 from aspoly.rigidity import Graph, _trilateration_order
@@ -430,6 +434,169 @@ def key_shelling_defects_by_face_counts(
     return tuple(out)
 
 
+# The gift-wrap as it carried every found facet's values at all points:
+# each crossing evaluated g at every point and formed the new facet's
+# values there, and facets and ridges were frozensets of point indexes.
+
+
+def rotate_with_values(
+    hom: list[list[int]], w: list[int], a: list[int], g: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Rotate the supporting hyperplane w about a ridge, outward onto the next facet.
+
+    a holds w's values at the points.  g is any plane through the ridge
+    that is negative on the facet's points off the ridge; the planes
+    through the ridge are the combinations of w and g, so the result does
+    not depend on which such g is given.  Among the points with a > 0, the
+    ones maximising b/a, b = g.x, are met first (ratios compared by
+    cross-multiplication); the plane b*.w - a*.g through them is >= 0 at
+    every point with a > 0 and equals -a*.b where a = 0.  Returns it
+    primitive, with its values at the points.
+    """
+    b = _dots(g, hom)
+    best_a, best_b = 0, 0
+    for ai, bi in zip(a, b):
+        if ai > 0 and (best_a == 0 or bi * best_a > best_b * ai):
+            best_a, best_b = ai, bi
+    new = [best_b * x - best_a * y for x, y in zip(w, g)]
+    k = math.gcd(*new)
+    return [x // k for x in new], [(best_b * x - best_a * y) // k for x, y in zip(a, b)]
+
+
+def inherited_normals_with_values(
+    hom: list[list[int]],
+    w: Sequence[int],
+    a: Sequence[int],
+    normals: dict[int, list[int]],
+    v: int,
+    x: int,
+) -> dict[int, list[int]]:
+    """Ridge normals of the simplex facet (F - {v}) + {x}, carried over from F.
+
+    w is the simplex facet F's hyperplane and a its values at the points;
+    normals[j] vanishes on F - {j} and is negative at j.  The new facet's
+    normal for x is -w.  For j in F - {v} it is a(x)*g_j - (g_j.x)*w,
+    made primitive: it vanishes on the new facet less j and on v, and at
+    j it is a(x)*g_j(j) < 0.  A rank-one update replaces a kernel.
+    """
+    out = {x: [-c for c in w]}
+    for j, g in normals.items():
+        if j != v:
+            gx = _dot(g, hom[x])
+            out[j] = _primitive([a[x] * gc - gx * wc for gc, wc in zip(g, w)])
+    return out
+
+
+def ridge_sets(
+    hom: list[list[int]], facet: frozenset[int], w: Sequence[int]
+) -> list[frozenset[int]]:
+    """Point sets of the ridges of one facet.
+
+    A simplex facet's ridges drop one vertex each.  Otherwise they are
+    the facets of the facet's own points, wrapped one dimension down with
+    a coordinate dropped where w is nonzero (an affine isomorphism of the
+    facet hyperplane).
+    """
+    d = len(w) - 1
+    if len(facet) == d:
+        return [facet - {i} for i in facet]
+    j = next(c for c in range(1, d + 1) if w[c])
+    ids = sorted(facet)
+    sub = [hom[i][:j] + hom[i][j + 1 :] for i in ids]
+    return [frozenset(ids[k] for k in ridge) for ridge in gift_wrap_with_values(sub)]
+
+
+def gift_wrap_with_values(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
+    """Facets of full-dimensional homogeneous points, by gift-wrapping.
+
+    Maps each facet's 0-based point set to its primitive inward
+    hyperplane (offset, *normal).  The first facet comes from the support
+    at the first point of least x_1 (ratios h[1]/h[0] compared by
+    cross-multiplication), rotated about its face until the face spans a
+    hyperplane.  A facet registers its ridges when it is found:
+    a ridge registered once is open, held by that facet; registered
+    again, by the facet on its other side, it is closed.  When a facet
+    is popped it crosses only its ridges that are still open: rotate_with_values
+    turns it outward about the ridge onto the neighbouring facet, taking
+    every tied point with it, so each crossing finds a new facet.  The
+    plane g it turns against passes through the ridge and is negative on
+    the facet's other points.  The walk ends with every ridge closed and
+    no crossing landing on a facet already found, or it raises
+    PseudomanifoldError naming the ridge.
+
+    A simplex facet holds one such g per vertex j, for its ridge without
+    j.  When it is reached from another simplex facet it inherits them
+    by inherited_normals_with_values, from the parent's planes stored when it was
+    found, and only if it still has an open ridge when popped; otherwise
+    (the first facet, and the neighbours of a non-simplex facet) it
+    solves one kernel per vertex, through the ridge and a point off the
+    facet.  A non-simplex facet solves that kernel per open ridge, its
+    ridges coming from the wrap one dimension down.
+    """
+    d = len(hom[0]) - 1
+    by_x1 = cmp_to_key(lambda i, j: hom[i][1] * hom[j][0] - hom[j][1] * hom[i][0])
+    low = min(range(len(hom)), key=by_x1)
+    w = _primitive([-hom[low][1], hom[low][0]] + [0] * (d - 1))
+    a = _dots(w, hom)
+    while True:
+        off = hom[a.index(max(a))]
+        kernel = int_nullspace([h for h, x in zip(hom, a) if x == 0] + [off])
+        if not kernel:
+            break
+        w, a = rotate_with_values(hom, w, a, kernel[0])
+    found: dict[frozenset[int], tuple[list[int], list[int]]] = {}
+    ridges_of: dict[frozenset[int], list[frozenset[int]]] = {}
+    open_ridges: dict[frozenset[int], frozenset[int]] = {}
+    parents: dict[frozenset[int], tuple] = {}
+
+    def register(facet: frozenset[int], w: list[int], a: list[int]) -> None:
+        found[facet] = (w, a)
+        ridges_of[facet] = ridge_sets(hom, facet, w)
+        for ridge in ridges_of[facet]:
+            if open_ridges.pop(ridge, None) is None:
+                open_ridges[ridge] = facet
+
+    first = frozenset(i for i, x in enumerate(a) if x == 0)
+    register(first, w, a)
+    queue = [first]
+    while queue:
+        facet = queue.pop()
+        parent = parents.pop(facet, None)
+        ridges = [r for r in ridges_of.pop(facet) if r in open_ridges]
+        if not ridges:
+            continue
+        w, a = found[facet]
+        off = hom[a.index(max(a))]
+        simplex = len(facet) == d
+        if simplex:
+            if parent is None:
+                normals = {j: _pivot(hom, facet - {j}, off, j) for j in facet}
+            else:
+                normals = inherited_normals_with_values(hom, *parent)
+        for ridge in ridges:
+            v = min(facet - ridge)
+            g = normals[v] if simplex else _pivot(hom, ridge, off, v)
+            nw, na = rotate_with_values(hom, w, a, g)
+            key = frozenset(i for i, x in enumerate(na) if x == 0)
+            if key in found:
+                raise PseudomanifoldError(
+                    f"ridge {sorted(ridge)} of facet {sorted(facet)} crosses onto "
+                    f"facet {sorted(key)}, which is already found (0-based point indexes)"
+                )
+            register(key, nw, na)
+            queue.append(key)
+            if simplex and len(key) == d:
+                (x,) = key - ridge
+                parents[key] = (w, a, normals, v, x)
+    if open_ridges:
+        ridge, facet = next(iter(open_ridges.items()))
+        raise PseudomanifoldError(
+            f"ridge {sorted(ridge)} of facet {sorted(facet)} lies in no second facet "
+            "(0-based point indexes)"
+        )
+    return {facet: w for facet, (w, _) in found.items()}
+
+
 def supporting_hyperplane(
     hom: list[list[int]], subset: Sequence[int]
 ) -> tuple[tuple[int, ...], frozenset[int]] | None:
@@ -726,6 +893,49 @@ def gauss_rank(rows) -> int:
         if r == m:
             break
     return r
+
+
+def echelon_by_generator(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """exactnum._echelon as it checked raggedness and found pivots by generators.
+
+    Bareiss fraction-free row echelon form, its pivot columns and swap sign.
+
+    Column pivoting with the Sylvester-identity division: every division
+    is exact, since each divisor is a minor of the rows taken in the
+    order the elimination used them; skipped columns leave the update
+    divisor untouched.  Row k of the result is zero left of its pivot,
+    the last pivot is the determinant of the pivot block of the permuted
+    rows, and the sign (+1 or -1) is that of the row permutation.
+    """
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(len(r) != n for r in a):
+        raise ShapeError("ragged rows")
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        ar = a[r]
+        pk = ar[c]
+        for i in range(r + 1, m):
+            ai = a[i]
+            aic = ai[c]
+            for j in range(c + 1, n):
+                ai[j] = (pk * ai[j] - aic * ar[j]) // prev
+            ai[c] = 0
+        prev = pk
+        pivots.append(c)
+    return a, pivots, sign
 
 
 def int_det(rows: list[list[int]]) -> int:

@@ -27,8 +27,10 @@ from aspoly.complexes import (
     validate_asp,
     verify_shelling,
 )
+from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import ASPParams, h_from_f
 from aspoly.gale import almost_cyclic_facets
+from aspoly.hull import detect_asp
 from aspoly.stackgen import random_minimizer, recognize_minimizer
 from aspoly.errors import (
     DegeneracyError,
@@ -107,18 +109,22 @@ class TestBasicQueries:
         # takes twice the hash slots of one made from a set (sys.getsizeof
         # on CPython); the builders and the artifact loader hand over lists
         # and tuples, and a frozenset comes through as the same object.
+        # The facets detect_asp enumerates, and its ball, are sized as sets too.
         asp = random_minimizer(ASPParams(5, 9, 2), 0)
         data = json.loads(json.dumps({"complex": asp.to_json()}))
         loaded = cli._load_artifact(data, unsafe_large=False).asp
         rows = [sorted(f) for f in asp.ball.facets]
-        for c in (
-            SimplicialComplex.from_facets(rows),
-            SimplicialComplex.from_facets(map(tuple, rows)),
-            asp.ball,
-            loaded.ball,
-            loaded.f_triangulation,
+        geom = detect_asp(almost_cyclic_points(ASPParams(6, 12, 2)))
+        for facets in (
+            SimplicialComplex.from_facets(rows).facets,
+            SimplicialComplex.from_facets(map(tuple, rows)).facets,
+            asp.ball.facets,
+            loaded.ball.facets,
+            loaded.f_triangulation.facets,
+            [f.vertex_ids for f in geom.facets],
+            geom.ball.ball.facets,
         ):
-            assert all(sys.getsizeof(f) <= sys.getsizeof(frozenset(set(f))) for f in c.facets)
+            assert all(sys.getsizeof(f) <= sys.getsizeof(frozenset(set(f))) for f in facets)
         assert loaded.ball == asp.ball
         facet = frozenset(range(1, 7))
         assert next(iter(SimplicialComplex.from_facets([facet]).facets)) is facet

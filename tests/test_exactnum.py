@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aspoly import exactnum as xn
 from aspoly.errors import ShapeError
-from oracles import cofactor_det, gauss_rank, int_det
+from oracles import cofactor_det, echelon_by_generator, gauss_rank, int_det
 
 
 def test_det_identity():
@@ -42,6 +42,22 @@ def test_rank_of_zero_width():
 def test_matrix_shape_validation():
     with pytest.raises(ShapeError):
         xn.int_rank([[1, 2], [3]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.sampled_from([1, 3, 10]), st.data())
+def test_echelon_matches_generator_form(m, n, density, data):
+    # Tall and wide blocks, sparse or dense, with some columns all zero:
+    # the same echelon form, pivot columns and sign as the earlier body.
+    value = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    entry = st.tuples(st.integers(0, 9), value).map(lambda t: t[1] if t[0] < density else 0)
+    zero_cols = data.draw(st.sets(st.integers(0, max(n - 1, 0))))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    rows = [[0 if j in zero_cols else x for j, x in enumerate(r)] for r in rows]
+    assert xn._echelon(rows) == echelon_by_generator(rows)
+    if m > 1:
+        with pytest.raises(ShapeError, match="^ragged rows$"):
+            xn._echelon(rows[:-1] + [rows[-1] + [1]])
 
 
 def test_parse_format_roundtrip():

@@ -55,6 +55,7 @@ from aspoly.hull import (
     line_shelling,
     stack_over_special,
 )
+import oracles
 from oracles import (
     EagerLines,
     extend_config,
@@ -266,15 +267,22 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
     return None
 
 
+def gift_wrap_as_sets(hom):
+    """hull._gift_wrap with each facet's mask read as a frozenset of point indexes."""
+    return {frozenset(hull._ids(m)): w for m, w in hull._gift_wrap(hom).items()}
+
+
 def gift_wrap_per_ridge(hom):
     """Oracle: the gift-wrap that crosses every ridge, solving one kernel each.
 
-    Same first facet and the same rotation as hull._gift_wrap, but each
-    ridge is crossed from whichever of its facets is popped first, even
-    when the facet on its other side is already found; each ridge's g is
-    the kernel of [ridge rows; a point off the facet], oriented negative
-    on the facet's points off the ridge, and a non-simplex facet's ridges
-    come from this oracle one dimension down.
+    Same first facet and the same rotation as hull._gift_wrap (in the
+    form oracles.rotate_with_values, which carries every facet's values
+    at all points), but each ridge is crossed from whichever of its
+    facets is popped first, even when the facet on its other side is
+    already found; each ridge's g is the kernel of [ridge rows; a point
+    off the facet], oriented negative on the facet's points off the
+    ridge, and a non-simplex facet's ridges come from this oracle one
+    dimension down.
     """
     d = len(hom[0]) - 1
     low = min(range(len(hom)), key=lambda i: Fraction(hom[i][1], hom[i][0]))
@@ -285,7 +293,7 @@ def gift_wrap_per_ridge(hom):
         kernel = int_nullspace([h for h, x in zip(hom, a) if x == 0] + [off])
         if not kernel:
             break
-        w, a = hull._rotate(hom, w, a, kernel[0])
+        w, a = oracles.rotate_with_values(hom, w, a, kernel[0])
     first = frozenset(i for i, x in enumerate(a) if x == 0)
     found = {first: (w, a)}
     queue = [first]
@@ -308,7 +316,7 @@ def gift_wrap_per_ridge(hom):
             g = int_nullspace([hom[i] for i in ridge] + [off])[0]
             if hull._dot(g, hom[min(facet - ridge)]) > 0:
                 g = [-x for x in g]
-            nw, na = hull._rotate(hom, w, a, g)
+            nw, na = oracles.rotate_with_values(hom, w, a, g)
             key = frozenset(i for i, x in enumerate(na) if x == 0)
             if key not in found:
                 found[key] = (nw, na)
@@ -607,17 +615,54 @@ class TestGiftWrapOracle:
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
     def test_matches_per_ridge_wrap(self, configs, data):
+        # Also the walk as it carried every facet's values at all points:
+        # the same facets with the same planes, on inputs where one
+        # crossing meets several tied points too (special position).
         config = data.draw(configs(max_d=7))
         assume(spans_space(config))
         hom = config.hom
-        assert hull._gift_wrap(hom) == gift_wrap_per_ridge(hom)
+        wrapped = gift_wrap_as_sets(hom)
+        assert wrapped == gift_wrap_per_ridge(hom)
+        assert wrapped == oracles.gift_wrap_with_values(hom)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+            [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(0, 0, 0, 1)],
+            [(x, y, z, w) for x in range(3) for y in range(2) for z in range(2) for w in range(2)],
+        ],
+        ids=["cube3", "pyramid4", "grid4"],
+    )
+    def test_crossing_meets_tied_points(self, monkeypatch, coords):
+        # A crossing onto a non-simplex facet reads every point of it off
+        # the ratio search: the ridge plus two or more points tied at the
+        # best ratio.  Each crossing gives the plane, point mask and values
+        # of oracles.rotate_with_values.
+        met = []
+        rotate = hull._rotate
+
+        def spy(hom, w, a, g, ridge):
+            nw, key, crossing = rotate(hom, w, a, g, ridge)
+            met.append((key ^ ridge).bit_count())
+            old_w, old_a = oracles.rotate_with_values(hom, w, a, g)
+            assert nw == old_w
+            assert key == sum(1 << i for i, x in enumerate(old_a) if x == 0)
+            assert hull._values(hom, nw, *crossing) == old_a
+            return nw, key, crossing
+
+        monkeypatch.setattr(hull, "_rotate", spy)
+        hom = config_from_coords(coords).hom
+        assert gift_wrap_as_sets(hom) == oracles.gift_wrap_with_values(hom)
+        assert max(met) >= 2
 
     def test_inherited_normals_are_kernels(self, monkeypatch):
         calls = []
         inherit = hull._inherited_normals
 
-        def spy(hom, w, a, normals, v, x):
-            out = inherit(hom, w, a, normals, v, x)
+        def spy(hom, w, ax, normals, v, x):
+            assert ax == hull._dot(w, hom[x]) > 0
+            out = inherit(hom, w, ax, normals, v, x)
             calls.append((hom, set(normals), v, x, out))
             return out
 
@@ -643,14 +688,17 @@ class TestGiftWrapOracle:
         # one crossing, so enumerate_facets rotates little more often than
         # it finds facets (the rest start the first facet and wrap the
         # non-simplex facet's ridges); the oracle crosses every ridge.
-        calls = []
-        rotate = hull._rotate
+        # Values at all points are formed only for the facets popped with
+        # an open ridge (and while the first facet is wrapped), fewer than
+        # the facets found.
+        calls, formed = [], []
 
-        def spy(*args):
-            calls.append(None)
-            return rotate(*args)
+        def spy(calls, f):
+            return lambda *args: calls.append(None) or f(*args)
 
-        monkeypatch.setattr(hull, "_rotate", spy)
+        monkeypatch.setattr(hull, "_rotate", spy(calls, hull._rotate))
+        monkeypatch.setattr(oracles, "rotate_with_values", spy(calls, oracles.rotate_with_values))
+        monkeypatch.setattr(hull, "_values", spy(formed, hull._values))
         facets = wrapped = oracle = 0
         for d, n, s in product((5, 6), range(13, 17), range(4)):
             config = almost_cyclic_points(ASPParams(d, n, s))
@@ -661,6 +709,7 @@ class TestGiftWrapOracle:
             oracle += len(calls)
             calls.clear()
         assert (facets, wrapped, oracle) == (5736, 6328, 17600)
+        assert len(formed) == 2490 < facets
 
     @pytest.mark.parametrize("cell", [(4, 9, 0), (3, 7, 1), (4, 9, 2)])
     def test_open_boundary_raises(self, monkeypatch, cell):
