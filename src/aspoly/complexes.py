@@ -184,31 +184,39 @@ def verify_shelling(
     F_j & F_i lies in F_j - x exactly when x is not in F_i, so the condition
     reads: R_j is nonempty and lies in no earlier facet.  A bitmask per
     vertex of the earlier facets holding it tests that in O(d) per step.
+    Inside, a ridge is an int bitmask with bit k for the vertex of rank k
+    in sorted id order, whatever its id; the certificate and error
+    messages carry vertex ids.
     """
     seq = [frozenset(f) for f in order]
-    if len(seq) != len(c.facets) or set(seq) != set(c.facets) or len(set(seq)) != len(seq):
+    if len(seq) != len(c.facets) or set(seq) != c.facets:
         raise DomainError("order must list every facet exactly once")
-    old_ridges: set[frozenset[int]] = set()
-    holders: dict[int, int] = {}
+    ids = c.vertex_ids
+    rank = {v: k for k, v in enumerate(ids)}
+    old_ridges: set[int] = set()
+    holders = [0] * len(ids)  # per vertex rank, the earlier facets holding it
     restriction: list[frozenset[int]] = []
     for j, fj in enumerate(seq):
-        ridges = [fj - {x} for x in fj]
-        rj = frozenset(x for x, r in zip(fj, ridges) if r in old_ridges)
-        if j:
-            inside = (1 << j) - 1  # earlier facets that hold all of R_j
-            for x in rj:
-                inside &= holders.get(x, 0)
-            if inside:
-                i = (inside & -inside).bit_length() - 1
-                raise ShellingError(
-                    j + 1,
-                    f"facet {sorted(fj)} meets earlier facets in "
-                    f"{sorted(fj & seq[i])}, not inside any old ridge",
-                )
-        old_ridges.update(ridges)
-        for x in fj:
-            holders[x] = holders.get(x, 0) | 1 << j
-        restriction.append(rj)
+        ks = [rank[x] for x in fj]
+        m = 0
+        for k in ks:
+            m |= 1 << k
+        rj = [k for k in ks if m ^ (1 << k) in old_ridges]
+        inside = (1 << j) - 1  # earlier facets that hold all of R_j
+        for k in rj:
+            inside &= holders[k]
+        if inside:
+            i = (inside & -inside).bit_length() - 1
+            raise ShellingError(
+                j + 1,
+                f"facet {sorted(fj)} meets earlier facets in "
+                f"{sorted(fj & seq[i])}, not inside any old ridge",
+            )
+        bj = 1 << j
+        for k in ks:
+            old_ridges.add(m ^ (1 << k))
+            holders[k] |= bj
+        restriction.append(frozenset([ids[k] for k in rj]))
     return ShellingCertificate(c, tuple(seq), tuple(restriction))
 
 

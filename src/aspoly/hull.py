@@ -24,21 +24,23 @@ module uses rational arithmetic.
 stack_over_special is the one place a point y beyond the special facet
 is found; it builds the new boundary by the beneath-beyond theorem
 instead of enumerating the hull again: each new hyperplane is a
-combination of two old ones, and is checked against all points.
-Points, centroids, y and line targets are integer homogeneous vectors;
-the points are read as PointConfig holds them, with no conversion.  A
-geometry computes its centroid and every facet's value there once;
-stacking reads the parent's values, gets each kept facet's value at y by
-linearity, and hands the stacked geometry its centroid and centroid
-values, so a key-lemma rung evaluates each facet plane at most once at
-each point it needs.  Shelling orders are produced geometrically.  The
-constrained search shoots one line, through y symbolically perturbed
-toward v, and ranks the facets by their exact keys lexicographically,
-evaluating v and the later targets only on facets still tied; every
-order that is returned is re-checked by the independent combinatorial
-verifier, so a bug in the crossing logic cannot leak an invalid
-certificate.  Key-lemma defects are read off the certificate's
-restriction faces, O(d) per shelling step.
+combination of two old ones through a ridge of the special facet, and
+that pencil certifies it at the d points of the old facet.  Points,
+centroids, y and line targets are integer homogeneous vectors; the
+points are read as PointConfig holds them, with no conversion.  A
+geometry computes its centroid and every facet's value there once.  A
+key-lemma rung evaluates each kept facet once, at the exit point, the
+special facet once, at y, and each cone at the d points of its old
+facet; stacking takes every value at the centroid and at y from these by
+linearity and hands them to the stacked geometry.  Shelling orders are
+produced geometrically.  The constrained search shoots one line, through
+y symbolically perturbed toward v, and ranks the facets by their exact
+keys lexicographically, reading the values at y as handed and evaluating
+v and the later targets only on facets still tied; every order that is
+returned is re-checked by the independent combinatorial verifier, so a
+bug in the crossing logic cannot leak an invalid certificate.  Key-lemma
+defects are read off the certificate's restriction faces, O(d) per
+shelling step.
 """
 
 from __future__ import annotations
@@ -132,6 +134,11 @@ class ASPGeometry:
     def centroid_values(self) -> tuple[int, ...]:
         """Per facet, its value at the centroid vector, computed once."""
         return tuple(_dot(f.plane, self.centroid) for f in self.facets)
+
+    @cached_property
+    def last_values(self) -> tuple[int, ...]:
+        """Per facet, its value at the last point (y, after stacking), computed once."""
+        return tuple(_dot(f.plane, self.config.hom[-1]) for f in self.facets)
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)
@@ -522,7 +529,9 @@ class _LinesFrom:
     whatever the number of facets.  The base point is the geometry's
     centroid and the values A its centroid_values, each computed once per
     geometry (or handed over by stack_over_special), so the facet planes
-    are read as stored and not evaluated at the base here.
+    are read as stored and not evaluated at the base here.  The first
+    target's values may be handed over too (first_values), as the
+    constrained search does with a stacked geometry's values at y.
 
     Several targets t1, t2, t3, ... stand for the symbolically perturbed
     target t1 + eps*(t2 - t1) + eps^2*(t3 - t1) + ... with eps > 0
@@ -545,9 +554,14 @@ class _LinesFrom:
         self.b0 = geom.centroid[0]
         self.shift = 2 * max(self.values).bit_length()
 
-    def order(self, first: Sequence[int], *later: Sequence[int]) -> list[frozenset[int]]:
+    def order(
+        self,
+        first: Sequence[int],
+        *later: Sequence[int],
+        first_values: Sequence[int] | None = None,
+    ) -> list[frozenset[int]]:
         rows, values, b0, shift = self.rows, self.values, self.b0, self.shift
-        at = _dots(first, rows)
+        at = _dots(first, rows) if first_values is None else first_values
         keys = [((c << shift) // a,) for c, a in zip(at, values)]
         flat = [i for i, (c, a) in enumerate(zip(at, values)) if c * b0 == a * first[0]]
         tied = _tied(keys, range(len(keys)))
@@ -622,7 +636,9 @@ def constrained_line_shelling(
     where y is placed, not on the seed: a wrong prefix raises
     ShellingSearchError, inconclusive at this placement, and a tie left
     after g raises DegeneracyError.  A returned order is always a verified
-    shelling.
+    shelling.  When y is the last point, the facets' values there are the
+    geometry's last_values, which stack_over_special hands over, so no
+    plane is evaluated at y here.
     """
     if not geom.is_simplicial:
         raise DomainError("constrained shelling requires a simplicial boundary")
@@ -634,7 +650,8 @@ def constrained_line_shelling(
     others = [h for pid, h in enumerate(hom, 1) if pid not in (y_id, v_id)]
     rng = random.Random(seed)
     g = _mean(others, [rng.randint(1, 1000) for _ in others])
-    order = _LinesFrom(geom).order(hom[y_id - 1], hom[v_id - 1], g)
+    at_y = geom.last_values if y_id == len(hom) else None
+    order = _LinesFrom(geom).order(hom[y_id - 1], hom[v_id - 1], g, first_values=at_y)
     blocks = [0 if y_id in f else 1 if v_id in f else 2 for f in order]
     if blocks != sorted(blocks):
         raise ShellingSearchError(
@@ -690,19 +707,28 @@ def stack_over_special(
     facets are the old simplex facets, hyperplanes unchanged, plus the
     cone from y over each ridge of F.  No hull is enumerated and no kernel
     is solved: a ridge of F is G & F for the one simplex facet G that
-    meets F in d-1 vertices, and the cone's hyperplane is the member
-    w_G(y)*w_F - w_F(y)*w_G of the pencil through that ridge which
-    vanishes at y, made primitive, with the values of the beyond check.
-    It is >= 0 at the old points, as w_G(y) > 0 > w_F(y), and each one
-    must still meet the n+1 points exactly in its own vertices, or
-    DegeneracyError is raised.  A `cap` bounds the extended point count
-    as enumerate_facets does.
+    meets F in d-1 vertices, and the cone's hyperplane w is the member
+    k*w = ag*w_F - af*w_G of the pencil through that ridge R which
+    vanishes at y, made primitive, with ag = w_G(y) > 0 > af = w_F(y) the
+    values of the beyond check.  Every plane of the geometry is >= 0 at
+    all old points and 0 exactly at its own vertices (enumerate_facets
+    and certified_geometry establish this), so at an old point p,
+    k*w(p) = ag*w_F(p) - af*w_G(p) is >= 0, and 0 exactly where both
+    planes are, on F & G = R; at y it is ag*af - af*ag = 0.  So w meets
+    the n+1 points exactly in R + y and is >= 0 at all of them.  The check
+    made is O(d): w is 0 at the d-1 vertices of R and > 0 at G's vertex
+    off R, or DegeneracyError is raised, so a stored plane that is not 0
+    on its ridge with F fails here.  A `cap` bounds the extended point
+    count as enumerate_facets does.
 
-    A kept facet is evaluated once, at the exit point: its centroid value
-    is the geometry's own and its value at y follows by linearity.  The
-    stacked geometry comes with its centroid and centroid values set, a
-    kept facet's from its two values and a cone's by one dot product, so
-    its line shellings evaluate no facet at the centroid again.
+    A rung evaluates each kept facet once, at the exit point, F once, at
+    y, and each cone at the d vertices of its G; the rest follows by
+    linearity.  A kept facet's centroid value is the geometry's own, and
+    its value at y, like F's, is its value at the unreduced y over that
+    vector's gcd; a cone is 0 at y, so its centroid value follows from F's
+    and G's by the pencil.  The stacked geometry comes with its centroid,
+    centroid values and values at y (last_values) set, so its line
+    shellings evaluate no facet at the centroid or at y again.
     """
     special = geom.special
     if special is None:
@@ -716,6 +742,7 @@ def stack_over_special(
         he = _mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
     kept = zip(geom.facet_keys, geom.facets, geom.centroid_values)
     kept = [(key, f, b) for key, f, b in kept if f is not special]
+    bf = next(b for f, b in zip(geom.facets, geom.centroid_values) if f is special)
     # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
     # with E and B its values at the exit point and the centroid: positive
     # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
@@ -742,8 +769,11 @@ def stack_over_special(
         raise DegeneracyError("beyond point fails the beyond conditions")
     y_id = geom.config.n + 1
     _check_cap(y_id, cap)
+    # y as its primitive vector, and F's and the kept facets' values there.
     k = math.gcd(*hy)
     hy = tuple(c // k for c in hy)
+    af //= k
+    at_y = [a // k for a in at_y]
     hom = (*hom, hy)
     config = PointConfig(geom.d, hom)
     # The stacked centroid vector, as _mean would build it: with scale the
@@ -753,26 +783,32 @@ def stack_over_special(
     both = math.lcm(scale, hy[0])
     mb, my = both // scale, both // hy[0]
     hc = tuple(mb * b + my * c for b, c in zip(hb, hy))
-    facets = [(key, f, mb * b + my * (ag // k)) for (key, f, b), ag in zip(kept, at_y)]
-    for (_, g, _), ag in zip(kept, at_y):
+    facets = [(key, f, mb * b + my * ag, ag) for (key, f, b), ag in zip(kept, at_y)]
+    for (_, g, b), ag in zip(kept, at_y):
         ridge = g.vertex_ids & special.vertex_ids
         if len(ridge) != geom.d - 1:
             continue
-        w = tuple(_primitive([ag * a - af * b for a, b in zip(special.plane, g.plane)]))
-        values = _dots(w, hom)
-        vertex_ids = ridge | {y_id}
-        if min(values) < 0 or frozenset(i for i, x in enumerate(values, 1) if x == 0) != vertex_ids:
+        pencil = [ag * a - af * c for a, c in zip(special.plane, g.plane)]
+        kw = math.gcd(*pencil)
+        w = tuple(c // kw for c in pencil)
+        (x,) = g.vertex_ids - ridge
+        if any(_dot(w, hom[i - 1]) for i in ridge) or _dot(w, hom[x - 1]) <= 0:
             raise DegeneracyError(
                 f"cone from {y_id} over ridge {sorted(ridge)} "
                 "is not a facet of the stacked hull"
             )
-        facets.append(((*sorted(ridge), y_id), FacetDescriptor(vertex_ids, w), _dot(w, hc)))
+        cone = FacetDescriptor(ridge | {y_id}, w)
+        facets.append(((*sorted(ridge), y_id), cone, mb * ((ag * bf - af * b) // kw), 0))
     # The kept facets are in _facet_order already (geom.facet_keys), and the
     # sort merges the cones into them; vertex sets differ, so no keys tie.
     facets.sort()
-    stacked = ASPGeometry(config, tuple(f for _, f, _ in facets), None, None)
+    stacked = ASPGeometry(config, tuple(f for _, f, _, _ in facets), None, None)
     # The cached properties, as a fresh geometry would compute them.
-    vars(stacked).update(centroid=hc, centroid_values=tuple(c for _, _, c in facets))
+    vars(stacked).update(
+        centroid=hc,
+        centroid_values=tuple(c for _, _, c, _ in facets),
+        last_values=tuple(a for _, _, _, a in facets),
+    )
     return stacked
 
 

@@ -4,19 +4,21 @@ Each function here is the direct version of an indexed one in the
 library: faces counted as frozensets, ridges found by sorting the
 facets, missing simplices found by testing every ridge-plus-vertex pair,
 a decomposition that rebuilds the ridge incidence at every split, a
-shelling check that intersects every pair of facets, key-lemma defects
-from running face counts, hyperplanes from a kernel solve, a point's
-integer homogeneous vector from its rational coordinates, a point
-placed beyond any one facet, line orders that evaluate every target
-on every facet, stacking constructions that sort the facets and rebuild the
+shelling check that intersects every pair of facets and one that holds
+ridges as frozensets of vertex ids, key-lemma defects from running face
+counts, hyperplanes from a kernel solve, a point's integer homogeneous
+vector from its rational coordinates, a point placed beyond any one
+facet, the stacked cone checked at every point, the constrained search
+evaluating every facet at y, line orders that evaluate every target on
+every facet, stacking constructions that sort the facets and rebuild the
 complex at every move, refined cells masked from the prime factors as
 complexes, trilateration blocks ranked modulo 2^61 - 1, the gift-wrap
 that carried every facet's values at all points with facets and ridges
 as frozensets, and the Bareiss echelon form that found its pivots by
 generators.  The frozenset cells, their indexed missing-simplex search
-and their decomposition are the library's code before it moved to
-vertex bitmasks.  The property tests check that the library gives the
-same results.
+and their decomposition are the library's code before it moved to vertex
+bitmasks.  The property tests check that the library gives the same
+results.
 
 The mask converters run the library's bitmask search and decomposition
 on frozenset cells and hand back frozensets, so the oracles and the
@@ -61,6 +63,7 @@ from aspoly.errors import (
     PseudomanifoldError,
     ShapeError,
     ShellingError,
+    ShellingSearchError,
 )
 from aspoly.exactnum import _echelon, int_nullspace, rank_mod_p
 from aspoly.hull import (
@@ -72,6 +75,7 @@ from aspoly.hull import (
     _mean,
     _pivot,
     _primitive,
+    _verified,
 )
 from aspoly.rigidity import Graph, _trilateration_order
 from aspoly.stackgen import (
@@ -389,6 +393,45 @@ def verify_shelling_pairwise(
     return ShellingCertificate(c, tuple(seq), tuple(restriction))
 
 
+def verify_shelling_by_frozensets(
+    c: SimplicialComplex, order: Sequence[Iterable[int]]
+) -> ShellingCertificate:
+    """verify_shelling as it held each ridge as a frozenset of vertex ids.
+
+    At step j >= 2 every face of the new facet F_j already present must lie
+    in an old ridge of F_j.  The restriction face R_j is the set of vertices
+    x whose opposite ridge F_j - x is old; it is the unique minimal new face.
+    F_j & F_i lies in F_j - x exactly when x is not in F_i, so the condition
+    reads: R_j is nonempty and lies in no earlier facet.  A bitmask per
+    vertex of the earlier facets holding it tests that in O(d) per step.
+    """
+    seq = [frozenset(f) for f in order]
+    if len(seq) != len(c.facets) or set(seq) != set(c.facets) or len(set(seq)) != len(seq):
+        raise DomainError("order must list every facet exactly once")
+    old_ridges: set[frozenset[int]] = set()
+    holders: dict[int, int] = {}
+    restriction: list[frozenset[int]] = []
+    for j, fj in enumerate(seq):
+        ridges = [fj - {x} for x in fj]
+        rj = frozenset(x for x, r in zip(fj, ridges) if r in old_ridges)
+        if j:
+            inside = (1 << j) - 1  # earlier facets that hold all of R_j
+            for x in rj:
+                inside &= holders.get(x, 0)
+            if inside:
+                i = (inside & -inside).bit_length() - 1
+                raise ShellingError(
+                    j + 1,
+                    f"facet {sorted(fj)} meets earlier facets in "
+                    f"{sorted(fj & seq[i])}, not inside any old ridge",
+                )
+        old_ridges.update(ridges)
+        for x in fj:
+            holders[x] = holders.get(x, 0) | 1 << j
+        restriction.append(rj)
+    return ShellingCertificate(c, tuple(seq), tuple(restriction))
+
+
 def key_shelling_defects_by_face_counts(
     cert: ShellingCertificate, y_id: int, v_id: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -698,6 +741,46 @@ def point_beyond(
 def extend_config(config: PointConfig, coords: Sequence[Fraction]) -> PointConfig:
     """Append one point with the next vertex id."""
     return PointConfig(config.d, (*config.hom, tuple(homogeneous(coords))))
+
+
+def constrained_line_shelling_evaluated(
+    geom: ASPGeometry, y_id: int, v_id: int, seed: int
+) -> ShellingCertificate:
+    """constrained_line_shelling as it evaluated every facet at y.
+
+    The library reads the values at y that stacking hands over when y is
+    the last point; the certificate and every refusal must not change.
+    """
+    if not geom.is_simplicial:
+        raise DomainError("constrained shelling requires a simplicial boundary")
+    hom = geom.config.hom
+    if not (1 <= y_id <= len(hom) and 1 <= v_id <= len(hom)) or y_id == v_id:
+        raise DomainError("y and v must be two distinct vertex ids")
+    if not any({y_id, v_id} <= f.vertex_ids for f in geom.facets):
+        raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
+    others = [h for pid, h in enumerate(hom, 1) if pid not in (y_id, v_id)]
+    rng = random.Random(seed)
+    g = _mean(others, [rng.randint(1, 1000) for _ in others])
+    order = _LinesFrom(geom).order(hom[y_id - 1], hom[v_id - 1], g)
+    blocks = [0 if y_id in f else 1 if v_id in f else 2 for f in order]
+    if blocks != sorted(blocks):
+        raise ShellingSearchError(
+            f"the line through y={y_id} perturbed toward v={v_id} does not shell "
+            "st(y), then st(v), first; inconclusive at this placement of y"
+        )
+    return _verified(geom.boundary_complex(), order)
+
+
+def cone_meets_points_exactly(hom: Sequence[Sequence[int]], cone: FacetDescriptor) -> bool:
+    """stack_over_special's cone check as it evaluated the plane at all n+1 points.
+
+    The plane must be >= 0 at every point and 0 exactly at the cone's
+    vertices.  The library checks the d points of the cone's old facet G
+    instead, which the pencil argument in its docstring shows is enough.
+    """
+    values = _dots(cone.plane, hom)
+    zeros = frozenset(i for i, x in enumerate(values, 1) if x == 0)
+    return min(values) >= 0 and zeros == cone.vertex_ids
 
 
 class EagerLines(_LinesFrom):

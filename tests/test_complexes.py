@@ -30,7 +30,7 @@ from aspoly.complexes import (
 from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import ASPParams, h_from_f
 from aspoly.gale import almost_cyclic_facets
-from aspoly.hull import detect_asp
+from aspoly.hull import detect_asp, line_shelling
 from aspoly.stackgen import random_minimizer, recognize_minimizer
 from aspoly.errors import (
     DegeneracyError,
@@ -56,6 +56,7 @@ from oracles import (
     ridge_incidence,
     simplex_cell,
     stacked_sphere,
+    verify_shelling_by_frozensets,
     verify_shelling_pairwise,
 )
 
@@ -539,6 +540,76 @@ class TestShellingMatchesPairwise:
             except ShellingError as exc:
                 outcomes.append(exc.step)
         assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def relabelled_orders(draw):
+    """A complex and a facet order on far-apart, possibly negative vertex ids.
+
+    The order is a line shelling of a cyclic polytope's boundary, its
+    reversal, or one of facet_orders' shuffled and grown orders; then the
+    ids are sent to distinct integers anywhere in [-10^12, 10^12].  The
+    order may drop or repeat a facet, which must be refused.
+    """
+    kind = draw(st.sampled_from(["line", "reversed", "shuffled or grown"]))
+    if kind == "shuffled or grown":
+        c, order = draw(facet_orders())
+    else:
+        d = draw(st.integers(3, 5))
+        geom = detect_asp(almost_cyclic_points(ASPParams(d, draw(st.integers(d + 1, d + 5)), 0)))
+        cert = line_shelling(geom, draw(st.integers(0, 10**6)))
+        c, order = cert.complex, list(cert.order)
+        if kind == "reversed":
+            order.reverse()
+    ids = c.vertex_ids
+    size = len(ids)
+    new = draw(st.lists(st.integers(-(10**12), 10**12), min_size=size, max_size=size, unique=True))
+    relabel = dict(zip(ids, new))
+    c = SimplicialComplex.from_facets([relabel[x] for x in f] for f in c.facets)
+    order = [[relabel[x] for x in f] for f in order]
+    broken = draw(st.sampled_from([None, None, "drop", "repeat"]))
+    if broken == "drop":
+        order.pop()
+    elif broken == "repeat":
+        order[-1] = order[0]
+    return c, order
+
+
+def shelling_outcome(check, c, order):
+    """The certificate, or the refusal's type, step and message."""
+    try:
+        return check(c, order)
+    except ShellingError as exc:
+        return "ShellingError", exc.step, str(exc)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+class TestShellingMatchesFrozensets:
+    @settings(deadline=None, max_examples=200)
+    @given(relabelled_orders())
+    def test_same_certificate_or_refusal(self, case):
+        # Ridges as masks over vertex ranks: the same restriction faces as
+        # frozensets of ids, and the same step and text when refused.
+        c, order = case
+        got = shelling_outcome(verify_shelling, c, order)
+        assert got == shelling_outcome(verify_shelling_by_frozensets, c, order)
+
+    def test_negative_ids_refused_with_the_same_text(self):
+        # The octahedron with ids 1..6 sent to -6, -4, ..., 4: the order of
+        # test_failure_names_the_first_bad_intersection fails at step 3.
+        relabel = {x: 2 * x - 8 for x in range(1, 7)}
+        c = SimplicialComplex.from_facets([relabel[x] for x in f] for f in octahedron().facets)
+        first = [{-6, -2, 2}, {-6, -2, 4}, {-4, 0, 2}]
+        order = first + [f for f in c.sorted_facets() if f not in first]
+        got = shelling_outcome(verify_shelling, c, order)
+        assert got == (
+            "ShellingError",
+            3,
+            "shelling condition fails at step 3: facet [-4, 0, 2] meets earlier "
+            "facets in [2], not inside any old ridge",
+        )
+        assert got == shelling_outcome(verify_shelling_by_frozensets, c, order)
 
 
 @st.composite

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -1007,7 +1008,8 @@ class TestStackOverSpecial:
     @given(stacking_cases())
     def test_cone_planes_are_kernel_planes(self, case):
         # Each pencil plane is the primitive kernel plane through its cone's
-        # vertices, and meets the points exactly there.
+        # vertices, and meets the points exactly there: the O(d) check
+        # accepts only cones that the check at all n+1 points accepts.
         cell, toward, closeness = case
         geom = asp_geometry(*cell)
         q = stack_over_special(geom, toward, closeness)
@@ -1016,6 +1018,7 @@ class TestStackOverSpecial:
         for f in cones:
             plane = supporting_hyperplane(q.config.hom, sorted(i - 1 for i in f.vertex_ids))
             assert plane == (f.plane, f.vertex_ids)
+            assert oracles.cone_meets_points_exactly(q.config.hom, f)
 
     @settings(deadline=None, max_examples=40)
     @given(stacking_cases(), st.integers(0, 40))
@@ -1049,6 +1052,86 @@ class TestStackOverSpecial:
                 r = hull._dot(f.plane, he) * hb[0]
                 p = value * he[0] - r
                 assert up * r - (p + r) == hull._dot(f.plane, hy) > 0
+
+    @settings(deadline=None, max_examples=40)
+    @given(stacking_cases())
+    def test_values_at_y_are_handed_over(self, case):
+        # Stacking sets each facet's value at y, a kept facet's from the
+        # beyond check and a cone's as 0: they are its values at y.
+        cell, toward, closeness = case
+        q = stack_over_special(asp_geometry(*cell), toward, closeness)
+        assert "last_values" in vars(q)
+        y = q.config.hom[-1]
+        assert q.last_values == tuple(hull._dot(f.plane, y) for f in q.facets)
+
+    @settings(deadline=None, max_examples=40)
+    @given(stacking_cases(), st.integers(0, 10**6))
+    def test_search_matches_a_fresh_geometry(self, case, seed):
+        # With y the stacked point the search reads the handed values; with
+        # y and v swapped it evaluates at the target.  Either way it gives
+        # what it gives on a fresh geometry, and what the search that
+        # evaluated every first target gives.
+        cell, toward, closeness = case
+        q = stack_over_special(asp_geometry(*cell), toward, closeness)
+        fresh = hull.ASPGeometry(q.config, q.facets, None, None)
+        y, v = q.config.n, toward or 1
+
+        def outcome(search, geom, a, b):
+            try:
+                return search(geom, a, b, seed)
+            except (ShellingSearchError, DegeneracyError) as exc:
+                return type(exc).__name__, str(exc)
+
+        for a, b in ((y, v), (v, y)):
+            got = outcome(constrained_line_shelling, q, a, b)
+            assert got == outcome(constrained_line_shelling, fresh, a, b)
+            assert got == outcome(oracles.constrained_line_shelling_evaluated, q, a, b)
+
+    @pytest.mark.parametrize("cell", [(4, 7, 0), (4, 8, 1), (5, 9, 2)])
+    def test_plane_off_its_ridge_refuses_the_cone(self, cell):
+        # A kept facet G whose stored plane is G + H, for a facet H through
+        # its ridge R with F less one vertex r: the plane is still >= 0 at
+        # every point and beyond-checks as before, but is positive at r.
+        # The cone over R is then positive at r and is refused.
+        geom = asp_geometry(*cell)
+        F = geom.special
+        y = geom.config.n + 1
+        for g in geom.facets:
+            ridge = g.vertex_ids & F.vertex_ids
+            if len(ridge) != geom.d - 1:
+                continue
+            for r in ridge:
+                h = next(
+                    f for f in geom.facets
+                    if f is not F and f is not g and ridge - {r} <= f.vertex_ids
+                )
+                assert r not in h.vertex_ids
+                bent = replace(g, plane=tuple(a + b for a, b in zip(g.plane, h.plane)))
+                facets = tuple(bent if f is g else f for f in geom.facets)
+                message = f"cone from {y} over ridge {sorted(ridge)} is not a facet"
+                with pytest.raises(DegeneracyError, match=re.escape(message)):
+                    stack_over_special(replace(geom, facets=facets))
+
+    @pytest.mark.parametrize("cell", [(3, 6, 0), (4, 7, 0), (4, 8, 1), (5, 9, 2)])
+    def test_special_plane_off_its_pencil_refuses_the_first_cone(self, cell):
+        # The special facet's stored plane replaced by -w_F - c*w_G for the
+        # first kept facet G on a ridge R of F, with c large enough that
+        # it stays negative at y.  It still vanishes on R, so the pencil
+        # plane is 0 there, but it is the negated cone plane: negative at
+        # G's vertex off R.  That check refuses G's cone first; the other
+        # cones would fail on their ridges.
+        geom = asp_geometry(*cell)
+        F = geom.special
+        y = stack_over_special(geom).config.hom[-1]
+        g = next(f for f in geom.facets if len(f.vertex_ids & F.vertex_ids) == geom.d - 1)
+        c = -hull._dot(F.plane, y) // hull._dot(g.plane, y) + 1
+        bent = replace(F, plane=tuple(-a - c * b for a, b in zip(F.plane, g.plane)))
+        facets = tuple(bent if f is F else f for f in geom.facets)
+        tampered = replace(geom, special=bent, facets=facets)
+        ridge = sorted(g.vertex_ids & F.vertex_ids)
+        message = f"cone from {cell[1] + 1} over ridge {ridge} is not a facet"
+        with pytest.raises(DegeneracyError, match=re.escape(message)):
+            stack_over_special(tampered)
 
     def test_explicit_cap(self):
         geom = asp_geometry(4, 8, 2)
