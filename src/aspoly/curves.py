@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .enumerative import ASPParams
 from .errors import DomainError, ShapeError
@@ -30,13 +30,20 @@ class PointConfig:
     def __post_init__(self):
         seen = set()
         for pid, h in enumerate(self.hom, start=1):
-            if len(h) != self.d + 1:
-                raise ShapeError(f"point {pid} has {len(h) - 1} coordinates, not {self.d}")
-            if h[0] <= 0 or math.gcd(*h) != 1:
-                raise ShapeError(f"point {pid} is not a primitive integer (w, w*x) with w > 0")
-            if h in seen:
-                raise ShapeError(f"point {pid} duplicates an earlier point")
+            _check_point(self.d, pid, h, seen)
             seen.add(h)
+
+    def with_point(self, h: tuple[int, ...]) -> PointConfig:
+        """This configuration with h appended as point n+1, validating h alone.
+
+        The points already held passed the constructor's checks, so h
+        meets the same ones, with the same refusals, against them.
+        """
+        _check_point(self.d, self.n + 1, h, self.hom)
+        config = object.__new__(PointConfig)
+        object.__setattr__(config, "d", self.d)
+        object.__setattr__(config, "hom", (*self.hom, h))
+        return config
 
     @classmethod
     def from_rationals(cls, d: int, rows: Iterable[Sequence[Fraction | int]]) -> PointConfig:
@@ -59,6 +66,16 @@ class PointConfig:
                 for pid, (w, *x) in enumerate(self.hom, start=1)
             ],
         }
+
+
+def _check_point(d: int, pid: int, h: tuple[int, ...], earlier: Container) -> None:
+    """Refuse point pid unless it is a primitive (w, w*x), w > 0, in R^d and not in earlier."""
+    if len(h) != d + 1:
+        raise ShapeError(f"point {pid} has {len(h) - 1} coordinates, not {d}")
+    if h[0] <= 0 or math.gcd(*h) != 1:
+        raise ShapeError(f"point {pid} is not a primitive integer (w, w*x) with w > 0")
+    if h in earlier:
+        raise ShapeError(f"point {pid} duplicates an earlier point")
 
 
 def p_eval(t: int, params: ASPParams) -> int:

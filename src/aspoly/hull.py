@@ -28,11 +28,15 @@ combination of two old ones through a ridge of the special facet, and
 that pencil certifies it at the d points of the old facet.  Points,
 centroids, y and line targets are integer homogeneous vectors; the
 points are read as PointConfig holds them, with no conversion.  A
-geometry computes its centroid and every facet's value there once.  A
-key-lemma rung evaluates each kept facet once, at the exit point, the
+geometry computes its centroid and every facet's value there once, and
+once its stacking frame: each ridge of the special facet with the facet
+across it, and each kept facet's value at the special facet's vertex
+centroid and, from the first rung that pulls toward one, at each of its
+vertices.  A key-lemma rung reads each kept facet's value at the exit
+point off the frame by linearity, two products per facet, evaluates the
 special facet once, at y, and each cone at the d points of its old
-facet; stacking takes every value at the centroid and at y from these by
-linearity and hands them to the stacked geometry.  Shelling orders are
+facet; stacking takes every value at the centroid and at y by linearity
+too and hands them to the stacked geometry.  Shelling orders are
 produced geometrically.  The constrained search shoots one line, through
 y symbolically perturbed toward v, and ranks the facets by their exact
 keys lexicographically, reading the values at y as handed and evaluating
@@ -139,6 +143,11 @@ class ASPGeometry:
     def last_values(self) -> tuple[int, ...]:
         """Per facet, its value at the last point (y, after stacking), computed once."""
         return tuple(_dot(f.plane, self.config.hom[-1]) for f in self.facets)
+
+    @cached_property
+    def stacking_frame(self) -> _StackingFrame:
+        """What stack_over_special reads off this geometry alone, formed once."""
+        return _StackingFrame(self)
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)
@@ -542,7 +551,9 @@ class _LinesFrom:
     with another facet at the earlier ones, and on those parallel at every
     earlier one.  r = 1 at every target (C*b0 = A*t0: a parallel
     hyperplane) or two equal tuples (two hyperplanes met at one point) is
-    a degeneracy.  Orders are not verified here.
+    a degeneracy.  A parallel facet has C/A = t0/b0, so its first key is
+    floor(t0 * 2^s / b0), and only facets with that key are tested for
+    one.  Orders are not verified here.
     """
 
     def __init__(self, geom: ASPGeometry) -> None:
@@ -563,7 +574,9 @@ class _LinesFrom:
         rows, values, b0, shift = self.rows, self.values, self.b0, self.shift
         at = _dots(first, rows) if first_values is None else first_values
         keys = [((c << shift) // a,) for c, a in zip(at, values)]
-        flat = [i for i, (c, a) in enumerate(zip(at, values)) if c * b0 == a * first[0]]
+        t0 = first[0]
+        level = ((t0 << shift) // b0,)
+        flat = [i for i, k in enumerate(keys) if k == level and at[i] * b0 == values[i] * t0]
         tied = _tied(keys, range(len(keys)))
         for t in later:
             if not (tied or flat):
@@ -645,7 +658,8 @@ def constrained_line_shelling(
     hom = geom.config.hom
     if not (1 <= y_id <= len(hom) and 1 <= v_id <= len(hom)) or y_id == v_id:
         raise DomainError("y and v must be two distinct vertex ids")
-    if not any({y_id, v_id} <= f.vertex_ids for f in geom.facets):
+    edge = {y_id, v_id}
+    if not any(edge <= f.vertex_ids for f in geom.facets):
         raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
     others = [h for pid, h in enumerate(hom, 1) if pid not in (y_id, v_id)]
     rng = random.Random(seed)
@@ -678,6 +692,58 @@ def key_lemma_rung(
         return None
 
 
+class _StackingFrame:
+    """What stack_over_special reads off a geometry alone, formed once per geometry.
+
+    facets and values are the kept facets (all but the special facet F)
+    and their centroid values, in geometry order; special_value is F's
+    centroid value.  he0 is F's vertex centroid, as _mean builds it, and
+    exit_values the kept facets' values there; at_vertex(v) gives their
+    values at F's vertex v, formed the first time a rung pulls toward v.
+    cones holds, per ridge R of F, the index of the kept facet G that
+    meets F in R, sorted R, R's points, G's points off R, and the cone's
+    vertex set R + y, y = n+1.  order is the permutation of the kept
+    facets followed by the cones that sorts them by their sorted vertex
+    ids, the stacked hull's facet order.
+    """
+
+    def __init__(self, geom: ASPGeometry) -> None:
+        special, hom = geom.special, geom.config.hom
+        kept = [
+            (key, f, b)
+            for key, f, b in zip(geom.facet_keys, geom.facets, geom.centroid_values)
+            if f is not special
+        ]
+        keys = [key for key, _, _ in kept]
+        self.facets = [f for _, f, _ in kept]
+        self.values = [b for _, _, b in kept]
+        self.special_value = next(
+            b for f, b in zip(geom.facets, geom.centroid_values) if f is special
+        )
+        self.simplicial = all(f.is_simplex() for f in self.facets)
+        self.he0 = _mean([hom[v - 1] for v in special.vertex_ids], [1] * len(special.vertex_ids))
+        self.exit_values = [_dot(f.plane, self.he0) for f in self.facets]
+        y_id = geom.config.n + 1
+        self.cones = []
+        for i, g in enumerate(self.facets):
+            ridge = g.vertex_ids & special.vertex_ids
+            if len(ridge) == geom.d - 1:
+                on = [hom[v - 1] for v in ridge]
+                off = [hom[v - 1] for v in g.vertex_ids - ridge]
+                self.cones.append((i, sorted(ridge), on, off, ridge | {y_id}))
+                keys.append((*sorted(ridge), y_id))
+        self.order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._hom = hom
+        self._at_vertex: dict[int, list[int]] = {}
+
+    def at_vertex(self, v: int) -> list[int]:
+        values = self._at_vertex.get(v)
+        if values is None:
+            h = self._hom[v - 1]
+            values = self._at_vertex[v] = [_dot(f.plane, h) for f in self.facets]
+        return values
+
+
 def stack_over_special(
     geom: ASPGeometry,
     toward: int | None = None,
@@ -701,7 +767,8 @@ def stack_over_special(
     then bring y toward F, since shrinking preserves all the conditions,
     and each facet's value at y is checked exactly.  The centroid, the
     exit point and y are integer vectors positively proportional to
-    (1, point); y joins the configuration as its primitive vector.
+    (1, point); y joins the configuration as its primitive vector, and
+    only y is validated as a point.
 
     By the beneath-beyond theorem the new hull is simplicial and its
     facets are the old simplex facets, hyperplanes unchanged, plus the
@@ -721,36 +788,44 @@ def stack_over_special(
     on its ridge with F fails here.  A `cap` bounds the extended point
     count as enumerate_facets does.
 
-    A rung evaluates each kept facet once, at the exit point, F once, at
-    y, and each cone at the d vertices of its G; the rest follows by
-    linearity.  A kept facet's centroid value is the geometry's own, and
-    its value at y, like F's, is its value at the unreduced y over that
-    vector's gcd; a cone is 0 at y, so its centroid value follows from F's
-    and G's by the pencil.  The stacked geometry comes with its centroid,
-    centroid values and values at y (last_values) set, so its line
+    What depends on the geometry alone is its stacking_frame, formed once:
+    the kept facets' values at F's vertex centroid he0 and, per vertex v
+    of F that a rung pulls toward, at v, and each ridge of F with its G.
+    With `toward` the exit point is _mean([he0, v], [1, 2^closeness - 1]),
+    that is c0*he0 + c1*v, so a kept facet's value there is c0*E0 + c1*Ev:
+    two products per facet (without it the exit point is he0), and F is
+    evaluated once, at y.  Each cone is
+    evaluated at the d vertices of its G; the rest follows by linearity.
+    A kept facet's centroid value is the geometry's own, and its value at
+    y, like F's, is its value at the unreduced y over that vector's gcd; a
+    cone is 0 at y, so its centroid value follows from F's and G's by the
+    pencil.  The stacked geometry comes with its centroid, centroid values,
+    values at y (last_values) and simpliciality set, so its line
     shellings evaluate no facet at the centroid or at y again.
     """
     special = geom.special
     if special is None:
         raise DomainError("geometry has no designated special facet to stack over")
-    hom = geom.config.hom
-    hb = geom.centroid
-    he = _mean([hom[v - 1] for v in special.vertex_ids], [1] * len(special.vertex_ids))
+    if toward is not None and toward not in special.vertex_ids:
+        raise DomainError(f"vertex {toward} is not on the chosen facet")
+    frame = geom.stacking_frame
+    hom, hb = geom.config.hom, geom.centroid
+    he, at_exit = frame.he0, frame.exit_values
     if toward is not None:
-        if toward not in special.vertex_ids:
-            raise DomainError(f"vertex {toward} is not on the chosen facet")
-        he = _mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
-    kept = zip(geom.facet_keys, geom.facets, geom.centroid_values)
-    kept = [(key, f, b) for key, f, b in kept if f is not special]
-    bf = next(b for f, b in zip(geom.facets, geom.centroid_values) if f is special)
+        # he = _mean([he0, v], [1, 2^closeness - 1]) = c0*he0 + c1*v.
+        hv = hom[toward - 1]
+        both = math.lcm(he[0], hv[0])
+        c0, c1 = both // he[0], ((1 << closeness) - 1) * (both // hv[0])
+        he = [c0 * a + c1 * b for a, b in zip(he, hv)]
+        at_exit = [c0 * e + c1 * x for e, x in zip(at_exit, frame.at_vertex(toward))]
     # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
     # with E and B its values at the exit point and the centroid: positive
     # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
     # reads 2^k * r > p below.
     halvings = 0
     steps = []
-    for _, f, b in kept:
-        r = _dot(f.plane, he) * hb[0]
+    for e, b in zip(at_exit, frame.values):
+        r = e * hb[0]
         p = b * he[0] - r
         if r <= 0:
             raise DegeneracyError(
@@ -774,8 +849,7 @@ def stack_over_special(
     hy = tuple(c // k for c in hy)
     af //= k
     at_y = [a // k for a in at_y]
-    hom = (*hom, hy)
-    config = PointConfig(geom.d, hom)
+    config = geom.config.with_point(hy)
     # The stacked centroid vector, as _mean would build it: with scale the
     # lcm of the old first coordinates (hb[0] = n * scale), it is
     # lcm(scale, y0)/scale * hb + lcm(scale, y0)/y0 * y.
@@ -783,31 +857,27 @@ def stack_over_special(
     both = math.lcm(scale, hy[0])
     mb, my = both // scale, both // hy[0]
     hc = tuple(mb * b + my * c for b, c in zip(hb, hy))
-    facets = [(key, f, mb * b + my * ag, ag) for (key, f, b), ag in zip(kept, at_y)]
-    for (_, g, b), ag in zip(kept, at_y):
-        ridge = g.vertex_ids & special.vertex_ids
-        if len(ridge) != geom.d - 1:
-            continue
+    facets = [(f, mb * b + my * ag, ag) for f, b, ag in zip(frame.facets, frame.values, at_y)]
+    bf = frame.special_value
+    for i, ridge, on, off, ids in frame.cones:
+        g, b, ag = frame.facets[i], frame.values[i], at_y[i]
         pencil = [ag * a - af * c for a, c in zip(special.plane, g.plane)]
         kw = math.gcd(*pencil)
         w = tuple(c // kw for c in pencil)
-        (x,) = g.vertex_ids - ridge
-        if any(_dot(w, hom[i - 1]) for i in ridge) or _dot(w, hom[x - 1]) <= 0:
+        (hx,) = off
+        if any(_dot(w, h) for h in on) or _dot(w, hx) <= 0:
             raise DegeneracyError(
-                f"cone from {y_id} over ridge {sorted(ridge)} "
-                "is not a facet of the stacked hull"
+                f"cone from {y_id} over ridge {ridge} is not a facet of the stacked hull"
             )
-        cone = FacetDescriptor(ridge | {y_id}, w)
-        facets.append(((*sorted(ridge), y_id), cone, mb * ((ag * bf - af * b) // kw), 0))
-    # The kept facets are in _facet_order already (geom.facet_keys), and the
-    # sort merges the cones into them; vertex sets differ, so no keys tie.
-    facets.sort()
-    stacked = ASPGeometry(config, tuple(f for _, f, _, _ in facets), None, None)
+        facets.append((FacetDescriptor(ids, w), mb * ((ag * bf - af * b) // kw), 0))
+    facets = [facets[i] for i in frame.order]
+    stacked = ASPGeometry(config, tuple(f for f, _, _ in facets), None, None)
     # The cached properties, as a fresh geometry would compute them.
     vars(stacked).update(
         centroid=hc,
-        centroid_values=tuple(c for _, _, c, _ in facets),
-        last_values=tuple(a for _, _, _, a in facets),
+        centroid_values=tuple(c for _, c, _ in facets),
+        last_values=tuple(a for _, _, a in facets),
+        is_simplicial=frame.simplicial,
     )
     return stacked
 

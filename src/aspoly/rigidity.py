@@ -7,11 +7,15 @@ a hit proves the generic statement, a miss proves nothing.
 
 The rank of one integer rigidity matrix is decided exactly, most often
 without eliminating the matrix at all.  It never exceeds the number of
-edges E, and when the embedded points affinely span R^d the
-infinitesimal isometries form a kernel of dimension C(d+1, 2), so it
-never exceeds d*n - C(d+1, 2) either.  A lower bound that meets the least
-of these proven upper bounds is the exact rank.  Two lower bounds are
-tried, the cheap one first:
+edges E.  The matrix of any graph on n vertices is a row subset of the
+matrix of K_n at the same embedding, and no embedding's rank exceeds the
+generic one (Asimow-Roth: the generic rank is the maximum over all
+embeddings); for n >= d the generic rank of K_n is d*n - C(d+1, 2), so
+the rank never exceeds that either, whether or not the points span R^d.
+For n < d that number is below K_n's generic rank C(n, 2), and E alone
+bounds.  A lower bound that meets the least of these proven upper bounds
+is the exact rank, so no rank of the embedding itself is computed.  Two
+lower bounds are tried, the cheap one first:
 
 - A trilateration certificate (Tay-Whiteley's Henneberg orders).  Order
   the vertices v1 ... vn, group the edge rows by their later endpoint
@@ -180,7 +184,7 @@ def _rigidity_rank(g: Graph, embedding: Mapping[int, Sequence[int]]) -> int:
     if not g.edges:
         return 0
     bound = g.n_edges
-    if int_rank([[1, *embedding[v]] for v in g.vertices]) == d + 1:
+    if g.n_vertices >= d:
         bound = min(bound, rigid_rank_target(d, g.n_vertices))
     if _trilateration_rank(g, embedding) == bound:
         return bound

@@ -8,7 +8,8 @@ shelling check that intersects every pair of facets and one that holds
 ridges as frozensets of vertex ids, key-lemma defects from running face
 counts, hyperplanes from a kernel solve, a point's integer homogeneous
 vector from its rational coordinates, a point placed beyond any one
-facet, the stacked cone checked at every point, the constrained search
+facet, stacking that evaluated every kept facet at the exit point on
+every rung, the stacked cone checked at every point, the constrained search
 evaluating every facet at y, line orders that evaluate every target on
 every facet, stacking constructions that sort the facets and rebuild the
 complex at every move, refined cells masked from the prime factors as
@@ -69,6 +70,7 @@ from aspoly.exactnum import _echelon, int_nullspace, rank_mod_p
 from aspoly.hull import (
     ASPGeometry,
     FacetDescriptor,
+    _check_cap,
     _dot,
     _dots,
     _LinesFrom,
@@ -736,6 +738,102 @@ def point_beyond(
     if _dot(facet.plane, hy) >= 0 or any(_dot(f.plane, hy) <= 0 for f in others):
         raise DegeneracyError("beyond point fails the beyond conditions")
     return tuple(Fraction(c, hy[0]) for c in hy[1:])
+
+
+def stack_over_special_by_dots(
+    geom: ASPGeometry,
+    toward: int | None = None,
+    closeness: int = 2,
+    cap: int | None = None,
+) -> ASPGeometry:
+    """stack_over_special as it evaluated every kept facet at the exit point per rung.
+
+    Each call found the cone partners by intersecting every kept facet
+    with F, built the exit point by _mean, took one dot product per kept
+    facet there, and re-validated every point when y joined.  The library
+    reads these from the geometry's stacking frame by linearity; the
+    stacked geometry and every refusal must not change.
+    """
+    special = geom.special
+    if special is None:
+        raise DomainError("geometry has no designated special facet to stack over")
+    hom = geom.config.hom
+    hb = geom.centroid
+    he = _mean([hom[v - 1] for v in special.vertex_ids], [1] * len(special.vertex_ids))
+    if toward is not None:
+        if toward not in special.vertex_ids:
+            raise DomainError(f"vertex {toward} is not on the chosen facet")
+        he = _mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
+    kept = zip(geom.facet_keys, geom.facets, geom.centroid_values)
+    kept = [(key, f, b) for key, f, b in kept if f is not special]
+    bf = next(b for f, b in zip(geom.facets, geom.centroid_values) if f is special)
+    # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
+    # with E and B its values at the exit point and the centroid: positive
+    # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
+    # reads 2^k * r > p below.
+    halvings = 0
+    steps = []
+    for _, f, b in kept:
+        r = _dot(f.plane, he) * hb[0]
+        p = b * he[0] - r
+        if r <= 0:
+            raise DegeneracyError(
+                "no number of halvings of the step gives a beyond point; "
+                "another facet hyperplane passes through or cuts off the exit point"
+            )
+        steps.append((r, p))
+        halvings = max(halvings, (max(p, 0) // r).bit_length())
+    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0]; a kept
+    # facet's value there is up * hb[0] * E - he[0] * B = up * r - (p + r).
+    up = (1 << (halvings + closeness)) + 1
+    hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
+    af = _dot(special.plane, hy)
+    at_y = [up * r - (p + r) for r, p in steps]
+    if af >= 0 or min(at_y) <= 0:
+        raise DegeneracyError("beyond point fails the beyond conditions")
+    y_id = geom.config.n + 1
+    _check_cap(y_id, cap)
+    # y as its primitive vector, and F's and the kept facets' values there.
+    k = math.gcd(*hy)
+    hy = tuple(c // k for c in hy)
+    af //= k
+    at_y = [a // k for a in at_y]
+    hom = (*hom, hy)
+    config = PointConfig(geom.d, hom)
+    # The stacked centroid vector, as _mean would build it: with scale the
+    # lcm of the old first coordinates (hb[0] = n * scale), it is
+    # lcm(scale, y0)/scale * hb + lcm(scale, y0)/y0 * y.
+    scale = hb[0] // geom.config.n
+    both = math.lcm(scale, hy[0])
+    mb, my = both // scale, both // hy[0]
+    hc = tuple(mb * b + my * c for b, c in zip(hb, hy))
+    facets = [(key, f, mb * b + my * ag, ag) for (key, f, b), ag in zip(kept, at_y)]
+    for (_, g, b), ag in zip(kept, at_y):
+        ridge = g.vertex_ids & special.vertex_ids
+        if len(ridge) != geom.d - 1:
+            continue
+        pencil = [ag * a - af * c for a, c in zip(special.plane, g.plane)]
+        kw = math.gcd(*pencil)
+        w = tuple(c // kw for c in pencil)
+        (x,) = g.vertex_ids - ridge
+        if any(_dot(w, hom[i - 1]) for i in ridge) or _dot(w, hom[x - 1]) <= 0:
+            raise DegeneracyError(
+                f"cone from {y_id} over ridge {sorted(ridge)} "
+                "is not a facet of the stacked hull"
+            )
+        cone = FacetDescriptor(ridge | {y_id}, w)
+        facets.append(((*sorted(ridge), y_id), cone, mb * ((ag * bf - af * b) // kw), 0))
+    # The kept facets are in _facet_order already (geom.facet_keys), and the
+    # sort merges the cones into them; vertex sets differ, so no keys tie.
+    facets.sort()
+    stacked = ASPGeometry(config, tuple(f for _, f, _, _ in facets), None, None)
+    # The cached properties, as a fresh geometry would compute them.
+    vars(stacked).update(
+        centroid=hc,
+        centroid_values=tuple(c for _, _, c, _ in facets),
+        last_values=tuple(a for _, _, _, a in facets),
+    )
+    return stacked
 
 
 def extend_config(config: PointConfig, coords: Sequence[Fraction]) -> PointConfig:

@@ -178,6 +178,27 @@ class TestPointConfigValidation:
             PointConfig(2, hom)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "h",
+        [(1, 2), (1, 0, 0, 0), (0, 1, 2), (-1, 1, 2), (2, 2, 4), (1, 0, 0), (3, 1, 1), (1, 5, 7)],
+        ids=["short", "long", "zero-w", "negative-w", "not-primitive", "dup-first", "dup-last", "new"],
+    )
+    def test_one_point_step_refuses_as_the_constructor(self, h):
+        # with_point validates the new point alone: the same refusal, with
+        # the same text, as building the whole configuration, or the same
+        # configuration.
+        config = PointConfig(2, ((1, 0, 0), (1, 1, 0), (3, 1, 1)))
+
+        def outcome(build):
+            try:
+                return build()
+            except ShapeError as exc:
+                return str(exc)
+
+        got = outcome(lambda: config.with_point(h))
+        assert got == outcome(lambda: PointConfig(2, (*config.hom, h)))
+        assert isinstance(got, str) == (h != (1, 5, 7))
+
     @settings(deadline=None, max_examples=100)
     @given(rational_rows(10**12))
     def test_from_rationals_matches_oracle(self, case):

@@ -1133,6 +1133,90 @@ class TestStackOverSpecial:
         with pytest.raises(DegeneracyError, match=re.escape(message)):
             stack_over_special(tampered)
 
+    @settings(deadline=None, max_examples=100)
+    @given(stacking_cases(), st.data())
+    def test_matches_the_per_rung_oracle(self, case, data):
+        # Two rungs on one geometry, so the second reads the frame the first
+        # formed, each equal to the per-rung body: the same stacked geometry
+        # and handed-over values, or the same refusal and text.  The
+        # geometry is the cell as enumerated, or a kept facet's plane bent
+        # off its ridge with F, or F with a twin, or no special facet; the
+        # rungs pull toward nothing or any id (ids off F are refused), at
+        # closeness 0..40, with a cap at, above or without n + 1.
+        cell, _, _ = case
+        geom = asp_geometry(*cell)
+        n, F = cell[1], geom.special
+        variants = ["as enumerated"] * 3 + ["bent", "twin", "no special"]
+        variant = data.draw(st.sampled_from(variants))
+        if variant == "bent":
+            g = data.draw(
+                st.sampled_from([f for f in geom.facets if len(f.vertex_ids & F.vertex_ids) == geom.d - 1])
+            )
+            ridge = g.vertex_ids & F.vertex_ids
+            r = data.draw(st.sampled_from(sorted(ridge)))
+            h = next(
+                f for f in geom.facets if f is not F and f is not g and ridge - {r} <= f.vertex_ids
+            )
+            bent = replace(g, plane=tuple(a + b for a, b in zip(g.plane, h.plane)))
+            geom = replace(geom, facets=tuple(bent if f is g else f for f in geom.facets))
+        elif variant == "twin":
+            geom = replace(geom, facets=geom.facets + (replace(F),))
+        elif variant == "no special":
+            geom = hull.ASPGeometry(geom.config, geom.facets, None, None)
+
+        def outcome(stack, *args):
+            try:
+                q = stack(geom, *args)
+            except (DomainError, DegeneracyError, CapExceededError) as exc:
+                return type(exc), str(exc)
+            return (
+                q.facets, q.config.hom, q.centroid, q.centroid_values, q.last_values,
+                q.is_simplicial, q.special, q.ball,
+            )
+
+        for _ in range(2):
+            on_f = st.sampled_from([None, *sorted(F.vertex_ids)])
+            toward = data.draw(st.one_of(on_f, st.integers(1, n)))
+            cap = data.draw(st.sampled_from([None, None, n, n + 1]))
+            args = (toward, data.draw(st.integers(0, 40)), cap)
+            assert outcome(stack_over_special, *args) == outcome(
+                oracles.stack_over_special_by_dots, *args
+            )
+
+    def test_frame_is_formed_once(self, monkeypatch):
+        # A rung without `toward` forms no vertex values; later rungs reuse
+        # the geometry's frame and form each vertex's values once.  A rung
+        # on a formed frame evaluates F once, at y, and each cone at d
+        # points, and no kept facet at all.
+        formed = []
+        form = hull._StackingFrame.__init__
+
+        def counted(frame, geom):
+            formed.append(geom)
+            form(frame, geom)
+
+        monkeypatch.setattr(hull._StackingFrame, "__init__", counted)
+        geom = asp_geometry(4, 8, 2)
+        stack_over_special(geom)
+        frame = geom.stacking_frame
+        assert formed == [geom] and frame._at_vertex == {}
+        stack_over_special(geom, toward=1, closeness=12)
+        at_1 = frame._at_vertex[1]
+        dots = []
+        dot = hull._dot
+
+        def counted_dot(u, v):
+            dots.append(u)
+            return dot(u, v)
+
+        monkeypatch.setattr(hull, "_dot", counted_dot)
+        for toward, closeness in ((1, 40), (None, 0), (1, 0)):
+            dots.clear()
+            stack_over_special(geom, toward=toward, closeness=closeness)
+            assert len(dots) == 1 + geom.d * len(frame.cones)
+        assert formed == [geom] and list(frame._at_vertex) == [1]
+        assert frame._at_vertex[1] is at_1
+
     def test_explicit_cap(self):
         geom = asp_geometry(4, 8, 2)
         with pytest.raises(CapExceededError):
@@ -1441,6 +1525,44 @@ class TestLexicographicOrder:
         # is left: the same order, or the same DegeneracyError message.
         geom = planes_geometry(planes)
         same_order(_LinesFrom(geom), EagerLines(geom), targets)
+
+    @settings(deadline=None, max_examples=150)
+    @given(TIED_PLANES, TIED_TARGETS, st.booleans(), st.data())
+    def test_lazy_matches_eager_with_parallel_targets(self, planes, targets, every, data):
+        # The line toward (t0, k*a2, -k*a1) from the origin is parallel to
+        # the facet off + a.x >= 0: at the first target only, the later
+        # targets as drawn, or at every target.
+        geom = planes_geometry(planes)
+        _, a1, a2 = data.draw(st.sampled_from(planes))
+
+        def parallel(t0, k, _):
+            return (t0, k * a2, -k * a1)
+
+        targets = [parallel(*t) for t in targets] if every else [parallel(*targets[0]), *targets[1:]]
+        same_order(_LinesFrom(geom), EagerLines(geom), targets)
+
+    @settings(deadline=None, max_examples=40)
+    @given(stacking_cases(), st.booleans(), st.data())
+    def test_lazy_matches_eager_parallel_on_stacked_hulls(self, case, every, data):
+        # Targets centroid + (0, delta), delta in a facet's hyperplane
+        # direction, so the line runs parallel to that facet, with
+        # big-integer keys: at the first target only, or at every target.
+        cell, toward, closeness = case
+        q = stack_over_special(asp_geometry(*cell), toward=toward, closeness=closeness)
+        normal = data.draw(st.sampled_from(q.facets)).plane[1:]
+        hb = q.centroid
+
+        def parallel():
+            i, j = data.draw(st.lists(st.integers(0, q.d - 1), min_size=2, max_size=2, unique=True))
+            k = data.draw(st.integers(1, 5))
+            delta = [0] * q.d
+            delta[i], delta[j] = k * normal[j], -k * normal[i]
+            return [hb[0], *(b + x for b, x in zip(hb[1:], delta))]
+
+        count = data.draw(st.integers(1, 3))
+        later = [parallel() if every else data.draw(st.sampled_from(q.config.hom)) for _ in range(count - 1)]
+        fresh = hull.ASPGeometry(q.config, q.facets, None, None)
+        same_order(_LinesFrom(q), EagerLines(fresh), [parallel(), *later])
 
     @settings(deadline=None, max_examples=40)
     @given(constrained_cases(), st.integers(1, 3))

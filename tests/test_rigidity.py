@@ -129,10 +129,10 @@ def cross_polytope_graph(d):
 
 
 def proven_bound(g, emb):
-    """The upper bound the rank certificates must meet: E, or the rigid rank if the points span."""
+    """The upper bound the rank certificates must meet: E, and the rigid rank if n >= d."""
     d = len(next(iter(emb.values())))
     bound = g.n_edges
-    if int_rank([[1, *emb[v]] for v in g.vertices]) == d + 1:
+    if g.n_vertices >= d:
         bound = min(bound, rigid_rank_target(d, g.n_vertices))
     return bound
 
@@ -311,6 +311,10 @@ class TestRankCertificate:
         emb = {1: [0, 0, 0, 0], 2: [1, 2, 0, 5], 3: [7, 1, 3, 0]}
         assert rigid_rank_target(4, 3) == 2
         assert _rigidity_rank(TRIANGLE, emb) == 3
+        # Nor here, where the rank mod p is 2 and would meet it.
+        scaled = {1: [0, 0, 0, 0], 2: [1, 0, 0, 0], 3: [0, MERSENNE_61, 0, 0]}
+        assert rank_mod_p(_edge_rows(TRIANGLE, scaled)) == 2
+        assert _rigidity_rank(TRIANGLE, scaled) == 3
         collinear = {v: [v, 2 * v, 3 * v] for v in range(1, 5)}
         assert _rigidity_rank(K4, collinear) == 3 == int_rank(_edge_rows(K4, collinear))
 
@@ -350,9 +354,11 @@ class TestTrilaterationCertificate:
     def test_sum_is_a_lower_bound_exact_when_accepted(self, g, d, bound, data):
         coords = st.integers(-bound, bound)
         emb = {v: data.draw(st.lists(coords, min_size=d, max_size=d)) for v in g.sorted_vertices()}
+        # Small coordinates make flat embeddings, where the rigid rank
+        # bounds too: no embedding's rank exceeds the generic rank of K_n.
         exact = int_rank(_edge_rows(g, emb)) if g.n_edges else 0
         total = _trilateration_rank(g, emb)
-        assert total <= exact
+        assert total <= exact <= proven_bound(g, emb)
         if g.n_edges and total == proven_bound(g, emb):
             assert total == exact
 
