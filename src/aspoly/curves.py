@@ -1,9 +1,11 @@
 """Exact point configurations on the modified moment curve.
 
 The curve behind the face-maximizing family, (t, t^2, ..., t^(d-1), p(t)),
-keeps the first d-1 moment coordinates and replaces the last one by a
-polynomial-with-power factor p that vanishes on a prescribed prefix of
-the parameter grid, forcing those points into a common hyperplane.  A
+keeps the first d-1 moment coordinates and replaces the last one by the
+rising factorial p(t) = t(t+1)...(t+d+s-1), which vanishes on a
+prescribed prefix of the parameter grid, forcing those points into a
+common hyperplane.  No coordinate depends on n, so the n-point
+configuration is the first n points of one sequence per (d, s).  A
 point is held only as its primitive integer vector (w, w*x), w > 0, the
 form aspoly.hull's sign decisions run on; rationals appear only in JSON.
 """
@@ -79,23 +81,49 @@ def _check_point(d: int, pid: int, h: tuple[int, ...], earlier: Container) -> No
 
 
 def p_eval(t: int, params: ASPParams) -> int:
-    """Last-coordinate polynomial: (n-1)^((t-1)(d-1)) * t(t+1)...(t+d+s-1).
+    """Last coordinate of the curve: the rising factorial f(t) = t(t+1)...(t+m-1), m = d+s.
 
-    An integer on the curve's grid: zero exactly for t in {-(d+s-1), ..., 0},
-    where the power's exponent is negative, and positive for t >= 1.  Below
-    the grid the value is not an integer, so such t are refused.  The power
-    factor grows the tail fast enough that late points see the earlier ones
-    as nearly flat.
+    Zero exactly for t in {1-m, ..., 0}, the first m grid points, and
+    positive for t >= 1.  It does not depend on n.
+
+    Why the hull is the almost-cyclic family.  A forward difference of a
+    rising factorial is a shorter one, Delta f(t) = f(t+1) - f(t) =
+    m(t+1)(t+2)...(t+m-1) (finite calculus: Graham, Knuth, Patashnik,
+    Concrete Mathematics, 2.6), so
+
+        Delta^d f(t) = m(m-1)...(m-d+1) * (t+d)(t+d+1)...(t+d+s-1).
+
+    For t >= 1-m the s factors are consecutive integers from t+d >= 1-s,
+    so the product is >= 0, and > 0 exactly when t+d >= 1 (s = 0 leaves
+    the positive constant d!).  A d-th divided difference on integer knots
+    t_0 < ... < t_d is a combination of Delta^d f(k), k = t_0..t_d-d, with
+    discrete B-spline weights, all positive (Schumaker, Spline Functions:
+    Basic Theory, 8.5).  So it is >= 0 on the grid, and 0 exactly when
+    every knot is a root: t_d - d <= -d.  The determinant of d+1 curve
+    points (1, t, ..., t^(d-1), f(t)) in ascending t is their Vandermonde
+    product times that divided difference, so every orientation of the
+    grid's points has one sign, zero exactly on subsets of the roots.  By
+    Sturmfels' criterion ("Cyclic polytopes and d-order curves", 1987) the
+    facets are then those of the cyclic polytope, Gale's evenness
+    condition (Gale 1963), with the roots spanning the one non-simplex
+    facet: gale.almost_cyclic_facets.  Nothing downstream rests on this
+    argument: construct gift-wraps the points exactly, the loader
+    certifies every stored hull, and the acceptance gate compares the
+    hull with Gale's family.
+
+    Below the grid, t < 1-m, the s factors are all negative and
+    Delta^d f(t) has the sign (-1)^s; points there would break the one
+    sign, so such t are refused.
     """
     if not isinstance(t, int):
         raise DomainError("only integer curve parameters are supported")
-    d, n, s = params.d, params.n, params.s
+    d, s = params.d, params.s
     if t < 1 - d - s:
         raise DomainError(f"curve parameters start at {1 - d - s}, got {t}")
     prod = 1
     for j in range(d + s):
         prod *= t + j
-    return (n - 1) ** max(0, (t - 1) * (d - 1)) * prod
+    return prod
 
 
 def curve_parameters(params: ASPParams) -> tuple[int, ...]:

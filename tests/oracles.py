@@ -16,9 +16,10 @@ complex at every move, refined cells masked from the prime factors as
 complexes, trilateration blocks ranked modulo 2^61 - 1, the gift-wrap
 that carried every facet's values at all points with facets and ridges
 as frozensets, and the Bareiss echelon form that found its pivots by
-generators.  The frozenset cells, their indexed missing-simplex search
-and their decomposition are the library's code before it moved to vertex
-bitmasks.  The property tests check that the library gives the same
+generators, and the paper's own curve, whose last coordinate carries the
+power factor (n-1)^((t-1)(d-1)).  The frozenset cells, their indexed
+missing-simplex search and their decomposition are the library's code
+before it moved to vertex bitmasks.  The property tests check that the library gives the same
 results.
 
 The mask converters run the library's bitmask search and decomposition
@@ -54,7 +55,7 @@ from aspoly.complexes import (
     boundary_of_ball,
     face_key,
 )
-from aspoly.curves import PointConfig
+from aspoly.curves import PointConfig, curve_parameters
 from aspoly.enumerative import ASPParams, FVector, h_from_f
 from aspoly.errors import (
     DegeneracyError,
@@ -683,6 +684,23 @@ def rational_points(config: PointConfig) -> tuple[tuple[int, tuple[Fraction, ...
     return tuple(
         (pid, tuple(Fraction(c, h[0]) for c in h[1:])) for pid, h in enumerate(config.hom, 1)
     )
+
+
+def paper_curve_points(params: ASPParams) -> PointConfig:
+    """The paper's almost-cyclic points: last coordinate (n-1)^((t-1)(d-1)) * t(t+1)...(t+d+s-1).
+
+    What curves.almost_cyclic_points built before its last coordinate
+    dropped the power factor.  The factor is 1 on the roots t <= 0 and
+    grows entries to about (n-d-s)(d-1)*log2(n-1) bits, so tests that
+    exercise large integers, many halvings of y's step or inconclusive
+    key-lemma rungs build their geometry here.
+    """
+    d, n, s = params.d, params.n, params.s
+    rows = []
+    for t in curve_parameters(params):
+        last = (n - 1) ** max(0, (t - 1) * (d - 1)) * math.prod(range(t, t + d + s))
+        rows.append((1, *(t**k for k in range(1, d)), last))
+    return PointConfig(d, tuple(rows))
 
 
 def point_beyond(

@@ -20,9 +20,11 @@ from aspoly.complexes import SimplicialComplex, boundary_of_ball, validate_asp
 from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import ASPParams, check_asp_bounds
 from aspoly.errors import AspolyError
+from aspoly.gale import almost_cyclic_facets
 from aspoly.hull import asp_geometry, enumerate_facets
 from aspoly.rigidity import sample_generic
 from aspoly.stackgen import random_minimizer, recognize_minimizer
+from oracles import paper_curve_points
 
 
 # `table --d 3..4 --s 1 --n-span 2` output, one format each.
@@ -503,7 +505,7 @@ CYCLIC_GRID = [
     for s in range(4)
     for n in range(d + s + 1, min(d + s + 4, 16) + 1)
 ]
-FROZEN_CYCLIC_GRID = "8f3480590ad0c703332f400d20255491b7217a685cf2246b447795adea448e82"
+FROZEN_CYCLIC_GRID = "8e3222259fb9feb2a60623d1ea7bcebc7c5bc8b1ed545c390b1e0d56a1ba8183"
 
 # The same (d, s, n) cells as stacked artifacts, the style alternating
 # from cell to cell and the construction seed the cell's index.
@@ -511,7 +513,7 @@ STACKED_GRID = [
     (d, s, n, ("stack", "hstack")[i % 2], i) for i, (d, s, n) in enumerate(CYCLIC_GRID)
 ]
 FROZEN_STACKED_GRID = "65c6172daf1cceaf00a4aa2eb42923d1754bb7e00d2989968d068e008c64f373"
-FROZEN_CONSTRUCT = "a28ce556b12cad40cabd103dbc6d6d6d3635829fac7456fc700de1dd7bf2227a"
+FROZEN_CONSTRUCT = "77ec0e48ebc7e688ae41315907a498e1cbdf3ab729b33b9e226616cd67b278e0"
 
 
 def digest(text):
@@ -528,11 +530,15 @@ class TestFrozenOutputs:
     def test_shelling(self, capsys, tmp_path):
         path, _ = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS["cyclic"])
         code, out, _ = run(capsys, "shelling", "--input", str(path), "--count", "3")
-        assert (code, digest(out)) == (0, "3f3365bcedd9fc8a")
+        report = json.loads(out)
+        assert report["all_pass"] is True and len(report["runs"]) == 3
+        assert all(r["matches_f"] and r["h"] == [1, 5, 10, 5, 1] for r in report["runs"])
+        assert (code, digest(out)) == (0, "954003281a4c2275")
 
     def test_cyclic_grid(self, capsys, tmp_path):
         # verify --seed 5 and shelling --count 2 on every cyclic artifact of
         # CYCLIC_GRID: one SHA-256 over each exit code and stdout, in order.
+        # Each verify and each shelling passes.
         h = hashlib.sha256()
         for d, s, n in CYCLIC_GRID:
             path, _ = make_artifact(
@@ -541,6 +547,7 @@ class TestFrozenOutputs:
             )
             for argv in (("verify", "--seed", "5"), ("shelling", "--count", "2")):
                 code, out, _ = run(capsys, argv[0], "--input", str(path), *argv[1:])
+                assert code == 0 and json.loads(out)["all_pass"] is True, (d, s, n, argv, out)
                 h.update(f"{code}\n{out}".encode())
         assert h.hexdigest() == FROZEN_CYCLIC_GRID
 
@@ -563,7 +570,8 @@ class TestFrozenOutputs:
     def test_construct_grid(self, capsys):
         # The artifacts themselves: construct's stdout for every cell of
         # CYCLIC_GRID, then of STACKED_GRID in both styles at the cell's
-        # seed, one SHA-256 over them in order.
+        # seed, one SHA-256 over them in order.  Each cyclic artifact's
+        # facets are the Gale-even family.
         h = hashlib.sha256()
         argvs = [("cyclic-asp", d, n, s) for d, s, n in CYCLIC_GRID] + [
             ("stacked-asp", d, n, s, "--style", style, "--seed", seed)
@@ -576,6 +584,10 @@ class TestFrozenOutputs:
                 *map(str, rest),
             )
             assert code == 0, err
+            if kind == "cyclic-asp":
+                facets = sorted(f["vertices"] for f in json.loads(out)["facets"])
+                gale = sorted(sorted(f) for f in almost_cyclic_facets(ASPParams(d, n, s)))
+                assert facets == gale, (d, n, s)
             h.update(out.encode())
         assert h.hexdigest() == FROZEN_CONSTRUCT
 
@@ -666,12 +678,15 @@ class TestStoredHull:
     @pytest.mark.parametrize("cell", [(3, 7, 1), (4, 9, 0), (5, 10, 2), (6, 16, 3), (4, 40, 1)])
     def test_planes_round_trip_through_json(self, cell):
         # to_json splits each plane into normal and offset; the loader
-        # builds the same primitive vector (offset, *normal) back.
-        facets = enumerate_facets(almost_cyclic_points(ASPParams(*cell)), cap=None)
-        data = json.loads(json.dumps({"facets": [f.to_json() for f in facets]}))
-        loaded = cli._facets_from_json(data)
-        assert [f.plane for f in loaded] == [f.plane for f in facets]
-        assert loaded == list(facets)
+        # builds the same primitive vector (offset, *normal) back.  Both on
+        # the library's curve and on the paper's, whose plane entries reach
+        # 578 bits at (4, 40, 1) (28 on the library's).
+        for curve in (almost_cyclic_points, paper_curve_points):
+            facets = enumerate_facets(curve(ASPParams(*cell)), cap=None)
+            data = json.loads(json.dumps({"facets": [f.to_json() for f in facets]}))
+            loaded = cli._facets_from_json(data)
+            assert [f.plane for f in loaded] == [f.plane for f in facets], curve.__name__
+            assert loaded == list(facets), curve.__name__
 
     def test_one_boundary_per_artifact(self, capsys, tmp_path, monkeypatch):
         # Validating the complex at load builds the ball's boundary once, and
@@ -1164,14 +1179,34 @@ class TestShellingAndRecognize:
         code, _, err = run(capsys, *argv, "--input", str(path), "--unsafe-large")
         assert code == 0, err
 
-    def test_every_command_past_the_old_halving_bound(self, capsys, tmp_path):
-        # Placing y at (3, 94, 1) takes 1,181 halvings of the step, which a
-        # fixed bound of 1,024 refused with exit 2.  recognize exits 2 on
-        # every d = 3 artifact, so it is left out here.
-        path, _ = make_artifact(
+    def test_every_command_past_the_old_halving_bound(self, capsys, tmp_path, monkeypatch):
+        # The artifact at (3, 94, 1) is built on the paper's curve (the
+        # library's needs 22 halvings there).  Placing y on it takes 1,181
+        # halvings of the step, which a fixed bound of 1,024 refused with
+        # exit 2: at the step 2^-1180 out of F's vertex centroid, away from
+        # the centroid, some other facet is not yet positive, and at
+        # 2^-1181 every one is.  recognize exits 2 on every d = 3 artifact,
+        # so it is left out here.
+        monkeypatch.setattr(cli, "almost_cyclic_points", paper_curve_points)
+        path, data = make_artifact(
             capsys, tmp_path,
             "construct", "cyclic-asp", "--d", "3", "--n", "94", "--s", "1", "--unsafe-large",
         )
+        geom = cli._load_artifact(data, unsafe_large=True).geometry
+        points = [[Fraction(x, h[0]) for x in h[1:]] for h in geom.config.hom]
+        centroid = [sum(c) / len(points) for c in zip(*points)]
+        on_f = [points[i - 1] for i in geom.special.vertex_ids]
+        exit_point = [sum(c) / len(on_f) for c in zip(*on_f)]
+
+        def least_kept_value(k):
+            z = [e + (e - c) / 2**k for e, c in zip(exit_point, centroid)]
+            return min(
+                f.plane[0] + sum(a * x for a, x in zip(f.plane[1:], z))
+                for f in geom.facets
+                if f is not geom.special
+            )
+
+        assert least_kept_value(1180) <= 0 < least_kept_value(1181)
         code, out, err = run(capsys, "verify", "--input", str(path), "--unsafe-large")
         assert code == 0, err
         data = json.loads(out)

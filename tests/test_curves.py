@@ -1,9 +1,9 @@
-"""Curve evaluation tests: root pattern, frozen values, independence."""
+"""Curve evaluation tests: root pattern, frozen values, divided-difference signs, independence."""
 
 import json
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +18,7 @@ from aspoly.curves import (
 from aspoly.enumerative import ASPParams
 from aspoly.errors import AspolyError, DomainError, ShapeError
 from aspoly.exactnum import format_rational
-from oracles import cofactor_det, gauss_rank, homogeneous, rational_points
+from oracles import cofactor_det, gauss_rank, homogeneous, int_det, rational_points
 
 
 def homogeneous_rows(config: PointConfig, ids=None) -> list[list[Fraction]]:
@@ -43,13 +43,14 @@ class TestPEval:
         p = ASPParams(3, 5, 0)
         assert p_eval(-2, p) == 0
         assert p_eval(1, p) == 6
-        assert p_eval(2, p) == 384
+        assert p_eval(2, p) == 24
 
     def test_root_set_is_exactly_prefix(self):
         p = ASPParams(4, 9, 2)
         roots = {t for t in range(-(p.d + p.s - 1), 6) if p_eval(t, p) == 0}
         assert roots == set(range(-(p.d + p.s - 1), 1))
-        # Below the grid the value is not an integer, and p_eval refuses it.
+        # Below the grid the d-th differences of p can be negative (see
+        # TestDividedDifferences), and p_eval refuses it.
         for t in range(-12, -(p.d + p.s - 1)):
             with pytest.raises(DomainError):
                 p_eval(t, p)
@@ -59,13 +60,11 @@ class TestPEval:
         for t in range(1, 6):
             assert p_eval(t, p) > 0
 
-    def test_rational_at_negative_exponent(self):
-        # t = 0 gives zero product; t = -1 likewise; check a nonzero case
-        # with negative power: t = -3 for s=3 grid still inside roots, so
-        # use small d where -1 is outside the root window
-        p = ASPParams(3, 7, 0)
-        val = p_eval(4, p)
-        assert val == Fraction(6) ** 6 * 4 * 5 * 6
+    def test_frozen_value_past_the_roots(self):
+        # The rising factorial alone: the same value whatever n is.
+        assert p_eval(4, ASPParams(3, 7, 0)) == 4 * 5 * 6 == 120
+        assert p_eval(4, ASPParams(3, 30, 0)) == 120
+        assert p_eval(4, ASPParams(4, 9, 2)) == prod(range(4, 10))
 
     def test_non_integer_rejected(self):
         with pytest.raises(DomainError):
@@ -79,7 +78,7 @@ class TestAlmostCyclicPoints:
 
     def test_d3_last_coordinates(self):
         cfg = almost_cyclic_points(ASPParams(3, 5, 0))
-        assert [c[-1] for _, c in rational_points(cfg)] == [0, 0, 0, 6, 384]
+        assert [c[-1] for _, c in rational_points(cfg)] == [0, 0, 0, 6, 24]
 
     def test_first_block_in_hyperplane(self):
         p = ASPParams(4, 7, 1)
@@ -113,6 +112,73 @@ class TestAlmostCyclicPoints:
     def test_json_roundtrip(self):
         cfg = almost_cyclic_points(ASPParams(3, 6, 1))
         assert _points_from_json(cfg.to_json(), "points") == cfg
+
+    def test_prefix_of_one_sequence(self):
+        # No coordinate depends on n: the n-point configuration is the
+        # first n points of the (n+1)-point one.
+        for d in range(3, 8):
+            for s in range(4):
+                for n in range(d + s + 1, 30):
+                    shorter = almost_cyclic_points(ASPParams(d, n, s)).hom
+                    assert almost_cyclic_points(ASPParams(d, n + 1, s)).hom[:n] == shorter
+
+
+def divided_difference_sign(ts, values) -> int:
+    """Sign of the divided difference of `values` at the distinct knots ts.
+
+    The definition, sum_i f(t_i) / prod_{j != i} (t_i - t_j), brought
+    over the product P of the denominators, so the sum is an integer.
+    """
+    ws = [prod(ti - tj for tj in ts if tj != ti) for ti in ts]
+    P = prod(ws)
+    N = sum(f * (P // w) for f, w in zip(values, ws))
+    return ((N > 0) - (N < 0)) * (1 if P > 0 else -1)
+
+
+class TestDividedDifferences:
+    """The sign argument in p_eval's docstring, checked by brute force on the grid."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_every_subset_of_sixteen_grid_points(self, d):
+        # Every (d+1)-subset of the first 16 grid points, s 0..3: the d-th
+        # divided difference of p is >= 0, and 0 exactly on subsets of the
+        # roots t <= 0.
+        for s in range(4):
+            p = ASPParams(d, 16, s)
+            ts = curve_parameters(p)
+            values = {t: p_eval(t, p) for t in ts}
+            for knots in combinations(ts, d + 1):
+                sign = divided_difference_sign(knots, [values[t] for t in knots])
+                assert sign >= 0 and (sign == 0) == (knots[-1] <= 0), (d, s, knots)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(3, 6), st.integers(0, 3), st.integers(16, 22), st.data())
+    def test_sampled_subsets_of_larger_grids(self, d, s, n, data):
+        # The same on grids of 16 to 22 points, and the orientation of the
+        # library's points at those parameters, ascending, has that sign:
+        # their determinant is the Vandermonde product times the divided
+        # difference.
+        p = ASPParams(d, n, s)
+        ids = sorted(data.draw(st.sets(st.integers(1, n), min_size=d + 1, max_size=d + 1)))
+        ts = curve_parameters(p)
+        knots = [ts[i - 1] for i in ids]
+        sign = divided_difference_sign(knots, [p_eval(t, p) for t in knots])
+        assert sign >= 0 and (sign == 0) == (knots[-1] <= 0)
+        det = int_det([list(almost_cyclic_points(p).hom[i - 1]) for i in ids])
+        assert (det > 0) - (det < 0) == sign
+
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_negative_below_the_grid(self, s):
+        # Why p_eval refuses t < 1-d-s: there, for odd s, the d-th forward
+        # difference of the rising factorial is negative.
+        d, t = 4, -4 - s
+        diff = sum(
+            (-1) ** (d - k) * comb(d, k) * prod(range(t + k, t + k + d + s))
+            for k in range(d + 1)
+        )
+        assert diff < 0
+        with pytest.raises(DomainError):
+            p_eval(t, ASPParams(d, 20, s))
 
 
 class TestGeneralCurve:

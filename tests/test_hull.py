@@ -63,6 +63,7 @@ from oracles import (
     homogeneous,
     int_det,
     key_shelling_defects_by_face_counts,
+    paper_curve_points,
     point_beyond,
     rational_points,
     supporting_hyperplane,
@@ -369,8 +370,9 @@ def perturbation_point(geom, y_id, v_id, seed):
     return [sum(w * x for w, x in zip(weights, col)) / sum(weights) for col in zip(*others)]
 
 
-def asp_geometry(d, n, s):
-    return hull.asp_geometry(almost_cyclic_points(ASPParams(d, n, s)), range(1, d + 1))
+def asp_geometry(d, n, s, curve=almost_cyclic_points):
+    """The ASP geometry of cell (d, n, s) on `curve`, the library's curve unless given."""
+    return hull.asp_geometry(curve(ASPParams(d, n, s)), range(1, d + 1))
 
 
 def digest(payload) -> str:
@@ -380,12 +382,15 @@ def digest(payload) -> str:
 
 @st.composite
 def stacking_cases(draw):
+    # The cell is (d, n, s, curve), on the library's curve or on the
+    # paper's, whose point entries reach 99 bits at n = 12.
     d = draw(st.integers(3, 5))
     s = draw(st.integers(0, 3))
     n = draw(st.integers(d + s + 1, 12))
+    curve = draw(st.sampled_from([almost_cyclic_points, paper_curve_points]))
     toward = draw(st.sampled_from([None, *range(1, d + s + 1)]))
     closeness = draw(st.sampled_from([2, 12, 20, 28, 40]))
-    return (d, n, s), toward, closeness
+    return (d, n, s, curve), toward, closeness
 
 
 @st.composite
@@ -599,14 +604,15 @@ def check_against_oracle(config: PointConfig) -> None:
 
 class TestGiftWrapOracle:
     def test_frozen_hulls(self):
-        # Every facet's vertex ids, normal and offset on the almost-cyclic
-        # cells d 3..6, s 0..3, n <= 16, plus three cells past the caps.
+        # Every facet's vertex ids, normal and offset on the paper curve's
+        # cells d 3..6, s 0..3, n <= 16, plus three cells past the caps,
+        # where its entries reach 566 bits.
         cells = [(d, n, s) for d in range(3, 7) for s in range(4) for n in range(d + s + 1, 17)]
         cells += [(4, 40, 1), (6, 22, 3), (7, 16, 2)]
         payload = [
             [cell, [[sorted(f.vertex_ids), f.plane[1:], f.plane[0]] for f in facets]]
             for cell in cells
-            for facets in [enumerate_facets(almost_cyclic_points(ASPParams(*cell)), cap=None)]
+            for facets in [enumerate_facets(paper_curve_points(ASPParams(*cell)), cap=None)]
         ]
         assert len(payload) == 163 and digest(payload) == "c05a55dd16ef67a5"
 
@@ -744,6 +750,18 @@ class TestGiftWrapOracle:
             if cell[0] == d:
                 config = almost_cyclic_points(ASPParams(*cell))
                 assert enumerate_facets(config) == facets_by_subset_scan(config)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_paper_curve_is_gale_even(self, d):
+        # The paper's own construction, power factor included, spans the
+        # Gale-even family on the acceptance grid, as the library's curve
+        # does (criterion 01).
+        for cell in GRID:
+            if cell[0] == d:
+                p = ASPParams(*cell)
+                facets = enumerate_facets(paper_curve_points(p))
+                gale = almost_cyclic_facets(p)
+                assert len(facets) == len(gale) and {f.vertex_ids for f in facets} == set(gale)
 
     @pytest.mark.parametrize(
         "coords",
@@ -940,7 +958,7 @@ class TestPointBeyond:
         F = Fraction
         assert y(geom, [1, 2, 3]) == (5, (F(5, 12), F(5, 12), F(-1, 4)))
         assert y(geom, [2, 3, 4]) == (5, (F(5, 12),) * 3)
-        geom = detect_asp(almost_cyclic_points(ASPParams(4, 7, 1)))
+        geom = detect_asp(paper_curve_points(ASPParams(4, 7, 1)))
         assert y(geom) == (
             8, (F(-4097, 2048), F(12289, 2048), F(-40967, 2048), F(-19455, 1792))
         )
@@ -1230,12 +1248,12 @@ class TestStackOverSpecial:
 
     def test_frozen_criterion_09_stacks(self):
         # y and every facet (ids, normal, offset) of the stacked hull for
-        # each criterion-09 pair at closeness 12 and 40.
+        # each criterion-09 pair at closeness 12 and 40, on the paper curve.
         rows = []
         for d in (4, 5):
             for s in range(4):
                 for n in range(d + s + 1, d + s + 5):
-                    geom = asp_geometry(d, n, s)
+                    geom = asp_geometry(d, n, s, curve=paper_curve_points)
                     for v in range(1, d + s + 1):
                         for closeness in (12, 40):
                             q = stack_over_special(geom, toward=v, closeness=closeness)
@@ -1293,9 +1311,9 @@ class TestLineShelling:
         ],
     )
     def test_frozen_orders(self, cell, seed, size, order_digest):
-        # Values from the Fraction-arithmetic crossing kernel; the integer
-        # kernel must order the facets identically.
-        q = stack_over_special(asp_geometry(*cell))
+        # Values from the Fraction-arithmetic crossing kernel, on the paper
+        # curve; the integer kernel must order the facets identically.
+        q = stack_over_special(asp_geometry(*cell, curve=paper_curve_points))
         order = [sorted(f) for f in line_shelling(q, seed).order]
         assert len(order) == size and digest(order) == order_digest
 
@@ -1329,9 +1347,10 @@ class TestConstrainedShelling:
 
         Every rung below `closeness` must be inconclusive (search returns
         None); returns the certificate at `closeness` with a digest of its
-        order and defect table.
+        order and defect table.  The cell is built on the paper curve,
+        whose large entries leave the lower rungs inconclusive.
         """
-        geom = asp_geometry(*cell)
+        geom = asp_geometry(*cell, curve=paper_curve_points)
         y = cell[1] + 1
         ladder = (12, 20, 28, 40)
         for step in ladder[: ladder.index(closeness)]:
@@ -1387,9 +1406,10 @@ class TestConstrainedShelling:
 
     @pytest.mark.parametrize("cell", [(4, 7, 0), (4, 9, 1), (5, 10, 2), (4, 10, 3), (5, 12, 3)])
     def test_matches_full_ranking(self, cell):
-        # Certified exactly where the 64-line retry oracle certifies.
+        # Certified exactly where the 64-line retry oracle certifies, on the
+        # paper curve, where some rungs are inconclusive.
         d, n, s = cell
-        geom = asp_geometry(*cell)
+        geom = asp_geometry(*cell, curve=paper_curve_points)
         y = n + 1
         outcomes = set()
         for v in range(1, d + s + 1):
@@ -1405,14 +1425,28 @@ class TestConstrainedShelling:
                 outcomes.add("certified")
         assert outcomes == {"certified", "inconclusive"}
 
+    @pytest.mark.parametrize("cell", [(4, 7, 0), (4, 9, 1), (5, 10, 2), (4, 10, 3), (5, 12, 3)])
+    def test_every_rung_certifies_on_the_curve(self, cell):
+        # The same rungs on the library's curve, whose entries stay small:
+        # every one certifies, and so does the 64-line retry oracle.
+        d, n, s = cell
+        geom = asp_geometry(*cell)
+        for v in range(1, d + s + 1):
+            for closeness in (12, 40):
+                q = stack_over_special(geom, toward=v, closeness=closeness)
+                assert search_by_full_ranking(q, n + 1, v, seed=closeness) is not None
+                cert = constrained_line_shelling(q, n + 1, v, seed=closeness)
+                assert shelling_prefix_ok(cert.order, n + 1, v)
+
     def test_frozen_rung_outcomes(self):
-        # Rungs past the benchmark's cells, where the integers grow large:
-        # per vertex v of F and closeness, y, the outcome of the search (its
-        # order, or the exception's type and message) and the crossing
-        # order of its line, recomputed here in rationals.
+        # Rungs past the benchmark's cells on the paper curve, where the
+        # integers grow large: per vertex v of F and closeness, y, the
+        # outcome of the search (its order, or the exception's type and
+        # message) and the crossing order of its line, recomputed here in
+        # rationals.
         rows = []
         for cell in ((4, 22, 1), (6, 16, 2), (4, 40, 1)):
-            geom = asp_geometry(*cell)
+            geom = asp_geometry(*cell, curve=paper_curve_points)
             y = cell[1] + 1
             for v in sorted(geom.special.vertex_ids):
                 for closeness in (12, 24, 48, 96):
@@ -1545,8 +1579,9 @@ class TestLexicographicOrder:
     @given(stacking_cases(), st.booleans(), st.data())
     def test_lazy_matches_eager_parallel_on_stacked_hulls(self, case, every, data):
         # Targets centroid + (0, delta), delta in a facet's hyperplane
-        # direction, so the line runs parallel to that facet, with
-        # big-integer keys: at the first target only, or at every target.
+        # direction, so the line runs parallel to that facet (with
+        # big-integer keys on the paper's curve): at the first target only,
+        # or at every target.
         cell, toward, closeness = case
         q = stack_over_special(asp_geometry(*cell), toward=toward, closeness=closeness)
         normal = data.draw(st.sampled_from(q.facets)).plane[1:]
