@@ -19,8 +19,9 @@ import argparse
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from aspoly.cli import parse_range
 from aspoly.curves import almost_cyclic_points

@@ -1,42 +1,60 @@
-"""Earlier implementations of aspoly library code, kept as test oracles.
+"""Test oracles: for each fast path in the library, its one direct version.
 
-Each function here is the direct version of an indexed one in the
-library: faces counted as frozensets, ridges found by sorting the
-facets, missing simplices found by testing every ridge-plus-vertex pair,
-a decomposition that rebuilds the ridge incidence at every split, a
-shelling check that intersects every pair of facets and one that holds
-ridges as frozensets of vertex ids, key-lemma defects from running face
-counts, hyperplanes from a kernel solve, a point's integer homogeneous
-vector from its rational coordinates, a point placed beyond any one
-facet, stacking that evaluated every kept facet at the exit point on
-every rung, the stacked cone checked at every point, the constrained search
-evaluating every facet at y, line orders that evaluate every target on
-every facet, stacking constructions that sort the facets and rebuild the
-complex at every move, refined cells masked from the prime factors as
-complexes, trilateration blocks ranked modulo 2^61 - 1, the gift-wrap
-that carried every facet's values at all points with facets and ridges
-as frozensets, and the Bareiss echelon form that found its pivots by
-generators, and the paper's own curve, whose last coordinate carries the
-power factor (n-1)^((t-1)(d-1)).  The frozenset cells, their indexed
-missing-simplex search and their decomposition are the library's code
-before it moved to vertex bitmasks.  The property tests check that the library gives the same
-results.
+Each oracle is the simplest code that computes what one fast path
+computes, brute force where there is one, and a property test compares
+the two.  Per fast path, the oracle kept:
 
-The mask converters run the library's bitmask search and decomposition
-on frozenset cells and hand back frozensets, so the oracles and the
-library are compared on one input.
+- f_vector and all_faces: every face as a frozenset (face_set,
+  f_vector_by_face_set);
+- boundary_of_ball and is_closed_pseudomanifold: ridges found by
+  sorting the facets (ridge_incidence, boundary_by_incidence);
+- _cell_missing_simplices: every ridge plus every vertex off it
+  (cell_missing_by_ridge_scan);
+- _cell_decomposition: one split at a time, each rebuilding its part's
+  incidence (cell_decomposition_per_split, with cell_split and
+  carried_missing);
+- verify_shelling: every facet intersected with every earlier one
+  (verify_shelling_pairwise);
+- the gift-wrap: the scan of every d-subset (facets_by_subset_scan in
+  test_hull.py), and for its rotation counts and d = 7 the wrap that
+  crosses every ridge, there too, with rotate_with_values here;
+- stack_over_special: y placed by point_beyond, then the hull enumerated
+  again (stacked_by_enumeration in test_hull.py, with extend_config),
+  and each cone plane against a kernel solve (supporting_hyperplane);
+- constrained_line_shelling: the 64-line retry search that ranks every
+  facet (search_by_full_ranking in test_hull.py);
+- _LinesFrom: keys r * t0 * lcm(A) on every facet at every target
+  (LcmLines in test_hull.py);
+- key_shelling_defects: the four prefix complexes rebuilt at every step
+  (defects_by_rebuild in test_hull.py);
+- _echelon, int_rank and int_det: cofactor expansion and Gaussian
+  elimination over Fraction (cofactor_det, gauss_rank), and kernels
+  checked by substitution;
+- PointConfig.from_rationals: the integer homogeneous vector of a
+  rational point (homogeneous, rational_points);
+- the stacking walk: constructions that sort the facets and rebuild the
+  complex at every move (the *_by_sorting builders);
+- _refined_cells: the prime factors masked as complexes
+  (refined_cells_by_complexes);
+- _trilateration_rank: each block ranked modulo 2^61 - 1
+  (trilateration_rank_mod_p);
+- the library's curve: the paper's own, whose last coordinate carries
+  the power factor (n-1)^((t-1)(d-1)) (paper_curve_points).
 
-Below them sit the small exact tools several test modules share:
-cofactor determinants, Gaussian-elimination ranks and Bareiss
-determinants, pyramids, single stacking moves on the library's walk, prime
-factors as complexes, stacked spheres from facet indices, and the
+The mask converters (cell_missing_by_masks, cell_decomposition_by_masks,
+refined_frozenset_cells) run the library's bitmask search and
+decomposition on frozenset cells and hand back frozensets, so the
+oracles and the library are compared on one input.
+
+Below them sit the small exact tools several test modules share: Bareiss
+determinants, pyramids, single stacking moves on the library's walk,
+prime factors as complexes, stacked spheres from facet indices, and the
 stacked-sphere test by prime decomposition.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from functools import cmp_to_key
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -56,7 +74,7 @@ from aspoly.complexes import (
     face_key,
 )
 from aspoly.curves import PointConfig, curve_parameters
-from aspoly.enumerative import ASPParams, FVector, h_from_f
+from aspoly.enumerative import ASPParams, FVector
 from aspoly.errors import (
     DegeneracyError,
     DomainError,
@@ -65,20 +83,15 @@ from aspoly.errors import (
     PseudomanifoldError,
     ShapeError,
     ShellingError,
-    ShellingSearchError,
 )
 from aspoly.exactnum import _echelon, int_nullspace, rank_mod_p
 from aspoly.hull import (
     ASPGeometry,
     FacetDescriptor,
-    _check_cap,
     _dot,
     _dots,
-    _LinesFrom,
     _mean,
-    _pivot,
     _primitive,
-    _verified,
 )
 from aspoly.rigidity import Graph, _trilateration_order
 from aspoly.stackgen import (
@@ -193,93 +206,6 @@ def refined_frozenset_cells(asp: ASPComplex) -> list[Cell]:
     ]
 
 
-def cell_missing_by_extension_index(cells: Sequence[Cell], d: int) -> list[frozenset[int]]:
-    """Missing facets: d-vertex sets that are not faces but whose facets are.
-
-    Every (d-1)-vertex face is a cell ridge and every d-vertex face is a
-    simplex cell.  A candidate a = r + x, with r a ridge, needs (r - y) + x
-    to be a ridge for every y in r.  So an index sends each (d-2)-face to
-    the vertices that extend it to a ridge, and x is looked up in the
-    index sets of r's (d-2)-faces.  Only x > max(r) is taken, which finds
-    each a once, from r = a - max(a).
-    """
-    ridges = {r for c in cells for r in c.ridges}
-    simplices = {c.vertices for c in cells if c.is_simplex(d)}
-    extensions: dict[frozenset[int], set[int]] = {}
-    for r in ridges:
-        for y in r:
-            extensions.setdefault(r - {y}, set()).add(y)
-    out = []
-    for r in ridges:
-        top = max(r)
-        for x in set.intersection(*[extensions[r - {y}] for y in r]):
-            if x > top:
-                a = r | {x}
-                if a not in simplices:
-                    out.append(a)
-    return sorted(out, key=face_key)
-
-
-def cell_decomposition_by_frozensets(
-    cells: Sequence[Cell], d: int
-) -> tuple[list[tuple[Cell, ...]], list[tuple[int, int, frozenset[int]]]]:
-    """Factors and cut tree from one ridge-to-cell map, on frozenset cells.
-
-    The missing set is searched once, at the root, and carried down: each
-    part of the cut along a keeps the parent's other missing simplices
-    whose ridges all have an owner in that part.
-    """
-    cells = list(cells)
-    owners: dict[frozenset[int], list[int]] = {}
-    for i, c in enumerate(cells):
-        for r in c.ridges:
-            owners.setdefault(r, []).append(i)
-    for r, own in owners.items():
-        if len(own) > 2:
-            raise PseudomanifoldError(f"ridge {sorted(r)} lies in {len(own)} cells")
-    factors: list[list[int]] = []
-    edges: list[tuple[int, int, frozenset[int]]] = []
-
-    def reach(i: int, members: set[int], cut: set[frozenset[int]]) -> set[int]:
-        comp, stack = {i}, [i]
-        while stack:
-            for r in cells[stack.pop()].ridges - cut:
-                for nb in owners[r]:
-                    if nb in members and nb not in comp:
-                        comp.add(nb)
-                        stack.append(nb)
-        return comp
-
-    def decompose(part: list[int], carried: list[frozenset[int]]) -> list[int]:
-        members = set(part)
-        missing = [
-            m for m in carried if all(not members.isdisjoint(owners[m - {x}]) for x in m)
-        ]
-        if not missing:
-            factors.append(part)
-            return [len(factors) - 1]
-        a = missing[0]
-        cut = {a - {x} for x in a}
-        side = reach(part[0], members, cut)
-        rest = [i for i in part if i not in side]
-        if not rest or reach(rest[0], members, cut) != set(rest):
-            raise DegeneracyError(f"cutting along {sorted(a)} does not give two components")
-        k = len(cells)
-        cells.append(simplex_cell(a))
-        for r in cut:
-            owners[r].append(k)
-        s1 = [i for i in part if i in side] + [k]
-        s2 = rest + [k]
-        idx1 = decompose(s1, missing[1:])
-        idx2 = decompose(s2, missing[1:])
-        i, j = (next(f for f in idx if k in factors[f]) for idx in (idx1, idx2))
-        edges.append((i, j, a))
-        return idx1 + idx2
-
-    decompose(list(range(len(cells))), cell_missing_by_extension_index(cells, d))
-    return [tuple(cells[i] for i in part) for part in factors], edges
-
-
 def cell_missing_by_ridge_scan(cells: Sequence[Cell], d: int) -> list[frozenset[int]]:
     """Missing simplices, testing every ridge plus every vertex off it."""
     ridges = {r for c in cells for r in c.ridges}
@@ -370,8 +296,10 @@ def verify_shelling_pairwise(
 
     At step j >= 2 every face of the new facet already present must lie in
     an old ridge of that facet; equivalently all maximal intersections with
-    earlier facets have codimension 1.  The restriction face is the set of
-    vertices whose opposite ridge is old; it is the unique minimal new face.
+    earlier facets have codimension 1.  A refusal names the intersection
+    with the earliest earlier facet that is not inside an old ridge.  The
+    restriction face is the set of vertices whose opposite ridge is old;
+    it is the unique minimal new face.
     """
     seq = [frozenset(f) for f in order]
     if len(seq) != len(c.facets) or set(seq) != set(c.facets) or len(set(seq)) != len(seq):
@@ -382,7 +310,7 @@ def verify_shelling_pairwise(
         if j == 0:
             rj = frozenset()
         else:
-            inters = {fj & seq[i] for i in range(j)}
+            inters = [fj & seq[i] for i in range(j)]
             big = {x for x in inters if len(x) == size - 1}
             for x in inters:
                 if not any(x <= b for b in big):
@@ -396,101 +324,14 @@ def verify_shelling_pairwise(
     return ShellingCertificate(c, tuple(seq), tuple(restriction))
 
 
-def verify_shelling_by_frozensets(
-    c: SimplicialComplex, order: Sequence[Iterable[int]]
-) -> ShellingCertificate:
-    """verify_shelling as it held each ridge as a frozenset of vertex ids.
-
-    At step j >= 2 every face of the new facet F_j already present must lie
-    in an old ridge of F_j.  The restriction face R_j is the set of vertices
-    x whose opposite ridge F_j - x is old; it is the unique minimal new face.
-    F_j & F_i lies in F_j - x exactly when x is not in F_i, so the condition
-    reads: R_j is nonempty and lies in no earlier facet.  A bitmask per
-    vertex of the earlier facets holding it tests that in O(d) per step.
-    """
-    seq = [frozenset(f) for f in order]
-    if len(seq) != len(c.facets) or set(seq) != set(c.facets) or len(set(seq)) != len(seq):
-        raise DomainError("order must list every facet exactly once")
-    old_ridges: set[frozenset[int]] = set()
-    holders: dict[int, int] = {}
-    restriction: list[frozenset[int]] = []
-    for j, fj in enumerate(seq):
-        ridges = [fj - {x} for x in fj]
-        rj = frozenset(x for x, r in zip(fj, ridges) if r in old_ridges)
-        if j:
-            inside = (1 << j) - 1  # earlier facets that hold all of R_j
-            for x in rj:
-                inside &= holders.get(x, 0)
-            if inside:
-                i = (inside & -inside).bit_length() - 1
-                raise ShellingError(
-                    j + 1,
-                    f"facet {sorted(fj)} meets earlier facets in "
-                    f"{sorted(fj & seq[i])}, not inside any old ridge",
-                )
-        old_ridges.update(ridges)
-        for x in fj:
-            holders[x] = holders.get(x, 0) | 1 << j
-        restriction.append(rj)
-    return ShellingCertificate(c, tuple(seq), tuple(restriction))
-
-
-def key_shelling_defects_by_face_counts(
-    cert: ShellingCertificate, y_id: int, v_id: int
-) -> tuple[tuple[int, ...], ...]:
-    """key_shelling_defects as it counted the faces of the four links.
-
-    Per-step, per-k values of (h^j(Q) - h^j(Q/v)) - (h^j(F) - h^j(F/v)).
-    h^j means the h-vector of the union of the first j facets.  The F
-    complex is read off as the link of y (its facets are the y-facets of
-    the prefix with y removed), since stacking beyond the special facet
-    makes that link the facet's boundary sphere; F/v is the link of the
-    edge yv.  A link with no faces yet has the zero h-vector.
-
-    One pass over the order keeps the faces seen so far.  The link of a
-    face u in the prefix is generated by {f - u : u <= f}, so its faces
-    are the prefix faces containing u, less u: each new face is counted
-    into every link whose face it contains, |u| sizes lower.  The cost is
-    O(m 2^d) for m facets of size d; no complex is built per step.
-    """
-    if y_id == v_id:
-        raise DomainError("y and v must be two distinct vertex ids")
-    d = cert.complex.dim + 1
-    # Q, Q/v, F and F/v are the links of these faces, with these signs.
-    links = (frozenset(), frozenset({v_id}), frozenset({y_id}), frozenset({y_id, v_id}))
-    signs = (1, -1, -1, 1)
-    counts = [[0] * (d + 1 - len(u)) for u in links]
-    hs = [(0,) * (d + 1)] * len(links)
-    seen: set[frozenset[int]] = set()
-    out = []
-    for facet in cert.order:
-        for size in range(d + 1):
-            for face in map(frozenset, combinations(facet, size)):
-                if face in seen:
-                    continue
-                seen.add(face)
-                for u, c in zip(links, counts):
-                    if u <= face:
-                        c[size - len(u)] += 1
-        for i, u in enumerate(links):
-            if u <= facet:  # else the link gained no face at this step
-                h = h_from_f(FVector(d - len(u), tuple(counts[i]))).entries
-                hs[i] = h + (0,) * len(u)
-        out.append(tuple(sum(s * h[k] for s, h in zip(signs, hs)) for k in range(d + 1)))
-    return tuple(out)
-
-
-# The gift-wrap as it carried every found facet's values at all points:
-# each crossing evaluated g at every point and formed the new facet's
-# values there, and facets and ridges were frozensets of point indexes.
-
-
 def rotate_with_values(
     hom: list[list[int]], w: list[int], a: list[int], g: Sequence[int]
 ) -> tuple[list[int], list[int]]:
     """Rotate the supporting hyperplane w about a ridge, outward onto the next facet.
 
-    a holds w's values at the points.  g is any plane through the ridge
+    The crossing of the per-ridge gift-wrap oracle in tests/test_hull.py,
+    which carries every facet's values at all points.  a holds w's values
+    at the points.  g is any plane through the ridge
     that is negative on the facet's points off the ridge; the planes
     through the ridge are the combinations of w and g, so the result does
     not depend on which such g is given.  Among the points with a > 0, the
@@ -507,140 +348,6 @@ def rotate_with_values(
     new = [best_b * x - best_a * y for x, y in zip(w, g)]
     k = math.gcd(*new)
     return [x // k for x in new], [(best_b * x - best_a * y) // k for x, y in zip(a, b)]
-
-
-def inherited_normals_with_values(
-    hom: list[list[int]],
-    w: Sequence[int],
-    a: Sequence[int],
-    normals: dict[int, list[int]],
-    v: int,
-    x: int,
-) -> dict[int, list[int]]:
-    """Ridge normals of the simplex facet (F - {v}) + {x}, carried over from F.
-
-    w is the simplex facet F's hyperplane and a its values at the points;
-    normals[j] vanishes on F - {j} and is negative at j.  The new facet's
-    normal for x is -w.  For j in F - {v} it is a(x)*g_j - (g_j.x)*w,
-    made primitive: it vanishes on the new facet less j and on v, and at
-    j it is a(x)*g_j(j) < 0.  A rank-one update replaces a kernel.
-    """
-    out = {x: [-c for c in w]}
-    for j, g in normals.items():
-        if j != v:
-            gx = _dot(g, hom[x])
-            out[j] = _primitive([a[x] * gc - gx * wc for gc, wc in zip(g, w)])
-    return out
-
-
-def ridge_sets(
-    hom: list[list[int]], facet: frozenset[int], w: Sequence[int]
-) -> list[frozenset[int]]:
-    """Point sets of the ridges of one facet.
-
-    A simplex facet's ridges drop one vertex each.  Otherwise they are
-    the facets of the facet's own points, wrapped one dimension down with
-    a coordinate dropped where w is nonzero (an affine isomorphism of the
-    facet hyperplane).
-    """
-    d = len(w) - 1
-    if len(facet) == d:
-        return [facet - {i} for i in facet]
-    j = next(c for c in range(1, d + 1) if w[c])
-    ids = sorted(facet)
-    sub = [hom[i][:j] + hom[i][j + 1 :] for i in ids]
-    return [frozenset(ids[k] for k in ridge) for ridge in gift_wrap_with_values(sub)]
-
-
-def gift_wrap_with_values(hom: list[list[int]]) -> dict[frozenset[int], list[int]]:
-    """Facets of full-dimensional homogeneous points, by gift-wrapping.
-
-    Maps each facet's 0-based point set to its primitive inward
-    hyperplane (offset, *normal).  The first facet comes from the support
-    at the first point of least x_1 (ratios h[1]/h[0] compared by
-    cross-multiplication), rotated about its face until the face spans a
-    hyperplane.  A facet registers its ridges when it is found:
-    a ridge registered once is open, held by that facet; registered
-    again, by the facet on its other side, it is closed.  When a facet
-    is popped it crosses only its ridges that are still open: rotate_with_values
-    turns it outward about the ridge onto the neighbouring facet, taking
-    every tied point with it, so each crossing finds a new facet.  The
-    plane g it turns against passes through the ridge and is negative on
-    the facet's other points.  The walk ends with every ridge closed and
-    no crossing landing on a facet already found, or it raises
-    PseudomanifoldError naming the ridge.
-
-    A simplex facet holds one such g per vertex j, for its ridge without
-    j.  When it is reached from another simplex facet it inherits them
-    by inherited_normals_with_values, from the parent's planes stored when it was
-    found, and only if it still has an open ridge when popped; otherwise
-    (the first facet, and the neighbours of a non-simplex facet) it
-    solves one kernel per vertex, through the ridge and a point off the
-    facet.  A non-simplex facet solves that kernel per open ridge, its
-    ridges coming from the wrap one dimension down.
-    """
-    d = len(hom[0]) - 1
-    by_x1 = cmp_to_key(lambda i, j: hom[i][1] * hom[j][0] - hom[j][1] * hom[i][0])
-    low = min(range(len(hom)), key=by_x1)
-    w = _primitive([-hom[low][1], hom[low][0]] + [0] * (d - 1))
-    a = _dots(w, hom)
-    while True:
-        off = hom[a.index(max(a))]
-        kernel = int_nullspace([h for h, x in zip(hom, a) if x == 0] + [off])
-        if not kernel:
-            break
-        w, a = rotate_with_values(hom, w, a, kernel[0])
-    found: dict[frozenset[int], tuple[list[int], list[int]]] = {}
-    ridges_of: dict[frozenset[int], list[frozenset[int]]] = {}
-    open_ridges: dict[frozenset[int], frozenset[int]] = {}
-    parents: dict[frozenset[int], tuple] = {}
-
-    def register(facet: frozenset[int], w: list[int], a: list[int]) -> None:
-        found[facet] = (w, a)
-        ridges_of[facet] = ridge_sets(hom, facet, w)
-        for ridge in ridges_of[facet]:
-            if open_ridges.pop(ridge, None) is None:
-                open_ridges[ridge] = facet
-
-    first = frozenset(i for i, x in enumerate(a) if x == 0)
-    register(first, w, a)
-    queue = [first]
-    while queue:
-        facet = queue.pop()
-        parent = parents.pop(facet, None)
-        ridges = [r for r in ridges_of.pop(facet) if r in open_ridges]
-        if not ridges:
-            continue
-        w, a = found[facet]
-        off = hom[a.index(max(a))]
-        simplex = len(facet) == d
-        if simplex:
-            if parent is None:
-                normals = {j: _pivot(hom, facet - {j}, off, j) for j in facet}
-            else:
-                normals = inherited_normals_with_values(hom, *parent)
-        for ridge in ridges:
-            v = min(facet - ridge)
-            g = normals[v] if simplex else _pivot(hom, ridge, off, v)
-            nw, na = rotate_with_values(hom, w, a, g)
-            key = frozenset(i for i, x in enumerate(na) if x == 0)
-            if key in found:
-                raise PseudomanifoldError(
-                    f"ridge {sorted(ridge)} of facet {sorted(facet)} crosses onto "
-                    f"facet {sorted(key)}, which is already found (0-based point indexes)"
-                )
-            register(key, nw, na)
-            queue.append(key)
-            if simplex and len(key) == d:
-                (x,) = key - ridge
-                parents[key] = (w, a, normals, v, x)
-    if open_ridges:
-        ridge, facet = next(iter(open_ridges.items()))
-        raise PseudomanifoldError(
-            f"ridge {sorted(ridge)} of facet {sorted(facet)} lies in no second facet "
-            "(0-based point indexes)"
-        )
-    return {facet: w for facet, (w, _) in found.items()}
 
 
 def supporting_hyperplane(
@@ -758,164 +465,9 @@ def point_beyond(
     return tuple(Fraction(c, hy[0]) for c in hy[1:])
 
 
-def stack_over_special_by_dots(
-    geom: ASPGeometry,
-    toward: int | None = None,
-    closeness: int = 2,
-    cap: int | None = None,
-) -> ASPGeometry:
-    """stack_over_special as it evaluated every kept facet at the exit point per rung.
-
-    Each call found the cone partners by intersecting every kept facet
-    with F, built the exit point by _mean, took one dot product per kept
-    facet there, and re-validated every point when y joined.  The library
-    reads these from the geometry's stacking frame by linearity; the
-    stacked geometry and every refusal must not change.
-    """
-    special = geom.special
-    if special is None:
-        raise DomainError("geometry has no designated special facet to stack over")
-    hom = geom.config.hom
-    hb = geom.centroid
-    he = _mean([hom[v - 1] for v in special.vertex_ids], [1] * len(special.vertex_ids))
-    if toward is not None:
-        if toward not in special.vertex_ids:
-            raise DomainError(f"vertex {toward} is not on the chosen facet")
-        he = _mean([he, hom[toward - 1]], [1, (1 << closeness) - 1])
-    kept = zip(geom.facet_keys, geom.facets, geom.centroid_values)
-    kept = [(key, f, b) for key, f, b in kept if f is not special]
-    bf = next(b for f, b in zip(geom.facets, geom.centroid_values) if f is special)
-    # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
-    # with E and B its values at the exit point and the centroid: positive
-    # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
-    # reads 2^k * r > p below.
-    halvings = 0
-    steps = []
-    for _, f, b in kept:
-        r = _dot(f.plane, he) * hb[0]
-        p = b * he[0] - r
-        if r <= 0:
-            raise DegeneracyError(
-                "no number of halvings of the step gives a beyond point; "
-                "another facet hyperplane passes through or cuts off the exit point"
-            )
-        steps.append((r, p))
-        halvings = max(halvings, (max(p, 0) // r).bit_length())
-    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0]; a kept
-    # facet's value there is up * hb[0] * E - he[0] * B = up * r - (p + r).
-    up = (1 << (halvings + closeness)) + 1
-    hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
-    af = _dot(special.plane, hy)
-    at_y = [up * r - (p + r) for r, p in steps]
-    if af >= 0 or min(at_y) <= 0:
-        raise DegeneracyError("beyond point fails the beyond conditions")
-    y_id = geom.config.n + 1
-    _check_cap(y_id, cap)
-    # y as its primitive vector, and F's and the kept facets' values there.
-    k = math.gcd(*hy)
-    hy = tuple(c // k for c in hy)
-    af //= k
-    at_y = [a // k for a in at_y]
-    hom = (*hom, hy)
-    config = PointConfig(geom.d, hom)
-    # The stacked centroid vector, as _mean would build it: with scale the
-    # lcm of the old first coordinates (hb[0] = n * scale), it is
-    # lcm(scale, y0)/scale * hb + lcm(scale, y0)/y0 * y.
-    scale = hb[0] // geom.config.n
-    both = math.lcm(scale, hy[0])
-    mb, my = both // scale, both // hy[0]
-    hc = tuple(mb * b + my * c for b, c in zip(hb, hy))
-    facets = [(key, f, mb * b + my * ag, ag) for (key, f, b), ag in zip(kept, at_y)]
-    for (_, g, b), ag in zip(kept, at_y):
-        ridge = g.vertex_ids & special.vertex_ids
-        if len(ridge) != geom.d - 1:
-            continue
-        pencil = [ag * a - af * c for a, c in zip(special.plane, g.plane)]
-        kw = math.gcd(*pencil)
-        w = tuple(c // kw for c in pencil)
-        (x,) = g.vertex_ids - ridge
-        if any(_dot(w, hom[i - 1]) for i in ridge) or _dot(w, hom[x - 1]) <= 0:
-            raise DegeneracyError(
-                f"cone from {y_id} over ridge {sorted(ridge)} "
-                "is not a facet of the stacked hull"
-            )
-        cone = FacetDescriptor(ridge | {y_id}, w)
-        facets.append(((*sorted(ridge), y_id), cone, mb * ((ag * bf - af * b) // kw), 0))
-    # The kept facets are in _facet_order already (geom.facet_keys), and the
-    # sort merges the cones into them; vertex sets differ, so no keys tie.
-    facets.sort()
-    stacked = ASPGeometry(config, tuple(f for _, f, _, _ in facets), None, None)
-    # The cached properties, as a fresh geometry would compute them.
-    vars(stacked).update(
-        centroid=hc,
-        centroid_values=tuple(c for _, _, c, _ in facets),
-        last_values=tuple(a for _, _, _, a in facets),
-    )
-    return stacked
-
-
 def extend_config(config: PointConfig, coords: Sequence[Fraction]) -> PointConfig:
     """Append one point with the next vertex id."""
     return PointConfig(config.d, (*config.hom, tuple(homogeneous(coords))))
-
-
-def constrained_line_shelling_evaluated(
-    geom: ASPGeometry, y_id: int, v_id: int, seed: int
-) -> ShellingCertificate:
-    """constrained_line_shelling as it evaluated every facet at y.
-
-    The library reads the values at y that stacking hands over when y is
-    the last point; the certificate and every refusal must not change.
-    """
-    if not geom.is_simplicial:
-        raise DomainError("constrained shelling requires a simplicial boundary")
-    hom = geom.config.hom
-    if not (1 <= y_id <= len(hom) and 1 <= v_id <= len(hom)) or y_id == v_id:
-        raise DomainError("y and v must be two distinct vertex ids")
-    if not any({y_id, v_id} <= f.vertex_ids for f in geom.facets):
-        raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
-    others = [h for pid, h in enumerate(hom, 1) if pid not in (y_id, v_id)]
-    rng = random.Random(seed)
-    g = _mean(others, [rng.randint(1, 1000) for _ in others])
-    order = _LinesFrom(geom).order(hom[y_id - 1], hom[v_id - 1], g)
-    blocks = [0 if y_id in f else 1 if v_id in f else 2 for f in order]
-    if blocks != sorted(blocks):
-        raise ShellingSearchError(
-            f"the line through y={y_id} perturbed toward v={v_id} does not shell "
-            "st(y), then st(v), first; inconclusive at this placement of y"
-        )
-    return _verified(geom.boundary_complex(), order)
-
-
-def cone_meets_points_exactly(hom: Sequence[Sequence[int]], cone: FacetDescriptor) -> bool:
-    """stack_over_special's cone check as it evaluated the plane at all n+1 points.
-
-    The plane must be >= 0 at every point and 0 exactly at the cone's
-    vertices.  The library checks the d points of the cone's old facet G
-    instead, which the pencil argument in its docstring shows is enough.
-    """
-    values = _dots(cone.plane, hom)
-    zeros = frozenset(i for i, x in enumerate(values, 1) if x == 0)
-    return min(values) >= 0 and zeros == cone.vertex_ids
-
-
-class EagerLines(_LinesFrom):
-    """_LinesFrom as it evaluated every target on every facet.
-
-    The library evaluates a later target only on the facets it still has
-    to tell apart; the order and the DegeneracyError raised must not change.
-    """
-
-    def order(self, *target_homs: Sequence[int]) -> list[frozenset[int]]:
-        at = [_dots(t, self.rows) for t in target_homs]
-        for i, a in enumerate(self.values):
-            if all(c[i] * self.b0 == a * t[0] for c, t in zip(at, target_homs)):
-                raise DegeneracyError("line parallel to a facet hyperplane")
-        keys = [tuple((c[i] << self.shift) // a for c in at) for i, a in enumerate(self.values)]
-        if len(set(keys)) != len(keys):
-            raise DegeneracyError("line meets two facet hyperplanes at one parameter")
-        ranked = sorted(range(len(keys)), key=keys.__getitem__)
-        return [self.facets[i].vertex_ids for i in ranked]
 
 
 def _resolve(index: int, facets: Iterable[frozenset[int]]) -> frozenset[int]:
@@ -1092,49 +644,6 @@ def gauss_rank(rows) -> int:
         if r == m:
             break
     return r
-
-
-def echelon_by_generator(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
-    """exactnum._echelon as it checked raggedness and found pivots by generators.
-
-    Bareiss fraction-free row echelon form, its pivot columns and swap sign.
-
-    Column pivoting with the Sylvester-identity division: every division
-    is exact, since each divisor is a minor of the rows taken in the
-    order the elimination used them; skipped columns leave the update
-    divisor untouched.  Row k of the result is zero left of its pivot,
-    the last pivot is the determinant of the pivot block of the permuted
-    rows, and the sign (+1 or -1) is that of the row permutation.
-    """
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(r) != n for r in a):
-        raise ShapeError("ragged rows")
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        ar = a[r]
-        pk = ar[c]
-        for i in range(r + 1, m):
-            ai = a[i]
-            aic = ai[c]
-            for j in range(c + 1, n):
-                ai[j] = (pk * ai[j] - aic * ar[j]) // prev
-            ai[c] = 0
-        prev = pk
-        pivots.append(c)
-    return a, pivots, sign
 
 
 def int_det(rows: list[list[int]]) -> int:

@@ -42,10 +42,8 @@ from aspoly.errors import (
 )
 from oracles import (
     boundary_by_incidence,
-    cell_decomposition_by_frozensets,
     cell_decomposition_by_masks,
     cell_decomposition_per_split,
-    cell_missing_by_extension_index,
     cell_missing_by_masks,
     cell_missing_by_ridge_scan,
     f_vector_by_face_set,
@@ -56,7 +54,6 @@ from oracles import (
     ridge_incidence,
     simplex_cell,
     stacked_sphere,
-    verify_shelling_by_frozensets,
     verify_shelling_pairwise,
 )
 
@@ -528,20 +525,6 @@ def facet_orders(draw):
     return c, facets
 
 
-class TestShellingMatchesPairwise:
-    @settings(deadline=None, max_examples=200)
-    @given(facet_orders())
-    def test_same_certificate_or_failing_step(self, case):
-        c, order = case
-        outcomes = []
-        for check in (verify_shelling, verify_shelling_pairwise):
-            try:
-                outcomes.append(check(c, order))
-            except ShellingError as exc:
-                outcomes.append(exc.step)
-        assert outcomes[0] == outcomes[1]
-
-
 @st.composite
 def relabelled_orders(draw):
     """A complex and a facet order on far-apart, possibly negative vertex ids.
@@ -585,15 +568,30 @@ def shelling_outcome(check, c, order):
         return "DomainError", str(exc)
 
 
+class TestShellingMatchesPairwise:
+    @settings(deadline=None, max_examples=200)
+    @given(facet_orders())
+    def test_same_certificate_or_failing_step(self, case):
+        # Shuffled and grown orders on the complexes' own ids: the same
+        # certificate, or the same refusal type, step and text.
+        c, order = case
+        got = shelling_outcome(verify_shelling, c, order)
+        assert got == shelling_outcome(verify_shelling_pairwise, c, order)
+
+
 class TestShellingMatchesFrozensets:
+    """verify_shelling's ridge masks over vertex ranks against the pairwise
+    oracle's frozensets of ids, on ids far apart and negative."""
+
     @settings(deadline=None, max_examples=200)
     @given(relabelled_orders())
     def test_same_certificate_or_refusal(self, case):
         # Ridges as masks over vertex ranks: the same restriction faces as
-        # frozensets of ids, and the same step and text when refused.
+        # frozensets of ids, and the same type, step and text when refused
+        # (dropped and repeated facets too).
         c, order = case
         got = shelling_outcome(verify_shelling, c, order)
-        assert got == shelling_outcome(verify_shelling_by_frozensets, c, order)
+        assert got == shelling_outcome(verify_shelling_pairwise, c, order)
 
     def test_negative_ids_refused_with_the_same_text(self):
         # The octahedron with ids 1..6 sent to -6, -4, ..., 4: the order of
@@ -609,7 +607,7 @@ class TestShellingMatchesFrozensets:
             "shelling condition fails at step 3: facet [-4, 0, 2] meets earlier "
             "facets in [2], not inside any old ridge",
         )
-        assert got == shelling_outcome(verify_shelling_by_frozensets, c, order)
+        assert got == shelling_outcome(verify_shelling_pairwise, c, order)
 
 
 @st.composite
@@ -636,25 +634,20 @@ class TestIndexedMatchesOracles:
     """The indexed searches, decomposition and face counts against tests/oracles.py.
 
     The bitmask search and decomposition are compared with the ridge scan
-    and the per-split decomposition, and with the frozenset code they
-    replaced.
+    and the per-split decomposition.
     """
 
     @settings(max_examples=60, deadline=None)
     @given(CELL_LISTS)
     def test_missing_simplices(self, cells_d):
         cells, d = cells_d
-        missing = cell_missing_by_masks(cells, d)
-        assert missing == cell_missing_by_ridge_scan(cells, d)
-        assert missing == cell_missing_by_extension_index(cells, d)
+        assert cell_missing_by_masks(cells, d) == cell_missing_by_ridge_scan(cells, d)
 
     @settings(max_examples=60, deadline=None)
     @given(CELL_LISTS)
     def test_decomposition(self, cells_d):
         cells, d = cells_d
-        decomposition = cell_decomposition_by_masks(cells, d)
-        assert decomposition == cell_decomposition_per_split(cells, d)
-        assert decomposition == cell_decomposition_by_frozensets(cells, d)
+        assert cell_decomposition_by_masks(cells, d) == cell_decomposition_per_split(cells, d)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(SPHERES, minimizer_balls().map(lambda asp: asp.ball), small_pure_complexes()))

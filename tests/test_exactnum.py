@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aspoly import exactnum as xn
 from aspoly.errors import ShapeError
-from oracles import cofactor_det, echelon_by_generator, gauss_rank, int_det
+from oracles import cofactor_det, gauss_rank, int_det
 
 
 def test_det_identity():
@@ -46,15 +46,30 @@ def test_matrix_shape_validation():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 8), st.integers(0, 8), st.sampled_from([1, 3, 10]), st.data())
-def test_echelon_matches_generator_form(m, n, density, data):
-    # Tall and wide blocks, sparse or dense, with some columns all zero:
-    # the same echelon form, pivot columns and sign as the earlier body.
+def test_echelon_is_an_exact_row_echelon_form(m, n, density, data):
+    # Tall and wide blocks, sparse or dense, with some columns all zero.
+    # Row k is zero left of its pivot and the rows past the rank are zero;
+    # the rank is Gauss's and the form spans the rows' space; on a square
+    # block the signed last pivot is the cofactor determinant; and the
+    # kernel vectors solved from the form vanish on every row.
     value = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
     entry = st.tuples(st.integers(0, 9), value).map(lambda t: t[1] if t[0] < density else 0)
     zero_cols = data.draw(st.sets(st.integers(0, max(n - 1, 0))))
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
     rows = [[0 if j in zero_cols else x for j, x in enumerate(r)] for r in rows]
-    assert xn._echelon(rows) == echelon_by_generator(rows)
+    a, pivots, sign = xn._echelon(rows)
+    rank = gauss_rank(rows)
+    assert len(pivots) == rank and pivots == sorted(set(pivots)) and sign in (1, -1)
+    for k, row in enumerate(a):
+        lead = pivots[k] if k < rank else n
+        assert not any(row[:lead]) and (k >= rank or row[lead])
+    if m:
+        assert gauss_rank(rows + a) == rank
+        basis = xn.int_nullspace(rows)
+        assert len(basis) == n - rank
+        assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows for v in basis)
+    if 1 <= m == n <= 6:
+        assert (sign * a[-1][-1] if rank == n else 0) == cofactor_det(rows)
     if m > 1:
         with pytest.raises(ShapeError, match="^ragged rows$"):
             xn._echelon(rows[:-1] + [rows[-1] + [1]])

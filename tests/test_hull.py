@@ -10,10 +10,12 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -58,11 +60,9 @@ from aspoly.hull import (
 )
 import oracles
 from oracles import (
-    EagerLines,
     extend_config,
     homogeneous,
     int_det,
-    key_shelling_defects_by_face_counts,
     paper_curve_points,
     point_beyond,
     rational_points,
@@ -107,10 +107,10 @@ def facets_by_subset_scan(config: PointConfig) -> tuple[FacetDescriptor, ...]:
     return tuple(sorted(facets, key=lambda f: sorted(f.vertex_ids)))
 
 
-def stacked_by_enumeration(geom, toward, closeness):
+def stacked_by_enumeration(geom, toward, closeness, cap=None):
     """stack_over_special the brute-force way: place y, then re-enumerate the hull."""
     y = point_beyond(geom, geom.special, toward=toward, closeness=closeness)
-    return detect_asp(extend_config(geom.config, y))
+    return detect_asp(extend_config(geom.config, y), cap)
 
 
 def shelling_prefix_ok(order, y_id, v_id) -> bool:
@@ -327,7 +327,11 @@ def gift_wrap_per_ridge(hom):
 
 
 class LcmLines:
-    """Oracle: _LinesFrom as it keyed facets by r * t0 * lcm(A) over all facets."""
+    """Oracle: _LinesFrom as it keyed facets by r * t0 * lcm(A) over all facets.
+
+    Eager: every target is evaluated on every facet, and the keys compare
+    the ratios C/A exactly, with no floor.
+    """
 
     def __init__(self, geom, base_hom):
         self.facets = geom.facets
@@ -622,15 +626,12 @@ class TestGiftWrapOracle:
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
     def test_matches_per_ridge_wrap(self, configs, data):
-        # Also the walk as it carried every facet's values at all points:
-        # the same facets with the same planes, on inputs where one
-        # crossing meets several tied points too (special position).
+        # The same facets with the same planes up to d = 7, on inputs where
+        # one crossing meets several tied points too (special position).
         config = data.draw(configs(max_d=7))
         assume(spans_space(config))
         hom = config.hom
-        wrapped = gift_wrap_as_sets(hom)
-        assert wrapped == gift_wrap_per_ridge(hom)
-        assert wrapped == oracles.gift_wrap_with_values(hom)
+        assert gift_wrap_as_sets(hom) == gift_wrap_per_ridge(hom)
 
     @pytest.mark.parametrize(
         "coords",
@@ -645,7 +646,7 @@ class TestGiftWrapOracle:
         # A crossing onto a non-simplex facet reads every point of it off
         # the ratio search: the ridge plus two or more points tied at the
         # best ratio.  Each crossing gives the plane, point mask and values
-        # of oracles.rotate_with_values.
+        # of oracles.rotate_with_values, and the hull is the per-ridge wrap's.
         met = []
         rotate = hull._rotate
 
@@ -660,7 +661,7 @@ class TestGiftWrapOracle:
 
         monkeypatch.setattr(hull, "_rotate", spy)
         hom = config_from_coords(coords).hom
-        assert gift_wrap_as_sets(hom) == oracles.gift_wrap_with_values(hom)
+        assert gift_wrap_as_sets(hom) == gift_wrap_per_ridge(hom)
         assert max(met) >= 2
 
     def test_inherited_normals_are_kernels(self, monkeypatch):
@@ -1022,12 +1023,71 @@ class TestStackOverSpecial:
         fast = stack_over_special(geom, toward, closeness, cap=None)
         assert fast == stacked_by_enumeration(geom, toward, closeness)
 
+    @settings(deadline=None, max_examples=100)
+    @given(stacking_cases(), st.data())
+    def test_matches_the_per_rung_oracle(self, case, data):
+        # Two rungs on one geometry, so the second reads the frame the first
+        # formed.  Each rung equals the brute-force one: y placed by
+        # point_beyond with the hull enumerated again, and the centroid,
+        # centroid values and values at y that fresh geometry computes; or
+        # the same refusal type and text.  The rungs pull toward nothing or
+        # any id (ids off F are refused), at closeness 0..40, with a cap at,
+        # above or without n + 1.  The geometry is the cell as enumerated,
+        # or F with a twin (no step places y), or a kept facet's plane bent
+        # off its ridge with F, or no special facet; the last two are
+        # refused with texts pinned here.
+        cell, _, _ = case
+        geom = asp_geometry(*cell)
+        n, F = cell[1], geom.special
+        variant = data.draw(st.sampled_from(["as enumerated"] * 3 + ["bent", "twin", "no special"]))
+        subject = geom
+        if variant == "bent":
+            g = data.draw(
+                st.sampled_from([f for f in geom.facets if len(f.vertex_ids & F.vertex_ids) == geom.d - 1])
+            )
+            ridge = g.vertex_ids & F.vertex_ids
+            r = data.draw(st.sampled_from(sorted(ridge)))
+            h = next(
+                f for f in geom.facets if f is not F and f is not g and ridge - {r} <= f.vertex_ids
+            )
+            bent = replace(g, plane=tuple(a + b for a, b in zip(g.plane, h.plane)))
+            subject = replace(geom, facets=tuple(bent if f is g else f for f in geom.facets))
+        elif variant == "twin":
+            geom = subject = replace(geom, facets=geom.facets + (replace(F),))
+        elif variant == "no special":
+            subject = hull.ASPGeometry(geom.config, geom.facets, None, None)
+
+        def outcome(stack, geometry, *args):
+            try:
+                q = stack(geometry, *args)
+            except (DomainError, DegeneracyError, CapExceededError) as exc:
+                return type(exc), str(exc)
+            return (
+                q.facets, q.config.hom, q.centroid, q.centroid_values, q.last_values,
+                q.is_simplicial, q.special, q.ball,
+            )
+
+        on_f = st.sampled_from([None, *sorted(F.vertex_ids)])
+        for _ in range(2):
+            args = (
+                data.draw(st.one_of(on_f, st.integers(1, n))),
+                data.draw(st.integers(0, 40)),
+                data.draw(st.sampled_from([None, None, n, n + 1])),
+            )
+            expected = outcome(stacked_by_enumeration, geom, *args)
+            if variant == "no special":
+                expected = DomainError, "geometry has no designated special facet to stack over"
+            elif variant == "bent" and expected[0] not in (DomainError, CapExceededError):
+                message = f"cone from {n + 1} over ridge {sorted(ridge)} is not a facet of the stacked hull"
+                expected = DegeneracyError, message
+            assert outcome(stack_over_special, subject, *args) == expected
+
     @settings(deadline=None, max_examples=40)
     @given(stacking_cases())
     def test_cone_planes_are_kernel_planes(self, case):
         # Each pencil plane is the primitive kernel plane through its cone's
-        # vertices, and meets the points exactly there: the O(d) check
-        # accepts only cones that the check at all n+1 points accepts.
+        # vertices, >= 0 at all n+1 points and 0 exactly there: the O(d)
+        # check accepts only cones that a check at every point accepts.
         cell, toward, closeness = case
         geom = asp_geometry(*cell)
         q = stack_over_special(geom, toward, closeness)
@@ -1036,7 +1096,6 @@ class TestStackOverSpecial:
         for f in cones:
             plane = supporting_hyperplane(q.config.hom, sorted(i - 1 for i in f.vertex_ids))
             assert plane == (f.plane, f.vertex_ids)
-            assert oracles.cone_meets_points_exactly(q.config.hom, f)
 
     @settings(deadline=None, max_examples=40)
     @given(stacking_cases(), st.integers(0, 40))
@@ -1087,8 +1146,7 @@ class TestStackOverSpecial:
     def test_search_matches_a_fresh_geometry(self, case, seed):
         # With y the stacked point the search reads the handed values; with
         # y and v swapped it evaluates at the target.  Either way it gives
-        # what it gives on a fresh geometry, and what the search that
-        # evaluated every first target gives.
+        # what it gives on a fresh geometry, which evaluates every facet.
         cell, toward, closeness = case
         q = stack_over_special(asp_geometry(*cell), toward, closeness)
         fresh = hull.ASPGeometry(q.config, q.facets, None, None)
@@ -1101,9 +1159,9 @@ class TestStackOverSpecial:
                 return type(exc).__name__, str(exc)
 
         for a, b in ((y, v), (v, y)):
-            got = outcome(constrained_line_shelling, q, a, b)
-            assert got == outcome(constrained_line_shelling, fresh, a, b)
-            assert got == outcome(oracles.constrained_line_shelling_evaluated, q, a, b)
+            assert outcome(constrained_line_shelling, q, a, b) == outcome(
+                constrained_line_shelling, fresh, a, b
+            )
 
     @pytest.mark.parametrize("cell", [(4, 7, 0), (4, 8, 1), (5, 9, 2)])
     def test_plane_off_its_ridge_refuses_the_cone(self, cell):
@@ -1150,56 +1208,6 @@ class TestStackOverSpecial:
         message = f"cone from {cell[1] + 1} over ridge {ridge} is not a facet"
         with pytest.raises(DegeneracyError, match=re.escape(message)):
             stack_over_special(tampered)
-
-    @settings(deadline=None, max_examples=100)
-    @given(stacking_cases(), st.data())
-    def test_matches_the_per_rung_oracle(self, case, data):
-        # Two rungs on one geometry, so the second reads the frame the first
-        # formed, each equal to the per-rung body: the same stacked geometry
-        # and handed-over values, or the same refusal and text.  The
-        # geometry is the cell as enumerated, or a kept facet's plane bent
-        # off its ridge with F, or F with a twin, or no special facet; the
-        # rungs pull toward nothing or any id (ids off F are refused), at
-        # closeness 0..40, with a cap at, above or without n + 1.
-        cell, _, _ = case
-        geom = asp_geometry(*cell)
-        n, F = cell[1], geom.special
-        variants = ["as enumerated"] * 3 + ["bent", "twin", "no special"]
-        variant = data.draw(st.sampled_from(variants))
-        if variant == "bent":
-            g = data.draw(
-                st.sampled_from([f for f in geom.facets if len(f.vertex_ids & F.vertex_ids) == geom.d - 1])
-            )
-            ridge = g.vertex_ids & F.vertex_ids
-            r = data.draw(st.sampled_from(sorted(ridge)))
-            h = next(
-                f for f in geom.facets if f is not F and f is not g and ridge - {r} <= f.vertex_ids
-            )
-            bent = replace(g, plane=tuple(a + b for a, b in zip(g.plane, h.plane)))
-            geom = replace(geom, facets=tuple(bent if f is g else f for f in geom.facets))
-        elif variant == "twin":
-            geom = replace(geom, facets=geom.facets + (replace(F),))
-        elif variant == "no special":
-            geom = hull.ASPGeometry(geom.config, geom.facets, None, None)
-
-        def outcome(stack, *args):
-            try:
-                q = stack(geom, *args)
-            except (DomainError, DegeneracyError, CapExceededError) as exc:
-                return type(exc), str(exc)
-            return (
-                q.facets, q.config.hom, q.centroid, q.centroid_values, q.last_values,
-                q.is_simplicial, q.special, q.ball,
-            )
-
-        for _ in range(2):
-            on_f = st.sampled_from([None, *sorted(F.vertex_ids)])
-            toward = data.draw(st.one_of(on_f, st.integers(1, n)))
-            cap = data.draw(st.sampled_from([None, None, n, n + 1]))
-            args = (toward, data.draw(st.integers(0, 40)), cap)
-            assert outcome(stack_over_special, *args) == outcome(
-                oracles.stack_over_special_by_dots, *args
-            )
 
     def test_frame_is_formed_once(self, monkeypatch):
         # A rung without `toward` forms no vertex values; later rungs reuse
@@ -1556,16 +1564,43 @@ class TestLexicographicOrder:
     @given(TIED_PLANES, TIED_TARGETS)
     def test_lazy_matches_eager_with_ties(self, planes, targets):
         # Later targets evaluated only where a tie or a parallel hyperplane
-        # is left: the same order, or the same DegeneracyError message.
+        # is left: the first target on every facet, and target j exactly on
+        # the facets whose eager keys at targets 1..j-1 another facet shares
+        # or that are parallel at every one of them.
         geom = planes_geometry(planes)
-        same_order(_LinesFrom(geom), EagerLines(geom), targets)
+        eager = LcmLines(geom, [1, 0, 0])
+        keys = [eager._keys(t) for t in targets]
+        expected = Counter((tuple(targets[0]), p) for p in planes)
+        for j in range(1, len(targets)):
+            prefixes = [tuple(k[i] for k in keys[:j]) for i in range(len(planes))]
+            shared = Counter(prefixes)
+            for i, p in enumerate(planes):
+                flat = all(k[i] == eager.lcm * t[0] for k, t in zip(keys[:j], targets))
+                if shared[prefixes[i]] > 1 or flat:
+                    expected[tuple(targets[j]), p] += 1
+        evaluated = Counter()
+        dot = hull._dot
+
+        def spy(u, v):
+            evaluated[tuple(u), tuple(v)] += 1
+            return dot(u, v)
+
+        lines = _LinesFrom(geom)
+        with mock.patch.object(hull, "_dot", spy):
+            try:
+                lines.order(*targets)
+            except DegeneracyError:
+                pass
+        assert evaluated == expected
+        same_order(lines, eager, targets)
 
     @settings(deadline=None, max_examples=150)
     @given(TIED_PLANES, TIED_TARGETS, st.booleans(), st.data())
     def test_lazy_matches_eager_with_parallel_targets(self, planes, targets, every, data):
         # The line toward (t0, k*a2, -k*a1) from the origin is parallel to
         # the facet off + a.x >= 0: at the first target only, the later
-        # targets as drawn, or at every target.
+        # targets as drawn, or at every target.  The lazy keys against the
+        # eager exact ones of LcmLines.
         geom = planes_geometry(planes)
         _, a1, a2 = data.draw(st.sampled_from(planes))
 
@@ -1573,7 +1608,7 @@ class TestLexicographicOrder:
             return (t0, k * a2, -k * a1)
 
         targets = [parallel(*t) for t in targets] if every else [parallel(*targets[0]), *targets[1:]]
-        same_order(_LinesFrom(geom), EagerLines(geom), targets)
+        same_order(_LinesFrom(geom), LcmLines(geom, [1, 0, 0]), targets)
 
     @settings(deadline=None, max_examples=40)
     @given(stacking_cases(), st.booleans(), st.data())
@@ -1596,8 +1631,7 @@ class TestLexicographicOrder:
 
         count = data.draw(st.integers(1, 3))
         later = [parallel() if every else data.draw(st.sampled_from(q.config.hom)) for _ in range(count - 1)]
-        fresh = hull.ASPGeometry(q.config, q.facets, None, None)
-        same_order(_LinesFrom(q), EagerLines(fresh), [parallel(), *later])
+        same_order(_LinesFrom(q), LcmLines(q, homogeneous(centroid(q))), [parallel(), *later])
 
     @settings(deadline=None, max_examples=40)
     @given(constrained_cases(), st.integers(1, 3))
@@ -1610,8 +1644,7 @@ class TestLexicographicOrder:
         rng = random.Random(seed)
         g = hull._mean(others, [rng.randint(1, 1000) for _ in others])
         targets = [q.config.hom[y - 1], q.config.hom[v - 1], g][:count]
-        fresh = hull.ASPGeometry(q.config, q.facets, None, None)
-        same_order(_LinesFrom(q), EagerLines(fresh), targets)
+        same_order(_LinesFrom(q), LcmLines(q, homogeneous(centroid(q))), targets)
 
 
 class TestKeyShellingDefects:
@@ -1630,7 +1663,9 @@ class TestKeyShellingDefects:
     @given(shelled_stacked_cases(), st.booleans())
     def test_matches_face_counts(self, case, constrained):
         # Line shellings under different seeds, constrained shellings, and
-        # their reversals: every valid order gives the face-count table.
+        # their reversals, with y and v in either role and with a second
+        # vertex of F: every valid order gives the face-count table of the
+        # rebuilt complexes.
         (d, n, s), seed, reverse = case
         geom = asp_geometry(d, n, s)
         stacked = stack_over_special(geom)
@@ -1650,9 +1685,7 @@ class TestKeyShellingDefects:
                 cert = verify_shelling(cert.complex, list(reversed(cert.order)))
             for a, b in [(y, v), (v, y), (y, 1 + v % (d + s))]:
                 if a != b:
-                    assert key_shelling_defects(cert, a, b) == key_shelling_defects_by_face_counts(
-                        cert, a, b
-                    )
+                    assert key_shelling_defects(cert, a, b) == defects_by_rebuild(cert, a, b)
 
     def test_empty_links_at_start(self):
         # Reversed, a constrained shelling ends with st(y) and st(v): the

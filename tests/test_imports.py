@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, and every public
 library name, public method of a library class and field of a library
-dataclass is read outside tests/.
+dataclass is read outside tests/; every name tests/oracles.py defines or
+imports is read too, so a retired oracle does not linger unused.
 
 Parses the library modules (all but the package ``__init__``) and the
 scripts with ``ast``; a name counts as used when it is read anywhere in
@@ -10,6 +11,7 @@ access an attribute of that name, outside its own definition.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -158,3 +160,61 @@ def test_every_dataclass_field_is_read():
         if name not in read
     )
     assert not unread, f"dataclass fields nothing outside tests/ reads: {unread}"
+
+
+ORACLES = ROOT / "tests" / "oracles.py"
+
+
+def top_level_names(tree: ast.Module):
+    """(name, first line, last line) of each top-level def, class, assignment and import."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        else:
+            continue
+        for name in names:
+            yield name, node.lineno, node.end_lineno
+
+
+def oracle_reads(tree: ast.Module) -> set[str]:
+    """Names a test module reads from oracles: imported from it and loaded, or as oracles.<name>."""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        for alias in node.names
+    }
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in imported:
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "oracles":
+            out.add(n.attr)
+    return out
+
+
+def test_every_oracle_name_is_read():
+    """Each top-level name of tests/oracles.py is loaded in oracles.py outside
+    its own definition, read from oracles by another test module, or named
+    in a CI workflow (which runs python -c snippets that import it)."""
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    spans = {name: (first, last) for name, first, last in top_level_names(tree)}
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in spans:
+            first, last = spans[n.id]
+            if not first <= n.lineno <= last:
+                read.add(n.id)
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path != ORACLES:
+            read |= oracle_reads(ast.parse(path.read_text(), filename=str(path)))
+    workflows = " ".join(p.read_text() for p in sorted((ROOT / ".github" / "workflows").glob("*.yml")))
+    read |= {name for name in spans if re.search(rf"\b{name}\b", workflows)}
+    unread = sorted(set(spans) - read)
+    assert not unread, f"tests/oracles.py names nothing reads: {unread}"

@@ -9,18 +9,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(*argv):
+def run_script(*argv, cwd=ROOT):
     return subprocess.run(
         [sys.executable, *argv],
-        cwd=ROOT,
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=300,
     )
 
 
-def test_shelling_experiment_runs():
-    proc = run_script("scripts/shelling_experiment.py", "--n-span", "1")
+def test_shelling_experiment_runs(tmp_path):
+    # From another directory: the script finds src/ from its own path.
+    proc = run_script(str(ROOT / "scripts" / "shelling_experiment.py"), "--n-span", "1", cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 negative-defect certificates" in proc.stderr
 
