@@ -453,7 +453,7 @@ def cmd_rigidity(args) -> int:
     if "complex" in data:
         asp = _load_artifact(data, unsafe_large=True).asp
         graph = one_skeleton(asp.ball)
-        dim = args.dim or asp.params.d
+        dim = asp.params.d if args.dim is None else args.dim
     else:
         for key in ("vertices", "edges"):
             if key not in data:

@@ -401,9 +401,7 @@ def _facet_order(facets: Iterable[FacetDescriptor]) -> tuple[FacetDescriptor, ..
     return tuple(sorted(facets, key=lambda f: tuple(sorted(f.vertex_ids))))
 
 
-def enumerate_facets(
-    config: PointConfig, cap: int | None = None
-) -> tuple[FacetDescriptor, ...]:
+def enumerate_facets(config: PointConfig) -> tuple[FacetDescriptor, ...]:
     """All facets of the convex hull, by exact gift-wrapping.
 
     Starting from one facet, each ridge whose second facet is still
@@ -414,7 +412,6 @@ def enumerate_facets(
     RankDeficientError.
     """
     n, d = config.n, config.d
-    _check_cap(n, cap)
     if n < d + 1:
         raise RankDeficientError("too few points to span the ambient dimension")
     hom = config.hom
@@ -432,9 +429,10 @@ def detect_asp(config: PointConfig, cap: int | None = None) -> ASPGeometry:
     With exactly one non-simplex facet the ball complex (all other
     facets) is assembled and validated; with none, the geometry is
     returned unclassified and a caller may designate any facet as
-    special via designate_special.
+    special via designate_special.  A `cap` bounds the point count.
     """
-    facets = enumerate_facets(config, cap)
+    _check_cap(config.n, cap)
+    facets = enumerate_facets(config)
     big = [f for f in facets if not f.is_simplex()]
     if len(big) > 1:
         raise NotASPError(
@@ -786,7 +784,7 @@ def stack_over_special(
     made is O(d): w is 0 at the d-1 vertices of R and > 0 at G's vertex
     off R, or DegeneracyError is raised, so a stored plane that is not 0
     on its ridge with F fails here.  A `cap` bounds the extended point
-    count as enumerate_facets does.
+    count as detect_asp does.
 
     What depends on the geometry alone is its stacking_frame, formed once:
     the kept facets' values at F's vertex centroid he0 and, per vertex v

@@ -9,15 +9,22 @@ import time
 
 import pytest
 
-from aspoly.cli import Artifact, check_ds, check_ridge, stacking_identity
+from aspoly.cli import (
+    Artifact,
+    check_ds,
+    check_gale,
+    check_minimizer,
+    check_ridge,
+    check_rigidity,
+    stacking_identity,
+)
 from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import (
     ASPParams,
     check_asp_bounds,
     f_almost_cyclic,
-    f_almost_stacked,
 )
-from aspoly.gale import almost_cyclic_facets, simplex_facet_count_even_d
+from aspoly.gale import simplex_facet_count_even_d
 from aspoly.hull import (
     asp_geometry,
     key_lemma_rung,
@@ -25,8 +32,8 @@ from aspoly.hull import (
     line_shelling,
     stack_over_special,
 )
-from aspoly.rigidity import g2_of_skeleton, one_skeleton, sample_generic
-from aspoly.stackgen import random_minimizer, recognize_minimizer
+from aspoly.rigidity import g2_of_skeleton
+from aspoly.stackgen import random_minimizer
 from aspoly.complexes import ASPComplex, SimplicialComplex, validate_asp
 from oracles import pyramid
 from test_hull import neighborliness, simpliciality
@@ -68,14 +75,25 @@ def grid_minimizers():
     return out
 
 
-def test_criterion_01_gale_geometry_agreement(grid_geometry):
+def both_families(grid_geometry, grid_minimizers):
+    """(family, cell, artifact) for every almost-cyclic, then almost-stacked, instance.
+
+    Each artifact is what `aspoly construct` would load: a cyclic one with
+    its hull, so the criteria below run `aspoly verify`'s own checks.
+    """
+    for key, geom in grid_geometry[0].items():
+        yield "C", key, Artifact(geom.ball, geom, "cyclic-asp")
+    for key, asp in grid_minimizers.items():
+        yield "S", key, Artifact(asp, kind="stacked-asp")
+
+
+def test_criterion_01_gale_geometry_agreement(grid_geometry, grid_minimizers):
     cells, elapsed = grid_geometry
-    mismatches = []
-    for (d, n, s), geom in cells.items():
-        got = {f.vertex_ids for f in geom.facets}
-        predicted = {frozenset(x) for x in almost_cyclic_facets(ASPParams(d, n, s))}
-        if got != predicted:
-            mismatches.append((d, n, s))
+    mismatches = [
+        key
+        for family, key, art in both_families(grid_geometry, grid_minimizers)
+        if family == "C" and not check_gale(art)[0]
+    ]
     ok = not mismatches and elapsed < 600
     report(
         1,
@@ -109,14 +127,6 @@ def test_criterion_03_closed_forms(grid_geometry):
         if d % 2 == 0 and len(geom.facets) != simplex_facet_count_even_d(p) + 1:
             bad.append((d, n, s, "count"))
     report(3, "f equals closed form (and even-d facet count)", not bad, str(bad) if bad else "")
-
-
-def both_families(grid_geometry, grid_minimizers):
-    """(family, cell, artifact) for every almost-cyclic, then almost-stacked, instance."""
-    for key, geom in grid_geometry[0].items():
-        yield "C", key, Artifact(geom.ball)
-    for key, asp in grid_minimizers.items():
-        yield "S", key, Artifact(asp)
 
 
 def test_criterion_04_dehn_sommerville(grid_geometry, grid_minimizers):
@@ -172,7 +182,7 @@ def test_criterion_08_shelling_identities(grid_geometry):
     for (d, n, s), geom in cells.items():
         if d > 5:
             continue
-        stacked = stack_over_special(geom, cap=None)
+        stacked = stack_over_special(geom)
         for seed in range(10):
             _, matches_f, stacks = stacking_identity(line_shelling(stacked, seed), geom.ball)
             runs += 1
@@ -214,35 +224,26 @@ def test_criterion_09_key_lemma_defects(grid_geometry):
 
 
 def test_criterion_10_rigidity(grid_geometry, grid_minimizers):
-    cells, _ = grid_geometry
     bad = []
-    for (d, n, s), geom in cells.items():
+    for family, (d, n, s), art in both_families(grid_geometry, grid_minimizers):
         if d not in (4, 5):
             continue
-        skel = one_skeleton(geom.ball.ball)
-        rep = sample_generic(skel, d, trials=3, seed=d * 100 + n)
-        g2 = g2_of_skeleton(n, skel.n_edges, d)
-        if not rep.rigid_certified or rep.stress_dim != g2:
-            bad.append(("C", d, n, s))
-    for (d, n, s), asp in grid_minimizers.items():
-        if d not in (4, 5):
-            continue
-        skel = one_skeleton(asp.ball)
-        rep = sample_generic(skel, d, trials=3, seed=d * 100 + n + 7)
-        g2 = g2_of_skeleton(n, skel.n_edges, d)
-        if not (rep.rigid_certified and rep.stress_free_certified and g2 == 0):
-            bad.append(("S", d, n, s))
+        ok, _ = check_rigidity(art, d * 100 + n + (7 if family == "S" else 0))
+        # A minimizer's skeleton is stress-free: g2 = 0.
+        if not ok or family == "S" and g2_of_skeleton(n, art.asp.f_polytope().entries[2], d):
+            bad.append((family, d, n, s))
     report(10, "rigid certificates and stress dim = g2", not bad, str(bad[:4]) if bad else "")
 
 
 def test_criterion_11_minimizer_recognition(grid_geometry, grid_minimizers):
-    cells, _ = grid_geometry
-    bad = []
-    for (d, n, s), asp in grid_minimizers.items():
-        if d < 4:
-            continue
-        if not recognize_minimizer(asp).is_minimizer:
-            bad.append(("S", d, n, s))
+    # Recognized as a minimizer exactly when the f-vector is the
+    # minimizers': every stacked instance, and the cyclic cells where the
+    # two families' f-vectors coincide.
+    bad = [
+        (family, *key)
+        for family, key, art in both_families(grid_geometry, grid_minimizers)
+        if key[0] >= 4 and not check_minimizer(art)[0]
+    ]
     octahedron = SimplicialComplex.from_facets(
         [frozenset({a, b, c}) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
     )
@@ -250,16 +251,8 @@ def test_criterion_11_minimizer_recognition(grid_geometry, grid_minimizers):
         ASPParams(4, 7, 2), pyramid(octahedron, 7), frozenset(range(1, 7)), None
     )
     validate_asp(pyr)
-    if not recognize_minimizer(pyr).is_minimizer:
+    if not check_minimizer(Artifact(pyr))[0]:
         bad.append(("pyramid-over-octahedron",))
-    for (d, n, s), geom in cells.items():
-        if d < 4:
-            continue
-        p = ASPParams(d, n, s)
-        if f_almost_cyclic(p).entries == f_almost_stacked(p).entries:
-            continue
-        if recognize_minimizer(geom.ball).is_minimizer:
-            bad.append(("C", d, n, s))
     report(11, "minimizer recognition", not bad, str(bad[:4]) if bad else "")
 
 

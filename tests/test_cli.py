@@ -682,7 +682,7 @@ class TestStoredHull:
         # the library's curve and on the paper's, whose plane entries reach
         # 578 bits at (4, 40, 1) (28 on the library's).
         for curve in (almost_cyclic_points, paper_curve_points):
-            facets = enumerate_facets(curve(ASPParams(*cell)), cap=None)
+            facets = enumerate_facets(curve(ASPParams(*cell)))
             data = json.loads(json.dumps({"facets": [f.to_json() for f in facets]}))
             loaded = cli._facets_from_json(data)
             assert [f.plane for f in loaded] == [f.plane for f in facets], curve.__name__
@@ -1073,6 +1073,16 @@ class TestRigidityCommand:
         code, out, _ = run(capsys, "rigidity", "--input", str(path))
         report = json.loads(out)
         assert report["stress_dim"] == 3 and report["d"] == 4
+
+    def test_artifact_dim_zero_refused(self, capsys, tmp_path):
+        # --dim 0 is a dimension given, refused as on a raw graph, not
+        # replaced by the artifact's d.
+        path, _ = make_artifact(
+            capsys, tmp_path,
+            "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
+        )
+        code, out, err = run(capsys, "rigidity", "--input", str(path), "--dim", "0")
+        assert (code, out, err) == (2, "", "error: dimension must be positive\n")
 
     @pytest.mark.parametrize(
         "tamper, message",
