@@ -177,12 +177,11 @@ def _require_ids(value, where: str) -> None:
         raise AspolyError(f"artifact field '{where}' is not a list of integer vertex ids")
 
 
-def _require_int(value, where: str) -> int:
-    """An integer written "k" or "k/1"."""
+def _int_or_none(value) -> int | None:
+    """An integer written "k" or "k/1", else None."""
     num, slash, den = value.partition("/") if isinstance(value, str) else ("", "/", "")
-    if den == ("1" if slash else "") and num.removeprefix("-").isdecimal():
-        return int(num)
-    raise AspolyError(f"artifact field '{where}' is not an integer: {value!r}")
+    ok = den == ("1" if slash else "") and num.removeprefix("-").isdecimal()
+    return int(num) if ok else None
 
 
 def _require_facets(value, where: str) -> None:
@@ -240,10 +239,13 @@ def _facets_from_json(data) -> list[FacetDescriptor]:
         at = f"facets[{i}]"
         _require(entry, ("vertices", "normal", "offset"), at)
         _require_ids(entry["vertices"], f"{at}.vertices")
-        normal = enumerate(_require_list(entry["normal"], f"{at}.normal"))
-        w = [_require_int(a, f"{at}.normal[{k}]") for k, a in normal]
-        offset = _require_int(entry["offset"], f"{at}.offset")
-        facets.append(FacetDescriptor(frozenset(entry["vertices"]), (offset, *w)))
+        raw = [*_require_list(entry["normal"], f"{at}.normal"), entry["offset"]]
+        plane = [_int_or_none(a) for a in raw]
+        if None in plane:  # named only on failure: the first bad entry, offset last
+            k = plane.index(None)
+            field = f"normal[{k}]" if k < len(raw) - 1 else "offset"
+            raise AspolyError(f"artifact field '{at}.{field}' is not an integer: {raw[k]!r}")
+        facets.append(FacetDescriptor(frozenset(entry["vertices"]), (plane[-1], *plane[:-1])))
     return facets
 
 

@@ -13,19 +13,21 @@ simplicial sphere is the case where every cell is a simplex, and the
 minimizer recognizer in stackgen passes polyhedral cells too.  Inside it
 a face is an int bitmask over vertex positions: the vertex of rank k in
 sorted id order is bit k, whatever its id, so masks order faces as
-face_key does.  Missing simplices are found once, by looking each
-ridge's completions up in an index of the (d-2)-faces, and carried down
-the splits.  One map from ridges to their cells serves every split.
-Faces leave the decomposition, results and error messages alike, as
-vertex ids.
+face_key does.  Missing simplices are found once and carried down the
+cuts; a cut runs on vertex masks, its sides the components of the graph
+of vertex pairs sharing a cell, less the cut simplex's vertices (proof
+at _cell_decomposition).  Refused: fat ridges, and once a cut is made,
+cells not strongly connected and cuts leaving other than two sides.
+Faces leave the decomposition, results and errors alike, as vertex ids.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Sequence
 
 from .enumerative import ASPParams, FVector, HVector
@@ -139,11 +141,6 @@ def induced(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
     return SimplicialComplex.from_facets(maximal)
 
 
-def _ridge_counts(c: SimplicialComplex) -> Counter:
-    """Number of facets containing each ridge (codimension-1 face)."""
-    return Counter(g - {x} for g in c.facets for x in g)
-
-
 def boundary_of_ball(c: SimplicialComplex) -> SimplicialComplex:
     """Subcomplex generated by ridges lying in exactly one facet.
 
@@ -152,16 +149,12 @@ def boundary_of_ball(c: SimplicialComplex) -> SimplicialComplex:
     """
     if not c.facets:
         raise DomainError("empty complex has no boundary")
-    counts = _ridge_counts(c)
+    counts = Counter(g - {x} for g in c.facets for x in g)
     fat = [r for r, k in counts.items() if k > 2]
     if fat:
         r = min(fat, key=face_key)
         raise PseudomanifoldError(f"ridge {sorted(r)} lies in {counts[r]} facets")
     return SimplicialComplex.from_facets(r for r, k in counts.items() if k == 1)
-
-
-def is_closed_pseudomanifold(c: SimplicialComplex) -> bool:
-    return all(k == 2 for k in _ridge_counts(c).values())
 
 
 @dataclass(frozen=True)
@@ -262,122 +255,141 @@ def _face_ids(m: int, ids: Sequence[int]) -> list[int]:
 
 
 def _simplex_cell(m: int) -> _MaskCell:
-    return m, tuple(m ^ b for b in _bits(m))
+    return m, tuple([m ^ b for b in _bits(m)])
 
 
-def _cell_missing_simplices(cells: Sequence[_MaskCell], d: int) -> list[int]:
+def _incidence(cells: Sequence[_MaskCell]) -> tuple[dict[int, int], dict[int, int]]:
+    """Each ridge's holders, bit i for every cell i that has it, and adj:
+    per vertex bit, the OR of the cells at that vertex."""
+    holders, adj = {}, {}
+    for i, (m, rs) in enumerate(cells):
+        for r in rs:
+            holders[r] = holders.get(r, 0) | 1 << i
+        for v in _bits(m):
+            adj[v] = adj.get(v, 0) | m
+    return holders, adj
+
+
+def _walk(seed: int, allowed: int, nb: dict[int, int]) -> int:
+    """The bits of allowed joined to seed's lowest bit, each bit b to the bits of nb[b]."""
+    comp = todo = seed & -seed
+    while todo:
+        b = todo & -todo
+        grow = nb[b] & allowed & ~comp
+        comp |= grow
+        todo = todo ^ b | grow
+    return comp
+
+
+def _cell_missing_simplices(
+    cells: Sequence[_MaskCell], d: int, holders: dict[int, int], adj: dict[int, int]
+) -> list[int]:
     """Missing facets: d-vertex sets that are not faces but whose facets are.
 
-    Every (d-1)-vertex face is a cell ridge and every d-vertex face is a
-    simplex cell.  A candidate a = r + x, with r a ridge, needs (r - y) + x
-    to be a ridge for every y in r.  So an index sends each (d-2)-face
-    r ^ y to the OR of the bits that extend it to a ridge, and the AND of
-    r's d - 1 index values holds every x.  Only bits above r's top bit are
-    taken, which finds each a once, from r = a - max(a).  The result is in
-    face_key order.
+    Every (d-1)-vertex face is a ridge, a key of holders, and every
+    d-vertex face a simplex cell.  A candidate a = r + x, with r a ridge,
+    needs (r - y) + x to be a ridge for every y in r.  Any two of a's
+    vertices lie in one of its ridges (d >= 3), so share a cell: x is in
+    the AND of adj (from _incidence) over r, its top vertex's first.
+    Only bits above r's top bit are taken, which finds each a once, from
+    r = a - max(a).  The result is in face_key order.
     """
-    ridges = {r: _bits(r) for r in {r for _, rs in cells for r in rs}}
     simplices = {m for m, _ in cells if m.bit_count() == d}
-    extensions: dict[int, int] = {}
-    for r, ys in ridges.items():
-        for y in ys:
-            extensions[r ^ y] = extensions.get(r ^ y, 0) | y
     out = []
-    for r, ys in ridges.items():
-        cand = -1 << r.bit_length()
+    for r in holders:
+        cand = adj[1 << (r.bit_length() - 1)] & (-1 << r.bit_length())
+        ys = _bits(r) if cand else ()
         for y in ys:
-            cand &= extensions[r ^ y]
-        for x in _bits(cand):
-            a = r | x
-            if a not in simplices:
+            cand &= adj[y]
+        while cand:
+            a = r | (cand & -cand)
+            cand &= cand - 1
+            if a not in simplices and all(a ^ y in holders for y in ys):
                 out.append(a)
     return sorted(out, key=_bits)
 
 
 def _cell_decomposition(
-    cells: Sequence[_MaskCell], d: int, ids: Sequence[int]
+    cells: Sequence[_MaskCell], d: int, ids: Sequence[int], incidence: tuple
 ) -> tuple[list[_MaskCell], list[list[int]], list[tuple[int, int, int]]]:
     """Split a sphere of cells along missing simplices until none is left.
 
-    Bit k of a mask stands for ids[k], and errors name faces by those ids.
-    Returns the cells with the cut simplices appended, the prime factors as
-    lists of indices into them, and the tree of cuts as (factor index,
-    factor index, cut simplex).  The lexicographically first missing
-    simplex a is cut first.  A ridge in three or more cells raises
-    PseudomanifoldError, naming the first such ridge in face_key order.
+    Bit k of a mask stands for ids[k], and errors name faces by those ids;
+    incidence is _incidence(cells).  Returns the cells with the cut
+    simplices appended, the prime factors as lists of indices into them,
+    and the tree of cuts as (factor index, factor index, cut simplex).
+    The lexicographically first missing simplex a is cut first, and each
+    part keeps its cells in order, with a appended.  The cells must be
+    closed, every ridge in two: _prime_cells checks, validate_asp implies.
 
-    One map, built once, sends each ridge to the cells that own it.  A part
-    is a list of cell indices; it is cut along a by two walks that cross
-    only its own members' ridges other than a's, and each part keeps its
-    cells in the given order, with a appended.  The cut simplex joins the
-    cells, and its index joins the owners of its ridges.
+    Cuts run on vertex masks.  Let a part be a strongly connected closed
+    pseudomanifold of cells of dimension d - 1 >= 2 (each cell's ridges a
+    mod-2 cycle), and a be missing.  Every cell has a vertex off a (a cell
+    inside a would be a), and so does every ridge but a's, so each piece
+    the cut leaves (cells joined through ridges other than a's) has its
+    vertices off a connected in the graph G of pairs that share a cell.
+    The ridges a piece holds once are a's and form a mod-2 cycle: all d,
+    as no other set of a simplex's facets does, or none, and then the
+    piece shares no ridge with another, so it is the part.  a's ridges
+    lie in two cells each, so at most two pieces are left, and G off a
+    has two components only if two are, each one component.  So a part
+    is a vertex mask, side + a, with the cells at the side's vertices,
+    and is again strongly connected and closed: strong connection is
+    walked once, on the input, if there is a cut.  One adj mask per
+    vertex, the OR of the input cells at it, serves every cut: a cut
+    simplex's ridges are input ridges, and an input cell that left with
+    the other side has its vertices of this part in a cut simplex.
 
-    The missing set is searched once, at the root, and carried down: each
-    part of the cut along a keeps the parent's other missing simplices
-    whose ridges all have an owner in that part.  Such a simplex is still
-    missing there, since the part's cells are parent cells plus a.  No new
-    one appears either.  The part's ridges are parent ridges (a's ridges
-    are, as a was missing), so a new missing simplex of the part would be
-    a simplex cell of the other side whose ridges all lie in this part.  A
-    ridge lies in two cells, and two cells on different sides meet only in
-    a cut ridge, so all its ridges would be ridges of a: it would be a
-    itself, but a was missing in the parent, so it is no cell of the other
-    side.
+    The missing set is searched once and carried down: a missing m other
+    than a goes to the part whose mask holds it (its vertices off a share
+    cells, so lie on one side, and each of its ridges is a's or at a
+    vertex of that side), where it is still missing.  A new one would be
+    a simplex cell of the other side with all its ridges in a (cells on
+    two sides share only a's ridges), so a itself, which was missing.
+
+    Refused: a ridge in three or more cells (PseudomanifoldError, naming
+    the first in face_key order); if a cut is made, cells that are not
+    strongly connected, as where two spheres touch, and a cut that leaves
+    other than two sides, as on the 7-vertex torus (DegeneracyError).
     """
     cells = list(cells)
-    owners: dict[int, list[int]] = {}
-    for i, (_, rs) in enumerate(cells):
-        for r in rs:
-            owners.setdefault(r, []).append(i)
-    fat = [r for r, own in owners.items() if len(own) > 2]
+    holders, adj = incidence
+    fat = {r: h.bit_count() for r, h in holders.items() if h.bit_count() > 2}
     if fat:
         r = min(fat, key=_bits)
-        raise PseudomanifoldError(f"ridge {_face_ids(r, ids)} lies in {len(owners[r])} cells")
+        raise PseudomanifoldError(f"ridge {_face_ids(r, ids)} lies in {fat[r]} cells")
+    missing = _cell_missing_simplices(cells, d, holders, adj)
+    if missing:
+        nb = {1 << i: reduce(or_, map(holders.__getitem__, rs)) for i, (_, rs) in enumerate(cells)}
+        every = (1 << len(cells)) - 1
+        if _walk(every, every, nb) != every:
+            raise DegeneracyError("the cells are not strongly connected")
     factors: list[list[int]] = []
     edges: list[tuple[int, int, int]] = []
 
-    def reach(i: int, members: set[int], cut: set[int]) -> set[int]:
-        comp, stack = {i}, [i]
-        while stack:
-            for r in cells[stack.pop()][1]:
-                if r not in cut:
-                    for nb in owners[r]:
-                        if nb in members and nb not in comp:
-                            comp.add(nb)
-                            stack.append(nb)
-        return comp
-
-    def decompose(part: list[int], carried: list[_MaskCell]) -> list[int]:
-        members = set(part)
-        missing = [
-            m for m in carried if all(not members.isdisjoint(owners[r]) for r in m[1])
-        ]
+    def decompose(part: list[int], verts: int, missing: list[int]) -> list[int]:
         if not missing:
             factors.append(part)
             return [len(factors) - 1]
-        cell = missing[0]
-        a = cell[0]
-        cut = set(cell[1])
-        side = reach(part[0], members, cut)
-        rest = [i for i in part if i not in side]
-        if not rest or reach(rest[0], members, cut) != set(rest):
-            raise DegeneracyError(
-                f"cutting along {_face_ids(a, ids)} does not give two components"
-            )
+        a = missing[0]
+        free = verts & ~a
+        side = _walk(cells[part[0]][0] & free, free, adj)
+        rest = free ^ side
+        if not rest or _walk(rest, free, adj) != rest:
+            cut = _face_ids(a, ids)
+            raise DegeneracyError(f"cutting along {cut} does not give two components")
         k = len(cells)
-        cells.append(cell)
-        for r in cut:
-            owners[r].append(k)
-        s1 = [i for i in part if i in side] + [k]
-        s2 = rest + [k]
-        idx1 = decompose(s1, missing[1:])
-        idx2 = decompose(s2, missing[1:])
-        i, j = (next(f for f in idx if k in factors[f]) for idx in (idx1, idx2))
+        cells.append(_simplex_cell(a))
+        idx = []
+        for sub in (side, rest):
+            kept = [i for i in part if cells[i][0] & sub] + [k]
+            sub |= a
+            idx.append(decompose(kept, sub, [m for m in missing[1:] if not m & ~sub]))
+        i, j = (next(f for f in ix if k in factors[f]) for ix in idx)
         edges.append((i, j, a))
-        return idx1 + idx2
+        return idx[0] + idx[1]
 
-    missing = [_simplex_cell(a) for a in _cell_missing_simplices(cells, d)]
-    decompose(list(range(len(cells))), missing)
+    decompose(list(range(len(cells))), sum(adj), missing)
     return cells, factors, edges
 
 
@@ -397,10 +409,11 @@ def _prime_cells(
     """
     if sphere.dim < 2:
         raise DomainError("prime decomposition needs dimension at least 2")
-    if not is_closed_pseudomanifold(sphere):
-        raise PseudomanifoldError("input has boundary or fat ridges")
     cells = [_simplex_cell(_mask(g, bit)) for g in sphere.sorted_facets()]
-    cells, parts, edges = _cell_decomposition(cells, sphere.dim + 1, ids)
+    incidence = _incidence(cells)
+    if any(h.bit_count() != 2 for h in incidence[0].values()):
+        raise PseudomanifoldError("input has boundary or fat ridges")
+    cells, parts, edges = _cell_decomposition(cells, sphere.dim + 1, ids, incidence)
     total = sum(len({cells[i][0] for i in part}) for part in parts)
     if total != sphere.n_facets + 2 * len(edges) or len(edges) != len(parts) - 1:
         raise DegeneracyError("decomposition bookkeeping violated the cut identity")

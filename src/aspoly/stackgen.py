@@ -8,11 +8,10 @@ index into the sorted facet list, so a script is a tuple of ints.  Each
 construction runs one walk: the ball's facets, and for hyperplane stacking
 the special facet's boundary, are kept as sorted lists that each move
 updates by bisection, and the complex is built and validated once, at
-the end.  The recognizer runs the cell decomposition of complexes on
-the boundary sphere, with the special facet's prime factors as
-indivisible polyhedral cells, taken as masks from the decomposition of
-F's boundary; it builds the cells and classifies the factors on the
-decomposition's vertex bitmasks, and reports vertex ids.
+the end.  The recognizer cuts the boundary sphere on vertex masks (the
+cell decomposition of complexes), with the special facet's prime factors,
+read off F's boundary as masks, as indivisible polyhedral cells, and
+classifies the factors on those masks; it reports vertex ids.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .complexes import (
     _MaskCell,
     _cell_decomposition,
     _face_ids,
+    _incidence,
     _mask,
     _prime_cells,
     _simplex_cell,
@@ -313,7 +313,7 @@ def recognize_minimizer(asp: ASPComplex) -> MinimizerVerdict:
     ids = asp.ball.vertex_ids
     bit = _vertex_bits(ids)
     cells, n_f = _refined_cells(asp, ids, bit)
-    cells, parts, _ = _cell_decomposition(cells, d, ids)
+    cells, parts, _ = _cell_decomposition(cells, d, ids, _incidence(cells))
     regime = "d4" if d == 4 else "dGT4"
     fmask = _mask(asp.special_facet, bit)
     reports = tuple(

@@ -6,8 +6,8 @@ the two.  Per fast path, the oracle kept:
 
 - f_vector and all_faces: every face as a frozenset (face_set,
   f_vector_by_face_set);
-- boundary_of_ball and is_closed_pseudomanifold: ridges found by
-  sorting the facets (ridge_incidence, boundary_by_incidence);
+- boundary_of_ball: ridges found by sorting the facets (ridge_incidence,
+  boundary_by_incidence);
 - _cell_missing_simplices: every ridge plus every vertex off it
   (cell_missing_by_ridge_scan);
 - _cell_decomposition: one split at a time, each rebuilding its part's
@@ -66,6 +66,7 @@ from aspoly.complexes import (
     _cell_decomposition,
     _cell_missing_simplices,
     _face_ids,
+    _incidence,
     _mask,
     _prime_cells,
     _simplex_cell,
@@ -173,7 +174,8 @@ def mask_cells(cells: Sequence[Cell]) -> tuple[list, tuple[int, ...]]:
 def cell_missing_by_masks(cells: Sequence[Cell], d: int) -> list[frozenset[int]]:
     """The library's bitmask search, on frozenset cells."""
     masks, ids = mask_cells(cells)
-    return [frozenset(_face_ids(a, ids)) for a in _cell_missing_simplices(masks, d)]
+    missing = _cell_missing_simplices(masks, d, *_incidence(masks))
+    return [frozenset(_face_ids(a, ids)) for a in missing]
 
 
 def cell_decomposition_by_masks(
@@ -185,7 +187,7 @@ def cell_decomposition_by_masks(
     simplex cell.
     """
     masks, ids = mask_cells(cells)
-    out, parts, edges = _cell_decomposition(masks, d, ids)
+    out, parts, edges = _cell_decomposition(masks, d, ids, _incidence(masks))
     view = list(cells) + [simplex_cell(frozenset(_face_ids(m, ids))) for m, _ in out[len(cells):]]
     return (
         [tuple(view[i] for i in part) for part in parts],

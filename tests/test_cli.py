@@ -688,6 +688,26 @@ class TestStoredHull:
             assert [f.plane for f in loaded] == [f.plane for f in facets], curve.__name__
             assert loaded == list(facets), curve.__name__
 
+    def test_plane_entries_accepted_and_refused(self):
+        # Integers written "k" or "k/1", with any decimal digits isdecimal
+        # accepts; the first bad entry is named, the normal before the offset.
+        def load(normal, offset):
+            entry = {"vertices": [1, 2], "normal": normal, "offset": offset}
+            return cli._facets_from_json({"facets": [entry]})[0].plane
+
+        assert load(["5", "-5/1", "0/1", "\u0663"], "-12") == (-12, 5, -5, 0, 3)
+        for bad in ["5/2", "+5", " 5", "5.0", "5/01", "--5", "1/1/1", "", "-", "/1", 5, 5.0, None]:
+            with pytest.raises(AspolyError) as exc:
+                load(["1", bad], "1")
+            field = "artifact field 'facets[0].normal[1]'"
+            assert str(exc.value) == f"{field} is not an integer: {bad!r}"
+        with pytest.raises(AspolyError) as exc:
+            load(["x", "y"], "z")
+        assert str(exc.value) == "artifact field 'facets[0].normal[0]' is not an integer: 'x'"
+        with pytest.raises(AspolyError) as exc:
+            load(["1", "2"], "z")
+        assert str(exc.value) == "artifact field 'facets[0].offset' is not an integer: 'z'"
+
     def test_one_boundary_per_artifact(self, capsys, tmp_path, monkeypatch):
         # Validating the complex at load builds the ball's boundary once, and
         # every check reads that one (ASPComplex.special_boundary).

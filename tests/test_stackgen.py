@@ -1,5 +1,7 @@
 """Builders for stacked families, hyperplane stacking, and the recognizer."""
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -615,6 +617,20 @@ class TestMissingSimplexSearch:
         }
         assert verdict.to_json() == expected
 
+    def test_frozen_verdicts_past_64_vertices(self):
+        # The cells CI recognizes past the caps, seed 0 as construct draws
+        # it: SHA-256 of the verdicts' sorted-key JSON, captured before the
+        # cuts ran on vertex masks.
+        verdicts = [
+            recognize_minimizer(random_minimizer(ASPParams(*cell), 0, style=style)).to_json()
+            for cell in [(6, 70, 3), (4, 120, 3)]
+            for style in ("stack", "hstack")
+        ]
+        assert [len(v["factors"]) for v in verdicts] == [64, 64, 116, 116]
+        assert all(v["is_minimizer"] for v in verdicts)
+        digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+        assert digest == "84f589347eb7955f6b8db8d18ee08b84d6bee7617c6d62d690682e43a728f77e"
+
     @pytest.mark.parametrize("cell, selectors, regime, factors", FROZEN_NON_MINIMIZERS)
     def test_frozen_non_minimizer_verdicts(self, cell, selectors, regime, factors):
         verdict = recognize_minimizer(stacked_cyclic(cell, selectors))
@@ -631,6 +647,22 @@ class TestMissingSimplexSearch:
 TORUS = SimplicialComplex.from_facets(
     [[i % 7 + 1, (i + k) % 7 + 1, (i + 3) % 7 + 1] for i in range(7) for k in (1, 2)]
 )
+
+# Two triangle bipyramids glued at vertex 4: a closed pseudomanifold with
+# missing triangles, whose star at 4 is two discs that share only 4.
+BIPYRAMID = [[1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 5]]
+PINCHED = SimplicialComplex.from_facets(
+    BIPYRAMID + [[{1: 6, 2: 7, 3: 8, 4: 4, 5: 9}[v] for v in g] for g in BIPYRAMID]
+)
+
+# The same bipyramid stacked three times on each side of [1, 2, 3], the
+# last two new vertices glued into 9: strongly connected and closed, but
+# pinched at 9, which joins the two sides of the cut through no ridge.
+PINCHED_ACROSS = SimplicialComplex.from_facets([
+    [1, 2, 6], [1, 2, 7], [1, 3, 4], [1, 3, 5], [1, 4, 6], [1, 5, 7], [2, 3, 4], [2, 3, 5],
+    [2, 4, 8], [2, 5, 10], [2, 6, 8], [2, 7, 10], [4, 6, 9], [4, 8, 9], [5, 7, 9], [5, 9, 10],
+    [6, 8, 9], [7, 9, 10],
+])
 
 
 @st.composite
@@ -705,6 +737,24 @@ class TestMonotoneRelabelling:
         assert str(exc.value) == f"ridge {[f[1], f[2]]} lies in 3 cells"
         with pytest.raises(DegeneracyError) as exc:
             prime_decomposition(relabel(TORUS, f))
+        assert str(exc.value) == (
+            f"cutting along {[f[1], f[2], f[3]]} does not give two components"
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(relabellings(range(1, 10)))
+    def test_pinched_sphere_refused(self, f):
+        with pytest.raises(DegeneracyError) as exc:
+            prime_decomposition(relabel(PINCHED, f))
+        assert str(exc.value) == "the cells are not strongly connected"
+
+    @settings(max_examples=20, deadline=None)
+    @given(relabellings(range(1, 11)))
+    def test_pinched_across_a_cut_refused(self, f):
+        # The vertex-mask cut sees one component where cells joined through
+        # ridges would make two.
+        with pytest.raises(DegeneracyError) as exc:
+            prime_decomposition(relabel(PINCHED_ACROSS, f))
         assert str(exc.value) == (
             f"cutting along {[f[1], f[2], f[3]]} does not give two components"
         )
