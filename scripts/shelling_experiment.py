@@ -26,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from aspoly.cli import parse_range
 from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import ASPParams
+from aspoly.errors import AspolyError
 from aspoly.hull import asp_geometry, key_lemma_rung, key_shelling_defects
 
 
@@ -56,11 +57,17 @@ def main():
     ap.add_argument("--closeness", type=int, nargs="+", default=[12, 24, 48, 96, 192])
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
+    try:
+        ds = parse_range(args.d, "--d")
+    except AspolyError as exc:
+        ap.error(str(exc))
+    if args.n_span < 1:
+        ap.error(f"--n-span must be at least 1, got {args.n_span}")
 
     by_closeness = Counter()
     rows = []
     attempted = certified = negatives = 0
-    for d in parse_range(args.d):
+    for d in ds:
         for s in (0, 1, 2, 3):
             for n in range(d + s + 1, d + s + args.n_span + 1):
                 p = ASPParams(d, n, s)

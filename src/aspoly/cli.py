@@ -197,9 +197,6 @@ def _asp_from_json(entry) -> ASPComplex:
     _require(entry["ball"], ("facets",), "complex.ball")
     _require_facets(entry["ball"]["facets"], "complex.ball.facets")
     _require_ids(entry["special_facet"], "complex.special_facet")
-    if entry.get("f_triangulation"):
-        _require(entry["f_triangulation"], ("facets",), "complex.f_triangulation")
-        _require_facets(entry["f_triangulation"]["facets"], "complex.f_triangulation.facets")
     return ASPComplex.from_json(entry)
 
 
@@ -398,13 +395,13 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def parse_range(text: str) -> range:
-    """A value "v" or an inclusive range "a..b"."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+def parse_range(text: str, flag: str) -> range:
+    """A value "v" or an inclusive range "a..b" with a <= b, given to this flag."""
+    lo, dots, hi = text.partition("..")
+    values = range(int(lo), int(hi if dots else lo) + 1)
+    if not values:
+        raise AspolyError(f"{flag} must be v or a..b with a <= b, got {text}")
+    return values
 
 
 def _table_cell(cell: tuple[int, int, int]) -> dict:
@@ -427,9 +424,12 @@ def _table_cell(cell: tuple[int, int, int]) -> dict:
 
 
 def cmd_table(args) -> int:
+    if args.n_span < 1:
+        raise AspolyError(f"--n-span must be at least 1, got {args.n_span}")
+    ds, ss = parse_range(args.d, "--d"), parse_range(args.s, "--s")
     cells = []
-    for d in parse_range(args.d):
-        for s in parse_range(args.s):
+    for d in ds:
+        for s in ss:
             for n in range(d + s + 1, d + s + 1 + args.n_span):
                 _check_caps(d, n, args.unsafe_large)
                 cells.append((d, s, n))

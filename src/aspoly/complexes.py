@@ -35,7 +35,6 @@ from .errors import (
     DegeneracyError,
     DomainError,
     PseudomanifoldError,
-    RefinementError,
     ShapeError,
     ShellingError,
 )
@@ -425,9 +424,7 @@ class ASPComplex:
     """Combinatorial almost simplicial polytope: a ball plus its special facet.
 
     ``ball`` is the boundary complex with the special facet removed;
-    ``special_facet`` is that facet's vertex set (d+s vertices).  When the
-    instance came from a stacking construction, ``f_triangulation`` carries
-    the triangulation of the special facet for later refinement.  Every
+    ``special_facet`` is that facet's vertex set (d+s vertices).  Every
     reader of the special facet's boundary takes ``special_boundary``, so
     each instance is validated once.
     """
@@ -435,7 +432,6 @@ class ASPComplex:
     params: ASPParams
     ball: SimplicialComplex
     special_facet: frozenset[int]
-    f_triangulation: SimplicialComplex | None = None
 
     @cached_property
     def special_boundary(self) -> SimplicialComplex:
@@ -460,19 +456,14 @@ class ASPComplex:
             "s": self.params.s,
             "ball": self.ball.to_json(),
             "special_facet": sorted(self.special_facet),
-            "f_triangulation": (
-                self.f_triangulation.to_json() if self.f_triangulation else None
-            ),
         }
 
     @staticmethod
     def from_json(data: dict) -> "ASPComplex":
-        tri = data.get("f_triangulation")
         return ASPComplex(
             ASPParams(data["d"], data["n"], data["s"]),
             SimplicialComplex.from_json(data["ball"]),
             frozenset(data["special_facet"]),
-            SimplicialComplex.from_json(tri) if tri else None,
         )
 
 
@@ -480,9 +471,8 @@ def validate_asp(asp: ASPComplex) -> SimplicialComplex:
     """Structural checks tying the ball, the special facet, and the parameters.
 
     The ball must be a pure (d-1)-complex on n vertices whose boundary is
-    exactly the induced subcomplex on the special facet's vertices, and the
-    carried triangulation, if any, must fill that boundary.  Returns that
-    boundary, the special facet's boundary complex.
+    exactly the induced subcomplex on the special facet's vertices.
+    Returns that boundary, the special facet's boundary complex.
     """
     d, n, s = asp.params.d, asp.params.n, asp.params.s
     if asp.ball.dim != d - 1:
@@ -501,10 +491,4 @@ def validate_asp(asp: ASPComplex) -> SimplicialComplex:
         raise ShapeError(
             "boundary of the ball is not the induced complex on the special facet"
         )
-    tri = asp.f_triangulation
-    if tri is not None:
-        if not frozenset(tri.vertex_ids) <= asp.special_facet:
-            raise RefinementError("triangulation uses vertices outside the special facet")
-        if boundary_of_ball(tri).facets != bd.facets:
-            raise RefinementError("triangulation boundary does not match the facet boundary")
     return bd

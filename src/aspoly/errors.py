@@ -30,10 +30,6 @@ class NotASPError(AspolyError, ValueError):
     """A point configuration has more than one non-simplex facet."""
 
 
-class RefinementError(AspolyError, ValueError):
-    """A supplied triangulation does not match the boundary it must fill."""
-
-
 class DegeneracyError(AspolyError, RuntimeError):
     """A construction hit a degenerate case it cannot resolve."""
 

@@ -78,16 +78,15 @@ class _Walk:
         apex = self._fresh()
         self.facets = [f + (apex,) for f in self.facets]
 
-    def stack(self, index: int) -> tuple[int, ...]:
-        """Stack a fresh vertex w over the facet at this index; returns the solid t + w."""
+    def stack(self, index: int) -> None:
+        """Stack a fresh vertex w over the facet at this index."""
         t = _take(self.facets, index)
         w = self._fresh()
         for i in range(len(t)):
             insort(self.facets, t[:i] + t[i + 1 :] + (w,))
-        return t + (w,)
 
-    def h_stack(self, index: int) -> tuple[int, ...]:
-        """Grow the special facet over the boundary ridge at this index; returns g + w.
+    def h_stack(self, index: int) -> int:
+        """Grow the special facet over the boundary ridge at this index; returns the fresh w.
 
         g lies in exactly one ball facet t = g + a, which is replaced by
         the cones from w over t's ridges other than g.
@@ -102,15 +101,12 @@ class _Walk:
             ridge = g[:i] + g[i + 1 :]
             insort(self.facets, tuple(sorted((*ridge, a))) + (w,))
             insort(self.boundary, ridge + (w,))
-        return g + (w,)
+        return w
 
 
-def _stacked_sphere_with_solids(
-    d: int, n: int, moves: tuple[int, ...]
-) -> tuple[_Walk, SimplicialComplex]:
-    """Stacked (d-1)-sphere on vertex ids 1..n, each move the index of the
-    facet stacked over: the walk that holds it, and the complex of the
-    solid simplices accumulated while stacking."""
+def _stacked_sphere(d: int, n: int, moves: tuple[int, ...]) -> _Walk:
+    """The walk holding the stacked (d-1)-sphere on vertex ids 1..n, each
+    move the index of the facet stacked over."""
     if d < 2:
         raise DomainError("stacked spheres need dimension at least 2")
     if n < d + 1:
@@ -119,8 +115,9 @@ def _stacked_sphere_with_solids(
         raise ShapeError(f"script needs exactly {n - d - 1} moves for n={n}, got {len(moves)}")
     base = tuple(range(1, d + 2))
     walk = _Walk(base[:i] + base[i + 1 :] for i in range(d + 1))
-    solids = [base, *map(walk.stack, moves)]
-    return walk, SimplicialComplex.from_facets(solids)
+    for index in moves:
+        walk.stack(index)
+    return walk
 
 
 def almost_stacked(
@@ -132,11 +129,10 @@ def almost_stacked(
     on ids 1..d+s (s moves); the pyramid apex is d+s+1; p_moves then
     stacks n-d-s-1 times over ball facets.  Each move is a facet index.
     One walk makes every move, and the ball is built once, at the end.
-    F's stacked triangulation is carried on the result for later
-    refinement.  The result is validated (its special_boundary is read).
+    The result is validated (its special_boundary is read).
     """
     d, s = p.d, p.s
-    walk, f_solids = _stacked_sphere_with_solids(d - 1, d + s, f_moves)
+    walk = _stacked_sphere(d - 1, d + s, f_moves)
     walk.pyramid()
     for index in p_moves:
         walk.stack(index)
@@ -144,7 +140,7 @@ def almost_stacked(
     if built != p:
         raise ShapeError(f"script length mismatch: built {built}, requested {p}")
     ball = SimplicialComplex.from_facets(walk.facets)
-    asp = ASPComplex(p, ball, frozenset(range(1, d + s + 1)), f_solids)
+    asp = ASPComplex(p, ball, frozenset(range(1, d + s + 1)))
     asp.special_boundary  # validate_asp
     return asp
 
@@ -159,7 +155,7 @@ def trivial_asp(d: int) -> ASPComplex:
     p = ASPParams(d, d + 1, 0)
     f = frozenset(range(1, d + 1))
     ball = SimplicialComplex.from_facets((f - {x}) | {d + 1} for x in f)
-    return ASPComplex(p, ball, f, SimplicialComplex.from_facets([f]))
+    return ASPComplex(p, ball, f)
 
 
 def random_scripts(p: ASPParams, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -197,15 +193,14 @@ def random_minimizer(p: ASPParams, seed: int, style: str = "stack") -> ASPComple
     rng.shuffle(kinds)
     start = trivial_asp(d)
     walk = _Walk(start.ball.facets, boundary_of_ball(start.ball).facets)
-    grown = []
+    fresh = []
     for kind in kinds:
         if kind == "stack":
             walk.stack(rng.randrange(len(walk.facets)))
         else:
-            grown.append(walk.h_stack(rng.randrange(len(walk.boundary))))
-    tri = SimplicialComplex.from_facets([*start.f_triangulation.facets, *grown])
+            fresh.append(walk.h_stack(rng.randrange(len(walk.boundary))))
     ball = SimplicialComplex.from_facets(walk.facets)
-    asp = ASPComplex(p, ball, start.special_facet | {g[-1] for g in grown}, tri)
+    asp = ASPComplex(p, ball, start.special_facet | set(fresh))
     asp.special_boundary  # validate_asp
     return asp
 

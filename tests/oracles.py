@@ -48,8 +48,8 @@ oracles and the library are compared on one input.
 
 Below them sit the small exact tools several test modules share: Bareiss
 determinants, pyramids, single stacking moves on the library's walk,
-prime factors as complexes, stacked spheres from facet indices, and the
-stacked-sphere test by prime decomposition.
+prime factors as complexes, the sphere refined by them, stacked spheres
+from facet indices, and the stacked-sphere test by prime decomposition.
 """
 
 import math
@@ -97,7 +97,7 @@ from aspoly.hull import (
 from aspoly.rigidity import Graph, _trilateration_order
 from aspoly.stackgen import (
     _refined_cells,
-    _stacked_sphere_with_solids,
+    _stacked_sphere,
     _Walk,
     random_scripts,
     trivial_asp,
@@ -487,11 +487,9 @@ def _stack_facets(
     return (facets - {target}) | {(target - {x}) | {w} for x in target}
 
 
-def stacked_sphere_with_solids_by_sorting(
-    d: int, n: int, moves: tuple[int, ...]
-) -> tuple[SimplicialComplex, SimplicialComplex]:
+def stacked_sphere_by_sorting(d: int, n: int, moves: tuple[int, ...]) -> SimplicialComplex:
     """Stacked (d-1)-sphere on vertex ids 1..n, each move the index of the
-    facet stacked over, plus the solid simplices accumulated while stacking."""
+    facet stacked over."""
     if d < 2:
         raise DomainError("stacked spheres need dimension at least 2")
     if n < d + 1:
@@ -500,14 +498,9 @@ def stacked_sphere_with_solids_by_sorting(
         raise ShapeError(f"script needs exactly {n - d - 1} moves for n={n}, got {len(moves)}")
     base = frozenset(range(1, d + 2))
     facets = frozenset(base - {x} for x in base)
-    solids = {base}
-    next_id = d + 2
-    for index in moves:
-        target = _resolve(index, facets)
-        facets = _stack_facets(facets, target, next_id)
-        solids.add(target | {next_id})
-        next_id += 1
-    return SimplicialComplex.from_facets(facets), SimplicialComplex.from_facets(solids)
+    for next_id, index in enumerate(moves, d + 2):
+        facets = _stack_facets(facets, _resolve(index, facets), next_id)
+    return SimplicialComplex.from_facets(facets)
 
 
 def almost_stacked_by_sorting(
@@ -515,12 +508,9 @@ def almost_stacked_by_sorting(
 ) -> ASPComplex:
     """almost_stacked as it sorted the facets and rebuilt the complex at every move."""
     d, n, s = p.d, p.n, p.s
-    f_boundary, f_solids = stacked_sphere_with_solids_by_sorting(d - 1, d + s, f_moves)
     apex = d + s + 1
-    ball = pyramid(f_boundary, apex)
-    asp = ASPComplex(
-        ASPParams(d, apex, s), ball, frozenset(range(1, d + s + 1)), f_solids
-    )
+    ball = pyramid(stacked_sphere_by_sorting(d - 1, d + s, f_moves), apex)
+    asp = ASPComplex(ASPParams(d, apex, s), ball, frozenset(range(1, d + s + 1)))
     for index in p_moves:
         asp = stack_over_by_sorting(asp, index)
     if asp.params != p:
@@ -541,9 +531,7 @@ def stack_over_by_sorting(asp: ASPComplex, index: int) -> ASPComplex:
     w = _next_vertex_id(asp)
     ball = SimplicialComplex.from_facets(_stack_facets(asp.ball.facets, target, w))
     q = asp.params
-    return ASPComplex(
-        ASPParams(q.d, q.n + 1, q.s), ball, asp.special_facet, asp.f_triangulation
-    )
+    return ASPComplex(ASPParams(q.d, q.n + 1, q.s), ball, asp.special_facet)
 
 
 def h_stack_by_sorting(asp: ASPComplex, index: int) -> ASPComplex:
@@ -555,15 +543,10 @@ def h_stack_by_sorting(asp: ASPComplex, index: int) -> ASPComplex:
         (t - {x}) | {w} for x in t if (t - {x}) != g
     }
     q = asp.params
-    tri = asp.f_triangulation
-    new_tri = None
-    if tri is not None:
-        new_tri = SimplicialComplex.from_facets(tri.facets | {g | {w}})
     return ASPComplex(
         ASPParams(q.d, q.n + 1, q.s + 1),
         SimplicialComplex.from_facets(new_facets),
         asp.special_facet | {w},
-        new_tri,
     )
 
 
@@ -676,7 +659,7 @@ def stack_over(asp: ASPComplex, index: int) -> ASPComplex:
     walk.stack(index)
     q = asp.params
     ball = SimplicialComplex.from_facets(walk.facets)
-    return ASPComplex(ASPParams(q.d, q.n + 1, q.s), ball, asp.special_facet, asp.f_triangulation)
+    return ASPComplex(ASPParams(q.d, q.n + 1, q.s), ball, asp.special_facet)
 
 
 def h_stack(asp: ASPComplex, index: int) -> ASPComplex:
@@ -685,17 +668,14 @@ def h_stack(asp: ASPComplex, index: int) -> ASPComplex:
     One move of the library's walk.  The facet G of F's boundary at this
     sorted index is a boundary ridge of the ball, so it lies in exactly
     one ball facet T; the new vertex w replaces T by cones over T's other
-    ridges, F gains w, and the carried triangulation is stacked over G.
-    Net effect: n and s both grow by one and the ball gains d-2 facets.
+    ridges, and F gains w.  Net effect: n and s both grow by one and the
+    ball gains d-2 facets.
     """
     walk = _Walk(asp.ball.facets, boundary_of_ball(asp.ball).facets)
-    solid = walk.h_stack(index)
+    w = walk.h_stack(index)
     q = asp.params
-    tri = asp.f_triangulation
-    if tri is not None:
-        tri = SimplicialComplex.from_facets(tri.facets | {frozenset(solid)})
     ball = SimplicialComplex.from_facets(walk.facets)
-    return ASPComplex(ASPParams(q.d, q.n + 1, q.s + 1), ball, asp.special_facet | {solid[-1]}, tri)
+    return ASPComplex(ASPParams(q.d, q.n + 1, q.s + 1), ball, asp.special_facet | {w})
 
 
 def prime_decomposition(sphere: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
@@ -712,9 +692,17 @@ def prime_decomposition(sphere: SimplicialComplex) -> tuple[SimplicialComplex, .
     )
 
 
+def refined_sphere(asp: ASPComplex) -> SimplicialComplex:
+    """The boundary sphere with the special facet replaced by the vertex
+    sets of its boundary's prime factors, the simplices that triangulate
+    F when each factor is a simplex boundary."""
+    solids = {frozenset(f.vertex_ids) for f in prime_decomposition(asp.special_boundary)}
+    return SimplicialComplex.from_facets(asp.ball.facets | solids)
+
+
 def stacked_sphere(d: int, n: int, moves: tuple[int, ...]) -> SimplicialComplex:
     """Stacked (d-1)-sphere on vertex ids 1..n, each move the index of the facet stacked over."""
-    return SimplicialComplex.from_facets(_stacked_sphere_with_solids(d, n, moves)[0].facets)
+    return SimplicialComplex.from_facets(_stacked_sphere(d, n, moves).facets)
 
 
 def is_stacked_sphere(sphere: SimplicialComplex) -> bool:

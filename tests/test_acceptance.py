@@ -247,9 +247,7 @@ def test_criterion_11_minimizer_recognition(grid_geometry, grid_minimizers):
     octahedron = SimplicialComplex.from_facets(
         [frozenset({a, b, c}) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
     )
-    pyr = ASPComplex(
-        ASPParams(4, 7, 2), pyramid(octahedron, 7), frozenset(range(1, 7)), None
-    )
+    pyr = ASPComplex(ASPParams(4, 7, 2), pyramid(octahedron, 7), frozenset(range(1, 7)))
     validate_asp(pyr)
     if not check_minimizer(Artifact(pyr))[0]:
         bad.append(("pyramid-over-octahedron",))

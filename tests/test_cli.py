@@ -24,7 +24,7 @@ from aspoly.gale import almost_cyclic_facets
 from aspoly.hull import asp_geometry, enumerate_facets
 from aspoly.rigidity import sample_generic
 from aspoly.stackgen import random_minimizer, recognize_minimizer
-from oracles import paper_curve_points
+from oracles import paper_curve_points, prime_decomposition
 
 
 # `table --d 3..4 --s 1 --n-span 2` output, one format each.
@@ -513,7 +513,7 @@ STACKED_GRID = [
     (d, s, n, ("stack", "hstack")[i % 2], i) for i, (d, s, n) in enumerate(CYCLIC_GRID)
 ]
 FROZEN_STACKED_GRID = "65c6172daf1cceaf00a4aa2eb42923d1754bb7e00d2989968d068e008c64f373"
-FROZEN_CONSTRUCT = "77ec0e48ebc7e688ae41315907a498e1cbdf3ab729b33b9e226616cd67b278e0"
+FROZEN_CONSTRUCT = "fb0fc9008311a31eda492ce0a68a62af0295eaaf159c8bb44cdbc202a8f94e05"
 
 
 def digest(text):
@@ -554,16 +554,27 @@ class TestFrozenOutputs:
     def test_stacked_grid(self, capsys, tmp_path):
         # verify --seed 5, recognize and rigidity report on every stacked
         # artifact of STACKED_GRID: one SHA-256 over each exit code and
-        # stdout, in order.  recognize refuses d = 3 with exit 2.
+        # stdout, in order.  recognize refuses d = 3 with exit 2.  Each
+        # command gives the same bytes on the artifact in the older format
+        # that carried complex.f_triangulation, its value the triangulation
+        # of F by the prime factors of F's boundary or garbage.
         h = hashlib.sha256()
-        for d, s, n, style, seed in STACKED_GRID:
-            path, _ = make_artifact(
+        for i, (d, s, n, style, seed) in enumerate(STACKED_GRID):
+            path, art = make_artifact(
                 capsys, tmp_path,
                 "construct", "stacked-asp", "--d", str(d), "--n", str(n), "--s", str(s),
                 "--style", style, "--seed", str(seed),
             )
+            tri = "garbage"
+            if d > 3 and i % 2:
+                factors = prime_decomposition(cli._asp_from_json(art["complex"]).special_boundary)
+                tri = SimplicialComplex.from_facets(f.vertex_ids for f in factors).to_json()
+            art["complex"]["f_triangulation"] = tri
+            carried = tmp_path / "carried.json"
+            carried.write_text(json.dumps(art))
             for argv in (("verify", "--seed", "5"), ("recognize",), ("rigidity", "report")):
-                code, out, _ = run(capsys, *argv, "--input", str(path))
+                code, out, err = run(capsys, *argv, "--input", str(path))
+                assert run(capsys, *argv, "--input", str(carried)) == (code, out, err), argv
                 h.update(f"{code}\n{out}".encode())
         assert h.hexdigest() == FROZEN_STACKED_GRID
 
@@ -755,10 +766,6 @@ STACKED_DEFECTS = {
         lambda c: c["special_facet"].pop(),
         "special facet has 5 vertices, expected 6",
     ),
-    "triangulation facet dropped": (
-        lambda c: c["f_triangulation"]["facets"].pop(0),
-        "triangulation boundary does not match the facet boundary",
-    ),
 }
 
 # Commands that load a stacked artifact's complex.
@@ -786,9 +793,7 @@ def tampered_stacked_artifacts(draw):
     ))
     c = art["complex"]
     facets, special = c["ball"]["facets"], c["special_facet"]
-    how = draw(st.sampled_from(
-        ["drop", "add", "vertex", "shrink", "grow", "s", "n", "triangulation"]
-    ))
+    how = draw(st.sampled_from(["drop", "add", "vertex", "shrink", "grow", "s", "n"]))
     if how == "drop":
         del facets[draw(st.integers(0, len(facets) - 1))]
     elif how == "add":
@@ -801,11 +806,8 @@ def tampered_stacked_artifacts(draw):
         del special[draw(st.integers(0, len(special) - 1))]
     elif how == "grow":
         special.append(draw(st.integers(1, n + 1)))
-    elif how in ("s", "n"):
-        c[how] += draw(st.sampled_from([-1, 1]))
     else:
-        tri = c["f_triangulation"]["facets"]
-        del tri[draw(st.integers(0, len(tri) - 1))]
+        c[how] += draw(st.sampled_from([-1, 1]))
     return how, art
 
 
@@ -861,8 +863,7 @@ class TestRelabelledArtifact:
             return (v - 4) * 2**66
 
         c = art["complex"]
-        for facets in (c["ball"]["facets"], c["f_triangulation"]["facets"]):
-            facets[:] = [[f(v) for v in g] for g in facets]
+        c["ball"]["facets"] = [[f(v) for v in g] for g in c["ball"]["facets"]]
         c["special_facet"] = [f(v) for v in c["special_facet"]]
         assert min(c["special_facet"]) < 0 and max(map(max, c["ball"]["facets"])) > 2**64
         with tempfile.TemporaryDirectory() as tmp:
@@ -1061,6 +1062,22 @@ class TestTable:
         code, to_stdout, _ = run(capsys, *argv, "--out", str(path))
         assert code == 0 and to_stdout == ""
         assert path.read_text() == out == TABLE_BYTES[fmt]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--d", "5..3"), "--d must be v or a..b with a <= b, got 5..3"),
+            (("--s", "2..0"), "--s must be v or a..b with a <= b, got 2..0"),
+            (("--n-span", "0"), "--n-span must be at least 1, got 0"),
+            (("--n-span", "-2"), "--n-span must be at least 1, got -2"),
+        ],
+    )
+    def test_empty_grid_refused(self, capsys, argv, message):
+        for fmt in ("csv", "json"):
+            code, out, err = run(
+                capsys, "table", "--d", "3..4", "--s", "0..1", *argv, "--format", fmt
+            )
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestRigidityCommand:

@@ -32,10 +32,8 @@ from aspoly.gale import almost_cyclic_facets
 from aspoly.hull import detect_asp, line_shelling
 from aspoly.stackgen import random_minimizer, recognize_minimizer
 from aspoly.errors import (
-    DegeneracyError,
     DomainError,
     PseudomanifoldError,
-    RefinementError,
     ShapeError,
     ShellingError,
 )
@@ -50,6 +48,7 @@ from oracles import (
     is_stacked_sphere,
     prime_decomposition,
     refined_frozenset_cells,
+    refined_sphere,
     ridge_incidence,
     simplex_cell,
     stacked_sphere,
@@ -117,7 +116,6 @@ class TestBasicQueries:
             SimplicialComplex.from_facets(map(tuple, rows)).facets,
             asp.ball.facets,
             loaded.ball.facets,
-            loaded.f_triangulation.facets,
             [f.vertex_ids for f in geom.facets],
             geom.ball.ball.facets,
         ):
@@ -427,36 +425,8 @@ class TestASPComplex:
         with pytest.raises(ShapeError):
             validate_asp(asp)
 
-    def test_refine_square_pyramid(self):
-        # A triangulation filling the base boundary is accepted, and the
-        # ball with the base replaced by it is a stacked sphere.
-        tri = SimplicialComplex.from_facets([[1, 2, 4], [2, 3, 4]])
-        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}), tri)
-        assert validate_asp(asp) == boundary_of_ball(tri)
-        sphere = SimplicialComplex.from_facets(asp.ball.facets | tri.facets)
-        assert sphere.n_facets == 6
-        assert boundary_of_ball(sphere).facets == frozenset()
-        assert is_stacked_sphere(sphere)
-
-    def test_refine_rejects_foreign_vertices(self):
-        tri = SimplicialComplex.from_facets([[1, 2, 5], [2, 3, 5]])
-        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}), tri)
-        with pytest.raises(RefinementError, match="outside the special facet"):
-            validate_asp(asp)
-
-    def test_refine_rejects_boundary_mismatch(self):
-        tri = SimplicialComplex.from_facets([[1, 2, 3]])
-        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}), tri)
-        with pytest.raises(RefinementError, match="does not match"):
-            validate_asp(asp)
-
     def test_json_roundtrip(self):
-        asp = ASPComplex(
-            ASPParams(3, 5, 1),
-            square_pyramid_ball(),
-            frozenset({1, 2, 3, 4}),
-            SimplicialComplex.from_facets([[1, 2, 4], [2, 3, 4]]),
-        )
+        asp = ASPComplex(ASPParams(3, 5, 1), square_pyramid_ball(), frozenset({1, 2, 3, 4}))
         again = ASPComplex.from_json(asp.to_json())
         assert again == asp
 
@@ -701,8 +671,9 @@ def frozen_minimizer_records():
     One record per (d, n, s, style, seed) for d 4..6, n 12..16, s 0..3,
     both styles and seeds 0..2: the prime factors (sorted facets, in
     factor order) and tree edges of the special facet's boundary and of
-    the refined sphere (ball plus the carried triangulation), the
-    recognizer's verdict JSON, and the ball and boundary f-vectors.
+    the refined sphere (ball plus the vertex sets of the boundary's prime
+    factors), the recognizer's verdict JSON, and the ball and boundary
+    f-vectors.
     """
 
     def decomposition(sphere):
@@ -720,13 +691,10 @@ def frozen_minimizer_records():
                     for seed in range(3):
                         asp = random_minimizer(ASPParams(d, n, s), seed, style=style)
                         bd = boundary_of_ball(asp.ball)
-                        refined = SimplicialComplex.from_facets(
-                            asp.ball.facets | asp.f_triangulation.facets
-                        )
                         out.append([
                             d, n, s, style, seed,
                             decomposition(bd),
-                            decomposition(refined),
+                            decomposition(refined_sphere(asp)),
                             recognize_minimizer(asp).to_json(),
                             list(f_vector(asp.ball).entries),
                             list(f_vector(bd).entries),

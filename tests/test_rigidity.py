@@ -141,7 +141,7 @@ def cyclic_skeleton(d, n, s):
     p = ASPParams(d, n, s)
     facets = almost_cyclic_facets(p)
     ball = SimplicialComplex.from_facets([frozenset(f) for f in facets[1:]])
-    asp = ASPComplex(p, ball, frozenset(range(1, d + s + 1)), None)
+    asp = ASPComplex(p, ball, frozenset(range(1, d + s + 1)))
     validate_asp(asp)
     return asp, one_skeleton(asp.ball)
 

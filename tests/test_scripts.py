@@ -24,6 +24,14 @@ def test_shelling_experiment_runs(tmp_path):
     proc = run_script(str(ROOT / "scripts" / "shelling_experiment.py"), "--n-span", "1", cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 negative-defect certificates" in proc.stderr
+    # An empty grid is refused, not reported as 0/0 certified.
+    for flag, value, message in (
+        ("--d", "5..3", "--d must be v or a..b with a <= b, got 5..3"),
+        ("--n-span", "0", "--n-span must be at least 1, got 0"),
+    ):
+        proc = run_script(str(ROOT / "scripts" / "shelling_experiment.py"), flag, value)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.endswith(f"error: {message}\n")
 
 
 def test_shelling_experiment_default_grid_frozen():

@@ -57,6 +57,7 @@ from oracles import (
     random_minimizer_by_sorting,
     refined_cells_by_complexes,
     refined_frozenset_cells,
+    refined_sphere,
     simplex_cell,
     stack_over,
     stack_over_by_sorting,
@@ -81,7 +82,7 @@ def cyclic_ball(d, n, s):
     p = ASPParams(d, n, s)
     facets = almost_cyclic_facets(p)
     ball = SimplicialComplex.from_facets([frozenset(f) for f in facets[1:]])
-    asp = ASPComplex(p, ball, frozenset(range(1, d + s + 1)), None)
+    asp = ASPComplex(p, ball, frozenset(range(1, d + s + 1)))
     validate_asp(asp)
     return asp
 
@@ -181,8 +182,8 @@ class TestAlmostStacked:
         assert f_vector(asp.ball).entries == (1, 8, 22, 26, 11)
         assert asp.f_polytope().entries == (1, 8, 22, 26, 12)
         assert asp.special_facet == frozenset(range(1, 7))
-        assert asp.f_triangulation is not None
-        assert asp.f_triangulation.n_facets == 3
+        assert is_stacked_sphere(asp.special_boundary)
+        assert len(prime_decomposition(asp.special_boundary)) == 3
 
     def test_dimension_three_profile(self):
         sf, sp = random_scripts(ASPParams(3, 7, 2), 1)
@@ -207,11 +208,13 @@ class TestAlmostStacked:
         assert asp.special_facet == frozenset(range(1, 5))
 
     def test_triangulation_matches_boundary_prime_factors(self):
-        p = ASPParams(4, 9, 3)
-        sf, sp = random_scripts(p, 11)
-        asp = almost_stacked(p, sf, sp)
-        factors = prime_decomposition(boundary_of_ball(asp.ball))
-        assert {frozenset(f.vertex_ids) for f in factors} == asp.f_triangulation.facets
+        # F's boundary is stacked, its s+1 prime factors simplex boundaries
+        # whose vertex sets triangulate F, and the refined sphere is stacked.
+        for style in ("stack", "hstack"):
+            asp = random_minimizer(ASPParams(4, 9, 3), 11, style=style)
+            assert is_stacked_sphere(asp.special_boundary)
+            assert len(prime_decomposition(asp.special_boundary)) == 4
+            assert is_stacked_sphere(refined_sphere(asp))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([(4, 8, 2), (5, 9, 2), (4, 9, 0)]))
@@ -228,12 +231,15 @@ class TestHStack:
         assert asp.params == ASPParams(4, 6, 1)
         assert asp.f_polytope().entries == f_almost_stacked(ASPParams(4, 6, 1)).entries
         assert len(asp.special_facet) == 5
-        assert asp.f_triangulation.n_facets == 2
+        assert is_stacked_sphere(asp.special_boundary)
+        assert len(prime_decomposition(asp.special_boundary)) == 2
 
     def test_ball_gains_d_minus_two_facets(self):
         base = trivial_asp(5)
         grown = h_stack(base, 1)
         assert grown.ball.n_facets == base.ball.n_facets + 3
+        assert is_stacked_sphere(grown.special_boundary)
+        assert len(prime_decomposition(grown.special_boundary)) == 2
 
     def test_chain_stays_on_lower_bound(self):
         asp = trivial_asp(5)
@@ -282,10 +288,6 @@ def outcome(build, *args):
         return type(e), str(e)
 
 
-def as_fields(asp):
-    return asp.params, asp.ball, asp.special_facet, asp.f_triangulation
-
-
 @st.composite
 def scripts(draw):
     """Parameters and almost_stacked scripts, mostly in range.
@@ -323,17 +325,12 @@ class TestWalkMatchesRebuild:
     def test_random_minimizer(self, d, s, extra, seed, style):
         p = ASPParams(d, d + s + 1 + extra, s)
         walk = random_minimizer(p, seed, style=style)
-        assert as_fields(walk) == as_fields(random_minimizer_by_sorting(p, seed, style=style))
+        assert walk == random_minimizer_by_sorting(p, seed, style=style)
 
     @settings(max_examples=80, deadline=None)
     @given(scripts())
     def test_almost_stacked_scripts(self, case):
-        walk = outcome(almost_stacked, *case)
-        rebuilt = outcome(almost_stacked_by_sorting, *case)
-        if isinstance(rebuilt, ASPComplex):
-            assert as_fields(walk) == as_fields(rebuilt)
-        else:
-            assert walk == rebuilt
+        assert outcome(almost_stacked, *case) == outcome(almost_stacked_by_sorting, *case)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -351,12 +348,10 @@ class TestWalkMatchesRebuild:
             (h_stack, h_stack_by_sorting, asp.special_boundary.n_facets),
         ):
             index = data.draw(st.integers(-1, count))
-            walk, rebuilt = outcome(move, asp, index), outcome(rebuild, asp, index)
-            if isinstance(rebuilt, ASPComplex):
-                assert as_fields(walk) == as_fields(rebuilt)
+            walk = outcome(move, asp, index)
+            assert walk == outcome(rebuild, asp, index)
+            if isinstance(walk, ASPComplex):
                 validate_asp(walk)
-            else:
-                assert walk == rebuilt
 
 
 class TestRefusals:
@@ -467,9 +462,7 @@ class TestRecognizeMinimizer:
             assert recognize_minimizer(asp).is_minimizer
 
     def test_pyramid_over_octahedron(self):
-        asp = ASPComplex(
-            ASPParams(4, 7, 2), pyramid(octahedron(), 7), frozenset(range(1, 7)), None
-        )
+        asp = ASPComplex(ASPParams(4, 7, 2), pyramid(octahedron(), 7), frozenset(range(1, 7)))
         validate_asp(asp)
         assert asp.f_polytope().entries == f_almost_stacked(ASPParams(4, 7, 2)).entries
         verdict = recognize_minimizer(asp)
@@ -602,9 +595,7 @@ class TestMissingSimplexSearch:
             assert_missing_matches_scan(refined_frozenset_cells(stacked), cell[0])
 
     def test_matches_scan_on_pyramid_over_octahedron(self):
-        asp = ASPComplex(
-            ASPParams(4, 7, 2), pyramid(octahedron(), 7), frozenset(range(1, 7)), None
-        )
+        asp = ASPComplex(ASPParams(4, 7, 2), pyramid(octahedron(), 7), frozenset(range(1, 7)))
         assert assert_missing_matches_scan(refined_frozenset_cells(asp), 4) == []
 
     @pytest.mark.parametrize("cell, seed, style, regime, factors", FROZEN_MINIMIZERS)
@@ -682,12 +673,8 @@ def relabel(c, f):
 
 
 def relabel_asp(asp, f):
-    tri = asp.f_triangulation
     return ASPComplex(
-        asp.params,
-        relabel(asp.ball, f),
-        frozenset(f[v] for v in asp.special_facet),
-        relabel(tri, f) if tri else None,
+        asp.params, relabel(asp.ball, f), frozenset(f[v] for v in asp.special_facet)
     )
 
 
@@ -718,10 +705,8 @@ class TestMonotoneRelabelling:
             report["vertices"] = [f[v] for v in report["vertices"]]
         assert recognize_minimizer(moved).to_json() == expected
         spheres = [asp.special_boundary]
-        if asp.f_triangulation is not None:
-            spheres.append(
-                SimplicialComplex.from_facets(asp.ball.facets | asp.f_triangulation.facets)
-            )
+        if is_stacked_sphere(asp.special_boundary):
+            spheres.append(refined_sphere(asp))
         for sphere in spheres:
             assert prime_decomposition(relabel(sphere, f)) == tuple(
                 relabel(x, f) for x in prime_decomposition(sphere)
