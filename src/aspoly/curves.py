@@ -107,7 +107,7 @@ def p_eval(t: int, params: ASPParams) -> int:
     facets are then those of the cyclic polytope, Gale's evenness
     condition (Gale 1963), with the roots spanning the one non-simplex
     facet: gale.almost_cyclic_facets.  Nothing downstream rests on this
-    argument: construct gift-wraps the points exactly, the loader
+    argument: construct builds the hull of the points exactly, the loader
     certifies every stored hull, and the acceptance gate compares the
     hull with Gale's family.
 

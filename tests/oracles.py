@@ -15,9 +15,10 @@ the two.  Per fast path, the oracle kept:
   carried_missing);
 - verify_shelling: every facet intersected with every earlier one
   (verify_shelling_pairwise);
-- the gift-wrap: the scan of every d-subset (facets_by_subset_scan in
-  test_hull.py), and for its rotation counts and d = 7 the wrap that
-  crosses every ridge, there too, with rotate_with_values here;
+- the beneath-beyond hull (_beneath_beyond): the scan of every d-subset
+  (facets_by_subset_scan in test_hull.py), and for its planes up to
+  d = 7 the gift-wrap it replaced, crossing every ridge
+  (gift_wrap_per_ridge, there too, with rotate_with_values here);
 - stack_over_special: y placed by point_beyond, then the hull enumerated
   again (stacked_by_enumeration in test_hull.py, with extend_config),
   and each cone plane against a kernel solve (supporting_hyperplane);

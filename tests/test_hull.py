@@ -269,22 +269,22 @@ def search_by_full_ranking(geom, y_id, v_id, seed, retries=64):
     return None
 
 
-def gift_wrap_as_sets(hom):
-    """hull._gift_wrap with each facet's mask read as a frozenset of point indexes."""
-    return {frozenset(hull._ids(m)): w for m, w in hull._gift_wrap(hom).items()}
+def hull_as_sets(hom):
+    """hull._beneath_beyond with each facet's mask read as a frozenset of point indexes."""
+    return {frozenset(hull._ids(m)): list(w) for m, w in hull._beneath_beyond(hom).items()}
 
 
 def gift_wrap_per_ridge(hom):
     """Oracle: the gift-wrap that crosses every ridge, solving one kernel each.
 
-    Same first facet and the same rotation as hull._gift_wrap (in the
-    form oracles.rotate_with_values, which carries every facet's values
-    at all points), but each ridge is crossed from whichever of its
-    facets is popped first, even when the facet on its other side is
-    already found; each ridge's g is the kernel of [ridge rows; a point
-    off the facet], oriented negative on the facet's points off the
-    ridge, and a non-simplex facet's ridges come from this oracle one
-    dimension down.
+    The first facet comes from the support at the point of least x_1,
+    rotated about its face (oracles.rotate_with_values, which carries
+    every facet's values at all points) until the face spans a
+    hyperplane.  Each ridge is crossed from whichever of its facets is
+    popped first, even when the facet on its other side is already
+    found; each ridge's g is the kernel of [ridge rows; a point off the
+    facet], oriented negative on the facet's points off the ridge, and a
+    non-simplex facet's ridges come from this oracle one dimension down.
     """
     d = len(hom[0]) - 1
     low = min(range(len(hom)), key=lambda i: Fraction(hom[i][1], hom[i][0]))
@@ -622,12 +622,12 @@ class TestGiftWrapOracle:
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
     def test_matches_per_ridge_wrap(self, configs, data):
-        # The same facets with the same planes up to d = 7, on inputs where
-        # one crossing meets several tied points too (special position).
+        # The same facets with the same planes up to d = 7, on inputs with
+        # many points on one hyperplane too (special position).
         config = data.draw(configs(max_d=7))
         assume(spans_space(config))
         hom = config.hom
-        assert gift_wrap_as_sets(hom) == gift_wrap_per_ridge(hom)
+        assert hull_as_sets(hom) == gift_wrap_per_ridge(hom)
 
     @pytest.mark.parametrize(
         "coords",
@@ -635,96 +635,64 @@ class TestGiftWrapOracle:
             [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
             [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(0, 0, 0, 1)],
             [(x, y, z, w) for x in range(3) for y in range(2) for z in range(2) for w in range(2)],
+            # The first d+1 points in insertion order are dependent: the
+            # start simplex skips (1, 0) and (3, 0), which are inserted onto
+            # its bottom edge and stay there ...
+            [(0, 0), (1, 0), (3, 0), (4, 0), (2, 3)],
+            # ... or end inside the hull once (2, 3) is inserted beyond it.
+            [(0, 0), (1, 0), (3, 0), (4, 0), (2, -3), (2, 3)],
+            # (3, 3, 0) is skipped, then inserted beyond one facet of the
+            # start simplex and on the hyperplane of another.
+            [(0, 0, 0), (4, 0, 0), (1, 3, 0), (3, 3, 0), (2, 1, 2)],
         ],
-        ids=["cube3", "pyramid4", "grid4"],
+        ids=["cube3", "pyramid4", "grid4", "skip_edge", "skip_interior", "skip_beyond"],
     )
-    def test_crossing_meets_tied_points(self, monkeypatch, coords):
-        # A crossing onto a non-simplex facet reads every point of it off
-        # the ratio search: the ridge plus two or more points tied at the
-        # best ratio.  Each crossing gives the plane, point mask and values
-        # of oracles.rotate_with_values, and the hull is the per-ridge wrap's.
-        met = []
-        rotate = hull._rotate
-
-        def spy(hom, w, a, g, ridge):
-            nw, key, crossing = rotate(hom, w, a, g, ridge)
-            met.append((key ^ ridge).bit_count())
-            old_w, old_a = oracles.rotate_with_values(hom, w, a, g)
-            assert nw == old_w
-            assert key == sum(1 << i for i, x in enumerate(old_a) if x == 0)
-            assert hull._values(hom, nw, *crossing) == old_a
-            return nw, key, crossing
-
-        monkeypatch.setattr(hull, "_rotate", spy)
+    def test_fixed_cases_match_per_ridge_wrap(self, coords):
         hom = config_from_coords(coords).hom
-        assert gift_wrap_as_sets(hom) == gift_wrap_per_ridge(hom)
-        assert max(met) >= 2
+        assert hull_as_sets(hom) == gift_wrap_per_ridge(hom)
 
-    def test_inherited_normals_are_kernels(self, monkeypatch):
-        calls = []
-        inherit = hull._inherited_normals
-
-        def spy(hom, w, ax, normals, v, x):
-            assert ax == hull._dot(w, hom[x]) > 0
-            out = inherit(hom, w, ax, normals, v, x)
-            calls.append((hom, set(normals), v, x, out))
-            return out
-
-        monkeypatch.setattr(hull, "_inherited_normals", spy)
-        for cell in [(3, 9, 2), (4, 10, 1), (5, 11, 3), (6, 12, 0), (7, 13, 2)]:
-            enumerate_facets(almost_cyclic_points(ASPParams(*cell)))
-        # pyramid over a 3-cube: simplex facets beside square pyramids
-        enumerate_facets(
-            config_from_coords(
-                [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(0, 0, 0, 1)]
-            )
+    def test_insertion_counts(self, monkeypatch):
+        # Every facet the insertion adds registers its ridges once, so the
+        # top-level registrations count the facets added, and those past
+        # the final hull were dropped on the way.  The 32 hull_scan cells
+        # give 5,736 facets.  At (5, 57, 2) the alternating order drops
+        # fewer facets than the hull has; a one-sided order drops 24,801.
+        registered = []
+        ridges = hull._ridges
+        monkeypatch.setattr(
+            hull, "_ridges", lambda hom, *args: registered.append(hom) or ridges(hom, *args)
         )
-        assert len(calls) > 100
-        for hom, old, v, x, out in calls:
-            assert set(out) == old - {v} | {x}
-            for j, g in out.items():
-                (kernel,) = int_nullspace([hom[i] for i in sorted(set(out) - {j})] + [hom[v]])
-                k = math.gcd(*kernel) if hull._dot(kernel, hom[j]) < 0 else -math.gcd(*kernel)
-                assert g == [c // k for c in kernel]
 
-    def test_rotation_counts(self, monkeypatch):
-        # The 32 hull_scan cells.  Every facet past the first is found by
-        # one crossing, so enumerate_facets rotates little more often than
-        # it finds facets (the rest start the first facet and wrap the
-        # non-simplex facet's ridges); the oracle crosses every ridge.
-        # Values at all points are formed only for the facets popped with
-        # an open ridge (and while the first facet is wrapped), fewer than
-        # the facets found.
-        calls, formed = [], []
+        def counts(cells):
+            facets = added = 0
+            for cell in cells:
+                config = almost_cyclic_points(ASPParams(*cell))
+                facets += len(enumerate_facets(config))
+                added += sum(hom is config.hom for hom in registered)
+                registered.clear()
+            return facets, added
 
-        def spy(calls, f):
-            return lambda *args: calls.append(None) or f(*args)
-
-        monkeypatch.setattr(hull, "_rotate", spy(calls, hull._rotate))
-        monkeypatch.setattr(oracles, "rotate_with_values", spy(calls, oracles.rotate_with_values))
-        monkeypatch.setattr(hull, "_values", spy(formed, hull._values))
-        facets = wrapped = oracle = 0
-        for d, n, s in product((5, 6), range(13, 17), range(4)):
-            config = almost_cyclic_points(ASPParams(d, n, s))
-            facets += len(enumerate_facets(config))
-            wrapped += len(calls)
-            calls.clear()
-            gift_wrap_per_ridge(config.hom)
-            oracle += len(calls)
-            calls.clear()
-        assert (facets, wrapped, oracle) == (5736, 6328, 17600)
-        assert len(formed) == 2490 < facets
+        assert counts(product((5, 6), range(13, 17), range(4))) == (5736, 9408)
+        facets, added = counts([(5, 57, 2)])
+        assert (facets, added) == (2857, 5511)
+        assert added - facets < facets
 
     @pytest.mark.parametrize("cell", [(4, 9, 0), (3, 7, 1), (4, 9, 2)])
     def test_open_boundary_raises(self, monkeypatch, cell):
-        # One facet (or a non-simplex facet's sub-wrap facet) registers one
-        # ridge too few: the walk refuses instead of returning a wrong hull.
+        # One facet (or a facet of a non-simplex facet's sub-hull) registers
+        # one ridge too few.  If that facet is in the final hull, the walk
+        # refuses.  A facet dropped later, or replaced when it takes in a
+        # point on its hyperplane, may take the loss with it; then the walk
+        # refuses or gives the true hull, never a wrong one.
         config = almost_cyclic_points(ASPParams(*cell))
         ridges = hull._ridges
         registrations = []
-        monkeypatch.setattr(hull, "_ridges", lambda *args: registrations.append(None) or ridges(*args))
-        enumerate_facets(config)
-        already_found = set()
+        monkeypatch.setattr(
+            hull, "_ridges", lambda hom, m, w: registrations.append((hom, m)) or ridges(hom, m, w)
+        )
+        true = enumerate_facets(config)
+        final = {sum(1 << (i - 1) for i in f.vertex_ids) for f in true}
+        refused = 0
         for k, end in product(range(len(registrations)), (0, -1)):
             seen = []
 
@@ -736,10 +704,14 @@ class TestGiftWrapOracle:
                 return out
 
             monkeypatch.setattr(hull, "_ridges", drop_one)
-            with pytest.raises(PseudomanifoldError, match=r"^ridge \[") as err:
-                enumerate_facets(config)
-            already_found.add("already found" in str(err.value))
-        assert already_found == {True, False}
+            hom, m = registrations[k]
+            try:
+                assert enumerate_facets(config) == true
+                assert hom is not config.hom or m not in final
+            except PseudomanifoldError as err:
+                assert str(err).startswith("ridge [")
+                refused += 1
+        assert refused > len(registrations)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_acceptance_grid(self, d):
