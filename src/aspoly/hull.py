@@ -269,9 +269,9 @@ def _beneath_beyond(hom: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
     this routine replaced; growing outward from the middle of the sorted
     points drops 24,801 too.
     """
-    n, d = len(hom), len(hom[0]) - 1
-    if n < d + 1:
+    if not hom or len(hom) < len(hom[0]):
         raise RankDeficientError("too few points to span the ambient dimension")
+    n, d = len(hom), len(hom[0]) - 1
 
     def by_coords(i: int, j: int) -> int:
         hi, hj = hom[i], hom[j]

@@ -457,6 +457,12 @@ class TestVerify:
                 "graph file is missing 'edges'",
                 id="rigidity-no-edges",
             ),
+            pytest.param(
+                "rigidity",
+                {"vertices": [], "edges": []},
+                "graph file has no vertices",
+                id="rigidity-empty-graph",
+            ),
         ],
     )
     def test_malformed_input_file_is_refused(self, capsys, tmp_path, command, data, message):
@@ -991,8 +997,13 @@ class TestGaleAndFacets:
                 {"d": 3, "points": [{"id": 1, "coords": [0, 1]}, {"id": 2, "coords": [1, 0, 0]}]},
                 "point 1 has 2 coordinates, not 3",
             ),
+            ({"d": 2, "points": []}, "too few points to span the ambient dimension"),
+            (
+                {"d": 2, "points": [{"id": 1, "coords": [0, 0]}]},
+                "too few points to span the ambient dimension",
+            ),
         ],
-        ids=["id-order", "coordinate-count"],
+        ids=["id-order", "coordinate-count", "empty", "one-point"],
     )
     def test_facets_refuses_misnumbered_or_misshapen_points(self, tmp_path, points, message):
         path = tmp_path / "points.json"
@@ -1190,6 +1201,29 @@ class TestShellingAndRecognize:
         )
         code, _, err = run(capsys, "shelling", "--input", str(path))
         assert code == 2
+
+    def test_shelling_fails_with_the_identity(self, capsys, tmp_path, monkeypatch):
+        # A shelling whose h_1 is one too many breaks h(Q) = h(P) + shifted
+        # h(boundary of F), and both commands report the failure.
+        path, _ = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS["cyclic"])
+        shell = cli.h_from_shelling
+
+        def shifted(cert):
+            h = shell(cert)
+            return dataclasses.replace(h, entries=(1, h.h(1) + 1, *h.entries[2:]))
+
+        monkeypatch.setattr(cli, "h_from_shelling", shifted)
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--checks", "shelling")
+        assert (code, json.loads(out)) == (
+            1,
+            {
+                "checks": {"shelling": {"pass": False, "detail": "h(Q)=[1, 6, 10, 5, 1]"}},
+                "all_pass": False,
+            },
+        )
+        code, out, _ = run(capsys, "shelling", "--input", str(path), "--count", "1")
+        runs = json.loads(out)["runs"]
+        assert (code, [r["matches_f"] for r in runs]) == (1, [False])
 
     def test_recognize_stacked(self, capsys, tmp_path):
         path, _ = make_artifact(

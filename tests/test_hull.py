@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aspoly import curves, exactnum, hull
+from aspoly import cli, curves, exactnum, hull
 from aspoly.complexes import (
     ASPComplex,
     SimplicialComplex,
@@ -513,6 +513,8 @@ class TestEnumerateFacets:
         cfg = config_from_coords([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
         with pytest.raises(RankDeficientError):
             enumerate_facets(cfg)
+        with pytest.raises(RankDeficientError, match="too few points"):
+            enumerate_facets(PointConfig(2, ()))
 
     def test_matches_gale_on_4_7_1(self):
         p = ASPParams(4, 7, 1)
@@ -1220,15 +1222,28 @@ class TestLineShelling:
         assert h_from_shelling(rev).entries == (1, 3, 3, 1)
 
     def test_stacked_q_identity(self):
-        p = ASPParams(4, 8, 2)
-        geom = detect_asp(almost_cyclic_points(p))
-        q = stack_over_special(geom)
-        cert = line_shelling(q, seed=3)
-        hq = h_from_shelling(cert)
-        assert hq.entries == (1, 5, 10, 5, 1)
-        hball = h_from_f(f_vector(geom.ball.ball))
-        hbd = h_from_f(f_vector(boundary_of_ball(geom.ball.ball)))
-        assert all(hq.h(k) == hball.h(k) + hbd.h(k - 1) for k in range(p.d + 1))
+        # The oracle of cli.stacking_identity: Q's facets are the ball's plus
+        # y over each facet of F's boundary, so h from Q's own f-vector is
+        # h(ball) plus the shifted h(boundary), and so is the shelling's h.
+        from test_acceptance import GRID
+
+        cells = [cell for cell in GRID if cell[0] <= 5] + [(8, 20, 2)]
+        for d, n, s in cells:
+            geom = asp_geometry(d, n, s)
+            asp = geom.ball
+            cert = line_shelling(stack_over_special(geom), seed=3)
+            (y,) = set(cert.complex.vertex_ids) - set(asp.ball.vertex_ids)
+            cone = {r | {y} for r in asp.special_boundary.facets}
+            assert cert.complex.facets == asp.ball.facets | cone
+            hball = h_from_f(f_vector(asp.ball))
+            hbd = h_from_f(f_vector(asp.special_boundary))
+            stacked = tuple(hball.h(k) + hbd.h(k - 1) for k in range(d + 1))
+            assert h_from_f(f_vector(cert.complex)).entries == stacked
+            hq = h_from_shelling(cert)
+            assert hq.entries == stacked and cli.stacking_identity(cert, asp) == (hq, True)
+            if (d, n, s) == (4, 8, 2):
+                assert stacked == (1, 5, 10, 5, 1)
+        assert stacked == (1, 13, 81, 370, 1370, 370, 81, 13, 1)
 
     def test_requires_simplicial(self):
         geom = detect_asp(almost_cyclic_points(ASPParams(4, 8, 2)))
