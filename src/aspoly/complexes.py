@@ -6,7 +6,7 @@ non-pure result (induced subcomplexes of scattered vertex sets) raise
 rather than silently change representation.
 
 Face counts work on each facet's sorted vertex tuple, and f_vector caches
-them per complex; boundaries come from a count of ridges.
+them per complex; boundaries come from a count of those tuples' ridges.
 
 Prime decomposition has one implementation, on spheres of cells: a
 simplicial sphere is the case where every cell is a simplex, and the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -143,16 +143,18 @@ def induced(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
 def boundary_of_ball(c: SimplicialComplex) -> SimplicialComplex:
     """Subcomplex generated by ridges lying in exactly one facet.
 
-    Raises if some ridge lies in three or more facets, which rules out the
-    pseudomanifold-with-boundary structure this operation presumes.
+    Ridges are counted as each facet's sorted dim-tuples.  A ridge in
+    three or more facets rules out the pseudomanifold-with-boundary
+    structure this operation presumes, and raises, naming the least such
+    tuple, the face_key-least fat ridge.
     """
     if not c.facets:
         raise DomainError("empty complex has no boundary")
-    counts = Counter(g - {x} for g in c.facets for x in g)
+    counts = Counter(chain.from_iterable(combinations(sorted(g), c.dim) for g in c.facets))
     fat = [r for r, k in counts.items() if k > 2]
     if fat:
-        r = min(fat, key=face_key)
-        raise PseudomanifoldError(f"ridge {sorted(r)} lies in {counts[r]} facets")
+        r = min(fat)
+        raise PseudomanifoldError(f"ridge {list(r)} lies in {counts[r]} facets")
     return SimplicialComplex.from_facets(r for r, k in counts.items() if k == 1)
 
 
@@ -477,13 +479,13 @@ def validate_asp(asp: ASPComplex) -> SimplicialComplex:
     d, n, s = asp.params.d, asp.params.n, asp.params.s
     if asp.ball.dim != d - 1:
         raise ShapeError(f"ball dimension {asp.ball.dim} != d-1 = {d - 1}")
-    if len(asp.ball.vertex_ids) != n:
-        raise ShapeError(f"ball has {len(asp.ball.vertex_ids)} vertices, expected {n}")
+    if len(ids := asp.ball.vertex_ids) != n:
+        raise ShapeError(f"ball has {len(ids)} vertices, expected {n}")
     if len(asp.special_facet) != d + s:
         raise ShapeError(
             f"special facet has {len(asp.special_facet)} vertices, expected {d + s}"
         )
-    if not asp.special_facet <= frozenset(asp.ball.vertex_ids):
+    if not asp.special_facet.issubset(ids):
         raise ShapeError("special facet vertices must appear in the ball")
     bd = boundary_of_ball(asp.ball)
     ind = induced(asp.ball, asp.special_facet)

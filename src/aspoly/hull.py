@@ -1,23 +1,23 @@
 """Exact convex-position geometry: facets, beyond points, line shellings.
 
 Facets are enumerated by one exact beneath-beyond insertion
-(_beneath_beyond): from a start simplex, each further point is
-inserted by evaluating every facet there once.  The facets it is beyond
-are dropped, those whose hyperplane holds it take it in, and each ridge
+(_beneath_beyond): from a start simplex, each further point is inserted
+by one pass evaluating every facet there.  The facets it is beyond are
+dropped, those whose hyperplane holds it take it in, and each ridge
 between a dropped facet and one it is beneath gets the cone to the
 point, whose plane is the pencil of the two (_pencil).  Past the start
-simplex no kernel is solved, and every sign decision is an integer
-comparison.  Inside the routine facets and ridges are bitmasks over
-point indexes, and a non-simplex facet's ridges come from the same
-routine one dimension down.  A hull that is already known, such as the
-facets an artifact stores, is checked instead of enumerated: each
-hyperplane against every point, the vertex sets against the complex,
-and completeness from the facet-ridge graph.  A facet holds its
-hyperplane as one primitive integer vector (offset, *normal), the form
-the insertion builds it in, and every plane is evaluated by one integer
-dot product with a homogeneous point.  The facets a line crosses are
-ranked by integer keys, and nothing in this module uses rational
-arithmetic.
+simplex, found by one running fraction-free elimination, no kernel is
+solved, and every sign decision is an integer comparison.  Inside the
+routine facets and ridges are bitmasks over point indexes, and a
+non-simplex facet's ridges come from the same routine one dimension
+down.  A hull that is already known, such as the facets an artifact
+stores, is checked instead of enumerated: each hyperplane against every
+point, the vertex sets against the complex, and completeness from the
+facet-ridge graph.  A facet holds its hyperplane as one primitive
+integer vector (offset, *normal), the form the insertion builds it in,
+and every plane is evaluated by one integer dot product with a
+homogeneous point.  The facets a line crosses are ranked by integer
+keys, and nothing in this module uses rational arithmetic.
 stack_over_special is the one place a point y beyond the special facet
 is found; it builds the new boundary by the same beneath-beyond step
 instead of enumerating the hull again: each new hyperplane is the
@@ -75,7 +75,7 @@ from .errors import (
     ShellingError,
     ShellingSearchError,
 )
-from .exactnum import format_rational, int_nullspace, int_rank
+from .exactnum import format_rational, int_nullspace
 
 # Seeded directions line_shelling tries before it gives up.
 _LINE_RETRIES = 32
@@ -123,7 +123,7 @@ class ASPGeometry:
 
     @cached_property
     def facet_keys(self) -> tuple[tuple[int, ...], ...]:
-        """Per facet, its sorted vertex ids, the key of _facet_order; computed once."""
+        """Per facet, its sorted vertex ids, the key facets are ordered by; computed once."""
         return tuple(tuple(sorted(f.vertex_ids)) for f in self.facets)
 
     @cached_property
@@ -213,7 +213,11 @@ def _ridges(hom: Sequence[Sequence[int]], facet: int, w: Sequence[int]) -> list[
     """
     d = len(w) - 1
     if facet.bit_count() == d:
-        return [facet ^ b for b in _bits(facet)]
+        out, m = [], facet
+        while m:
+            out.append(facet ^ (m & -m))
+            m &= m - 1
+        return out
     j = next(c for c in range(1, d + 1) if w[c])
     ids = _ids(facet)
     sub = [hom[i][:j] + hom[i][j + 1 :] for i in ids]
@@ -230,36 +234,39 @@ def _beneath_beyond(hom: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
     coordinates (the ratios h[k]/h[0] compared by cross-multiplication)
     and taken alternately from the low and the high end.  The first d+1
     of them that are affinely independent form the start simplex, whose
-    d+1 facet planes are the only kernels solved.  Every other point,
-    those skipped while the simplex was sought included, is then
-    inserted in that order.  With fewer than d+1 independent points the
-    configuration is flat, and RankDeficientError is raised.
+    d+1 facet planes are the only kernels solved; a candidate is taken
+    if one running Bareiss elimination leaves it a nonzero row.  Every
+    other point, those skipped while the simplex was sought included, is
+    then inserted in that order.  With fewer than d+1 independent points
+    the configuration is flat, and RankDeficientError is raised.
 
     Insertion of p, by the beneath-beyond theorem (Grunbaum, Convex
     Polytopes, 5.2; Edelsbrunner, Algorithms in Combinatorial Geometry,
-    1987).  Every facet is evaluated at p, one dot product each.  The
-    facets with a value < 0, which p is beyond, are dropped.  A facet
-    with value 0 keeps its plane, which still supports every point, and
-    takes p into its point set.  For each ridge R between a dropped
-    facet G and a facet H with value a_H > 0, the facet R + p is added
-    with the pencil plane k*w = a_H*w_G - a_G*w_H, made primitive
-    (_pencil).  At an inserted point q, w_G(q) and w_H(q) are >= 0 and
-    a_H > 0 > a_G, so k*w(q) >= 0, and 0 exactly where both vanish, on
-    G & H = R; at p it is a_H*a_G - a_G*a_H = 0.  So w supports the new
-    hull and its zero set is R + p exactly, and no plane is evaluated
-    at the other points.  No two horizon ridges share a plane, since the
-    plane through R and p meets the old points in R alone, and a ridge
-    next to a facet with value 0 adds no cone, as that facet's plane is
-    the one through R and p.  So no facets need merging, and points on a
-    facet's hyperplane need this one extra rule and no symbolic
-    perturbation.  If p is beyond no facet, the only change is that the
-    facets with value 0 take it in.
+    1987).  One pass evaluates every facet at p and lists the facets
+    with value 0 and those with a value < 0, which p is beyond and which
+    are dropped.  A facet with value 0 keeps its plane, which still
+    supports every point, and takes p into its point set.  For each
+    ridge R between a dropped facet G and a facet H with value a_H > 0,
+    the facet R + p is added with the pencil plane
+    k*w = a_H*w_G - a_G*w_H, made primitive (_pencil).  At an inserted
+    point q, w_G(q) and w_H(q) are >= 0 and a_H > 0 > a_G, so
+    k*w(q) >= 0, and 0 exactly where both vanish, on G & H = R; at p it
+    is a_H*a_G - a_G*a_H = 0.  So w supports the new hull and its zero
+    set is R + p exactly, and no plane is evaluated at the other points.
+    No two horizon ridges share a plane, since the plane through R and p
+    meets the old points in R alone, and a ridge next to a facet with
+    value 0 adds no cone, as that facet's plane is the one through R and
+    p.  So no facets need merging, and points on a facet's hyperplane
+    need this one extra rule and no symbolic perturbation.  If p is
+    beyond no facet, the only change is that the facets with value 0
+    take it in.
 
     Ridges.  Each facet, when added, registers its ridges (_ridges) in
-    an index from ridge mask to the facets that hold it.  A ridge of a
-    dropped facet that is not held by exactly two facets, or any ridge
-    left so at the end, raises PseudomanifoldError naming it, so a hull
-    is returned only when every ridge of its facets lies in exactly two.
+    an index from ridge mask to the facets that hold it, and leaves the
+    index when dropped.  A ridge of a dropped facet that is not held by
+    exactly two facets, or any ridge left so at the end, raises
+    PseudomanifoldError naming it, so a hull is returned only when every
+    ridge of its facets lies in exactly two.
 
     Why this order.  The cost is set by the facets that are added and
     dropped on the way, since every insertion evaluates every facet.  At
@@ -282,10 +289,14 @@ def _beneath_beyond(hom: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
 
     lex = sorted(range(n), key=cmp_to_key(by_coords))
     order = [lex[k // 2] if k % 2 == 0 else lex[-1 - k // 2] for k in range(n)]
-    start: list[int] = []
+    start: dict[int, tuple[int, Sequence[int]]] = {}  # point -> pivot column, reduced row
     for i in order:
-        if int_rank([hom[j] for j in start] + [hom[i]]) > len(start):
-            start.append(i)
+        v, prev = hom[i], 1
+        for c, r in start.values():
+            p, q = r[c], v[c]
+            v, prev = [(p * x - q * y) // prev for x, y in zip(v, r)], p
+        if any(v):
+            start[i] = next(c for c, x in enumerate(v) if x), v
             if len(start) == d + 1:
                 break
     else:
@@ -296,17 +307,20 @@ def _beneath_beyond(hom: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
 
     def add(facet: int, w: tuple[int, ...]) -> None:
         found[facet] = w
-        ridges_of[facet] = _ridges(hom, facet, w)
-        for ridge in ridges_of[facet]:
-            held.setdefault(ridge, []).append(facet)
+        ridges_of[facet] = rs = _ridges(hom, facet, w)
+        for ridge in rs:
+            if (owners := held.get(ridge)) is None:
+                held[ridge] = [facet]
+            else:
+                owners.append(facet)
 
     def drop(facet: int) -> None:
         del found[facet]
         for ridge in ridges_of.pop(facet):
-            owners = held[ridge]
-            owners.remove(facet)
-            if not owners:
+            if len(owners := held[ridge]) == 1:
                 del held[ridge]
+            else:
+                owners.remove(facet)
 
     def refuse(ridge: int, owners: list[int]) -> PseudomanifoldError:
         return PseudomanifoldError(
@@ -322,8 +336,11 @@ def _beneath_beyond(hom: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
         if simplex >> i & 1:
             continue
         h, bit = hom[i], 1 << i
-        values = {f: _dot(w, h) for f, w in found.items()}
-        beyond = [f for f, a in values.items() if a < 0]
+        values, beyond, on = {}, [], []
+        for f, w in found.items():
+            values[f] = a = _dot(w, h)
+            if a <= 0:
+                (beyond if a else on).append(f)
         cones = []
         for g in beyond:
             for ridge in ridges_of[g]:
@@ -336,7 +353,7 @@ def _beneath_beyond(hom: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
                     cones.append((ridge | bit, w))
         for g in beyond:
             drop(g)
-        for f in [f for f, a in values.items() if a == 0]:
+        for f in on:
             w = found[f]
             drop(f)
             add(f | bit, w)
@@ -353,10 +370,6 @@ def _check_cap(n: int, cap: int | None) -> None:
         raise CapExceededError(f"{n} points exceed the cap {cap}; raise it explicitly")
 
 
-def _facet_order(facets: Iterable[FacetDescriptor]) -> tuple[FacetDescriptor, ...]:
-    return tuple(sorted(facets, key=lambda f: tuple(sorted(f.vertex_ids))))
-
-
 def enumerate_facets(config: PointConfig) -> tuple[FacetDescriptor, ...]:
     """All facets of the convex hull, by exact beneath-beyond insertion.
 
@@ -367,10 +380,8 @@ def enumerate_facets(config: PointConfig) -> tuple[FacetDescriptor, ...]:
     every point on its hyperplane, so non-simplex facets come out whole.
     Flat configurations raise RankDeficientError.
     """
-    return _facet_order(
-        FacetDescriptor(frozenset({i + 1 for i in _ids(on)}), w)
-        for on, w in _beneath_beyond(config.hom).items()
-    )
+    keyed = sorted((_ids(on), w) for on, w in _beneath_beyond(config.hom).items())
+    return tuple(FacetDescriptor(frozenset({i + 1 for i in ids}), w) for ids, w in keyed)
 
 
 def detect_asp(config: PointConfig, cap: int | None = None) -> ASPGeometry:
@@ -444,7 +455,7 @@ def certified_geometry(
     d, n = config.d, config.n
     if (asp.params.d, asp.params.n) != (d, n):
         raise ShapeError(f"complex has d={asp.params.d}, n={asp.params.n}; points d={d}, n={n}")
-    facets = _facet_order(stored)
+    facets = tuple(sorted(stored, key=lambda f: sorted(f.vertex_ids)))
     special = next((f for f in facets if f.vertex_ids == asp.special_facet), None)
     geom = ASPGeometry(config, facets, special, asp)
     for f in facets:

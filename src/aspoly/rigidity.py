@@ -94,6 +94,8 @@ def one_skeleton(c: SimplicialComplex) -> Graph:
 
 def _dimension(g: Graph, embedding: Mapping[int, Sequence]) -> int:
     """The common length of the embedding's points; every vertex needs one."""
+    if not g.vertices:
+        raise DomainError("graph has no vertices")
     missing = [v for v in g.sorted_vertices() if v not in embedding]
     if missing:
         raise DomainError(f"embedding missing vertices {missing}")
@@ -229,14 +231,16 @@ def sample_generic(g: Graph, d: int, trials: int = 3, seed: int = 0) -> Rigidity
 
     Trials are seeded independently, so the merge (max of ranks) does not
     depend on evaluation order; the loop stops early once the rank cannot
-    improve further.
+    improve further.  Rigidity is certified at d*n - C(d+1, 2), or at
+    K_n's generic rank C(n, 2) when n < d, where that number is below it.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     if d < 1:
         raise DomainError("dimension must be positive")
-    target = rigid_rank_target(d, g.n_vertices)
-    cap = min(g.n_edges, max(target, 0))
+    n = g.n_vertices
+    target = binom(n, 2) if n < d else rigid_rank_target(d, n)
+    cap = min(g.n_edges, target)
     best = 0
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")

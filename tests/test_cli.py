@@ -1107,6 +1107,25 @@ class TestRigidityCommand:
         report = json.loads(out)
         assert report["stress_dim"] == 1 and report["rigid_certified"]
 
+    @pytest.mark.parametrize(
+        "vertices, edges, rigid",
+        [
+            ([1, 2], [], False),
+            ([1, 2, 3], [[1, 2], [2, 3]], False),
+            ([1, 2], [[1, 2]], True),
+            ([1, 2, 3], [[1, 2], [2, 3], [1, 3]], True),
+        ],
+        ids=["two-points", "P3", "K2", "K3"],
+    )
+    def test_raw_graph_below_dimension(self, capsys, tmp_path, vertices, edges, rigid):
+        # Fewer than d+1 vertices in R^3: only a complete graph is rigid.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+        code, out, _ = run(capsys, "rigidity", "report", "--input", str(path), "--dim", "3")
+        report = json.loads(out)
+        assert code == 0 and report["stress_dim"] == 0
+        assert report["rigid_certified"] is rigid
+
     def test_raw_graph_requires_dim(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]]}))

@@ -160,6 +160,27 @@ class TestBoundary:
         with pytest.raises(PseudomanifoldError):
             boundary_of_ball(c)
 
+    def test_least_fat_ridge_named(self):
+        # [2, 3] lies in four facets and [1, 9] in three; the message names
+        # the face_key-least fat ridge and its own count.
+        c = SimplicialComplex.from_facets(
+            [[2, 3, 4], [2, 3, 5], [2, 3, 6], [2, 3, 7], [1, 9, 4], [1, 9, 5], [1, 9, 6]]
+        )
+        with pytest.raises(PseudomanifoldError, match=r"^ridge \[1, 9\] lies in 3 facets$"):
+            boundary_of_ball(c)
+
+    @pytest.mark.parametrize("cell", [(6, 12, 2), (7, 14, 3)])
+    def test_boundary_facets_are_set_sized(self, cell):
+        # A frozenset grown from 5 or more vertices one by one can take
+        # twice the hash slots of one made from a set; at d >= 6 the
+        # boundary's facets have d - 1 >= 5 vertices.
+        p = ASPParams(*cell)
+        for ball in (detect_asp(almost_cyclic_points(p)).ball.ball, random_minimizer(p, 0).ball):
+            bd = boundary_of_ball(ball)
+            assert bd.facets and bd.dim == p.d - 2
+            for f in bd.facets:
+                assert sys.getsizeof(f) == sys.getsizeof(frozenset(set(f)))
+
     def test_closed_sphere_has_empty_boundary(self):
         assert boundary_of_ball(octahedron()).facets == frozenset()
 

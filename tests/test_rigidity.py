@@ -68,9 +68,13 @@ def generic_embedding(g, d, seed, trial=0):
 
 
 def sample_generic_by_bareiss(g, d, trials=3, seed=0):
-    """Oracle: the Bareiss rank at every trial embedding, no modular certificate."""
-    target = rigid_rank_target(d, g.n_vertices)
-    cap = min(g.n_edges, max(target, 0))
+    """Oracle: the Bareiss rank at every trial embedding, no modular certificate.
+
+    Rigidity is certified at d*n - C(d+1, 2), or at C(n, 2) below n = d.
+    """
+    n = g.n_vertices
+    target = rigid_rank_target(d, n) if n >= d else n * (n - 1) // 2
+    cap = min(g.n_edges, target)
     best = 0
     for t in range(trials):
         emb = generic_embedding(g, d, seed, t)
@@ -250,6 +254,21 @@ class TestSampleGeneric:
     def test_trial_validation(self):
         with pytest.raises(DomainError):
             sample_generic(TRIANGLE, 2, trials=0)
+
+    def test_empty_graph_refused(self):
+        with pytest.raises(DomainError, match="^graph has no vertices$"):
+            sample_generic(Graph.from_edges([], []), 3)
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_below_n_equals_d_only_complete_graphs_certify(self, d):
+        # With n < d the n points span an (n-1)-flat, and the framework is
+        # rigid exactly when every pair is an edge: rank C(n, 2).
+        for n in range(1, d):
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+            for k in range(len(pairs) + 1):
+                report = sample_generic(Graph.from_edges(range(1, n + 1), pairs[:k]), d)
+                assert report.best_rank == k
+                assert report.rigid_certified is (k == len(pairs))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6))
