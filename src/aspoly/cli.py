@@ -505,14 +505,41 @@ def cmd_recognize(args) -> int:
     return 0
 
 
+# The subcommands, in the order usage and help list them, and their handlers.
+COMMANDS = {
+    "construct": cmd_construct,
+    "facets": cmd_facets,
+    "gale": cmd_gale,
+    "verify": cmd_verify,
+    "table": cmd_table,
+    "rigidity": cmd_rigidity,
+    "shelling": cmd_shelling,
+    "recognize": cmd_recognize,
+}
+
+
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of one command, or of all of them for None; built once per process and command.
+
+    Every command is registered with its help, so usage, help and error
+    texts are those of the full parser; only `command` gets its arguments,
+    -h among them, and its handler.  main hands a parser only argvs that
+    start with its command, so no other subparser ever parses.
+    """
     top = argparse.ArgumentParser(
         prog="aspoly",
         description="Construct and verify almost simplicial polytopes.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+
+    def add(name, help):
+        if command not in (None, name):
+            sub.add_parser(name, help=help, add_help=False)  # listed, never parses
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=COMMANDS[name])
+        return p
 
     def common(p, params=False, seed=False):
         p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -524,66 +551,60 @@ def _parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("construct", help="build an instance and write artifacts")
-    p.add_argument("kind", choices=["cyclic-asp", "stacked-asp"])
-    p.add_argument("--style", choices=["stack", "hstack"], default="stack")
-    common(p, params=True, seed=True)
-    p.set_defaults(func=cmd_construct)
+    if p := add("construct", "build an instance and write artifacts"):
+        p.add_argument("kind", choices=["cyclic-asp", "stacked-asp"])
+        p.add_argument("--style", choices=["stack", "hstack"], default="stack")
+        common(p, params=True, seed=True)
 
-    p = sub.add_parser("facets", help="enumerate hull facets exactly")
-    p.add_argument("--input", default=None, help="PointConfig JSON")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--unsafe-large", action="store_true")
-    p.set_defaults(func=cmd_facets)
+    if p := add("facets", "enumerate hull facets exactly"):
+        p.add_argument("--input", default=None, help="PointConfig JSON")
+        p.add_argument("--d", type=int)
+        p.add_argument("--n", type=int)
+        p.add_argument("--s", type=int, default=0)
+        p.add_argument("--out", default=None)
+        p.add_argument("--unsafe-large", action="store_true")
 
-    p = sub.add_parser("gale", help="predict facets combinatorially")
-    p.add_argument("--interior-tuples", action="store_true")
-    common(p, params=True)
-    p.set_defaults(func=cmd_gale)
+    if p := add("gale", "predict facets combinatorially"):
+        p.add_argument("--interior-tuples", action="store_true")
+        common(p, params=True)
 
-    p = sub.add_parser("verify", help="run checks against an artifact")
-    p.add_argument("--input", required=True)
-    p.add_argument("--checks", default="all", help="comma list or 'all'")
-    common(p, seed=True)
-    p.set_defaults(func=cmd_verify)
+    if p := add("verify", "run checks against an artifact"):
+        p.add_argument("--input", required=True)
+        p.add_argument("--checks", default="all", help="comma list or 'all'")
+        common(p, seed=True)
 
-    p = sub.add_parser("table", help="grid summary of extremal f-vectors")
-    p.add_argument("--d", required=True, help="value or a..b range")
-    p.add_argument("--s", required=True, help="value or a..b range")
-    p.add_argument("--n-span", type=int, default=3, help="n runs d+s+1 .. d+s+span")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-    p.add_argument("--unsafe-large", action="store_true")
-    p.set_defaults(func=cmd_table)
+    if p := add("table", "grid summary of extremal f-vectors"):
+        p.add_argument("--d", required=True, help="value or a..b range")
+        p.add_argument("--s", required=True, help="value or a..b range")
+        p.add_argument("--n-span", type=int, default=3, help="n runs d+s+1 .. d+s+span")
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out", default=None)
+        p.add_argument("--unsafe-large", action="store_true")
 
-    p = sub.add_parser("rigidity", help="generic rigidity report for a graph")
-    p.add_argument("action", nargs="?", default="report", choices=["report"])
-    p.add_argument("--input", required=True, help="graph JSON or artifact JSON")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rigidity)
+    if p := add("rigidity", "generic rigidity report for a graph"):
+        p.add_argument("action", nargs="?", default="report", choices=["report"])
+        p.add_argument("--input", required=True, help="graph JSON or artifact JSON")
+        p.add_argument("--dim", type=int, default=None)
+        p.add_argument("--trials", type=int, default=3)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("shelling", help="seeded line shellings of the stacked hull")
-    p.add_argument("--input", required=True)
-    p.add_argument("--count", type=int, default=3)
-    common(p, seed=True)
-    p.set_defaults(func=cmd_shelling)
+    if p := add("shelling", "seeded line shellings of the stacked hull"):
+        p.add_argument("--input", required=True)
+        p.add_argument("--count", type=int, default=3)
+        common(p, seed=True)
 
-    p = sub.add_parser("recognize", help="structural minimizer recognition")
-    p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_recognize)
+    if p := add("recognize", "structural minimizer recognition"):
+        p.add_argument("--input", required=True)
+        common(p)
 
     return top
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (AspolyError, OSError, KeyError, ValueError) as exc:

@@ -124,12 +124,17 @@ def induced(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
 
     Raises if the result is not pure, since the complex type cannot
     represent it; callers needing only the induced graph should intersect
-    edge sets directly.
+    edge sets directly.  The maximal traces of the facets on the set are
+    kept longest first, each trace compared only with those already kept:
+    a trace inside another lies inside a maximal one, which is longer.
     """
     vs = frozenset(vertices)
     traces = {g & vs for g in c.facets}
     traces.discard(frozenset())
-    maximal = [t for t in traces if not any(t < u for u in traces)]
+    maximal: list[frozenset[int]] = []
+    for t in sorted(traces, key=len, reverse=True):
+        if not any(t <= u for u in maximal):
+            maximal.append(t)
     if not maximal:
         return SimplicialComplex(-1, frozenset())
     sizes = {len(t) for t in maximal}

@@ -12,11 +12,13 @@ routine facets and ridges are bitmasks over point indexes, and a
 non-simplex facet's ridges come from the same routine one dimension
 down.  A hull that is already known, such as the facets an artifact
 stores, is checked instead of enumerated: each hyperplane against every
-point, the vertex sets against the complex, and completeness from the
-facet-ridge graph.  A facet holds its hyperplane as one primitive
-integer vector (offset, *normal), the form the insertion builds it in,
-and every plane is evaluated by one integer dot product with a
-homogeneous point.  The facets a line crosses are ranked by integer
+point at once, by d+1 integer products with the points' coordinates
+packed W bits a point into one integer each (_PackedPoints), the vertex
+sets against the complex, and completeness from the facet-ridge graph.
+A facet holds its hyperplane as one primitive integer vector (offset,
+*normal), the form the insertion builds it in, and a plane is evaluated
+by one integer dot product with a homogeneous point, or by that packed
+product at all of them.  The facets a line crosses are ranked by integer
 keys, and nothing in this module uses rational arithmetic.
 stack_over_special is the one place a point y beyond the special facet
 is found; it builds the new boundary by the same beneath-beyond step
@@ -52,6 +54,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -380,8 +383,16 @@ def enumerate_facets(config: PointConfig) -> tuple[FacetDescriptor, ...]:
     every point on its hyperplane, so non-simplex facets come out whole.
     Flat configurations raise RankDeficientError.
     """
-    keyed = sorted((_ids(on), w) for on, w in _beneath_beyond(config.hom).items())
-    return tuple(FacetDescriptor(frozenset({i + 1 for i in ids}), w) for ids, w in keyed)
+    keyed = []
+    for on, w in _beneath_beyond(config.hom).items():
+        ids = []  # 1-based, ascending
+        while on:
+            low = on & -on
+            ids.append(low.bit_length())
+            on ^= low
+        keyed.append((ids, w))
+    keyed.sort()
+    return tuple(FacetDescriptor(frozenset(set(ids)), w) for ids, w in keyed)
 
 
 def detect_asp(config: PointConfig, cap: int | None = None) -> ASPGeometry:
@@ -431,6 +442,49 @@ def asp_geometry(config: PointConfig, special: Iterable[int]) -> ASPGeometry:
     return geom
 
 
+class _PackedPoints:
+    """Every point's value on a plane at once: one integer product per coordinate.
+
+    Point i (0-based) owns the W-bit field [i*W, (i+1)*W) of each packed
+    coordinate col_k = sum_i hom[i][k] * 2^(i*W), with
+    W = bitlen(bound) + bitlen(max |coordinate|) + bitlen(d+1) + 2, where
+    bound is at least every plane entry's size.  For a plane w of d+1
+    entries, v = bias + sum_k w_k*col_k, bias = sum_i 2^(i*W + W-1), equals
+    sum_i (w.h_i + 2^(W-1)) * 2^(i*W) as an integer.  Exactness: each
+    |w.h_i| <= (d+1)*bound*max|h| < 2^(W-2), so each digit
+    w.h_i + 2^(W-1) lies strictly between 2^(W-2) and 3*2^(W-2), inside
+    [0, 2^W); the sum is therefore v's base-2^W expansion, with no carry
+    between fields, and a field's top bit is set exactly when its value is
+    >= 0.  So w >= 0 at every point iff v & bias == bias.  Then
+    y = v ^ bias holds each value w.h_i < 2^(W-2) in its field, and
+    (y & low) + low, low the W-1 low bits of every field, sets a field's
+    top bit exactly when the value is nonzero, again with no carry;
+    or-ing y in keeps the test exact without the sign test before it.  So
+    bias & ~(((y & low) + low) | y) has the top bit of exactly the fields
+    where w is 0, and w is 0 exactly at vertex_ids iff it equals their
+    top bits.  Broadword tests on packed integers: Knuth, TAOCP 4A, 7.1.3.
+    """
+
+    def __init__(self, hom: Sequence[Sequence[int]], bound: int) -> None:
+        n, d = len(hom), len(hom[0]) - 1
+        size = max(map(abs, chain.from_iterable(hom))).bit_length()
+        width = bound.bit_length() + size + (d + 1).bit_length() + 2
+        ones = ((1 << n * width) - 1) // ((1 << width) - 1)
+        self.cols = [sum(h[k] << i * width for i, h in enumerate(hom)) for k in range(d + 1)]
+        self.bias = ones << (width - 1)
+        self.low = ones * ((1 << (width - 1)) - 1)
+        self.top = {i: 1 << (i * width - 1) for i in range(1, n + 1)}  # by 1-based id
+
+    def supports(self, w: Sequence[int], vertex_ids: frozenset[int]) -> bool:
+        """Whether w (d+1 entries within bound) is >= 0 at every point, 0 exactly at vertex_ids."""
+        bias, low = self.bias, self.low
+        v = sum(map(operator.mul, w, self.cols), bias)
+        if v & bias != bias or not self.top.keys() >= vertex_ids:  # an id off 1..n: no point
+            return False
+        y = v ^ bias
+        return bias & ~(((y & low) + low) | y) == sum(map(self.top.__getitem__, vertex_ids))
+
+
 def certified_geometry(
     config: PointConfig, asp: ASPComplex, stored: Iterable[FacetDescriptor]
 ) -> ASPGeometry:
@@ -448,9 +502,15 @@ def certified_geometry(
     would lie on G's plane, whose only points are G's.  So every stored
     facet is a true facet, H is the other true facet through the ridge,
     and as the facet-ridge graph stays connected without F (Balinski), no
-    facet is missing.  No rank is computed.  validate_asp runs last, as
-    asp.special_boundary; a failed test raises an AspolyError naming the
-    facet.
+    facet is missing.  No rank is computed.
+
+    The facets are tested in sorted order, each plane's length and
+    coprimality first.  Its signs at every point come from d+1 integer
+    products with the points packed W bits a point (_PackedPoints, whose
+    docstring proves the test exact); only a plane that fails is
+    evaluated point by point, to name the point in the message.
+    validate_asp runs last, as asp.special_boundary; a failed test raises
+    an AspolyError naming the facet.
     """
     d, n = config.d, config.n
     if (asp.params.d, asp.params.n) != (d, n):
@@ -458,10 +518,14 @@ def certified_geometry(
     facets = tuple(sorted(stored, key=lambda f: sorted(f.vertex_ids)))
     special = next((f for f in facets if f.vertex_ids == asp.special_facet), None)
     geom = ASPGeometry(config, facets, special, asp)
+    bound = max(map(abs, chain.from_iterable(f.plane for f in facets)), default=0)
+    packed = _PackedPoints(config.hom, bound)
     for f in facets:
         name, w = sorted(f.vertex_ids), f.plane
         if len(w) != d + 1 or math.gcd(*w) != 1:
             raise NotAFaceError(f"facet {name}: hyperplane is not {d + 1} coprime integers")
+        if packed.supports(w, f.vertex_ids):
+            continue
         values = _dots(w, config.hom)
         if min(values) < 0:
             low = values.index(min(values)) + 1

@@ -13,12 +13,15 @@ the two.  Per fast path, the oracle kept:
 - _cell_decomposition: one split at a time, each rebuilding its part's
   incidence (cell_decomposition_per_split, with cell_split and
   carried_missing);
+- induced: every trace compared with every other (induced_pairwise);
 - verify_shelling: every facet intersected with every earlier one
   (verify_shelling_pairwise);
 - the beneath-beyond hull (_beneath_beyond): the scan of every d-subset
   (facets_by_subset_scan in test_hull.py), and for its planes up to
   d = 7 the gift-wrap it replaced, crossing every ridge
   (gift_wrap_per_ridge, there too, with rotate_with_values here);
+- certified_geometry's packed plane test (_PackedPoints.supports): the
+  plane evaluated at every point in turn (plane_supports_by_points);
 - stack_over_special: y placed by point_beyond, then the hull enumerated
   again (stacked_by_enumeration in test_hull.py, with extend_config),
   and each cone plane against a kernel solve (supporting_hyperplane);
@@ -292,6 +295,22 @@ def cell_decomposition_per_split(
     return factors, edges
 
 
+def induced_pairwise(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
+    """induced with each trace kept unless it lies strictly inside another trace."""
+    vs = frozenset(vertices)
+    traces = {g & vs for g in c.facets}
+    traces.discard(frozenset())
+    maximal = [t for t in traces if not any(t < u for u in traces)]
+    if not maximal:
+        return SimplicialComplex(-1, frozenset())
+    sizes = {len(t) for t in maximal}
+    if len(sizes) != 1:
+        raise DomainError(
+            "induced subcomplex is not pure; maximal face sizes " + str(sorted(sizes))
+        )
+    return SimplicialComplex.from_facets(maximal)
+
+
 def verify_shelling_pairwise(
     c: SimplicialComplex, order: Sequence[Iterable[int]]
 ) -> ShellingCertificate:
@@ -351,6 +370,16 @@ def rotate_with_values(
     new = [best_b * x - best_a * y for x, y in zip(w, g)]
     k = math.gcd(*new)
     return [x // k for x in new], [(best_b * x - best_a * y) // k for x, y in zip(a, b)]
+
+
+def plane_supports_by_points(
+    w: Sequence[int], hom: Sequence[Sequence[int]], vertex_ids: frozenset[int]
+) -> bool:
+    """Whether w is >= 0 at every point and 0 exactly at vertex_ids (1-based), point by point."""
+    values = _dots(w, hom)
+    if min(values) < 0:
+        return False
+    return frozenset(i for i, x in enumerate(values, 1) if x == 0) == vertex_ids
 
 
 def supporting_hyperplane(

@@ -886,8 +886,9 @@ class TestRelabelledArtifact:
 
 class TestParser:
     def test_one_parser_gives_the_bytes_of_fresh_ones(self, tmp_path):
-        # main builds its parser once per process; reusing it must not change
-        # any output, usage errors and help included.
+        # main builds one parser per process and command (the full parser for
+        # an argv that names none); reusing them must not change any output,
+        # usage errors and help included.
         path = str(tmp_path / "stacked.json")
         argvs = [
             ("construct", *ARTIFACTS["stacked"], "--out", path),
@@ -902,13 +903,48 @@ class TestParser:
         ]
         cli._parser.cache_clear()
         warm = [run_quiet(*argv) for argv in argvs]
-        assert cli._parser.cache_info().misses == 1
+        assert cli._parser.cache_info().misses == len({argv[:1] for argv in argvs})
         fresh = []
         for argv in argvs:
             cli._parser.cache_clear()
             fresh.append(run_quiet(*argv))
         assert fresh == warm
         assert [code for code, _, _ in warm] == [0, 0, 0, 2, 2, 0, 0, 0, 2]
+
+    def test_command_parser_gives_the_bytes_of_the_full_one(self, tmp_path, monkeypatch):
+        # The full parser, every command's arguments included, is the oracle
+        # of the per-command parser main builds: same exit code, stdout and
+        # stderr for valid calls, help, and every kind of usage error.
+        path = str(tmp_path / "cyclic.json")
+        assert run_quiet("construct", *ARTIFACTS["cyclic"], "--out", path)[0] == 0
+        valid = [
+            ("construct", *ARTIFACTS["stacked"]),
+            ("facets", "--d", "4", "--n", "8", "--s", "2"),
+            ("gale", "--d", "4", "--n", "8", "--s", "2"),
+            ("verify", "--input", path, "--checks", "bounds,gale"),
+            ("table", "--d", "3", "--s", "0", "--n-span", "1"),
+            ("rigidity", "report", "--input", path),
+            ("shelling", "--input", path, "--count", "1"),
+            ("recognize", "--input", path),
+        ]
+        assert [argv[0] for argv in valid] == list(cli.COMMANDS)
+        argvs = [
+            *valid,
+            *((name, "--help") for name in cli.COMMANDS),
+            ("--help",),
+            (),
+            ("bogus",),
+            ("verify", "--input", path, "--bogus"),
+            ("--input", path, "verify"),
+            ("bogus", "verify", "--input", path),
+        ]
+        cli._parser.cache_clear()
+        per_command = [run_quiet(*argv) for argv in argvs]
+        full = cli._parser(None)
+        monkeypatch.setattr(cli, "_parser", lambda command: full)
+        assert [run_quiet(*argv) for argv in argvs] == per_command
+        codes = [code for code, _, _ in per_command]
+        assert codes == [0] * 8 + [0] * 8 + [0, 2, 2, 2, 2, 2]
 
 
 class TestGaleAndFacets:

@@ -12,7 +12,7 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aspoly import cli
 from aspoly.complexes import (
@@ -45,6 +45,7 @@ from oracles import (
     cell_missing_by_ridge_scan,
     f_vector_by_face_set,
     face_set,
+    induced_pairwise,
     is_stacked_sphere,
     prime_decomposition,
     refined_frozenset_cells,
@@ -461,10 +462,33 @@ def small_pure_complexes(draw):
     return SimplicialComplex.from_facets(facets)
 
 
+@st.composite
+def pure_complexes(draw):
+    """Pure complexes of dimension 0..3 on vertices 1..8."""
+    k = draw(st.integers(1, 4))
+    faces = [frozenset(t) for t in combinations(range(1, 9), k)]
+    return SimplicialComplex.from_facets(
+        draw(st.lists(st.sampled_from(faces), min_size=1, max_size=10, unique=True))
+    )
+
+
 class TestProperties:
     @given(small_pure_complexes())
     def test_induced_on_all_vertices_is_identity(self, c):
         assert induced(c, c.vertex_ids) == c
+
+    @given(pure_complexes(), st.frozensets(st.integers(1, 9)))
+    @example(SimplicialComplex.from_facets([[1, 2, 3], [3, 4, 5]]), frozenset({1, 2, 3, 4}))
+    @settings(max_examples=300, deadline=None)
+    def test_induced_matches_pairwise(self, c, vertices):
+        # Same complex, or the same non-pure refusal text.
+        def outcome(build):
+            try:
+                return build(c, vertices)
+            except DomainError as exc:
+                return str(exc)
+
+        assert outcome(induced) == outcome(induced_pairwise)
 
     @given(st.permutations(list(simplex_boundary(3).facets)))
     def test_any_simplex_boundary_order_shells(self, order):

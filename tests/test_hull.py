@@ -64,6 +64,7 @@ from oracles import (
     homogeneous,
     int_det,
     paper_curve_points,
+    plane_supports_by_points,
     point_beyond,
     rational_points,
     supporting_hyperplane,
@@ -824,6 +825,11 @@ def scaled(f, k):
     return replace(f, plane=tuple(k * a for a in f.plane))
 
 
+def tilted(f, g):
+    """f with its plane minus g's, made primitive: 0 where both are 0."""
+    return replace(f, plane=tuple(hull._primitive([a - b for a, b in zip(f.plane, g.plane)])))
+
+
 # Each tampering of (the ASP, the stored facets) of cyclic (4, 8, 2), with
 # the error it must raise and a fragment of its message.  fs[0] is the
 # special facet [1, ..., 6] and fs[1] the simplex facet [1, 2, 3, 8].
@@ -843,6 +849,17 @@ REFUSALS = {
     "relabelled": (
         lambda asp, fs: (asp, [fs[0], replace(fs[1], vertex_ids=frozenset({1, 2, 3, 7})), *fs[2:]]),
         NotAFaceError, "facet [1, 2, 3, 7]: hyperplane is zero at points [1, 2, 3, 8]",
+    ),
+    # [1, 2, 3, 8]'s plane minus the special facet's: 0 at 1, 2, 3, > 0 at
+    # 4..7 (the special plane is 0 at 4..6, and 720 < 2160 at 7), but -5040
+    # at the last point.
+    "negative-at-last": (
+        lambda asp, fs: (asp, [fs[0], tilted(fs[1], fs[0]), *fs[2:]]),
+        NotAFaceError, "facet [1, 2, 3, 8]: hyperplane is negative at point 8",
+    ),
+    "extra-zero": (
+        lambda asp, fs: (asp, [replace(fs[0], vertex_ids=frozenset(range(1, 6))), *fs[1:]]),
+        NotAFaceError, "facet [1, 2, 3, 4, 5]: hyperplane is zero at points [1, 2, 3, 4, 5, 6]",
     ),
     "twice": (
         lambda asp, fs: (asp, [*fs, fs[1]]),
@@ -908,6 +925,105 @@ class TestCertifiedGeometry:
         with pytest.raises(error) as exc:
             certified_geometry(geom.config, asp, stored)
         assert fragment in str(exc.value)
+
+
+@st.composite
+def packed_cases(draw):
+    """Homogeneous points (w >= 1, coordinates of either sign) and planes to test on them.
+
+    The planes are random ones and the facet planes of the points' hull,
+    each also negated; every candidate vertex set list starts with the
+    plane's true zero set.
+    """
+    d = draw(st.integers(1, 4))
+    coord = st.integers(-40, 40)
+    rows = draw(st.lists(st.tuples(st.integers(1, 5), *[coord] * d), min_size=d + 1, max_size=9))
+    hom = list(dict.fromkeys(tuple(hull._primitive(h)) for h in rows))  # as PointConfig holds them
+    n = len(hom)
+    entry = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+    planes = draw(st.lists(st.lists(entry, min_size=d + 1, max_size=d + 1), max_size=3))
+    if n > d:
+        try:
+            planes += [list(w) for w in hull._beneath_beyond(hom).values()]
+        except RankDeficientError:
+            pass
+    planes += [[-a for a in w] for w in planes]
+    ids = st.frozensets(st.integers(0, n + 1), max_size=n)
+    cases = []
+    for w in planes:
+        zeros = frozenset(i for i, x in enumerate(hull._dots(w, hom), 1) if x == 0)
+        j = draw(st.integers(1, n))
+        cases.append((w, [zeros, zeros ^ {j}, zeros | {n + 1}, draw(ids)]))
+    return hom, cases
+
+
+class TestPackedPlaneCheck:
+    """_PackedPoints.supports against the point-by-point loop it replaces."""
+
+    @staticmethod
+    def assert_agree(hom, cases):
+        bound = max((abs(a) for w, _ in cases for a in w), default=0)
+        packed = hull._PackedPoints(hom, bound)
+        for w, vertex_sets in cases:
+            for ids in vertex_sets:
+                assert packed.supports(w, ids) == plane_supports_by_points(w, hom, ids), (w, ids)
+
+    @given(packed_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_point_loop(self, case):
+        self.assert_agree(*case)
+
+    # Points 0, 1, 2, 3 on a line: planes a + b*x with the value -1, 0 or +1
+    # in the first field (point 1) or the last (point 4).
+    LINE = [(1, 0), (1, 1), (1, 2), (1, 3)]
+    EDGE_PLANES = [(-1, 1), (0, 1), (1, 1), (2, -1), (3, -1), (4, -1)]
+
+    @pytest.mark.parametrize("w", EDGE_PLANES)
+    def test_edge_values_in_first_and_last_field(self, w):
+        sets = [frozenset(s) for s in ([], [1], [4], [1, 4], [2], [3])]
+        self.assert_agree(self.LINE, [(w, sets)])
+        truth = [plane_supports_by_points(w, self.LINE, s) for s in sets]
+        assert truth == [w in ((1, 1), (4, -1)), w == (0, 1), w == (3, -1), False, False, False]
+
+    def test_wide_entry_widens_every_field(self):
+        # One plane entry of 2^200 sets the width for all planes, the small
+        # ones included; the wide plane is 0 at point 3 and negative at 4.
+        wide = (2**200, -(2**199))
+        sets = [frozenset(s) for s in ([], [3], [4], [3, 4])]
+        cases = [(wide, sets), *((w, sets) for w in self.EDGE_PLANES)]
+        self.assert_agree(self.LINE, cases)
+        # Each of the four fields grows by bitlen(2^200) - bitlen(4) = 198 bits.
+        narrow, wide = (hull._PackedPoints(self.LINE, b).bias.bit_length() for b in (4, 2**200))
+        assert wide - narrow == 4 * 198
+
+    # Per d, points where w = (-A, A, ..., A) is >= 0, 0 at the first d,
+    # and the extreme point (B, -B, ..., -B, 1 - B), where w is -(dAB + A(B-1)):
+    # close to the (d+1)*A*B the width allows for, so a field two bits
+    # narrower (one short of exact), or one that leaves out the factor d+1,
+    # would wrap.
+    EXTREME_ROWS = {1: [(1, 1), (1, 2)], 2: [(1, 1, 0), (1, 0, 1), (1, 1, 1)]}
+
+    @pytest.mark.parametrize("d", sorted(EXTREME_ROWS))
+    @pytest.mark.parametrize("last", [False, True])
+    def test_extreme_value_fits_its_field(self, d, last):
+        a = b = 2**20 - 1
+        extreme = (b, *[-b] * (d - 1), 1 - b)
+        rows = self.EXTREME_ROWS[d]
+        hom = [*rows, extreme] if last else [extreme, *rows]
+        w = (-a, *[a] * d)
+        values = hull._dots(w, hom)
+        zeros = frozenset(i for i, x in enumerate(values, 1) if x == 0)
+        self.assert_agree(hom, [(w, [zeros, frozenset()]), ([-x for x in w], [zeros])])
+        assert min(values) == -(d * a * b + a * (b - 1)) and len(zeros) == d
+
+    def test_simplex_n_is_d_plus_one(self):
+        config = config_from_coords([(0, 0, 0), (5, 0, 0), (0, -3, 0), (1, 1, -7)])
+        facets = enumerate_facets(config)
+        sets = [*(f.vertex_ids for f in facets), frozenset({1, 2, 3, 4})]
+        cases = [(f.plane, sets) for f in facets]
+        cases += [([-a for a in f.plane], [f.vertex_ids]) for f in facets]
+        self.assert_agree(config.hom, cases)
+        assert all(plane_supports_by_points(f.plane, config.hom, f.vertex_ids) for f in facets)
 
 
 class TestPointBeyond:
