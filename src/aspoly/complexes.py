@@ -8,6 +8,13 @@ rather than silently change representation.
 Face counts work on each facet's sorted vertex tuple, and f_vector caches
 them per complex; boundaries come from a count of those tuples' ridges.
 
+The shelling condition is written once, in _shell, which takes blocks of
+facets in turn and from each the first remaining facet that may come
+next.  verify_shelling checks an order by passing one facet a block;
+key_lemma_certificate searches Q, the ball plus a cone over the special
+facet's boundary, with the blocks st(y), st(v) - st(y) and the rest, so
+the key lemma needs no point placed and no line shot.
+
 Prime decomposition has one implementation, on spheres of cells: a
 simplicial sphere is the case where every cell is a simplex, and the
 minimizer recognizer in stackgen passes polyhedral cells too.  Inside it
@@ -175,48 +182,106 @@ class ShellingCertificate:
 def verify_shelling(
     c: SimplicialComplex, order: Sequence[Iterable[int]]
 ) -> ShellingCertificate:
-    """Check the shelling condition step by step and certify the order.
+    """Check the shelling condition step by step and certify the order (_shell)."""
+    seq = [frozenset(f) for f in order]
+    if len(seq) != len(c.facets) or set(seq) != c.facets:
+        raise DomainError("order must list every facet exactly once")
+    return _shell(c, [[f] for f in seq])
 
-    At step j >= 2 every face of the new facet F_j already present must lie
-    in an old ridge of F_j.  The restriction face R_j is the set of vertices
-    x whose opposite ridge F_j - x is old; it is the unique minimal new face.
-    F_j & F_i lies in F_j - x exactly when x is not in F_i, so the condition
-    reads: R_j is nonempty and lies in no earlier facet.  A bitmask per
-    vertex of the earlier facets holding it tests that in O(d) per step.
+
+def _shell(c: SimplicialComplex, blocks: Iterable[list[frozenset[int]]]) -> ShellingCertificate:
+    """The shelling of c that takes the blocks in turn, each in its own order.
+
+    At each step the first remaining facet of the current block that may
+    come next is taken, and removed from the block's list.  At step j >= 2
+    every face of the new facet F_j already present must lie in an old
+    ridge of F_j.  The restriction face R_j is the set of vertices x whose
+    opposite ridge F_j - x is old; it is the unique minimal new face.
+    F_j & F_i lies in F_j - x exactly when x is not in F_i, so the
+    condition reads: R_j is nonempty and lies in no earlier facet.  A bitmask per vertex of the earlier facets holding it
+    tests that in O(d) per candidate.  If no remaining facet of the block
+    may come next, ShellingError names the first one and its intersection
+    with the earliest earlier facet that holds its R_j.  With one facet a
+    block this checks an order; blocks of several facets make a greedy
+    search, which can get stuck where another choice would have gone on
+    (Ziegler, "Shelling polyhedral 3-balls and 4-polytopes", 1998).
     Inside, a ridge is an int bitmask with bit k for the vertex of rank k
     in sorted id order, whatever its id; the certificate and error
     messages carry vertex ids.
     """
-    seq = [frozenset(f) for f in order]
-    if len(seq) != len(c.facets) or set(seq) != c.facets:
-        raise DomainError("order must list every facet exactly once")
     ids = c.vertex_ids
     rank = {v: k for k, v in enumerate(ids)}
     old_ridges: set[int] = set()
     holders = [0] * len(ids)  # per vertex rank, the earlier facets holding it
+    order: list[frozenset[int]] = []
     restriction: list[frozenset[int]] = []
-    for j, fj in enumerate(seq):
-        ks = [rank[x] for x in fj]
-        m = 0
-        for k in ks:
-            m |= 1 << k
-        rj = [k for k in ks if m ^ (1 << k) in old_ridges]
-        inside = (1 << j) - 1  # earlier facets that hold all of R_j
-        for k in rj:
-            inside &= holders[k]
-        if inside:
-            i = (inside & -inside).bit_length() - 1
-            raise ShellingError(
-                j + 1,
-                f"facet {sorted(fj)} meets earlier facets in "
-                f"{sorted(fj & seq[i])}, not inside any old ridge",
-            )
-        bj = 1 << j
-        for k in ks:
-            old_ridges.add(m ^ (1 << k))
-            holders[k] |= bj
-        restriction.append(frozenset([ids[k] for k in rj]))
-    return ShellingCertificate(c, tuple(seq), tuple(restriction))
+    j = 0
+    for todo in blocks:
+        while todo:
+            for fj in todo:
+                ks = [rank[x] for x in fj]
+                m = 0
+                for k in ks:
+                    m |= 1 << k
+                rj = [k for k in ks if m ^ (1 << k) in old_ridges]
+                inside = (1 << j) - 1  # earlier facets that hold all of R_j
+                for k in rj:
+                    inside &= holders[k]
+                if not inside:
+                    break
+                if fj is todo[0]:
+                    first = inside
+            else:
+                fj, i = todo[0], (first & -first).bit_length() - 1
+                raise ShellingError(
+                    j + 1,
+                    f"facet {sorted(fj)} meets earlier facets in "
+                    f"{sorted(fj & order[i])}, not inside any old ridge",
+                )
+            todo.remove(fj)
+            bj = 1 << j
+            j += 1
+            for k in ks:
+                old_ridges.add(m ^ (1 << k))
+                holders[k] |= bj
+            order.append(fj)
+            restriction.append(frozenset([ids[k] for k in rj]))
+    return ShellingCertificate(c, tuple(order), tuple(restriction))
+
+
+def star_shelling(c: SimplicialComplex, y: int, v: int) -> ShellingCertificate:
+    """_shell's search in the blocks st(y), st(v) - st(y) and the rest, each sorted.
+
+    Raises ShellingError when the search is stuck.
+    """
+    blocks = ([], [], [])
+    for f in c.sorted_facets():
+        blocks[0 if y in f else 1 if v in f else 2].append(f)
+    return _shell(c, blocks)
+
+
+def key_lemma_certificate(asp: ASPComplex, v: int) -> ShellingCertificate | None:
+    """A shelling of Q with st(y) first and the rest of st(v) next, or None.
+
+    Q is the boundary of the polytope stacked beyond the special facet F:
+    the ball plus R + y for every facet R of F's boundary, with y = n+1 a
+    label only, so no point is placed.  The upper-bound argument needs
+    only such an order (McMullen, "The maximum numbers of faces of a
+    convex polytope", 1970; Ziegler, Lectures on Polytopes, Lecture 8;
+    a line shelling is one way to get one), and key_shelling_defects
+    reads only the order and its restriction faces.  The order is
+    star_shelling's greedy search; None means it got stuck, which is
+    inconclusive.  v must be a vertex of F.
+    """
+    if v not in asp.special_facet:
+        raise DomainError(f"vertex {v} is not on the special facet")
+    y = asp.params.n + 1
+    cones = (r | {y} for r in asp.special_boundary.facets)
+    q = SimplicialComplex.from_facets(chain(asp.ball.facets, cones))
+    try:
+        return star_shelling(q, y, v)
+    except ShellingError:
+        return None
 
 
 def h_from_shelling(cert: ShellingCertificate) -> HVector:

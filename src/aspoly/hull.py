@@ -30,20 +30,18 @@ points are read as PointConfig holds them, with no conversion.  A
 geometry computes its centroid and every facet's value there once, and
 once its stacking frame: each ridge of the special facet with the facet
 across it, and each kept facet's value at the special facet's vertex
-centroid and, from the first rung that pulls toward one, at each of its
-vertices.  A key-lemma rung reads each kept facet's value at the exit
-point off the frame by linearity, two products per facet, evaluates the
+centroid and, from the first stacking that pulls toward one, at each of
+its vertices.  Stacking reads each kept facet's value at the exit point
+off the frame by linearity, two products per facet, evaluates the
 special facet once, at y, and each cone at the d points of its old
-facet; stacking takes every value at the centroid and at y by linearity
-too and hands them to the stacked geometry.  Shelling orders are
-produced geometrically.  The constrained search shoots one line, through
-y symbolically perturbed toward v, and ranks the facets by their exact
-keys lexicographically, reading the values at y as handed and evaluating
-v and the later targets only on facets still tied; every order that is
-returned is re-checked by the independent combinatorial verifier, so a
-bug in the crossing logic cannot leak an invalid certificate.  Key-lemma
-defects are read off the certificate's restriction faces, O(d) per
-shelling step.
+facet, and takes every value at the centroid by linearity too and hands
+them to the stacked geometry.  Line shellings are produced geometrically
+and every crossing order is re-checked by the independent combinatorial
+verifier, so a bug in the crossing logic cannot leak an invalid
+certificate.  The constrained shelling is no line: it is the greedy
+search of complexes.key_lemma_certificate on the boundary complex.
+Key-lemma defects are read off the certificate's restriction faces, O(d)
+per shelling step.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import chain
@@ -62,6 +59,7 @@ from .complexes import (
     ShellingCertificate,
     SimplicialComplex,
     _bits,
+    star_shelling,
     verify_shelling,
 )
 from .curves import PointConfig
@@ -138,11 +136,6 @@ class ASPGeometry:
     def centroid_values(self) -> tuple[int, ...]:
         """Per facet, its value at the centroid vector, computed once."""
         return tuple(_dot(f.plane, self.centroid) for f in self.facets)
-
-    @cached_property
-    def last_values(self) -> tuple[int, ...]:
-        """Per facet, its value at the last point (y, after stacking), computed once."""
-        return tuple(_dot(f.plane, self.config.hom[-1]) for f in self.facets)
 
     @cached_property
     def stacking_frame(self) -> _StackingFrame:
@@ -561,22 +554,11 @@ class _LinesFrom:
     whatever the number of facets.  The base point is the geometry's
     centroid and the values A its centroid_values, each computed once per
     geometry (or handed over by stack_over_special), so the facet planes
-    are read as stored and not evaluated at the base here.  The first
-    target's values may be handed over too (first_values), as the
-    constrained search does with a stacked geometry's values at y.
-
-    Several targets t1, t2, t3, ... stand for the symbolically perturbed
-    target t1 + eps*(t2 - t1) + eps^2*(t3 - t1) + ... with eps > 0
-    infinitesimal.  r is affine in the target, so that line sorts the
-    facets by the tuples of their keys at t1, t2, ... lexicographically
-    (Edelsbrunner-Mucke, "Simulation of Simplicity").  A later target
-    only breaks ties, so it is evaluated only on the facets still tied
-    with another facet at the earlier ones, and on those parallel at every
-    earlier one.  r = 1 at every target (C*b0 = A*t0: a parallel
-    hyperplane) or two equal tuples (two hyperplanes met at one point) is
-    a degeneracy.  A parallel facet has C/A = t0/b0, so its first key is
-    floor(t0 * 2^s / b0), and only facets with that key are tested for
-    one.  Orders are not verified here.
+    are read as stored and not evaluated at the base here.  r = 1
+    (C*b0 = A*t0: a parallel hyperplane) or two equal keys (two
+    hyperplanes met at one point) is a degeneracy.  A parallel facet has
+    C/A = t0/b0, so its key is floor(t0 * 2^s / b0), and only facets with
+    that key are tested for one.  Orders are not verified here.
     """
 
     def __init__(self, geom: ASPGeometry) -> None:
@@ -588,56 +570,26 @@ class _LinesFrom:
         self.b0 = geom.centroid[0]
         self.shift = 2 * max(self.values).bit_length()
 
-    def order(
-        self,
-        first: Sequence[int],
-        *later: Sequence[int],
-        first_values: Sequence[int] | None = None,
-    ) -> list[frozenset[int]]:
-        rows, values, b0, shift = self.rows, self.values, self.b0, self.shift
-        at = _dots(first, rows) if first_values is None else first_values
-        keys = [((c << shift) // a,) for c, a in zip(at, values)]
-        t0 = first[0]
-        level = ((t0 << shift) // b0,)
-        flat = [i for i, k in enumerate(keys) if k == level and at[i] * b0 == values[i] * t0]
-        tied = _tied(keys, range(len(keys)))
-        for t in later:
-            if not (tied or flat):
-                break
-            at = {i: _dot(t, rows[i]) for i in {*tied, *flat}}
-            flat = [i for i in flat if at[i] * b0 == values[i] * t[0]]
-            for i, c in at.items():
-                keys[i] += ((c << shift) // values[i],)
-            tied = _tied(keys, tied)
-        if flat:
+    def order(self, target: Sequence[int]) -> list[frozenset[int]]:
+        values, b0, shift = self.values, self.b0, self.shift
+        at = _dots(target, self.rows)
+        keys = [(c << shift) // a for c, a in zip(at, values)]
+        t0 = target[0]
+        level = (t0 << shift) // b0
+        if any(k == level and c * b0 == a * t0 for k, c, a in zip(keys, at, values)):
             raise DegeneracyError("line parallel to a facet hyperplane")
-        if tied:
+        if len(set(keys)) != len(keys):
             raise DegeneracyError("line meets two facet hyperplanes at one parameter")
         ranked = sorted(range(len(keys)), key=keys.__getitem__)
         return [self.facets[i].vertex_ids for i in ranked]
 
 
-def _tied(keys: Sequence[tuple[int, ...]], among: Sequence[int]) -> list[int]:
-    """The indexes among `among` whose key another of them shares."""
-    group = [keys[i] for i in among]
-    if len(set(group)) == len(group):
-        return []
-    count = Counter(group)
-    return [i for i in among if count[keys[i]] > 1]
-
-
-def _verified(
-    cx: SimplicialComplex, order: list[frozenset[int]]
-) -> ShellingCertificate:
-    """Certify a crossing order; a failure is a degeneracy of that line."""
-    try:
-        return verify_shelling(cx, order)
-    except ShellingError as exc:
-        raise DegeneracyError(f"crossing order failed verification: {exc}") from exc
-
-
 def line_shelling(geom: ASPGeometry, seed: int) -> ShellingCertificate:
-    """Seeded Bruggesser-Mani shelling of a simplicial boundary."""
+    """Seeded Bruggesser-Mani shelling of a simplicial boundary.
+
+    Each crossing order is certified by verify_shelling; a line that is
+    degenerate, or whose order fails, counts as one of the retries.
+    """
     if not geom.is_simplicial:
         raise DomainError("line shelling requires a simplicial boundary")
     cx = geom.boundary_complex()
@@ -651,7 +603,9 @@ def line_shelling(geom: ASPGeometry, seed: int) -> ShellingCertificate:
             continue
         target = [hb[0]] + [b + hb[0] * x for b, x in zip(hb[1:], direction)]
         try:
-            return _verified(cx, lines.order(target))
+            return verify_shelling(cx, lines.order(target))
+        except ShellingError as exc:
+            last = f"crossing order failed verification: {exc}"
         except DegeneracyError as exc:
             last = exc
     raise DegeneracyError(f"no usable direction after {_LINE_RETRIES} tries: {last}")
@@ -660,59 +614,27 @@ def line_shelling(geom: ASPGeometry, seed: int) -> ShellingCertificate:
 def constrained_line_shelling(
     geom: ASPGeometry, y_id: int, v_id: int, seed: int
 ) -> ShellingCertificate:
-    """Shelling whose order starts with st(y) and continues with the rest of st(v).
+    """Shelling of a simplicial boundary that starts with st(y) and continues with the rest of st(v).
 
-    The line is shot from the interior centroid through y + eps*(v - y) +
-    eps^2*(g - y) for an infinitesimal eps > 0, where g is a positive
-    average of the other points with weights drawn from Random(seed).
-    Facets through y have key 0 at y and come first; a facet of st(v) -
-    st(y) tied at y with another facet is ranked first at v, where its key
-    is 0; g then orders the facets through both y and v, so the seed
-    reorders only those.  Whether the prefix holds therefore depends on
-    where y is placed, not on the seed: a wrong prefix raises
-    ShellingSearchError, inconclusive at this placement, and a tie left
-    after g raises DegeneracyError.  A returned order is always a verified
-    shelling.  When y is the last point, the facets' values there are the
-    geometry's last_values, which stack_over_special hands over, so no
-    plane is evaluated at y here.
+    key_lemma_certificate's search (star_shelling) on the geometry's
+    boundary complex.  No line is shot and no plane is evaluated, so the
+    seed is not read.  A stuck search raises ShellingSearchError, which is
+    inconclusive.
     """
     if not geom.is_simplicial:
         raise DomainError("constrained shelling requires a simplicial boundary")
-    hom = geom.config.hom
-    if not (1 <= y_id <= len(hom) and 1 <= v_id <= len(hom)) or y_id == v_id:
+    n = geom.config.n
+    if not (1 <= y_id <= n and 1 <= v_id <= n) or y_id == v_id:
         raise DomainError("y and v must be two distinct vertex ids")
     edge = {y_id, v_id}
     if not any(edge <= f.vertex_ids for f in geom.facets):
         raise DomainError(f"{v_id} is not in the vertex link of {y_id}")
-    others = [h for pid, h in enumerate(hom, 1) if pid not in (y_id, v_id)]
-    rng = random.Random(seed)
-    g = _mean(others, [rng.randint(1, 1000) for _ in others])
-    at_y = geom.last_values if y_id == len(hom) else None
-    order = _LinesFrom(geom).order(hom[y_id - 1], hom[v_id - 1], g, first_values=at_y)
-    blocks = [0 if y_id in f else 1 if v_id in f else 2 for f in order]
-    if blocks != sorted(blocks):
-        raise ShellingSearchError(
-            f"the line through y={y_id} perturbed toward v={v_id} does not shell "
-            "st(y), then st(v), first; inconclusive at this placement of y"
-        )
-    return _verified(geom.boundary_complex(), order)
-
-
-def key_lemma_rung(
-    geom: ASPGeometry, v_id: int, closeness: int
-) -> ShellingCertificate | None:
-    """One rung of the key-lemma ladder, or None when it is inconclusive.
-
-    Stacks y = n+1 beyond the special facet toward v at this closeness
-    and shoots the constrained line through y toward v (seeded by the
-    closeness).  A misplaced prefix or a degenerate placement or line
-    gives None: a closer y may still certify.
-    """
     try:
-        stacked = stack_over_special(geom, toward=v_id, closeness=closeness)
-        return constrained_line_shelling(stacked, stacked.config.n, v_id, seed=closeness)
-    except (ShellingSearchError, DegeneracyError):
-        return None
+        return star_shelling(geom.boundary_complex(), y_id, v_id)
+    except ShellingError as exc:
+        raise ShellingSearchError(
+            f"no shelling with st({y_id}), then st({v_id}), first found: {exc}"
+        ) from exc
 
 
 class _StackingFrame:
@@ -722,7 +644,7 @@ class _StackingFrame:
     and their centroid values, in geometry order; special_value is F's
     centroid value.  he0 is F's vertex centroid, as _mean builds it, and
     exit_values the kept facets' values there; at_vertex(v) gives their
-    values at F's vertex v, formed the first time a rung pulls toward v.
+    values at F's vertex v, formed the first time a stacking pulls toward v.
     cones holds, per ridge R of F, the index of the kept facet G that
     meets F in R, sorted R, R's points, G's points off R, and the cone's
     vertex set R + y, y = n+1.  order is the permutation of the kept
@@ -785,8 +707,8 @@ def stack_over_special(
     set; a facet whose hyperplane passes through the exit point, or cuts
     it off, raises DegeneracyError.  With `toward` the exit point is
     pulled toward that vertex of F by the weight 1 - 2^-closeness, which
-    stays below 1, so the exit point remains in the relative interior;
-    the constrained shelling search needs this.  Closeness extra halvings
+    stays below 1, so the exit point remains in the relative interior.
+    Closeness extra halvings
     then bring y toward F, since shrinking preserves all the conditions,
     and each facet's value at y is checked exactly.  The centroid, the
     exit point and y are integer vectors positively proportional to
@@ -814,7 +736,7 @@ def stack_over_special(
 
     What depends on the geometry alone is its stacking_frame, formed once:
     the kept facets' values at F's vertex centroid he0 and, per vertex v
-    of F that a rung pulls toward, at v, and each ridge of F with its G.
+    of F that a stacking pulls toward, at v, and each ridge of F with its G.
     With `toward` the exit point is _mean([he0, v], [1, 2^closeness - 1]),
     that is c0*he0 + c1*v, so a kept facet's value there is c0*E0 + c1*Ev:
     two products per facet (without it the exit point is he0), and F is
@@ -823,9 +745,9 @@ def stack_over_special(
     A kept facet's centroid value is the geometry's own, and its value at
     y, like F's, is its value at the unreduced y over that vector's gcd; a
     cone is 0 at y, so its centroid value follows from F's and G's by the
-    pencil.  The stacked geometry comes with its centroid, centroid values,
-    values at y (last_values) and simpliciality set, so its line
-    shellings evaluate no facet at the centroid or at y again.
+    pencil.  The stacked geometry comes with its centroid, centroid values
+    and simpliciality set, so its line shellings evaluate no facet at the
+    centroid again.
     """
     special = geom.special
     if special is None:
@@ -881,7 +803,7 @@ def stack_over_special(
     both = math.lcm(scale, hy[0])
     mb, my = both // scale, both // hy[0]
     hc = tuple(mb * b + my * c for b, c in zip(hb, hy))
-    facets = [(f, mb * b + my * ag, ag) for f, b, ag in zip(frame.facets, frame.values, at_y)]
+    facets = [(f, mb * b + my * ag) for f, b, ag in zip(frame.facets, frame.values, at_y)]
     bf = frame.special_value
     for i, ridge, on, off, ids in frame.cones:
         g, b, ag = frame.facets[i], frame.values[i], at_y[i]
@@ -891,14 +813,13 @@ def stack_over_special(
             raise DegeneracyError(
                 f"cone from {y_id} over ridge {ridge} is not a facet of the stacked hull"
             )
-        facets.append((FacetDescriptor(ids, w), mb * ((ag * bf - af * b) // kw), 0))
+        facets.append((FacetDescriptor(ids, w), mb * ((ag * bf - af * b) // kw)))
     facets = [facets[i] for i in frame.order]
-    stacked = ASPGeometry(config, tuple(f for f, _, _ in facets), None, None)
+    stacked = ASPGeometry(config, tuple(f for f, _ in facets), None, None)
     # The cached properties, as a fresh geometry would compute them.
     vars(stacked).update(
         centroid=hc,
-        centroid_values=tuple(c for _, c, _ in facets),
-        last_values=tuple(a for _, _, a in facets),
+        centroid_values=tuple(c for _, c in facets),
         is_simplicial=frame.simplicial,
     )
     return stacked

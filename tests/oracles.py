@@ -15,7 +15,10 @@ the two.  Per fast path, the oracle kept:
   carried_missing);
 - induced: every trace compared with every other (induced_pairwise);
 - verify_shelling: every facet intersected with every earlier one
-  (verify_shelling_pairwise);
+  (verify_shelling_pairwise, by shelling_step);
+- star_shelling, the greedy search of key_lemma_certificate and
+  constrained_line_shelling: each candidate tested by shelling_step
+  (star_shelling_pairwise);
 - the beneath-beyond hull (_beneath_beyond): the scan of every d-subset
   (facets_by_subset_scan in test_hull.py), and for its planes up to
   d = 7 the gift-wrap it replaced, crossing every ridge
@@ -25,10 +28,8 @@ the two.  Per fast path, the oracle kept:
 - stack_over_special: y placed by point_beyond, then the hull enumerated
   again (stacked_by_enumeration in test_hull.py, with extend_config),
   and each cone plane against a kernel solve (supporting_hyperplane);
-- constrained_line_shelling: the 64-line retry search that ranks every
-  facet (search_by_full_ranking in test_hull.py);
-- _LinesFrom: keys r * t0 * lcm(A) on every facet at every target
-  (LcmLines in test_hull.py);
+- _LinesFrom: keys r * t0 * lcm(A) on every facet (LcmLines in
+  test_hull.py);
 - key_shelling_defects: the four prefix complexes rebuilt at every step
   (defects_by_rebuild in test_hull.py);
 - _echelon, int_rank and int_det: cofactor expansion and Gaussian
@@ -314,36 +315,67 @@ def induced_pairwise(c: SimplicialComplex, vertices: Iterable[int]) -> Simplicia
 def verify_shelling_pairwise(
     c: SimplicialComplex, order: Sequence[Iterable[int]]
 ) -> ShellingCertificate:
-    """verify_shelling as it intersected each facet with every earlier one.
-
-    At step j >= 2 every face of the new facet already present must lie in
-    an old ridge of that facet; equivalently all maximal intersections with
-    earlier facets have codimension 1.  A refusal names the intersection
-    with the earliest earlier facet that is not inside an old ridge.  The
-    restriction face is the set of vertices whose opposite ridge is old;
-    it is the unique minimal new face.
-    """
+    """verify_shelling as it intersected each facet with every earlier one (shelling_step)."""
     seq = [frozenset(f) for f in order]
     if len(seq) != len(c.facets) or set(seq) != set(c.facets) or len(set(seq)) != len(seq):
         raise DomainError("order must list every facet exactly once")
-    size = c.dim + 1
-    restriction: list[frozenset[int]] = []
-    for j, fj in enumerate(seq):
-        if j == 0:
-            rj = frozenset()
-        else:
-            inters = [fj & seq[i] for i in range(j)]
-            big = {x for x in inters if len(x) == size - 1}
-            for x in inters:
-                if not any(x <= b for b in big):
-                    raise ShellingError(
-                        j + 1,
-                        f"facet {sorted(fj)} meets earlier facets in "
-                        f"{sorted(x)}, not inside any old ridge",
-                    )
-            rj = frozenset(x for x in fj if (fj - {x}) in big)
-        restriction.append(rj)
+    restriction = [shelling_step(seq[:j], fj) for j, fj in enumerate(seq)]
     return ShellingCertificate(c, tuple(seq), tuple(restriction))
+
+
+def shelling_step(earlier: Sequence[frozenset[int]], fj: frozenset[int]) -> frozenset[int]:
+    """The restriction face of fj after the earlier facets, or ShellingError.
+
+    Every face of fj already present must lie in an old ridge of fj;
+    equivalently all maximal intersections with earlier facets have
+    codimension 1.  A refusal names the intersection with the earliest
+    earlier facet that is not inside an old ridge.  The restriction face
+    is the set of vertices whose opposite ridge is old; it is the unique
+    minimal new face.
+    """
+    if not earlier:
+        return frozenset()
+    inters = [fj & g for g in earlier]
+    big = {x for x in inters if len(x) == len(fj) - 1}
+    for x in inters:
+        if not any(x <= b for b in big):
+            raise ShellingError(
+                len(earlier) + 1,
+                f"facet {sorted(fj)} meets earlier facets in "
+                f"{sorted(x)}, not inside any old ridge",
+            )
+    return frozenset(x for x in fj if (fj - {x}) in big)
+
+
+def star_shelling_pairwise(c: SimplicialComplex, y: int, v: int) -> ShellingCertificate:
+    """star_shelling's greedy search, each candidate tested by shelling_step.
+
+    The blocks are st(y), st(v) - st(y) and the rest, each in sorted
+    order; each step takes the first remaining facet of the block that
+    passes.  When none does, the first one's ShellingError is raised.
+    """
+    facets = c.sorted_facets()
+    blocks = (
+        [f for f in facets if y in f],
+        [f for f in facets if v in f and y not in f],
+        [f for f in facets if v not in f and y not in f],
+    )
+    order, restriction = [], []
+    for block in blocks:
+        while block:
+            errors = []
+            for f in block:
+                try:
+                    restriction.append(shelling_step(order, f))
+                except ShellingError as exc:
+                    errors.append(exc)
+                    continue
+                block.remove(f)
+                order.append(f)
+                break
+            else:
+                raise errors[0]
+    return ShellingCertificate(c, tuple(order), tuple(restriction))
 
 
 def rotate_with_values(

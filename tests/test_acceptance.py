@@ -27,14 +27,13 @@ from aspoly.enumerative import (
 from aspoly.gale import simplex_facet_count_even_d
 from aspoly.hull import (
     asp_geometry,
-    key_lemma_rung,
     key_shelling_defects,
     line_shelling,
     stack_over_special,
 )
 from aspoly.rigidity import g2_of_skeleton
 from aspoly.stackgen import random_minimizer
-from aspoly.complexes import ASPComplex, SimplicialComplex, validate_asp
+from aspoly.complexes import ASPComplex, SimplicialComplex, key_lemma_certificate, validate_asp
 from oracles import pyramid
 from test_hull import neighborliness, simpliciality
 
@@ -202,11 +201,8 @@ def test_criterion_09_key_lemma_defects(grid_geometry):
         y_id = n + 1
         for v in range(1, d + s + 1):
             attempted += 1
-            for closeness in (12, 24, 48, 96):
-                cert = key_lemma_rung(geom, v, closeness)
-                if cert is not None:
-                    break
-            else:
+            cert = key_lemma_certificate(geom.ball, v)
+            if cert is None:
                 continue
             certified += 1
             defects = key_shelling_defects(cert, y_id, v)

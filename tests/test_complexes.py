@@ -23,13 +23,14 @@ from aspoly.complexes import (
     f_vector,
     h_from_shelling,
     induced,
+    key_lemma_certificate,
     validate_asp,
     verify_shelling,
 )
 from aspoly.curves import almost_cyclic_points
 from aspoly.enumerative import ASPParams, h_from_f
 from aspoly.gale import almost_cyclic_facets
-from aspoly.hull import detect_asp, line_shelling
+from aspoly.hull import asp_geometry, detect_asp, key_shelling_defects, line_shelling
 from aspoly.stackgen import random_minimizer, recognize_minimizer
 from aspoly.errors import (
     DomainError,
@@ -53,6 +54,7 @@ from oracles import (
     ridge_incidence,
     simplex_cell,
     stacked_sphere,
+    star_shelling_pairwise,
     verify_shelling_pairwise,
 )
 
@@ -708,6 +710,80 @@ class TestIndexedMatchesOracles:
             prime_decomposition(fat)
         with pytest.raises(PseudomanifoldError):
             cell_decomposition_by_masks(*sphere_cells(fat))
+
+
+def certified_without_negative_defect(asp, v) -> bool:
+    cert = key_lemma_certificate(asp, v)
+    if cert is None:
+        return False
+    defects = key_shelling_defects(cert, asp.params.n + 1, v)
+    return min(x for row in defects for x in row) >= 0
+
+
+class TestKeyLemmaCertificate:
+    """key_lemma_certificate: st(y), then st(v), first on Q, read off the complex alone."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(cyclic_asps(), minimizer_balls()), st.data())
+    def test_matches_the_pairwise_oracle(self, asp, data):
+        # Q is the ball plus y = n+1 over F's boundary: the same order and
+        # restriction faces as the pairwise greedy search, or None where
+        # that search is stuck.
+        v = data.draw(st.sampled_from(sorted(asp.special_facet)))
+        y = asp.params.n + 1
+        cones = [r | {y} for r in boundary_of_ball(asp.ball).facets]
+        q = SimplicialComplex.from_facets([*asp.ball.facets, *cones])
+        try:
+            expected = star_shelling_pairwise(q, y, v)
+        except ShellingError:
+            expected = None
+        assert key_lemma_certificate(asp, v) == expected
+
+    def test_v_off_the_special_facet_refused(self):
+        # An h-stacked minimizer's special facet is not {1..d+s}; a v off it
+        # is refused by name, as stack_over_special(toward=v) refuses it.
+        asp = random_minimizer(ASPParams(5, 10, 2), seed=0, style="hstack")
+        v = min(set(range(1, 8)) - asp.special_facet)
+        with pytest.raises(DomainError, match=f"vertex {v} is not on the special facet"):
+            key_lemma_certificate(asp, v)
+
+    def test_stuck_search_gives_none(self):
+        # The ball is a tetrahedron boundary less F = {1, 2, 3}, plus a
+        # second, disjoint tetrahedron boundary: after st(y) and st(v) and
+        # {2, 3, 4}, no facet of the second meets an earlier one in a ridge.
+        ball = [f for f in simplex_boundary(3).facets if f != {1, 2, 3}]
+        ball += [frozenset(x + 4 for x in f) for f in simplex_boundary(3).facets]
+        asp = ASPComplex(ASPParams(3, 8, 0), SimplicialComplex.from_facets(ball), frozenset({1, 2, 3}))
+        validate_asp(asp)
+        assert key_lemma_certificate(asp, 1) is None
+
+    def test_every_v_past_the_caps(self):
+        # Every vertex of F in four cyclic cells past the criterion grid.
+        pairs = [
+            (asp, v)
+            for cell in ((4, 22, 1), (6, 16, 2), (4, 40, 1), (4, 60, 1))
+            for asp in [asp_geometry(almost_cyclic_points(ASPParams(*cell)), range(1, 5)).ball]
+            for v in sorted(asp.special_facet)
+        ]
+        assert len(pairs) == 23
+        assert all(certified_without_negative_defect(asp, v) for asp, v in pairs)
+
+    def test_every_minimizer_pair_on_the_acceptance_grid(self):
+        # Criterion 09's fact on the second family: every (minimizer, v)
+        # pair of the acceptance grid with d 4..6, both styles, seeded as
+        # the gate seeds its minimizers.
+        from test_acceptance import GRID
+
+        pairs = [
+            (asp, v)
+            for d, n, s in GRID
+            if d >= 4
+            for style in ("stack", "hstack")
+            for asp in [random_minimizer(ASPParams(d, n, s), seed=d * 1000 + n * 10 + s, style=style)]
+            for v in sorted(asp.special_facet)
+        ]
+        assert len(pairs) == 780
+        assert all(certified_without_negative_defect(asp, v) for asp, v in pairs)
 
 
 def frozen_minimizer_records():

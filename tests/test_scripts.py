@@ -36,14 +36,14 @@ def test_shelling_experiment_runs(tmp_path):
 
 def test_shelling_experiment_default_grid_frozen():
     # The 192 (cell, v) pairs of d 4..5, s 0..3, n-span 4, JSON on stdout.
-    # Every pair certifies at the ladder's first rung, 12, with no
-    # negative defect.
+    # Every pair certifies with no negative defect.  final_defects are the
+    # defects of the whole of Q, which do not depend on the order.
     proc = run_script("scripts/shelling_experiment.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "192/192 certified" in proc.stderr
     summary = json.loads(proc.stdout)
-    assert summary["negative_defects"] == 0 and summary["max_closeness"] <= 12
+    assert summary["negative_defects"] == 0
     assert (
         hashlib.sha256(proc.stdout.encode()).hexdigest()
-        == "0da7737856b7a5c5e8501693522c979e49ebae73ed011c77cf66cec547d99dba"
+        == "4b736e35bb1843285c651429cacfb7c2c39ebdb91ca2013066b41c25416bc45e"
     )
