@@ -2,12 +2,12 @@
 
 Facets are enumerated by one exact beneath-beyond insertion
 (_beneath_beyond): from a start simplex, each further point is inserted
-by one pass evaluating every facet there.  The facets it is beyond are
-dropped, those whose hyperplane holds it take it in, and each ridge
-between a dropped facet and one it is beneath gets the cone to the
-point, whose plane is the pencil of the two (_pencil).  Past the start
-simplex, found by one running fraction-free elimination, no kernel is
-solved, and every sign decision is an integer comparison.  Inside the
+by one step (_Hull.insert) evaluating every facet there.  The facets it
+is beyond are dropped, those whose hyperplane holds it take it in, and
+each ridge between a dropped facet and one it is beneath gets the cone
+to the point, whose plane is the pencil of the two (_pencil).  Past the
+start simplex, found by one running fraction-free elimination, no kernel
+is solved, and every sign decision is an integer comparison.  Inside the
 routine facets and ridges are bitmasks over point indexes, and a
 non-simplex facet's ridges come from the same routine one dimension
 down.  A hull that is already known, such as the facets an artifact
@@ -21,27 +21,23 @@ by one integer dot product with a homogeneous point, or by that packed
 product at all of them.  The facets a line crosses are ranked by integer
 keys, and nothing in this module uses rational arithmetic.
 stack_over_special is the one place a point y beyond the special facet
-is found; it builds the new boundary by the same beneath-beyond step
-instead of enumerating the hull again: each new hyperplane is the
-_pencil of two old ones through a ridge of the special facet, and
-that pencil certifies it at the d points of the old facet.  Points,
-centroids, y and line targets are integer homogeneous vectors; the
-points are read as PointConfig holds them, with no conversion.  A
+is found; it builds the new boundary by the same insertion step instead
+of enumerating the hull again, on the step's state for the special
+facet alone (its ridges, each held with the facet across it), and
+certifies each cone's pencil plane at the d points of the old facet.
+Points, centroids, y and line targets are integer homogeneous vectors;
+the points are read as PointConfig holds them, with no conversion.  A
 geometry computes its centroid and every facet's value there once, and
-once its stacking frame: each ridge of the special facet with the facet
-across it, and each kept facet's value at the special facet's vertex
-centroid and, from the first stacking that pulls toward one, at each of
-its vertices.  Stacking reads each kept facet's value at the exit point
-off the frame by linearity, two products per facet, evaluates the
-special facet once, at y, and each cone at the d points of its old
-facet, and takes every value at the centroid by linearity too and hands
-them to the stacked geometry.  Line shellings are produced geometrically
-and every crossing order is re-checked by the independent combinatorial
-verifier, so a bug in the crossing logic cannot leak an invalid
-certificate.  The constrained shelling is no line: it is the greedy
-search of complexes.key_lemma_certificate on the boundary complex.
-Key-lemma defects are read off the certificate's restriction faces, O(d)
-per shelling step.
+once the step's state for its special facet; stacking evaluates each
+kept facet once, at the exit point, and takes every value at y and at
+the new centroid by linearity and hands them to the stacked geometry.
+Line shellings are produced geometrically and every crossing order is
+re-checked by the independent combinatorial verifier, so a bug in the
+crossing logic cannot leak an invalid certificate.  The constrained
+shelling is no line: it is the greedy search of
+complexes.key_lemma_certificate on the boundary complex.  Key-lemma
+defects are read off the certificate's restriction faces, O(d) per
+shelling step.
 """
 
 from __future__ import annotations
@@ -123,11 +119,6 @@ class ASPGeometry:
         return all(f.is_simplex() for f in self.facets)
 
     @cached_property
-    def facet_keys(self) -> tuple[tuple[int, ...], ...]:
-        """Per facet, its sorted vertex ids, the key facets are ordered by; computed once."""
-        return tuple(tuple(sorted(f.vertex_ids)) for f in self.facets)
-
-    @cached_property
     def centroid(self) -> tuple[int, ...]:
         """An integer vector positively proportional to (1, mean of the points), computed once."""
         return tuple(_mean(self.config.hom, [1] * self.config.n))
@@ -138,9 +129,40 @@ class ASPGeometry:
         return tuple(_dot(f.plane, self.centroid) for f in self.facets)
 
     @cached_property
-    def stacking_frame(self) -> _StackingFrame:
-        """What stack_over_special reads off this geometry alone, formed once."""
-        return _StackingFrame(self)
+    def special_ridges(self) -> tuple[int, tuple[int, ...], _Hull, list[tuple], list[int]]:
+        """What stack_over_special reads off this geometry alone, formed once from F's ridges.
+
+        For the special facet F: its index in facets; its vertex centroid
+        he0, as _mean builds it; the insertion step's state for F alone
+        (_Hull): F's plane and ridges, each ridge R held by F and by the
+        kept facet G across it, and the planes of F and then of each G in
+        facet order; per R, in that order, G's index among the kept facets
+        (all but F), F's and G's values at G's points (R's, then G's point
+        off R) and the cone's vertex set R + y, y = n+1; and the order of
+        the kept facets and the cones that sorts them by vertex ids.
+        """
+        special, hom, n, d = self.special, self.config.hom, self.config.n, self.d
+        at = self.facets.index(special)
+        wf, fs = special.plane, special.vertex_ids
+        fm = sum(1 << (v - 1) for v in fs)
+        step, ridges, at_f = _Hull(hom), [], {v: _dot(wf, hom[v - 1]) for v in fs}
+        step.planes[fm], step.ridges_of[fm] = wf, []
+        kept = self.facets[:at] + self.facets[at + 1 :]
+        keys = [tuple(sorted(g.vertex_ids)) for g in kept]
+        for i, g in enumerate(kept):
+            ridge = g.vertex_ids & fs
+            if len(ridge) == d - 1:
+                (off,) = g.vertex_ids - ridge
+                r = sum(1 << (v - 1) for v in ridge)
+                gm = r | 1 << (off - 1)
+                step.planes[gm], step.held[r] = g.plane, [fm, gm]
+                step.ridges_of[fm].append(r)
+                pairs = [(at_f[v], _dot(g.plane, hom[v - 1])) for v in ridge]
+                pairs.append((_dot(wf, hom[off - 1]), _dot(g.plane, hom[off - 1])))
+                ridges.append((i, pairs, ridge | {n + 1}))
+                keys.append((*sorted(ridge), n + 1))
+        he0 = _mean([hom[v - 1] for v in fs], [1] * len(fs))
+        return at, tuple(he0), step, ridges, sorted(range(len(keys)), key=keys.__getitem__)
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)
@@ -297,68 +319,99 @@ def _beneath_beyond(hom: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
                 break
     else:
         raise RankDeficientError("points do not affinely span the ambient space")
-    found: dict[int, tuple[int, ...]] = {}
-    ridges_of: dict[int, list[int]] = {}
-    held: dict[int, list[int]] = {}
+    hull = _Hull(hom)
+    simplex = sum(1 << i for i in start)
+    for i in start:
+        w = _primitive(int_nullspace([hom[j] for j in start if j != i])[0])
+        hull.add(simplex ^ (1 << i), tuple(w if _dot(w, hom[i]) > 0 else [-c for c in w]))
+    for i in order:
+        if not simplex >> i & 1:
+            hull.insert(i)
+    for ridge, owners in hull.held.items():
+        if len(owners) != 2:
+            raise _unpaired(ridge, owners)
+    return hull.planes
 
-    def add(facet: int, w: tuple[int, ...]) -> None:
-        found[facet] = w
-        ridges_of[facet] = rs = _ridges(hom, facet, w)
+
+class _Hull:
+    """A hull under beneath-beyond insertion, the step _beneath_beyond's docstring proves.
+
+    planes maps each facet, a mask of 0-based point indexes, to its
+    primitive inward plane; ridges_of maps it to its ridge masks, and held
+    maps each ridge to the facets that hold it.  cones, the step's rule,
+    reads the planes of the facets it is given values for, the ridges of
+    those the point is beyond and the holders of those ridges, so a
+    caller may hold part of a hull: stack_over_special holds the special
+    facet and the facets across its ridges.
+    """
+
+    def __init__(self, hom: Sequence[Sequence[int]]) -> None:
+        self.hom = hom
+        self.planes: dict[int, tuple[int, ...]] = {}
+        self.ridges_of: dict[int, list[int]] = {}
+        self.held: dict[int, list[int]] = {}
+
+    def add(self, facet: int, w: tuple[int, ...]) -> None:
+        self.planes[facet] = w
+        self.ridges_of[facet] = rs = _ridges(self.hom, facet, w)
+        held = self.held
         for ridge in rs:
             if (owners := held.get(ridge)) is None:
                 held[ridge] = [facet]
             else:
                 owners.append(facet)
 
-    def drop(facet: int) -> None:
-        del found[facet]
-        for ridge in ridges_of.pop(facet):
+    def drop(self, facet: int) -> None:
+        del self.planes[facet]
+        held = self.held
+        for ridge in self.ridges_of.pop(facet):
             if len(owners := held[ridge]) == 1:
                 del held[ridge]
             else:
                 owners.remove(facet)
 
-    def refuse(ridge: int, owners: list[int]) -> PseudomanifoldError:
-        return PseudomanifoldError(
-            f"ridge {_ids(ridge)} lies in facets {[_ids(f) for f in owners]}, "
-            "not in exactly two (0-based point indexes)"
-        )
+    def cones(self, i: int, values: dict[int, int]) -> tuple[list[int], list[int], list[tuple]]:
+        """Where point i enters, given each held facet's value there; nothing is changed.
 
-    simplex = sum(1 << i for i in start)
-    for i in start:
-        w = _primitive(int_nullspace([hom[j] for j in start if j != i])[0])
-        add(simplex ^ (1 << i), tuple(w if _dot(w, hom[i]) > 0 else [-c for c in w]))
-    for i in order:
-        if simplex >> i & 1:
-            continue
-        h, bit = hom[i], 1 << i
-        values, beyond, on = {}, [], []
-        for f, w in found.items():
-            values[f] = a = _dot(w, h)
+        Returns the facets i is beyond, those whose plane holds it, and the
+        cone over each ridge between one it is beyond and one it is beneath,
+        as (mask, plane, k) from _pencil, by beyond facet and then by ridge.
+        """
+        bit, planes, ridges_of, held = 1 << i, self.planes, self.ridges_of, self.held
+        beyond, on, cones = [], [], []
+        for f, a in values.items():
             if a <= 0:
                 (beyond if a else on).append(f)
-        cones = []
         for g in beyond:
+            wg, ag = planes[g], values[g]
             for ridge in ridges_of[g]:
                 owners = held[ridge]
                 if len(owners) != 2:
-                    raise refuse(ridge, owners)
+                    raise _unpaired(ridge, owners)
                 other = owners[1] if owners[0] == g else owners[0]
-                if values[other] > 0:
-                    w, _ = _pencil(found[g], values[g], found[other], values[other])
-                    cones.append((ridge | bit, w))
+                if (ah := values[other]) > 0:
+                    cones.append((ridge | bit, *_pencil(wg, ag, planes[other], ah)))
+        return beyond, on, cones
+
+    def insert(self, i: int) -> None:
+        """Insert point i: drop the facets it is beyond, extend those holding it, add the cones."""
+        h, planes = self.hom[i], self.planes
+        beyond, on, cones = self.cones(i, {f: _dot(w, h) for f, w in planes.items()})
         for g in beyond:
-            drop(g)
+            self.drop(g)
         for f in on:
-            w = found[f]
-            drop(f)
-            add(f | bit, w)
-        for facet, w in cones:
-            add(facet, w)
-    for ridge, owners in held.items():
-        if len(owners) != 2:
-            raise refuse(ridge, owners)
-    return found
+            w = planes[f]
+            self.drop(f)
+            self.add(f | 1 << i, w)
+        for facet, w, _ in cones:
+            self.add(facet, w)
+
+
+def _unpaired(ridge: int, owners: list[int]) -> PseudomanifoldError:
+    return PseudomanifoldError(
+        f"ridge {_ids(ridge)} lies in facets {[_ids(f) for f in owners]}, "
+        "not in exactly two (0-based point indexes)"
+    )
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -419,8 +472,19 @@ def designate_special(geom: ASPGeometry, vertex_ids: Iterable[int]) -> ASPGeomet
 def _with_special(
     config: PointConfig, facets: tuple[FacetDescriptor, ...], special: FacetDescriptor
 ) -> ASPGeometry:
-    """The hull with `special` as its special facet and the other facets as its ball, checked."""
-    d = config.d
+    """The hull with `special` as its special facet and the other facets as its ball, checked.
+
+    A point on no facet is named first; validate_asp's vertex count would not name it.
+    """
+    d, off = config.d, set(range(1, config.n + 1))
+    for f in facets:
+        off -= f.vertex_ids
+        if not off:
+            break
+    else:
+        ids = ", ".join(map(str, sorted(off)))
+        what = f"points {ids} are not vertices" if len(off) > 1 else f"point {ids} is not a vertex"
+        raise ShapeError(f"{what} of the hull")
     ball = SimplicialComplex.from_facets(f.vertex_ids for f in facets if f is not special)
     asp = ASPComplex(ASPParams(d, config.n, len(special.vertex_ids) - d), ball, special.vertex_ids)
     asp.special_boundary  # validate_asp
@@ -637,58 +701,6 @@ def constrained_line_shelling(
         ) from exc
 
 
-class _StackingFrame:
-    """What stack_over_special reads off a geometry alone, formed once per geometry.
-
-    facets and values are the kept facets (all but the special facet F)
-    and their centroid values, in geometry order; special_value is F's
-    centroid value.  he0 is F's vertex centroid, as _mean builds it, and
-    exit_values the kept facets' values there; at_vertex(v) gives their
-    values at F's vertex v, formed the first time a stacking pulls toward v.
-    cones holds, per ridge R of F, the index of the kept facet G that
-    meets F in R, sorted R, R's points, G's points off R, and the cone's
-    vertex set R + y, y = n+1.  order is the permutation of the kept
-    facets followed by the cones that sorts them by their sorted vertex
-    ids, the stacked hull's facet order.
-    """
-
-    def __init__(self, geom: ASPGeometry) -> None:
-        special, hom = geom.special, geom.config.hom
-        kept = [
-            (key, f, b)
-            for key, f, b in zip(geom.facet_keys, geom.facets, geom.centroid_values)
-            if f is not special
-        ]
-        keys = [key for key, _, _ in kept]
-        self.facets = [f for _, f, _ in kept]
-        self.values = [b for _, _, b in kept]
-        self.special_value = next(
-            b for f, b in zip(geom.facets, geom.centroid_values) if f is special
-        )
-        self.simplicial = all(f.is_simplex() for f in self.facets)
-        self.he0 = _mean([hom[v - 1] for v in special.vertex_ids], [1] * len(special.vertex_ids))
-        self.exit_values = [_dot(f.plane, self.he0) for f in self.facets]
-        y_id = geom.config.n + 1
-        self.cones = []
-        for i, g in enumerate(self.facets):
-            ridge = g.vertex_ids & special.vertex_ids
-            if len(ridge) == geom.d - 1:
-                on = [hom[v - 1] for v in ridge]
-                off = [hom[v - 1] for v in g.vertex_ids - ridge]
-                self.cones.append((i, sorted(ridge), on, off, ridge | {y_id}))
-                keys.append((*sorted(ridge), y_id))
-        self.order = sorted(range(len(keys)), key=keys.__getitem__)
-        self._hom = hom
-        self._at_vertex: dict[int, list[int]] = {}
-
-    def at_vertex(self, v: int) -> list[int]:
-        values = self._at_vertex.get(v)
-        if values is None:
-            h = self._hom[v - 1]
-            values = self._at_vertex[v] = [_dot(f.plane, h) for f in self.facets]
-        return values
-
-
 def stack_over_special(
     geom: ASPGeometry,
     toward: int | None = None,
@@ -708,88 +720,74 @@ def stack_over_special(
     it off, raises DegeneracyError.  With `toward` the exit point is
     pulled toward that vertex of F by the weight 1 - 2^-closeness, which
     stays below 1, so the exit point remains in the relative interior.
-    Closeness extra halvings
-    then bring y toward F, since shrinking preserves all the conditions,
-    and each facet's value at y is checked exactly.  The centroid, the
-    exit point and y are integer vectors positively proportional to
-    (1, point); y joins the configuration as its primitive vector, and
-    only y is validated as a point.
+    Closeness extra halvings then bring y toward F, since shrinking
+    preserves all the conditions, and each facet's value at y is checked
+    exactly.  The centroid, the exit point and y are integer vectors
+    positively proportional to (1, point); y joins the configuration as
+    its primitive vector, and only y is validated as a point.
 
-    By the beneath-beyond theorem the new hull is simplicial and its
-    facets are the old simplex facets, hyperplanes unchanged, plus the
-    cone from y over each ridge of F.  No hull is enumerated and no kernel
-    is solved: a ridge of F is G & F for the one simplex facet G that
-    meets F in d-1 vertices, and the cone's hyperplane w is the member
-    k*w = ag*w_F - af*w_G of the pencil through that ridge R which
-    vanishes at y, made primitive (_pencil, as _beneath_beyond forms its
-    cones), with ag = w_G(y) > 0 > af = w_F(y) the values of the beyond
-    check.  Every plane of the geometry is >= 0 at
-    all old points and 0 exactly at its own vertices (enumerate_facets
-    and certified_geometry establish this), so at an old point p,
-    k*w(p) = ag*w_F(p) - af*w_G(p) is >= 0, and 0 exactly where both
-    planes are, on F & G = R; at y it is ag*af - af*ag = 0.  So w meets
-    the n+1 points exactly in R + y and is >= 0 at all of them.  The check
-    made is O(d): w is 0 at the d-1 vertices of R and > 0 at G's vertex
-    off R, or DegeneracyError is raised, so a stored plane that is not 0
-    on its ridge with F fails here.  A `cap` bounds the extended point
-    count as detect_asp does.
-
-    What depends on the geometry alone is its stacking_frame, formed once:
-    the kept facets' values at F's vertex centroid he0 and, per vertex v
-    of F that a stacking pulls toward, at v, and each ridge of F with its G.
-    With `toward` the exit point is _mean([he0, v], [1, 2^closeness - 1]),
-    that is c0*he0 + c1*v, so a kept facet's value there is c0*E0 + c1*Ev:
-    two products per facet (without it the exit point is he0), and F is
-    evaluated once, at y.  Each cone is
-    evaluated at the d vertices of its G; the rest follows by linearity.
-    A kept facet's centroid value is the geometry's own, and its value at
-    y, like F's, is its value at the unreduced y over that vector's gcd; a
-    cone is 0 at y, so its centroid value follows from F's and G's by the
-    pencil.  The stacked geometry comes with its centroid, centroid values
-    and simpliciality set, so its line shellings evaluate no facet at the
-    centroid again.
+    No hull is enumerated and no kernel is solved: y enters by the
+    insertion step's own rule (_Hull.cones), on the step's state for F
+    alone that special_ridges forms once per geometry, F's plane and
+    ridges, each ridge R held by F and by the one simplex facet G that
+    meets F in R.  The beyond check puts y beyond F alone and on no
+    plane, so the new hull is simplicial: the kept facets, planes
+    unchanged, and the cone over each R, whose plane is the pencil
+    ag*w_F - af*w_G, ag = w_G(y) > 0 > af = w_F(y), made primitive.
+    _beneath_beyond's docstring proves it the plane of R + y, given that
+    every stored plane is >= 0 at all old points and 0 exactly at its own
+    vertices (enumerate_facets and certified_geometry establish this).
+    The check made is O(d): the cone's plane is 0 at the d-1 vertices of
+    R and > 0 at G's vertex off R, or DegeneracyError is raised, so a
+    stored plane that is not 0 on its ridge with F fails here.  Its
+    values there are k*w = ag*w_F - af*w_G, read off F's and G's values
+    at G's points, which special_ridges forms once.  A `cap` bounds the
+    extended point count as detect_asp does.  A stacking evaluates each
+    kept facet once, at the exit point, and F once, at y; everything else
+    follows by linearity.  A kept facet's centroid value is the geometry's
+    own, and its value at y, like F's, is its value at the unreduced y
+    over that vector's gcd; a cone is 0 at y, so its centroid value
+    follows from F's and G's by the pencil.  The stacked geometry comes
+    with its centroid, centroid values and simpliciality set, so its line
+    shellings evaluate no facet at the centroid again.
     """
     special = geom.special
     if special is None:
         raise DomainError("geometry has no designated special facet to stack over")
     if toward is not None and toward not in special.vertex_ids:
         raise DomainError(f"vertex {toward} is not on the chosen facet")
-    frame = geom.stacking_frame
-    hom, hb = geom.config.hom, geom.centroid
-    he, at_exit = frame.he0, frame.exit_values
+    at, he, step, ridges, order = geom.special_ridges
+    hom, n, hb, values = geom.config.hom, geom.config.n, geom.centroid, geom.centroid_values
+    bf = values[at]
+    kept, values = geom.facets[:at] + geom.facets[at + 1 :], values[:at] + values[at + 1 :]
     if toward is not None:
-        # he = _mean([he0, v], [1, 2^closeness - 1]) = c0*he0 + c1*v.
+        # he = _mean([he0, v], [1, 2^closeness - 1]).
         hv = hom[toward - 1]
         both = math.lcm(he[0], hv[0])
         c0, c1 = both // he[0], ((1 << closeness) - 1) * (both // hv[0])
         he = [c0 * a + c1 * b for a, b in zip(he, hv)]
-        at_exit = [c0 * e + c1 * x for e, x in zip(at_exit, frame.at_vertex(toward))]
-    # At exit + lam*(exit - centroid) a facet's value is E + lam*(E - B),
+    # At exit + lam*(exit - centroid) a kept facet's value is E + lam*(E - B),
     # with E and B its values at the exit point and the centroid: positive
     # at lam = 2^-k exactly when 2^k * E > B - E.  In homogeneous form that
     # reads 2^k * r > p below.
-    halvings = 0
-    steps = []
-    for e, b in zip(at_exit, frame.values):
-        r = e * hb[0]
-        p = b * he[0] - r
-        if r <= 0:
-            raise DegeneracyError(
-                "no number of halvings of the step gives a beyond point; "
-                "another facet hyperplane passes through or cuts off the exit point"
-            )
-        steps.append((r, p))
-        halvings = max(halvings, (max(p, 0) // r).bit_length())
-    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0]; a kept
-    # facet's value there is up * hb[0] * E - he[0] * B = up * r - (p + r).
-    up = (1 << (halvings + closeness)) + 1
-    hy = [up * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
+    rs = [_dot(f.plane, he) * hb[0] for f in kept]
+    if min(rs) <= 0:
+        raise DegeneracyError(
+            "no number of halvings of the step gives a beyond point; "
+            "another facet hyperplane passes through or cuts off the exit point"
+        )
+    ps = [b * he[0] - r for b, r in zip(values, rs)]
+    halvings = max([(p // r).bit_length() for p, r in zip(ps, rs) if p > 0], default=0)
+    # exit + 2^-k * (exit - centroid), times 2^k * he[0] * hb[0], with
+    # 2^-k shrunk by closeness more halvings; a kept facet's value there
+    # is (2^k + 1) * hb[0] * E - he[0] * B = 2^k * r - p.
+    up = 1 << (halvings + closeness)
+    hy = [(up + 1) * hb[0] * e - he[0] * b for e, b in zip(he, hb)]
     af = _dot(special.plane, hy)
-    at_y = [up * r - (p + r) for r, p in steps]
+    at_y = [up * r - p for r, p in zip(rs, ps)]
     if af >= 0 or min(at_y) <= 0:
         raise DegeneracyError("beyond point fails the beyond conditions")
-    y_id = geom.config.n + 1
-    _check_cap(y_id, cap)
+    _check_cap(n + 1, cap)
     # y as its primitive vector, and F's and the kept facets' values there.
     k = math.gcd(*hy)
     hy = tuple(c // k for c in hy)
@@ -799,28 +797,29 @@ def stack_over_special(
     # The stacked centroid vector, as _mean would build it: with scale the
     # lcm of the old first coordinates (hb[0] = n * scale), it is
     # lcm(scale, y0)/scale * hb + lcm(scale, y0)/y0 * y.
-    scale = hb[0] // geom.config.n
+    scale = hb[0] // n
     both = math.lcm(scale, hy[0])
     mb, my = both // scale, both // hy[0]
-    hc = tuple(mb * b + my * c for b, c in zip(hb, hy))
-    facets = [(f, mb * b + my * ag) for f, b, ag in zip(frame.facets, frame.values, at_y)]
-    bf = frame.special_value
-    for i, ridge, on, off, ids in frame.cones:
-        g, b, ag = frame.facets[i], frame.values[i], at_y[i]
-        w, kw = _pencil(special.plane, af, g.plane, ag)
-        (hx,) = off
-        if any(_dot(w, h) for h in on) or _dot(w, hx) <= 0:
+    facets = [(f, mb * b + my * ag) for f, b, ag in zip(kept, values, at_y)]
+    # y is beyond F alone, so the step cones it over each ridge of F.
+    y_values = dict(zip(step.planes, [af, *[at_y[r[0]] for r in ridges]]))
+    for (i, pairs, ids), (_, w, kw) in zip(ridges, step.cones(n, y_values)[2]):
+        ag = at_y[i]
+        *on, off = [ag * f - af * g for f, g in pairs]
+        if any(on) or off <= 0:
             raise DegeneracyError(
-                f"cone from {y_id} over ridge {ridge} is not a facet of the stacked hull"
+                f"cone from {n + 1} over ridge {sorted(ids)[:-1]} is not a facet of the stacked hull"
             )
-        facets.append((FacetDescriptor(ids, w), mb * ((ag * bf - af * b) // kw)))
-    facets = [facets[i] for i in frame.order]
-    stacked = ASPGeometry(config, tuple(f for f, _ in facets), None, None)
-    # The cached properties, as a fresh geometry would compute them.
+        facets.append((FacetDescriptor(ids, w), mb * ((ag * bf - af * values[i]) // kw)))
+    fs, cs = zip(*[facets[i] for i in order])
+    stacked = ASPGeometry(config, fs, None, None)
+    # The cached properties, as a fresh geometry would compute them.  Every
+    # kept facet is a ball facet, which validate_asp keeps to d vertices,
+    # and every cone has d.
     vars(stacked).update(
-        centroid=hc,
-        centroid_values=tuple(c for _, c in facets),
-        is_simplicial=frame.simplicial,
+        centroid=tuple(mb * b + my * c for b, c in zip(hb, hy)),
+        centroid_values=cs,
+        is_simplicial=True,
     )
     return stacked
 

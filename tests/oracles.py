@@ -19,15 +19,17 @@ the two.  Per fast path, the oracle kept:
 - star_shelling, the greedy search of key_lemma_certificate and
   constrained_line_shelling: each candidate tested by shelling_step
   (star_shelling_pairwise);
-- the beneath-beyond hull (_beneath_beyond): the scan of every d-subset
+- the beneath-beyond insertion step (_Hull), through its two callers:
+  for _beneath_beyond's hull, the scan of every d-subset
   (facets_by_subset_scan in test_hull.py), and for its planes up to
   d = 7 the gift-wrap it replaced, crossing every ridge
-  (gift_wrap_per_ridge, there too, with rotate_with_values here);
+  (gift_wrap_per_ridge, there too, with rotate_with_values here); for
+  stack_over_special, which cones y over the special facet's ridges by
+  the same step, y placed by point_beyond and the hull enumerated again
+  (stacked_by_enumeration in test_hull.py, with extend_config), and
+  each cone plane against a kernel solve (supporting_hyperplane);
 - certified_geometry's packed plane test (_PackedPoints.supports): the
   plane evaluated at every point in turn (plane_supports_by_points);
-- stack_over_special: y placed by point_beyond, then the hull enumerated
-  again (stacked_by_enumeration in test_hull.py, with extend_config),
-  and each cone plane against a kernel solve (supporting_hyperplane);
 - _LinesFrom: keys r * t0 * lcm(A) on every facet (LcmLines in
   test_hull.py);
 - key_shelling_defects: the four prefix complexes rebuilt at every step
@@ -52,7 +54,8 @@ decomposition on frozenset cells and hand back frozensets, so the
 oracles and the library are compared on one input.
 
 Below them sit the small exact tools several test modules share: Bareiss
-determinants, pyramids, single stacking moves on the library's walk,
+determinants, seeded ASPs outside the two families (drawn_asp_points),
+pyramids, single stacking moves on the library's walk,
 prime factors as complexes, the sphere refined by them, stacked spheres
 from facet indices, and the stacked-sphere test by prime decomposition.
 """
@@ -82,6 +85,7 @@ from aspoly.complexes import (
 from aspoly.curves import PointConfig, curve_parameters
 from aspoly.enumerative import ASPParams, FVector
 from aspoly.errors import (
+    AspolyError,
     DegeneracyError,
     DomainError,
     InvalidMoveError,
@@ -98,6 +102,7 @@ from aspoly.hull import (
     _dots,
     _mean,
     _primitive,
+    asp_geometry,
 )
 from aspoly.rigidity import Graph, _trilateration_order
 from aspoly.stackgen import (
@@ -472,6 +477,40 @@ def paper_curve_points(params: ASPParams) -> PointConfig:
         last = (n - 1) ** max(0, (t - 1) * (d - 1)) * math.prod(range(t, t + d + s))
         rows.append((1, *(t**k for k in range(1, d)), last))
     return PointConfig(d, tuple(rows))
+
+
+def drawn_asp_points(params: ASPParams, seed: int, lifted: bool) -> PointConfig:
+    """Seeded points of an ASP outside the two families, its special facet F = points 1..d+s.
+
+    F's d+s points lie in x_d = 0, in convex position there: on the
+    moment curve of R^(d-1), or, lifted, on the paraboloid
+    x_(d-1) = |x|^2 over distinct integer x in R^(d-2), so that F need not
+    be neighborly.  The other n-d-s points are random integer points with
+    x_d > 0.  Draws repeat, seeded, until asp_geometry takes the points as
+    an ASP whose special facet is F; a draw with a point inside the hull,
+    or with a second non-simplex facet, is skipped.
+    """
+    d, n, s = params.d, params.n, params.s
+    rng = random.Random(f"{seed}:{d}:{n}:{s}:{lifted}")
+    for _ in range(200):
+        if lifted:
+            xs: set[tuple[int, ...]] = set()
+            while len(xs) < d + s:
+                xs.add(tuple(rng.randint(-3, 3) for _ in range(d - 2)))
+            base = [(*x, sum(c * c for c in x)) for x in sorted(xs)]
+        else:
+            base = [tuple(t**k for k in range(1, d)) for t in rng.sample(range(-5, 6), d + s)]
+        rows = {(1, *b, 0) for b in base}
+        while len(rows) < n:
+            rows.add((1, *(rng.randint(-6, 6) for _ in range(d - 1)), rng.randint(1, 6)))
+        config = PointConfig(d, tuple(sorted(rows, key=lambda h: (h[-1] > 0, h))))
+        try:
+            geom = asp_geometry(config, range(1, d + 1))
+        except AspolyError:
+            continue
+        if geom.special.vertex_ids == frozenset(range(1, d + s + 1)):
+            return config
+    raise AssertionError(f"no ASP drawn for {params} at seed {seed}")
 
 
 def point_beyond(

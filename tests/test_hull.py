@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property, partial
 from itertools import combinations, product
 from types import SimpleNamespace
 from unittest import mock
@@ -61,6 +62,7 @@ from aspoly.hull import (
 )
 import oracles
 from oracles import (
+    drawn_asp_points,
     extend_config,
     homogeneous,
     int_det,
@@ -334,13 +336,19 @@ def digest(payload) -> str:
 
 
 @st.composite
-def stacking_cases(draw):
+def stacking_cases(draw, drawn=False):
     # The cell is (d, n, s, curve), on the library's curve or on the
-    # paper's, whose point entries reach 99 bits at n = 12.
+    # paper's, whose point entries reach 99 bits at n = 12, or, if drawn,
+    # also an ASP outside the two families with 1..3 points above F.
     d = draw(st.integers(3, 5))
     s = draw(st.integers(0, 3))
-    n = draw(st.integers(d + s + 1, 12))
-    curve = draw(st.sampled_from([almost_cyclic_points, paper_curve_points]))
+    choices = [almost_cyclic_points, paper_curve_points]
+    if drawn:
+        seed, lifted = draw(st.integers(0, 2**16)), draw(st.booleans())
+        choices.append(partial(drawn_asp_points, seed=seed, lifted=lifted))
+    curve = draw(st.sampled_from(choices))
+    top = d + s + 3 if isinstance(curve, partial) else 12
+    n = draw(st.integers(d + s + 1, top))
     toward = draw(st.sampled_from([None, *range(1, d + s + 1)]))
     closeness = draw(st.sampled_from([2, 12, 20, 28, 40]))
     return (d, n, s, curve), toward, closeness
@@ -750,6 +758,43 @@ class TestDetectASP:
         with pytest.raises(NotASPError):
             detect_asp(cube)
 
+    def test_point_inside_is_named(self):
+        # A square pyramid, and a tetrahedron, each with point 6 or 5 inside:
+        # detect_asp, asp_geometry and designate_special name the point.
+        square = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)]
+        pyramid = config_from_coords(square + [(1, 1, 2), (1, 1, 1)])
+        for build in (detect_asp, lambda c: hull.asp_geometry(c, [1, 2, 3, 4])):
+            with pytest.raises(ShapeError, match="^point 6 is not a vertex of the hull$"):
+                build(pyramid)
+        tetrahedron = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
+        geom = detect_asp(config_from_coords(tetrahedron + [(1, 1, 1)]))
+        assert geom.special is None
+        with pytest.raises(ShapeError, match="^point 5 is not a vertex of the hull$"):
+            designate_special(geom, [1, 2, 3])
+
+    @settings(deadline=None, max_examples=20)
+    @given(stacking_cases(drawn=True), st.data())
+    def test_points_inside_a_drawn_asp_are_named(self, case, data):
+        # One or two points strictly inside, at weighted means of all the
+        # points, inserted at drawn positions, are named by their ids.
+        cell, _, _ = case
+        d, n, s, curve = cell
+        points = curve(ASPParams(d, n, s)).hom
+        hom = list(points)
+        for weight in range(1, data.draw(st.integers(1, 2)) + 1):
+            inside = hull._primitive(hull._mean(points, [weight] + [1] * (n - 1)))
+            hom.insert(data.draw(st.integers(0, len(hom))), tuple(inside))
+        config = PointConfig(d, tuple(hom))
+        ids = [i for i, h in enumerate(hom, 1) if h not in points]
+        on_facets = set().union(*(f.vertex_ids for f in enumerate_facets(config)))
+        assert ids == sorted(set(range(1, len(hom) + 1)) - on_facets)
+        text = ", ".join(map(str, ids))
+        message = (
+            f"point {text} is not a vertex" if len(ids) == 1 else f"points {text} are not vertices"
+        )
+        with pytest.raises(ShapeError, match=f"^{message} of the hull$"):
+            hull.asp_geometry(config, [hom.index(h) + 1 for h in points[:d]])
+
     def test_f_vector_matches_formula(self):
         for dns in [(3, 6, 1), (4, 8, 2), (5, 9, 2)]:
             p = ASPParams(*dns)
@@ -1044,10 +1089,10 @@ class TestPointBeyond:
 
 class TestStackOverSpecial:
     @settings(deadline=None, max_examples=100)
-    @given(stacking_cases(), st.data())
+    @given(stacking_cases(drawn=True), st.data())
     def test_matches_the_per_rung_oracle(self, case, data):
-        # Two rungs on one geometry, so the second reads the frame the first
-        # formed.  Each rung equals the brute-force one: y placed by
+        # Two rungs on one geometry, so the second reads the special_ridges
+        # the first formed.  Each rung equals the brute-force one: y placed by
         # point_beyond with the hull enumerated again, and the centroid and
         # centroid values that fresh geometry computes; or the same refusal
         # type and text.
@@ -1103,7 +1148,7 @@ class TestStackOverSpecial:
             assert outcome(stack_over_special, subject, *args) == expected
 
     @settings(deadline=None, max_examples=40)
-    @given(stacking_cases())
+    @given(stacking_cases(drawn=True))
     def test_cone_planes_are_kernel_planes(self, case):
         # Each pencil plane is the primitive kernel plane through its cone's
         # vertices, >= 0 at all n+1 points and 0 exactly there: the O(d)
@@ -1185,39 +1230,30 @@ class TestStackOverSpecial:
         with pytest.raises(DegeneracyError, match=re.escape(message)):
             stack_over_special(tampered)
 
-    def test_frame_is_formed_once(self, monkeypatch):
-        # A rung without `toward` forms no vertex values; later rungs reuse
-        # the geometry's frame and form each vertex's values once.  A rung
-        # on a formed frame evaluates F once, at y, and each cone at d
-        # points, and no kept facet at all.
+    def test_special_ridges_are_formed_once(self, monkeypatch):
+        # The step's state for F is formed at the first stacking and no
+        # later one forms anything on the geometry, whatever it pulls
+        # toward.  A stacking evaluates every kept facet once, at the exit
+        # point, and F once, at y, and no cone: each is certified from F's
+        # and its G's values at G's points, formed with the state.
         formed = []
-        form = hull._StackingFrame.__init__
-
-        def counted(frame, geom):
-            formed.append(geom)
-            form(frame, geom)
-
-        monkeypatch.setattr(hull._StackingFrame, "__init__", counted)
+        form = hull.ASPGeometry.special_ridges.func
+        counted = cached_property(lambda geom: formed.append(geom) or form(geom))
+        counted.__set_name__(hull.ASPGeometry, "special_ridges")
+        monkeypatch.setattr(hull.ASPGeometry, "special_ridges", counted)
         geom = asp_geometry(4, 8, 2)
         stack_over_special(geom)
-        frame = geom.stacking_frame
-        assert formed == [geom] and frame._at_vertex == {}
-        stack_over_special(geom, toward=1, closeness=12)
-        at_1 = frame._at_vertex[1]
+        state = geom.special_ridges
+        cached = dict(vars(geom))
         dots = []
         dot = hull._dot
-
-        def counted_dot(u, v):
-            dots.append(u)
-            return dot(u, v)
-
-        monkeypatch.setattr(hull, "_dot", counted_dot)
-        for toward, closeness in ((1, 40), (None, 0), (1, 0)):
+        monkeypatch.setattr(hull, "_dot", lambda u, v: dots.append(u) or dot(u, v))
+        for toward, closeness in ((1, 12), (4, 40), (None, 0), (1, 0)):
             dots.clear()
             stack_over_special(geom, toward=toward, closeness=closeness)
-            assert len(dots) == 1 + geom.d * len(frame.cones)
-        assert formed == [geom] and list(frame._at_vertex) == [1]
-        assert frame._at_vertex[1] is at_1
+            assert len(dots) == (len(geom.facets) - 1) + 1
+        assert formed == [geom] and geom.special_ridges is state and vars(geom) == cached
+        assert len(state[3]) == boundary_of_ball(geom.ball.ball).n_facets == 8
 
     def test_explicit_cap(self):
         geom = asp_geometry(4, 8, 2)
