@@ -505,43 +505,24 @@ def cmd_recognize(args) -> int:
     return 0
 
 
-# The subcommands, in the order usage and help list them, and their handlers.
+# The subcommands, in the order usage and help list them: handler and help line.
 COMMANDS = {
-    "construct": cmd_construct,
-    "facets": cmd_facets,
-    "gale": cmd_gale,
-    "verify": cmd_verify,
-    "table": cmd_table,
-    "rigidity": cmd_rigidity,
-    "shelling": cmd_shelling,
-    "recognize": cmd_recognize,
+    "construct": (cmd_construct, "build an instance and write artifacts"),
+    "facets": (cmd_facets, "enumerate hull facets exactly"),
+    "gale": (cmd_gale, "predict facets combinatorially"),
+    "verify": (cmd_verify, "run checks against an artifact"),
+    "table": (cmd_table, "grid summary of extremal f-vectors"),
+    "rigidity": (cmd_rigidity, "generic rigidity report for a graph"),
+    "shelling": (cmd_shelling, "seeded line shellings of the stacked hull"),
+    "recognize": (cmd_recognize, "structural minimizer recognition"),
 }
 
 
-@cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of one command, or of all of them for None; built once per process and command.
+def _command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """p with the arguments and the handler of command `name`."""
+    p.set_defaults(func=COMMANDS[name][0])
 
-    Every command is registered with its help, so usage, help and error
-    texts are those of the full parser; only `command` gets its arguments,
-    -h among them, and its handler.  main hands a parser only argvs that
-    start with its command, so no other subparser ever parses.
-    """
-    top = argparse.ArgumentParser(
-        prog="aspoly",
-        description="Construct and verify almost simplicial polytopes.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, help):
-        if command not in (None, name):
-            sub.add_parser(name, help=help, add_help=False)  # listed, never parses
-            return None
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=COMMANDS[name])
-        return p
-
-    def common(p, params=False, seed=False):
+    def common(params=False, seed=False):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--unsafe-large", action="store_true", help="lift d/n caps")
         if params:
@@ -551,60 +532,71 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
-    if p := add("construct", "build an instance and write artifacts"):
+    if name == "construct":
         p.add_argument("kind", choices=["cyclic-asp", "stacked-asp"])
         p.add_argument("--style", choices=["stack", "hstack"], default="stack")
-        common(p, params=True, seed=True)
-
-    if p := add("facets", "enumerate hull facets exactly"):
+        common(params=True, seed=True)
+    elif name == "facets":
         p.add_argument("--input", default=None, help="PointConfig JSON")
         p.add_argument("--d", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--s", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--unsafe-large", action="store_true")
-
-    if p := add("gale", "predict facets combinatorially"):
+    elif name == "gale":
         p.add_argument("--interior-tuples", action="store_true")
-        common(p, params=True)
-
-    if p := add("verify", "run checks against an artifact"):
+        common(params=True)
+    elif name == "verify":
         p.add_argument("--input", required=True)
         p.add_argument("--checks", default="all", help="comma list or 'all'")
-        common(p, seed=True)
-
-    if p := add("table", "grid summary of extremal f-vectors"):
+        common(seed=True)
+    elif name == "table":
         p.add_argument("--d", required=True, help="value or a..b range")
         p.add_argument("--s", required=True, help="value or a..b range")
         p.add_argument("--n-span", type=int, default=3, help="n runs d+s+1 .. d+s+span")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None)
         p.add_argument("--unsafe-large", action="store_true")
-
-    if p := add("rigidity", "generic rigidity report for a graph"):
+    elif name == "rigidity":
         p.add_argument("action", nargs="?", default="report", choices=["report"])
         p.add_argument("--input", required=True, help="graph JSON or artifact JSON")
         p.add_argument("--dim", type=int, default=None)
         p.add_argument("--trials", type=int, default=3)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-
-    if p := add("shelling", "seeded line shellings of the stacked hull"):
+    elif name == "shelling":
         p.add_argument("--input", required=True)
         p.add_argument("--count", type=int, default=3)
-        common(p, seed=True)
-
-    if p := add("recognize", "structural minimizer recognition"):
+        common(seed=True)
+    else:  # recognize
         p.add_argument("--input", required=True)
-        common(p)
+        common()
+    return p
 
+
+@cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of one command, or of all of them for None; built once per process and command.
+
+    A command's parser, named "aspoly <command>", prints its subparser's texts
+    in the full parser, which is built only for top-level help and usage errors.
+    """
+    if command is not None:
+        return _command(argparse.ArgumentParser(prog=f"aspoly {command}"), command)
+    about = "Construct and verify almost simplicial polytopes."
+    top = argparse.ArgumentParser(prog="aspoly", description=about)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (_, help) in COMMANDS.items():
+        _command(sub.add_parser(name, help=help), name)
     return top
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = _parser(command).parse_args(argv)
+    args, extra = _parser(command).parse_known_args(argv[1:] if command else argv)
+    if extra:  # refused as parse_args refuses them, with the top-level usage
+        _parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (AspolyError, OSError, KeyError, ValueError) as exc:

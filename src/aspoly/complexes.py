@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -116,13 +116,14 @@ def all_faces(c: SimplicialComplex, k: int) -> frozenset[frozenset[int]]:
 def f_vector(c: SimplicialComplex) -> FVector:
     """Face counts (f_{-1}, ..., f_dim) with parameter d = dim + 1.
 
-    Faces are counted size by size as the combinations of each facet's
-    sorted vertex tuple, so equal faces are equal tuples.
+    Faces are counted size by size, one set per size of all facets' sorted
+    vertex-tuple combinations in one pass, so equal faces are equal tuples.
     """
     if not c.facets:
         raise DomainError("empty complex has no f-vector")
     facets = [sorted(f) for f in c.facets]
-    counts = [len({t for f in facets for t in combinations(f, k)}) for k in range(c.dim + 1)]
+    ks = range(c.dim + 1)
+    counts = [len(set(chain.from_iterable(map(combinations, facets, repeat(k))))) for k in ks]
     return FVector(c.dim + 1, (*counts, len(facets)))
 
 

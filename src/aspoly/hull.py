@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import chain
@@ -103,7 +104,7 @@ class FacetDescriptor:
 
 @dataclass(frozen=True)
 class ASPGeometry:
-    """A point configuration together with its enumerated boundary."""
+    """A point configuration and its enumerated boundary, the facets in sorted vertex-id order."""
 
     config: PointConfig
     facets: tuple[FacetDescriptor, ...]
@@ -138,8 +139,9 @@ class ASPGeometry:
         kept facet G across it, and the planes of F and then of each G in
         facet order; per R, in that order, G's index among the kept facets
         (all but F), F's and G's values at G's points (R's, then G's point
-        off R) and the cone's vertex set R + y, y = n+1; and the order of
-        the kept facets and the cones that sorts them by vertex ids.
+        off R) and the cone's vertex set R + y, y = n+1; and the order that
+        merges the cones into the kept facets by vertex ids: R + y follows
+        G = R + off, directly when off tops R, as a facet between would hold R.
         """
         special, hom, n, d = self.special, self.config.hom, self.config.n, self.d
         at = self.facets.index(special)
@@ -148,7 +150,7 @@ class ASPGeometry:
         step, ridges, at_f = _Hull(hom), [], {v: _dot(wf, hom[v - 1]) for v in fs}
         step.planes[fm], step.ridges_of[fm] = wf, []
         kept = self.facets[:at] + self.facets[at + 1 :]
-        keys = [tuple(sorted(g.vertex_ids)) for g in kept]
+        cones, prefix = [], lambda g: sorted(g.vertex_ids)[: d - 1]
         for i, g in enumerate(kept):
             ridge = g.vertex_ids & fs
             if len(ridge) == d - 1:
@@ -160,9 +162,14 @@ class ASPGeometry:
                 pairs = [(at_f[v], _dot(g.plane, hom[v - 1])) for v in ridge]
                 pairs.append((_dot(wf, hom[off - 1]), _dot(g.plane, hom[off - 1])))
                 ridges.append((i, pairs, ridge | {n + 1}))
-                keys.append((*sorted(ridge), n + 1))
+                ids = sorted(ridge)
+                p = i + 1 if off > ids[-1] else bisect_right(kept, ids, i + 1, key=prefix)
+                cones.append((p, ids, len(kept) + len(cones)))
+        order = list(range(len(kept)))
+        for p, _, c in sorted(cones, reverse=True):  # each before the larger ones
+            order.insert(p, c)
         he0 = _mean([hom[v - 1] for v in fs], [1] * len(fs))
-        return at, tuple(he0), step, ridges, sorted(range(len(keys)), key=keys.__getitem__)
+        return at, tuple(he0), step, ridges, order
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)

@@ -6,9 +6,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from aspoly.gale import almost_cyclic_facets
 from aspoly.hull import asp_geometry, enumerate_facets
 from aspoly.rigidity import sample_generic
 from aspoly.stackgen import random_minimizer, recognize_minimizer
-from oracles import paper_curve_points, prime_decomposition
+from oracles import drawn_asp_points, paper_curve_points, prime_decomposition
 
 
 # `table --d 3..4 --s 1 --n-span 2` output, one format each.
@@ -136,6 +138,30 @@ class TestVerify:
             assert report["all_pass"], cell
             for name in ("bounds", "ds", "gale", "ridge", "shelling", "rigidity", "minimizer"):
                 assert report["checks"][name]["pass"], (cell, name)
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["moment", "lifted"])
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_all_checks_pass_on_drawn_asps(self, tmp_path, monkeypatch, d, lifted):
+        # The paper's claims on ASPs outside the two families
+        # (oracles.drawn_asp_points: F's d+s points on the moment curve or
+        # the paraboloid in x_d = 0, 1..3 random points above), run through
+        # main.  Each artifact is what construct writes for a cyclic one on
+        # the drawn points, less its kind, so every check but gale applies.
+        path = tmp_path / "drawn.json"
+        for s, above, seed in product(range(4), range(1, 4), range(3)):
+            cell = (d, d + s + above, s)
+            draw = partial(drawn_asp_points, seed=seed, lifted=lifted)
+            monkeypatch.setattr(cli, "almost_cyclic_points", draw)
+            flags = (f"--{k}={v}" for k, v in zip("dns", cell))
+            code, out, err = run_quiet("construct", "cyclic-asp", *flags)
+            assert code == 0, err
+            artifact = json.loads(out)
+            del artifact["kind"]
+            path.write_text(json.dumps(artifact))
+            code, out, err = run_quiet("verify", "--input", str(path))
+            report = json.loads(out)
+            assert code == 0 and report["all_pass"], (cell, seed, report, err)
+            assert set(report["checks"]) == set(cli.CHECKS) - {"gale"}
 
     def test_all_checks_pass_on_stacked(self, capsys, tmp_path):
         # The minimizer also sits on the lower bound, which verify's bounds
@@ -609,15 +635,15 @@ class TestFrozenOutputs:
         assert h.hexdigest() == FROZEN_CONSTRUCT
 
 
-def run_quiet(*argv):
-    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr).
+def run_quiet(*argv, entry=main):
+    """entry(argv), main by default, with stdout and stderr captured: (exit code, stdout, stderr).
 
     argparse's own exit (a usage error, --help) counts as the exit code.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = entry(list(argv))
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -911,10 +937,20 @@ class TestParser:
         assert fresh == warm
         assert [code for code, _, _ in warm] == [0, 0, 0, 2, 2, 0, 0, 0, 2]
 
-    def test_command_parser_gives_the_bytes_of_the_full_one(self, tmp_path, monkeypatch):
+    def test_command_parser_gives_the_bytes_of_the_full_one(self, tmp_path):
         # The full parser, every command's arguments included, is the oracle
         # of the per-command parser main builds: same exit code, stdout and
-        # stderr for valid calls, help, and every kind of usage error.
+        # stderr for valid calls, help, and every kind of usage error.  The
+        # oracle dispatches through the full parser alone, parse_args and
+        # then the handler, whose errors exit 2 as in main.
+        def full_dispatch(argv):
+            args = cli._parser(None).parse_args(argv)
+            try:
+                return args.func(args)
+            except (AspolyError, OSError, KeyError, ValueError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+
         path = str(tmp_path / "cyclic.json")
         assert run_quiet("construct", *ARTIFACTS["cyclic"], "--out", path)[0] == 0
         valid = [
@@ -930,21 +966,31 @@ class TestParser:
         assert [argv[0] for argv in valid] == list(cli.COMMANDS)
         argvs = [
             *valid,
+            ("verify", "--inp", path, "--checks", "ds"),
+            ("gale", "--d", "3", "--d", "4", "--n", "8", "--s", "2"),
             *((name, "--help") for name in cli.COMMANDS),
+            ("verify", "--input", path, "--checks", "ds", "-h"),
             ("--help",),
             (),
             ("bogus",),
             ("verify", "--input", path, "--bogus"),
             ("--input", path, "verify"),
             ("bogus", "verify", "--input", path),
+            ("verify",),
+            ("verify", "--inp", "x"),
+            ("verify", "--input", path, "extra"),
+            ("verify", "--", "--input", path),
+            ("construct", *ARTIFACTS["cyclic"], "--seed", "x"),
+            ("construct", "bad-kind", "--d", "4", "--n", "8", "--s", "2"),
+            ("rigidity", "nope", "--input", path),
+            ("verify", "--input"),
+            ("verify", "--input", path, "--out"),
         ]
         cli._parser.cache_clear()
         per_command = [run_quiet(*argv) for argv in argvs]
-        full = cli._parser(None)
-        monkeypatch.setattr(cli, "_parser", lambda command: full)
-        assert [run_quiet(*argv) for argv in argvs] == per_command
+        assert [run_quiet(*argv, entry=full_dispatch) for argv in argvs] == per_command
         codes = [code for code, _, _ in per_command]
-        assert codes == [0] * 8 + [0] * 8 + [0, 2, 2, 2, 2, 2]
+        assert codes == [0] * 20 + [2] * 14
 
 
 class TestGaleAndFacets:

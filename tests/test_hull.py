@@ -1230,6 +1230,32 @@ class TestStackOverSpecial:
         with pytest.raises(DegeneracyError, match=re.escape(message)):
             stack_over_special(tampered)
 
+    @settings(deadline=None, max_examples=40)
+    @given(stacking_cases(drawn=True), st.randoms(use_true_random=False))
+    def test_facets_are_kept_in_sorted_vertex_id_order(self, case, rng):
+        # special_ridges merges the cones into the kept facets, taking these
+        # in the order every geometry keeps: enumerate_facets gives it,
+        # certified_geometry restores it from any stored order, and the
+        # stacked geometry keeps it.  On the cells F's ids come first, so
+        # each cone directly follows the kept facet across its ridge; the
+        # points relabelled at random also take the merge's bisection.
+        cell, toward, closeness = case
+        geom = asp_geometry(*cell)
+        stored = list(geom.facets)
+        rng.shuffle(stored)
+        certified = certified_geometry(geom.config, replace(geom.ball), stored)
+        label = rng.sample(range(1, cell[1] + 1), cell[1])  # old id i is label[i - 1]
+        hom = [h for _, h in sorted(zip(label, geom.config.hom))]
+        moved = hull.asp_geometry(PointConfig(geom.d, tuple(hom)), label[: geom.d])
+        assert {frozenset(label[v - 1] for v in f.vertex_ids) for f in geom.facets} == {
+            f.vertex_ids for f in moved.facets
+        }
+        stacked = stack_over_special(geom, toward=toward, closeness=closeness)
+        moved = stack_over_special(moved, toward=toward and label[toward - 1], closeness=closeness)
+        for facets in (enumerate_facets(geom.config), certified.facets, stacked.facets, moved.facets):
+            keys = [sorted(f.vertex_ids) for f in facets]
+            assert keys == sorted(keys)
+
     def test_special_ridges_are_formed_once(self, monkeypatch):
         # The step's state for F is formed at the first stacking and no
         # later one forms anything on the geometry, whatever it pulls
