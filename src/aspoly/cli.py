@@ -401,7 +401,10 @@ def cmd_verify(args) -> int:
 def parse_range(text: str, flag: str) -> range:
     """A value "v" or an inclusive range "a..b" with a <= b, given to this flag."""
     lo, dots, hi = text.partition("..")
-    values = range(int(lo), int(hi if dots else lo) + 1)
+    try:
+        values = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        values = range(0)
     if not values:
         raise AspolyError(f"{flag} must be v or a..b with a <= b, got {text}")
     return values

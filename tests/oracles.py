@@ -2,49 +2,59 @@
 
 Each oracle is the simplest code that computes what one fast path
 computes, brute force where there is one, and a property test compares
-the two.  Per fast path, the oracle kept:
+the two.  Per fast path, its one oracle and the file the oracle lives in
+(this one unless named):
 
 - f_vector and all_faces: every face as a frozenset (face_set,
   f_vector_by_face_set);
 - boundary_of_ball: ridges found by sorting the facets (ridge_incidence,
   boundary_by_incidence);
-- _cell_missing_simplices: every ridge plus every vertex off it
+- _cell_missing_simplices: every ridge plus every vertex off it that
+  spans a ridge with the ridge less its least vertex
   (cell_missing_by_ridge_scan);
-- _cell_decomposition: one split at a time, each rebuilding its part's
-  incidence (cell_decomposition_per_split, with cell_split and
-  carried_missing);
+- _cell_decomposition, and prime_decomposition through _prime_cells: one
+  split at a time, each part rebuilding its incidence and scanned afresh
+  for its missing simplices (cell_decomposition_per_split, with
+  cell_split);
 - induced: every trace compared with every other (induced_pairwise);
 - verify_shelling: every facet intersected with every earlier one
   (verify_shelling_pairwise, by shelling_step);
 - star_shelling, the greedy search of key_lemma_certificate and
   constrained_line_shelling: each candidate tested by shelling_step
   (star_shelling_pairwise);
-- the beneath-beyond insertion step (_Hull), through its two callers:
-  for _beneath_beyond's hull, the scan of every d-subset
-  (facets_by_subset_scan in test_hull.py), and for its planes up to
-  d = 7 the gift-wrap it replaced, crossing every ridge
-  (gift_wrap_per_ridge, there too, with rotate_with_values here); for
-  stack_over_special, which cones y over the special facet's ridges by
-  the same step, y placed by point_beyond and the hull enumerated again
-  (stacked_by_enumeration in test_hull.py, with extend_config), and
+- the beneath-beyond hull (_beneath_beyond, by the insertion step
+  _Hull): the scan of every d-subset (facets_by_subset_scan,
+  test_hull.py);
+- stack_over_special, which cones y over the special facet's ridges by
+  the same step: y placed by point_beyond and the hull enumerated again
+  (stacked_by_enumeration, test_hull.py, with extend_config here), and
   each cone plane against a kernel solve (supporting_hyperplane);
 - certified_geometry's packed plane test (_PackedPoints.supports): the
   plane evaluated at every point in turn (plane_supports_by_points);
-- _LinesFrom: keys r * t0 * lcm(A) on every facet (LcmLines in
+- _LinesFrom: keys r * t0 * lcm(A) on every facet (LcmLines,
   test_hull.py);
 - key_shelling_defects: the four prefix complexes rebuilt at every step
-  (defects_by_rebuild in test_hull.py);
+  (defects_by_rebuild, test_hull.py);
+- the Gale-even facet generator (simplex_facets, interior_tuples): every
+  d-subset tested by all-pairs evenness (simplex_facets_by_scan and
+  interior_tuples_by_scan, by gale_even, test_gale.py);
 - _echelon, int_rank and int_det: cofactor expansion and Gaussian
   elimination over Fraction (cofactor_det, gauss_rank), and kernels
   checked by substitution;
+- rank_mod_p: row reduction that updates every entry right of the pivot
+  (dense_rank_mod_p, test_exactnum.py);
 - PointConfig.from_rationals: the integer homogeneous vector of a
   rational point (homogeneous, rational_points);
 - the stacking walk: constructions that sort the facets and rebuild the
-  complex at every move (the *_by_sorting builders);
+  complex at every move (the *_by_sorting builders), and the hstack
+  style drawing each selector from the built boundary
+  (hstack_minimizer_by_pool, test_stackgen.py);
 - _refined_cells: the prime factors masked as complexes
   (refined_cells_by_complexes);
 - _trilateration_rank: each block ranked modulo 2^61 - 1
   (trilateration_rank_mod_p);
+- sample_generic: the Bareiss rank at every trial embedding
+  (sample_generic_by_bareiss, test_rigidity.py);
 - the library's curve: the paper's own, whose last coordinate carries
   the power factor (n-1)^((t-1)(d-1)) (paper_curve_points).
 
@@ -219,13 +229,17 @@ def refined_frozenset_cells(asp: ASPComplex) -> list[Cell]:
 
 
 def cell_missing_by_ridge_scan(cells: Sequence[Cell], d: int) -> list[frozenset[int]]:
-    """Missing simplices, testing every ridge plus every vertex off it."""
+    """Missing simplices, testing every ridge r plus every vertex x off it
+    for which r less its least vertex, plus x, is a ridge too."""
     ridges = {r for c in cells for r in c.ridges}
     simplices = {c.vertices for c in cells if c.is_simplex(d)}
-    verts = frozenset().union(*(c.vertices for c in cells))
+    link: dict[frozenset[int], set[int]] = {}
+    for r in ridges:
+        for y in r:
+            link.setdefault(r - {y}, set()).add(y)
     out = set()
     for r in ridges:
-        for x in verts - r:
+        for x in link[r - {min(r)}] - r:
             a = r | {x}
             if a not in simplices and all(a - {y} in ridges for y in r):
                 out.add(a)
@@ -267,29 +281,24 @@ def cell_split(cells: Sequence[Cell], a: frozenset[int]) -> tuple[list[Cell], li
     )
 
 
-def carried_missing(
-    part: Sequence[Cell], missing: Iterable[frozenset[int]]
-) -> list[frozenset[int]]:
-    """The parent's missing simplices whose ridges are all ridges of part."""
-    ridges = {r for c in part for r in c.ridges}
-    return [m for m in missing if all(m - {x} in ridges for x in m)]
-
-
 def cell_decomposition_per_split(
     cells: Sequence[Cell], d: int
 ) -> tuple[list[tuple[Cell, ...]], list[tuple[int, int, frozenset[int]]]]:
-    """Factors and cut tree, each split building its own part's incidence."""
+    """Factors and cut tree, each split building its own part's incidence.
+
+    Every part is scanned afresh for its missing simplices, and the first
+    one is cut.
+    """
     factors: list[tuple[Cell, ...]] = []
     edges: list[tuple[int, int, frozenset[int]]] = []
 
-    def decompose(part: Sequence[Cell], missing: list[frozenset[int]]) -> list[int]:
+    def decompose(part: Sequence[Cell]) -> list[int]:
+        missing = cell_missing_by_ridge_scan(part, d)
         if not missing:
             factors.append(tuple(part))
             return [len(factors) - 1]
         a = missing[0]
-        s1, s2 = cell_split(part, a)
-        idx1 = decompose(s1, carried_missing(s1, missing[1:]))
-        idx2 = decompose(s2, carried_missing(s2, missing[1:]))
+        idx1, idx2 = map(decompose, cell_split(part, a))
         i, j = (
             next(k for k in idx if any(c.vertices == a for c in factors[k]))
             for idx in (idx1, idx2)
@@ -297,7 +306,7 @@ def cell_decomposition_per_split(
         edges.append((i, j, a))
         return idx1 + idx2
 
-    decompose(cells, cell_missing_by_ridge_scan(cells, d))
+    decompose(cells)
     return factors, edges
 
 
@@ -381,32 +390,6 @@ def star_shelling_pairwise(c: SimplicialComplex, y: int, v: int) -> ShellingCert
             else:
                 raise errors[0]
     return ShellingCertificate(c, tuple(order), tuple(restriction))
-
-
-def rotate_with_values(
-    hom: list[list[int]], w: list[int], a: list[int], g: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Rotate the supporting hyperplane w about a ridge, outward onto the next facet.
-
-    The crossing of the per-ridge gift-wrap oracle in tests/test_hull.py,
-    which carries every facet's values at all points.  a holds w's values
-    at the points.  g is any plane through the ridge
-    that is negative on the facet's points off the ridge; the planes
-    through the ridge are the combinations of w and g, so the result does
-    not depend on which such g is given.  Among the points with a > 0, the
-    ones maximising b/a, b = g.x, are met first (ratios compared by
-    cross-multiplication); the plane b*.w - a*.g through them is >= 0 at
-    every point with a > 0 and equals -a*.b where a = 0.  Returns it
-    primitive, with its values at the points.
-    """
-    b = _dots(g, hom)
-    best_a, best_b = 0, 0
-    for ai, bi in zip(a, b):
-        if ai > 0 and (best_a == 0 or bi * best_a > best_b * ai):
-            best_a, best_b = ai, bi
-    new = [best_b * x - best_a * y for x, y in zip(w, g)]
-    k = math.gcd(*new)
-    return [x // k for x in new], [(best_b * x - best_a * y) // k for x, y in zip(a, b)]
 
 
 def plane_supports_by_points(

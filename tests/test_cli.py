@@ -1163,6 +1163,9 @@ class TestTable:
             (("--s", "2..0"), "--s must be v or a..b with a <= b, got 2..0"),
             (("--n-span", "0"), "--n-span must be at least 1, got 0"),
             (("--n-span", "-2"), "--n-span must be at least 1, got -2"),
+            (("--d", "x"), "--d must be v or a..b with a <= b, got x"),
+            (("--d", "3.."), "--d must be v or a..b with a <= b, got 3.."),
+            (("--s", "..1"), "--s must be v or a..b with a <= b, got ..1"),
         ],
     )
     def test_empty_grid_refused(self, capsys, argv, message):

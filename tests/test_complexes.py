@@ -51,8 +51,8 @@ from oracles import (
     prime_decomposition,
     refined_frozenset_cells,
     refined_sphere,
-    ridge_incidence,
     simplex_cell,
+    stack_over,
     stacked_sphere,
     star_shelling_pairwise,
     verify_shelling_pairwise,
@@ -251,62 +251,6 @@ class TestShelling:
         assert h_from_shelling(cert).entries == (1, 1, 1, 1)
 
 
-def missing_faces(c: SimplicialComplex, k: int) -> frozenset[frozenset[int]]:
-    """Oracle: minimal non-faces of dimension k, scanning all C(n, k+1) sets."""
-    faces = {frozenset()} | {
-        frozenset(s) for g in c.facets for j in range(1, len(g) + 1) for s in combinations(g, j)
-    }
-    out = []
-    for cand in combinations(c.vertex_ids, k + 1):
-        a = frozenset(cand)
-        if a not in faces and all(a - {x} in faces for x in a):
-            out.append(a)
-    return frozenset(out)
-
-
-def split_along(c: SimplicialComplex, a: frozenset[int]):
-    """Oracle: cut a sphere along a missing facet-size face into two spheres."""
-    cut_ridges = {a - {x} for x in a}
-    adj = {g: [] for g in c.facets}
-    for ridge, fs in ridge_incidence(c).items():
-        if len(fs) == 2 and ridge not in cut_ridges:
-            adj[fs[0]].append(fs[1])
-            adj[fs[1]].append(fs[0])
-    seen = set()
-    components = []
-    for g in c.sorted_facets():
-        if g in seen:
-            continue
-        comp = {g}
-        stack = [g]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        components.append(comp)
-    assert len(components) == 2, f"cutting along {sorted(a)} gave {len(components)} parts"
-    return tuple(SimplicialComplex.from_facets(side | {a}) for side in components)
-
-
-def prime_decomposition_by_scan(sphere: SimplicialComplex):
-    """Oracle: (factor facet sets, cut faces), rescanning every part for missing faces."""
-    factors, cuts = [], []
-
-    def decompose(cx):
-        missing = sorted(missing_faces(cx, cx.dim), key=sorted)
-        if not missing:
-            factors.append(cx.facets)
-            return
-        cuts.append(missing[0])
-        for part in split_along(cx, missing[0]):
-            decompose(part)
-
-    decompose(sphere)
-    return factors, cuts
-
-
 def decompose(sphere: SimplicialComplex):
     """prime_decomposition's factors, with the cut tree of the same split.
 
@@ -320,17 +264,18 @@ def decompose(sphere: SimplicialComplex):
 
 class TestMissingFacesAndDecomposition:
     def test_octahedron_diagonals(self):
-        diag = missing_faces(octahedron(), 1)
-        assert diag == {frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})}
+        # Its missing faces are the diagonals, edges: no missing triangle
+        # cuts it, and it is prime.
+        c = octahedron()
+        pairs = set(map(frozenset, combinations(c.vertex_ids, 2)))
+        assert pairs - all_faces(c, 1) == {frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})}
+        assert decompose(c) == ((c,), [])
 
-    def test_simplex_boundary_has_no_small_missing_faces(self):
-        c = simplex_boundary(4)
-        for k in range(0, 4):
-            assert missing_faces(c, k) == frozenset()
-        assert missing_faces(c, 4) == {frozenset(range(1, 6))}
+    def test_simplex_boundary_has_no_missing_simplex(self):
+        assert cell_missing_by_masks(*sphere_cells(simplex_boundary(4))) == []
 
     def test_bipyramid_missing_triangle(self):
-        assert missing_faces(triangle_bipyramid(), 2) == {frozenset({1, 2, 3})}
+        assert cell_missing_by_masks(*sphere_cells(triangle_bipyramid())) == [frozenset({1, 2, 3})]
 
     def test_bipyramid_decomposition(self):
         factors, tree_edges = decompose(triangle_bipyramid())
@@ -405,27 +350,6 @@ def cyclic_spheres(draw):
     d = draw(st.integers(3, 6))
     n = draw(st.integers(d + 1, d + 5))
     return SimplicialComplex.from_facets(almost_cyclic_facets(ASPParams(d, n, 0)))
-
-
-class TestPrimeDecompositionMatchesScan:
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(stacked_spheres(), special_facet_boundaries(), cyclic_spheres()))
-    def test_same_factors_and_cuts(self, sphere):
-        factors, cuts = prime_decomposition_by_scan(sphere)
-        got, tree_edges = decompose(sphere)
-        assert {f.facets for f in got} == set(factors)
-        assert len(got) == len(factors)
-        assert {a for _, _, a in tree_edges} == set(cuts)
-        assert len(tree_edges) == len(cuts)
-        for i, j, a in tree_edges:
-            assert a in got[i].facets and a in got[j].facets
-
-    def test_stacked_spheres_split_into_simplices(self):
-        for d in range(3, 8):
-            sphere = stacked_sphere(d, d + 4, (0, 2, 5))
-            factors, cuts = prime_decomposition_by_scan(sphere)
-            assert len(factors) == 4 and len(cuts) == 3
-            assert is_stacked_sphere(sphere)
 
 
 class TestASPComplex:
@@ -542,12 +466,12 @@ def facet_orders(draw):
 
 @st.composite
 def relabelled_orders(draw):
-    """A complex and a facet order on far-apart, possibly negative vertex ids.
+    """A complex and a facet order, on its own ids or on far-apart, possibly negative ones.
 
     The order is a line shelling of a cyclic polytope's boundary, its
-    reversal, or one of facet_orders' shuffled and grown orders; then the
-    ids are sent to distinct integers anywhere in [-10^12, 10^12].  The
-    order may drop or repeat a facet, which must be refused.
+    reversal, or one of facet_orders' shuffled and grown orders; the ids
+    are kept or sent to distinct integers anywhere in [-10^12, 10^12].
+    The order may drop or repeat a facet, which must be refused.
     """
     kind = draw(st.sampled_from(["line", "reversed", "shuffled or grown"]))
     if kind == "shuffled or grown":
@@ -559,12 +483,13 @@ def relabelled_orders(draw):
         c, order = cert.complex, list(cert.order)
         if kind == "reversed":
             order.reverse()
-    ids = c.vertex_ids
-    size = len(ids)
-    new = draw(st.lists(st.integers(-(10**12), 10**12), min_size=size, max_size=size, unique=True))
-    relabel = dict(zip(ids, new))
-    c = SimplicialComplex.from_facets([relabel[x] for x in f] for f in c.facets)
-    order = [[relabel[x] for x in f] for f in order]
+    if draw(st.booleans()):
+        ids = c.vertex_ids
+        size = len(ids)
+        labels = st.integers(-(10**12), 10**12)
+        relabel = dict(zip(ids, draw(st.lists(labels, min_size=size, max_size=size, unique=True))))
+        c = SimplicialComplex.from_facets([relabel[x] for x in f] for f in c.facets)
+        order = [[relabel[x] for x in f] for f in order]
     broken = draw(st.sampled_from([None, None, "drop", "repeat"]))
     if broken == "drop":
         order.pop()
@@ -583,22 +508,12 @@ def shelling_outcome(check, c, order):
         return "DomainError", str(exc)
 
 
-class TestShellingMatchesPairwise:
-    @settings(deadline=None, max_examples=200)
-    @given(facet_orders())
-    def test_same_certificate_or_failing_step(self, case):
-        # Shuffled and grown orders on the complexes' own ids: the same
-        # certificate, or the same refusal type, step and text.
-        c, order = case
-        got = shelling_outcome(verify_shelling, c, order)
-        assert got == shelling_outcome(verify_shelling_pairwise, c, order)
-
-
 class TestShellingMatchesFrozensets:
     """verify_shelling's ridge masks over vertex ranks against the pairwise
-    oracle's frozensets of ids, on ids far apart and negative."""
+    oracle's frozensets of ids, on the complexes' own ids and on ids far
+    apart and negative."""
 
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=400)
     @given(relabelled_orders())
     def test_same_certificate_or_refusal(self, case):
         # Ridges as masks over vertex ranks: the same restriction faces as
@@ -648,13 +563,25 @@ def cyclic_asps(draw):
     return ASPComplex(p, ball, frozenset(range(1, d + s + 1)))
 
 
+@st.composite
+def stacked_cyclic_asps(draw):
+    """A cyclic ASP stacked over up to three ball facets, F untouched: a new
+    vertex shares a cell with only d others, and the stacked simplices
+    split off as prime factors of the refined sphere."""
+    asp = draw(cyclic_asps())
+    for k in draw(st.lists(st.integers(0, 10**6), max_size=3)):
+        asp = stack_over(asp, k % asp.ball.n_facets)
+    return asp
+
+
 def refined_cells(asp):
     return refined_frozenset_cells(asp), asp.params.d
 
 
 SPHERES = st.one_of(stacked_spheres(), special_facet_boundaries(), cyclic_spheres())
 CELL_LISTS = st.one_of(
-    SPHERES.map(sphere_cells), st.one_of(minimizer_balls(), cyclic_asps()).map(refined_cells)
+    SPHERES.map(sphere_cells),
+    st.one_of(minimizer_balls(), stacked_cyclic_asps()).map(refined_cells),
 )
 
 
@@ -662,7 +589,7 @@ class TestIndexedMatchesOracles:
     """The indexed searches, decomposition and face counts against tests/oracles.py.
 
     The bitmask search and decomposition are compared with the ridge scan
-    and the per-split decomposition.
+    and the per-split decomposition, which scans every part afresh.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -710,6 +637,26 @@ class TestIndexedMatchesOracles:
             prime_decomposition(fat)
         with pytest.raises(PseudomanifoldError):
             cell_decomposition_by_masks(*sphere_cells(fat))
+
+
+class TestPrimeDecompositionMatchesScan:
+    """prime_decomposition, through _prime_cells, against the per-split
+    decomposition, which scans every part afresh for its missing simplices."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(SPHERES)
+    def test_same_factors_and_cuts(self, sphere):
+        factors, cuts = cell_decomposition_per_split(*sphere_cells(sphere))
+        got, tree_edges = decompose(sphere)
+        assert got == tuple(SimplicialComplex.from_facets(c.vertices for c in f) for f in factors)
+        assert tree_edges == cuts
+
+    def test_stacked_spheres_split_into_simplices(self):
+        for d in range(3, 8):
+            sphere = stacked_sphere(d, d + 4, (0, 2, 5))
+            factors, tree_edges = decompose(sphere)
+            assert len(factors) == 4 and len(tree_edges) == 3
+            assert is_stacked_sphere(sphere)
 
 
 def certified_without_negative_defect(asp, v) -> bool:

@@ -7,7 +7,6 @@ that the facet generator replaced is kept here as its oracle.
 """
 
 import hashlib
-from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -26,100 +25,41 @@ from aspoly.gale import (
 )
 
 
-@dataclass(frozen=True)
-class GaleQuery:
-    params: ASPParams
-    subset: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(not 1 <= v <= self.params.n for v in self.subset):
-            raise DomainError("vertex ids must lie in 1..n")
-        if list(self.subset) != sorted(set(self.subset)):
-            raise DomainError("subset must be sorted and duplicate-free")
-
-
-def gale_even(q: GaleQuery) -> bool:
-    """Oracle: all-pairs evenness, every out-pair sees an even subset count between."""
-    inside = set(q.subset)
-    outside = [v for v in range(1, q.params.n + 1) if v not in inside]
+def gale_even(n: int, subset) -> bool:
+    """Oracle: all-pairs evenness, every out-pair of 1..n sees an even subset count between."""
+    inside = set(subset)
+    outside = [v for v in range(1, n + 1) if v not in inside]
     for i, u in enumerate(outside):
         for v in outside[i + 1 :]:
-            between = sum(1 for w in q.subset if u < w < v)
+            between = sum(1 for w in subset if u < w < v)
             if between % 2:
                 return False
     return True
 
 
-def gale_even_contiguous(q: GaleQuery) -> bool:
-    """Oracle: the evenness rule checked on consecutive out-pairs only."""
-    inside = set(q.subset)
-    outside = [v for v in range(1, q.params.n + 1) if v not in inside]
-    for u, v in zip(outside, outside[1:]):
-        if sum(1 for w in q.subset if u < w < v) % 2:
-            return False
-    return True
-
-
 def simplex_facets_by_scan(params: ASPParams) -> list[frozenset[int]]:
-    """Oracle: every Gale-even d-subset of 1..n not inside the prefix block."""
+    """Oracle: every Gale-even d-subset of 1..n not inside the prefix block, in order."""
     block = special_block(params)
-    out = []
-    for sub in combinations(range(1, params.n + 1), params.d):
-        fs = frozenset(sub)
-        if fs <= block:
-            continue
-        if gale_even(GaleQuery(params, sub)):
-            out.append(fs)
-    return sorted(out, key=lambda f: tuple(sorted(f)))
+    subsets = map(frozenset, combinations(range(1, params.n + 1), params.d))
+    return [f for f in subsets if not f <= block and gale_even(params.n, f)]
 
 
 def interior_tuples_by_scan(params: ASPParams) -> list[frozenset[int]]:
-    """Oracle: every Gale-even d-subset strictly inside the prefix block."""
+    """Oracle: every Gale-even d-subset strictly inside the prefix block, in order."""
     block = special_block(params)
-    out = []
-    for sub in combinations(sorted(block), params.d):
-        fs = frozenset(sub)
-        if fs == block:
-            continue
-        if gale_even(GaleQuery(params, sub)):
-            out.append(fs)
-    return sorted(out, key=lambda f: tuple(sorted(f)))
-
-
-def q(d: int, n: int, s: int, subset) -> GaleQuery:
-    return GaleQuery(ASPParams(d, n, s), tuple(subset))
+    subsets = map(frozenset, combinations(sorted(block), params.d))
+    return [f for f in subsets if f != block and gale_even(params.n, f)]
 
 
 class TestPredicate:
     def test_prefix_subset_is_even(self):
-        assert gale_even(q(4, 7, 0, [1, 2, 3, 4]))
+        assert gale_even(7, [1, 2, 3, 4])
 
     def test_odd_gap_detected(self):
-        assert not gale_even(q(4, 7, 0, [1, 3, 4, 6]))
+        assert not gale_even(7, [1, 3, 4, 6])
 
     def test_split_ends_even(self):
-        assert gale_even(q(4, 7, 0, [1, 2, 6, 7]))
-
-    def test_subset_validation(self):
-        with pytest.raises(DomainError):
-            q(4, 7, 0, [0, 1, 2, 3])
-        with pytest.raises(DomainError):
-            q(4, 7, 0, [4, 3, 2, 1])
-
-    @given(
-        st.integers(min_value=3, max_value=6),
-        st.integers(min_value=0, max_value=3),
-        st.data(),
-    )
-    def test_all_pairs_equals_contiguous(self, d, s, data):
-        n = data.draw(st.integers(min_value=d + s + 1, max_value=d + s + 5))
-        subset = data.draw(
-            st.sets(
-                st.integers(min_value=1, max_value=n), min_size=d, max_size=d
-            )
-        )
-        query = q(d, n, s, sorted(subset))
-        assert gale_even(query) == gale_even_contiguous(query)
+        assert gale_even(7, [1, 2, 6, 7])
 
 
 class TestFacetLists:
@@ -184,7 +124,7 @@ class TestInteriorTuples:
         block = special_block(p)
         for t in interior_tuples(p):
             assert t < block
-            assert gale_even(GaleQuery(p, tuple(sorted(t))))
+            assert gale_even(p.n, t)
 
 
 GRID = [(d, n, s) for d in range(3, 7) for s in range(4) for n in range(d + s + 1, 17)]

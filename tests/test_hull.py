@@ -60,7 +60,6 @@ from aspoly.hull import (
     line_shelling,
     stack_over_special,
 )
-import oracles
 from oracles import (
     drawn_asp_points,
     extend_config,
@@ -83,9 +82,9 @@ def config_from_coords(coords) -> PointConfig:
 def facets_by_subset_scan(config: PointConfig) -> tuple[FacetDescriptor, ...]:
     """Oracle: test every d-subset, as facet enumeration once did.
 
-    A d-subset's hyperplane normal comes from the d+1 cofactors of its
-    homogeneous coordinate matrix; the subset supports a facet exactly
-    when one strict side is empty.  Facets are deduplicated by the full
+    A d-subset spans a hyperplane when the kernel of its homogeneous
+    coordinate rows is one line, and supports a facet exactly when one
+    strict side of that plane is empty.  Facets are deduplicated by the full
     set of points on the hyperplane and sorted by their sorted vertex ids.
     """
     n, d = config.n, config.d
@@ -98,10 +97,10 @@ def facets_by_subset_scan(config: PointConfig) -> tuple[FacetDescriptor, ...]:
     for subset in combinations(range(n), d):
         if any(frozenset(i + 1 for i in subset) <= on for on in found):
             continue
-        rows = [hom[i] for i in subset]
-        w = [(-1) ** (d + c) * int_det([r[:c] + r[c + 1 :] for r in rows]) for c in range(d + 1)]
-        if not any(w):
+        kernel = int_nullspace([hom[i] for i in subset])
+        if len(kernel) != 1:
             continue
+        w = kernel[0]
         dots = [sum(a * x for a, x in zip(w, h)) for h in hom]
         if min(dots) < 0 < max(dots):
             continue
@@ -227,63 +226,6 @@ def geometry_f_vector(geom):
     if geom.ball is not None:
         return geom.ball.f_polytope()
     return f_vector(geom.boundary_complex())
-
-
-def hull_as_sets(hom):
-    """hull._beneath_beyond with each facet's mask read as a frozenset of point indexes."""
-    return {frozenset(hull._ids(m)): list(w) for m, w in hull._beneath_beyond(hom).items()}
-
-
-def gift_wrap_per_ridge(hom):
-    """Oracle: the gift-wrap that crosses every ridge, solving one kernel each.
-
-    The first facet comes from the support at the point of least x_1,
-    rotated about its face (oracles.rotate_with_values, which carries
-    every facet's values at all points) until the face spans a
-    hyperplane.  Each ridge is crossed from whichever of its facets is
-    popped first, even when the facet on its other side is already
-    found; each ridge's g is the kernel of [ridge rows; a point off the
-    facet], oriented negative on the facet's points off the ridge, and a
-    non-simplex facet's ridges come from this oracle one dimension down.
-    """
-    d = len(hom[0]) - 1
-    low = min(range(len(hom)), key=lambda i: Fraction(hom[i][1], hom[i][0]))
-    w = hull._primitive([-hom[low][1], hom[low][0]] + [0] * (d - 1))
-    a = hull._dots(w, hom)
-    while True:
-        off = hom[a.index(max(a))]
-        kernel = int_nullspace([h for h, x in zip(hom, a) if x == 0] + [off])
-        if not kernel:
-            break
-        w, a = oracles.rotate_with_values(hom, w, a, kernel[0])
-    first = frozenset(i for i, x in enumerate(a) if x == 0)
-    found = {first: (w, a)}
-    queue = [first]
-    crossed = set()
-    while queue:
-        facet = queue.pop()
-        w, a = found[facet]
-        off = hom[a.index(max(a))]
-        if len(facet) == d:
-            ridges = [facet - {i} for i in facet]
-        else:
-            j = next(c for c in range(1, d + 1) if w[c])
-            ids = sorted(facet)
-            sub = [hom[i][:j] + hom[i][j + 1 :] for i in ids]
-            ridges = [frozenset(ids[k] for k in r) for r in gift_wrap_per_ridge(sub)]
-        for ridge in ridges:
-            if ridge in crossed:
-                continue
-            crossed.add(ridge)
-            g = int_nullspace([hom[i] for i in ridge] + [off])[0]
-            if hull._dot(g, hom[min(facet - ridge)]) > 0:
-                g = [-x for x in g]
-            nw, na = oracles.rotate_with_values(hom, w, a, g)
-            key = frozenset(i for i, x in enumerate(na) if x == 0)
-            if key not in found:
-                found[key] = (nw, na)
-                queue.append(key)
-    return {facet: w for facet, (w, _) in found.items()}
 
 
 class LcmLines:
@@ -488,8 +430,8 @@ def distinct_config(coords):
 
 
 @st.composite
-def general_position_configs(draw, max_d=5):
-    d = draw(st.integers(2, max_d))
+def general_position_configs(draw):
+    d = draw(st.integers(2, 7))
     n = draw(st.integers(d + 1, 11))
     # Coordinates in [-1000, 1000] over one denominator 1..7 per point:
     # integer draws, far cheaper than st.fractions.
@@ -502,9 +444,9 @@ def general_position_configs(draw, max_d=5):
 
 
 @st.composite
-def configs_with_interior_points(draw, max_d=4):
+def configs_with_interior_points(draw):
     """Random hull points plus points at positive weighted means of all of them."""
-    d = draw(st.integers(2, max_d))
+    d = draw(st.integers(2, 7))
     outer = draw(
         st.lists(st.tuples(*[st.integers(-30, 30)] * d), min_size=d + 1, max_size=8)
     )
@@ -522,10 +464,10 @@ def configs_with_interior_points(draw, max_d=4):
 
 
 @st.composite
-def special_position_configs(draw, max_d=4):
+def special_position_configs(draw):
     """Many points per hyperplane: subsets of the grid {0,1,2}^d, or a
     lattice-point base on x_d = 0 with apexes on either side."""
-    d = draw(st.integers(2, max_d))
+    d = draw(st.integers(2, 7))
     if draw(st.booleans()):
         grid = list(product(range(3), repeat=d))
         pts = draw(st.lists(st.sampled_from(grid), min_size=d + 1, max_size=12, unique=True))
@@ -535,6 +477,33 @@ def special_position_configs(draw, max_d=4):
         pts = draw(st.lists(base, min_size=d, max_size=10, unique=True))
         pts += draw(st.lists(apex, min_size=1, max_size=3, unique=True))
     return distinct_config(draw(st.permutations(pts)))
+
+
+# Fixed solids, and the cases where the start simplex skips points.
+SOLIDS = {
+    "cube3": [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+    "cube4": [(x, y, z, w) for x in (0, 1) for y in (0, 1) for z in (0, 1) for w in (0, 1)],
+    # prism over a pentagon
+    "prism": [(x, y, z) for x, y in ((2, 0), (1, 2), (-1, 2), (-2, 0), (0, -2)) for z in (0, 3)],
+    # cross-polytopes
+    "cross3": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    "cross4": [tuple(s if j == i else 0 for j in range(4)) for i in range(4) for s in (1, -1)],
+    # pyramid over a 3-cube: square pyramids are facets with square ridges
+    "pyramid4": [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(0, 0, 0, 1)],
+    # octahedron with the equator's edge midpoints added
+    "octa_mid": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+                 (Fraction(1, 2), Fraction(1, 2), 0), (Fraction(-1, 2), Fraction(1, 2), 0)],
+    "grid4": [(x, y, z, w) for x in range(3) for y in range(2) for z in range(2) for w in range(2)],
+    # The first d+1 points in insertion order are dependent: the start
+    # simplex skips (1, 0) and (3, 0), which are inserted onto its bottom
+    # edge and stay there ...
+    "skip_edge": [(0, 0), (1, 0), (3, 0), (4, 0), (2, 3)],
+    # ... or end inside the hull once (2, 3) is inserted beyond it.
+    "skip_interior": [(0, 0), (1, 0), (3, 0), (4, 0), (2, -3), (2, 3)],
+    # (3, 3, 0) is skipped, then inserted beyond one facet of the start
+    # simplex and on the hyperplane of another.
+    "skip_beyond": [(0, 0, 0), (4, 0, 0), (1, 3, 0), (3, 3, 0), (2, 1, 2)],
+}
 
 
 def spans_space(config: PointConfig) -> bool:
@@ -549,7 +518,28 @@ def check_against_oracle(config: PointConfig) -> None:
             enumerate_facets(config)
 
 
+def check_wrap_per_ridge(hom) -> None:
+    """A wrap across every ridge closes on the beneath-beyond hull.
+
+    Each facet's ridges (hull._ridges) are held by exactly two facets and
+    are the points those two share, and crossing ridges from one facet
+    reaches every facet.
+    """
+    ridges_of = {f: hull._ridges(hom, f, w) for f, w in hull._beneath_beyond(hom).items()}
+    held = {}
+    for f, rs in ridges_of.items():
+        for r in rs:
+            held.setdefault(r, []).append(f)
+    assert all(len(fs) == 2 and fs[0] & fs[1] == r for r, fs in held.items())
+    reached = [min(ridges_of)]
+    for f in reached:
+        reached += [g for r in ridges_of[f] for g in held[r] if g not in reached]
+    assert sorted(reached) == sorted(ridges_of)
+
+
 class TestGiftWrapOracle:
+    """The beneath-beyond hull against the subset scan, and its ridge bookkeeping."""
+
     def test_frozen_hulls(self):
         # Every facet's vertex ids, normal and offset on the paper curve's
         # cells d 3..6, s 0..3, n <= 16, plus three cells past the caps,
@@ -562,41 +552,6 @@ class TestGiftWrapOracle:
             for facets in [enumerate_facets(paper_curve_points(ASPParams(*cell)))]
         ]
         assert len(payload) == 163 and digest(payload) == "c05a55dd16ef67a5"
-
-    @pytest.mark.parametrize(
-        "configs", [general_position_configs, configs_with_interior_points, special_position_configs]
-    )
-    @settings(deadline=None, max_examples=40)
-    @given(data=st.data())
-    def test_matches_per_ridge_wrap(self, configs, data):
-        # The same facets with the same planes up to d = 7, on inputs with
-        # many points on one hyperplane too (special position).
-        config = data.draw(configs(max_d=7))
-        assume(spans_space(config))
-        hom = config.hom
-        assert hull_as_sets(hom) == gift_wrap_per_ridge(hom)
-
-    @pytest.mark.parametrize(
-        "coords",
-        [
-            [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
-            [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(0, 0, 0, 1)],
-            [(x, y, z, w) for x in range(3) for y in range(2) for z in range(2) for w in range(2)],
-            # The first d+1 points in insertion order are dependent: the
-            # start simplex skips (1, 0) and (3, 0), which are inserted onto
-            # its bottom edge and stay there ...
-            [(0, 0), (1, 0), (3, 0), (4, 0), (2, 3)],
-            # ... or end inside the hull once (2, 3) is inserted beyond it.
-            [(0, 0), (1, 0), (3, 0), (4, 0), (2, -3), (2, 3)],
-            # (3, 3, 0) is skipped, then inserted beyond one facet of the
-            # start simplex and on the hyperplane of another.
-            [(0, 0, 0), (4, 0, 0), (1, 3, 0), (3, 3, 0), (2, 1, 2)],
-        ],
-        ids=["cube3", "pyramid4", "grid4", "skip_edge", "skip_interior", "skip_beyond"],
-    )
-    def test_fixed_cases_match_per_ridge_wrap(self, coords):
-        hom = config_from_coords(coords).hom
-        assert hull_as_sets(hom) == gift_wrap_per_ridge(hom)
 
     def test_insertion_counts(self, monkeypatch):
         # Every facet the insertion adds registers its ridges once, so the
@@ -679,26 +634,23 @@ class TestGiftWrapOracle:
                 gale = almost_cyclic_facets(p)
                 assert len(facets) == len(gale) and {f.vertex_ids for f in facets} == set(gale)
 
+    @pytest.mark.parametrize("name", SOLIDS)
+    def test_solids(self, name):
+        check_against_oracle(config_from_coords(SOLIDS[name]))
+
+    @pytest.mark.parametrize("name", SOLIDS)
+    def test_fixed_cases_match_per_ridge_wrap(self, name):
+        check_wrap_per_ridge(config_from_coords(SOLIDS[name]).hom)
+
     @pytest.mark.parametrize(
-        "coords",
-        [
-            [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
-            [(x, y, z, w) for x in (0, 1) for y in (0, 1) for z in (0, 1) for w in (0, 1)],
-            # prism over a pentagon
-            [(x, y, z) for x, y in ((2, 0), (1, 2), (-1, 2), (-2, 0), (0, -2)) for z in (0, 3)],
-            # cross-polytopes
-            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
-            [tuple(s if j == i else 0 for j in range(4)) for i in range(4) for s in (1, -1)],
-            # pyramid over a 3-cube: square pyramids are facets with square ridges
-            [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(0, 0, 0, 1)],
-            # octahedron with the equator's edge midpoints added
-            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-             (Fraction(1, 2), Fraction(1, 2), 0), (Fraction(-1, 2), Fraction(1, 2), 0)],
-        ],
-        ids=["cube3", "cube4", "prism", "cross3", "cross4", "pyramid4", "octa_mid"],
+        "configs", [general_position_configs, configs_with_interior_points, special_position_configs]
     )
-    def test_solids(self, coords):
-        check_against_oracle(config_from_coords(coords))
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matches_per_ridge_wrap(self, configs, data):
+        config = data.draw(configs())
+        assume(spans_space(config))
+        check_wrap_per_ridge(config.hom)
 
     @settings(deadline=None, max_examples=60)
     @given(general_position_configs())
@@ -1482,27 +1434,20 @@ class TestLexicographicOrder:
         with pytest.raises(DegeneracyError, match="parallel"):
             lines_with_normals([(0, 2), (3, 1)]).order([1, 1, 0])
 
-    @settings(deadline=None, max_examples=40)
-    @given(stacking_cases(), st.data())
-    def test_matches_lcm_keys_on_stacked_hulls(self, case, data):
-        cell, toward, closeness = case
-        q = stack_over_special(asp_geometry(*cell), toward=toward, closeness=closeness)
-        hb = homogeneous(centroid(q))
-        coord = st.fractions(min_value=-20, max_value=20, max_denominator=5)
-        target = data.draw(
-            st.one_of(st.sampled_from([c for _, c in rational_points(q.config)]), st.tuples(*[coord] * q.d))
-        )
-        lines = _LinesFrom(based_at(q.facets, hb))
-        same_order(lines, LcmLines(q, hb), homogeneous(target))
-
-    @settings(deadline=None, max_examples=150)
-    @given(TIED_PLANES, TIED_TARGET)
-    def test_lazy_matches_eager_with_ties(self, planes, target):
+    @settings(deadline=None, max_examples=300)
+    @given(TIED_PLANES, TIED_TARGET, st.data())
+    def test_matches_lcm_keys_on_planes(self, planes, target, data):
         # Facets off + a.x >= 0 seen from the origin: A = off varies, and
         # small integers make ties and parallel hyperplanes common.  The
+        # target is drawn as it is, or as (t0, k*a2, -k*a1), whose line
+        # from the origin runs parallel to the facet of a drawn plane.  The
         # floored keys evaluate each facet once, at the target, and give
         # the order, or the refusal, of LcmLines' exact ratios.
         geom = planes_geometry(planes)
+        if data.draw(st.booleans()):
+            _, a1, a2 = data.draw(st.sampled_from(planes))
+            t0, k, _ = target
+            target = (t0, k * a2, -k * a1)
         evaluated = Counter()
         dot = hull._dot
 
@@ -1519,32 +1464,27 @@ class TestLexicographicOrder:
         assert evaluated == Counter((tuple(target), p) for p in planes)
         same_order(lines, LcmLines(geom, [1, 0, 0]), target)
 
-    @settings(deadline=None, max_examples=150)
-    @given(TIED_PLANES, TIED_TARGET, st.data())
-    def test_lazy_matches_eager_with_parallel_targets(self, planes, target, data):
-        # The line toward (t0, k*a2, -k*a1) from the origin is parallel to
-        # the facet off + a.x >= 0.  The floored keys against the exact ones
-        # of LcmLines.
-        geom = planes_geometry(planes)
-        _, a1, a2 = data.draw(st.sampled_from(planes))
-        t0, k, _ = target
-        same_order(_LinesFrom(geom), LcmLines(geom, [1, 0, 0]), (t0, k * a2, -k * a1))
-
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=80)
     @given(stacking_cases(), st.data())
-    def test_lazy_matches_eager_parallel_on_stacked_hulls(self, case, data):
-        # A target centroid + (0, delta), delta in a facet's hyperplane
-        # direction, so the line runs parallel to that facet (with
+    def test_matches_lcm_keys_on_stacked_hulls(self, case, data):
+        # The target is a point of the configuration, any rational point,
+        # or centroid + (0, delta) with delta in a facet's hyperplane
+        # direction, so that the line runs parallel to that facet (with
         # big-integer keys on the paper's curve).
         cell, toward, closeness = case
         q = stack_over_special(asp_geometry(*cell), toward=toward, closeness=closeness)
-        normal = data.draw(st.sampled_from(q.facets)).plane[1:]
-        hb = q.centroid
-        i, j = data.draw(st.lists(st.integers(0, q.d - 1), min_size=2, max_size=2, unique=True))
-        k = data.draw(st.integers(1, 5))
-        delta = [0] * q.d
-        delta[i], delta[j] = k * normal[j], -k * normal[i]
-        target = [hb[0], *(b + x for b, x in zip(hb[1:], delta))]
+        if data.draw(st.booleans()):
+            normal = data.draw(st.sampled_from(q.facets)).plane[1:]
+            hb = q.centroid
+            i, j = data.draw(st.lists(st.integers(0, q.d - 1), min_size=2, max_size=2, unique=True))
+            k = data.draw(st.integers(1, 5))
+            delta = [0] * q.d
+            delta[i], delta[j] = k * normal[j], -k * normal[i]
+            target = [hb[0], *(b + x for b, x in zip(hb[1:], delta))]
+        else:
+            coord = st.fractions(min_value=-20, max_value=20, max_denominator=5)
+            points = st.sampled_from([c for _, c in rational_points(q.config)])
+            target = homogeneous(data.draw(st.one_of(points, st.tuples(*[coord] * q.d))))
         same_order(_LinesFrom(q), LcmLines(q, homogeneous(centroid(q))), target)
 
 

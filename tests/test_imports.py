@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, and every public
 library name, public method of a library class and field of a library
 dataclass is read outside tests/; every name tests/oracles.py defines or
-imports is read too, so a retired oracle does not linger unused.
+imports, and every helper, constant and import of a tests/test_*.py, is
+read too, so a retired oracle or a folded test leaves no orphan.
 
 Parses the library modules (all but the package ``__init__``) and the
 scripts with ``ast``; a name counts as used when it is read anywhere in
@@ -182,39 +183,59 @@ def top_level_names(tree: ast.Module):
             yield name, node.lineno, node.end_lineno
 
 
-def oracle_reads(tree: ast.Module) -> set[str]:
-    """Names a test module reads from oracles: imported from it and loaded, or as oracles.<name>."""
+def name_reads(tree: ast.Module) -> tuple[list[tuple[str, int]], dict[str, set[str]]]:
+    """(name, line) of each name loaded, and per module the names read from
+    it: imported from it and loaded, or as module.<name>."""
+    nodes = list(ast.walk(tree))
     imported = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in nodes
+        if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    out = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in imported:
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "oracles":
-            out.add(n.attr)
-    return out
+    loads, from_module = [], {}
+    for n in nodes:
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            loads.append((n.id, n.lineno))
+            if n.id in imported:
+                module, name = imported[n.id]
+                from_module.setdefault(module, set()).add(name)
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            from_module.setdefault(n.value.id, set()).add(n.attr)
+    return loads, from_module
 
 
 def test_every_oracle_name_is_read():
-    """Each top-level name of tests/oracles.py is loaded in oracles.py outside
-    its own definition, read from oracles by another test module, or named
-    in a CI workflow (which runs python -c snippets that import it)."""
-    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
-    spans = {name: (first, last) for name, first, last in top_level_names(tree)}
-    read = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in spans:
-            first, last = spans[n.id]
-            if not first <= n.lineno <= last:
-                read.add(n.id)
-    for path in sorted((ROOT / "tests").glob("*.py")):
-        if path != ORACLES:
-            read |= oracle_reads(ast.parse(path.read_text(), filename=str(path)))
+    """Each top-level name of tests/oracles.py, and each top-level helper,
+    constant and import of a tests/test_*.py, is read, so that a retired
+    oracle or a folded test leaves no orphan.
+
+    The test functions and Test classes pytest collects are exempt.  A name
+    counts as read when its module loads it outside its own definition, or
+    another test module reads it from that module; a name of oracles.py
+    also counts when a CI workflow names it (CI runs python -c snippets
+    that import it).
+    """
+    paths = [ORACLES, *sorted((ROOT / "tests").glob("test_*.py"))]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    reads = {path: name_reads(tree) for path, tree in trees.items()}
     workflows = " ".join(p.read_text() for p in sorted((ROOT / ".github" / "workflows").glob("*.yml")))
-    read |= {name for name in spans if re.search(rf"\b{name}\b", workflows)}
-    unread = sorted(set(spans) - read)
-    assert not unread, f"tests/oracles.py names nothing reads: {unread}"
+    unread = []
+    for path, tree in trees.items():
+        spans = {
+            name: (first, last)
+            for name, first, last in top_level_names(tree)
+            if not name.startswith(("test", "Test"))
+        }
+        read = {
+            name
+            for name, line in reads[path][0]
+            if name in spans and not spans[name][0] <= line <= spans[name][1]
+        }
+        for other, (_, from_module) in reads.items():
+            if other != path:
+                read |= from_module.get(path.stem, set())
+        if path == ORACLES:
+            read |= {name for name in spans if re.search(rf"\b{name}\b", workflows)}
+        unread += [f"{path.name}: {name}" for name in sorted(set(spans) - read)]
+    assert not unread, f"top-level names in tests/ nothing reads: {unread}"

@@ -27,6 +27,7 @@ def test_shelling_experiment_runs(tmp_path):
     # An empty grid is refused, not reported as 0/0 certified.
     for flag, value, message in (
         ("--d", "5..3", "--d must be v or a..b with a <= b, got 5..3"),
+        ("--d", "x", "--d must be v or a..b with a <= b, got x"),
         ("--n-span", "0", "--n-span must be at least 1, got 0"),
     ):
         proc = run_script(str(ROOT / "scripts" / "shelling_experiment.py"), flag, value)

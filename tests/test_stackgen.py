@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 from dataclasses import replace
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from aspoly.complexes import (
     _vertex_bits,
     boundary_of_ball,
     f_vector,
-    face_key,
     validate_asp,
 )
 from aspoly.enumerative import (
@@ -45,9 +43,9 @@ from aspoly.stackgen import (
 )
 from oracles import (
     almost_stacked_by_sorting,
-    carried_missing,
     cell_decomposition_by_masks,
     cell_missing_by_masks,
+    cell_missing_by_ridge_scan,
     cell_split,
     h_stack,
     h_stack_by_sorting,
@@ -87,43 +85,19 @@ def cyclic_ball(d, n, s):
     return asp
 
 
-def cell_has_face(cells, d, a):
-    """Oracle: a is a face of some cell, scanning the whole cell list."""
-    for c in cells:
-        if c.is_simplex(d):
-            if a <= c.vertices:
-                return True
-        elif a == c.vertices or any(a <= r for r in c.ridges):
-            return True
-    return False
+def check_missing_at_every_split(cells, d):
+    """The bitmask search against the ridge scan at every level of the split
+    recursion, where each part carries the missing simplices of its parent
+    that lie in its vertex set, as _cell_decomposition hands them down."""
 
+    def split(part, carried):
+        assert cell_missing_by_ridge_scan(part, d) == carried
+        for side in cell_split(part, carried[0]) if carried else ():
+            verts = frozenset().union(*(c.vertices for c in side))
+            split(side, [m for m in carried[1:] if m <= verts])
 
-def cell_missing_simplices_by_scan(cells, d):
-    """Oracle: test every d-subset of the vertices with cell_has_face."""
-    verts = sorted(set().union(*(c.vertices for c in cells)))
-    out = []
-    for cand in combinations(verts, d):
-        a = frozenset(cand)
-        if cell_has_face(cells, d, a):
-            continue
-        if all(cell_has_face(cells, d, a - {x}) for x in a):
-            out.append(a)
-    return sorted(out, key=face_key)
-
-
-def assert_missing_matches_scan(cells, d, carried=None):
-    """Compare with the oracle at every level of the split recursion.
-
-    Below the root, the missing set the recursion carries down must equal
-    both a fresh search and the scan.
-    """
     missing = cell_missing_by_masks(cells, d)
-    assert missing == cell_missing_simplices_by_scan(cells, d)
-    if carried is not None:
-        assert carried == missing
-    if missing:
-        for part in cell_split(cells, missing[0]):
-            assert_missing_matches_scan(part, d, carried_missing(part, missing[1:]))
+    split(cells, missing)
     return missing
 
 
@@ -578,7 +552,7 @@ class TestMissingSimplexSearch:
     )
     def test_matches_scan_on_minimizers(self, d, s, extra, seed, style):
         asp = random_minimizer(ASPParams(d, d + s + 1 + extra, s), seed, style=style)
-        assert_missing_matches_scan(refined_frozenset_cells(asp), d)
+        check_missing_at_every_split(refined_frozenset_cells(asp), d)
 
     @pytest.mark.parametrize(
         "cell", [(4, 7, 1), (4, 8, 2), (4, 9, 3), (5, 9, 1), (5, 10, 2), (6, 11, 1), (6, 12, 3)]
@@ -589,14 +563,14 @@ class TestMissingSimplexSearch:
         asp = cyclic_ball(*cell)
         cells = refined_frozenset_cells(asp)
         assert any(not c.is_simplex(cell[0]) for c in cells) == (cell[0] > 4)
-        assert_missing_matches_scan(cells, cell[0])
+        check_missing_at_every_split(cells, cell[0])
         for k in range(3):
             stacked = stack_over(asp, k)
-            assert_missing_matches_scan(refined_frozenset_cells(stacked), cell[0])
+            check_missing_at_every_split(refined_frozenset_cells(stacked), cell[0])
 
     def test_matches_scan_on_pyramid_over_octahedron(self):
         asp = ASPComplex(ASPParams(4, 7, 2), pyramid(octahedron(), 7), frozenset(range(1, 7)))
-        assert assert_missing_matches_scan(refined_frozenset_cells(asp), 4) == []
+        assert check_missing_at_every_split(refined_frozenset_cells(asp), 4) == []
 
     @pytest.mark.parametrize("cell, seed, style, regime, factors", FROZEN_MINIMIZERS)
     def test_frozen_minimizer_verdicts(self, cell, seed, style, regime, factors):
