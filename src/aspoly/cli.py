@@ -602,7 +602,7 @@ def main(argv=None) -> int:
         _parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
-    except (AspolyError, OSError, KeyError, ValueError) as exc:
+    except (AspolyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,8 +29,7 @@ Points, centroids, y and line targets are integer homogeneous vectors;
 the points are read as PointConfig holds them, with no conversion.  A
 geometry computes its centroid and every facet's value there once, and
 once the step's state for its special facet; stacking evaluates each
-kept facet once, at the exit point, and takes every value at y and at
-the new centroid by linearity and hands them to the stacked geometry.
+kept facet once, at the exit point, and takes its value at y by linearity.
 Line shellings are produced geometrically and every crossing order is
 re-checked by the independent combinatorial verifier, so a bug in the
 crossing logic cannot leak an invalid certificate.  The constrained
@@ -213,19 +212,15 @@ def _ids(m: int) -> list[int]:
     return [b.bit_length() - 1 for b in _bits(m)]
 
 
-def _pencil(
-    wg: Sequence[int], ag: int, wh: Sequence[int], ah: int
-) -> tuple[tuple[int, ...], int]:
-    """The primitive plane through the ridge G & H and a point x, and its divisor k.
+def _pencil(wg: Sequence[int], ag: int, wh: Sequence[int], ah: int) -> tuple[int, ...]:
+    """The primitive plane through the ridge G & H and a point x.
 
     wg and wh are the planes of the facets G and H, and ag < 0 < ah
-    their values at x.  The plane is k*w = ah*wg - ag*wh: 0 at x, and
-    at a point where both planes are >= 0 it is >= 0, and 0 exactly
-    where both are 0.
+    their values at x.  The plane is ah*wg - ag*wh made primitive: 0 at
+    x, and at a point where both planes are >= 0 it is >= 0, and 0
+    exactly where both are 0.
     """
-    w = [ah * a - ag * b for a, b in zip(wg, wh)]
-    k = math.gcd(*w)
-    return tuple([c // k for c in w]), k
+    return tuple(_primitive([ah * a - ag * b for a, b in zip(wg, wh)]))
 
 
 def _ridges(hom: Sequence[Sequence[int]], facet: int, w: Sequence[int]) -> list[int]:
@@ -382,7 +377,7 @@ class _Hull:
 
         Returns the facets i is beyond, those whose plane holds it, and the
         cone over each ridge between one it is beyond and one it is beneath,
-        as (mask, plane, k) from _pencil, by beyond facet and then by ridge.
+        as (mask, _pencil's plane), by beyond facet and then by ridge.
         """
         bit, planes, ridges_of, held = 1 << i, self.planes, self.ridges_of, self.held
         beyond, on, cones = [], [], []
@@ -397,7 +392,7 @@ class _Hull:
                     raise _unpaired(ridge, owners)
                 other = owners[1] if owners[0] == g else owners[0]
                 if (ah := values[other]) > 0:
-                    cones.append((ridge | bit, *_pencil(wg, ag, planes[other], ah)))
+                    cones.append((ridge | bit, _pencil(wg, ag, planes[other], ah)))
         return beyond, on, cones
 
     def insert(self, i: int) -> None:
@@ -410,7 +405,7 @@ class _Hull:
             w = planes[f]
             self.drop(f)
             self.add(f | 1 << i, w)
-        for facet, w, _ in cones:
+        for facet, w in cones:
             self.add(facet, w)
 
 
@@ -624,12 +619,12 @@ class _LinesFrom:
     equal keys.  A key has about the size of C plus twice that of A,
     whatever the number of facets.  The base point is the geometry's
     centroid and the values A its centroid_values, each computed once per
-    geometry (or handed over by stack_over_special), so the facet planes
-    are read as stored and not evaluated at the base here.  r = 1
-    (C*b0 = A*t0: a parallel hyperplane) or two equal keys (two
-    hyperplanes met at one point) is a degeneracy.  A parallel facet has
-    C/A = t0/b0, so its key is floor(t0 * 2^s / b0), and only facets with
-    that key are tested for one.  Orders are not verified here.
+    geometry, so the facet planes are read as stored and not evaluated at
+    the base here.  r = 1 (C*b0 = A*t0: a parallel hyperplane) or two
+    equal keys (two hyperplanes met at one point) is a degeneracy.  A
+    parallel facet has C/A = t0/b0, so its key is floor(t0 * 2^s / b0),
+    and only facets with that key are tested for one.  Orders are not
+    verified here.
     """
 
     def __init__(self, geom: ASPGeometry) -> None:
@@ -746,17 +741,12 @@ def stack_over_special(
     vertices (enumerate_facets and certified_geometry establish this).
     The check made is O(d): the cone's plane is 0 at the d-1 vertices of
     R and > 0 at G's vertex off R, or DegeneracyError is raised, so a
-    stored plane that is not 0 on its ridge with F fails here.  Its
-    values there are k*w = ag*w_F - af*w_G, read off F's and G's values
-    at G's points, which special_ridges forms once.  A `cap` bounds the
-    extended point count as detect_asp does.  A stacking evaluates each
-    kept facet once, at the exit point, and F once, at y; everything else
-    follows by linearity.  A kept facet's centroid value is the geometry's
-    own, and its value at y, like F's, is its value at the unreduced y
-    over that vector's gcd; a cone is 0 at y, so its centroid value
-    follows from F's and G's by the pencil.  The stacked geometry comes
-    with its centroid, centroid values and simpliciality set, so its line
-    shellings evaluate no facet at the centroid again.
+    stored plane that is not 0 on its ridge with F fails here.  It reads
+    ag*w_F - af*w_G, a positive multiple of that plane, off F's and G's
+    values at G's points, which special_ridges forms once.  A `cap`
+    bounds the extended point count as detect_asp does.  A stacking
+    evaluates each kept facet once, at the exit point, and F once, at y;
+    a kept facet's value at y follows by linearity.
     """
     special = geom.special
     if special is None:
@@ -765,7 +755,6 @@ def stack_over_special(
         raise DomainError(f"vertex {toward} is not on the chosen facet")
     at, he, step, ridges, order = geom.special_ridges
     hom, n, hb, values = geom.config.hom, geom.config.n, geom.centroid, geom.centroid_values
-    bf = values[at]
     kept, values = geom.facets[:at] + geom.facets[at + 1 :], values[:at] + values[at + 1 :]
     if toward is not None:
         # he = _mean([he0, v], [1, 2^closeness - 1]).
@@ -795,40 +784,19 @@ def stack_over_special(
     if af >= 0 or min(at_y) <= 0:
         raise DegeneracyError("beyond point fails the beyond conditions")
     _check_cap(n + 1, cap)
-    # y as its primitive vector, and F's and the kept facets' values there.
-    k = math.gcd(*hy)
-    hy = tuple(c // k for c in hy)
-    af //= k
-    at_y = [a // k for a in at_y]
-    config = geom.config.with_point(hy)
-    # The stacked centroid vector, as _mean would build it: with scale the
-    # lcm of the old first coordinates (hb[0] = n * scale), it is
-    # lcm(scale, y0)/scale * hb + lcm(scale, y0)/y0 * y.
-    scale = hb[0] // n
-    both = math.lcm(scale, hy[0])
-    mb, my = both // scale, both // hy[0]
-    facets = [(f, mb * b + my * ag) for f, b, ag in zip(kept, values, at_y)]
+    config = geom.config.with_point(tuple(_primitive(hy)))
+    facets = list(kept)
     # y is beyond F alone, so the step cones it over each ridge of F.
     y_values = dict(zip(step.planes, [af, *[at_y[r[0]] for r in ridges]]))
-    for (i, pairs, ids), (_, w, kw) in zip(ridges, step.cones(n, y_values)[2]):
+    for (i, pairs, ids), (_, w) in zip(ridges, step.cones(n, y_values)[2]):
         ag = at_y[i]
         *on, off = [ag * f - af * g for f, g in pairs]
         if any(on) or off <= 0:
             raise DegeneracyError(
                 f"cone from {n + 1} over ridge {sorted(ids)[:-1]} is not a facet of the stacked hull"
             )
-        facets.append((FacetDescriptor(ids, w), mb * ((ag * bf - af * values[i]) // kw)))
-    fs, cs = zip(*[facets[i] for i in order])
-    stacked = ASPGeometry(config, fs, None, None)
-    # The cached properties, as a fresh geometry would compute them.  Every
-    # kept facet is a ball facet, which validate_asp keeps to d vertices,
-    # and every cone has d.
-    vars(stacked).update(
-        centroid=tuple(mb * b + my * c for b, c in zip(hb, hy)),
-        centroid_values=cs,
-        is_simplicial=True,
-    )
-    return stacked
+        facets.append(FacetDescriptor(ids, w))
+    return ASPGeometry(config, tuple(facets[i] for i in order), None, None)
 
 
 def key_shelling_defects(

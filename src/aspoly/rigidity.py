@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .complexes import SimplicialComplex, all_faces
@@ -209,17 +209,7 @@ class RigidityReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "best_rank": self.best_rank,
-            "stress_dim": self.stress_dim,
-            "rigid_certified": self.rigid_certified,
-            "stress_free_certified": self.stress_free_certified,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def rigid_rank_target(d: int, n_vertices: int) -> int:

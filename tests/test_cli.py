@@ -309,6 +309,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert code == 2
 
+    def test_key_error_in_a_check_is_not_an_input_error(self, capsys, tmp_path, monkeypatch):
+        # Only argument and input errors exit 2; a KeyError inside a check
+        # is a fault of the program and propagates out of main.
+        path, _ = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS["cyclic"])
+
+        def faulty(art, seed):
+            raise KeyError("faulty")
+
+        monkeypatch.setitem(cli.CHECKS, "ds", faulty)
+        with pytest.raises(KeyError, match="faulty"):
+            main(["verify", "--input", str(path), "--checks", "ds"])
+
     @pytest.mark.parametrize(
         "path, name",
         [
@@ -947,7 +959,7 @@ class TestParser:
             args = cli._parser(None).parse_args(argv)
             try:
                 return args.func(args)
-            except (AspolyError, OSError, KeyError, ValueError) as exc:
+            except (AspolyError, OSError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
 

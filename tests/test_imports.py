@@ -1,12 +1,13 @@
-"""Every name a module imports is used in that module, and every public
-library name, public method of a library class and field of a library
-dataclass is read outside tests/; every name tests/oracles.py defines or
-imports, and every helper, constant and import of a tests/test_*.py, is
-read too, so a retired oracle or a folded test leaves no orphan.
+"""Every name a module imports is used in that module, and every
+top-level library name, public or private, public method of a library
+class and field of a library dataclass is read outside tests/; every
+name tests/oracles.py defines or imports, and every helper, constant and
+import of a tests/test_*.py, is read too, so a retired oracle or a
+folded test leaves no orphan.
 
 Parses the library modules (all but the package ``__init__``) and the
 scripts with ``ast``; a name counts as used when it is read anywhere in
-the module, including inside string annotations.  A public name counts
+the module, including inside string annotations.  A library name counts
 as read when the library, the scripts or the benchmark load it, or
 access an attribute of that name, outside its own definition.
 """
@@ -77,8 +78,8 @@ def test_every_import_is_used(path):
 READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def public_definitions(tree: ast.Module):
-    """(name, first line, last line) of each public top-level def, class or
+def library_definitions(tree: ast.Module):
+    """(name, first line, last line) of each top-level def, class or
     assignment, and of each public method of a top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -90,8 +91,7 @@ def public_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
-                yield name, node.lineno, node.end_lineno
+            yield name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -108,14 +108,18 @@ def reads(tree: ast.Module):
             yield n.attr, n.lineno
 
 
-def test_every_public_name_is_read_outside_tests():
+def unread_library_names(private: bool) -> dict[str, set[str]]:
+    """Per library module, its private (or public) names of library_definitions
+    that nothing outside tests/ reads outside their own definition."""
     read_at: dict[str, list[tuple[Path, int]]] = {}
     for path in READERS:
         for name, line in reads(ast.parse(path.read_text(), filename=str(path))):
             read_at.setdefault(name, []).append((path, line))
     unread: dict[str, set[str]] = {}
     for path in LIBRARY:
-        for name, first, last in public_definitions(ast.parse(path.read_text())):
+        for name, first, last in library_definitions(ast.parse(path.read_text())):
+            if name.startswith("_") != private:
+                continue
             outside = [
                 (p, line)
                 for p, line in read_at.get(name, [])
@@ -123,19 +127,40 @@ def test_every_public_name_is_read_outside_tests():
             ]
             if not outside:
                 unread.setdefault(path.stem, set()).add(name)
+    return unread
+
+
+def test_every_public_name_is_read_outside_tests():
+    unread = unread_library_names(private=False)
     assert not unread, f"public names nothing outside tests/ reads: {unread}"
 
 
+def test_every_private_name_is_read_outside_tests():
+    """Each private top-level function, class and constant of the library
+    is read by the library, the scripts or the benchmark, so a helper
+    that only tests call is dead code."""
+    unread = unread_library_names(private=True)
+    assert not unread, f"private names nothing outside tests/ reads: {unread}"
+
+
 def dataclass_fields(tree: ast.Module):
-    """(class name, field name) of each field of a dataclass, nested ones included."""
+    """(class name, field name, whether the class calls asdict(self)) of
+    each field of a dataclass, nested ones included."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
         decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
         if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            as_dict = any(
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)
+                and n.func.id == "asdict"
+                and [a.id for a in n.args if isinstance(a, ast.Name)] == ["self"]
+                for n in ast.walk(node)
+            )
             for member in node.body:
                 if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                    yield node.name, member.target.id
+                    yield node.name, member.target.id, as_dict
 
 
 def test_every_dataclass_field_is_read():
@@ -146,7 +171,8 @@ def test_every_dataclass_field_is_read():
     the gate is lenient: a field passes when an attribute of the same name
     is read anywhere, on any class.  An unread field named ``d`` or
     ``params`` would pass, as those names are read on many objects; the
-    public-name test above is lenient the same way for methods.
+    public-name test above is lenient the same way for methods.  A class
+    that calls ``asdict(self)`` reads every one of its fields there.
     """
     read = {
         n.attr
@@ -157,8 +183,8 @@ def test_every_dataclass_field_is_read():
     unread = sorted(
         f"{path.stem}.{cls}.{name}"
         for path in LIBRARY
-        for cls, name in dataclass_fields(ast.parse(path.read_text()))
-        if name not in read
+        for cls, name, as_dict in dataclass_fields(ast.parse(path.read_text()))
+        if not as_dict and name not in read
     )
     assert not unread, f"dataclass fields nothing outside tests/ reads: {unread}"
 
