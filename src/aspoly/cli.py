@@ -175,6 +175,8 @@ def _require_list(value, where: str) -> list:
 def _require_ids(value, where: str) -> None:
     if any(type(v) is not int for v in _require_list(value, where)):
         raise AspolyError(f"artifact field '{where}' is not a list of integer vertex ids")
+    if len(set(value)) != len(value):
+        raise AspolyError(f"artifact field '{where}' repeats a vertex id")
 
 
 def _int_or_none(value) -> int | None:
@@ -197,7 +199,10 @@ def _asp_from_json(entry) -> ASPComplex:
     _require(entry["ball"], ("facets",), "complex.ball")
     _require_facets(entry["ball"]["facets"], "complex.ball.facets")
     _require_ids(entry["special_facet"], "complex.special_facet")
-    return ASPComplex.from_json(entry)
+    asp = ASPComplex.from_json(entry)
+    if asp.ball.n_facets != len(entry["ball"]["facets"]):
+        raise AspolyError("artifact field 'complex.ball.facets' lists a facet twice")
+    return asp
 
 
 def _points_from_json(entry, where: str) -> PointConfig:

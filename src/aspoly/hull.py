@@ -21,15 +21,15 @@ by one integer dot product with a homogeneous point, or by that packed
 product at all of them.  The facets a line crosses are ranked by integer
 keys, and nothing in this module uses rational arithmetic.
 stack_over_special is the one place a point y beyond the special facet
-is found; it builds the new boundary by the same insertion step instead
-of enumerating the hull again, on the step's state for the special
-facet alone (its ridges, each held with the facet across it), and
-certifies each cone's pencil plane at the d points of the old facet.
+is found; instead of enumerating the hull again it cones y over each
+ridge of the special facet, as the insertion step would, with the pencil
+plane of the special facet and the facet across the ridge, and
+certifies each cone's plane at the d points of that facet.
 Points, centroids, y and line targets are integer homogeneous vectors;
 the points are read as PointConfig holds them, with no conversion.  A
 geometry computes its centroid and every facet's value there once, and
-once the step's state for its special facet; stacking evaluates each
-kept facet once, at the exit point, and takes its value at y by linearity.
+once its special facet's ridges; stacking evaluates each kept facet
+once, at the exit point, and takes its value at y by linearity.
 Line shellings are produced geometrically and every crossing order is
 re-checked by the independent combinatorial verifier, so a bug in the
 crossing logic cannot leak an invalid certificate.  The constrained
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import chain
@@ -103,7 +102,7 @@ class FacetDescriptor:
 
 @dataclass(frozen=True)
 class ASPGeometry:
-    """A point configuration and its enumerated boundary, the facets in sorted vertex-id order."""
+    """A point configuration and its boundary facets, in sorted vertex-id order unless stacked."""
 
     config: PointConfig
     facets: tuple[FacetDescriptor, ...]
@@ -129,46 +128,29 @@ class ASPGeometry:
         return tuple(_dot(f.plane, self.centroid) for f in self.facets)
 
     @cached_property
-    def special_ridges(self) -> tuple[int, tuple[int, ...], _Hull, list[tuple], list[int]]:
-        """What stack_over_special reads off this geometry alone, formed once from F's ridges.
+    def special_ridges(self) -> tuple[int, tuple[int, ...], list[tuple]]:
+        """The special facet F's ridges, each with the facet across it, formed once.
 
-        For the special facet F: its index in facets; its vertex centroid
-        he0, as _mean builds it; the insertion step's state for F alone
-        (_Hull): F's plane and ridges, each ridge R held by F and by the
-        kept facet G across it, and the planes of F and then of each G in
-        facet order; per R, in that order, G's index among the kept facets
-        (all but F), F's and G's values at G's points (R's, then G's point
-        off R) and the cone's vertex set R + y, y = n+1; and the order that
-        merges the cones into the kept facets by vertex ids: R + y follows
-        G = R + off, directly when off tops R, as a facet between would hold R.
+        What stack_over_special reads off this geometry alone: F's index in
+        facets; its vertex centroid he0, as _mean builds it; and per ridge
+        R of F, in facet order, the index among the kept facets (all but F)
+        of the simplex facet G that meets F in R, F's and G's values at G's
+        points (R's, then G's point off R) and the cone's vertex set R + y,
+        y = n+1.
         """
         special, hom, n, d = self.special, self.config.hom, self.config.n, self.d
         at = self.facets.index(special)
         wf, fs = special.plane, special.vertex_ids
-        fm = sum(1 << (v - 1) for v in fs)
-        step, ridges, at_f = _Hull(hom), [], {v: _dot(wf, hom[v - 1]) for v in fs}
-        step.planes[fm], step.ridges_of[fm] = wf, []
-        kept = self.facets[:at] + self.facets[at + 1 :]
-        cones, prefix = [], lambda g: sorted(g.vertex_ids)[: d - 1]
-        for i, g in enumerate(kept):
+        at_f, ridges = {v: _dot(wf, hom[v - 1]) for v in fs}, []
+        for i, g in enumerate(self.facets[:at] + self.facets[at + 1 :]):
             ridge = g.vertex_ids & fs
             if len(ridge) == d - 1:
                 (off,) = g.vertex_ids - ridge
-                r = sum(1 << (v - 1) for v in ridge)
-                gm = r | 1 << (off - 1)
-                step.planes[gm], step.held[r] = g.plane, [fm, gm]
-                step.ridges_of[fm].append(r)
                 pairs = [(at_f[v], _dot(g.plane, hom[v - 1])) for v in ridge]
                 pairs.append((_dot(wf, hom[off - 1]), _dot(g.plane, hom[off - 1])))
                 ridges.append((i, pairs, ridge | {n + 1}))
-                ids = sorted(ridge)
-                p = i + 1 if off > ids[-1] else bisect_right(kept, ids, i + 1, key=prefix)
-                cones.append((p, ids, len(kept) + len(cones)))
-        order = list(range(len(kept)))
-        for p, _, c in sorted(cones, reverse=True):  # each before the larger ones
-            order.insert(p, c)
         he0 = _mean([hom[v - 1] for v in fs], [1] * len(fs))
-        return at, tuple(he0), step, ridges, order
+        return at, tuple(he0), ridges
 
     def facet_by_vertices(self, vertex_ids: Iterable[int]) -> FacetDescriptor:
         fs = frozenset(vertex_ids)
@@ -340,11 +322,7 @@ class _Hull:
 
     planes maps each facet, a mask of 0-based point indexes, to its
     primitive inward plane; ridges_of maps it to its ridge masks, and held
-    maps each ridge to the facets that hold it.  cones, the step's rule,
-    reads the planes of the facets it is given values for, the ridges of
-    those the point is beyond and the holders of those ridges, so a
-    caller may hold part of a hull: stack_over_special holds the special
-    facet and the facets across its ridges.
+    maps each ridge to the facets that hold it.
     """
 
     def __init__(self, hom: Sequence[Sequence[int]]) -> None:
@@ -372,39 +350,29 @@ class _Hull:
             else:
                 owners.remove(facet)
 
-    def cones(self, i: int, values: dict[int, int]) -> tuple[list[int], list[int], list[tuple]]:
-        """Where point i enters, given each held facet's value there; nothing is changed.
-
-        Returns the facets i is beyond, those whose plane holds it, and the
-        cone over each ridge between one it is beyond and one it is beneath,
-        as (mask, _pencil's plane), by beyond facet and then by ridge.
-        """
-        bit, planes, ridges_of, held = 1 << i, self.planes, self.ridges_of, self.held
+    def insert(self, i: int) -> None:
+        """Insert point i: drop the facets it is beyond, extend those holding it, add the cones."""
+        bit, h, planes, held = 1 << i, self.hom[i], self.planes, self.held
+        values = {f: _dot(w, h) for f, w in planes.items()}
         beyond, on, cones = [], [], []
         for f, a in values.items():
             if a <= 0:
                 (beyond if a else on).append(f)
         for g in beyond:
             wg, ag = planes[g], values[g]
-            for ridge in ridges_of[g]:
+            for ridge in self.ridges_of[g]:
                 owners = held[ridge]
                 if len(owners) != 2:
                     raise _unpaired(ridge, owners)
                 other = owners[1] if owners[0] == g else owners[0]
                 if (ah := values[other]) > 0:
                     cones.append((ridge | bit, _pencil(wg, ag, planes[other], ah)))
-        return beyond, on, cones
-
-    def insert(self, i: int) -> None:
-        """Insert point i: drop the facets it is beyond, extend those holding it, add the cones."""
-        h, planes = self.hom[i], self.planes
-        beyond, on, cones = self.cones(i, {f: _dot(w, h) for f, w in planes.items()})
         for g in beyond:
             self.drop(g)
         for f in on:
             w = planes[f]
             self.drop(f)
-            self.add(f | 1 << i, w)
+            self.add(f | bit, w)
         for facet, w in cones:
             self.add(facet, w)
 
@@ -728,22 +696,21 @@ def stack_over_special(
     positively proportional to (1, point); y joins the configuration as
     its primitive vector, and only y is validated as a point.
 
-    No hull is enumerated and no kernel is solved: y enters by the
-    insertion step's own rule (_Hull.cones), on the step's state for F
-    alone that special_ridges forms once per geometry, F's plane and
-    ridges, each ridge R held by F and by the one simplex facet G that
-    meets F in R.  The beyond check puts y beyond F alone and on no
-    plane, so the new hull is simplicial: the kept facets, planes
-    unchanged, and the cone over each R, whose plane is the pencil
-    ag*w_F - af*w_G, ag = w_G(y) > 0 > af = w_F(y), made primitive.
-    _beneath_beyond's docstring proves it the plane of R + y, given that
+    No hull is enumerated and no kernel is solved.  The beyond check puts
+    y beyond F alone and on no plane, so the insertion step would keep the
+    other facets, planes unchanged, and cone y over each ridge R of F,
+    held by F and by the one simplex facet G that meets F in R
+    (special_ridges, formed once per geometry): the new hull is
+    simplicial, its kept facets in the geometry's order, then the cones in
+    ridge order.  A cone's plane is the pencil ag*w_F - af*w_G,
+    ag = w_G(y) > 0 > af = w_F(y), made primitive (_pencil), which
+    _beneath_beyond's docstring proves the plane of R + y, given that
     every stored plane is >= 0 at all old points and 0 exactly at its own
     vertices (enumerate_facets and certified_geometry establish this).
-    The check made is O(d): the cone's plane is 0 at the d-1 vertices of
+    The check made is O(d): ag*w_F - af*w_G, read off F's and G's values
+    at G's points that special_ridges holds, is 0 at the d-1 vertices of
     R and > 0 at G's vertex off R, or DegeneracyError is raised, so a
-    stored plane that is not 0 on its ridge with F fails here.  It reads
-    ag*w_F - af*w_G, a positive multiple of that plane, off F's and G's
-    values at G's points, which special_ridges forms once.  A `cap`
+    stored plane that is not 0 on its ridge with F fails here.  A `cap`
     bounds the extended point count as detect_asp does.  A stacking
     evaluates each kept facet once, at the exit point, and F once, at y;
     a kept facet's value at y follows by linearity.
@@ -753,7 +720,7 @@ def stack_over_special(
         raise DomainError("geometry has no designated special facet to stack over")
     if toward is not None and toward not in special.vertex_ids:
         raise DomainError(f"vertex {toward} is not on the chosen facet")
-    at, he, step, ridges, order = geom.special_ridges
+    at, he, ridges = geom.special_ridges
     hom, n, hb, values = geom.config.hom, geom.config.n, geom.centroid, geom.centroid_values
     kept, values = geom.facets[:at] + geom.facets[at + 1 :], values[:at] + values[at + 1 :]
     if toward is not None:
@@ -786,17 +753,15 @@ def stack_over_special(
     _check_cap(n + 1, cap)
     config = geom.config.with_point(tuple(_primitive(hy)))
     facets = list(kept)
-    # y is beyond F alone, so the step cones it over each ridge of F.
-    y_values = dict(zip(step.planes, [af, *[at_y[r[0]] for r in ridges]]))
-    for (i, pairs, ids), (_, w) in zip(ridges, step.cones(n, y_values)[2]):
+    for i, pairs, ids in ridges:
         ag = at_y[i]
         *on, off = [ag * f - af * g for f, g in pairs]
         if any(on) or off <= 0:
             raise DegeneracyError(
                 f"cone from {n + 1} over ridge {sorted(ids)[:-1]} is not a facet of the stacked hull"
             )
-        facets.append(FacetDescriptor(ids, w))
-    return ASPGeometry(config, tuple(facets[i] for i in order), None, None)
+        facets.append(FacetDescriptor(ids, _pencil(special.plane, af, kept[i].plane, ag)))
+    return ASPGeometry(config, tuple(facets), None, None)
 
 
 def key_shelling_defects(

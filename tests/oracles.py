@@ -26,9 +26,10 @@ the two.  Per fast path, its one oracle and the file the oracle lives in
   _Hull): the scan of every d-subset (facets_by_subset_scan,
   test_hull.py);
 - stack_over_special, which cones y over the special facet's ridges by
-  the same step: y placed by point_beyond and the hull enumerated again
-  (stacked_by_enumeration, test_hull.py, with extend_config here), and
-  each cone plane against a kernel solve (supporting_hyperplane);
+  the insertion step's pencil plane: y placed by point_beyond and the
+  hull enumerated again (stacked_by_enumeration, test_hull.py, with
+  extend_config here), and each cone plane against a kernel solve
+  (supporting_hyperplane);
 - certified_geometry's packed plane test (_PackedPoints.supports): the
   plane evaluated at every point in turn (plane_supports_by_points);
 - _LinesFrom: keys r * t0 * lcm(A) on every facet (LcmLines,

@@ -404,11 +404,26 @@ class TestVerify:
                 False,
                 "artifact field 'points.points[1].coords[2]' is not a finite rational: False",
             ),
+            (
+                ("complex", "special_facet"),
+                [1, 2, 3, 4, 5, 6, 6],
+                "artifact field 'complex.special_facet' repeats a vertex id",
+            ),
+            (
+                ("complex", "ball", "facets", 2),
+                [1, 2, 7, 8, 8],
+                "artifact field 'complex.ball.facets[2]' repeats a vertex id",
+            ),
+            (
+                ("facets", 4, "vertices"),
+                [1, 3, 3, 4, 8],
+                "artifact field 'facets[4].vertices' repeats a vertex id",
+            ),
         ],
         ids=[
             "null-facets", "zero-denominator", "non-numeric", "string-id", "string-d",
             "zero-points-d", "half-normal", "bare-offset", "bool-point-id", "float-point-id",
-            "bool-coordinate",
+            "bool-coordinate", "repeated-special-id", "repeated-ball-id", "repeated-facet-id",
         ],
     )
     def test_malformed_field_is_named(self, capsys, tmp_path, path, value, message):
@@ -482,6 +497,18 @@ class TestVerify:
                 {"vertices": [1, 2], "edges": [[1, 2.0]]},
                 "artifact field 'edges[0]' is not a list of integer vertex ids",
                 id="rigidity-float-edge-end",
+            ),
+            pytest.param(
+                "rigidity",
+                {"vertices": [1, 2, 1], "edges": [[1, 2]]},
+                "artifact field 'vertices' repeats a vertex id",
+                id="rigidity-repeated-vertex",
+            ),
+            pytest.param(
+                "rigidity",
+                {"vertices": [1, 2], "edges": [[1, 1]]},
+                "artifact field 'edges[0]' repeats a vertex id",
+                id="rigidity-loop-edge",
             ),
             pytest.param(
                 "rigidity",
@@ -809,6 +836,10 @@ STACKED_DEFECTS = {
     "special facet cut to 5 vertices": (
         lambda c: c["special_facet"].pop(),
         "special facet has 5 vertices, expected 6",
+    ),
+    "ball facet listed twice": (
+        lambda c: c["ball"]["facets"].append(c["ball"]["facets"][0]),
+        "artifact field 'complex.ball.facets' lists a facet twice",
     ),
 }
 
