@@ -55,6 +55,7 @@ from .stackgen import random_minimizer, recognize_minimizer
 
 MAX_N = 16
 MAX_D = 6
+KINDS = ("cyclic-asp", "stacked-asp")
 
 
 def _check_caps(d: int, n: int, unsafe: bool) -> None:
@@ -179,13 +180,6 @@ def _require_ids(value, where: str) -> None:
         raise AspolyError(f"artifact field '{where}' repeats a vertex id")
 
 
-def _int_or_none(value) -> int | None:
-    """An integer written "k" or "k/1", else None."""
-    num, slash, den = value.partition("/") if isinstance(value, str) else ("", "/", "")
-    ok = den == ("1" if slash else "") and num.removeprefix("-").isdecimal()
-    return int(num) if ok else None
-
-
 def _require_facets(value, where: str) -> None:
     for i, facet in enumerate(_require_list(value, where)):
         _require_ids(facet, f"{where}[{i}]")
@@ -218,11 +212,11 @@ def _points_from_json(entry, where: str) -> PointConfig:
             raise AspolyError(f"artifact field '{at}.id' is not an integer: {point['id']!r}")
         coords = []
         for k, x in enumerate(_require_list(point["coords"], f"{at}.coords")):
-            try:
-                if isinstance(x, bool):
+            try:  # a float is inexact, and Fraction reads any Unicode digit in a string
+                if not (type(x) is int or type(x) is str and x.isascii()):
                     raise TypeError
                 coords.append(Fraction(x))
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            except (TypeError, ValueError, ZeroDivisionError):
                 raise AspolyError(
                     f"artifact field '{at}.coords[{k}]' is not a finite rational: {x!r}"
                 ) from None
@@ -234,7 +228,7 @@ def _points_from_json(entry, where: str) -> PointConfig:
 
 
 def _facets_from_json(data) -> list[FacetDescriptor]:
-    """The stored hull facets: integer vertex ids, and the plane (offset, *normal)."""
+    """The stored hull facets: integer vertex ids and the plane (offset, *normal), JSON integers."""
     _require(data, ("facets",), "")
     facets = []
     for i, entry in enumerate(_require_list(data["facets"], "facets")):
@@ -242,12 +236,11 @@ def _facets_from_json(data) -> list[FacetDescriptor]:
         _require(entry, ("vertices", "normal", "offset"), at)
         _require_ids(entry["vertices"], f"{at}.vertices")
         raw = [*_require_list(entry["normal"], f"{at}.normal"), entry["offset"]]
-        plane = [_int_or_none(a) for a in raw]
-        if None in plane:  # named only on failure: the first bad entry, offset last
-            k = plane.index(None)
+        if not all(type(a) is int for a in raw):  # the first bad entry is named, offset last
+            k = next(k for k, a in enumerate(raw) if type(a) is not int)
             field = f"normal[{k}]" if k < len(raw) - 1 else "offset"
             raise AspolyError(f"artifact field '{at}.{field}' is not an integer: {raw[k]!r}")
-        facets.append(FacetDescriptor(frozenset(entry["vertices"]), (plane[-1], *plane[:-1])))
+        facets.append(FacetDescriptor(frozenset(entry["vertices"]), (raw[-1], *raw[:-1])))
     return facets
 
 
@@ -273,15 +266,18 @@ def _read_json(path: str):
 def _load_artifact(data, unsafe_large: bool) -> Artifact:
     """An artifact from its parsed JSON, refused past the d/n caps unless unsafe_large.
 
-    Its complex is validated (validate_asp, through special_boundary).  With
-    points, its stored facets are first checked against them and against
-    the complex (hull.certified_geometry, which validates last) and become
-    the artifact's geometry.
+    Its kind, if given, is one of KINDS, and its complex is validated
+    (validate_asp, through special_boundary).  With points, its stored
+    facets are first checked against them and against the complex
+    (hull.certified_geometry, which validates last) and become the
+    artifact's geometry.
     """
     _require(data, ("complex",), "")
+    kind = data.get("kind", "unknown")
+    if "kind" in data and kind not in KINDS:
+        raise AspolyError(f"artifact field 'kind' is not one of {KINDS}: {kind!r}")
     asp = _asp_from_json(data["complex"])
     _check_caps(asp.params.d, asp.params.n, unsafe_large)
-    kind = data.get("kind", "unknown")
     if "points" not in data:
         asp.special_boundary  # validate_asp
         return Artifact(asp, kind=kind)
@@ -541,7 +537,7 @@ def _command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
 
     if name == "construct":
-        p.add_argument("kind", choices=["cyclic-asp", "stacked-asp"])
+        p.add_argument("kind", choices=KINDS)
         p.add_argument("--style", choices=["stack", "hstack"], default="stack")
         common(params=True, seed=True)
     elif name == "facets":

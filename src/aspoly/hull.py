@@ -71,7 +71,7 @@ from .errors import (
     ShellingError,
     ShellingSearchError,
 )
-from .exactnum import format_rational, int_nullspace
+from .exactnum import int_nullspace
 
 # Seeded directions line_shelling tries before it gives up.
 _LINE_RETRIES = 32
@@ -95,8 +95,8 @@ class FacetDescriptor:
     def to_json(self) -> dict:
         return {
             "vertices": sorted(self.vertex_ids),
-            "normal": [format_rational(a) for a in self.plane[1:]],
-            "offset": format_rational(self.plane[0]),
+            "normal": list(self.plane[1:]),
+            "offset": self.plane[0],
         }
 
 

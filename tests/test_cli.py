@@ -222,7 +222,7 @@ class TestVerify:
             capsys, tmp_path,
             "construct", "cyclic-asp", "--d", "4", "--n", "8", "--s", "2",
         )
-        artifact["facets"][1]["offset"] = "999/1"
+        artifact["facets"][1]["offset"] = 999
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(artifact))
         valid = "('bounds', 'ds', 'gale', 'ridge', 'shelling', 'rigidity', 'minimizer')"
@@ -386,8 +386,8 @@ class TestVerify:
             ),
             (
                 ("facets", 0, "offset"),
-                7,
-                "artifact field 'facets[0].offset' is not an integer: 7",
+                "7/1",
+                "artifact field 'facets[0].offset' is not an integer: '7/1'",
             ),
             (
                 ("points", "points", 0, "id"),
@@ -403,6 +403,21 @@ class TestVerify:
                 ("points", "points", 1, "coords", 2),
                 False,
                 "artifact field 'points.points[1].coords[2]' is not a finite rational: False",
+            ),
+            (
+                ("points", "points", 7, "coords", 0),
+                2.0,
+                "artifact field 'points.points[7].coords[0]' is not a finite rational: 2.0",
+            ),
+            (
+                ("points", "points", 2, "coords", 0),
+                "-\u0663",
+                "artifact field 'points.points[2].coords[0]' is not a finite rational: '-\u0663'",
+            ),
+            (
+                ("kind",),
+                [1],
+                "artifact field 'kind' is not one of ('cyclic-asp', 'stacked-asp'): [1]",
             ),
             (
                 ("complex", "special_facet"),
@@ -423,7 +438,8 @@ class TestVerify:
         ids=[
             "null-facets", "zero-denominator", "non-numeric", "string-id", "string-d",
             "zero-points-d", "half-normal", "bare-offset", "bool-point-id", "float-point-id",
-            "bool-coordinate", "repeated-special-id", "repeated-ball-id", "repeated-facet-id",
+            "bool-coordinate", "float-coordinate", "non-ascii-coordinate", "list-kind",
+            "repeated-special-id", "repeated-ball-id", "repeated-facet-id",
         ],
     )
     def test_malformed_field_is_named(self, capsys, tmp_path, path, value, message):
@@ -584,7 +600,7 @@ STACKED_GRID = [
     (d, s, n, ("stack", "hstack")[i % 2], i) for i, (d, s, n) in enumerate(CYCLIC_GRID)
 ]
 FROZEN_STACKED_GRID = "65c6172daf1cceaf00a4aa2eb42923d1754bb7e00d2989968d068e008c64f373"
-FROZEN_CONSTRUCT = "fb0fc9008311a31eda492ce0a68a62af0295eaaf159c8bb44cdbc202a8f94e05"
+FROZEN_CONSTRUCT = "c7fbf3e62aa2b529ed6f8ab9dc2c0146f135c86ff655c755b72d4965afd728f6"
 
 
 def digest(text):
@@ -714,10 +730,10 @@ def tampered_artifacts(draw):
     ))
     if how == "normal":
         k, step = draw(st.integers(0, d - 1)), draw(st.sampled_from([-1, 1]))
-        facets[i]["normal"][k] = f"{Fraction(facets[i]['normal'][k]) + step}/1"
+        facets[i]["normal"][k] += step
     elif how == "double":
-        facets[i]["offset"] = f"{2 * Fraction(facets[i]['offset'])}/1"
-        facets[i]["normal"] = [f"{2 * Fraction(a)}/1" for a in facets[i]["normal"]]
+        facets[i]["offset"] *= 2
+        facets[i]["normal"] = [2 * a for a in facets[i]["normal"]]
     elif how == "drop":
         del facets[i]
     elif how == "duplicate":
@@ -771,24 +787,26 @@ class TestStoredHull:
             assert loaded == list(facets), curve.__name__
 
     def test_plane_entries_accepted_and_refused(self):
-        # Integers written "k" or "k/1", with any decimal digits isdecimal
-        # accepts; the first bad entry is named, the normal before the offset.
+        # JSON integers of any size, and nothing else, not even a string
+        # that spells one; the first bad entry is named, the normal before
+        # the offset.
         def load(normal, offset):
             entry = {"vertices": [1, 2], "normal": normal, "offset": offset}
             return cli._facets_from_json({"facets": [entry]})[0].plane
 
-        assert load(["5", "-5/1", "0/1", "\u0663"], "-12") == (-12, 5, -5, 0, 3)
-        for bad in ["5/2", "+5", " 5", "5.0", "5/01", "--5", "1/1/1", "", "-", "/1", 5, 5.0, None]:
+        big = 3**400
+        assert load([5, -5, 0, big], -12) == (-12, 5, -5, 0, big)
+        for bad in ["5", "5/1", "\u0663", True, 5.0, None]:
             with pytest.raises(AspolyError) as exc:
-                load(["1", bad], "1")
+                load([1, bad], 1)
             field = "artifact field 'facets[0].normal[1]'"
             assert str(exc.value) == f"{field} is not an integer: {bad!r}"
         with pytest.raises(AspolyError) as exc:
             load(["x", "y"], "z")
         assert str(exc.value) == "artifact field 'facets[0].normal[0]' is not an integer: 'x'"
         with pytest.raises(AspolyError) as exc:
-            load(["1", "2"], "z")
-        assert str(exc.value) == "artifact field 'facets[0].offset' is not an integer: 'z'"
+            load([1, 2], "0/1")
+        assert str(exc.value) == "artifact field 'facets[0].offset' is not an integer: '0/1'"
 
     def test_one_boundary_per_artifact(self, capsys, tmp_path, monkeypatch):
         # Validating the complex at load builds the ball's boundary once, and
@@ -1283,7 +1301,7 @@ class TestRigidityCommand:
         "tamper, message",
         [
             (
-                lambda art: art["facets"][1].update(offset="999/1"),
+                lambda art: art["facets"][1].update(offset=999),
                 "facet [1, 2, 3, 8]: hyperplane is negative at point 1",
             ),
             (

@@ -3,7 +3,8 @@ top-level library name, public or private, public method of a library
 class and field of a library dataclass is read outside tests/; every
 name tests/oracles.py defines or imports, and every helper, constant and
 import of a tests/test_*.py, is read too, so a retired oracle or a
-folded test leaves no orphan.
+folded test leaves no orphan.  The library has no construct that makes
+a float (test_library_is_exact).
 
 Parses the library modules (all but the package ``__init__``) and the
 scripts with ``ast``; a name counts as used when it is read anywhere in
@@ -265,3 +266,49 @@ def test_every_oracle_name_is_read():
             read |= {name for name in spans if re.search(rf"\b{name}\b", workflows)}
         unread += [f"{path.name}: {name}" for name in sorted(set(spans) - read)]
     assert not unread, f"top-level names in tests/ nothing reads: {unread}"
+
+
+# The math functions that take and return integers only.
+EXACT_MATH = {"comb", "gcd", "lcm"}
+
+
+def inexact_uses(tree: ast.Module):
+    """(line, what) of each float literal, true division, read of float or
+    round, and math name outside EXACT_MATH."""
+    math_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "math"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            yield node.lineno, f"float literal {node.value!r}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "true division"
+        elif isinstance(node, ast.Name) and node.id in ("float", "round"):
+            yield node.lineno, node.id
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in math_names
+            and node.attr not in EXACT_MATH
+        ):
+            yield node.lineno, f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name not in EXACT_MATH:
+                    yield node.lineno, f"math.{alias.name}"
+
+
+def test_library_is_exact():
+    """Every sign decision stays exact: no module of src/aspoly writes a
+    float literal, divides with / or /=, reads float or round (called or
+    passed), or uses a math name other than comb, gcd and lcm."""
+    found = sorted(
+        f"{path.name}:{line}: {what}"
+        for path in sorted((ROOT / "src" / "aspoly").glob("*.py"))
+        for line, what in inexact_uses(ast.parse(path.read_text(), filename=str(path)))
+    )
+    assert not found, f"inexact constructs in the library: {found}"
