@@ -1,14 +1,18 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
-The grid is d in 3..6, s in 0..3, n from d+s+1 to d+s+5 capped at 14.
-Geometric instances are built once per session and shared; every check
-is exact (integer or rational arithmetic throughout).
+The grid is d in 3..6, s in 0..3, n from d+s+1 to d+s+5 capped at 14;
+criterion 09 runs the wider grid d in 4..6, n up to d+s+6.  Geometric
+instances are built once per session and shared; every check is exact
+(integer or rational arithmetic throughout).
 """
 
+import hashlib
+import json
 import time
 
 import pytest
 
+from aspoly import cli
 from aspoly.cli import (
     Artifact,
     check_ds,
@@ -27,7 +31,6 @@ from aspoly.enumerative import (
 from aspoly.gale import simplex_facet_count_even_d
 from aspoly.hull import (
     asp_geometry,
-    key_shelling_defects,
     line_shelling,
     stack_over_special,
 )
@@ -190,31 +193,44 @@ def test_criterion_08_shelling_identities(grid_geometry):
     report(8, "shelling h identities", not bad, f"{runs} shellings" + (f", bad {bad[:3]}" if bad else ""))
 
 
-def test_criterion_09_key_lemma_defects(grid_geometry):
+# SHA-256 of the JSON list of [d, n, s, v, the certificate's sorted facets
+# in order] over criterion 09's pairs, recorded before the key lemma
+# became a verify check.
+FROZEN_WIDE_GRID = "7bff250a2eb5f64b8939646e89d065a23d67afd4ef79638ffc566e5869038cba"
+
+
+def test_criterion_09_key_lemma_defects(grid_geometry, monkeypatch):
+    # verify's keylemma check on the wide grid, d 4..6, s 0..3 and n from
+    # d+s+1 to d+s+6, building the cells past GRID; every certificate the
+    # check reads is recorded.
     cells, _ = grid_geometry
-    attempted = 0
-    certified = 0
-    negative = []
-    for (d, n, s), geom in cells.items():
-        if d not in (4, 5) or n > d + s + 4:
-            continue
-        y_id = n + 1
-        for v in range(1, d + s + 1):
-            attempted += 1
-            cert = key_lemma_certificate(geom.ball, v)
-            if cert is None:
-                continue
-            certified += 1
-            defects = key_shelling_defects(cert, y_id, v)
-            if any(x < 0 for row in defects for x in row):
-                negative.append((d, n, s, v))
-    ok = not negative and attempted > 0 and certified == attempted
-    report(
-        9,
-        "key-lemma prefix defects nonnegative",
-        ok,
-        f"{certified}/{attempted} pairs certified",
-    )
+    certs = []
+
+    def recorded(asp, v):
+        cert = key_lemma_certificate(asp, v)
+        order = None if cert is None else [sorted(f) for f in cert.order]
+        certs.append([asp.params.d, asp.params.n, asp.params.s, v, order])
+        return cert
+
+    monkeypatch.setattr(cli, "key_lemma_certificate", recorded)
+    bad = [
+        (d, n, s)
+        for d in (4, 5, 6)
+        for s in range(4)
+        for n in range(d + s + 1, d + s + 7)
+        for geom in [
+            cells.get((d, n, s))
+            or asp_geometry(almost_cyclic_points(ASPParams(d, n, s)), range(1, d + 1))
+        ]
+        if not cli.check_keylemma(Artifact(geom.ball, geom, "cyclic-asp"))[0]
+    ]
+    certified = sum(order is not None for *_, order in certs)
+    digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+    ok = not bad and certified == len(certs) == 468 and digest == FROZEN_WIDE_GRID
+    detail = f"{certified}/{len(certs)} pairs certified"
+    if not ok:
+        detail += f", bad {bad[:3]}, digest {digest[:16]}"
+    report(9, "key-lemma prefix defects nonnegative", ok, detail)
 
 
 def test_criterion_10_rigidity(grid_geometry, grid_minimizers):

@@ -146,7 +146,8 @@ class TestVerify:
         # (oracles.drawn_asp_points: F's d+s points on the moment curve or
         # the paraboloid in x_d = 0, 1..3 random points above), run through
         # main.  Each artifact is what construct writes for a cyclic one on
-        # the drawn points, less its kind, so every check but gale applies.
+        # the drawn points, less its kind, so every check of "all" but gale
+        # applies; keylemma, which "all" leaves out, certifies all 1,404 (ASP, v) pairs.
         path = tmp_path / "drawn.json"
         for s, above, seed in product(range(4), range(1, 4), range(3)):
             cell = (d, d + s + above, s)
@@ -161,7 +162,9 @@ class TestVerify:
             code, out, err = run_quiet("verify", "--input", str(path))
             report = json.loads(out)
             assert code == 0 and report["all_pass"], (cell, seed, report, err)
-            assert set(report["checks"]) == set(cli.CHECKS) - {"gale"}
+            assert set(report["checks"]) == set(cli.ALL_CHECKS) - {"gale"}
+            code, out, err = run_quiet("verify", "--input", str(path), "--checks", "keylemma")
+            assert (code, json.loads(out)["all_pass"]) == (0, True), (cell, seed, out, err)
 
     def test_all_checks_pass_on_stacked(self, capsys, tmp_path):
         # The minimizer also sits on the lower bound, which verify's bounds
@@ -225,7 +228,7 @@ class TestVerify:
         artifact["facets"][1]["offset"] = 999
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(artifact))
-        valid = "('bounds', 'ds', 'gale', 'ridge', 'shelling', 'rigidity', 'minimizer')"
+        valid = "('bounds', 'ds', 'gale', 'ridge', 'shelling', 'rigidity', 'minimizer', 'keylemma')"
         assert run(capsys, "verify", "--input", str(bad), "--checks", "nope") == (
             2, "", f"error: unknown checks ['nope']; valid: {valid}\n"
         )
@@ -302,6 +305,34 @@ class TestVerify:
             "detail": "rank certificate not reached (inconclusive)",
             "pass": False,
         }
+
+    @pytest.mark.parametrize(
+        "stuck, negative, detail",
+        [
+            (3, None, "certified 5/6, least defect 0 (inconclusive)"),
+            (None, 2, "certified 6/6, least defect -2"),
+            (5, 2, "certified 5/6, least defect -2"),
+        ],
+        ids=["stuck", "negative", "stuck-and-negative"],
+    )
+    def test_key_lemma_check_fails(self, capsys, tmp_path, monkeypatch, stuck, negative, detail):
+        # The search for v = stuck is faked stuck, and the defect rows for
+        # v = negative are faked with a -2.  The search is one-sided, so a
+        # stuck one alone is inconclusive; a negative defect is a plain fail
+        # that names the least defect.
+        path, _ = make_artifact(capsys, tmp_path, "construct", *ARTIFACTS["cyclic"])
+        search, defects = cli.key_lemma_certificate, cli.key_shelling_defects
+        monkeypatch.setattr(
+            cli, "key_lemma_certificate", lambda asp, v: None if v == stuck else search(asp, v)
+        )
+        monkeypatch.setattr(
+            cli,
+            "key_shelling_defects",
+            lambda c, y, v: [[0, -2]] if v == negative else defects(c, y, v),
+        )
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--checks", "keylemma")
+        result = json.loads(out)["checks"]["keylemma"]
+        assert (code, result) == (1, {"detail": detail, "pass": False})
 
     def test_missing_complex_entry(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -415,6 +446,11 @@ class TestVerify:
                 "artifact field 'points.points[2].coords[0]' is not a finite rational: '-\u0663'",
             ),
             (
+                ("points", "points", 4, "coords", 1),
+                "1E3",
+                "artifact field 'points.points[4].coords[1]' is not a finite rational: '1E3'",
+            ),
+            (
                 ("kind",),
                 [1],
                 "artifact field 'kind' is not one of ('cyclic-asp', 'stacked-asp'): [1]",
@@ -438,8 +474,8 @@ class TestVerify:
         ids=[
             "null-facets", "zero-denominator", "non-numeric", "string-id", "string-d",
             "zero-points-d", "half-normal", "bare-offset", "bool-point-id", "float-point-id",
-            "bool-coordinate", "float-coordinate", "non-ascii-coordinate", "list-kind",
-            "repeated-special-id", "repeated-ball-id", "repeated-facet-id",
+            "bool-coordinate", "float-coordinate", "non-ascii-coordinate", "exponent-coordinate",
+            "list-kind", "repeated-special-id", "repeated-ball-id", "repeated-facet-id",
         ],
     )
     def test_malformed_field_is_named(self, capsys, tmp_path, path, value, message):
@@ -572,6 +608,7 @@ FROZEN_VERIFY = {
     ("cyclic", "shelling"): (0, "c71b43228670808b"),
     ("cyclic", "rigidity"): (0, "55bab5945cd33e79"),
     ("cyclic", "minimizer"): (0, "e95870bf4202f0d0"),
+    ("cyclic", "keylemma"): (0, "430ff39984ab9ea2"),
     ("stacked", "all"): (0, "c8903f5d7da08085"),
     ("stacked", "bounds"): (0, "ccd3d38b7888e95a"),
     ("stacked", "ds"): (0, "e2ce847e946ae511"),
@@ -580,7 +617,9 @@ FROZEN_VERIFY = {
     ("stacked", "shelling"): (1, "16414e1bcb03a358"),
     ("stacked", "rigidity"): (0, "7c2fb941960157df"),
     ("stacked", "minimizer"): (0, "e08bdb03a0444d7a"),
+    ("stacked", "keylemma"): (0, "430ff39984ab9ea2"),
     ("cyclic-d3", "minimizer"): (1, "88017cf0d451145a"),
+    ("cyclic-d3", "keylemma"): (0, "545a171949818d19"),
 }
 
 
@@ -625,7 +664,8 @@ class TestFrozenOutputs:
     def test_cyclic_grid(self, capsys, tmp_path):
         # verify --seed 5 and shelling --count 2 on every cyclic artifact of
         # CYCLIC_GRID: one SHA-256 over each exit code and stdout, in order.
-        # Each verify and each shelling passes.
+        # Each verify and each shelling passes, and so does verify --checks
+        # keylemma, outside the digest: all 384 (artifact, v) pairs certify.
         h = hashlib.sha256()
         for d, s, n in CYCLIC_GRID:
             path, _ = make_artifact(
@@ -636,6 +676,8 @@ class TestFrozenOutputs:
                 code, out, _ = run(capsys, argv[0], "--input", str(path), *argv[1:])
                 assert code == 0 and json.loads(out)["all_pass"] is True, (d, s, n, argv, out)
                 h.update(f"{code}\n{out}".encode())
+            code, out, _ = run(capsys, "verify", "--input", str(path), "--checks", "keylemma")
+            assert code == 0, (d, s, n, out)
         assert h.hexdigest() == FROZEN_CYCLIC_GRID
 
     def test_stacked_grid(self, capsys, tmp_path):
@@ -644,7 +686,8 @@ class TestFrozenOutputs:
         # stdout, in order.  recognize refuses d = 3 with exit 2.  Each
         # command gives the same bytes on the artifact in the older format
         # that carried complex.f_triangulation, its value the triangulation
-        # of F by the prime factors of F's boundary or garbage.
+        # of F by the prime factors of F's boundary or garbage.  verify
+        # --checks keylemma passes, outside the digest: all 384 pairs certify.
         h = hashlib.sha256()
         for i, (d, s, n, style, seed) in enumerate(STACKED_GRID):
             path, art = make_artifact(
@@ -663,6 +706,8 @@ class TestFrozenOutputs:
                 code, out, err = run(capsys, *argv, "--input", str(path))
                 assert run(capsys, *argv, "--input", str(carried)) == (code, out, err), argv
                 h.update(f"{code}\n{out}".encode())
+            code, out, _ = run(capsys, "verify", "--input", str(path), "--checks", "keylemma")
+            assert code == 0, (d, s, n, style, seed, out)
         assert h.hexdigest() == FROZEN_STACKED_GRID
 
     def test_construct_grid(self, capsys):
@@ -1118,13 +1163,19 @@ class TestGaleAndFacets:
                 {"d": 1, "points": [{"id": 1, "coords": [0]}, {"id": 2, "coords": [True]}]},
                 "artifact field 'input.points[1].coords[0]' is not a finite rational: True",
             ),
+            (
+                {"d": 1, "points": [{"id": 1, "coords": [0]}, {"id": 2, "coords": ["1e100000"]}]},
+                "artifact field 'input.points[1].coords[0]' is not a finite rational: '1e100000'",
+            ),
         ],
-        ids=["bool-id", "float-id", "bool-coordinate"],
+        ids=["bool-id", "float-id", "bool-coordinate", "exponent-coordinate"],
     )
     def test_facets_refuses_non_integer_ids_and_boolean_coordinates(
         self, tmp_path, points, message
     ):
-        # JSON true passed as the id 1 and the coordinate 1, and 1.0 as the id 1.
+        # JSON true passed as the id 1 and the coordinate 1, and 1.0 as the
+        # id 1.  Fraction expanded an exponent in full, and the plane through
+        # 10**100000 then passed Python's limit on an int's digits at output.
         path = tmp_path / "points.json"
         path.write_text(json.dumps(points))
         assert run_quiet("facets", "--input", str(path)) == (2, "", f"error: {message}\n")

@@ -9,7 +9,7 @@ import hashlib
 import json
 import random
 import sys
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,7 +44,6 @@ from oracles import (
     cell_decomposition_per_split,
     cell_missing_by_masks,
     cell_missing_by_ridge_scan,
-    drawn_asp_points,
     f_vector_by_face_set,
     face_set,
     induced_pairwise,
@@ -715,26 +714,6 @@ class TestKeyLemmaCertificate:
         ]
         assert len(pairs) == 23
         assert all(certified_without_negative_defect(asp, v) for asp, v in pairs)
-
-    def test_every_v_on_drawn_asps(self):
-        # The paper claims the upper bound for every ASP, so the key lemma
-        # is checked outside the two families too (oracles.drawn_asp_points:
-        # d 4..6, s 0..3, 1..3 points above F, seeds 0..2, on the moment
-        # curve and lifted).  Every pair at seeds 0..19 certifies, so a
-        # stuck search here fails.
-        pairs = [
-            (asp, v)
-            for d, s, above, seed, lifted in product(
-                range(4, 7), range(4), range(1, 4), range(3), (False, True)
-            )
-            for points in [drawn_asp_points(ASPParams(d, d + s + above, s), seed, lifted)]
-            for asp in [asp_geometry(points, range(1, d + 1)).ball]
-            for v in sorted(asp.special_facet)
-        ]
-        assert len(pairs) == 1404
-        assert [
-            (asp.params, v) for asp, v in pairs if not certified_without_negative_defect(asp, v)
-        ] == []
 
     def test_every_minimizer_pair_on_the_acceptance_grid(self):
         # Criterion 09's fact on the second family: every (minimizer, v)

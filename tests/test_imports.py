@@ -6,11 +6,11 @@ import of a tests/test_*.py, is read too, so a retired oracle or a
 folded test leaves no orphan.  The library has no construct that makes
 a float (test_library_is_exact).
 
-Parses the library modules (all but the package ``__init__``) and the
-scripts with ``ast``; a name counts as used when it is read anywhere in
-the module, including inside string annotations.  A library name counts
-as read when the library, the scripts or the benchmark load it, or
-access an attribute of that name, outside its own definition.
+Parses the library modules (all but the package ``__init__``) with
+``ast``; a name counts as used when it is read anywhere in the module,
+including inside string annotations.  A library name counts as read when
+the library or the benchmark load it, or access an attribute of that
+name, outside its own definition.
 """
 
 import ast
@@ -21,7 +21,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted(p for p in (ROOT / "src" / "aspoly").glob("*.py") if p.name != "__init__.py")
-MODULES = LIBRARY + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -61,10 +60,10 @@ def used_names(tree: ast.Module) -> set[str]:
 
 
 def test_modules_found():
-    assert {p.name for p in MODULES} >= {"complexes.py", "stackgen.py", "shelling_experiment.py"}
+    assert {p.name for p in LIBRARY} >= {"complexes.py", "stackgen.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)
@@ -76,7 +75,7 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+READERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def library_definitions(tree: ast.Module):
@@ -138,8 +137,8 @@ def test_every_public_name_is_read_outside_tests():
 
 def test_every_private_name_is_read_outside_tests():
     """Each private top-level function, class and constant of the library
-    is read by the library, the scripts or the benchmark, so a helper
-    that only tests call is dead code."""
+    is read by the library or the benchmark, so a helper that only tests
+    call is dead code."""
     unread = unread_library_names(private=True)
     assert not unread, f"private names nothing outside tests/ reads: {unread}"
 
@@ -166,7 +165,7 @@ def dataclass_fields(tree: ast.Module):
 
 def test_every_dataclass_field_is_read():
     """Each field of a library dataclass is read as an attribute in the
-    library, the scripts or the benchmark.
+    library or the benchmark.
 
     Fields are matched by attribute name alone, whatever the object, so
     the gate is lenient: a field passes when an attribute of the same name
